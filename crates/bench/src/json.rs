@@ -1,7 +1,7 @@
 //! Minimal dependency-free JSON tooling for the bench drivers.
 //!
-//! The repo's machine-readable artifacts (`BENCH_explore.json`,
-//! `Report::to_json()`) are hand-rolled because the build environment has
+//! The repo's machine-readable artifacts (`Report::to_json()`, corpus
+//! JSON, `--trace` files) are hand-rolled because the build environment has
 //! no serde; this module is the consuming side — a small recursive-descent
 //! parser that preserves object key order, so tests can assert the
 //! emitted JSON is well-formed and round-trippable.

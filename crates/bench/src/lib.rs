@@ -3,9 +3,10 @@
 //! Experiment drivers that regenerate every table and figure of the
 //! paper's evaluation. One binary per artifact (see `src/bin/`); this
 //! library holds the shared logic so the benches (see [`timing`]) and the
-//! binaries agree on parameters. The `explore_perf` binary additionally
-//! tracks the AMC explorer's own performance across PRs
-//! (`BENCH_explore.json`).
+//! binaries agree on parameters. The engine's own performance is
+//! tracked by the repo benchmark (`BENCHMARK.json`, `benchmark/`), not
+//! here; two telemetry CI gates (`telemetry_perf`, `validate_trace`) are
+//! the only perf bins left in this crate.
 //!
 //! Environment knobs for the binaries:
 //!

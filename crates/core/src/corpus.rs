@@ -35,7 +35,7 @@ use vsync_model::ModelKind;
 
 use crate::session::{json_str, phases_json, verdict_kind, ProgressFn, Session};
 use crate::telemetry::{EventBus, EventFn, EventKind, PhaseProfile};
-use crate::verdict::{EngineError, EnginePhase, SearchMode, Verdict};
+use crate::verdict::{EngineError, EnginePhase, Verdict};
 use crate::{failpoint, CancelToken};
 
 /// Failure to load a litmus file: I/O or parse.
@@ -64,7 +64,7 @@ pub struct CorpusOptions {
     /// Model matrix override. `None` = each file's annotated models
     /// (falling back to [`ModelKind::all`] for unannotated files).
     pub models: Option<Vec<ModelKind>>,
-    /// Exploration workers per session (0 and 1 both mean sequential).
+    /// Exploration workers per session (0 and 1 both mean one).
     pub workers: usize,
     /// Concurrently-checked files in [`run_corpus`] (0 and 1 both mean
     /// one at a time).
@@ -82,9 +82,6 @@ pub struct CorpusOptions {
     pub max_memory_bytes: u64,
     /// Per-exploration dedup-table entry cap (0 = unlimited).
     pub max_dedup_entries: u64,
-    /// Exploration search strategy (CLI `--search`; verdicts and counts
-    /// are strategy-independent).
-    pub search: SearchMode,
     /// Telemetry sink forwarded to every session (CLI `--trace`). One
     /// [`run_corpus`] run shares a single event bus — one sequence
     /// counter and clock — across all files; corpus-level
@@ -103,7 +100,6 @@ impl fmt::Debug for CorpusOptions {
             .field("workers", &self.workers)
             .field("jobs", &self.jobs)
             .field("no_symmetry", &self.no_symmetry)
-            .field("search", &self.search)
             .field("deadline", &self.deadline)
             .field("on_event", &self.on_event.is_some())
             .field("profile", &self.profile)
@@ -443,7 +439,6 @@ fn check_test_with_bus(
         .models(models.iter().copied())
         .workers(opts.workers.max(1))
         .symmetry(!opts.no_symmetry)
-        .search(opts.search)
         .max_memory_bytes(opts.max_memory_bytes)
         .max_dedup_entries(opts.max_dedup_entries)
         .profile(opts.profile)

@@ -1,51 +1,39 @@
-//! The AMC exploration algorithm (paper Fig. 6).
+//! The AMC exploration (paper Fig. 6): entry points and the one driver.
 //!
-//! A work queue holds partial execution graphs. Each step takes a graph,
-//! replays the program against it to reconstruct thread states, discards it
-//! if it is wasteful (`W(G)`) or inconsistent with the memory model, and
-//! otherwise extends it by one event of the first runnable thread:
+//! [`explore_with`] validates the program and hands it to the exploration
+//! driver, [`Engine::run`]: a loop that pops a chain root from the shared
+//! [`WorkQueue`], runs its chain under `catch_unwind`
+//! ([`crate::revisit`] holds the chain logic — replay, consistency,
+//! in-place extension, backward revisits, leaf checks), arbitrates how the
+//! chain ended, and injects the admitted children back into the queue.
+//! The loop is written once. [`AmcConfig::workers`] `== 1` runs it inline
+//! on the calling thread; `> 1` runs the same function on that many scoped
+//! threads over the same queue, the same sharded seen-sets and the same
+//! [`BudgetTracker`].
 //!
-//! * **reads** branch over every same-location write already in the graph
-//!   (plus the missing-edge `⊥` option for await reads);
-//! * **writes** branch over their modification-order placement and
-//!   *revisit* existing reads of the same location (restricting the graph
-//!   to the `porf`-prefixes of the write and the revisited read);
-//! * when no thread is runnable, the graph is either a complete execution
-//!   (check assertions and final-state predicates) or blocked; blocked
-//!   graphs are passed to the stagnancy analysis, which decides whether
-//!   they witness an await-termination violation.
+//! ## Determinism
 //!
-//! Work items are deduplicated by canonical content hash: the scheduler is
-//! deterministic and revisit restrictions are content-determined, so two
-//! items with equal content have identical futures.
+//! Work items are independent: what a chain does depends only on its
+//! root's content. The seen-sets admit each orbit exactly once and
+//! successors are functions of content, so the set of explored graphs —
+//! hence the verdict and `complete_executions` — is the same for every
+//! worker count (DESIGN.md §3). With one worker the queue is a LIFO stack
+//! and every counter, telemetry event and `Inconclusive` payload is a
+//! deterministic function of the program.
 //!
 //! ## Thread-symmetry reduction
 //!
-//! With [`AmcConfig::symmetry`] (default on) the dedup key is the
-//! canonical hash *modulo permutations of template-identical threads*
+//! With [`AmcConfig::symmetry`] (default on) the seen-sets are keyed on
+//! the canonical hash *modulo permutations of template-identical threads*
 //! ([`vsync_lang::Program::symmetry_partition`]): up to `k!` relabeled
-//! twins per `k`-thread symmetry class collapse onto one orbit, pruned at
-//! insertion instead of explored (counted as `symmetry_pruned`). The item
-//! admitted for an orbit is normalized to the orbit's *canonical
-//! representative* ([`ExecutionGraph::permute_threads`] by the minimizing
-//! relabeling), so successor generation — which extends the first ready
-//! thread, a choice that is not relabeling-invariant — stays a function
-//! of the orbit and the explored set remains deterministic across worker
-//! counts. Soundness: relabeling template-identical threads maps
-//! executions of the program onto executions of the same program and
-//! preserves assertion failures, final-state checks and stagnancy
-//! (DESIGN.md §8).
+//! twins per `k`-thread symmetry class collapse onto one orbit (counted as
+//! `symmetry_pruned`), and the item admitted for an orbit is normalized to
+//! the orbit's canonical representative so successor generation stays a
+//! function of the orbit. Soundness: DESIGN.md §8.
 //!
-//! ## Parallel exploration
-//!
-//! Work items are *independent*: a popped graph's processing depends only
-//! on its own content. With [`AmcConfig::workers`] `> 1` the explorer runs
-//! N worker threads over a shared injector queue with a sharded
-//! content-hash dedup set; per-worker [`ExploreStats`] are merged at the
-//! end. Because the dedup set admits each graph content exactly once and
-//! successors are functions of content, the set of explored graphs — and
-//! hence the verdict and `complete_executions` — is identical for every
-//! worker count. `workers == 1` runs the exact sequential LIFO algorithm.
+//! The differential oracle [`crate::reference::explore`] (sequential
+//! enumerate-and-dedup) imports nothing from this module's driver
+//! infrastructure, so the two searches cross-check each other.
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -54,19 +42,17 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-use vsync_graph::{
-    content_hash, Canonicalizer, EventId, EventKind, ExecutionGraph, Loc, RfSource, ThreadId,
-};
-use vsync_lang::{Operand, PendingOp, Program, ReadDesc, ThreadStatus};
+use vsync_graph::{EventId, EventKind, ExecutionGraph, ExploreEncoder, Loc, RfSource, ThreadId};
+use vsync_lang::{Operand, Program};
 use vsync_model::MemoryModel;
 
 use crate::failpoint;
+use crate::revisit::ChainEnd;
 use crate::session::{ProgressSnapshot, RunControl};
-use crate::stagnancy::is_stagnant;
-use crate::telemetry::{PhaseProfile, PhaseTracker};
+use crate::telemetry::{EventBus, EventKind as BusEvent, PhaseProfile, PhaseTracker};
 use crate::verdict::{
-    AmcConfig, AmcResult, Counterexample, EngineError, EnginePhase, ExploreStats, Inconclusive,
-    ResourceBudget, SearchMode, StopReason, Verdict,
+    AmcConfig, AmcResult, EngineError, EnginePhase, ExploreStats, Inconclusive, ResourceBudget,
+    StopReason, Verdict,
 };
 
 /// Lock acquisition with explicit poison recovery: every mutex in the
@@ -75,12 +61,12 @@ use crate::verdict::{
 /// impossible to observe — the panic either happens outside any guard or
 /// inside `catch_unwind`-wrapped processing that never holds one. A
 /// poisoned flag therefore carries no information and must not cascade.
-pub(crate) fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Render a caught panic payload for an [`EngineError`].
-pub(crate) fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -106,12 +92,11 @@ pub fn explore(prog: &Program, config: &AmcConfig) -> AmcResult {
 /// unless you are wiring the explorer into your own scheduler.
 ///
 /// Interruption is cooperative: the cancel flag is re-checked on every
-/// popped work item and the deadline every few dozen items, in every
-/// worker. An interrupted run reports [`Verdict::Inconclusive`] without
-/// finishing the item in flight; resource-budget exhaustion
-/// ([`ResourceBudget`]) degrades to the same shape. A panic caught inside
-/// a worker terminates the run with [`Verdict::Error`] instead of
-/// aborting the process.
+/// chain step and the deadline every few dozen steps, in every worker. An
+/// interrupted run reports [`Verdict::Inconclusive`] without finishing
+/// the chain in flight; resource-budget exhaustion ([`ResourceBudget`])
+/// degrades to the same shape. A panic caught inside a worker terminates
+/// the run with [`Verdict::Error`] instead of aborting the process.
 pub fn explore_with(prog: &Program, config: &AmcConfig, control: &RunControl) -> AmcResult {
     if let Err(e) = prog.validate() {
         return AmcResult {
@@ -123,17 +108,8 @@ pub fn explore_with(prog: &Program, config: &AmcConfig, control: &RunControl) ->
     // The symmetry partition is recomputed from the *current* resolved
     // code on every run (cheap), so optimizer-patched candidates whose
     // thread modes diverged never reuse a stale merge.
-    let partition = (config.symmetry && config.dedup)
-        .then(|| prog.symmetry_partition())
-        .filter(|p| !p.is_trivial());
-    let engine =
-        Engine { prog, config, model: config.model.checker(config.checker), control, partition };
-    match (config.search, config.workers > 1) {
-        (SearchMode::Revisit, false) => engine.run_revisit_sequential(),
-        (SearchMode::Revisit, true) => engine.run_revisit_parallel(config.workers),
-        (SearchMode::Enumerate, false) => engine.run_sequential(),
-        (SearchMode::Enumerate, true) => engine.run_parallel(config.workers),
-    }
+    let partition = config.symmetry.then(|| prog.symmetry_partition()).filter(|p| !p.is_trivial());
+    Engine { prog, config, model: config.model.checker(config.checker), control, partition }.run()
 }
 
 /// Convenience wrapper returning only the verdict.
@@ -174,12 +150,11 @@ pub struct OracleOutcome {
 /// A barrier-optimization oracle only needs *rejected-or-not* plus, on
 /// rejection, the violating graph to seed the witness cache — so this
 /// entry point never collects executions, strips the result down to an
-/// [`OracleOutcome`], and leans on the drivers' first-violation stop: the
-/// sequential driver returns the moment a violation is found, and in the
-/// parallel driver the verdict-bearing worker stops the shared queue so
-/// every peer drains at its next pop instead of exploring useless
-/// branches. Candidate evaluations run under their own [`CancelToken`]
-/// children, so a scheduler can cooperatively cancel losers mid-flight.
+/// [`OracleOutcome`], and leans on the driver's first-violation stop: the
+/// verdict-bearing worker stops the shared queue, so every peer drains at
+/// its next pop instead of exploring useless branches. Candidate
+/// evaluations run under their own [`CancelToken`] children, so a
+/// scheduler can cooperatively cancel losers mid-flight.
 ///
 /// [`CancelToken`]: crate::session::CancelToken
 pub fn explore_oracle(prog: &Program, config: &AmcConfig, control: &RunControl) -> OracleOutcome {
@@ -249,10 +224,10 @@ pub fn count_executions_with(
     }
 }
 
-/// Pass-through hasher for the dedup set: the keys are already 128-bit
+/// Pass-through hasher for the seen-sets: the keys are already 128-bit
 /// content hashes, so running them through SipHash again is pure waste.
 #[derive(Default)]
-pub(crate) struct IdentityHasher(u64);
+struct IdentityHasher(u64);
 
 impl Hasher for IdentityHasher {
     fn finish(&self) -> u64 {
@@ -271,82 +246,78 @@ impl Hasher for IdentityHasher {
     }
 }
 
-pub(crate) type SeenSet = HashSet<u128, BuildHasherDefault<IdentityHasher>>;
+type SeenSet = HashSet<u128, BuildHasherDefault<IdentityHasher>>;
 
-/// The scheduler-independent part of the explorer: how one work item is
-/// processed. Shared by the sequential and parallel drivers of both search
-/// modes (the revisit-driven drivers live in [`crate::revisit`]).
+/// A seen-set of orbit hashes, sharded so concurrent workers rarely
+/// contend on one lock.
+struct SeenShards(Vec<Mutex<SeenSet>>);
+
+impl SeenShards {
+    const SHARDS: usize = 64;
+
+    fn new() -> Self {
+        SeenShards((0..Self::SHARDS).map(|_| Mutex::new(SeenSet::default())).collect())
+    }
+
+    /// Insert `h`; `true` iff it was never seen before (the new entry is
+    /// charged to `budget`).
+    fn insert(&self, h: u128, budget: &BudgetTracker) -> bool {
+        let fresh = relock(&self.0[(h as usize) % Self::SHARDS]).insert(h);
+        if fresh {
+            budget.note_dedup_entry();
+        }
+        fresh
+    }
+}
+
+/// One exploration: the program, its configuration and controls. The
+/// driver ([`Engine::run`]) lives here, the chain logic it calls in
+/// [`crate::revisit`].
 pub(crate) struct Engine<'p> {
     pub(crate) prog: &'p Program,
     pub(crate) config: &'p AmcConfig,
     pub(crate) model: &'static dyn MemoryModel,
-    pub(crate) control: &'p RunControl,
-    /// Non-trivial thread-symmetry partition, when symmetry-aware dedup
-    /// is enabled for this run. Each worker derives its own
-    /// [`Canonicalizer`] (scratch buffers) from it.
-    pub(crate) partition: Option<vsync_graph::ThreadPartition>,
+    control: &'p RunControl,
+    /// Non-trivial thread-symmetry partition, when symmetry reduction is
+    /// enabled for this run. Each worker derives its own
+    /// [`ExploreEncoder`] (scratch buffers) from it.
+    partition: Option<vsync_graph::ThreadPartition>,
 }
 
-/// Items between deadline/progress checks. The cancel flag is read on
-/// every item (one relaxed-ish atomic load); `Instant::now()` and the
-/// progress machinery only every `CHECK_PERIOD` items so they stay out of
-/// the hot path.
-pub(crate) const CHECK_PERIOD: u64 = 64;
+/// Chain steps between deadline/progress checks. The cancel flag is read
+/// on every step (one relaxed-ish atomic load); `Instant::now()`, the
+/// progress machinery and the telemetry drain only every `CHECK_PERIOD`
+/// steps so they stay out of the hot path.
+const CHECK_PERIOD: u64 = 64;
 
 /// Per-worker cadence state for the cooperative control checks.
-///
-/// In parallel runs `gate` points at a shared last-emission timestamp so
-/// only one worker emits a snapshot per interval; sequential runs keep a
-/// local timestamp.
-pub(crate) struct Pacer<'c> {
+struct Pacer<'c> {
     control: &'c RunControl,
     started: Instant,
-    last_emit: Instant,
-    gate: Option<&'c Mutex<Instant>>,
+    /// Last progress emission of *any* worker, so only one worker emits a
+    /// snapshot per interval.
+    gate: &'c Mutex<Instant>,
+    /// Counters merged across workers, for progress snapshots.
+    merged: &'c SharedStats,
     count: u64,
     workers: usize,
-    /// This worker's index (0 for sequential drivers), stamped onto
-    /// telemetry events so multi-worker streams can be demultiplexed.
+    /// This worker's index, stamped onto telemetry events so multi-worker
+    /// streams can be demultiplexed.
     worker: usize,
-    /// Local stats as of the last telemetry drain.
+    /// Local stats as of the last drain.
     last_local: ExploreStats,
-    /// Phase profile as of the last telemetry drain.
+    /// Phase profile as of the last drain.
     last_profile: PhaseProfile,
 }
 
-impl<'c> Pacer<'c> {
-    pub(crate) fn new(
-        control: &'c RunControl,
-        workers: usize,
-        gate: Option<&'c Mutex<Instant>>,
-        worker: usize,
-    ) -> Self {
-        let now = Instant::now();
-        Pacer {
-            control,
-            started: now,
-            last_emit: now,
-            gate,
-            count: 0,
-            workers,
-            worker,
-            last_local: ExploreStats::default(),
-            last_profile: PhaseProfile::default(),
-        }
-    }
-
+impl Pacer<'_> {
     /// One cancellation point. Returns the stop reason that should end
-    /// the run, if any; otherwise drains this worker's telemetry onto the
-    /// event bus (when one is attached) and possibly emits a progress
-    /// snapshot built from `stats` (already merged across workers by the
-    /// caller). `local` is *this worker's* cumulative counters, so stats
-    /// deltas are per-worker and deterministic at `workers == 1`.
-    pub(crate) fn poll(
-        &mut self,
-        tracker: &PhaseTracker,
-        local: &ExploreStats,
-        stats: impl FnOnce() -> ExploreStats,
-    ) -> Option<StopReason> {
+    /// the run, if any; otherwise, every [`CHECK_PERIOD`] calls, drains
+    /// this worker's telemetry onto the event bus (when one is attached)
+    /// and possibly emits a progress snapshot. `local` is *this worker's*
+    /// cumulative counters, so stats deltas are per-worker and
+    /// deterministic at `workers == 1`.
+    fn poll(&mut self, tracker: &PhaseTracker, local: &ExploreStats) -> Option<StopReason> {
         if self.control.cancel.is_cancelled() {
             return Some(StopReason::Cancelled);
         }
@@ -360,74 +331,70 @@ impl<'c> Pacer<'c> {
                 return Some(StopReason::DeadlineExceeded);
             }
         }
-        if let Some(bus) = &self.control.events {
-            // `snapshot` (not `take_profile`): the tracker's cumulative
-            // profile must survive for the driver's final merge into the
-            // run's stats; the bus only sees the since-last-drain slice.
+        let control = self.control;
+        if control.events.is_some() || control.progress.is_some() {
             let delta = stats_delta(local, &self.last_local);
-            if delta != ExploreStats::default() {
-                bus.emit(crate::telemetry::EventKind::StatsDelta {
-                    worker: self.worker,
-                    stats: delta,
-                });
-            }
             self.last_local = *local;
-            let profile = tracker.snapshot();
-            let slice = profile.minus(&self.last_profile);
-            if !slice.is_empty() {
-                bus.emit(crate::telemetry::EventKind::PhaseSlice {
-                    worker: self.worker,
-                    phases: slice,
-                });
-            }
-            self.last_profile = profile;
-        }
-        if let Some(cb) = &self.control.progress {
-            let due = match self.gate {
-                None => {
-                    let due = now.duration_since(self.last_emit) >= self.control.progress_interval;
-                    if due {
-                        self.last_emit = now;
-                    }
-                    due
-                }
+            if let Some(cb) = &control.progress {
+                // Snapshots are built from `merged`, which trails the true
+                // totals by at most CHECK_PERIOD steps per worker.
+                self.merged.add(&delta);
                 // try_lock: a peer already emitting means we simply skip.
                 // A poisoned gate only ever holds a timestamp — recover it.
-                Some(gate) => {
-                    let guard = match gate.try_lock() {
-                        Ok(g) => Some(g),
-                        Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-                        Err(std::sync::TryLockError::WouldBlock) => None,
-                    };
-                    match guard {
-                        Some(mut last) => {
-                            let due = now.duration_since(*last) >= self.control.progress_interval;
-                            if due {
-                                *last = now;
-                            }
-                            due
-                        }
-                        None => false,
+                let guard = match self.gate.try_lock() {
+                    Ok(g) => Some(g),
+                    Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
+                    Err(std::sync::TryLockError::WouldBlock) => None,
+                };
+                if let Some(mut last) = guard {
+                    if now.duration_since(*last) >= control.progress_interval {
+                        *last = now;
+                        cb(&ProgressSnapshot {
+                            model: control.model,
+                            stats: self.merged.snapshot(),
+                            elapsed: now.duration_since(self.started),
+                            workers: self.workers,
+                        });
                     }
                 }
-            };
-            if due {
-                cb(&ProgressSnapshot {
-                    model: self.control.model,
-                    stats: stats(),
-                    elapsed: now.duration_since(self.started),
-                    workers: self.workers,
-                });
+            }
+            if let Some(bus) = &control.events {
+                // `snapshot` (not `take_profile`): the tracker's cumulative
+                // profile must survive for the final merge into the run's
+                // stats; the bus only sees the since-last-drain slice.
+                self.emit(bus, delta, tracker.snapshot());
             }
         }
         None
+    }
+
+    /// The drain a worker performs once more on exit, with the profile
+    /// that is merged into its final stats: the deltas and slices on the
+    /// bus then add up to exactly the run's `ExploreStats`.
+    fn finish(&mut self, local: &ExploreStats, profile: PhaseProfile) {
+        if let Some(bus) = &self.control.events {
+            self.emit(bus, stats_delta(local, &self.last_local), profile);
+        }
+    }
+
+    /// Put one `stats_delta` and one `phase_slice` (since this worker's
+    /// previous ones) on the bus, each only when it carries something.
+    fn emit(&mut self, bus: &EventBus, delta: ExploreStats, profile: PhaseProfile) {
+        if delta != ExploreStats::default() {
+            bus.emit(BusEvent::StatsDelta { worker: self.worker, stats: delta });
+        }
+        let slice = profile.minus(&self.last_profile);
+        if !slice.is_empty() || !slice.total().is_zero() {
+            bus.emit(BusEvent::PhaseSlice { worker: self.worker, phases: slice });
+        }
+        self.last_profile = profile;
     }
 }
 
 /// Atomic accumulation of per-worker [`ExploreStats`], so parallel
 /// progress snapshots can merge counters without stopping anyone.
 #[derive(Default)]
-pub(crate) struct SharedStats {
+struct SharedStats {
     popped: AtomicU64,
     pushed: AtomicU64,
     constructed: AtomicU64,
@@ -443,7 +410,7 @@ pub(crate) struct SharedStats {
 }
 
 impl SharedStats {
-    pub(crate) fn add(&self, s: &ExploreStats) {
+    fn add(&self, s: &ExploreStats) {
         self.popped.fetch_add(s.popped, Ordering::Relaxed);
         self.pushed.fetch_add(s.pushed, Ordering::Relaxed);
         self.constructed.fetch_add(s.constructed, Ordering::Relaxed);
@@ -458,7 +425,7 @@ impl SharedStats {
         self.probes.fetch_add(s.probes, Ordering::Relaxed);
     }
 
-    pub(crate) fn snapshot(&self) -> ExploreStats {
+    fn snapshot(&self) -> ExploreStats {
         ExploreStats {
             popped: self.popped.load(Ordering::Relaxed),
             pushed: self.pushed.load(Ordering::Relaxed),
@@ -481,7 +448,7 @@ impl SharedStats {
 }
 
 /// Field-wise `a - b`; `b` is always an earlier copy of `a`.
-pub(crate) fn stats_delta(a: &ExploreStats, b: &ExploreStats) -> ExploreStats {
+fn stats_delta(a: &ExploreStats, b: &ExploreStats) -> ExploreStats {
     ExploreStats {
         popped: a.popped - b.popped,
         pushed: a.pushed - b.pushed,
@@ -509,7 +476,7 @@ const DEDUP_ENTRY_BYTES: u64 = 48;
 /// entry counts. Byte accounting is skipped entirely when no memory
 /// ceiling is set, so unlimited runs never call
 /// [`ExecutionGraph::approx_heap_bytes`].
-pub(crate) struct BudgetTracker {
+struct BudgetTracker {
     max_bytes: u64,
     max_entries: u64,
     bytes: AtomicU64,
@@ -521,7 +488,7 @@ pub(crate) struct BudgetTracker {
 }
 
 impl BudgetTracker {
-    pub(crate) fn new(b: &ResourceBudget) -> Self {
+    fn new(b: &ResourceBudget) -> Self {
         BudgetTracker {
             max_bytes: b.max_memory_bytes,
             max_entries: b.max_dedup_entries,
@@ -531,19 +498,19 @@ impl BudgetTracker {
         }
     }
 
-    pub(crate) fn charge(&self, g: &ExecutionGraph) {
+    fn charge(&self, g: &ExecutionGraph) {
         if self.max_bytes != 0 {
             self.bytes.fetch_add(g.approx_heap_bytes() as u64, Ordering::Relaxed);
         }
     }
 
-    pub(crate) fn release(&self, g: &ExecutionGraph) {
+    fn release(&self, g: &ExecutionGraph) {
         if self.max_bytes != 0 {
             self.bytes.fetch_sub(g.approx_heap_bytes() as u64, Ordering::Relaxed);
         }
     }
 
-    pub(crate) fn note_dedup_entry(&self) {
+    fn note_dedup_entry(&self) {
         if self.max_bytes != 0 {
             self.bytes.fetch_add(DEDUP_ENTRY_BYTES, Ordering::Relaxed);
         }
@@ -553,7 +520,7 @@ impl BudgetTracker {
     }
 
     /// Record a synthetic allocation failure (failpoint `oom` action).
-    pub(crate) fn force(&self, reason: StopReason) {
+    fn force(&self, reason: StopReason) {
         let code = match reason {
             StopReason::DedupBudget => 2,
             _ => 1,
@@ -561,7 +528,7 @@ impl BudgetTracker {
         self.forced.store(code, Ordering::Relaxed);
     }
 
-    pub(crate) fn exceeded(&self) -> Option<StopReason> {
+    fn exceeded(&self) -> Option<StopReason> {
         match self.forced.load(Ordering::Relaxed) {
             1 => return Some(StopReason::MemoryBudget),
             2 => return Some(StopReason::DedupBudget),
@@ -577,613 +544,254 @@ impl BudgetTracker {
     }
 }
 
-/// Assemble the degraded result for a budget- or interrupt-stopped run.
-pub(crate) fn degraded(
-    reason: StopReason,
-    mut stats: ExploreStats,
-    explored: u64,
-    dropped: u64,
-    executions: Vec<ExecutionGraph>,
-) -> AmcResult {
-    stats.frontier_dropped = dropped;
-    AmcResult {
-        verdict: Verdict::Inconclusive(Inconclusive {
-            reason,
-            explored,
-            frontier_dropped: dropped,
-        }),
-        stats,
-        executions,
-    }
+/// State shared by every worker of one exploration.
+struct Shared {
+    queue: WorkQueue,
+    /// Orbits already materialized as chain roots.
+    visited: SeenShards,
+    /// Terminal (complete or blocked) orbits already counted. Distinct
+    /// from `visited`: a revisit child that happens to be a leaf would
+    /// otherwise collide with its own admission hash and go uncounted.
+    leaves: SeenShards,
+    budget: BudgetTracker,
+    /// Chain steps taken by all workers — the unit of
+    /// [`AmcConfig::max_graphs`] and of `Inconclusive::explored`, so the
+    /// explored-work ceiling means the same thing at every worker count.
+    steps: AtomicU64,
+    /// Cross-worker counters and emission gate for progress snapshots.
+    merged: SharedStats,
+    gate: Mutex<Instant>,
 }
 
-/// Scratch state for processing one work item; children end up in `out`.
-struct Step<'s> {
-    stats: &'s mut ExploreStats,
-    out: &'s mut Vec<ExecutionGraph>,
-    executions: &'s mut Vec<ExecutionGraph>,
-    /// The run's budget tracker, so failpoint-injected allocation
-    /// failures can force exhaustion from any stage.
-    budget: &'s BudgetTracker,
-    /// Engine phase the worker is currently executing, kept up to date by
-    /// [`Engine::process`] so the driver's `catch_unwind` can attribute a
-    /// caught panic ([`EngineError::phase`]) and, when profiling is on,
-    /// each phase's wall clock accrues to the run's [`PhaseProfile`].
-    phase: &'s PhaseTracker,
+/// One worker's private state: what a chain reads and writes while it
+/// runs. The chain logic in [`crate::revisit`] sees the counters, the
+/// child buffer and the hasher; the frontier, budgets and pacing stay
+/// behind [`Worker::tick`], [`Worker::visit`] and [`Worker::leaf`].
+pub(crate) struct Worker<'r> {
+    pub(crate) stats: ExploreStats,
+    /// Children admitted since the last transfer to the frontier.
+    pub(crate) out: Vec<ExecutionGraph>,
+    pub(crate) executions: Vec<ExecutionGraph>,
+    /// Engine phase the worker is executing, for panic attribution
+    /// ([`EngineError::phase`]) and, when profiling is on, wall-clock
+    /// accrual to the run's [`PhaseProfile`].
+    pub(crate) phase: PhaseTracker,
+    /// Symmetry-aware view hasher (per-worker scratch buffers).
+    pub(crate) enc: ExploreEncoder,
+    pacer: Pacer<'r>,
+    shared: &'r Shared,
+    max_graphs: u64,
 }
 
-impl Step<'_> {
+impl Worker<'_> {
     /// Record a failpoint hit; a synthetic allocation failure is reported
     /// as memory-budget exhaustion. Compiles to nothing without the
     /// `failpoints` feature.
     #[inline]
-    fn failpoint(&self, site: &'static str) {
+    pub(crate) fn failpoint(&self, site: &'static str) {
         if failpoint::hit(site).is_oom() {
-            self.budget.force(StopReason::MemoryBudget);
+            self.shared.budget.force(StopReason::MemoryBudget);
         }
+    }
+
+    /// Admission probe: `true` iff no chain root of orbit `h` was ever
+    /// materialized.
+    pub(crate) fn visit(&self, h: u128) -> bool {
+        self.shared.visited.insert(h, &self.shared.budget)
+    }
+
+    /// Leaf probe: `true` iff no terminal graph of orbit `h` was counted.
+    pub(crate) fn leaf(&self, h: u128) -> bool {
+        self.shared.leaves.insert(h, &self.shared.budget)
+    }
+
+    /// Hand the children admitted so far to the frontier, so peers can
+    /// pick them up while the chain is still running. `Some` when that
+    /// exhausts a resource budget.
+    fn transfer(&mut self) -> Option<StopReason> {
+        for c in &self.out {
+            self.shared.budget.charge(c);
+        }
+        self.shared.queue.push_children(&mut self.out);
+        self.shared.budget.exceeded()
+    }
+
+    /// Run once per chain step, *before* the step's work: transfers the
+    /// previous step's children (so a mid-chain stop accounts them as
+    /// dropped frontier instead of losing them), performs the cooperative
+    /// control checks and counts the step. A `Some` return stops the run.
+    pub(crate) fn tick(&mut self) -> Option<StopReason> {
+        if let Some(reason) = self.transfer() {
+            return Some(reason);
+        }
+        if let Some(reason) = self.pacer.poll(&self.phase, &self.stats) {
+            return Some(reason);
+        }
+        self.stats.popped += 1;
+        let total = self.shared.steps.fetch_add(1, Ordering::Relaxed) + 1;
+        if self.max_graphs != 0 && total > self.max_graphs {
+            return Some(StopReason::MaxGraphs);
+        }
+        self.failpoint("explore.pop");
+        None
     }
 }
 
-impl<'p> Engine<'p> {
-    pub(crate) fn initial_graph(&self) -> ExecutionGraph {
-        ExecutionGraph::new(self.prog.num_threads(), self.prog.init().clone())
-    }
-
-    /// Process one popped work item. Children are appended to `step.out`
-    /// (in the same order the sequential explorer would push them); a
-    /// `Some` return is a terminal verdict that ends the exploration.
-    ///
-    /// `seen` is the dedup probe: returns `true` iff the hash is new.
-    /// `canon` is the worker's symmetry canonicalizer, `None` when the run
-    /// has no usable symmetry.
-    fn process(
-        &self,
-        mut g: ExecutionGraph,
-        seen: &mut dyn FnMut(u128) -> bool,
-        canon: &mut Option<Canonicalizer>,
-        step: &mut Step<'_>,
-    ) -> Option<Verdict> {
-        // Replay first: it repairs derived read flags, which both the
-        // content hash and the consistency check depend on.
-        step.phase.set(EnginePhase::Replay);
-        step.failpoint("explore.replay");
-        let mut out = vsync_lang::replay_with_budget(self.prog, &mut g, self.config.step_budget);
-        if let Some(f) = out.fault() {
-            return Some(Verdict::Fault(f.to_owned()));
-        }
-        step.stats.events += g.num_events() as u64;
-        if self.config.dedup {
-            step.phase.set(EnginePhase::Dedup);
-            step.failpoint("explore.dedup");
-            let (hash, permuted) = match canon {
-                Some(c) => c.canonical_hash(&g),
-                None => (content_hash(&g), false),
-            };
-            // Drain the canonicalizer's permutation-probe count right at
-            // the hash site; a plain content hash is one probe.
-            step.stats.probes += match canon {
-                Some(c) => c.take_probes(),
-                None => 1,
-            };
-            if !seen(hash) {
-                // An orbit twin (or the very content) was already admitted
-                // and covers this item's futures up to relabeling.
-                if permuted {
-                    step.stats.symmetry_pruned += 1;
-                } else {
-                    step.stats.duplicates += 1;
-                }
-                return None;
-            }
-            if permuted {
-                // First arrival of its orbit, but not in canonical form:
-                // normalize to the representative so successor generation
-                // (which picks the first ready thread — not a
-                // relabeling-invariant choice) is a function of the orbit.
-                let perm = canon
-                    .as_ref()
-                    .and_then(Canonicalizer::chosen_perm)
-                    .expect("permuted hash implies a chosen relabeling");
-                g = g.permute_threads(perm);
-                out = vsync_lang::replay_with_budget(self.prog, &mut g, self.config.step_budget);
-                if let Some(f) = out.fault() {
-                    return Some(Verdict::Fault(f.to_owned()));
-                }
-            }
-        }
-        if out.wasteful {
-            step.stats.wasteful += 1;
-            return None;
-        }
-        step.phase.set(EnginePhase::Consistency);
-        step.failpoint("explore.consistency");
-        if !self.model.is_consistent(&g) {
-            step.stats.inconsistent += 1;
-            return None;
-        }
-        if out.errored() {
-            let (_, msg) = g.error().expect("errored replay has an error event");
-            let message = format!("assertion failed: {msg}");
-            return Some(Verdict::Safety(Counterexample { graph: g, message }));
-        }
-        let next_ready = out.ready_threads().next();
-        match next_ready {
-            Some(t) => {
-                step.phase.set(EnginePhase::Extend);
-                step.failpoint("explore.extend");
-                let ThreadStatus::Ready(op) = &out.threads[t as usize] else { unreachable!() };
-                if let Err(v) = self.extend(&g, t, op, step) {
-                    return Some(v);
-                }
-            }
-            None => {
-                let blocked: Vec<_> = out.blocked().collect();
-                if blocked.is_empty() {
-                    step.phase.set(EnginePhase::FinalCheck);
-                    step.failpoint("explore.final");
-                    step.stats.complete_executions += 1;
-                    if let Some(msg) = self.failed_final_check(&g) {
-                        return Some(Verdict::Safety(Counterexample { graph: g, message: msg }));
-                    }
-                    if self.config.collect_executions {
-                        step.executions.push(g);
-                    }
-                } else {
-                    step.phase.set(EnginePhase::Stagnancy);
-                    step.failpoint("explore.stagnancy");
-                    step.stats.blocked_graphs += 1;
-                    if is_stagnant(&g, &blocked, self.model) {
-                        let polls: Vec<String> =
-                            blocked.iter().map(|b| format!("{}@{:#x}", b.read, b.loc)).collect();
-                        let message = format!(
-                            "await never terminates: blocked read(s) {} cannot \
-                             observe any new write",
-                            polls.join(", ")
-                        );
-                        return Some(Verdict::AwaitTermination(Counterexample {
-                            graph: g,
-                            message,
-                        }));
-                    }
-                    // Non-stagnant blocked graphs are exploration
-                    // artifacts; their real continuations are siblings.
-                }
-            }
-        }
-        None
-    }
-
-    /// Evaluate the program's final-state checks on a complete execution.
-    fn failed_final_check(&self, g: &ExecutionGraph) -> Option<String> {
-        failed_final_check(self.prog, g)
-    }
-
-    /// Generate all successor graphs for thread `t`'s pending op.
-    fn extend(
-        &self,
-        g: &ExecutionGraph,
-        t: ThreadId,
-        op: &PendingOp,
-        step: &mut Step<'_>,
-    ) -> Result<(), Verdict> {
-        if g.thread_len(t) >= self.config.max_events_per_thread {
-            return Err(Verdict::Fault(format!(
-                "thread {t} exceeded {} events — unbounded non-await loop? \
-                 (Bounded-Length principle)",
-                self.config.max_events_per_thread
-            )));
-        }
-        match op {
-            PendingOp::Fence { mode } => {
-                let mut g2 = g.clone();
-                g2.push_event(t, EventKind::Fence { mode: *mode });
-                push(step, g2);
-            }
-            PendingOp::Error { msg } => {
-                let mut g2 = g.clone();
-                g2.push_event(t, EventKind::Error { msg: msg.clone() });
-                push(step, g2);
-            }
-            PendingOp::Read { loc, mode, desc, prev_rf } => {
-                self.extend_read(g, t, *loc, *mode, *desc, *prev_rf, step);
-            }
-            PendingOp::Write { loc, val, mode, rmw } => {
-                self.extend_write(g, t, *loc, *val, *mode, *rmw, step);
-            }
-        }
-        Ok(())
-    }
-
-    /// R-step of Fig. 6: branch over every rf candidate, plus `⊥` for
-    /// await reads.
-    #[allow(clippy::too_many_arguments)]
-    fn extend_read(
-        &self,
-        g: &ExecutionGraph,
-        t: ThreadId,
-        loc: Loc,
-        mode: vsync_graph::Mode,
-        desc: ReadDesc,
-        prev_rf: Option<RfSource>,
-        step: &mut Step<'_>,
-    ) {
-        let min_pos = min_source_pos(g, t, loc);
-        let mut candidates: Vec<EventId> = vec![EventId::Init(loc)];
-        candidates.extend(g.mo(loc).iter().copied());
-        for (pos, w) in candidates.into_iter().enumerate() {
-            if pos < min_pos {
-                continue; // per-location coherence rules this source out
-            }
-            if desc.is_await() && prev_rf == Some(RfSource::Write(w)) {
-                continue; // wasteful repeat (Def. 2) — never generated
-            }
-            let v = g.write_value(w);
-            let writes = desc.write_on(v).is_some();
-            // NOTE: two RMW reads may transiently share a source; the
-            // conflict is resolved when one commits its write part and
-            // revisits the other (or the graph dies at the atomicity
-            // check). Pruning shared sources here would lose executions.
-            let mut g2 = g.clone();
-            g2.push_event(
-                t,
-                EventKind::Read {
-                    loc,
-                    mode,
-                    rf: RfSource::Write(w),
-                    rmw: writes,
-                    awaiting: desc.is_await(),
-                },
-            );
-            push(step, g2);
-        }
-        if desc.is_await() {
-            // The potential AT violation: no incoming rf-edge (yet).
-            let mut g2 = g.clone();
-            g2.push_event(
-                t,
-                EventKind::Read { loc, mode, rf: RfSource::Bottom, rmw: false, awaiting: true },
-            );
-            push(step, g2);
-        }
-    }
-
-    /// W-step of Fig. 6: place the write in mo (all positions for plain
-    /// writes; the atomicity-forced slot for RMW write parts), then compute
-    /// revisits.
-    #[allow(clippy::too_many_arguments)]
-    fn extend_write(
-        &self,
-        g: &ExecutionGraph,
-        t: ThreadId,
-        loc: Loc,
-        val: u64,
-        mode: vsync_graph::Mode,
-        rmw: bool,
-        step: &mut Step<'_>,
-    ) {
-        let positions: Vec<usize> = if rmw {
-            // The write part must land immediately after its read's source.
-            let read_id = EventId::new(t, g.thread_len(t) as u32 - 1);
-            let src = match g.rf(read_id) {
-                RfSource::Write(w) => w,
-                RfSource::Bottom => unreachable!("rmw write part with unresolved read"),
-            };
-            let pos = match src {
-                EventId::Init(_) => 0,
-                _ => g.mo(loc).iter().position(|x| *x == src).expect("source in mo") + 1,
-            };
-            vec![pos]
+impl Engine<'_> {
+    /// The exploration driver. `workers == 1` runs [`Engine::work`] inline
+    /// on the calling thread; more run the same function on scoped
+    /// threads. A panic anywhere in a chain degrades to [`Verdict::Error`]
+    /// instead of unwinding out of the library.
+    fn run(&self) -> AmcResult {
+        let workers = self.config.workers.max(1);
+        let budget = BudgetTracker::new(&self.config.budget);
+        let initial = ExecutionGraph::new(self.prog.num_threads(), self.prog.init().clone());
+        budget.charge(&initial);
+        let shared = Shared {
+            queue: WorkQueue::new(initial),
+            visited: SeenShards::new(),
+            leaves: SeenShards::new(),
+            budget,
+            steps: AtomicU64::new(0),
+            merged: SharedStats::default(),
+            gate: Mutex::new(Instant::now()),
+        };
+        let sh = &shared;
+        let results: Vec<(ExploreStats, Vec<ExecutionGraph>)> = if workers == 1 {
+            vec![self.work(0, 1, sh)]
         } else {
-            (0..=g.mo(loc).len()).collect()
-        };
-        for pos in positions {
-            let mut g2 = g.clone();
-            let wid = g2.push_event(t, EventKind::Write { loc, val, mode, rmw });
-            g2.insert_mo(loc, wid, pos);
-            // Revisits from this placed variant.
-            let prefix_w = g2.porf_prefix_set([wid]);
-            for (r, rloc, rf) in g2.reads().collect::<Vec<_>>() {
-                if rloc != loc || r == wid || prefix_w.contains(r) {
-                    continue;
-                }
-                match rf {
-                    RfSource::Bottom => {
-                        // Resolution of a pending await read: no deletion
-                        // needed, the blocked thread has no successors.
-                        let mut g3 = g2.clone();
-                        g3.set_rf(r, RfSource::Write(wid));
-                        step.stats.revisits += 1;
-                        push(step, g3);
-                    }
-                    RfSource::Write(old) if old != wid => {
-                        // Standard revisit: keep only the porf-prefixes of
-                        // the new write and of the read, re-point the read.
-                        let mut keep = prefix_w.clone();
-                        keep.union_with(&g2.porf_prefix_set([r]));
-                        let mut g3 = g2.restrict_set(&keep);
-                        g3.set_rf(r, RfSource::Write(wid));
-                        step.stats.revisits += 1;
-                        push(step, g3);
-                    }
-                    RfSource::Write(_) => {}
-                }
-            }
-            push(step, g2);
-        }
-    }
-
-    /// The sequential driver: a LIFO stack, one `HashSet` dedup set —
-    /// bit-for-bit the original exploration order. Each item is processed
-    /// under `catch_unwind`, so a panic anywhere in the engine degrades
-    /// to [`Verdict::Error`] instead of unwinding out of the library.
-    fn run_sequential(&self) -> AmcResult {
-        let phase = PhaseTracker::new(self.control.profile);
-        let mut r = self.run_sequential_inner(&phase);
-        r.stats.phases.merge(&phase.take_profile());
-        r
-    }
-
-    /// [`Engine::run_sequential`]'s body; the wrapper owns the
-    /// [`PhaseTracker`] so the accumulated profile lands in the result's
-    /// stats no matter which of the return paths is taken.
-    fn run_sequential_inner(&self, phase: &PhaseTracker) -> AmcResult {
-        let mut stats = ExploreStats::default();
-        let mut executions = Vec::new();
-        let mut seen: SeenSet = SeenSet::default();
-        let budget = BudgetTracker::new(&self.config.budget);
-        let initial = self.initial_graph();
-        budget.charge(&initial);
-        stats.constructed = 1; // the initial graph
-        let mut stack = vec![initial];
-        let mut children: Vec<ExecutionGraph> = Vec::new();
-        let mut pacer = Pacer::new(self.control, 1, None, 0);
-        let mut canon = self.partition.as_ref().map(Canonicalizer::new);
-        while let Some(g) = stack.pop() {
-            if let Some(r) = pacer.poll(phase, &stats, || stats) {
-                return degraded(r, stats, stats.popped, stack.len() as u64, executions);
-            }
-            stats.popped += 1;
-            if self.config.max_graphs != 0 && stats.popped > self.config.max_graphs {
-                let dropped = stack.len() as u64;
-                return degraded(StopReason::MaxGraphs, stats, stats.popped, dropped, executions);
-            }
-            budget.release(&g);
-            phase.set(EnginePhase::Driver);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if failpoint::hit("explore.pop").is_oom() {
-                    budget.force(StopReason::MemoryBudget);
-                }
-                let mut step = Step {
-                    stats: &mut stats,
-                    out: &mut children,
-                    executions: &mut executions,
-                    budget: &budget,
-                    phase,
-                };
-                let mut probe = |h: u128| {
-                    let fresh = seen.insert(h);
-                    if fresh {
-                        budget.note_dedup_entry();
-                    }
-                    fresh
-                };
-                self.process(g, &mut probe, &mut canon, &mut step)
-            }));
-            match outcome {
-                Ok(Some(v)) => return AmcResult { verdict: v, stats, executions },
-                Ok(None) => {}
-                Err(payload) => {
-                    // Counters touched mid-item stay as they are: partial
-                    // stats are better than none. Half-generated children
-                    // must not leak into the frontier, though.
-                    children.clear();
-                    let e = EngineError {
-                        phase: phase.get(),
-                        thread: None,
-                        payload: panic_payload(payload),
-                    };
-                    return AmcResult { verdict: Verdict::Error(e), stats, executions };
-                }
-            }
-            for c in &children {
-                budget.charge(c);
-            }
-            if let Some(reason) = budget.exceeded() {
-                let dropped = stack.len() as u64 + children.len() as u64;
-                return degraded(reason, stats, stats.popped, dropped, executions);
-            }
-            stack.append(&mut children);
-        }
-        AmcResult { verdict: Verdict::Verified, stats, executions }
-    }
-
-    /// The parallel driver: `workers` threads over a shared injector queue,
-    /// a sharded dedup set, per-worker stats merged at the end. Per-item
-    /// processing runs under `catch_unwind`: a panicking worker records a
-    /// structured [`EngineError`] and finishes the queue, so its queue
-    /// share drains to the peers and the run terminates cleanly with
-    /// [`Verdict::Error`] instead of aborting.
-    fn run_parallel(&self, workers: usize) -> AmcResult {
-        const SHARDS: usize = 64;
-        let budget = BudgetTracker::new(&self.config.budget);
-        let initial = self.initial_graph();
-        budget.charge(&initial);
-        let queue = WorkQueue::new(initial);
-        let seen: Vec<Mutex<SeenSet>> =
-            (0..SHARDS).map(|_| Mutex::new(SeenSet::default())).collect();
-        let shared = SharedStats::default();
-        let gate = Mutex::new(Instant::now());
-
-        let worker = |index: usize| {
-            // If this worker panics outside the catch_unwind below (queue
-            // bookkeeping, progress callbacks), `pending` never reaches
-            // zero; without this guard the peers would sleep on the
-            // condvar forever and the scope join would deadlock instead
-            // of surfacing the failure.
-            struct PanicGuard<'a>(&'a WorkQueue);
-            impl Drop for PanicGuard<'_> {
-                fn drop(&mut self) {
-                    if std::thread::panicking() {
-                        self.0.abort();
-                    }
-                }
-            }
-            let _guard = PanicGuard(&queue);
-            let mut stats = ExploreStats::default();
-            let mut executions = Vec::new();
-            let mut children: Vec<ExecutionGraph> = Vec::new();
-            let mut pacer = Pacer::new(self.control, workers, Some(&gate), index);
-            let mut canon = self.partition.as_ref().map(Canonicalizer::new);
-            let mut flushed = ExploreStats::default();
-            let mut since_flush = 0u64;
-            let phase = PhaseTracker::new(self.control.profile);
-            loop {
-                // Batch-flush local counters so progress snapshots (built
-                // from `shared` by whichever worker emits) trail the true
-                // totals by at most CHECK_PERIOD items per worker.
-                since_flush += 1;
-                if since_flush >= CHECK_PERIOD {
-                    since_flush = 0;
-                    shared.add(&stats_delta(&stats, &flushed));
-                    flushed = stats;
-                }
-                // Cancellation point *before* popping: a token fired ahead
-                // of the run interrupts every worker deterministically,
-                // with zero items processed.
-                if let Some(r) = pacer.poll(&phase, &stats, || shared.snapshot()) {
-                    let (explored, dropped) = queue.snapshot();
-                    queue.finish(Verdict::Inconclusive(Inconclusive {
-                        reason: r,
-                        explored,
-                        frontier_dropped: dropped,
-                    }));
-                    break;
-                }
-                let Some((g, popped_total)) = queue.pop() else {
-                    break;
-                };
-                stats.popped += 1;
-                if self.config.max_graphs != 0 && popped_total > self.config.max_graphs {
-                    let (explored, dropped) = queue.snapshot();
-                    queue.finish(Verdict::Inconclusive(Inconclusive {
-                        reason: StopReason::MaxGraphs,
-                        explored,
-                        frontier_dropped: dropped,
-                    }));
-                    break;
-                }
-                budget.release(&g);
-                phase.set(EnginePhase::Driver);
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    if failpoint::hit("explore.pop").is_oom() {
-                        budget.force(StopReason::MemoryBudget);
-                    }
-                    let mut step = Step {
-                        stats: &mut stats,
-                        out: &mut children,
-                        executions: &mut executions,
-                        budget: &budget,
-                        phase: &phase,
-                    };
-                    let mut probe = |h: u128| {
-                        let shard = (h as usize) % SHARDS;
-                        let fresh = relock(&seen[shard]).insert(h);
-                        if fresh {
-                            budget.note_dedup_entry();
-                        }
-                        fresh
-                    };
-                    self.process(g, &mut probe, &mut canon, &mut step)
-                }));
-                match outcome {
-                    Ok(Some(v)) => {
-                        queue.finish(v);
-                        break;
-                    }
-                    Ok(None) => {
-                        for c in &children {
-                            budget.charge(c);
-                        }
-                        if let Some(reason) = budget.exceeded() {
-                            let (explored, dropped) = queue.snapshot();
-                            queue.finish(Verdict::Inconclusive(Inconclusive {
-                                reason,
-                                explored,
-                                frontier_dropped: dropped + children.len() as u64,
+            std::thread::scope(|scope| {
+                let handles: Vec<_> =
+                    (0..workers).map(|i| scope.spawn(move || self.work(i, workers, sh))).collect();
+                handles
+                    .into_iter()
+                    .map(|h| {
+                        h.join().unwrap_or_else(|payload| {
+                            // A panic that escaped the per-chain
+                            // catch_unwind (driver bookkeeping). The guard
+                            // already stopped the queue; record the
+                            // failure instead of re-panicking the process.
+                            sh.queue.finish(Verdict::Error(EngineError {
+                                phase: EnginePhase::Driver,
+                                thread: None,
+                                payload: panic_payload(payload),
                             }));
-                            children.clear();
-                            break;
-                        }
-                        queue.complete_item(&mut children);
-                    }
-                    Err(payload) => {
-                        // The item's half-generated children die with it;
-                        // finishing the queue stops the peers, which drain
-                        // the remaining share and exit cleanly.
-                        children.clear();
-                        queue.finish(Verdict::Error(EngineError {
-                            phase: phase.get(),
-                            thread: Some(index),
-                            payload: panic_payload(payload),
-                        }));
-                        break;
-                    }
-                }
-            }
-            stats.phases.merge(&phase.take_profile());
-            (stats, executions)
-        };
-
-        let results: Vec<(ExploreStats, Vec<ExecutionGraph>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|i| scope.spawn(move || worker(i))).collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|payload| {
-                        // A panic that escaped the per-item catch_unwind
-                        // (driver bookkeeping). The guard already drained
-                        // the queue; record the failure instead of
-                        // re-panicking the whole process.
-                        queue.finish(Verdict::Error(EngineError {
-                            phase: EnginePhase::Driver,
-                            thread: None,
-                            payload: panic_payload(payload),
-                        }));
-                        (ExploreStats::default(), Vec::new())
+                            (ExploreStats::default(), Vec::new())
+                        })
                     })
-                })
-                .collect()
-        });
-
+                    .collect()
+            })
+        };
         let mut stats = ExploreStats::default();
         let mut executions = Vec::new();
         for (s, mut e) in results {
             stats.merge(&s);
             executions.append(&mut e);
         }
-        stats.constructed += 1; // the initial graph, built by the driver
-        let verdict = queue.into_verdict();
+        let verdict = shared.queue.into_verdict();
         if let Verdict::Inconclusive(i) = &verdict {
             stats.frontier_dropped = i.frontier_dropped;
         }
         AmcResult { verdict, stats, executions }
     }
+
+    /// One worker's loop: pop a chain root, release its budget charge, run
+    /// the chain under `catch_unwind`, arbitrate how it ended, inject its
+    /// children. Returns the worker's counters and collected executions.
+    fn work(
+        &self,
+        index: usize,
+        workers: usize,
+        shared: &Shared,
+    ) -> (ExploreStats, Vec<ExecutionGraph>) {
+        // If this worker panics outside the catch_unwind below (queue
+        // bookkeeping, progress callbacks), `pending` never reaches zero;
+        // without this guard the peers would sleep on the condvar forever
+        // and the scope join would deadlock instead of surfacing the
+        // failure.
+        struct PanicGuard<'a>(&'a WorkQueue);
+        impl Drop for PanicGuard<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.abort();
+                }
+            }
+        }
+        let _guard = PanicGuard(&shared.queue);
+        let mut w = Worker {
+            stats: ExploreStats::default(),
+            out: Vec::new(),
+            executions: Vec::new(),
+            phase: PhaseTracker::new(self.control.profile),
+            enc: ExploreEncoder::new(self.partition.as_ref()),
+            pacer: Pacer {
+                control: self.control,
+                started: Instant::now(),
+                gate: &shared.gate,
+                merged: &shared.merged,
+                count: 0,
+                workers,
+                worker: index,
+                last_local: ExploreStats::default(),
+                last_profile: PhaseProfile::default(),
+            },
+            shared,
+            max_graphs: self.config.max_graphs,
+        };
+        if index == 0 {
+            w.stats.constructed = 1; // the initial graph
+        }
+        while let Some(g) = shared.queue.pop() {
+            shared.budget.release(&g);
+            w.phase.set(EnginePhase::Driver);
+            let end = catch_unwind(AssertUnwindSafe(|| self.run_chain(g, &mut w)));
+            let stop = match end {
+                Ok(ChainEnd::Done) => w.transfer(),
+                Ok(ChainEnd::Stopped(reason)) => Some(reason),
+                Ok(ChainEnd::Verdict(v)) => {
+                    shared.queue.finish(v);
+                    break;
+                }
+                Err(payload) => {
+                    // Counters touched mid-chain stay as they are: partial
+                    // stats are better than none. Half-generated children
+                    // die with the chain; finishing the queue stops the
+                    // peers.
+                    w.out.clear();
+                    shared.queue.finish(Verdict::Error(EngineError {
+                        phase: w.phase.get(),
+                        thread: (workers > 1).then_some(index),
+                        payload: panic_payload(payload),
+                    }));
+                    break;
+                }
+            };
+            match stop {
+                None => shared.queue.finish_item(),
+                Some(reason) => {
+                    shared.queue.finish(Verdict::Inconclusive(Inconclusive {
+                        reason,
+                        explored: shared.steps.load(Ordering::Relaxed),
+                        frontier_dropped: shared.queue.len(),
+                    }));
+                    break;
+                }
+            }
+        }
+        let profile = w.phase.take_profile();
+        w.pacer.finish(&w.stats, profile);
+        w.stats.phases.merge(&profile);
+        (w.stats, w.executions)
+    }
 }
 
-fn push(step: &mut Step<'_>, g: ExecutionGraph) {
-    step.stats.pushed += 1;
-    // The enumerate engine materializes every candidate it pushes; the
-    // dedup set discards duplicates only after construction.
-    step.stats.constructed += 1;
-    step.out.push(g);
-}
-
-/// The shared injector queue of the parallel explorer.
+/// The exploration frontier: a LIFO stack of chain roots shared by all
+/// workers.
 ///
 /// `pending` counts items that are queued *or* currently being processed:
 /// exploration is complete exactly when it reaches zero. Verdict-bearing
-/// items set `stop`, draining all workers promptly.
-pub(crate) struct WorkQueue {
+/// chains set `stop`, draining all workers promptly.
+struct WorkQueue {
     state: Mutex<QueueState>,
     cond: Condvar,
 }
@@ -1191,18 +799,16 @@ pub(crate) struct WorkQueue {
 struct QueueState {
     items: Vec<ExecutionGraph>,
     pending: usize,
-    popped: u64,
     stop: bool,
     verdict: Option<Verdict>,
 }
 
 impl WorkQueue {
-    pub(crate) fn new(initial: ExecutionGraph) -> Self {
+    fn new(initial: ExecutionGraph) -> Self {
         WorkQueue {
             state: Mutex::new(QueueState {
                 items: vec![initial],
                 pending: 1,
-                popped: 0,
                 stop: false,
                 verdict: None,
             }),
@@ -1212,15 +818,14 @@ impl WorkQueue {
 
     /// Pop a work item, sleeping while the queue is empty but siblings are
     /// still in flight. `None` means the exploration is over.
-    pub(crate) fn pop(&self) -> Option<(ExecutionGraph, u64)> {
+    fn pop(&self) -> Option<ExecutionGraph> {
         let mut q = relock(&self.state);
         loop {
             if q.stop {
                 return None;
             }
             if let Some(g) = q.items.pop() {
-                q.popped += 1;
-                return Some((g, q.popped));
+                return Some(g);
             }
             if q.pending == 0 {
                 return None;
@@ -1229,34 +834,16 @@ impl WorkQueue {
         }
     }
 
-    /// Total popped items and current frontier length — the `explored` /
-    /// `frontier_dropped` pair of a degraded stop.
-    pub(crate) fn snapshot(&self) -> (u64, u64) {
-        let q = relock(&self.state);
-        (q.popped, q.items.len() as u64)
-    }
-
-    /// Account the end of one item's processing, injecting its children.
-    fn complete_item(&self, children: &mut Vec<ExecutionGraph>) {
-        let n = children.len();
-        let mut q = relock(&self.state);
-        q.items.append(children);
-        q.pending += n;
-        q.pending -= 1;
-        if q.pending == 0 || q.stop {
-            self.cond.notify_all();
-        } else {
-            for _ in 0..n {
-                self.cond.notify_one();
-            }
-        }
+    /// Current frontier length — the `frontier_dropped` of a degraded
+    /// stop.
+    fn len(&self) -> u64 {
+        relock(&self.state).items.len() as u64
     }
 
     /// Inject children *mid-item*, without ending the popped item's
-    /// accounting — the revisit driver hands alternates and revisit
-    /// children to peers at every chain step while it keeps extending the
-    /// chain in place.
-    pub(crate) fn push_children(&self, children: &mut Vec<ExecutionGraph>) {
+    /// accounting — a chain hands alternates and revisit children to
+    /// peers at every step while it keeps extending in place.
+    fn push_children(&self, children: &mut Vec<ExecutionGraph>) {
         if children.is_empty() {
             return;
         }
@@ -1273,9 +860,9 @@ impl WorkQueue {
         }
     }
 
-    /// Account the end of one popped item whose children were already
-    /// injected via [`WorkQueue::push_children`].
-    pub(crate) fn finish_item(&self) {
+    /// Account the end of one popped item (its children were already
+    /// injected via [`WorkQueue::push_children`]).
+    fn finish_item(&self) {
         let mut q = relock(&self.state);
         q.pending -= 1;
         if q.pending == 0 || q.stop {
@@ -1290,7 +877,7 @@ impl WorkQueue {
     /// stops — a cancellation must not discard a counterexample a peer
     /// already holds in hand, and a budget stop must not mask a caught
     /// panic.
-    pub(crate) fn finish(&self, v: Verdict) {
+    fn finish(&self, v: Verdict) {
         fn rank(v: &Verdict) -> u8 {
             match v {
                 Verdict::Inconclusive(_) => 0,
@@ -1311,13 +898,13 @@ impl WorkQueue {
     }
 
     /// Stop all workers without recording a verdict (panic unwind path).
-    pub(crate) fn abort(&self) {
+    fn abort(&self) {
         let mut q = relock(&self.state);
         q.stop = true;
         self.cond.notify_all();
     }
 
-    pub(crate) fn into_verdict(self) -> Verdict {
+    fn into_verdict(self) -> Verdict {
         self.state
             .into_inner()
             .unwrap_or_else(|e| e.into_inner())
@@ -1717,29 +1304,6 @@ mod tests {
         let p = pb.build().unwrap();
         let v = verify(&p, &cfg(ModelKind::Vmm));
         assert!(matches!(v, Verdict::AwaitTermination(_)), "got {v}");
-    }
-
-    #[test]
-    fn dedup_off_gives_same_verdicts() {
-        let p = sb_program();
-        let mut c = cfg(ModelKind::Vmm);
-        c.dedup = false;
-        // Without dedup the explorer visits duplicates but verdicts agree.
-        assert!(verify(&p, &c).is_verified());
-        let mp_bug = {
-            let mut pb = ProgramBuilder::new("mp-bug");
-            pb.thread(|t| {
-                t.store(X, 1u64, Mode::Rlx);
-                t.store(Y, 1u64, Mode::Rlx);
-            });
-            pb.thread(|t| {
-                t.await_eq(Reg(0), Y, 1u64, Mode::Rlx);
-                t.load(Reg(1), X, Mode::Rlx);
-                t.assert_eq(Reg(1), 1u64, "visible");
-            });
-            pb.build().unwrap()
-        };
-        assert!(matches!(verify(&mp_bug, &c), Verdict::Safety(_)));
     }
 
     #[test]

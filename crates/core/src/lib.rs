@@ -37,6 +37,7 @@ mod corpus;
 mod explorer;
 pub mod failpoint;
 mod optimize;
+pub mod reference;
 mod revisit;
 mod session;
 mod stagnancy;
@@ -65,5 +66,5 @@ pub use telemetry::{
 };
 pub use verdict::{
     AmcConfig, AmcResult, Counterexample, EngineError, EnginePhase, ExploreStats, Inconclusive,
-    ResourceBudget, SearchMode, StopReason, Verdict,
+    ResourceBudget, StopReason, Verdict,
 };

@@ -10,23 +10,22 @@
 //! optimality the paper targets ("there exist multiple maximally-relaxed
 //! combinations that are correct", §3.3).
 //!
-//! Three [`OptimizeStrategy`]s share that contract and — by the
+//! Two [`OptimizeStrategy`]s share that contract and — by the
 //! monotonicity of barrier strengthening (any strengthening of a verified
 //! assignment verifies) — produce the **identical final assignment**:
 //!
 //! * [`Sequential`](OptimizeStrategy::Sequential) — the classic loop, one
 //!   full exploration per candidate, retained as the reference for
 //!   differential testing;
-//! * [`Parallel`](OptimizeStrategy::Parallel) — per pass, candidates at
-//!   distinct sites are screened concurrently against the pass-start
-//!   baseline on a worker pool (losers cooperatively cancelled), then the
-//!   merged assignment is re-verified once; on conflict the pass falls
-//!   back to the sequential accept order ([`schedule`]);
-//! * [`Adaptive`](OptimizeStrategy::Adaptive) — additionally opens with
-//!   batch relaxation: all relaxable sites are dropped to their weakest
-//!   modes in one candidate and failures are bisected ([`bisect`]), so a
+//! * [`Adaptive`](OptimizeStrategy::Adaptive) — opens with batch
+//!   relaxation: all relaxable sites are dropped to their weakest modes
+//!   in one candidate and failures are bisected ([`bisect`]), so a
 //!   mostly-relaxable primitive costs `O(log n)` explorations instead of
-//!   `O(n)`.
+//!   `O(n)`. Later passes screen candidates at distinct sites
+//!   concurrently against the pass-start baseline on a worker pool
+//!   (losers cooperatively cancelled), then re-verify the merged
+//!   assignment once; on conflict the pass falls back to the sequential
+//!   accept order ([`schedule`]).
 //!
 //! Every rejection yields a violating execution graph that is kept in a
 //! [`witness`] cache; future candidates are first replayed against the
@@ -53,7 +52,7 @@ use crate::verdict::{AmcConfig, EngineError, EnginePhase, Verdict};
 
 use witness::WitnessCache;
 
-/// How the optimizer searches the relaxation space. All strategies reach
+/// How the optimizer searches the relaxation space. Both strategies reach
 /// the same locally maximal assignment (see the module docs); they differ
 /// in how many full explorations they pay and how much of the work runs
 /// concurrently.
@@ -62,11 +61,9 @@ pub enum OptimizeStrategy {
     /// The reference loop: sites in order, weakest candidate first, one
     /// full exploration per attempt, passes to fixpoint.
     Sequential,
-    /// Concurrent per-site candidate screening + single merged re-verify
-    /// per pass, with the witness cache.
-    Parallel,
-    /// [`Parallel`](OptimizeStrategy::Parallel) plus the batch-relax /
-    /// bisect opening. The default.
+    /// Batch-relax / bisect opening, then concurrent per-site candidate
+    /// screening + single merged re-verify per pass, with the witness
+    /// cache. The default.
     #[default]
     Adaptive,
 }
@@ -75,7 +72,6 @@ impl fmt::Display for OptimizeStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             OptimizeStrategy::Sequential => "sequential",
-            OptimizeStrategy::Parallel => "parallel",
             OptimizeStrategy::Adaptive => "adaptive",
         })
     }
@@ -87,9 +83,8 @@ impl std::str::FromStr for OptimizeStrategy {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "sequential" | "seq" => Ok(OptimizeStrategy::Sequential),
-            "parallel" | "par" => Ok(OptimizeStrategy::Parallel),
             "adaptive" => Ok(OptimizeStrategy::Adaptive),
-            other => Err(format!("unknown strategy '{other}' (sequential, parallel, adaptive)")),
+            other => Err(format!("unknown strategy '{other}' (sequential, adaptive)")),
         }
     }
 }
@@ -146,7 +141,7 @@ pub(crate) type StepFn = Arc<dyn Fn(&OptimizeEvent<'_>) + Send + Sync>;
 #[derive(Clone)]
 pub struct OptimizerConfig {
     /// AMC configuration used for each verification call. `workers` also
-    /// sizes the parallel strategies' candidate-screening pool.
+    /// sizes the adaptive strategy's candidate-screening pool.
     pub amc: AmcConfig,
     /// Maximum number of full passes over the site table (0 = until
     /// fixpoint).
@@ -273,8 +268,8 @@ pub struct OptimizationReport {
     pub error: Option<EngineError>,
     /// The strategy that produced this report.
     pub strategy: OptimizeStrategy,
-    /// Every relaxation attempt that was decided. For the parallel
-    /// strategies, screening steps are appended in completion order; the
+    /// Every relaxation attempt that was decided. For the adaptive
+    /// strategy, screening steps are appended in completion order; the
     /// accepted steps, applied to the baseline in report order, always
     /// reproduce [`program`](Self::program)'s assignment.
     pub steps: Vec<OptimizationStep>,
@@ -282,8 +277,8 @@ pub struct OptimizationReport {
     /// (the classic oracle-call count).
     pub verifications: u64,
     /// Individual AMC explorations performed (≥ `verifications` when
-    /// extra scenarios multiply the oracle; the oracle-call metric the
-    /// `optimize_perf` bench tracks).
+    /// extra scenarios multiply the oracle; the repo benchmark's
+    /// `core.optimize.explorations`).
     pub explorations: u64,
     /// Work items popped across all oracle explorations — the true
     /// exploration bill. Rejections stop at the first violation (the
@@ -840,9 +835,8 @@ pub(crate) fn run_engine(
     }
 
     let interrupted = match config.strategy {
-        OptimizeStrategy::Sequential => run_sequential(&ctx, &mut program),
-        OptimizeStrategy::Parallel => run_passes(&ctx, &mut program, false),
-        OptimizeStrategy::Adaptive => run_passes(&ctx, &mut program, true),
+        OptimizeStrategy::Sequential => sequential_passes(&ctx, &mut program),
+        OptimizeStrategy::Adaptive => run_passes(&ctx, &mut program),
     };
 
     // An accepted candidate vouches for the baseline only through
@@ -883,7 +877,7 @@ pub(crate) fn run_engine(
 /// counting (and no witness cache — every rejection pays the full
 /// exploration, which is exactly what the benches compare against).
 /// Returns whether the run was interrupted.
-fn run_sequential(ctx: &Ctx<'_>, program: &mut Program) -> bool {
+fn sequential_passes(ctx: &Ctx<'_>, program: &mut Program) -> bool {
     let mut pass = 0;
     loop {
         pass += 1;
@@ -926,13 +920,13 @@ fn run_sequential(ctx: &Ctx<'_>, program: &mut Program) -> bool {
     }
 }
 
-/// The staged pass loop shared by the parallel and adaptive strategies.
-/// Returns whether the run was interrupted.
-fn run_passes(ctx: &Ctx<'_>, program: &mut Program, adaptive: bool) -> bool {
+/// The staged pass loop of the adaptive strategy. Returns whether the
+/// run was interrupted.
+fn run_passes(ctx: &Ctx<'_>, program: &mut Program) -> bool {
     let mut pass = 0;
     loop {
         pass += 1;
-        let result = if adaptive && pass == 1 {
+        let result = if pass == 1 {
             // Batch relaxation: all relaxable sites to their weakest
             // modes at once, bisecting (and group-committing) on failure.
             match bisect::commit_pass(ctx, program, pass) {
@@ -1096,9 +1090,7 @@ mod tests {
 
     #[test]
     fn optimizes_mp_to_release_acquire() {
-        for strategy in
-            [OptimizeStrategy::Sequential, OptimizeStrategy::Parallel, OptimizeStrategy::Adaptive]
-        {
+        for strategy in [OptimizeStrategy::Sequential, OptimizeStrategy::Adaptive] {
             let report = optimize(&mp_all_sc(), &cfg_with(strategy));
             assert!(report.verified, "{strategy}");
             assert_eq!(report.strategy, strategy);
@@ -1119,9 +1111,7 @@ mod tests {
 
     #[test]
     fn accepted_steps_replay_to_the_final_assignment() {
-        for strategy in
-            [OptimizeStrategy::Sequential, OptimizeStrategy::Parallel, OptimizeStrategy::Adaptive]
-        {
+        for strategy in [OptimizeStrategy::Sequential, OptimizeStrategy::Adaptive] {
             let base = mp_all_sc();
             let report = optimize(&base, &cfg_with(strategy));
             let mut replayed = base.clone();
@@ -1271,11 +1261,9 @@ mod tests {
 
     #[test]
     fn strategy_parses_and_displays() {
-        for (s, v) in [
-            ("sequential", OptimizeStrategy::Sequential),
-            ("parallel", OptimizeStrategy::Parallel),
-            ("adaptive", OptimizeStrategy::Adaptive),
-        ] {
+        for (s, v) in
+            [("sequential", OptimizeStrategy::Sequential), ("adaptive", OptimizeStrategy::Adaptive)]
+        {
             assert_eq!(s.parse::<OptimizeStrategy>().unwrap(), v);
             assert_eq!(v.to_string(), s);
         }

@@ -1,4 +1,4 @@
-//! One optimization pass of the parallel/adaptive strategies: concurrent
+//! One optimization pass of the adaptive strategy: concurrent
 //! candidate screening, a single merged re-verification, and the
 //! monotonic fallback that keeps the result identical to the sequential
 //! reference.

@@ -48,7 +48,7 @@ use vsync_model::{CheckerKind, ModelKind};
 use crate::explorer::explore_with;
 use crate::optimize::{run_engine, OptimizationReport, OptimizeEvent, OptimizerConfig, StepFn};
 use crate::telemetry::{EngineEvent, EventBus, EventFn, EventKind, PhaseProfile};
-use crate::verdict::{AmcConfig, EnginePhase, ExploreStats, SearchMode, Verdict};
+use crate::verdict::{AmcConfig, EnginePhase, ExploreStats, Verdict};
 
 /// A shareable, thread-safe cancellation flag.
 ///
@@ -615,8 +615,8 @@ impl Session {
         self
     }
 
-    /// Explore with `workers` threads per model (`1` = the exact
-    /// sequential algorithm; verdicts are worker-count independent).
+    /// Explore with `workers` threads per model (`1` = inline on the
+    /// calling thread; verdicts are worker-count independent).
     pub fn workers(mut self, workers: usize) -> Session {
         self.config.workers = workers.max(1);
         self
@@ -625,17 +625,6 @@ impl Session {
     /// Select the consistency-checker implementation.
     pub fn checker(mut self, checker: CheckerKind) -> Session {
         self.config.checker = checker;
-        self
-    }
-
-    /// Select the exploration search strategy (default
-    /// [`SearchMode::Revisit`]): the revisit-driven search constructs each
-    /// porf-consistent graph at most once; [`SearchMode::Enumerate`] is
-    /// the frontier-enumeration reference algorithm (the CLI's
-    /// `--search enumerate`). Verdicts and complete-execution counts are
-    /// strategy-independent.
-    pub fn search(mut self, search: SearchMode) -> Session {
-        self.config.search = search;
         self
     }
 

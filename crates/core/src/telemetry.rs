@@ -35,6 +35,7 @@ use std::time::{Duration, Instant};
 use vsync_graph::Mode;
 use vsync_model::ModelKind;
 
+use crate::session::json_str;
 use crate::verdict::{EnginePhase, ExploreStats};
 
 // ---------------------------------------------------------------------
@@ -628,27 +629,6 @@ impl TraceWriter {
     }
 }
 
-/// Minimal JSON string escaping (the repo has no serde).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 // ---------------------------------------------------------------------
 // Metrics table
 // ---------------------------------------------------------------------
@@ -658,18 +638,21 @@ fn fmt_ms(d: Duration) -> String {
 }
 
 /// Render the human `--metrics` summary: one row per phase with any
-/// recorded spans (count, total, mean, max, share of `wall`), plus the
-/// unattributed remainder. Printed to stderr by the CLI so `--json`
-/// stdout stays machine-parseable.
+/// recorded spans (count, total, mean, max, share), plus the
+/// unattributed remainder. `profile` sums the phase time of `workers`
+/// concurrent threads, so shares are taken of the thread time available,
+/// `wall × workers`, and add up to at most 100 %. Printed to stderr by
+/// the CLI so `--json` stdout stays machine-parseable.
 #[must_use]
-pub fn render_metrics(profile: &PhaseProfile, wall: Duration) -> String {
+pub fn render_metrics(profile: &PhaseProfile, wall: Duration, workers: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{:<12} {:>10} {:>12} {:>10} {:>10} {:>7}",
         "phase", "count", "total_ms", "mean_us", "max_us", "share"
     );
-    let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX).max(1);
+    let available = wall.saturating_mul(u32::try_from(workers.max(1)).unwrap_or(u32::MAX));
+    let available_ns = u64::try_from(available.as_nanos()).unwrap_or(u64::MAX).max(1);
     for (phase, s) in profile.iter().filter(|(_, s)| s.count > 0) {
         let _ = writeln!(
             out,
@@ -679,11 +662,10 @@ pub fn render_metrics(profile: &PhaseProfile, wall: Duration) -> String {
             fmt_ms(s.total()),
             s.total_ns as f64 / s.count as f64 / 1e3,
             s.max_ns as f64 / 1e3,
-            s.total_ns as f64 * 100.0 / wall_ns as f64
+            s.total_ns as f64 * 100.0 / available_ns as f64
         );
     }
-    let attributed = profile.total();
-    let other = wall.saturating_sub(attributed);
+    let other = available.saturating_sub(profile.total());
     let _ = writeln!(
         out,
         "{:<12} {:>10} {:>12} {:>10} {:>10} {:>6.1}%",
@@ -692,7 +674,7 @@ pub fn render_metrics(profile: &PhaseProfile, wall: Duration) -> String {
         fmt_ms(other),
         "-",
         "-",
-        other.as_nanos() as f64 * 100.0 / wall_ns as f64
+        other.as_nanos() as f64 * 100.0 / available_ns as f64
     );
     let _ = writeln!(
         out,
@@ -780,10 +762,28 @@ mod tests {
     fn metrics_table_mentions_recorded_phases() {
         let mut p = PhaseProfile::default();
         p.record(EnginePhase::Consistency, Duration::from_millis(2));
-        let table = render_metrics(&p, Duration::from_millis(10));
+        let table = render_metrics(&p, Duration::from_millis(10), 1);
         assert!(table.contains("consistency"));
         assert!(table.contains("(other)"));
         assert!(table.contains("wall"));
         assert!(!table.contains("replay"), "phases without spans are omitted");
+    }
+
+    /// Two workers each busy for most of the wall clock: phase time sums
+    /// to more than the wall, yet the share column stays within 100 %.
+    #[test]
+    fn metrics_shares_of_a_two_worker_profile_sum_to_at_most_100() {
+        let mut p = PhaseProfile::default();
+        p.record(EnginePhase::Consistency, Duration::from_millis(15));
+        p.record(EnginePhase::Replay, Duration::from_millis(3));
+        let table = render_metrics(&p, Duration::from_millis(10), 2);
+        let shares: Vec<f64> = table
+            .lines()
+            .filter_map(|l| l.trim_end().strip_suffix('%'))
+            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(shares.len(), 3, "replay, consistency, (other): {table}");
+        assert!((shares[1] - 75.0).abs() < 0.1, "15 ms of 2 × 10 ms: {table}");
+        assert!(shares.iter().sum::<f64>() <= 100.05, "{table}");
     }
 }

@@ -29,52 +29,6 @@ impl ResourceBudget {
     }
 }
 
-/// Which search discipline drives the exploration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SearchMode {
-    /// Revisit-driven reads-from search (default): work items are chain
-    /// roots explored depth-first by in-place extension; alternative
-    /// reads-from / mo choices and backward revisits are materialized at
-    /// most once, gated by a hash-before-materialize probe. Each
-    /// porf-consistent graph is constructed at most once per orbit.
-    #[default]
-    Revisit,
-    /// The naive enumerate-and-dedup frontier search: every candidate
-    /// extension becomes its own work item and the global canonical-hash
-    /// set filters duplicates after construction. Retained as the
-    /// differential reference oracle (like the closure-based reference
-    /// checker), selected with `--search enumerate`.
-    Enumerate,
-}
-
-impl SearchMode {
-    /// Stable machine-readable identifier (used in JSON reports / CLI).
-    pub fn key(&self) -> &'static str {
-        match self {
-            SearchMode::Revisit => "revisit",
-            SearchMode::Enumerate => "enumerate",
-        }
-    }
-}
-
-impl fmt::Display for SearchMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.key())
-    }
-}
-
-impl std::str::FromStr for SearchMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<SearchMode, String> {
-        match s {
-            "revisit" => Ok(SearchMode::Revisit),
-            "enumerate" => Ok(SearchMode::Enumerate),
-            other => Err(format!("unknown search mode `{other}` (revisit|enumerate)")),
-        }
-    }
-}
-
 /// Configuration of an AMC run.
 #[derive(Debug, Clone)]
 pub struct AmcConfig {
@@ -87,25 +41,22 @@ pub struct AmcConfig {
     pub max_graphs: u64,
     /// Per-thread replay step budget.
     pub step_budget: usize,
-    /// Deduplicate work items by content hash (keep on; exposed for the
-    /// cross-checking property tests).
-    pub dedup: bool,
-    /// Quotient the dedup by thread symmetry: work items are keyed on
+    /// Quotient the search by thread symmetry: work items are keyed on
     /// their canonical form modulo permutations of template-identical
     /// threads ([`vsync_lang::Program::symmetry_partition`]), and each
     /// orbit is explored once through its canonical representative. On by
     /// default; disable (`--no-symmetry`, [`AmcConfig::without_symmetry`])
     /// to recover the naive twin-exploring counts as a reference oracle.
-    /// Only effective while `dedup` is on. With symmetry on, exploration
-    /// counts (`popped`, `complete_executions`, ...) are per-orbit counts;
-    /// verdicts are unchanged.
+    /// With symmetry on, exploration counts (`popped`,
+    /// `complete_executions`, ...) are per-orbit counts; verdicts are
+    /// unchanged.
     pub symmetry: bool,
     /// Keep all complete executions in the result (for tests and graph
     /// counting; off by default to save memory).
     pub collect_executions: bool,
     /// Number of exploration worker threads. `1` (the default) runs the
-    /// exact sequential algorithm; `> 1` distributes independent branches
-    /// over a shared work queue with a sharded dedup set. Verdicts and
+    /// exploration loop inline on the calling thread; `> 1` runs the same
+    /// loop on that many threads over the same work queue. Verdicts and
     /// `complete_executions` counts are identical for any worker count
     /// (for failing programs the *first* counterexample found wins, so
     /// partial-run counters may differ).
@@ -113,9 +64,6 @@ pub struct AmcConfig {
     /// Consistency-check implementation: the closure-free fast path
     /// (default) or the naive closure-based reference formulation.
     pub checker: CheckerKind,
-    /// Search discipline: the revisit-driven reads-from search (default)
-    /// or the naive enumerate-and-dedup frontier (the reference oracle).
-    pub search: SearchMode,
     /// Memory / dedup ceilings with graceful degradation (default:
     /// unlimited).
     pub budget: ResourceBudget,
@@ -128,12 +76,10 @@ impl Default for AmcConfig {
             max_events_per_thread: 4_096,
             max_graphs: 20_000_000,
             step_budget: vsync_lang::DEFAULT_STEP_BUDGET,
-            dedup: true,
             symmetry: true,
             collect_executions: false,
             workers: 1,
             checker: CheckerKind::Fast,
-            search: SearchMode::default(),
             budget: ResourceBudget::default(),
         }
     }
@@ -209,38 +155,21 @@ impl AmcConfig {
         self.checker = checker;
         self
     }
-
-    /// Builder-style: use the naive enumerate-and-dedup search (the
-    /// differential reference oracle for the revisit-driven search).
-    #[must_use = "builder methods return the modified config"]
-    pub fn with_reference_search(mut self) -> Self {
-        self.search = SearchMode::Enumerate;
-        self
-    }
-
-    /// Builder-style: select a search discipline.
-    #[must_use = "builder methods return the modified config"]
-    pub fn with_search(mut self, search: SearchMode) -> Self {
-        self.search = search;
-        self
-    }
 }
 
 /// Counters describing an exploration (paper Fig. 6's search).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExploreStats {
-    /// Work items popped from the stack. Under [`SearchMode::Revisit`]
-    /// one popped chain root accounts for every in-place extension step of
-    /// its chain, so `popped` stays the unit of "graphs processed"
-    /// (replays performed) in both search modes.
+    /// Chain steps taken: one per graph replayed and checked (a chain
+    /// root popped from the frontier, or an in-place extension of it), so
+    /// `popped` is the unit of "graphs processed".
     pub popped: u64,
     /// Work items pushed.
     pub pushed: u64,
     /// Execution graphs materialized in memory (the initial graph plus
-    /// every cloned branch alternate / revisit child). Under
-    /// [`SearchMode::Enumerate`] this equals `pushed + 1`; the
-    /// revisit-driven search keeps it close to the number of *distinct*
-    /// consistent graphs — the headline metric of the rearchitecture.
+    /// every cloned branch alternate / revisit child). The production
+    /// search keeps it close to the number of *distinct* consistent
+    /// graphs; under [`crate::reference::explore`] it is `pushed + 1`.
     pub constructed: u64,
     /// Items skipped as duplicates (content hash already seen).
     pub duplicates: u64,
@@ -267,9 +196,8 @@ pub struct ExploreStats {
     /// Frontier work items abandoned unexplored when a budget or cap
     /// stopped the run early (always 0 for completed runs).
     pub frontier_dropped: u64,
-    /// Dedup-set probes: canonical/content hashes computed by the
-    /// enumerate search plus hash-before-materialize view encodings by
-    /// the revisit search (each probe is one full graph/view encoding).
+    /// Seen-set probes: hash-before-materialize view encodings (each
+    /// probe is one full graph/view encoding).
     pub probes: u64,
     /// Per-phase wall-clock attribution (total/count/max per
     /// [`EnginePhase`]). Empty unless the run had profiling enabled
@@ -411,10 +339,11 @@ impl fmt::Display for Inconclusive {
 pub enum EnginePhase {
     /// Replaying a program prefix over an execution graph.
     Replay,
-    /// Probing / inserting into the sharded dedup set
-    /// ([`SearchMode::Enumerate`]'s content/canonical hashing).
+    /// Hash-after-construct dedup. Not entered by the production search
+    /// (which attributes its hashing to [`EnginePhase::Probe`]); kept so
+    /// phase indices and the `"dedup"` report key stay stable.
     Dedup,
-    /// The revisit engine's hash-before-materialize probe: encoding a
+    /// The search's hash-before-materialize probe: encoding a
     /// [`GraphView`](vsync_graph::GraphView) and consulting the
     /// `visited`/`leaves` seen-sets *before* any graph is built.
     Probe,
@@ -495,8 +424,8 @@ impl fmt::Display for EnginePhase {
 pub struct EngineError {
     /// The stage the panicking code was executing.
     pub phase: EnginePhase,
-    /// Index of the worker thread that panicked (`None` for the
-    /// sequential driver or phases without a worker identity).
+    /// Index of the worker thread that panicked (`None` for
+    /// single-worker runs and phases without a worker identity).
     pub thread: Option<usize>,
     /// The panic payload, downcast to a string where possible.
     pub payload: String,
@@ -609,7 +538,6 @@ mod tests {
     fn default_config_is_vmm_with_dedup_and_symmetry() {
         let c = AmcConfig::default();
         assert_eq!(c.model, ModelKind::Vmm);
-        assert!(c.dedup);
         assert!(c.symmetry);
         assert!(!c.collect_executions);
         assert!(!c.budget.is_limited());

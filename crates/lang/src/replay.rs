@@ -724,7 +724,7 @@ mod tests {
 
     /// Drive a single-threaded program to completion by adding each Ready
     /// event with the obvious rf/mo choice (sequential semantics).
-    fn run_sequential(prog: &Program) -> ExecutionGraph {
+    fn run_in_order(prog: &Program) -> ExecutionGraph {
         let mut g = ExecutionGraph::new(prog.num_threads(), prog.init().clone());
         loop {
             let out = replay(prog, &mut g);
@@ -784,7 +784,7 @@ mod tests {
             t.assert_eq(Reg(0), 7u64, "read back");
         });
         let prog = pb.build().unwrap();
-        let g = run_sequential(&prog);
+        let g = run_in_order(&prog);
         assert!(g.error().is_none());
         assert_eq!(g.final_state().get(&X), Some(&7));
     }
@@ -797,7 +797,7 @@ mod tests {
             t.assert_eq(Reg(0), 1u64, "x must be 1");
         });
         let prog = pb.build().unwrap();
-        let g = run_sequential(&prog);
+        let g = run_in_order(&prog);
         assert_eq!(g.error().map(|(_, m)| m.to_owned()), Some("x must be 1".into()));
     }
 
@@ -810,7 +810,7 @@ mod tests {
             t.assert_eq(Reg(0), 5u64, "old value");
         });
         let prog = pb.build().unwrap();
-        let g = run_sequential(&prog);
+        let g = run_in_order(&prog);
         assert!(g.error().is_none());
         assert_eq!(g.final_state().get(&X), Some(&8));
         // Two events: rmw read + rmw write.
@@ -826,7 +826,7 @@ mod tests {
             t.assert_eq(Reg(0), 5u64, "old value returned");
         });
         let prog = pb.build().unwrap();
-        let g = run_sequential(&prog);
+        let g = run_in_order(&prog);
         assert!(g.error().is_none());
         assert_eq!(g.thread_len(0), 1); // read only
         assert_eq!(g.final_state().get(&X), Some(&5));
@@ -840,7 +840,7 @@ mod tests {
             t.fence(vsync_graph::Mode::Sc);
         });
         let prog = pb.build().unwrap();
-        let g = run_sequential(&prog);
+        let g = run_in_order(&prog);
         assert_eq!(g.thread_len(0), 1); // only the sc fence
     }
 
@@ -853,7 +853,7 @@ mod tests {
             t.assert_eq(Reg(0), 3u64, "polled value");
         });
         let prog = pb.build().unwrap();
-        let g = run_sequential(&prog);
+        let g = run_in_order(&prog);
         assert!(g.error().is_none());
         assert_eq!(g.thread_len(0), 1);
     }
@@ -866,7 +866,7 @@ mod tests {
             t.await_rmw(Reg(0), X, Test::eq(0u64), RmwOp::Xchg, 1u64, vsync_graph::Mode::Acq);
         });
         let prog = pb.build().unwrap();
-        let g = run_sequential(&prog);
+        let g = run_in_order(&prog);
         assert_eq!(g.thread_len(0), 2);
         assert_eq!(g.final_state().get(&X), Some(&1));
     }
@@ -988,7 +988,7 @@ mod tests {
             t.assert_eq(Reg(1), 200u64, "took else branch");
         });
         let prog = pb.build().unwrap();
-        let g = run_sequential(&prog);
+        let g = run_in_order(&prog);
         assert!(g.error().is_none());
     }
 }

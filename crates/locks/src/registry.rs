@@ -208,10 +208,8 @@ impl MatrixEntry {
     }
 }
 
-/// The standard lock matrix shared by the `explore_perf` and
-/// `optimize_perf` benches, CI smoke checks and the strategy-differential
-/// tests — the "11-entry lock matrix" of the perf acceptance criteria.
-/// Row labels are stable so the JSON artifacts stay diffable across PRs.
+/// The standard "11-entry lock matrix" the earlier perf acceptance
+/// criteria were stated on. Row labels are stable.
 #[must_use]
 pub fn perf_matrix() -> &'static [MatrixEntry] {
     const M: &[MatrixEntry] = &[
@@ -231,9 +229,9 @@ pub fn perf_matrix() -> &'static [MatrixEntry] {
 }
 
 /// The rows of [`perf_matrix`] whose clients have a non-trivial
-/// thread-symmetry partition — the "symmetric lock matrix" of the
-/// `symmetry_perf` bench and its CI smoke (which asserts the ≥ 2x
-/// explored-graph reduction on the 3-thread rows).
+/// thread-symmetry partition — the "symmetric lock matrix" on whose
+/// 3-thread rows `tests/symmetry.rs` asserts the ≥ 2x explored-graph
+/// reduction.
 #[must_use]
 pub fn symmetric_matrix() -> Vec<MatrixEntry> {
     perf_matrix().iter().copied().filter(MatrixEntry::is_symmetric).collect()

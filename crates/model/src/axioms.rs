@@ -3,8 +3,7 @@
 //! These are the *reference* formulations: every relation is rebuilt from
 //! scratch and acyclicity goes through a full transitive closure. The
 //! explorer's hot path uses [`crate::fast`] instead; the reference is
-//! retained as the oracle of the differential test suite and as the
-//! baseline of the `explore_perf` benchmark.
+//! retained as the oracle of the differential test suite.
 
 use vsync_graph::{EventId, EventIndex, EventKind, ExecutionGraph, Relation, RfSource};
 

@@ -53,8 +53,8 @@ pub trait MemoryModel: std::fmt::Debug + Send + Sync {
     /// The naive closure-based formulation of the same predicate.
     ///
     /// Extensionally equal to [`MemoryModel::is_consistent`]; retained as
-    /// the oracle for differential testing and as the performance baseline
-    /// measured by `explore_perf`. Deliberately has no default body: a
+    /// the oracle for differential testing (and selectable as
+    /// `CheckerKind::Reference`). Deliberately has no default body: a
     /// model without a genuine reference formulation would make the
     /// differential tests vacuous.
     fn is_consistent_reference(&self, g: &ExecutionGraph) -> bool;

@@ -11,8 +11,7 @@
 //!
 //! [`MemoryModel::is_consistent`] runs the closure-free fast path
 //! ([`crate::fast`]); the original closure-based formulation is retained as
-//! [`MemoryModel::is_consistent_reference`] for differential testing and
-//! as the performance baseline of `explore_perf`.
+//! [`MemoryModel::is_consistent_reference`] for differential testing.
 
 use vsync_graph::{EventId, EventIndex, EventKind, ExecutionGraph, Relation, RfSource};
 

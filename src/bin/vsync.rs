@@ -10,7 +10,7 @@ use std::time::Duration;
 use vsync::core::{
     collect_litmus_files, enumerate_maximal, render_metrics, run_corpus, AmcConfig, CancelToken,
     CorpusOptions, CorpusReport, FileOutcome, OptimizeStrategy, OptimizerConfig, PhaseProfile,
-    ProgressSnapshot, Report, SearchMode, Session, TraceWriter,
+    ProgressSnapshot, Report, Session, TraceWriter,
 };
 use vsync::graph::{to_dot, Mode};
 use vsync::lang::{Program, ProgramBuilder, Reg};
@@ -52,14 +52,10 @@ options:
                    relabeled twin of template-identical client threads
                    distinctly (naive reference counts; default prunes
                    them, reported as `sym-pruned`)
-  --search S       revisit | enumerate (default revisit): revisit is the
-                   stateless-optimal reads-from search constructing each
-                   consistent graph at most once; enumerate is the naive
-                   enumerate-and-dedup reference oracle
   --json           (verify/optimize/bug/check/corpus) print the report as JSON
   --progress       (verify/bug/check/corpus) stream progress snapshots to stderr
   --jobs J         (corpus) files checked concurrently (default: cores, max 8)
-  --strategy S     (optimize) sequential | parallel | adaptive
+  --strategy S     (optimize) sequential | adaptive
                    (default adaptive; sequential is the reference loop)
   --passes N       (optimize) cap optimization passes (default: fixpoint)
   --steps          (optimize) stream per-step relaxation events to stderr
@@ -97,7 +93,6 @@ struct Options {
     json: bool,
     progress: bool,
     symmetry: bool,
-    search: SearchMode,
     strategy: OptimizeStrategy,
     passes: usize,
     steps: bool,
@@ -126,7 +121,6 @@ impl Options {
             json: false,
             progress: false,
             symmetry: true,
-            search: SearchMode::default(),
             strategy: OptimizeStrategy::default(),
             passes: 0,
             steps: false,
@@ -186,14 +180,10 @@ impl Options {
                         .ok_or("--max-dedup needs a number")?
                 }
                 "--no-symmetry" => o.symmetry = false,
-                "--search" => {
-                    let s = it.next().ok_or("--search needs revisit|enumerate")?;
-                    o.search = s.parse()?;
-                }
                 "--json" => o.json = true,
                 "--progress" => o.progress = true,
                 "--strategy" => {
-                    let s = it.next().ok_or("--strategy needs sequential|parallel|adaptive")?;
+                    let s = it.next().ok_or("--strategy needs sequential|adaptive")?;
                     o.strategy = s.parse()?;
                 }
                 "--passes" => {
@@ -235,7 +225,6 @@ impl Options {
             cancel: CancelToken::new(),
             max_memory_bytes: self.max_memory_mb * 1024 * 1024,
             max_dedup_entries: self.max_dedup,
-            search: self.search,
             progress: self.progress.then(|| {
                 Arc::new(|p: &ProgressSnapshot| {
                     eprintln!(
@@ -249,13 +238,18 @@ impl Options {
         }
     }
 
+    /// Threads that accrued phase time concurrently during a corpus run:
+    /// the files in flight times the workers exploring each.
+    fn corpus_threads(&self, r: &CorpusReport) -> usize {
+        self.workers.max(1) * self.jobs.clamp(1, r.files.len().max(1))
+    }
+
     /// A session over `program` with every runtime option applied.
     fn session(&self, program: Program) -> Session {
         let mut s = Session::new(program)
             .models(self.models.iter().copied())
             .workers(self.workers)
             .symmetry(self.symmetry)
-            .search(self.search)
             .max_memory_bytes(self.max_memory_mb * 1024 * 1024)
             .max_dedup_entries(self.max_dedup);
         if let Some(d) = self.deadline {
@@ -315,9 +309,10 @@ impl Telemetry {
     }
 
     /// Print the metrics table (stderr) and close the trace file.
-    fn finish(&self, profile: &PhaseProfile, wall: Duration) {
+    /// `threads` is how many threads accrued phase time concurrently.
+    fn finish(&self, profile: &PhaseProfile, wall: Duration, threads: usize) {
         if self.metrics {
-            eprint!("{}", render_metrics(profile, wall));
+            eprint!("{}", render_metrics(profile, wall, threads));
             let (fast, reference) = checker_attribution();
             eprintln!(
                 "consistency checks: {} fast-path, {} reference",
@@ -506,7 +501,7 @@ fn run() -> Result<ExitCode, String> {
             }
             println!(
                 "\nverify or optimize any entry: `vsync verify <name>`, `vsync optimize <name> \
-                 [--strategy sequential|parallel|adaptive] [--workers N]`"
+                 [--strategy sequential|adaptive] [--workers N]`"
             );
             Ok(ExitCode::SUCCESS)
         }
@@ -517,7 +512,7 @@ fn run() -> Result<ExitCode, String> {
                 .ok_or_else(|| format!("unknown lock '{name}' (try `vsync locks`)"))?;
             let tel = Telemetry::start(&o)?;
             let r = tel.session(o.session(entry.client(o.threads, o.acquires))).run();
-            tel.finish(&report_profile(&r), r.elapsed);
+            tel.finish(&report_profile(&r), r.elapsed, o.workers);
             Ok(report(&r, &o))
         }
         "optimize" => {
@@ -566,7 +561,7 @@ fn run() -> Result<ExitCode, String> {
                     });
                 }
                 let r = s.run();
-                tel.finish(&report_profile(&r), r.elapsed);
+                tel.finish(&report_profile(&r), r.elapsed, o.workers);
                 if o.json {
                     println!("{}", r.to_json());
                 } else {
@@ -585,7 +580,7 @@ fn run() -> Result<ExitCode, String> {
             };
             let tel = Telemetry::start(&o)?;
             let r = tel.session(o.session(p)).run();
-            tel.finish(&report_profile(&r), r.elapsed);
+            tel.finish(&report_profile(&r), r.elapsed, o.workers);
             Ok(report(&r, &o))
         }
         "check" => {
@@ -598,7 +593,7 @@ fn run() -> Result<ExitCode, String> {
                 Ok(r) => r,
                 Err(e) => return Ok(unreadable_input(&e)),
             };
-            tel.finish(&corpus_profile(&r), r.elapsed);
+            tel.finish(&corpus_profile(&r), r.elapsed, o.corpus_threads(&r));
             if let Some(dir) = &o.dot_dir {
                 write_corpus_dots(dir, &r)?;
             }
@@ -619,7 +614,7 @@ fn run() -> Result<ExitCode, String> {
                 Ok(r) => r,
                 Err(e) => return Ok(unreadable_input(&e)),
             };
-            tel.finish(&corpus_profile(&r), r.elapsed);
+            tel.finish(&corpus_profile(&r), r.elapsed, o.corpus_threads(&r));
             if r.files.is_empty() {
                 return Err(format!("no .litmus files under {dir}"));
             }

@@ -326,7 +326,7 @@ fn revisit_agrees_with_enumerate_on_random_programs() {
         let workers = [1usize, 2, 8][(seed / 3) as usize % 3];
         let symmetry = seed % 2 == 0;
         let cfg = AmcConfig::with_model(model).with_symmetry(symmetry);
-        let reference = explore(&p, &cfg.clone().with_reference_search());
+        let reference = vsync::core::reference::explore(&p, &cfg);
         let revisit = explore(&p, &cfg.with_workers(workers));
         let tag = format!("seed {seed} ({model}, workers={workers}, symmetry={symmetry})");
         assert_eq!(
@@ -362,7 +362,7 @@ fn revisit_matches_enumerate_violation_messages_on_study_cases() {
     for (name, p) in [("dpdk", dpdk_scenario(false)), ("huawei", huawei_scenario(false))] {
         for symmetry in [true, false] {
             let cfg = AmcConfig::default().with_symmetry(symmetry);
-            let reference = explore(&p, &cfg.clone().with_reference_search());
+            let reference = vsync::core::reference::explore(&p, &cfg);
             let expected = msg_of(name, &reference.verdict);
             for workers in [1usize, 2, 8] {
                 let r = explore(&p, &cfg.clone().with_workers(workers));

@@ -54,9 +54,8 @@ fn injected_panics_yield_identical_errors_across_configurations() {
     let sites = [
         ("explore.pop", EnginePhase::Driver),
         ("explore.replay", EnginePhase::Replay),
-        // The default (revisit) engine attributes its hash sites to
-        // `Probe` and revisit generation to `Revisit`; the enumerate
-        // engine keeps `Dedup` for the same `explore.dedup` failpoint.
+        // The search attributes its hash sites to `Probe` and revisit
+        // generation to `Revisit`.
         ("explore.dedup", EnginePhase::Probe),
         ("explore.consistency", EnginePhase::Consistency),
         ("explore.extend", EnginePhase::Extend),

@@ -1,8 +1,8 @@
-//! Differential tests of the optimizer's search strategies: the parallel
-//! and adaptive engines must reproduce the *identical final barrier
-//! assignment* of the sequential reference loop — across the full lock
-//! registry and for any worker count — and every strategy must honor
-//! cooperative cancellation without ever keeping an unverified accept.
+//! Differential tests of the optimizer's search strategies: the adaptive
+//! engine must reproduce the *identical final barrier assignment* of the
+//! sequential reference loop — across the full lock registry and for any
+//! worker count — and every strategy must honor cooperative cancellation
+//! without ever keeping an unverified accept.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -27,8 +27,8 @@ fn modes(p: &Program) -> Vec<Mode> {
 }
 
 /// Every registered lock, 2-thread client, from the all-SC baseline:
-/// parallel and adaptive land on the sequential reference's exact final
-/// assignment. Worker counts rotate through {1, 2, 8} across the registry
+/// adaptive lands on the sequential reference's exact final assignment.
+/// Worker counts rotate through {1, 2, 8} across the registry
 /// so each count covers several locks without a full cross product.
 #[test]
 fn strategies_agree_across_the_full_registry() {
@@ -38,27 +38,26 @@ fn strategies_agree_across_the_full_registry() {
         let workers = worker_counts[i % worker_counts.len()];
         let seq = optimize(&base, &config(OptimizeStrategy::Sequential, 1));
         assert!(seq.verified, "{}: sequential baseline failed", entry.name);
-        for strategy in [OptimizeStrategy::Parallel, OptimizeStrategy::Adaptive] {
-            let r = optimize(&base, &config(strategy, workers));
-            assert!(r.verified, "{}: {strategy} failed to verify", entry.name);
-            assert_eq!(
-                modes(&seq.program),
-                modes(&r.program),
-                "{}: {strategy} (workers={workers}) diverged from sequential",
-                entry.name
-            );
-            // The accepted steps replay to the same assignment.
-            let mut replayed = base.clone();
-            for step in r.steps.iter().filter(|s| s.accepted) {
-                replayed.set_mode(vsync::lang::ModeRef(step.site), step.to);
-            }
-            assert_eq!(
-                modes(&replayed),
-                modes(&r.program),
-                "{}: {strategy} steps are not replayable",
-                entry.name
-            );
+        let strategy = OptimizeStrategy::Adaptive;
+        let r = optimize(&base, &config(strategy, workers));
+        assert!(r.verified, "{}: {strategy} failed to verify", entry.name);
+        assert_eq!(
+            modes(&seq.program),
+            modes(&r.program),
+            "{}: {strategy} (workers={workers}) diverged from sequential",
+            entry.name
+        );
+        // The accepted steps replay to the same assignment.
+        let mut replayed = base.clone();
+        for step in r.steps.iter().filter(|s| s.accepted) {
+            replayed.set_mode(vsync::lang::ModeRef(step.site), step.to);
         }
+        assert_eq!(
+            modes(&replayed),
+            modes(&r.program),
+            "{}: {strategy} steps are not replayable",
+            entry.name
+        );
     }
 }
 
@@ -92,18 +91,16 @@ fn strategies_agree_with_extra_scenarios() {
     let scenarios = [pair];
     let seq = optimize_multi(&solo, &scenarios, &config(OptimizeStrategy::Sequential, 1));
     assert!(seq.verified);
-    for strategy in [OptimizeStrategy::Parallel, OptimizeStrategy::Adaptive] {
-        for workers in [1, 2] {
-            let r = optimize_multi(&solo, &scenarios, &config(strategy, workers));
-            assert!(r.verified, "{strategy}/{workers}");
-            assert_eq!(modes(&seq.program), modes(&r.program), "{strategy}/{workers}");
-        }
+    let strategy = OptimizeStrategy::Adaptive;
+    for workers in [1, 2] {
+        let r = optimize_multi(&solo, &scenarios, &config(strategy, workers));
+        assert!(r.verified, "{strategy}/{workers}");
+        assert_eq!(modes(&seq.program), modes(&r.program), "{strategy}/{workers}");
     }
 }
 
 /// The adaptive engine needs strictly fewer full explorations than the
-/// sequential reference on a lock with a non-trivial site table (the
-/// BENCH_optimize.json criterion, in miniature).
+/// sequential reference on a lock with a non-trivial site table.
 #[test]
 fn adaptive_explores_less_than_sequential() {
     let base = registry::entry("mcs").unwrap().client(2, 1).with_all_sc();
@@ -124,33 +121,32 @@ fn adaptive_explores_less_than_sequential() {
 /// pointwise weaker-or-equal than the baseline.
 #[test]
 fn mid_bisect_interrupt_keeps_a_verified_partial_assignment() {
-    for strategy in [OptimizeStrategy::Adaptive, OptimizeStrategy::Parallel] {
-        for workers in [1, 2, 8] {
-            let base = registry::entry("ttas").unwrap().client(2, 1).with_all_sc();
-            let token = CancelToken::new();
-            let fired = Arc::new(AtomicUsize::new(0));
-            let cfg = {
-                let token = token.clone();
-                let fired = fired.clone();
-                config(strategy, workers).with_on_step(move |_| {
-                    fired.fetch_add(1, Ordering::Relaxed);
-                    token.cancel();
-                })
-            };
-            let report = optimize(&base, &cfg.with_cancel(token));
-            assert!(fired.load(Ordering::Relaxed) > 0, "{strategy}: no step event fired");
-            assert!(report.interrupted, "{strategy}/{workers}: not interrupted");
-            assert!(report.verified, "{strategy}/{workers}: baseline lost");
-            // Whatever was kept verifies from scratch...
-            assert!(
-                verify(&report.program, &AmcConfig::with_model(ModelKind::Vmm)).is_verified(),
-                "{strategy}/{workers}: partial assignment does not verify"
-            );
-            // ...and never strengthens a site beyond the baseline.
-            for (b, a) in base.sites().iter().zip(report.program.sites()) {
-                if !b.relaxable {
-                    assert_eq!(b.mode, a.mode, "{strategy}: fixed site {} touched", b.name);
-                }
+    let strategy = OptimizeStrategy::Adaptive;
+    for workers in [1, 2, 8] {
+        let base = registry::entry("ttas").unwrap().client(2, 1).with_all_sc();
+        let token = CancelToken::new();
+        let fired = Arc::new(AtomicUsize::new(0));
+        let cfg = {
+            let token = token.clone();
+            let fired = fired.clone();
+            config(strategy, workers).with_on_step(move |_| {
+                fired.fetch_add(1, Ordering::Relaxed);
+                token.cancel();
+            })
+        };
+        let report = optimize(&base, &cfg.with_cancel(token));
+        assert!(fired.load(Ordering::Relaxed) > 0, "{strategy}: no step event fired");
+        assert!(report.interrupted, "{strategy}/{workers}: not interrupted");
+        assert!(report.verified, "{strategy}/{workers}: baseline lost");
+        // Whatever was kept verifies from scratch...
+        assert!(
+            verify(&report.program, &AmcConfig::with_model(ModelKind::Vmm)).is_verified(),
+            "{strategy}/{workers}: partial assignment does not verify"
+        );
+        // ...and never strengthens a site beyond the baseline.
+        for (b, a) in base.sites().iter().zip(report.program.sites()) {
+            if !b.relaxable {
+                assert_eq!(b.mode, a.mode, "{strategy}: fixed site {} touched", b.name);
             }
         }
     }
@@ -206,11 +202,7 @@ fn enumerate_maximal_cancellation() {
 fn zero_deadline_interrupts_every_strategy() {
     use vsync::core::Session;
     use vsync::locks::SessionExt as _;
-    for strategy in [
-        OptimizeStrategy::Sequential,
-        OptimizeStrategy::Parallel,
-        OptimizeStrategy::Adaptive,
-    ] {
+    for strategy in [OptimizeStrategy::Sequential, OptimizeStrategy::Adaptive] {
         let report = Session::lock("ttas", 2, 1)
             .deadline(std::time::Duration::ZERO)
             .optimize(OptimizerConfig::default().with_strategy(strategy))

@@ -104,10 +104,8 @@ fn build_program(threads: &[Vec<(Op, Mode)>]) -> Program {
     pb.build().expect("generated program is well-formed")
 }
 
-fn executions(p: &Program, model: ModelKind, dedup: bool) -> u64 {
-    let mut cfg = AmcConfig::with_model(model);
-    cfg.dedup = dedup;
-    let r = explore(p, &cfg);
+fn executions(p: &Program, model: ModelKind) -> u64 {
+    let r = explore(p, &AmcConfig::with_model(model));
     match r.verdict {
         Verdict::Verified => r.stats.complete_executions,
         v => panic!("random program without asserts cannot fail: {v}"),
@@ -138,37 +136,34 @@ fn for_random_programs(
 #[test]
 fn model_strength_ordering() {
     for_random_programs("model_strength_ordering", 48, (2, 3), 3, |p| {
-        let sc = executions(p, ModelKind::Sc, true);
-        let tso = executions(p, ModelKind::Tso, true);
-        let vmm = executions(p, ModelKind::Vmm, true);
+        let sc = executions(p, ModelKind::Sc);
+        let tso = executions(p, ModelKind::Tso);
+        let vmm = executions(p, ModelKind::Vmm);
         assert!(sc >= 1, "at least one interleaving exists");
         assert!(sc <= tso, "SC ⊆ TSO violated: {sc} > {tso}");
         assert!(tso <= vmm, "TSO ⊆ VMM violated: {tso} > {vmm}");
     });
 }
 
-/// Deduplication is an optimization, not a semantics change: the set of
-/// complete executions (counted via distinct content hashes) is stable.
-/// Symmetry is disabled here — it deliberately quotients the set (see
+/// Deduplication neither drops nor repeats a complete execution: the
+/// production search's execution set (distinct content hashes) equals
+/// the one the independent reference oracle collects, and its size is
+/// the reported `complete_executions`. Symmetry is disabled here — it
+/// deliberately quotients the set (see
 /// `symmetry_explores_one_representative_per_orbit`).
 #[test]
 fn dedup_preserves_execution_sets() {
     for_random_programs("dedup_preserves_execution_sets", 48, (2, 2), 2, |p| {
-        let mut with = AmcConfig::with_model(ModelKind::Vmm).collecting().without_symmetry();
-        with.dedup = true;
-        let mut without = with.clone();
-        without.dedup = false;
-        let a = explore(p, &with);
-        let b = explore(p, &without);
-        let ha: std::collections::BTreeSet<u128> =
-            a.executions.iter().map(content_hash).collect();
-        let hb: std::collections::BTreeSet<u128> =
-            b.executions.iter().map(content_hash).collect();
-        assert_eq!(&ha, &hb, "dedup changed the execution set");
+        let cfg = AmcConfig::with_model(ModelKind::Vmm).collecting().without_symmetry();
+        let a = explore(p, &cfg);
+        let b = vsync::core::reference::explore(p, &cfg);
+        let ha: std::collections::BTreeSet<u128> = a.executions.iter().map(content_hash).collect();
+        let hb: std::collections::BTreeSet<u128> = b.executions.iter().map(content_hash).collect();
+        assert_eq!(&ha, &hb, "production and reference execution sets differ");
         assert_eq!(
             ha.len() as u64,
             a.stats.complete_executions,
-            "duplicate complete executions explored with dedup on"
+            "a complete execution was counted twice"
         );
     });
 }
@@ -208,8 +203,8 @@ fn symmetry_explores_one_representative_per_orbit() {
 fn strengthening_shrinks_behaviours() {
     for_random_programs("strengthening_shrinks_behaviours", 48, (2, 3), 3, |p| {
         let strong = p.with_all_sc();
-        let weak_count = executions(p, ModelKind::Vmm, true);
-        let strong_count = executions(&strong, ModelKind::Vmm, true);
+        let weak_count = executions(p, ModelKind::Vmm);
+        let strong_count = executions(&strong, ModelKind::Vmm);
         assert!(
             strong_count <= weak_count,
             "all-SC gained executions: {strong_count} > {weak_count}"

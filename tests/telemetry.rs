@@ -1,13 +1,15 @@
 //! Telemetry integration tests: event-stream determinism at one worker,
-//! phase-profile count/time invariants for both search engines, and the
-//! exporter surfaces (corpus events, optimizer step forwarding).
+//! phase-profile count/time invariants, bus totals equal to the final
+//! stats, and the exporter surfaces (corpus events, optimizer step
+//! forwarding).
 
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use vsync::core::{
-    run_corpus, CorpusOptions, EnginePhase, EventKind, OptimizerConfig, SearchMode, Session,
+    run_corpus, CorpusOptions, EnginePhase, EventKind, ExploreStats, OptimizerConfig, PhaseProfile,
+    Session,
 };
 use vsync::graph::Mode;
 use vsync::lang::{Program, ProgramBuilder, Reg};
@@ -53,7 +55,8 @@ fn event_keys(p: &Program, workers: usize) -> Vec<&'static str> {
 
 /// At one worker the event stream is a deterministic function of the
 /// program: two runs produce identical sequences, and the mp litmus
-/// shape produces exactly this golden one.
+/// shape produces exactly this golden one — one drain at the first pacer
+/// check, one when the worker exits.
 #[test]
 fn single_worker_event_stream_is_deterministic() {
     let p = mp_program();
@@ -67,6 +70,8 @@ fn single_worker_event_stream_is_deterministic() {
             "explore_start",
             "stats_delta",
             "phase_slice",
+            "stats_delta",
+            "phase_slice",
             "explore_finish",
             "session_finish",
         ]
@@ -74,75 +79,81 @@ fn single_worker_event_stream_is_deterministic() {
 }
 
 /// Phase counts are exact mirrors of the exploration counters, and
-/// attributed time never exceeds the measured wall clock — for both
-/// search engines.
+/// attributed time never exceeds the measured wall clock.
 #[test]
-fn phase_profile_invariants_hold_for_both_engines() {
-    for search in [SearchMode::Revisit, SearchMode::Enumerate] {
-        let t0 = Instant::now();
-        let r = Session::new(mp_program())
-            .model(ModelKind::Vmm)
-            .search(search)
-            .profile(true)
-            .run();
-        let wall = t0.elapsed();
-        assert!(r.is_verified());
-        let stats = &r.models[0].stats;
-        let phases = &stats.phases;
-        assert!(!phases.is_empty(), "{search:?}: profiling must attribute spans");
-        assert!(
-            phases.total() <= wall,
-            "{search:?}: attributed {:?} exceeds wall {wall:?}",
-            phases.total()
-        );
-        assert_eq!(
-            phases.get(EnginePhase::FinalCheck).count,
-            stats.complete_executions,
-            "{search:?}: one FinalCheck entry per complete execution"
-        );
-        assert_eq!(
-            phases.get(EnginePhase::Stagnancy).count,
-            stats.blocked_graphs,
-            "{search:?}: one Stagnancy entry per blocked graph"
-        );
-        assert_eq!(
-            phases.get(EnginePhase::Replay).count,
-            stats.popped,
-            "{search:?}: one Replay entry per popped work item"
-        );
-        match search {
-            // The revisit engine hashes through its Probe sites at least
-            // once per admitted-or-duplicate candidate.
-            SearchMode::Revisit => assert!(
-                phases.get(EnginePhase::Probe).count >= stats.constructed + stats.duplicates,
-                "revisit: Probe entries must cover every admit decision"
-            ),
-            // The enumerate engine keeps the Dedup attribution.
-            SearchMode::Enumerate => assert!(
-                phases.get(EnginePhase::Dedup).count > 0
-                    && phases.get(EnginePhase::Probe).count == 0,
-                "enumerate: hashing attributes to Dedup, not Probe"
-            ),
-        }
-    }
+fn phase_profile_invariants_hold() {
+    let t0 = Instant::now();
+    let r = Session::new(mp_program()).model(ModelKind::Vmm).profile(true).run();
+    let wall = t0.elapsed();
+    assert!(r.is_verified());
+    let stats = &r.models[0].stats;
+    let phases = &stats.phases;
+    assert!(!phases.is_empty(), "profiling must attribute spans");
+    assert!(phases.total() <= wall, "attributed {:?} exceeds wall {wall:?}", phases.total());
+    assert_eq!(
+        phases.get(EnginePhase::FinalCheck).count,
+        stats.complete_executions,
+        "one FinalCheck entry per complete execution"
+    );
+    assert_eq!(
+        phases.get(EnginePhase::Stagnancy).count,
+        stats.blocked_graphs,
+        "one Stagnancy entry per blocked graph"
+    );
+    assert_eq!(
+        phases.get(EnginePhase::Replay).count,
+        stats.popped,
+        "one Replay entry per popped work item"
+    );
+    // The search hashes through its Probe sites at least once per
+    // admitted-or-duplicate candidate, and never enters Dedup.
+    assert!(
+        phases.get(EnginePhase::Probe).count >= stats.constructed + stats.duplicates,
+        "Probe entries must cover every admit decision"
+    );
+    assert_eq!(phases.get(EnginePhase::Dedup).count, 0);
 }
 
-/// Probe counters (hash-permutation work) flow into `ExploreStats` for
-/// both engines, and stay zero without telemetry asking for them — they
-/// are counted unconditionally (they are plain adds) so this just pins
-/// that the counter is populated.
+/// Probe counters (hash-permutation work) flow into `ExploreStats`, and
+/// the phase profile stays empty without telemetry asking for it — the
+/// counter is a plain add, so this just pins that it is populated.
 #[test]
 fn probe_counters_flow_into_stats() {
-    for search in [SearchMode::Revisit, SearchMode::Enumerate] {
-        let r = Session::new(mp_program()).model(ModelKind::Vmm).search(search).run();
-        let stats = &r.models[0].stats;
-        assert!(
-            stats.probes >= stats.constructed + stats.duplicates,
-            "{search:?}: every dedup decision costs at least one probe"
-        );
-        // Without profile/events the phase profile stays empty (the
-        // near-zero-cost disabled path).
-        assert!(stats.phases.is_empty(), "{search:?}: no spans without telemetry");
+    let r = Session::new(mp_program()).model(ModelKind::Vmm).run();
+    let stats = &r.models[0].stats;
+    assert!(
+        stats.probes >= stats.constructed + stats.duplicates,
+        "every dedup decision costs at least one probe"
+    );
+    // Without profile/events the phase profile stays empty (the
+    // near-zero-cost disabled path).
+    assert!(stats.phases.is_empty(), "no spans without telemetry");
+}
+
+/// Every worker drains its pacer once more on exit, so the deltas and
+/// slices on the bus add up to exactly the report's final stats — for
+/// any worker count, and on a run long enough to drain mid-flight.
+#[test]
+fn bus_totals_equal_final_stats() {
+    for workers in [1usize, 2, 8] {
+        let totals: Arc<Mutex<(ExploreStats, PhaseProfile)>> = Arc::default();
+        let sink = Arc::clone(&totals);
+        let r = Session::lock("ttas", 3, 1)
+            .model(ModelKind::Vmm)
+            .workers(workers)
+            .on_event(move |ev| match &ev.kind {
+                EventKind::StatsDelta { stats, .. } => sink.lock().unwrap().0.merge(stats),
+                EventKind::PhaseSlice { phases, .. } => sink.lock().unwrap().1.merge(phases),
+                _ => {}
+            })
+            .run();
+        assert!(r.is_verified(), "workers={workers}");
+        let stats = r.models[0].stats;
+        assert!(stats.popped > 64, "workers={workers}: too short to drain mid-run");
+        let (mut deltas, slices) = *totals.lock().unwrap();
+        assert_eq!(slices, stats.phases, "workers={workers}: Σ phase_slice != final profile");
+        deltas.phases = stats.phases;
+        assert_eq!(deltas, stats, "workers={workers}: Σ stats_delta != final stats");
     }
 }
 
