@@ -44,7 +44,7 @@ use std::time::Instant;
 
 use vsync_graph::{EventId, EventKind, ExecutionGraph, ExploreEncoder, Loc, RfSource, ThreadId};
 use vsync_lang::{Operand, Program};
-use vsync_model::MemoryModel;
+use vsync_model::{ChainChecker, MemoryModel};
 
 use crate::failpoint;
 use crate::revisit::ChainEnd;
@@ -578,6 +578,14 @@ pub(crate) struct Worker<'r> {
     pub(crate) phase: PhaseTracker,
     /// Symmetry-aware view hasher (per-worker scratch buffers).
     pub(crate) enc: ExploreEncoder,
+    /// The model's consistency checker, following the chain in flight:
+    /// `reset` at the root, `push`/`pop` alongside every
+    /// `push_event`/`pop_event` of the chain's graph.
+    pub(crate) ck: Box<dyn ChainChecker>,
+    /// Scratch of the R- and W-step scans: the viable rf sources / mo
+    /// positions of the step in flight.
+    pub(crate) viable_sources: Vec<RfSource>,
+    pub(crate) viable_positions: Vec<usize>,
     pacer: Pacer<'r>,
     shared: &'r Shared,
     max_graphs: u64,
@@ -724,6 +732,9 @@ impl Engine<'_> {
             executions: Vec::new(),
             phase: PhaseTracker::new(self.control.profile),
             enc: ExploreEncoder::new(self.partition.as_ref()),
+            ck: self.model.chain_checker(),
+            viable_sources: Vec::new(),
+            viable_positions: Vec::new(),
             pacer: Pacer {
                 control: self.control,
                 started: Instant::now(),

@@ -13,7 +13,7 @@
 //!    fence elided by relaxation — makes the witness *inapplicable*, never
 //!    wrong);
 //! 2. the re-moded graph must still be consistent with the memory model
-//!    (one fast-path [`AxiomContext`](vsync_model::AxiomContext) build);
+//!    (one from-scratch [`ChainChecker::reset`](vsync_model::ChainChecker::reset));
 //! 3. the violation must still hold: an error event, a failed final-state
 //!    check, or a stagnant blocked graph re-established by the stagnancy
 //!    analysis.
@@ -122,7 +122,8 @@ pub(crate) fn witness_refutes(
         // repeat: the witness does not apply to this candidate.
         return false;
     }
-    if !model.is_consistent(&g) {
+    let mut checker = model.chain_checker();
+    if !checker.reset(&g) {
         return false;
     }
     if out.errored() {
@@ -139,7 +140,7 @@ pub(crate) fn witness_refutes(
     if blocked.is_empty() {
         failed_final_check(prog, &g).is_some()
     } else {
-        is_stagnant(&g, &blocked, model)
+        is_stagnant(&mut g, &blocked, &mut *checker)
     }
 }
 

@@ -38,7 +38,7 @@ use vsync_graph::{
     content_hash, Canonicalizer, EventId, EventKind, ExecutionGraph, Loc, Mode, RfSource, ThreadId,
 };
 use vsync_lang::{PendingOp, Program, ReadDesc, ThreadStatus};
-use vsync_model::MemoryModel;
+use vsync_model::ChainChecker;
 
 use crate::explorer::{failed_final_check, min_source_pos};
 use crate::stagnancy::is_stagnant;
@@ -56,7 +56,7 @@ pub fn explore(prog: &Program, config: &AmcConfig) -> AmcResult {
     let mut search = Search {
         prog,
         config,
-        model: config.model.checker(config.checker),
+        checker: config.model.checker(config.checker).chain_checker(),
         canon: None,
         seen: HashSet::new(),
         stack: Vec::new(),
@@ -73,7 +73,9 @@ pub fn explore(prog: &Program, config: &AmcConfig) -> AmcResult {
 struct Search<'p> {
     prog: &'p Program,
     config: &'p AmcConfig,
-    model: &'static dyn MemoryModel,
+    /// Asked from scratch (`reset`) for every popped graph; the stagnancy
+    /// analysis then steps it through the blocked reads' resolutions.
+    checker: Box<dyn ChainChecker>,
     /// Symmetry canonicalizer, `None` when the run has no usable symmetry.
     canon: Option<Canonicalizer>,
     seen: HashSet<u128>,
@@ -160,7 +162,7 @@ impl Search<'_> {
             self.stats.wasteful += 1;
             return None;
         }
-        if !self.model.is_consistent(&g) {
+        if !self.checker.reset(&g) {
             self.stats.inconsistent += 1;
             return None;
         }
@@ -184,7 +186,7 @@ impl Search<'_> {
             }
         } else {
             self.stats.blocked_graphs += 1;
-            if is_stagnant(&g, &blocked, self.model) {
+            if is_stagnant(&mut g, &blocked, &mut *self.checker) {
                 let polls: Vec<String> =
                     blocked.iter().map(|b| format!("{}@{:#x}", b.read, b.loc)).collect();
                 let message = format!(

@@ -98,7 +98,7 @@ impl Engine<'_> {
                 // speculative scan that chose them.
                 w.phase.set(EnginePhase::Consistency);
                 w.failpoint("explore.consistency");
-                if !self.model.is_consistent(&g) {
+                if !w.ck.reset(&g) {
                     w.stats.inconsistent += 1;
                     return ChainEnd::Done;
                 }
@@ -196,7 +196,12 @@ impl Engine<'_> {
             w.phase.set(EnginePhase::Stagnancy);
             w.failpoint("explore.stagnancy");
             w.stats.blocked_graphs += 1;
-            if is_stagnant(&g, &blocked, self.model) {
+            if permuted {
+                // The checker followed the chain, not its relabeling.
+                let consistent = w.ck.reset(&g);
+                debug_assert!(consistent, "relabeling threads preserves consistency");
+            }
+            if is_stagnant(&mut g, &blocked, &mut *w.ck) {
                 let polls: Vec<String> =
                     blocked.iter().map(|b| format!("{}@{:#x}", b.read, b.loc)).collect();
                 let message = format!(
@@ -228,7 +233,7 @@ impl Engine<'_> {
         g.push_event(t, kind);
         w.phase.set(EnginePhase::Consistency);
         w.failpoint("explore.consistency");
-        if !self.model.is_consistent(g) {
+        if !w.ck.push(g, t) {
             w.stats.inconsistent += 1;
             return false;
         }
@@ -250,66 +255,61 @@ impl Engine<'_> {
     ) -> bool {
         // Candidates in the reference oracle's push order (`⊥` last), so
         // the in-place continuation — the last viable candidate — is the
-        // child the LIFO driver would pop first.
-        let min_pos = min_source_pos(g, t, loc);
-        let mut sources: Vec<EventId> = vec![EventId::Init(loc)];
-        sources.extend(g.mo(loc).iter().copied());
-        let mut cands: Vec<EventKind> = Vec::with_capacity(sources.len() + 1);
-        for (pos, src) in sources.into_iter().enumerate() {
-            if pos < min_pos {
-                continue; // per-location coherence rules this source out
-            }
-            if desc.is_await() && prev_rf == Some(RfSource::Write(src)) {
+        // child the LIFO driver would pop first. Each event carries its
+        // exact derived flags (from the candidate source's value), so the
+        // speculative check below equals the one the reference oracle
+        // runs after replaying the materialized child.
+        let event = |g: &ExecutionGraph, rf: RfSource| EventKind::Read {
+            loc,
+            mode,
+            rf,
+            rmw: rf.event().is_some_and(|src| desc.write_on(g.write_value(src)).is_some()),
+            awaiting: desc.is_await(),
+        };
+        // Viability scan: speculative push → model check → undo.
+        let mut viable = std::mem::take(&mut w.viable_sources);
+        viable.clear();
+        w.phase.set(EnginePhase::Consistency);
+        // `⊥` is the potential AT violation: no incoming rf-edge (yet).
+        let sources = g.mo(loc).len() + 1;
+        for pos in min_source_pos(g, t, loc)..sources + usize::from(desc.is_await()) {
+            // Positions below the minimum are ruled out by per-location
+            // coherence with the thread's own accesses.
+            let rf = if pos == sources {
+                RfSource::Bottom
+            } else {
+                RfSource::Write(pos.checked_sub(1).map_or(EventId::Init(loc), |i| g.mo(loc)[i]))
+            };
+            if desc.is_await() && !rf.is_bottom() && prev_rf == Some(rf) {
                 continue; // wasteful repeat (Def. 2) — never generated
             }
-            // The event carries its exact derived flags (from the
-            // candidate source's value), so the speculative check below
-            // equals the one the reference oracle runs after replaying
-            // the materialized child.
-            let writes = desc.write_on(g.write_value(src)).is_some();
-            cands.push(EventKind::Read {
-                loc,
-                mode,
-                rf: RfSource::Write(src),
-                rmw: writes,
-                awaiting: desc.is_await(),
-            });
-        }
-        if desc.is_await() {
-            // The potential AT violation: no incoming rf-edge (yet).
-            cands.push(EventKind::Read {
-                loc,
-                mode,
-                rf: RfSource::Bottom,
-                rmw: false,
-                awaiting: true,
-            });
-        }
-        // Viability scan: speculative push → model check → undo.
-        let mut viable: Vec<usize> = Vec::with_capacity(cands.len());
-        w.phase.set(EnginePhase::Consistency);
-        for (i, kind) in cands.iter().enumerate() {
-            g.push_event(t, kind.clone());
+            g.push_event(t, event(g, rf));
             w.failpoint("explore.consistency");
-            let ok = self.model.is_consistent(g);
+            let ok = w.ck.push(g, t);
+            w.ck.pop(t);
             g.pop_event(t);
             if ok {
-                viable.push(i);
+                viable.push(rf);
             } else {
                 w.stats.inconsistent += 1;
             }
         }
         w.phase.set(EnginePhase::Extend);
-        let Some((&cont, alternates)) = viable.split_last() else {
-            return false;
+        let extended = match viable.split_last() {
+            None => false,
+            Some((&cont, alternates)) => {
+                for &rf in alternates {
+                    g.push_event(t, event(g, rf));
+                    self.admit(&GraphView::full(g), &mut || g.clone(), false, w);
+                    g.pop_event(t);
+                }
+                g.push_event(t, event(g, cont));
+                w.ck.push_accepted(g, t);
+                true
+            }
         };
-        for &i in alternates {
-            g.push_event(t, cands[i].clone());
-            self.admit(&GraphView::full(g), &mut || g.clone(), false, w);
-            g.pop_event(t);
-        }
-        g.push_event(t, cands[cont].clone());
-        true
+        w.viable_sources = viable;
+        extended
     }
 
     /// W-step: place the write in mo (all positions for plain writes; the
@@ -327,37 +327,36 @@ impl Engine<'_> {
         rmw: bool,
         w: &mut Worker<'_>,
     ) -> bool {
-        let positions: Vec<usize> = if rmw {
+        let positions = if rmw {
             // The write part must land immediately after its read's source.
             let read_id = EventId::new(t, g.thread_len(t) as u32 - 1);
             let src = match g.rf(read_id) {
                 RfSource::Write(src) => src,
                 RfSource::Bottom => unreachable!("rmw write part with unresolved read"),
             };
-            let pos = match src {
-                EventId::Init(_) => 0,
-                _ => g.mo(loc).iter().position(|x| *x == src).expect("source in mo") + 1,
-            };
-            vec![pos]
+            let pos = g.mo_position(src).expect("source in mo");
+            pos..=pos
         } else {
-            (0..=g.mo(loc).len()).collect()
+            0..=g.mo(loc).len()
         };
         // Pass 1 — per placement: generate its revisit children (even
         // when the placed graph itself is inconsistent: the revisit
         // restriction can remove the inconsistency), check the
         // placement's own viability, undo.
-        let mut viable: Vec<usize> = Vec::with_capacity(positions.len());
-        for &pos in &positions {
+        let mut viable = std::mem::take(&mut w.viable_positions);
+        viable.clear();
+        for pos in positions {
             let wid = g.push_event(t, EventKind::Write { loc, val, mode, rmw });
             g.insert_mo(loc, wid, pos);
             self.chain_revisits(g, wid, loc, w);
             w.phase.set(EnginePhase::Consistency);
             w.failpoint("explore.consistency");
-            if self.model.is_consistent(g) {
+            if w.ck.push(g, t) {
                 viable.push(pos);
             } else {
                 w.stats.inconsistent += 1;
             }
+            w.ck.pop(t);
             w.phase.set(EnginePhase::Extend);
             g.remove_mo(loc, pos);
             g.pop_event(t);
@@ -365,19 +364,24 @@ impl Engine<'_> {
         // Pass 2 — admit every viable placement but the last as an
         // alternate; continue in place with the last. Revisits were all
         // generated in pass 1 and must not be regenerated here.
-        let Some((&cont, alternates)) = viable.split_last() else {
-            return false;
+        let extended = match viable.split_last() {
+            None => false,
+            Some((&cont, alternates)) => {
+                for &pos in alternates {
+                    let wid = g.push_event(t, EventKind::Write { loc, val, mode, rmw });
+                    g.insert_mo(loc, wid, pos);
+                    self.admit(&GraphView::full(g), &mut || g.clone(), false, w);
+                    g.remove_mo(loc, pos);
+                    g.pop_event(t);
+                }
+                let wid = g.push_event(t, EventKind::Write { loc, val, mode, rmw });
+                g.insert_mo(loc, wid, cont);
+                w.ck.push_accepted(g, t);
+                true
+            }
         };
-        for &pos in alternates {
-            let wid = g.push_event(t, EventKind::Write { loc, val, mode, rmw });
-            g.insert_mo(loc, wid, pos);
-            self.admit(&GraphView::full(g), &mut || g.clone(), false, w);
-            g.remove_mo(loc, pos);
-            g.pop_event(t);
-        }
-        let wid = g.push_event(t, EventKind::Write { loc, val, mode, rmw });
-        g.insert_mo(loc, wid, cont);
-        true
+        w.viable_positions = viable;
+        extended
     }
 
     /// Backward revisits of one speculative write placement (`wid` is the
@@ -389,8 +393,8 @@ impl Engine<'_> {
         w.phase.set(EnginePhase::Revisit);
         w.failpoint("explore.revisit");
         let prefix_w = g.porf_prefix_set([wid]);
-        for (r, rloc, rf) in g.reads().collect::<Vec<_>>() {
-            if rloc != loc || r == wid || prefix_w.contains(r) {
+        for (r, rf) in g.reads_of(loc) {
+            if prefix_w.contains(r) {
                 continue;
             }
             match rf {
@@ -412,8 +416,7 @@ impl Engine<'_> {
                 RfSource::Write(old) if old != wid => {
                     // Standard revisit: keep only the porf-prefixes of
                     // the new write and of the read, re-point the read.
-                    let mut keep = prefix_w.clone();
-                    keep.union_with(&g.porf_prefix_set([r]));
+                    let keep = g.porf_prefix_set([wid, r]);
                     let lens = keep.prefix_lens();
                     let view = GraphView::restricted(g, &lens, r, wid);
                     self.admit(

@@ -9,7 +9,7 @@
 
 use vsync_graph::{EventId, EventKind, ExecutionGraph, RfSource};
 use vsync_lang::BlockedAwait;
-use vsync_model::MemoryModel;
+use vsync_model::ChainChecker;
 
 /// Is this no-runnable-threads graph stagnant?
 ///
@@ -19,72 +19,80 @@ use vsync_model::MemoryModel;
 /// blocked read could still make progress, the graph is an exploration
 /// artifact — the progressing continuation lives in a sibling branch — and
 /// must not be reported.
+///
+/// `ck` must describe `g` (its last `reset`/`push` answered for exactly
+/// this graph). Resolutions are tried in place — on `g` and on `ck` — and
+/// undone: both are back in their entry state on return.
 pub fn is_stagnant(
-    g: &ExecutionGraph,
+    g: &mut ExecutionGraph,
     blocked: &[&BlockedAwait],
-    model: &dyn MemoryModel,
+    ck: &mut dyn ChainChecker,
 ) -> bool {
-    !blocked.is_empty() && blocked.iter().all(|b| is_stuck(g, b, model))
+    !blocked.is_empty() && blocked.iter().all(|b| is_stuck(g, b, ck))
 }
 
 /// Can no available write unblock this read with a non-wasteful,
-/// model-consistent iteration?
-pub fn is_stuck(g: &ExecutionGraph, b: &BlockedAwait, model: &dyn MemoryModel) -> bool {
-    let mut candidates: Vec<EventId> = vec![EventId::Init(b.loc)];
-    candidates.extend(g.mo(b.loc).iter().copied());
-    for w in candidates {
-        let v = g.write_value(w);
-        if !resolution_consistent(g, b, w, model) {
-            continue; // this write can never be observed here
+/// model-consistent iteration? (Same contract on `g` and `ck` as
+/// [`is_stagnant`].)
+pub fn is_stuck(g: &mut ExecutionGraph, b: &BlockedAwait, ck: &mut dyn ChainChecker) -> bool {
+    let thread = b.read.thread().expect("blocked read is a regular event");
+    let (rmw, awaiting) = match &g.event(b.read).kind {
+        EventKind::Read { rf: RfSource::Bottom, rmw, awaiting, .. } => (*rmw, *awaiting),
+        k => panic!("blocked await {} is not a pending read: {k}", b.read),
+    };
+    // The blocked read is its thread's last event: lift it off the
+    // checker, try every resolution in its place, put it back.
+    ck.pop(thread);
+    let stuck = (0..=g.mo(b.loc).len()).all(|pos| {
+        let w = pos.checked_sub(1).map_or(EventId::Init(b.loc), |i| g.mo(b.loc)[i]);
+        if !resolution_consistent(g, b, w, pos, ck) {
+            return true; // this write can never be observed here
         }
-        if b.desc.exits(v) {
-            return false; // the await could exit: thread can progress
-        }
-        if b.prev_rf != Some(RfSource::Write(w)) {
-            // A fresh (non-wasteful) iteration is possible; its
-            // continuation is explored in a sibling branch.
-            return false;
-        }
-        // Reading w again would repeat the previous iteration: wasteful,
+        // The await could exit, or a fresh (non-wasteful) iteration is
+        // possible — its continuation is explored in a sibling branch.
+        // Reading the previous iteration's source again is wasteful and
         // does not constitute progress (paper Def. 2).
-    }
-    true
+        !b.desc.exits(g.write_value(w)) && b.prev_rf == Some(RfSource::Write(w))
+    });
+    g.set_rf(b.read, RfSource::Bottom);
+    g.set_read_flags(b.read, rmw, awaiting);
+    ck.push_accepted(g, thread);
+    stuck
 }
 
 /// Would `rf(b.read) = w` (plus the RMW write part, if the await would exit
-/// and write) yield a model-consistent graph?
+/// and write) yield a model-consistent graph? `pos` is `w`'s extended-mo
+/// position. `ck` describes the graph without the blocked read, so the
+/// question is two chain steps: the resolved read, then the write part
+/// placed immediately after `w` (atomicity). Leaves the read resolved in
+/// `g`, and `ck` as it found it.
 fn resolution_consistent(
-    g: &ExecutionGraph,
+    g: &mut ExecutionGraph,
     b: &BlockedAwait,
     w: EventId,
-    model: &dyn MemoryModel,
+    pos: usize,
+    ck: &mut dyn ChainChecker,
 ) -> bool {
-    let v = g.write_value(w);
-    let mut g2 = g.clone();
-    g2.set_rf(b.read, RfSource::Write(w));
-    let writes = b.desc.write_on(v);
-    g2.set_read_flags(b.read, writes.is_some(), true);
-    if let Some(new_val) = writes {
-        // Atomicity pre-check: at most one RMW may read from w.
-        let rmw_reader = g2.rmw_reader_of(w);
-        if rmw_reader != Some(b.read) {
-            return false;
-        }
-        let thread = b.read.thread().expect("blocked read is a regular event");
-        let wid = g2.push_event(
-            thread,
-            EventKind::Write { loc: b.loc, val: new_val, mode: b.mode, rmw: true },
-        );
-        // Place the write part immediately after w in mo (atomicity).
-        let ins = match w {
-            EventId::Init(_) => 0,
-            _ => {
-                g2.mo(b.loc).iter().position(|x| *x == w).expect("w is in mo") + 1
-            }
-        };
-        g2.insert_mo(b.loc, wid, ins);
+    let thread = b.read.thread().expect("blocked read is a regular event");
+    let writes = b.desc.write_on(g.write_value(w));
+    g.set_rf(b.read, RfSource::Write(w));
+    g.set_read_flags(b.read, writes.is_some(), true);
+    // Atomicity pre-check: at most one RMW may read from w.
+    if writes.is_some() && g.rmw_reader_of(w) != Some(b.read) {
+        return false;
     }
-    model.is_consistent(&g2)
+    let mut ok = ck.push(g, thread);
+    if let (true, Some(val)) = (ok, writes) {
+        let kind = EventKind::Write { loc: b.loc, val, mode: b.mode, rmw: true };
+        let wid = g.push_event(thread, kind);
+        g.insert_mo(b.loc, wid, pos);
+        ok = ck.push(g, thread);
+        ck.pop(thread);
+        g.remove_mo(b.loc, pos);
+        g.pop_event(thread);
+    }
+    ck.pop(thread);
+    ok
 }
 
 #[cfg(test)]
@@ -93,9 +101,33 @@ mod tests {
     use std::collections::BTreeMap;
     use vsync_graph::Mode;
     use vsync_lang::{Cmp, ReadDesc, ResolvedTest};
-    use vsync_model::Vmm;
+    use vsync_model::{MemoryModel, Vmm};
 
     const X: u64 = 0x10;
+
+    /// Run `f` on a copy of `g` and a VMM checker reset to it. The
+    /// analysis must hand both back as it found them: the graph compares
+    /// equal and a second run on the same checker answers the same.
+    fn in_place(
+        g: &ExecutionGraph,
+        f: impl Fn(&mut ExecutionGraph, &mut dyn ChainChecker) -> bool,
+    ) -> bool {
+        let mut scratch = g.clone();
+        let mut ck = Vmm.chain_checker();
+        assert!(ck.reset(&scratch));
+        let answer = f(&mut scratch, &mut *ck);
+        assert_eq!(&scratch, g, "the graph was not restored");
+        assert_eq!(f(&mut scratch, &mut *ck), answer, "the checker was not restored");
+        answer
+    }
+
+    fn stuck(g: &ExecutionGraph, b: &BlockedAwait) -> bool {
+        in_place(g, |g, ck| is_stuck(g, b, ck))
+    }
+
+    fn stagnant(g: &ExecutionGraph, blocked: &[&BlockedAwait]) -> bool {
+        in_place(g, |g, ck| is_stagnant(g, blocked, ck))
+    }
 
     fn await_eq(rhs: u64) -> ReadDesc {
         ReadDesc::AwaitLoad { exit: ResolvedTest { mask: u64::MAX, cmp: Cmp::Eq, rhs } }
@@ -124,8 +156,8 @@ mod tests {
             desc: await_eq(1),
             prev_rf: Some(RfSource::Write(EventId::Init(X))),
         };
-        assert!(is_stuck(&g, &b, &Vmm));
-        assert!(is_stagnant(&g, &[&b], &Vmm));
+        assert!(stuck(&g, &b));
+        assert!(stagnant(&g, &[&b]));
     }
 
     #[test]
@@ -136,7 +168,7 @@ mod tests {
         g.insert_mo(X, w, 0);
         let r = pending_read(&mut g, 0);
         let b = BlockedAwait { read: r, loc: X, mode: Mode::Rlx, desc: await_eq(1), prev_rf: None };
-        assert!(!is_stuck(&g, &b, &Vmm));
+        assert!(!stuck(&g, &b));
     }
 
     #[test]
@@ -158,7 +190,7 @@ mod tests {
             prev_rf: Some(RfSource::Write(EventId::Init(X))),
         };
         // Reading w(1) loops but is non-wasteful: not stuck.
-        assert!(!is_stuck(&g, &b, &Vmm));
+        assert!(!stuck(&g, &b));
     }
 
     #[test]
@@ -182,7 +214,7 @@ mod tests {
             desc: await_eq(5),
             prev_rf: Some(RfSource::Write(w2)),
         };
-        assert!(is_stuck(&g, &b, &Vmm));
+        assert!(stuck(&g, &b));
     }
 
     #[test]
@@ -204,7 +236,7 @@ mod tests {
             desc: ReadDesc::AwaitCas { expected: 0, new: 1 },
             prev_rf: Some(RfSource::Write(w)),
         };
-        assert!(is_stuck(&g, &b, &Vmm));
+        assert!(stuck(&g, &b));
     }
 
     #[test]
@@ -228,10 +260,10 @@ mod tests {
         // Thread 1: resolvable await (waits for 1, w available).
         let r1 = pending_read(&mut g, 1);
         let b1 = BlockedAwait { read: r1, loc: X, mode: Mode::Rlx, desc: await_eq(1), prev_rf: None };
-        assert!(is_stuck(&g, &b0, &Vmm));
-        assert!(!is_stuck(&g, &b1, &Vmm));
-        assert!(!is_stagnant(&g, &[&b0, &b1], &Vmm));
-        assert!(is_stagnant(&g, &[&b0], &Vmm));
-        assert!(!is_stagnant(&g, &[], &Vmm));
+        assert!(stuck(&g, &b0));
+        assert!(!stuck(&g, &b1));
+        assert!(!stagnant(&g, &[&b0, &b1]));
+        assert!(stagnant(&g, &[&b0]));
+        assert!(!stagnant(&g, &[]));
     }
 }

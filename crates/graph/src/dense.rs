@@ -126,7 +126,7 @@ pub fn iter_set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 }
 
 /// A binary relation over `n` events stored as a bitset matrix.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Relation {
     n: usize,
     words_per_row: usize,
@@ -138,6 +138,15 @@ impl Relation {
     pub fn new(n: usize) -> Self {
         let words_per_row = n.div_ceil(64);
         Relation { n, words_per_row, bits: vec![0; n * words_per_row] }
+    }
+
+    /// Empty the relation and re-size it to `n` events, keeping the
+    /// allocation — for checkers that rebuild a relation per query.
+    pub fn reset(&mut self, n: usize) {
+        self.n = n;
+        self.words_per_row = n.div_ceil(64);
+        self.bits.clear();
+        self.bits.resize(n * self.words_per_row, 0);
     }
 
     /// Number of events.

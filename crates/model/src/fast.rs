@@ -1,34 +1,24 @@
-//! The closure-free consistency fast path.
+//! The closure-free from-scratch checks of [`Sc`](crate::Sc) and
+//! [`Tso`](crate::Tso).
 //!
 //! The naive formulations in [`crate::axioms`] rebuild every relation from
 //! scratch and lean on `O(n³/64)` Floyd–Warshall closures for each axiom.
 //! This module computes the same predicates with on-demand algorithms:
 //!
-//! * an [`AxiomContext`] is built **once per graph** — the [`EventIndex`],
-//!   the extended-modification-order position of every access, and
-//!   per-location event masks — and threaded through all axiom checks;
-//! * acyclicity axioms (`acyclic(po ∪ rf)`, the SC/TSO global orders, PSC)
-//!   run DFS cycle detection over immediate-edge relations instead of
-//!   closing them;
-//! * the extended coherence order `eco = (rf ∪ mo ∪ fr)⁺` is materialized
-//!   *directly in closed form* from mo positions: for same-location events
-//!   `x, y`, `eco(x, y)` holds iff `pos(y) > pos(x)`, or `pos(y) = pos(x)`
-//!   with `x` a write and `y` a read (i.e. `y` reads from `x`) — so no
-//!   closure call is ever needed (soundness argument in DESIGN.md); rows
-//!   are built with a word-level suffix-mask sweep per location;
-//! * happens-before is closed with the word-level DAG closure
-//!   [`Relation::close_acyclic`] (reverse-topological row unions), which
-//!   simultaneously decides `irreflexive(hb)`;
-//! * synchronizes-with is assembled from per-thread fence index lists and
-//!   a bitset release-sequence fixpoint instead of quadratic rescans.
+//! * an [`AxiomContext`] is built **once per graph** — the [`EventIndex`]
+//!   and the extended-modification-order position of every access — and
+//!   threaded through all axiom checks;
+//! * the SC/TSO global orders run DFS cycle detection over immediate-edge
+//!   relations instead of closing them;
+//! * RMW atomicity and per-location coherence are one pass over the
+//!   cached positions.
 //!
 //! Every predicate here is extensionally equal to its reference
 //! counterpart; the differential test suite asserts this on randomized
-//! graphs and on the whole lock catalog.
+//! graphs and on the whole lock catalog. ([`Vmm`](crate::Vmm) does not come
+//! through here: its check is the vector-clock [`crate::chain::VmmChecker`].)
 
-use vsync_graph::{
-    iter_set_bits, EventId, EventIndex, EventKind, ExecutionGraph, Loc, Relation, RfSource,
-};
+use vsync_graph::{EventId, EventIndex, EventKind, ExecutionGraph, Loc, Relation, RfSource};
 
 /// Per-graph analysis cache shared by all fast axiom checks.
 ///
@@ -39,7 +29,6 @@ pub struct AxiomContext<'g> {
     /// Dense index of the graph's events (init writes included).
     pub ix: EventIndex,
     n: usize,
-    words: usize,
     /// Location accessed by each dense index (`None` for fences/errors).
     loc: Vec<Option<Loc>>,
     /// Extended-mo position: a write's own position (init = 0), a read's
@@ -52,21 +41,15 @@ pub struct AxiomContext<'g> {
     is_read: Vec<bool>,
     /// Dense index of each read's rf source (`None` for `⊥`).
     src: Vec<Option<u32>>,
-    /// Distinct locations (sorted) with flat per-location event masks:
-    /// location `locs[k]`'s mask is `loc_masks[k*words .. (k+1)*words]`.
-    locs: Vec<Loc>,
-    loc_masks: Vec<u64>,
     /// RMW pairs (read part, write part) as dense indices.
     rmw_pairs: Vec<(usize, usize)>,
 }
 
 /// Graphs with at most this many non-init events are cheaper through the
 /// closure-based reference formulation: building the per-graph
-/// [`AxiomContext`] (dense index, mo positions, per-location masks) costs
-/// more than the tiny Floyd–Warshall closures it avoids. Measured on the
-/// lock catalog: the caslock 2-thread client (~6 events per graph) ran
-/// slower through the fast path than through the baseline checker until
-/// `is_consistent` learned to delegate below this threshold.
+/// [`AxiomContext`] (dense index, mo positions) costs more than the tiny
+/// Floyd–Warshall closures it avoids. Governs the from-scratch checks of
+/// [`Sc`](crate::Sc) and [`Tso`](crate::Tso) only.
 pub const SMALL_GRAPH_EVENTS: usize = 20;
 
 /// Should a model's `is_consistent` delegate to its reference
@@ -74,14 +57,15 @@ pub const SMALL_GRAPH_EVENTS: usize = 20;
 #[inline]
 pub(crate) fn below_fast_path_threshold(g: &ExecutionGraph) -> bool {
     let below = g.num_events() <= SMALL_GRAPH_EVENTS;
-    if attribution::ENABLED.load(std::sync::atomic::Ordering::Relaxed) {
-        attribution::count(below);
-    }
+    attribution::note(below);
     below
 }
 
-/// Opt-in counters attributing consistency checks to the fast path vs the
-/// closure-based reference checker ([`SMALL_GRAPH_EVENTS`] delegation).
+/// Opt-in counters attributing every consistency answer either to a fast
+/// path (the [`AxiomContext`] checks, or the vector clocks of
+/// [`crate::chain::VmmChecker`]) or to a closure-based reference
+/// formulation ([`SMALL_GRAPH_EVENTS`] delegation,
+/// [`ReferenceModel`](crate::ReferenceModel)).
 ///
 /// Process-global by necessity — `is_consistent` takes no context — so the
 /// counters are only meaningful when one session runs at a time (the CLI's
@@ -90,15 +74,16 @@ pub(crate) fn below_fast_path_threshold(g: &ExecutionGraph) -> bool {
 pub mod attribution {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-    pub(super) static ENABLED: AtomicBool = AtomicBool::new(false);
+    static ENABLED: AtomicBool = AtomicBool::new(false);
     static REFERENCE: AtomicU64 = AtomicU64::new(0);
     static FAST: AtomicU64 = AtomicU64::new(0);
 
-    pub(super) fn count(below_threshold: bool) {
-        if below_threshold {
-            REFERENCE.fetch_add(1, Ordering::Relaxed);
-        } else {
-            FAST.fetch_add(1, Ordering::Relaxed);
+    /// Count one consistency answer, if counting is on.
+    #[inline]
+    pub(crate) fn note(reference: bool) {
+        if ENABLED.load(Ordering::Relaxed) {
+            let counter = if reference { &REFERENCE } else { &FAST };
+            counter.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -120,29 +105,23 @@ impl<'g> AxiomContext<'g> {
     pub fn new(g: &'g ExecutionGraph) -> Self {
         let ix = EventIndex::new(g);
         let n = ix.len();
-        let words = n.div_ceil(64).max(1);
         let mut cx = AxiomContext {
             g,
             n,
-            words,
             loc: vec![None; n],
             pos: vec![None; n],
             is_write: vec![false; n],
             is_read: vec![false; n],
             src: vec![None; n],
-            locs: Vec::new(),
-            loc_masks: Vec::new(),
             rmw_pairs: Vec::new(),
             ix,
         };
         // Init writes occupy indices 0..init_count, position 0 in their mo.
-        // They are also exactly the distinct locations, already sorted.
         for i in 0..cx.ix.init_count() {
             let EventId::Init(l) = cx.ix.id_of(i) else { unreachable!() };
             cx.loc[i] = Some(l);
             cx.pos[i] = Some(0);
             cx.is_write[i] = true;
-            cx.locs.push(l);
         }
         // Write positions come from the mo lists (position 1 onwards).
         for l in g.written_locs() {
@@ -175,13 +154,6 @@ impl<'g> AxiomContext<'g> {
                 _ => {}
             }
         }
-        cx.loc_masks = vec![0u64; cx.locs.len() * words];
-        for (idx, l) in cx.loc.iter().enumerate() {
-            if let Some(l) = l {
-                let k = cx.loc_slot(*l).expect("every accessed location has an init event");
-                cx.loc_masks[k * words + idx / 64] |= 1u64 << (idx % 64);
-            }
-        }
         cx
     }
 
@@ -198,88 +170,6 @@ impl<'g> AxiomContext<'g> {
     /// Is the context over an empty graph?
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    fn loc_slot(&self, l: Loc) -> Option<usize> {
-        self.locs.binary_search(&l).ok()
-    }
-
-    fn mask_of(&self, l: Loc) -> Option<&[u64]> {
-        let k = self.loc_slot(l)?;
-        Some(&self.loc_masks[k * self.words..(k + 1) * self.words])
-    }
-
-    /// `eco(x, y)` from positions alone (see module docs): same location,
-    /// and either `pos(y) > pos(x)`, or equal positions with `x` a write
-    /// and `y` a read.
-    fn eco(&self, x: usize, y: usize) -> bool {
-        if x == y || self.loc[x].is_none() || self.loc[x] != self.loc[y] {
-            return false;
-        }
-        let (Some(px), Some(py)) = (self.pos[x], self.pos[y]) else { return false };
-        py > px || (py == px && self.is_write[x] && self.is_read[y])
-    }
-
-    /// All eco rows as one flat bitset (`n × words`), built with one
-    /// descending-position sweep per location: each event's row is the
-    /// strictly-greater-position suffix mask, plus the same-position
-    /// readers for writes.
-    fn eco_rows(&self) -> Vec<u64> {
-        let words = self.words;
-        let mut rows = vec![0u64; self.n * words];
-        let mut evs: Vec<(u32, usize)> = Vec::new();
-        let mut gt = vec![0u64; words];
-        let mut readers = vec![0u64; words];
-        for k in 0..self.locs.len() {
-            evs.clear();
-            let mask = &self.loc_masks[k * words..(k + 1) * words];
-            for idx in iter_set_bits(mask) {
-                if let Some(p) = self.pos[idx] {
-                    evs.push((p, idx));
-                }
-            }
-            evs.sort_unstable();
-            gt.iter_mut().for_each(|w| *w = 0);
-            let mut i = evs.len();
-            while i > 0 {
-                let p = evs[i - 1].0;
-                let mut j = i;
-                while j > 0 && evs[j - 1].0 == p {
-                    j -= 1;
-                }
-                readers.iter_mut().for_each(|w| *w = 0);
-                for &(_, idx) in &evs[j..i] {
-                    if self.is_read[idx] {
-                        readers[idx / 64] |= 1u64 << (idx % 64);
-                    }
-                }
-                for &(_, idx) in &evs[j..i] {
-                    let row = &mut rows[idx * words..(idx + 1) * words];
-                    for (w, r) in row.iter_mut().enumerate() {
-                        *r = gt[w];
-                        if self.is_write[idx] {
-                            *r |= readers[w];
-                        }
-                    }
-                }
-                for &(_, idx) in &evs[j..i] {
-                    gt[idx / 64] |= 1u64 << (idx % 64);
-                }
-                i = j;
-            }
-        }
-        rows
-    }
-
-    /// The extended coherence order `eco = (rf ∪ mo ∪ fr)⁺`, materialized
-    /// directly in closed form from positions — no closure call.
-    pub fn eco_relation(&self) -> Relation {
-        let rows = self.eco_rows();
-        let mut eco = Relation::new(self.n);
-        for a in 0..self.n {
-            eco.union_row_into(a, &rows[a * self.words..(a + 1) * self.words]);
-        }
-        eco
     }
 
     /// The immediate program-order relation (init events before every
@@ -314,105 +204,6 @@ impl<'g> AxiomContext<'g> {
             }
         }
         rf
-    }
-
-    /// The synchronizes-with relation (same semantics as
-    /// [`crate::sw_relation`]) assembled from per-thread fence index lists
-    /// and a bitset release-sequence fixpoint.
-    pub fn sw_relation(&self) -> Relation {
-        let g = self.g;
-        let mut sw = Relation::new(self.n);
-        // Per-thread ascending dense indices of ⊒rel / ⊒acq fences.
-        let nt = g.num_threads();
-        let mut rel_fences: Vec<Vec<usize>> = vec![Vec::new(); nt];
-        let mut acq_fences: Vec<Vec<usize>> = vec![Vec::new(); nt];
-        // All writes (idx, thread, po-index, is_release); all resolved
-        // reads (idx, thread, po-index, src, is_acquire).
-        let mut writes: Vec<(usize, usize, u32, bool)> = Vec::new();
-        let mut reads: Vec<(usize, usize, u32, u32, bool)> = Vec::new();
-        for (id, ev) in g.events() {
-            let idx = self.ix.index_of(id);
-            let (t, i) = (id.thread().unwrap() as usize, id.index().unwrap());
-            match &ev.kind {
-                EventKind::Fence { mode } => {
-                    if mode.is_release() {
-                        rel_fences[t].push(idx);
-                    }
-                    if mode.is_acquire() {
-                        acq_fences[t].push(idx);
-                    }
-                }
-                EventKind::Write { mode, .. } => {
-                    writes.push((idx, t, i, mode.is_release()));
-                }
-                EventKind::Read { mode, .. } => {
-                    if let Some(s) = self.src[idx] {
-                        reads.push((idx, t, i, s, mode.is_acquire()));
-                    }
-                }
-                _ => {}
-            }
-        }
-        let idx_to_po = |idx: usize| self.ix.id_of(idx).index().unwrap();
-        let mut rseq = vec![0u64; self.words];
-        let mut sources: Vec<usize> = Vec::new();
-        let mut targets: Vec<usize> = Vec::new();
-        for &(widx, wt, wi, wrel) in &writes {
-            sources.clear();
-            if wrel {
-                sources.push(widx);
-            }
-            for &f in &rel_fences[wt] {
-                if idx_to_po(f) < wi {
-                    sources.push(f);
-                }
-            }
-            if sources.is_empty() {
-                continue;
-            }
-            // Release sequence of w: w plus the RMW writes reading
-            // (transitively) from it — bitset fixpoint over the pairs.
-            rseq.iter_mut().for_each(|w| *w = 0);
-            rseq[widx / 64] |= 1u64 << (widx % 64);
-            loop {
-                let mut changed = false;
-                for &(r, w2) in &self.rmw_pairs {
-                    if rseq[w2 / 64] & (1u64 << (w2 % 64)) != 0 {
-                        continue;
-                    }
-                    let Some(s) = self.src[r] else { continue };
-                    let s = s as usize;
-                    if rseq[s / 64] & (1u64 << (s % 64)) != 0 {
-                        rseq[w2 / 64] |= 1u64 << (w2 % 64);
-                        changed = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-            // Acquire targets: readers of the release sequence.
-            for &(ridx, rt, ri, s, racq) in &reads {
-                if rseq[s as usize / 64] & (1u64 << (s % 64)) == 0 {
-                    continue;
-                }
-                targets.clear();
-                if racq {
-                    targets.push(ridx);
-                }
-                for &f in &acq_fences[rt] {
-                    if idx_to_po(f) > ri {
-                        targets.push(f);
-                    }
-                }
-                for &s in &sources {
-                    for &t in &targets {
-                        sw.add(s, t);
-                    }
-                }
-            }
-        }
-        sw
     }
 
     /// Add the immediate modification order into `rel` (enough for
@@ -480,13 +271,6 @@ impl<'g> AxiomContext<'g> {
         true
     }
 
-    /// `acyclic(po ∪ rf)` (no-thin-air) via DFS — no closure.
-    pub fn porf_acyclic(&self) -> bool {
-        let mut porf = self.po_relation();
-        porf.union_with(&self.rf_relation());
-        porf.is_acyclic()
-    }
-
     /// The SC global order `po ∪ rf ∪ mo ∪ fr` with immediate mo edges
     /// (same cycles as the closed version).
     pub fn sc_order(&self) -> Relation {
@@ -495,201 +279,6 @@ impl<'g> AxiomContext<'g> {
         self.add_mo_immediate(&mut rel);
         self.add_fr(&mut rel);
         rel
-    }
-
-    /// The happens-before closure `hb = (po ∪ sw)⁺`, or `None` if `po ∪ sw`
-    /// is cyclic (i.e. `hb` would be reflexive).
-    pub fn hb_closure(&self, sw: &Relation) -> Option<Relation> {
-        let mut hb = self.po_relation();
-        hb.union_with(sw);
-        hb.close_acyclic().then_some(hb)
-    }
-
-    /// RC11 coherence given the closed `hb`: no `hb` edge may be
-    /// contradicted by `eco` — `irreflexive(hb ; eco)`. Only same-location
-    /// successors can matter, so rows are masked by location first.
-    pub fn coherent(&self, hb: &Relation) -> bool {
-        let mut scratch = vec![0u64; self.words];
-        for a in 0..self.n {
-            let Some(l) = self.loc[a] else { continue };
-            let Some(mask) = self.mask_of(l) else { continue };
-            for (w, s) in scratch.iter_mut().enumerate() {
-                *s = hb.row(a)[w] & mask[w];
-            }
-            if iter_set_bits(&scratch).any(|b| self.eco(b, a)) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Per-event bitset rows of the same-thread po-successors (a reverse
-    /// sweep per thread).
-    fn thread_suffix_rows(&self) -> Vec<u64> {
-        let words = self.words;
-        let mut rows = vec![0u64; self.n * words];
-        let g = self.g;
-        for t in 0..g.num_threads() {
-            let len = g.thread_len(t as u32);
-            let mut suffix = vec![0u64; words];
-            for i in (0..len).rev() {
-                let idx = self.ix.index_of(EventId::new(t as u32, i as u32));
-                rows[idx * words..(idx + 1) * words].copy_from_slice(&suffix);
-                suffix[idx / 64] |= 1u64 << (idx % 64);
-            }
-        }
-        rows
-    }
-
-    /// Per-event bitset rows of the same-location *writes* with strictly
-    /// greater position: a write's closed-`mo` successors, a read's `fr`
-    /// targets. Built with one descending sweep per location.
-    fn writes_after_rows(&self) -> Vec<u64> {
-        let words = self.words;
-        let mut rows = vec![0u64; self.n * words];
-        let g = self.g;
-        for (k, &l) in self.locs.iter().enumerate() {
-            // Suffix masks over [init, mo...]: suffix[p] = writes at pos > p.
-            let mo = g.mo(l);
-            let mut suffix = vec![0u64; (mo.len() + 1) * words];
-            let mut acc = vec![0u64; words];
-            for p in (0..=mo.len()).rev() {
-                suffix[p * words..(p + 1) * words].copy_from_slice(&acc);
-                let idx = if p == 0 {
-                    self.ix.index_of(EventId::Init(l))
-                } else {
-                    self.ix.index_of(mo[p - 1])
-                };
-                acc[idx / 64] |= 1u64 << (idx % 64);
-            }
-            let mask = &self.loc_masks[k * words..(k + 1) * words];
-            for idx in iter_set_bits(mask) {
-                if let Some(p) = self.pos[idx] {
-                    let p = (p as usize).min(mo.len());
-                    rows[idx * words..(idx + 1) * words]
-                        .copy_from_slice(&suffix[p * words..(p + 1) * words]);
-                }
-            }
-        }
-        rows
-    }
-
-    /// The RC11 SC axiom `acyclic(psc_base ∪ psc_F)`, computed over the SC
-    /// events only (the only possible carriers of a `psc` cycle). The
-    /// `scb = (po \ po_loc) ∪ hb|loc ∪ mo ∪ fr` rows are synthesized on
-    /// demand from suffix masks — the `n × n` relation is never built.
-    pub fn psc_acyclic(&self, hb: &Relation) -> bool {
-        let g = self.g;
-        // Classify SC events once.
-        let mut sc_fence = vec![false; self.n];
-        let mut sc_nodes: Vec<usize> = Vec::new();
-        for (id, ev) in g.events() {
-            let sc = match &ev.kind {
-                EventKind::Fence { mode } if mode.is_sc() => {
-                    sc_fence[self.ix.index_of(id)] = true;
-                    true
-                }
-                EventKind::Fence { .. } => false,
-                EventKind::Read { mode, .. } | EventKind::Write { mode, .. } => mode.is_sc(),
-                _ => false,
-            };
-            if sc {
-                sc_nodes.push(self.ix.index_of(id));
-            }
-        }
-        if sc_nodes.is_empty() {
-            return true; // no SC events, axiom trivially holds
-        }
-        sc_nodes.sort_unstable();
-
-        let words = self.words;
-        let po_suffix = self.thread_suffix_rows();
-        let writes_after = self.writes_after_rows();
-        // scb_row(a) = (po-successors \ same-loc) ∪ (hb_row(a) ∩ loc(a))
-        //            ∪ same-loc writes after a — written into `out`.
-        let scb_row_into = |a: usize, out: &mut [u64]| {
-            let posuf = &po_suffix[a * words..(a + 1) * words];
-            match self.loc[a].and_then(|l| self.mask_of(l)) {
-                Some(mask) => {
-                    let wa = &writes_after[a * words..(a + 1) * words];
-                    for (w, o) in out.iter_mut().enumerate() {
-                        *o |= (posuf[w] & !mask[w]) | (hb.row(a)[w] & mask[w]) | wa[w];
-                    }
-                }
-                None => {
-                    for (w, o) in out.iter_mut().enumerate() {
-                        *o |= posuf[w];
-                    }
-                }
-            }
-        };
-
-        // Per SC node: L = {s} (∪ hb-successors for fences),
-        //              R = {s} (∪ hb-predecessors for fences) as a bitset.
-        let m = sc_nodes.len();
-        let mut r_sets: Vec<u64> = vec![0u64; m * words];
-        for (k, &s) in sc_nodes.iter().enumerate() {
-            r_sets[k * words + s / 64] |= 1u64 << (s % 64);
-        }
-        for a in 0..self.n {
-            for (k, &s) in sc_nodes.iter().enumerate() {
-                if sc_fence[s] && hb.has(a, s) {
-                    r_sets[k * words + a / 64] |= 1u64 << (a % 64);
-                }
-            }
-        }
-        let mut psc = Relation::new(m);
-        let mut reach = vec![0u64; words];
-        for (k1, &s1) in sc_nodes.iter().enumerate() {
-            // X = ∪_{a ∈ L(s1)} scb_row(a)
-            reach.iter_mut().for_each(|w| *w = 0);
-            scb_row_into(s1, &mut reach);
-            if sc_fence[s1] {
-                for a in hb.successors(s1) {
-                    scb_row_into(a, &mut reach);
-                }
-            }
-            for k2 in 0..m {
-                let rset = &r_sets[k2 * words..(k2 + 1) * words];
-                if reach.iter().zip(rset).any(|(x, y)| x & y != 0) {
-                    psc.add(k1, k2);
-                }
-            }
-        }
-
-        // psc_F = [Fsc] ; (hb ∪ hb;eco;hb) ; [Fsc]. The eco rows are only
-        // materialized when SC fences actually exist.
-        let fences: Vec<(usize, usize)> = sc_nodes
-            .iter()
-            .enumerate()
-            .filter(|&(_, &s)| sc_fence[s])
-            .map(|(k, &s)| (k, s))
-            .collect();
-        if !fences.is_empty() {
-            let eco_rows = self.eco_rows();
-            for &(k1, f1) in &fences {
-                // Z = ∪_{a ∈ hb.row(f1)} eco_row(a): everything hb;eco
-                // after f1.
-                reach.iter_mut().for_each(|w| *w = 0);
-                for a in hb.successors(f1) {
-                    let row = &eco_rows[a * self.words..(a + 1) * self.words];
-                    for (w, r) in reach.iter_mut().enumerate() {
-                        *r |= row[w];
-                    }
-                }
-                for &(k2, f2) in &fences {
-                    if hb.has(f1, f2) {
-                        psc.add(k1, k2);
-                        continue;
-                    }
-                    // hb;eco;hb: some b ∈ Z with hb(b, f2)?
-                    if iter_set_bits(&reach).any(|b| hb.has(b, f2)) {
-                        psc.add(k1, k2);
-                    }
-                }
-            }
-        }
-        psc.is_acyclic()
     }
 
     /// The TSO global order: `ppo ∪ rfe ∪ mo ∪ fr`, where `ppo` drops
@@ -781,73 +370,6 @@ mod tests {
                 },
             };
             assert_eq!(cx.pos[i].map(|p| p as usize), expected, "position of {id}");
-        }
-    }
-
-    #[test]
-    fn eco_fast_equals_closed_reference() {
-        let g = sample();
-        let cx = AxiomContext::new(&g);
-        let eco_ref = axioms::eco_relation(&g, &cx.ix);
-        let eco_fast = cx.eco_relation();
-        for a in 0..cx.len() {
-            for b in 0..cx.len() {
-                assert_eq!(
-                    eco_fast.has(a, b),
-                    eco_ref.has(a, b),
-                    "eco({}, {})",
-                    cx.ix.id_of(a),
-                    cx.ix.id_of(b)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn eco_rows_match_pairwise_predicate() {
-        let g = sample();
-        let cx = AxiomContext::new(&g);
-        let eco = cx.eco_relation();
-        for a in 0..cx.len() {
-            for b in 0..cx.len() {
-                assert_eq!(eco.has(a, b), cx.eco(a, b), "({a}, {b})");
-            }
-        }
-    }
-
-    #[test]
-    fn sw_fast_equals_reference() {
-        // A graph exercising release fences, acquire fences and an RMW
-        // release sequence.
-        let (d, f) = (1, 2);
-        let mut g = ExecutionGraph::new(3, BTreeMap::new());
-        let wd = g.push_event(0, w(d, 1));
-        g.insert_mo(d, wd, 0);
-        g.push_event(0, EventKind::Fence { mode: Mode::Rel });
-        let wf = g.push_event(0, EventKind::Write { loc: f, val: 1, mode: Mode::Rel, rmw: false });
-        g.insert_mo(f, wf, 0);
-        g.push_event(
-            1,
-            EventKind::Read { loc: f, mode: Mode::Rlx, rf: RfSource::Write(wf), rmw: true, awaiting: false },
-        );
-        let wu = g.push_event(1, EventKind::Write { loc: f, val: 2, mode: Mode::Rlx, rmw: true });
-        g.insert_mo(f, wu, 1);
-        g.push_event(2, r(f, RfSource::Write(wu)));
-        g.push_event(2, EventKind::Fence { mode: Mode::Acq });
-        g.push_event(2, r(d, RfSource::Write(EventId::Init(d))));
-        let cx = AxiomContext::new(&g);
-        let fast = cx.sw_relation();
-        let naive = crate::sw_relation(&g, &cx.ix);
-        for a in 0..cx.len() {
-            for b in 0..cx.len() {
-                assert_eq!(
-                    fast.has(a, b),
-                    naive.has(a, b),
-                    "sw({}, {})",
-                    cx.ix.id_of(a),
-                    cx.ix.id_of(b)
-                );
-            }
         }
     }
 

@@ -27,11 +27,13 @@
 #![warn(missing_docs)]
 
 pub mod axioms;
+pub mod chain;
 pub mod fast;
 mod sc;
 mod tso;
 mod vmm;
 
+pub use chain::ChainChecker;
 pub use fast::attribution::{checker_attribution, set_checker_attribution};
 pub use fast::AxiomContext;
 pub use sc::Sc;
@@ -47,8 +49,12 @@ pub trait MemoryModel: std::fmt::Debug + Send + Sync {
 
     /// Does the model admit this (possibly partial) execution graph?
     ///
-    /// Runs the closure-free fast path (see [`fast`]).
+    /// Runs the model's fast path (see [`fast`] and [`chain`]).
     fn is_consistent(&self, g: &ExecutionGraph) -> bool;
+
+    /// A fresh checker for following one exploration chain: the same
+    /// predicate as [`MemoryModel::is_consistent`], asked step by step.
+    fn chain_checker(&self) -> Box<dyn ChainChecker>;
 
     /// The naive closure-based formulation of the same predicate.
     ///
@@ -85,7 +91,12 @@ impl MemoryModel for ReferenceModel {
     }
 
     fn is_consistent(&self, g: &ExecutionGraph) -> bool {
+        fast::attribution::note(true);
         self.0.model().is_consistent_reference(g)
+    }
+
+    fn chain_checker(&self) -> Box<dyn ChainChecker> {
+        Box::new(chain::Stateless(*self))
     }
 
     fn is_consistent_reference(&self, g: &ExecutionGraph) -> bool {

@@ -5,6 +5,7 @@ use vsync_graph::{EventIndex, ExecutionGraph};
 use crate::axioms::{
     acyclic_by_closure, atomicity_holds, fr_relation, mo_relation, po_relation, rf_relation,
 };
+use crate::chain::{ChainChecker, Stateless};
 use crate::fast::AxiomContext;
 use crate::MemoryModel;
 
@@ -30,6 +31,10 @@ impl MemoryModel for Sc {
         }
         let cx = AxiomContext::new(g);
         cx.atomicity_holds() && cx.sc_order().is_acyclic()
+    }
+
+    fn chain_checker(&self) -> Box<dyn ChainChecker> {
+        Box::new(Stateless(Sc))
     }
 
     fn is_consistent_reference(&self, g: &ExecutionGraph) -> bool {

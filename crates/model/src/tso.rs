@@ -5,6 +5,7 @@ use vsync_graph::{EventId, EventIndex, EventKind, ExecutionGraph};
 use crate::axioms::{
     acyclic_by_closure, atomicity_holds, fr_relation, mo_relation, per_loc_coherent, rf_relation,
 };
+use crate::chain::{ChainChecker, Stateless};
 use crate::fast::AxiomContext;
 use crate::MemoryModel;
 
@@ -59,6 +60,10 @@ impl MemoryModel for Tso {
             return false;
         }
         cx.tso_order(Tso::wr_ordered).is_acyclic()
+    }
+
+    fn chain_checker(&self) -> Box<dyn ChainChecker> {
+        Box::new(Stateless(Tso))
     }
 
     fn is_consistent_reference(&self, g: &ExecutionGraph) -> bool {

@@ -9,8 +9,9 @@
 //! sequences), RMW atomicity and the SC axioms. `Vmm` is the RC11-style
 //! member of that family; DESIGN.md §5 documents the substitution.
 //!
-//! [`MemoryModel::is_consistent`] runs the closure-free fast path
-//! ([`crate::fast`]); the original closure-based formulation is retained as
+//! [`MemoryModel::is_consistent`] is a [`ChainChecker::reset`] on a fresh
+//! vector-clock [`VmmChecker`] — the same code the explorer steps along its
+//! chains; the closure-based formulation is retained as
 //! [`MemoryModel::is_consistent_reference`] for differential testing.
 
 use vsync_graph::{EventId, EventIndex, EventKind, ExecutionGraph, Relation, RfSource};
@@ -19,7 +20,7 @@ use crate::axioms::{
     acyclic_by_closure, atomicity_holds, eco_relation, fr_relation, mo_relation,
     per_loc_coherent, po_relation, rf_relation, rmw_pairs,
 };
-use crate::fast::AxiomContext;
+use crate::chain::{ChainChecker, VmmChecker};
 use crate::MemoryModel;
 
 /// The RC11-style weak memory model (see module docs).
@@ -32,29 +33,11 @@ impl MemoryModel for Vmm {
     }
 
     fn is_consistent(&self, g: &ExecutionGraph) -> bool {
-        if crate::fast::below_fast_path_threshold(g) {
-            return self.is_consistent_reference(g);
-        }
-        let cx = AxiomContext::new(g);
-        // Cheap structural axioms first.
-        if !cx.atomicity_holds() || !cx.per_loc_coherent() {
-            return false;
-        }
-        // No-thin-air: acyclic(po ∪ rf).
-        if !cx.porf_acyclic() {
-            return false;
-        }
-        // Happens-before: a cycle in po ∪ sw means hb is reflexive.
-        let sw = cx.sw_relation();
-        let Some(hb) = cx.hb_closure(&sw) else {
-            return false;
-        };
-        // Coherence: irreflexive(hb ; eco?), via mo positions.
-        if !cx.coherent(&hb) {
-            return false;
-        }
-        // SC axiom, over the SC events only.
-        cx.psc_acyclic(&hb)
+        VmmChecker::default().reset(g)
+    }
+
+    fn chain_checker(&self) -> Box<dyn ChainChecker> {
+        Box::<VmmChecker>::default()
     }
 
     fn is_consistent_reference(&self, g: &ExecutionGraph) -> bool {

@@ -6,6 +6,9 @@
 //!   including inconsistent, cyclic, pending-read and RMW-violating ones;
 //! * `count_executions` must be identical for `workers ∈ {1, 2, 8}` and
 //!   for fast vs. reference checking across the lock catalog;
+//! * the step-by-step chain checker must steer the search exactly as the
+//!   per-check reference does — every counter, `inconsistent` included —
+//!   on random programs and on 3-thread catalog rows;
 //! * bug-finding scenarios must report the same verdict kind under every
 //!   configuration;
 //! * the revisit-driven search must agree with the retained
@@ -243,6 +246,62 @@ fn worker_counts_and_checkers_preserve_catalog_counts() {
                 "{name}: workers={workers} popped"
             );
         }
+    }
+}
+
+/// The exploration is the same search under the fast (chain) checker and
+/// under the per-check reference, at every worker count: a single
+/// consistency answer that differed would move `inconsistent`, and
+/// usually `popped` and `constructed` with it.
+fn assert_checkers_explore_identically(tag: &str, p: &vsync::lang::Program, cfg: &AmcConfig) {
+    let reference = explore(p, &cfg.clone().with_reference_checker());
+    for workers in [1usize, 2, 8] {
+        let fast = explore(p, &cfg.clone().with_workers(workers));
+        assert_eq!(
+            std::mem::discriminant(&fast.verdict),
+            std::mem::discriminant(&reference.verdict),
+            "{tag}, workers={workers}: {} vs {}",
+            fast.verdict,
+            reference.verdict
+        );
+        if !reference.is_verified() {
+            continue; // a violation stops the run wherever the workers are
+        }
+        let counters = |s: &vsync::core::ExploreStats| {
+            [s.complete_executions, s.blocked_graphs, s.popped, s.constructed, s.inconsistent]
+        };
+        assert_eq!(
+            counters(&fast.stats),
+            counters(&reference.stats),
+            "{tag}, workers={workers}: executions / blocked / popped / constructed / inconsistent"
+        );
+    }
+}
+
+/// Fast vs reference checker, in-engine, on the 600 random programs.
+#[test]
+fn chain_checker_steers_random_programs_like_the_reference() {
+    for seed in 0..600u64 {
+        let mut rng = Rng(seed.wrapping_mul(0x5851f42d4c957f2d).wrapping_add(0x9e3779b97f4a7c15));
+        let p = random_program(&mut rng);
+        let model = ModelKind::all()[seed as usize % 3];
+        let cfg = AmcConfig::with_model(model).with_symmetry(seed % 2 == 0);
+        assert_checkers_explore_identically(&format!("seed {seed} ({model})"), &p, &cfg);
+    }
+}
+
+/// Fast vs reference checker, in-engine, on the 3-thread catalog rows a
+/// debug build can afford (graphs past 20 events, release sequences,
+/// SC accesses, await-RMW stagnancy checks).
+#[test]
+fn chain_checker_steers_three_thread_locks_like_the_reference() {
+    use vsync::locks::model::{mutex_client, McsLock, TicketLock, TtasLock};
+    for (name, p) in [
+        ("mcs-3t", mutex_client(&McsLock::default(), 3, 1)),
+        ("ttas-3t", mutex_client(&TtasLock::default(), 3, 1)),
+        ("ticket-3t", mutex_client(&TicketLock::default(), 3, 1)),
+    ] {
+        assert_checkers_explore_identically(name, &p, &AmcConfig::default());
     }
 }
 

@@ -176,6 +176,35 @@ fn iriw() {
     assert_eq!(sc_accesses, under_sc, "psc on all-SC events == SC");
 }
 
+/// IRIW with each reader scheduled *before* the writer of the location it
+/// reads last: `T0: Rx; Ry`, `T1: Wy`, `T2: Ry; Rx`, `T3: Wx`. The reads
+/// `T0.Ry` and `T2.Rx` can only come to see 1 through a backward revisit.
+/// Under the relaxed model all 16 rf combinations are consistent; SC and
+/// TSO forbid the one where the readers disagree on the order of the
+/// writes (the same counts [`iriw`] pins with the writers first).
+///
+/// Known defect (DESIGN.md §12): the engine reports (14, 14, 15), missing
+/// `T0:(x=0, y=1) ∧ T2:(y=0, x=1)` under every model. That execution needs
+/// both `Wy`'s revisit of `T0.Ry` and `Wx`'s revisit of `T2.Rx`, but a
+/// revisit keeps only `porf-prefix(w) ∪ porf-prefix(r)` and so deletes
+/// events *older* than `r`: the first deletes `T2`, the second deletes
+/// `T0`, and neither survives the other.
+#[test]
+#[ignore = "revisit over-deletion, DESIGN.md §12"]
+fn iriw_readers_first() {
+    let mut pb = ProgramBuilder::new("iriw-readers-first");
+    for (first, second) in [(X, Y), (Y, X)] {
+        pb.thread(move |t| {
+            t.load(Reg(0), first, Mode::Rlx);
+            t.load(Reg(1), second, Mode::Rlx);
+        });
+        pb.thread(move |t| {
+            t.store(second, 1u64, Mode::Rlx);
+        });
+    }
+    assert_eq!(counts(&pb.build().unwrap()), (15, 15, 16));
+}
+
 /// Atomicity: two unconditional RMWs on one location always chain. The
 /// two chains are thread-relabelings of each other: one canonical orbit
 /// under symmetry reduction, two executions for the naive reference
