@@ -4,12 +4,20 @@
 //! twice through the [`Session`] front door: once with telemetry fully
 //! disabled (the default) and once with profiling *and* an event
 //! subscriber enabled — the most expensive supported configuration.
-//! Asserts both runs produce identical verdicts and execution counts,
-//! prints the two best times and the relative overhead, and fails if the
-//! overhead exceeds the gate (default 3%, `VSYNC_TELEMETRY_MAX_OVERHEAD_PCT`
-//! to override for noisy machines). Writes `BENCH_telemetry.json`
-//! (validated by the in-repo JSON parser) so the overhead trajectory is
-//! tracked across PRs.
+//! Asserts both runs produce identical verdicts and execution counts and
+//! prints the two best times and the relative overhead.
+//!
+//! The gate is on what telemetry controls: the cost it adds **per phase
+//! transition**, `(enabled − disabled) / transitions`, in units of one
+//! `Instant::now()` as timed in this process
+//! ([`vsync_core::clock_read_ns`]). A profiled transition reads the clock
+//! once and does a little bookkeeping, so the ratio is a property of the
+//! telemetry code; the *relative* overhead is not — it is that cost divided
+//! by how long the engine spends between transitions, and rises every time
+//! the engine gets faster. Fails above the gate (default 3 clock reads per
+//! transition, `VSYNC_TELEMETRY_MAX_CLOCK_READS` to override for noisy
+//! machines). Writes `BENCH_telemetry.json` (validated by the in-repo JSON
+//! parser) so the trajectory is tracked across PRs.
 //!
 //! ```sh
 //! cargo run --release -p vsync-bench --bin telemetry_perf
@@ -37,7 +45,7 @@ fn main() {
     let samples = vsync_bench::timing::env_samples().clamp(1, 5);
     let workers: usize =
         std::env::var("VSYNC_WORKERS").ok().and_then(|v| v.parse().ok()).unwrap_or(1).max(1);
-    let max_overhead_pct: f64 = std::env::var("VSYNC_TELEMETRY_MAX_OVERHEAD_PCT")
+    let max_clock_reads: f64 = std::env::var("VSYNC_TELEMETRY_MAX_CLOCK_READS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(3.0);
@@ -48,7 +56,7 @@ fn main() {
 
     eprintln!(
         "telemetry_perf: qspinlock-3t x 2 configs x {samples} samples \
-         ({workers} worker(s), gate {max_overhead_pct}%)"
+         ({workers} worker(s), gate {max_clock_reads} clock reads per phase transition)"
     );
 
     // The enabled run subscribes a minimal sink (an event counter): the
@@ -100,6 +108,11 @@ fn main() {
 
     let overhead_pct =
         (enabled.as_secs_f64() / disabled.as_secs_f64().max(1e-9) - 1.0) * 100.0;
+    let transitions = s_on.phases.transitions();
+    let added_ns = (enabled.as_secs_f64() - disabled.as_secs_f64()) * 1e9;
+    let per_transition_ns = added_ns / transitions as f64;
+    let clock_read_ns = vsync_core::clock_read_ns();
+    let clock_reads = per_transition_ns / clock_read_ns;
     println!(
         "{:<10} {:>12} {:>12} {:>10}",
         "config", "best_ms", "events", "overhead"
@@ -111,6 +124,10 @@ fn main() {
         enabled.as_secs_f64() * 1e3,
         event_count,
         overhead_pct
+    );
+    println!(
+        "{transitions} phase transitions: {per_transition_ns:.1} ns each = {clock_reads:.2} x \
+         Instant::now() ({clock_read_ns:.1} ns here)"
     );
 
     // Hand-rolled JSON (the build environment has no serde).
@@ -124,7 +141,11 @@ fn main() {
     let _ = writeln!(json, "  \"enabled_ms\": {:.3},", enabled.as_secs_f64() * 1e3);
     let _ = writeln!(json, "  \"events\": {event_count},");
     let _ = writeln!(json, "  \"overhead_pct\": {overhead_pct:.3},");
-    let _ = writeln!(json, "  \"gate_pct\": {max_overhead_pct:.3}");
+    let _ = writeln!(json, "  \"transitions\": {transitions},");
+    let _ = writeln!(json, "  \"per_transition_ns\": {per_transition_ns:.3},");
+    let _ = writeln!(json, "  \"clock_read_ns\": {clock_read_ns:.3},");
+    let _ = writeln!(json, "  \"clock_reads_per_transition\": {clock_reads:.3},");
+    let _ = writeln!(json, "  \"gate_clock_reads\": {max_clock_reads:.3}");
     let _ = writeln!(json, "}}");
     let parsed = vsync_bench::json::parse(&json).expect("BENCH_telemetry.json is valid JSON");
     assert!(parsed.get("overhead_pct").is_some());
@@ -132,8 +153,9 @@ fn main() {
     eprintln!("wrote BENCH_telemetry.json");
 
     assert!(
-        overhead_pct <= max_overhead_pct,
-        "telemetry overhead {overhead_pct:.2}% exceeds the {max_overhead_pct}% gate \
-         (disabled {disabled:.2?}, enabled {enabled:.2?})"
+        clock_reads <= max_clock_reads,
+        "telemetry adds {per_transition_ns:.1} ns per phase transition, {clock_reads:.2} x \
+         Instant::now() — over the gate of {max_clock_reads} (disabled {disabled:.2?}, enabled \
+         {enabled:.2?}, {transitions} transitions)"
     );
 }

@@ -11,6 +11,12 @@
 //! threads over the same queue, the same sharded seen-sets and the same
 //! [`BudgetTracker`].
 //!
+//! The queue holds one item type at every worker count, [`WorkItem`]: the
+//! root's graph plus the consistency state the admitting chain forked for
+//! it ([`Inherited`]). The state travels with the item — whichever worker
+//! pops it adopts it — and is charged to the memory budget alongside the
+//! graph.
+//!
 //! ## Determinism
 //!
 //! Work items are independent: what a chain does depends only on its
@@ -43,7 +49,8 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use vsync_graph::{EventId, EventKind, ExecutionGraph, ExploreEncoder, Loc, RfSource, ThreadId};
-use vsync_lang::{Operand, Program};
+use vsync_lang::{ChainReplay, Operand, Program};
+use vsync_model::chain::Fork;
 use vsync_model::{ChainChecker, MemoryModel};
 
 use crate::failpoint;
@@ -472,10 +479,10 @@ fn stats_delta(a: &ExploreStats, b: &ExploreStats) -> ExploreStats {
 const DEDUP_ENTRY_BYTES: u64 = 48;
 
 /// Shared accounting for a run's [`ResourceBudget`]: live frontier bytes
-/// (charged on push, released on pop) plus monotone dedup-set bytes and
-/// entry counts. Byte accounting is skipped entirely when no memory
-/// ceiling is set, so unlimited runs never call
-/// [`ExecutionGraph::approx_heap_bytes`].
+/// (graph and inherited checker state of every queued item, charged on
+/// push, released on pop) plus monotone dedup-set bytes and entry counts.
+/// Byte accounting is skipped entirely when no memory ceiling is set, so
+/// unlimited runs never call [`WorkItem::approx_heap_bytes`].
 struct BudgetTracker {
     max_bytes: u64,
     max_entries: u64,
@@ -498,15 +505,15 @@ impl BudgetTracker {
         }
     }
 
-    fn charge(&self, g: &ExecutionGraph) {
+    fn charge(&self, item: &WorkItem) {
         if self.max_bytes != 0 {
-            self.bytes.fetch_add(g.approx_heap_bytes() as u64, Ordering::Relaxed);
+            self.bytes.fetch_add(item.approx_heap_bytes() as u64, Ordering::Relaxed);
         }
     }
 
-    fn release(&self, g: &ExecutionGraph) {
+    fn release(&self, item: &WorkItem) {
         if self.max_bytes != 0 {
-            self.bytes.fetch_sub(g.approx_heap_bytes() as u64, Ordering::Relaxed);
+            self.bytes.fetch_sub(item.approx_heap_bytes() as u64, Ordering::Relaxed);
         }
     }
 
@@ -544,6 +551,46 @@ impl BudgetTracker {
     }
 }
 
+/// A chain root on the frontier: the materialized graph and, when the
+/// chain that admitted it could hand it over, that chain's consistency
+/// state.
+pub(crate) struct WorkItem {
+    pub(crate) graph: ExecutionGraph,
+    /// `None` where no parent state exists — the initial graph, and roots
+    /// relabeled by `permute_threads` (the state follows thread labels):
+    /// their chain starts with a [`ChainChecker::reset`].
+    pub(crate) inherited: Option<Inherited>,
+}
+
+/// The admitting chain's checker state, forked down to the part of the
+/// root it had recorded, plus what is left to `push` on it.
+pub(crate) struct Inherited {
+    pub(crate) state: Fork,
+    pub(crate) pending: Pending,
+}
+
+/// The events of a root that its inherited state has not recorded.
+pub(crate) enum Pending {
+    /// A forward alternate: the newest event of this thread, which the
+    /// scan that admitted the root already answered `true` for.
+    Accepted(ThreadId),
+    /// A revisit: the newest events of two threads — the new write, then
+    /// the read re-pointed to it — neither checked in this graph yet.
+    Revisit {
+        /// Thread of the write.
+        write: ThreadId,
+        /// Thread of the re-pointed read.
+        read: ThreadId,
+    },
+}
+
+impl WorkItem {
+    fn approx_heap_bytes(&self) -> usize {
+        self.graph.approx_heap_bytes()
+            + self.inherited.as_ref().map_or(0, |i| i.state.approx_heap_bytes())
+    }
+}
+
 /// State shared by every worker of one exploration.
 struct Shared {
     queue: WorkQueue,
@@ -570,7 +617,7 @@ struct Shared {
 pub(crate) struct Worker<'r> {
     pub(crate) stats: ExploreStats,
     /// Children admitted since the last transfer to the frontier.
-    pub(crate) out: Vec<ExecutionGraph>,
+    pub(crate) out: Vec<WorkItem>,
     pub(crate) executions: Vec<ExecutionGraph>,
     /// Engine phase the worker is executing, for panic attribution
     /// ([`EngineError::phase`]) and, when profiling is on, wall-clock
@@ -579,8 +626,9 @@ pub(crate) struct Worker<'r> {
     /// Symmetry-aware view hasher (per-worker scratch buffers).
     pub(crate) enc: ExploreEncoder,
     /// The model's consistency checker, following the chain in flight:
-    /// `reset` at the root, `push`/`pop` alongside every
-    /// `push_event`/`pop_event` of the chain's graph.
+    /// at the root it adopts the item's inherited state (or is `reset`),
+    /// then `push`/`pop` alongside every `push_event`/`pop_event` of the
+    /// chain's graph.
     pub(crate) ck: Box<dyn ChainChecker>,
     /// Scratch of the R- and W-step scans: the viable rf sources / mo
     /// positions of the step in flight.
@@ -653,7 +701,10 @@ impl Engine<'_> {
     fn run(&self) -> AmcResult {
         let workers = self.config.workers.max(1);
         let budget = BudgetTracker::new(&self.config.budget);
-        let initial = ExecutionGraph::new(self.prog.num_threads(), self.prog.init().clone());
+        let initial = WorkItem {
+            graph: ExecutionGraph::new(self.prog.num_threads(), self.prog.init().clone()),
+            inherited: None,
+        };
         budget.charge(&initial);
         let shared = Shared {
             queue: WorkQueue::new(initial),
@@ -752,10 +803,13 @@ impl Engine<'_> {
         if index == 0 {
             w.stats.constructed = 1; // the initial graph
         }
-        while let Some(g) = shared.queue.pop() {
-            shared.budget.release(&g);
+        // The interpreter state of the chain in flight; like `w.ck` it is
+        // carried from step to step and rebuilt at every root.
+        let mut replay = ChainReplay::default();
+        while let Some(item) = shared.queue.pop() {
+            shared.budget.release(&item);
             w.phase.set(EnginePhase::Driver);
-            let end = catch_unwind(AssertUnwindSafe(|| self.run_chain(g, &mut w)));
+            let end = catch_unwind(AssertUnwindSafe(|| self.run_chain(item, &mut w, &mut replay)));
             let stop = match end {
                 Ok(ChainEnd::Done) => w.transfer(),
                 Ok(ChainEnd::Stopped(reason)) => Some(reason),
@@ -808,14 +862,14 @@ struct WorkQueue {
 }
 
 struct QueueState {
-    items: Vec<ExecutionGraph>,
+    items: Vec<WorkItem>,
     pending: usize,
     stop: bool,
     verdict: Option<Verdict>,
 }
 
 impl WorkQueue {
-    fn new(initial: ExecutionGraph) -> Self {
+    fn new(initial: WorkItem) -> Self {
         WorkQueue {
             state: Mutex::new(QueueState {
                 items: vec![initial],
@@ -829,7 +883,7 @@ impl WorkQueue {
 
     /// Pop a work item, sleeping while the queue is empty but siblings are
     /// still in flight. `None` means the exploration is over.
-    fn pop(&self) -> Option<ExecutionGraph> {
+    fn pop(&self) -> Option<WorkItem> {
         let mut q = relock(&self.state);
         loop {
             if q.stop {
@@ -854,7 +908,7 @@ impl WorkQueue {
     /// Inject children *mid-item*, without ending the popped item's
     /// accounting — a chain hands alternates and revisit children to
     /// peers at every step while it keeps extending in place.
-    fn push_children(&self, children: &mut Vec<ExecutionGraph>) {
+    fn push_children(&self, children: &mut Vec<WorkItem>) {
         if children.is_empty() {
             return;
         }
@@ -1365,6 +1419,39 @@ mod tests {
         assert!(explore(&sb_program(), &c).is_verified());
     }
 
+    /// A queued item is charged for its graph *and* for the checker state
+    /// it carries (nothing, for a stateless checker), and released in full.
+    #[test]
+    fn memory_budget_charges_the_inherited_state() {
+        let mut g = ExecutionGraph::new(2, std::collections::BTreeMap::new());
+        let w = g.push_event(0, EventKind::Write { loc: X, val: 1, mode: Mode::Rel, rmw: false });
+        g.insert_mo(X, w, 0);
+        let rf = RfSource::Write(w);
+        g.push_event(
+            1,
+            EventKind::Read { loc: X, mode: Mode::Acq, rf, rmw: false, awaiting: false },
+        );
+        let item = |model: ModelKind| {
+            let mut ck = model.model().chain_checker();
+            assert!(ck.reset(&g));
+            let inherited = Inherited { state: ck.fork(&[1, 0]), pending: Pending::Accepted(1) };
+            WorkItem { graph: g.clone(), inherited: Some(inherited) }
+        };
+        let bare = WorkItem { graph: g.clone(), inherited: None }.approx_heap_bytes();
+        assert_eq!(item(ModelKind::Sc).approx_heap_bytes(), bare);
+        let vmm = item(ModelKind::Vmm);
+        let state = vmm.inherited.as_ref().unwrap().state.approx_heap_bytes();
+        assert!(state > 0);
+        assert_eq!(vmm.approx_heap_bytes(), bare + state);
+
+        let limit = ResourceBudget { max_memory_bytes: bare as u64, max_dedup_entries: 0 };
+        let budget = BudgetTracker::new(&limit);
+        budget.charge(&vmm);
+        assert_eq!(budget.exceeded(), Some(StopReason::MemoryBudget), "the state tips it over");
+        budget.release(&vmm);
+        assert_eq!(budget.exceeded(), None);
+    }
+
     #[test]
     fn dedup_budget_degrades_to_inconclusive() {
         for workers in [1usize, 2, 8] {
@@ -1512,8 +1599,12 @@ mod tests {
                 payload: "boom".into(),
             })
         };
+        let empty = || WorkItem {
+            graph: ExecutionGraph::new(0, std::collections::BTreeMap::new()),
+            inherited: None,
+        };
         // Inconclusive → Error → Fault; later weaker verdicts are ignored.
-        let q = WorkQueue::new(ExecutionGraph::new(0, std::collections::BTreeMap::new()));
+        let q = WorkQueue::new(empty());
         q.finish(inconclusive(StopReason::Cancelled));
         q.finish(error());
         q.finish(Verdict::Fault("real finding".into()));
@@ -1521,7 +1612,7 @@ mod tests {
         q.finish(inconclusive(StopReason::DeadlineExceeded));
         assert!(matches!(q.into_verdict(), Verdict::Fault(_)));
         // An engine error outranks a budget stop but not a violation.
-        let q = WorkQueue::new(ExecutionGraph::new(0, std::collections::BTreeMap::new()));
+        let q = WorkQueue::new(empty());
         q.finish(inconclusive(StopReason::MemoryBudget));
         q.finish(error());
         assert!(matches!(q.into_verdict(), Verdict::Error(_)));

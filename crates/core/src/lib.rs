@@ -62,7 +62,8 @@ pub use session::{
 };
 pub use stagnancy::{is_stagnant, is_stuck};
 pub use telemetry::{
-    render_metrics, EngineEvent, EventFn, EventKind, PhaseProfile, PhaseStat, TraceWriter,
+    clock_read_ns, render_metrics, EngineEvent, EventFn, EventKind, PhaseProfile, PhaseStat,
+    TraceWriter,
 };
 pub use verdict::{
     AmcConfig, AmcResult, Counterexample, EngineError, EnginePhase, ExploreStats, Inconclusive,

@@ -30,7 +30,11 @@
 //! the production search. What the two have in common is the layer below
 //! the search (execution graphs, replay, the consistency checkers, the
 //! stagnancy analysis) and two pure helpers, `failed_final_check` and
-//! `min_source_pos`.
+//! `min_source_pos`. Of that layer it uses the from-scratch entry points
+//! only — [`vsync_lang::replay_with_budget`] and [`ChainChecker::reset`]
+//! per popped graph, never `ChainReplay::advance` or a forked checker — so
+//! the differential tests hold the production search's carried interpreter
+//! and inherited checker states to an oracle that has neither.
 
 use std::collections::HashSet;
 

@@ -14,6 +14,16 @@
 //!   ([`ExecutionGraph::pop_event`] / [`ExecutionGraph::remove_mo`]).
 //!   The chain then continues *in place* with the last viable candidate
 //!   and admits the remaining viable candidates as new work items.
+//! * What a chain knows about its graph is **inherited and forked, never
+//!   re-derived**. The interpreter ([`ChainReplay`]) and the consistency
+//!   checker (`Worker::ck`) both follow the chain: a full replay and the
+//!   root check happen once, every later step resumes the one thread it
+//!   extended and pushes the one event it added. An admitted item takes
+//!   the checker's state with it ([`Inherited`]: a fork restricted to the
+//!   part of the item the chain has recorded, plus the one or two events
+//!   beyond it), so its own root check is one or two `push`es, not a
+//!   `reset`. Only roots without a parent state start from scratch: the
+//!   initial graph and items relabeled by `permute_threads`.
 //! * Admission is **hash-before-materialize**: every candidate — forward
 //!   alternate or revisit child — is hashed through a [`GraphView`] of
 //!   the speculative graph (a restriction plus an rf override, encoded
@@ -46,9 +56,11 @@
 //! [`ExploreEncoder`]: vsync_graph::ExploreEncoder
 
 use vsync_graph::{EventId, EventKind, ExecutionGraph, GraphView, Loc, Mode, RfSource, ThreadId};
-use vsync_lang::{PendingOp, ReadDesc, ReplayOutcome, ThreadStatus};
+use vsync_lang::{ChainReplay, PendingOp, ReadDesc, ThreadStatus};
 
-use crate::explorer::{failed_final_check, min_source_pos, Engine, Worker};
+use crate::explorer::{
+    failed_final_check, min_source_pos, Engine, Inherited, Pending, WorkItem, Worker,
+};
 use crate::stagnancy::is_stagnant;
 use crate::verdict::{Counterexample, EnginePhase, StopReason, Verdict};
 
@@ -68,18 +80,31 @@ impl Engine<'_> {
     /// Run one chain to exhaustion: replay, check, extend in place,
     /// admitting non-continuation candidates through the `visited` probe
     /// and counting terminal graphs through the `leaves` probe.
-    pub(crate) fn run_chain(&self, mut g: ExecutionGraph, w: &mut Worker<'_>) -> ChainEnd {
-        let mut root = true;
+    pub(crate) fn run_chain(
+        &self,
+        item: WorkItem,
+        w: &mut Worker<'_>,
+        replay: &mut ChainReplay,
+    ) -> ChainEnd {
+        let WorkItem { graph: mut g, mut inherited } = item;
+        // The thread the previous step extended; `None` at the root.
+        let mut extended: Option<ThreadId> = None;
         loop {
             w.phase.set(EnginePhase::Driver);
             if let Some(r) = w.tick() {
                 return ChainEnd::Stopped(r);
             }
             // Replay first: it repairs derived read flags, which the
-            // consistency check depends on.
+            // consistency check depends on. Only the root is interpreted
+            // in full; a step changes the status of the thread it extended
+            // and of no other.
             w.phase.set(EnginePhase::Replay);
             w.failpoint("explore.replay");
-            let rep = vsync_lang::replay_with_budget(self.prog, &mut g, self.config.step_budget);
+            let budget = self.config.step_budget;
+            let rep = match extended {
+                None => replay.reset(self.prog, &mut g, budget),
+                Some(t) => replay.advance(self.prog, &mut g, t, budget),
+            };
             if let Some(f) = rep.fault() {
                 return ChainEnd::Verdict(Verdict::Fault(f.to_owned()));
             }
@@ -88,8 +113,7 @@ impl Engine<'_> {
                 w.stats.wasteful += 1;
                 return ChainEnd::Done;
             }
-            if root {
-                root = false;
+            if extended.is_none() {
                 // Chain roots are materialized without a consistency
                 // check — revisit children in particular can be
                 // inconsistent even when built from consistent parents —
@@ -98,7 +122,7 @@ impl Engine<'_> {
                 // speculative scan that chose them.
                 w.phase.set(EnginePhase::Consistency);
                 w.failpoint("explore.consistency");
-                if !w.ck.reset(&g) {
+                if !self.root_consistent(&g, inherited.take(), w) {
                     w.stats.inconsistent += 1;
                     return ChainEnd::Done;
                 }
@@ -121,7 +145,7 @@ impl Engine<'_> {
                         )));
                     }
                     let ThreadStatus::Ready(op) = &rep.threads[t as usize] else { unreachable!() };
-                    let extended = match op {
+                    let viable = match op {
                         PendingOp::Fence { mode } => {
                             self.chain_simple(&mut g, t, EventKind::Fence { mode: *mode }, w)
                         }
@@ -135,12 +159,34 @@ impl Engine<'_> {
                             self.chain_write(&mut g, t, *loc, *val, *mode, *rmw, w)
                         }
                     };
-                    if !extended {
+                    if !viable {
                         return ChainEnd::Done;
                     }
+                    extended = Some(t);
                 }
-                None => return self.chain_leaf(g, rep, w),
+                None => return self.chain_leaf(g, replay, w),
             }
+        }
+    }
+
+    /// The root's consistency check, which leaves `w.ck` describing `g`.
+    /// A root that inherited its parent chain's state adopts it and pushes
+    /// the one or two events the state has not recorded; only a root
+    /// without one re-derives everything.
+    fn root_consistent(
+        &self,
+        g: &ExecutionGraph,
+        inherited: Option<Inherited>,
+        w: &mut Worker<'_>,
+    ) -> bool {
+        let Some(Inherited { state, pending }) = inherited else { return w.ck.reset(g) };
+        w.ck.adopt(&state);
+        match pending {
+            Pending::Accepted(t) => {
+                w.ck.push_accepted(g, t);
+                true
+            }
+            Pending::Revisit { write, read } => w.ck.push(g, write) && w.ck.push(g, read),
         }
     }
 
@@ -149,7 +195,7 @@ impl Engine<'_> {
     fn chain_leaf(
         &self,
         mut g: ExecutionGraph,
-        mut rep: ReplayOutcome,
+        replay: &mut ChainReplay,
         w: &mut Worker<'_>,
     ) -> ChainEnd {
         // Leaf counting is a view probe, like admission.
@@ -173,12 +219,13 @@ impl Engine<'_> {
             // representatives the reference oracle reports.
             let perm = w.enc.chosen_perm().expect("permuted hash implies a chosen relabeling");
             g = g.permute_threads(perm);
-            rep = vsync_lang::replay_with_budget(self.prog, &mut g, self.config.step_budget);
+            // The interpreter followed the chain, not its relabeling.
+            let rep = replay.reset(self.prog, &mut g, self.config.step_budget);
             if let Some(f) = rep.fault() {
                 return ChainEnd::Verdict(Verdict::Fault(f.to_owned()));
             }
         }
-        let blocked: Vec<_> = rep.blocked().collect();
+        let blocked: Vec<_> = replay.outcome().blocked().collect();
         if blocked.is_empty() {
             w.phase.set(EnginePhase::FinalCheck);
             w.failpoint("explore.final");
@@ -300,7 +347,7 @@ impl Engine<'_> {
             Some((&cont, alternates)) => {
                 for &rf in alternates {
                     g.push_event(t, event(g, rf));
-                    self.admit(&GraphView::full(g), &mut || g.clone(), false, w);
+                    self.admit(&GraphView::full(g), &mut || alternate(g, t), false, w);
                     g.pop_event(t);
                 }
                 g.push_event(t, event(g, cont));
@@ -370,7 +417,7 @@ impl Engine<'_> {
                 for &pos in alternates {
                     let wid = g.push_event(t, EventKind::Write { loc, val, mode, rmw });
                     g.insert_mo(loc, wid, pos);
-                    self.admit(&GraphView::full(g), &mut || g.clone(), false, w);
+                    self.admit(&GraphView::full(g), &mut || alternate(g, t), false, w);
                     g.remove_mo(loc, pos);
                     g.pop_event(t);
                 }
@@ -393,25 +440,29 @@ impl Engine<'_> {
         w.phase.set(EnginePhase::Revisit);
         w.failpoint("explore.revisit");
         let prefix_w = g.porf_prefix_set([wid]);
+        let write = wid.thread().expect("the new write is a regular event");
         for (r, rf) in g.reads_of(loc) {
             if prefix_w.contains(r) {
                 continue;
             }
+            let read = r.thread().expect("reads are regular events");
+            // What the child's checker inherits: `w.ck` cut back to the
+            // kept events minus `wid` (which it has not recorded) and `r`
+            // (which changes). `r` is po-maximal among the kept events —
+            // a kept po-successor would put it in `wid`'s prefix — and
+            // nothing reads from a read, so both are legal pushes on it.
+            let child = |mut graph: ExecutionGraph, mut lens: Vec<u32>| {
+                graph.set_rf(r, RfSource::Write(wid));
+                lens[write as usize] -= 1;
+                lens[read as usize] -= 1;
+                Candidate { graph, recorded: lens, pending: Pending::Revisit { write, read } }
+            };
             match rf {
                 RfSource::Bottom => {
                     // Resolution of a pending await read: no deletion
                     // needed, the blocked thread has no successors.
                     let view = GraphView::with_rf(g, r, wid);
-                    self.admit(
-                        &view,
-                        &mut || {
-                            let mut c = g.clone();
-                            c.set_rf(r, RfSource::Write(wid));
-                            c
-                        },
-                        true,
-                        w,
-                    );
+                    self.admit(&view, &mut || child(g.clone(), thread_lens(g)), true, w);
                 }
                 RfSource::Write(old) if old != wid => {
                     // Standard revisit: keep only the porf-prefixes of
@@ -419,16 +470,7 @@ impl Engine<'_> {
                     let keep = g.porf_prefix_set([wid, r]);
                     let lens = keep.prefix_lens();
                     let view = GraphView::restricted(g, &lens, r, wid);
-                    self.admit(
-                        &view,
-                        &mut || {
-                            let mut c = g.restrict_set(&keep);
-                            c.set_rf(r, RfSource::Write(wid));
-                            c
-                        },
-                        true,
-                        w,
-                    );
+                    self.admit(&view, &mut || child(g.restrict_set(&keep), lens.clone()), true, w);
                 }
                 RfSource::Write(_) => {}
             }
@@ -437,13 +479,14 @@ impl Engine<'_> {
 
     /// Admit one candidate work item: hash its view, and only if its
     /// orbit was never admitted before, materialize it (normalized to the
-    /// orbit representative) into `w.out`. This is where `constructed`
+    /// orbit representative) into `w.out`, with `w.ck` forked down to the
+    /// part of it the chain has recorded. This is where `constructed`
     /// diverges from the reference oracle: duplicates cost an encoding,
     /// not a graph.
     fn admit(
         &self,
         view: &GraphView<'_>,
-        materialize: &mut dyn FnMut() -> ExecutionGraph,
+        materialize: &mut dyn FnMut() -> Candidate,
         revisit: bool,
         w: &mut Worker<'_>,
     ) {
@@ -467,18 +510,43 @@ impl Engine<'_> {
             w.phase.set(caller_phase);
             return;
         }
-        let mut child = materialize();
-        if permuted {
+        let Candidate { graph, recorded, pending } = materialize();
+        let child = if permuted {
             // First arrival of its orbit, but not in canonical form:
             // normalize so successor generation (which extends the first
             // ready thread — not a relabeling-invariant choice) stays a
-            // function of the orbit.
+            // function of the orbit. The checker's state follows thread
+            // labels, so the relabeled root re-derives its own.
             let perm = w.enc.chosen_perm().expect("permuted hash implies a chosen relabeling");
-            child = child.permute_threads(perm);
-        }
+            WorkItem { graph: graph.permute_threads(perm), inherited: None }
+        } else {
+            let inherited = Inherited { state: w.ck.fork(&recorded), pending };
+            WorkItem { graph, inherited: Some(inherited) }
+        };
         w.stats.pushed += 1;
         w.stats.constructed += 1;
         w.out.push(child);
         w.phase.set(caller_phase);
     }
+}
+
+/// A materialized admission candidate: the graph, the per-thread prefixes
+/// of it that the admitting chain's checker has recorded, and the events
+/// beyond them.
+struct Candidate {
+    graph: ExecutionGraph,
+    recorded: Vec<u32>,
+    pending: Pending,
+}
+
+fn thread_lens(g: &ExecutionGraph) -> Vec<u32> {
+    (0..g.num_threads()).map(|t| g.thread_len(t as ThreadId) as u32).collect()
+}
+
+/// The forward alternate `g`, whose newest event — on thread `t` — the
+/// scan pushed, accepted and popped off the checker again.
+fn alternate(g: &ExecutionGraph, t: ThreadId) -> Candidate {
+    let mut recorded = thread_lens(g);
+    recorded[t as usize] -= 1;
+    Candidate { graph: g.clone(), recorded, pending: Pending::Accepted(t) }
 }

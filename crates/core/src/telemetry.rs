@@ -29,7 +29,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use vsync_graph::Mode;
@@ -149,10 +149,37 @@ impl PhaseProfile {
         Duration::from_nanos(self.spans.iter().map(|s| s.total_ns).sum())
     }
 
+    /// Phase transitions recorded: every span entry is one
+    /// `PhaseTracker::set` that read the clock.
+    #[must_use]
+    pub fn transitions(&self) -> u64 {
+        self.spans.iter().map(|s| s.count).sum()
+    }
+
     /// Iterate `(phase, stat)` pairs in [`EnginePhase::ALL`] order.
     pub fn iter(&self) -> impl Iterator<Item = (EnginePhase, PhaseStat)> + '_ {
         EnginePhase::ALL.iter().map(|&p| (p, self.spans[p.index()]))
     }
+}
+
+/// What one `Instant::now()` costs on this machine, in nanoseconds — the
+/// floor of what profiling adds per phase transition, since a profiled
+/// `PhaseTracker::set` reads the clock once. Timed once per process (best
+/// of a few short batches: noise only ever adds time).
+#[must_use]
+pub fn clock_read_ns() -> f64 {
+    static NS: OnceLock<f64> = OnceLock::new();
+    *NS.get_or_init(|| {
+        const READS: u32 = 4096;
+        let batch = || {
+            let t0 = Instant::now();
+            for _ in 0..READS {
+                std::hint::black_box(Instant::now());
+            }
+            t0.elapsed().as_nanos() as f64 / f64::from(READS)
+        };
+        (0..4).map(|_| batch()).fold(f64::INFINITY, f64::min)
+    })
 }
 
 /// The per-worker scoped phase timer. A drop-in replacement for the
@@ -686,6 +713,15 @@ pub fn render_metrics(profile: &PhaseProfile, wall: Duration, workers: usize) ->
         "-",
         "-"
     );
+    // Every transition read the clock once, inside the span it closed: a
+    // phase whose mean is near the clock-read cost is mostly that cost.
+    let (transitions, read_ns) = (profile.transitions(), clock_read_ns());
+    let _ = writeln!(
+        out,
+        "profiling: {transitions} phase transitions, each at least a ~{read_ns:.0} ns clock read: \
+         >= ~{} ms of the time above is the profiler's own",
+        fmt_ms(Duration::from_nanos((transitions as f64 * read_ns) as u64)),
+    );
     out
 }
 
@@ -767,6 +803,7 @@ mod tests {
         assert!(table.contains("(other)"));
         assert!(table.contains("wall"));
         assert!(!table.contains("replay"), "phases without spans are omitted");
+        assert!(table.contains("profiling: 1 phase transitions, each at least a ~"), "{table}");
     }
 
     /// Two workers each busy for most of the wall clock: phase time sums

@@ -11,9 +11,10 @@ use vsync_model::{CheckerKind, ModelKind};
 /// the process. A value of `0` means unlimited.
 ///
 /// Memory is tracked by byte-accounting on the two unbounded structures:
-/// the frontier of queued execution graphs (estimated via
-/// [`ExecutionGraph::approx_heap_bytes`]) and the sharded dedup set
-/// (a fixed per-entry cost).
+/// the frontier of queued work items (each graph estimated via
+/// [`ExecutionGraph::approx_heap_bytes`], plus the consistency-checker
+/// state the item inherited from the chain that admitted it) and the
+/// sharded dedup set (a fixed per-entry cost).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceBudget {
     /// Approximate heap ceiling in bytes for frontier + dedup (0 = unlimited).

@@ -46,6 +46,6 @@ pub use program::{
     BarrierSite, BarrierSummary, FinalCheck, Program, ProgramError, SiteKind,
 };
 pub use replay::{
-    replay, replay_adopt_modes, replay_with_budget, BlockedAwait, PendingOp, ReadDesc,
-    ReplayOutcome, ThreadStatus, DEFAULT_STEP_BUDGET,
+    replay, replay_adopt_modes, replay_with_budget, BlockedAwait, ChainReplay, PendingOp,
+    ReadDesc, ReplayOutcome, ThreadStatus, DEFAULT_STEP_BUDGET,
 };

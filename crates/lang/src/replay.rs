@@ -13,6 +13,24 @@
 //! * the **Bounded-Effect principle** — a failed `await_rmw` iteration
 //!   whose elided write would have changed the value is a modeling fault
 //!   (Def. 3, footnote 9).
+//!
+//! ## Replay along a chain
+//!
+//! The explorer grows a graph one event at a time and needs the statuses
+//! after every step. A thread's interpretation depends only on its own
+//! events and the values they read, so pushing an event on thread `t`
+//! changes nothing for the others: [`ChainReplay`] keeps, per thread, a
+//! **cursor** — registers, pc, consumed-event count and step count *at the
+//! start of the instruction the thread stopped in* — and
+//! [`ChainReplay::advance`] re-runs only `t` from there. The cursor sits at
+//! an instruction boundary because an instruction is the unit that can be
+//! re-executed from its inputs: an RMW stopped between its read and its
+//! write part has not written its destination register yet (`r1 = rmw.add
+//! x, r1` must still see the old `r1`), and an await stopped after `k`
+//! failed iterations re-derives `prev_rf` and the wasteful flag by
+//! re-consuming them. [`ChainReplay::reset`] is the from-scratch replay of
+//! every thread — [`replay_with_budget`] is exactly that on a fresh
+//! `ChainReplay`, so there is one interpreter loop.
 
 use vsync_graph::{EventId, EventKind, ExecutionGraph, Loc, Mode, RfSource, Value};
 
@@ -185,7 +203,7 @@ impl ThreadStatus {
 }
 
 /// Result of replaying a whole program against a graph.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReplayOutcome {
     /// Per-thread statuses.
     pub threads: Vec<ThreadStatus>,
@@ -245,7 +263,9 @@ pub fn replay_with_budget(
     g: &mut ExecutionGraph,
     budget: usize,
 ) -> ReplayOutcome {
-    replay_inner(prog, g, budget, false)
+    let mut chain = ChainReplay::default();
+    chain.reset(prog, g, budget);
+    chain.outcome
 }
 
 /// Replay `prog` against a graph that was recorded under a *different
@@ -266,34 +286,116 @@ pub fn replay_with_budget(
 /// witnesses surface as [`ThreadStatus::Fault`] mismatches and the caller
 /// simply treats them as inapplicable.
 pub fn replay_adopt_modes(prog: &Program, g: &mut ExecutionGraph) -> ReplayOutcome {
-    replay_inner(prog, g, DEFAULT_STEP_BUDGET, true)
+    let mut chain = ChainReplay::default();
+    chain.run_all(prog, g, DEFAULT_STEP_BUDGET, true);
+    chain.outcome
 }
 
-fn replay_inner(
-    prog: &Program,
-    g: &mut ExecutionGraph,
-    budget: usize,
-    adopt_modes: bool,
-) -> ReplayOutcome {
-    let mut threads = Vec::with_capacity(prog.num_threads());
-    let mut wasteful = false;
-    for t in 0..prog.num_threads() as u32 {
-        let mut tr = ThreadReplay::new(prog, t, budget);
-        tr.adopt_modes = adopt_modes;
-        let status = tr.run(g);
-        wasteful |= tr.wasteful;
-        threads.push(status);
+/// One thread's interpreter state at the start of the instruction it
+/// stopped in: re-running from here against a graph that only gained
+/// events of this thread yields what a from-scratch replay would.
+#[derive(Debug, Clone)]
+struct Cursor {
+    regs: [Value; NUM_REGS],
+    pc: usize,
+    /// Events of the thread consumed by the instructions before `pc`.
+    ev: usize,
+    /// Steps charged against the budget by those instructions.
+    steps: usize,
+}
+
+impl Cursor {
+    const START: Cursor = Cursor { regs: [0; NUM_REGS], pc: 0, ev: 0, steps: 0 };
+}
+
+/// Replay that follows one exploration chain: the per-thread cursors and
+/// the outcome of the last call (module docs, "Replay along a chain").
+///
+/// [`ChainReplay::reset`] interprets every thread against an arbitrary
+/// graph; [`ChainReplay::advance`] answers for "that graph plus events
+/// pushed on `thread`" by resuming that thread alone. Anything else —
+/// a re-pointed `rf`, a removed event, another thread's push — needs a
+/// `reset`.
+#[derive(Debug, Default)]
+pub struct ChainReplay {
+    cursors: Vec<Cursor>,
+    outcome: ReplayOutcome,
+}
+
+impl ChainReplay {
+    /// Replay `prog` against `g` from scratch (with the per-thread step
+    /// `budget`), repairing derived read flags like [`replay`] does.
+    pub fn reset(
+        &mut self,
+        prog: &Program,
+        g: &mut ExecutionGraph,
+        budget: usize,
+    ) -> &ReplayOutcome {
+        self.run_all(prog, g, budget, false);
+        &self.outcome
     }
-    ReplayOutcome { threads, wasteful }
+
+    /// The outcome for `g` = the graph of the previous call plus events
+    /// pushed on `thread`: resumes `thread` from its cursor, replaces its
+    /// status and ORs its wasteful flag in. Must be called with the
+    /// `budget` of the `reset` it follows.
+    pub fn advance(
+        &mut self,
+        prog: &Program,
+        g: &mut ExecutionGraph,
+        thread: u32,
+        budget: usize,
+    ) -> &ReplayOutcome {
+        self.outcome.threads[thread as usize] = self.run_thread(prog, g, thread, budget, false);
+        &self.outcome
+    }
+
+    /// The outcome of the last [`ChainReplay::reset`] /
+    /// [`ChainReplay::advance`].
+    pub fn outcome(&self) -> &ReplayOutcome {
+        &self.outcome
+    }
+
+    fn run_all(&mut self, prog: &Program, g: &mut ExecutionGraph, budget: usize, adopt: bool) {
+        let threads = prog.num_threads();
+        self.cursors.clear();
+        self.cursors.resize(threads, Cursor::START);
+        self.outcome.threads.clear();
+        self.outcome.wasteful = false;
+        for t in 0..threads as u32 {
+            let status = self.run_thread(prog, g, t, budget, adopt);
+            self.outcome.threads.push(status);
+        }
+    }
+
+    /// Interpret `thread` from its cursor until it stops.
+    fn run_thread(
+        &mut self,
+        prog: &Program,
+        g: &mut ExecutionGraph,
+        thread: u32,
+        budget: usize,
+        adopt_modes: bool,
+    ) -> ThreadStatus {
+        let cur = &mut self.cursors[thread as usize];
+        let instr_start = (cur.ev, cur.steps);
+        let mut tr =
+            ThreadReplay { prog, thread, cur, instr_start, budget, wasteful: false, adopt_modes };
+        let status = tr.run(g);
+        self.outcome.wasteful |= tr.wasteful;
+        status
+    }
 }
 
 struct ThreadReplay<'p> {
     prog: &'p Program,
     thread: u32,
-    regs: [Value; NUM_REGS],
-    pc: usize,
-    ev: usize,
-    steps: usize,
+    /// Registers, pc, consumed events and steps: live while an instruction
+    /// executes, rewound to the instruction's start when the thread stops
+    /// in it (see [`ThreadReplay::run`]).
+    cur: &'p mut Cursor,
+    /// `(ev, steps)` of the cursor when the instruction in flight began.
+    instr_start: (usize, usize),
     budget: usize,
     wasteful: bool,
     /// Tolerate mode-only mismatches and rewrite the graph's event modes
@@ -313,23 +415,9 @@ enum Consume {
 }
 
 impl<'p> ThreadReplay<'p> {
-    fn new(prog: &'p Program, thread: u32, budget: usize) -> Self {
-        ThreadReplay {
-            prog,
-            thread,
-            regs: [0; NUM_REGS],
-            pc: 0,
-            ev: 0,
-            steps: 0,
-            budget,
-            wasteful: false,
-            adopt_modes: false,
-        }
-    }
-
     fn operand(&self, o: Operand) -> Value {
         match o {
-            Operand::Reg(r) => self.regs[r.0 as usize],
+            Operand::Reg(r) => self.cur.regs[r.0 as usize],
             Operand::Imm(v) => v,
         }
     }
@@ -337,8 +425,8 @@ impl<'p> ThreadReplay<'p> {
     fn addr(&self, a: Addr) -> Loc {
         match a {
             Addr::Imm(x) => x,
-            Addr::Reg(r) => self.regs[r.0 as usize],
-            Addr::RegOff(r, o) => self.regs[r.0 as usize].wrapping_add(o),
+            Addr::Reg(r) => self.cur.regs[r.0 as usize],
+            Addr::RegOff(r, o) => self.cur.regs[r.0 as usize].wrapping_add(o),
         }
     }
 
@@ -359,8 +447,8 @@ impl<'p> ThreadReplay<'p> {
         desc: ReadDesc,
         prev_rf: Option<RfSource>,
     ) -> Consume {
-        let id = EventId::new(self.thread, self.ev as u32);
-        if self.ev >= g.thread_len(self.thread) {
+        let id = EventId::new(self.thread, self.cur.ev as u32);
+        if self.cur.ev >= g.thread_len(self.thread) {
             return Consume::Missing(PendingOp::Read { loc, mode, desc, prev_rf });
         }
         let (eloc, emode, rf, ermw, eawait) = match &g.event(id).kind {
@@ -394,7 +482,7 @@ impl<'p> ThreadReplay<'p> {
                 if (ermw, eawait) != (rmw, awaiting) {
                     g.set_read_flags(id, rmw, awaiting);
                 }
-                self.ev += 1;
+                self.cur.ev += 1;
                 Consume::Got(Some(v))
             }
         }
@@ -408,8 +496,8 @@ impl<'p> ThreadReplay<'p> {
         mode: Mode,
         rmw: bool,
     ) -> Consume {
-        let id = EventId::new(self.thread, self.ev as u32);
-        if self.ev >= g.thread_len(self.thread) {
+        let id = EventId::new(self.thread, self.cur.ev as u32);
+        if self.cur.ev >= g.thread_len(self.thread) {
             return Consume::Missing(PendingOp::Write { loc, val, mode, rmw });
         }
         let found = match &g.event(id).kind {
@@ -423,7 +511,7 @@ impl<'p> ThreadReplay<'p> {
                 if m != mode {
                     g.set_event_mode(id, mode);
                 }
-                self.ev += 1;
+                self.cur.ev += 1;
                 Consume::Got(None)
             }
             _ => Consume::Mismatch(format!(
@@ -434,8 +522,8 @@ impl<'p> ThreadReplay<'p> {
     }
 
     fn consume_fence(&mut self, g: &mut ExecutionGraph, mode: Mode) -> Consume {
-        let id = EventId::new(self.thread, self.ev as u32);
-        if self.ev >= g.thread_len(self.thread) {
+        let id = EventId::new(self.thread, self.cur.ev as u32);
+        if self.cur.ev >= g.thread_len(self.thread) {
             return Consume::Missing(PendingOp::Fence { mode });
         }
         let found = match &g.event(id).kind {
@@ -447,7 +535,7 @@ impl<'p> ThreadReplay<'p> {
                 if m != mode {
                     g.set_event_mode(id, mode);
                 }
-                self.ev += 1;
+                self.cur.ev += 1;
                 Consume::Got(None)
             }
             _ => Consume::Mismatch(format!(
@@ -457,22 +545,33 @@ impl<'p> ThreadReplay<'p> {
         }
     }
 
+    /// Interpret from the cursor until the thread stops, and leave the
+    /// cursor at the start of the instruction it stopped in. Registers and
+    /// pc need no rewinding: every instruction writes its destination and
+    /// advances the pc only once it has completed.
     fn run(&mut self, g: &mut ExecutionGraph) -> ThreadStatus {
+        let status = self.interpret(g);
+        (self.cur.ev, self.cur.steps) = self.instr_start;
+        status
+    }
+
+    fn interpret(&mut self, g: &mut ExecutionGraph) -> ThreadStatus {
         let code: &'p [Instr] = self.prog.thread_code(self.thread);
         loop {
-            if self.pc >= code.len() {
-                if self.ev != g.thread_len(self.thread) {
+            self.instr_start = (self.cur.ev, self.cur.steps);
+            if self.cur.pc >= code.len() {
+                if self.cur.ev != g.thread_len(self.thread) {
                     return ThreadStatus::Fault(format!(
                         "thread {} terminated at pc {} but graph has {} extra events",
                         self.thread,
-                        self.pc,
-                        g.thread_len(self.thread) - self.ev
+                        self.cur.pc,
+                        g.thread_len(self.thread) - self.cur.ev
                     ));
                 }
                 return ThreadStatus::Finished;
             }
-            self.steps += 1;
-            if self.steps > self.budget {
+            self.cur.steps += 1;
+            if self.cur.steps > self.budget {
                 return ThreadStatus::Fault(format!(
                     "thread {} exceeded the step budget of {} — non-await loop? \
                      (Bounded-Length principle, paper §1.2; mark polling loops \
@@ -480,14 +579,14 @@ impl<'p> ThreadReplay<'p> {
                     self.thread, self.budget
                 ));
             }
-            match &code[self.pc] {
+            match &code[self.cur.pc] {
                 Instr::Load { dst, addr, mode } => {
                     let loc = self.addr(*addr);
                     let m = self.prog.mode(*mode);
                     match self.consume_read(g, loc, m, ReadDesc::Plain, None) {
                         Consume::Got(Some(v)) => {
-                            self.regs[dst.0 as usize] = v;
-                            self.pc += 1;
+                            self.cur.regs[dst.0 as usize] = v;
+                            self.cur.pc += 1;
                         }
                         Consume::Got(None) | Consume::Pending => unreachable!(),
                         Consume::Missing(op) => return ThreadStatus::Ready(op),
@@ -499,7 +598,7 @@ impl<'p> ThreadReplay<'p> {
                     let val = self.operand(*src);
                     let m = self.prog.mode(*mode);
                     match self.consume_write(g, loc, val, m, false) {
-                        Consume::Got(_) => self.pc += 1,
+                        Consume::Got(_) => self.cur.pc += 1,
                         Consume::Missing(op) => return ThreadStatus::Ready(op),
                         Consume::Mismatch(m) => return ThreadStatus::Fault(m),
                         Consume::Pending => unreachable!(),
@@ -511,14 +610,17 @@ impl<'p> ThreadReplay<'p> {
                     let desc = ReadDesc::Rmw { op: *op, operand: self.operand(*operand) };
                     match self.consume_read(g, loc, m, desc, None) {
                         Consume::Got(Some(v)) => {
-                            self.regs[dst.0 as usize] = v;
                             let new = desc.write_on(v).expect("rmw always writes");
                             match self.consume_write(g, loc, new, m, true) {
-                                Consume::Got(_) => self.pc += 1,
+                                Consume::Got(_) => {}
                                 Consume::Missing(op) => return ThreadStatus::Ready(op),
                                 Consume::Mismatch(m) => return ThreadStatus::Fault(m),
                                 Consume::Pending => unreachable!(),
                             }
+                            // Only now: stopped at the write part, the
+                            // instruction restarts and `operand` may be `dst`.
+                            self.cur.regs[dst.0 as usize] = v;
+                            self.cur.pc += 1;
                         }
                         Consume::Got(None) | Consume::Pending => unreachable!(),
                         Consume::Missing(op) => return ThreadStatus::Ready(op),
@@ -534,17 +636,16 @@ impl<'p> ThreadReplay<'p> {
                     };
                     match self.consume_read(g, loc, m, desc, None) {
                         Consume::Got(Some(v)) => {
-                            self.regs[dst.0 as usize] = v;
                             if let Some(nv) = desc.write_on(v) {
                                 match self.consume_write(g, loc, nv, m, true) {
-                                    Consume::Got(_) => self.pc += 1,
+                                    Consume::Got(_) => {}
                                     Consume::Missing(op) => return ThreadStatus::Ready(op),
                                     Consume::Mismatch(m) => return ThreadStatus::Fault(m),
                                     Consume::Pending => unreachable!(),
                                 }
-                            } else {
-                                self.pc += 1;
                             }
+                            self.cur.regs[dst.0 as usize] = v;
+                            self.cur.pc += 1;
                         }
                         Consume::Got(None) | Consume::Pending => unreachable!(),
                         Consume::Missing(op) => return ThreadStatus::Ready(op),
@@ -554,11 +655,11 @@ impl<'p> ThreadReplay<'p> {
                 Instr::Fence { mode } => {
                     let m = self.prog.mode(*mode);
                     if m == Mode::Rlx {
-                        self.pc += 1; // relaxed fences are no-ops
+                        self.cur.pc += 1; // relaxed fences are no-ops
                         continue;
                     }
                     match self.consume_fence(g, m) {
-                        Consume::Got(_) => self.pc += 1,
+                        Consume::Got(_) => self.cur.pc += 1,
                         Consume::Missing(op) => return ThreadStatus::Ready(op),
                         Consume::Mismatch(m) => return ThreadStatus::Fault(m),
                         Consume::Pending => unreachable!(),
@@ -569,8 +670,8 @@ impl<'p> ThreadReplay<'p> {
                     let desc = ReadDesc::AwaitLoad { exit };
                     match self.run_await(g, *addr, *mode, desc) {
                         AwaitStep::Exited(v) => {
-                            self.regs[dst.0 as usize] = v;
-                            self.pc += 1;
+                            self.cur.regs[dst.0 as usize] = v;
+                            self.cur.pc += 1;
                         }
                         AwaitStep::Status(s) => return s,
                     }
@@ -581,8 +682,8 @@ impl<'p> ThreadReplay<'p> {
                         ReadDesc::AwaitRmw { exit, op: *op, operand: self.operand(*operand) };
                     match self.run_await(g, *addr, *mode, desc) {
                         AwaitStep::Exited(v) => {
-                            self.regs[dst.0 as usize] = v;
-                            self.pc += 1;
+                            self.cur.regs[dst.0 as usize] = v;
+                            self.cur.pc += 1;
                         }
                         AwaitStep::Status(s) => return s,
                     }
@@ -594,38 +695,38 @@ impl<'p> ThreadReplay<'p> {
                     };
                     match self.run_await(g, *addr, *mode, desc) {
                         AwaitStep::Exited(v) => {
-                            self.regs[dst.0 as usize] = v;
-                            self.pc += 1;
+                            self.cur.regs[dst.0 as usize] = v;
+                            self.cur.pc += 1;
                         }
                         AwaitStep::Status(s) => return s,
                     }
                 }
                 Instr::Mov { dst, src } => {
-                    self.regs[dst.0 as usize] = self.operand(*src);
-                    self.pc += 1;
+                    self.cur.regs[dst.0 as usize] = self.operand(*src);
+                    self.cur.pc += 1;
                 }
                 Instr::Op { dst, op, a, b } => {
-                    self.regs[dst.0 as usize] = op.apply(self.operand(*a), self.operand(*b));
-                    self.pc += 1;
+                    self.cur.regs[dst.0 as usize] = op.apply(self.operand(*a), self.operand(*b));
+                    self.cur.pc += 1;
                 }
-                Instr::Jmp { target } => self.pc = *target,
+                Instr::Jmp { target } => self.cur.pc = *target,
                 Instr::JmpIf { src, test, target } => {
                     let t = self.test(test);
                     if t.eval(self.operand(*src)) {
-                        self.pc = *target;
+                        self.cur.pc = *target;
                     } else {
-                        self.pc += 1;
+                        self.cur.pc += 1;
                     }
                 }
                 Instr::Assert { src, test, msg } => {
                     let t = self.test(test);
                     if t.eval(self.operand(*src)) {
-                        self.pc += 1;
+                        self.cur.pc += 1;
                         continue;
                     }
                     // Failed assertion: an error event.
-                    let id = EventId::new(self.thread, self.ev as u32);
-                    if self.ev >= g.thread_len(self.thread) {
+                    let id = EventId::new(self.thread, self.cur.ev as u32);
+                    if self.cur.ev >= g.thread_len(self.thread) {
                         return ThreadStatus::Ready(PendingOp::Error { msg: msg.clone() });
                     }
                     match &g.event(id).kind {
@@ -637,7 +738,7 @@ impl<'p> ThreadReplay<'p> {
                         }
                     }
                 }
-                Instr::Nop => self.pc += 1,
+                Instr::Nop => self.cur.pc += 1,
             }
         }
     }
@@ -655,7 +756,7 @@ impl<'p> ThreadReplay<'p> {
         let m = self.prog.mode(mode);
         let mut prev_rf: Option<RfSource> = None;
         loop {
-            let id = EventId::new(self.thread, self.ev as u32);
+            let id = EventId::new(self.thread, self.cur.ev as u32);
             match self.consume_read(g, loc, m, desc, prev_rf) {
                 Consume::Missing(op) => return AwaitStep::Status(ThreadStatus::Ready(op)),
                 Consume::Mismatch(m) => return AwaitStep::Status(ThreadStatus::Fault(m)),
@@ -696,8 +797,8 @@ impl<'p> ThreadReplay<'p> {
                         self.wasteful = true; // W(G): same write twice in a row
                     }
                     prev_rf = Some(rf);
-                    self.steps += 1;
-                    if self.steps > self.budget {
+                    self.cur.steps += 1;
+                    if self.cur.steps > self.budget {
                         return AwaitStep::Status(ThreadStatus::Fault(
                             "await iterations exceeded step budget".into(),
                         ));

@@ -5,12 +5,18 @@
 //! [`ChainChecker`] carries the derived orders along that chain instead of
 //! re-deriving them per question:
 //!
-//! * [`ChainChecker::reset`] answers for an arbitrary graph (a chain root)
-//!   and makes it the checker's state;
-//! * [`ChainChecker::push`] answers for "the state plus the event just
-//!   pushed on `thread`" — the event must be po-maximal, must not be read
-//!   by anyone yet, and a write must already sit in `mo`;
-//! * [`ChainChecker::pop`] undoes the last push on `thread`.
+//! * [`ChainChecker::reset`] answers for an arbitrary graph (one nobody
+//!   holds a state for) and makes it the checker's state;
+//! * [`ChainChecker::push`] answers for "the state plus the next event of
+//!   `thread`" — nothing recorded may read from it or follow it in program
+//!   order, and a write must already sit in `mo`;
+//! * [`ChainChecker::pop`] undoes the last push on `thread`;
+//! * [`ChainChecker::fork`] detaches a copy of the state restricted to
+//!   per-thread prefixes (a [`Fork`]) — what a chain hands to the work
+//!   items it admits — and [`ChainChecker::adopt`] makes such a copy the
+//!   state again: the checker that later follows the item's chain `push`es
+//!   the one or two events the copy has not recorded instead of re-deriving
+//!   everything with a `reset`.
 //!
 //! [`Vmm`](crate::Vmm) implements it with per-event happens-before
 //! **vector clocks** ([`VmmChecker`]); the models whose from-scratch check
@@ -27,8 +33,9 @@ use crate::MemoryModel;
 /// A consistency checker that follows one exploration chain.
 ///
 /// A fresh checker has no state: the first call must be a `reset`. The
-/// state after `reset(g)` / `push(g, t)` describes `g`; every later call
-/// must pass a graph that differs from it by exactly the documented step.
+/// state *records* a po-prefix of every thread of the graph it follows —
+/// after `reset(g)` all of `g`, after `push(g, t)` one more event of `t` —
+/// and every later call must pass a graph whose recorded part is unchanged.
 /// After a `false` answer the state still contains the offending event
 /// (so [`ChainChecker::pop`] stays symmetric), but nothing may be pushed
 /// on top of it.
@@ -37,8 +44,14 @@ pub trait ChainChecker {
     /// state.
     fn reset(&mut self, g: &ExecutionGraph) -> bool;
 
-    /// Is `g` — the last accepted graph plus the newest event of `thread`
-    /// (mo-placed if it is a write) — consistent?
+    /// Is the recorded part of `g` plus the next unrecorded event of
+    /// `thread` (mo-placed if it is a write) consistent? That event is the
+    /// newest one *as far as the state knows*: `g` may already hold later
+    /// events — of other threads, even reading from this one — which are
+    /// ignored until their own `push`. (A [`Stateless`] checker cannot
+    /// ignore them and answers for all of `g`; models are monotone, so a
+    /// `false` is a `false` for the final graph too, and the caller's last
+    /// `push` is exact.)
     fn push(&mut self, g: &ExecutionGraph, thread: ThreadId) -> bool;
 
     /// [`ChainChecker::push`] for an extension the caller already knows to
@@ -48,6 +61,32 @@ pub trait ChainChecker {
 
     /// Forget the newest recorded event of `thread`.
     fn pop(&mut self, thread: ThreadId);
+
+    /// A detached copy of the state restricted to the first `lens[t]`
+    /// recorded events of every thread `t`. The kept set must be closed
+    /// under `po ∪ rf` predecessors: the copy then is exactly the state a
+    /// `reset` of the restricted graph would build (DESIGN.md §2.2).
+    fn fork(&self, lens: &[u32]) -> Fork;
+
+    /// Forget all previous state and take over `fork`'s, which must come
+    /// from a checker of the same model.
+    fn adopt(&mut self, fork: &Fork);
+}
+
+/// A checker state cut loose from its checker ([`ChainChecker::fork`]):
+/// plain words in one allocation, so that handing it to another thread
+/// costs that thread one read and one `free`, and the checker adopting it
+/// keeps writing to buffers of its own. Opaque: only the model that wrote
+/// it can read it. A stateless checker's fork is empty and allocation-free.
+#[derive(Debug, Default)]
+pub struct Fork(Vec<u32>);
+
+impl Fork {
+    /// Approximate heap footprint in bytes, for resource budgeting of the
+    /// work items that carry a fork.
+    pub fn approx_heap_bytes(&self) -> usize {
+        self.0.capacity() * std::mem::size_of::<u32>()
+    }
 }
 
 /// The adapter for models without incremental state: every question is a
@@ -67,6 +106,12 @@ impl<M: MemoryModel> ChainChecker for Stateless<M> {
     fn push_accepted(&mut self, _g: &ExecutionGraph, _thread: ThreadId) {}
 
     fn pop(&mut self, _thread: ThreadId) {}
+
+    fn fork(&self, _lens: &[u32]) -> Fork {
+        Fork::default()
+    }
+
+    fn adopt(&mut self, _fork: &Fork) {}
 }
 
 const NONE: u32 = u32::MAX;
@@ -86,6 +131,22 @@ struct Meta {
     prev: u32,
     /// Is the event an SC access or an SC fence?
     sc: bool,
+}
+
+impl Meta {
+    /// Words of a [`Meta`] inside a [`Fork`].
+    const WORDS: usize = 5;
+
+    fn to_words(self) -> [u32; Meta::WORDS] {
+        [self.rel_fence, self.sc_fences, self.slot, self.prev, u32::from(self.sc)]
+    }
+
+    fn from_words(words: &[u32]) -> Meta {
+        let &[rel_fence, sc_fences, slot, prev, sc] = words else {
+            unreachable!("a Meta is {} words", Meta::WORDS)
+        };
+        Meta { rel_fence, sc_fences, slot, prev, sc: sc != 0 }
+    }
 }
 
 /// One thread's records: parallel per-event arrays that [`pop`] truncates.
@@ -170,6 +231,11 @@ impl VmmChecker {
     fn step(&mut self, g: &ExecutionGraph, t: usize, check: Check) -> bool {
         let nt = self.nt;
         let i = self.th[t].meta.len();
+        debug_assert!(
+            (0..nt).all(|u| self.th[u].meta.len() + usize::from(u == t)
+                <= g.thread_len(u as ThreadId)),
+            "the graph must hold every recorded event and the one being pushed"
+        );
         let ev = &g.thread_events(t as ThreadId)[i];
         let id = EventId::new(t as ThreadId, i as u32);
         let mut cur = std::mem::take(&mut self.cur);
@@ -210,6 +276,10 @@ impl VmmChecker {
                 meta.sc = mode.is_sc();
                 if let RfSource::Write(w) = rf {
                     if let EventId::Event { thread: u, index: j } = *w {
+                        debug_assert!(
+                            (j as usize) < self.th[u as usize].meta.len(),
+                            "{id} reads from {w}, which is not recorded yet"
+                        );
                         let rc = self.clocks(u as usize, j as usize, 2);
                         join(acq, rc);
                         if mode.is_acquire() {
@@ -394,7 +464,6 @@ impl ChainChecker for VmmChecker {
 
     fn push(&mut self, g: &ExecutionGraph, thread: ThreadId) -> bool {
         attribution::note(false);
-        debug_assert_eq!(self.th[thread as usize].meta.len() + 1, g.thread_len(thread));
         self.step(g, thread as usize, Check::All)
     }
 
@@ -410,6 +479,64 @@ impl ChainChecker for VmmChecker {
             rec.heads[meta.slot as usize].1 = meta.prev;
         }
         self.sc_events -= usize::from(meta.sc);
+    }
+
+    // Layout: `nt`, then per thread `len`, the number of per-location
+    // slots, `len × 3nt` clock words, `len` `Meta`s and the slots.
+    //
+    // A kept event's clocks mention only its `po ∪ rf` predecessors, which
+    // are kept too, so the columns carry over as they are; the
+    // per-location chains are cut back to their last kept link (the slots
+    // stay: `Meta::slot` indexes them).
+    fn fork(&self, lens: &[u32]) -> Fork {
+        debug_assert_eq!(lens.len(), self.nt);
+        let events: usize = lens.iter().map(|&len| len as usize).sum();
+        let slots: usize = self.th.iter().map(|rec| rec.heads.len()).sum();
+        let mut words =
+            Vec::with_capacity(1 + 2 * self.nt + events * (3 * self.nt + Meta::WORDS) + slots * 3);
+        words.push(self.nt as u32);
+        for (rec, &len) in self.th.iter().zip(lens) {
+            words.extend([len, rec.heads.len() as u32]);
+            words.extend_from_slice(&rec.clocks[..len as usize * 3 * self.nt]);
+            for m in &rec.meta[..len as usize] {
+                words.extend(m.to_words());
+            }
+            for &(loc, mut head) in &rec.heads {
+                while head > len {
+                    head = rec.meta[head as usize - 1].prev;
+                }
+                words.extend([loc as u32, (loc >> 32) as u32, head]);
+            }
+        }
+        Fork(words)
+    }
+
+    fn adopt(&mut self, fork: &Fork) {
+        let mut words = &fork.0[..];
+        let mut take = |n: usize| {
+            let (head, rest) = words.split_at(n);
+            words = rest;
+            head
+        };
+        let nt = take(1)[0] as usize;
+        self.nt = nt;
+        self.th.resize_with(nt, ThreadRec::default);
+        self.sc_events = 0;
+        for rec in &mut self.th {
+            let (len, slots) = (take(1)[0] as usize, take(1)[0] as usize);
+            rec.clocks.clear();
+            rec.clocks.extend_from_slice(take(len * 3 * nt));
+            rec.meta.clear();
+            rec.meta
+                .extend(take(len * Meta::WORDS).chunks_exact(Meta::WORDS).map(Meta::from_words));
+            rec.heads.clear();
+            rec.heads.extend(
+                take(slots * 3)
+                    .chunks_exact(3)
+                    .map(|w| (Loc::from(w[0]) | Loc::from(w[1]) << 32, w[2])),
+            );
+            self.sc_events += rec.meta.iter().filter(|m| m.sc).count();
+        }
     }
 }
 
@@ -431,11 +558,13 @@ fn range_words(lo: usize, hi: usize, mut f: impl FnMut(usize, u64)) {
     }
 }
 
-/// Per-graph tables of [`VmmChecker::psc_acyclic`]. Events are indexed
-/// densely, thread by thread (`base[t] + po index`); init writes are left
-/// out — nothing in `scb` or `eco` points at them.
+/// Per-graph tables of [`VmmChecker::psc_acyclic`]. The *recorded* events
+/// are indexed densely, thread by thread (`base[t] + po index`); init
+/// writes are left out — nothing in `scb` or `eco` points at them — and so
+/// is whatever the graph holds beyond the recorded prefixes.
 #[derive(Debug, Default)]
 struct PscTables {
+    /// First index of each thread, plus the total as a last entry.
     base: Vec<usize>,
     /// Bitset words per event row.
     words: usize,
@@ -452,9 +581,14 @@ struct PscTables {
 }
 
 impl PscTables {
+    /// The index of a recorded event; `None` for init writes and for
+    /// events past their thread's recorded prefix.
     fn index(&self, id: EventId) -> Option<usize> {
         match id {
-            EventId::Event { thread, index } => Some(self.base[thread as usize] + index as usize),
+            EventId::Event { thread, index } => {
+                let at = self.base[thread as usize] + index as usize;
+                (at < self.base[thread as usize + 1]).then_some(at)
+            }
             EventId::Init(_) => None,
         }
     }
@@ -506,6 +640,7 @@ impl VmmChecker {
                 }
             }
         }
+        tb.base.push(n);
         tb.words = n.div_ceil(64);
         tb.locs.clear();
         for v in [&mut tb.loc_slot, &mut tb.pos] {
@@ -521,20 +656,25 @@ impl VmmChecker {
                 }
             }
         }
-        for (id, ev) in g.events() {
-            let Some(l) = ev.kind.loc() else { continue };
-            let a = tb.index(id).expect("regular event");
-            let slot = tb.locs.iter().position(|x| *x == l).unwrap_or_else(|| {
-                tb.locs.push(l);
-                tb.locs.len() - 1
-            });
-            tb.loc_slot[a] = slot as u32;
-            match &ev.kind {
-                EventKind::Read { rf: RfSource::Write(w), .. } => {
-                    tb.pos[a] = tb.index(*w).map_or(0, |w| tb.pos[w]);
+        // The recorded prefixes only: `g` may hold events no `push` has
+        // reached yet.
+        for (t, rec) in self.th.iter().enumerate() {
+            let evs = &g.thread_events(t as ThreadId)[..rec.meta.len()];
+            for (i, ev) in evs.iter().enumerate() {
+                let Some(l) = ev.kind.loc() else { continue };
+                let a = tb.base[t] + i;
+                let slot = tb.locs.iter().position(|x| *x == l).unwrap_or_else(|| {
+                    tb.locs.push(l);
+                    tb.locs.len() - 1
+                });
+                tb.loc_slot[a] = slot as u32;
+                match &ev.kind {
+                    EventKind::Read { rf: RfSource::Write(w), .. } => {
+                        tb.pos[a] = tb.index(*w).map_or(0, |w| tb.pos[w]);
+                    }
+                    EventKind::Write { .. } => tb.is_write[a] = true,
+                    _ => {}
                 }
-                EventKind::Write { .. } => tb.is_write[a] = true,
-                _ => {}
             }
         }
         tb.masks.clear();
@@ -693,7 +833,8 @@ mod tests {
         }
     }
 
-    const LOCS: [Loc; 3] = [0x10, 0x20, 0x30];
+    /// (One beyond 32 bits: a fork stores locations as two words.)
+    const LOCS: [Loc; 3] = [0x10, 0x20, 0x7_0000_0010];
     const MAX_THREAD_LEN: usize = 9;
 
     /// One undoable step of the generator: the thread it pushed on and,
@@ -853,13 +994,110 @@ mod tests {
         }
     }
 
+    fn assert_same_clocks(a: &VmmChecker, b: &VmmChecker, what: &str, g: &ExecutionGraph) {
+        for (x, y) in a.th.iter().zip(&b.th) {
+            assert_eq!(x.clocks, y.clocks, "{what}:\n{}", g.render());
+        }
+        assert_eq!(a.sc_events, b.sc_events, "{what}: SC events");
+    }
+
+    /// What a chain does when it admits a revisit: fork `ck` down to a
+    /// random `po ∪ rf`-closed part of (the consistent) `g`, then push a
+    /// write and a read of it as the two pending events of a graph that
+    /// already holds both. The fork must equal a fresh `reset` of the
+    /// restricted graph, and so must the answer and the clocks after the
+    /// pushes. Returns the answer.
+    fn fork_and_push_pending(
+        rng: &mut Rng,
+        g: &ExecutionGraph,
+        ck: &VmmChecker,
+        seed: u64,
+    ) -> Option<bool> {
+        let threads = g.num_threads();
+        let seeds: Vec<EventId> = g.events().map(|(id, _)| id).filter(|_| rng.chance(25)).collect();
+        let keep = g.porf_prefix_set(seeds);
+        let lens = keep.prefix_lens();
+        let mut h = g.restrict_set(&keep);
+        let mut fork = VmmChecker::default();
+        fork.adopt(&ck.fork(&lens));
+        let mut fresh = VmmChecker::default();
+        assert!(fresh.reset(&h), "seed {seed}: a closed restriction stays consistent");
+        assert_same_clocks(&fork, &fresh, &format!("seed {seed}, fork to {lens:?}"), &h);
+
+        let open: Vec<ThreadId> = (0..threads as ThreadId)
+            .filter(|&t| {
+                !matches!(
+                    h.thread_events(t).last().map(|e| &e.kind),
+                    Some(
+                        EventKind::Read { rf: RfSource::Bottom, .. }
+                            | EventKind::Read { rmw: true, .. }
+                    )
+                )
+            })
+            .collect();
+        if open.len() < 2 {
+            return None;
+        }
+        let tw = rng.pick(&open);
+        let tr = rng.pick(&open.iter().copied().filter(|&t| t != tw).collect::<Vec<_>>());
+        let loc = rng.pick(&LOCS);
+        let write = |h: &mut ExecutionGraph, rng: &mut Rng| {
+            let mode = rng.pick(&[Mode::Rlx, Mode::Rel, Mode::Sc]);
+            let wid = h.push_event(tw, EventKind::Write { loc, val: 5, mode, rmw: false });
+            let len = h.mo(loc).len();
+            h.insert_mo(loc, wid, if rng.chance(50) { len } else { rng.below(len + 1) });
+            wid
+        };
+        let read = |h: &mut ExecutionGraph, rng: &mut Rng, from: EventId| {
+            let mode = rng.pick(&[Mode::Rlx, Mode::Acq, Mode::Sc]);
+            let rf = RfSource::Write(from);
+            h.push_event(tr, EventKind::Read { loc, mode, rf, rmw: false, awaiting: false });
+        };
+        // Mostly a revisit's pair — the write, then a read of it; sometimes
+        // a read of an older write first, so that `mo` already holds a
+        // write the state has not recorded.
+        let order = if rng.chance(70) {
+            let wid = write(&mut h, rng);
+            let first_ok = Vmm.is_consistent_reference(&h);
+            read(&mut h, rng, wid);
+            [(tw, first_ok), (tr, Vmm.is_consistent_reference(&h))]
+        } else {
+            let from = match rng.below(h.mo(loc).len() + 1) {
+                0 => EventId::Init(loc),
+                k => h.mo(loc)[k - 1],
+            };
+            read(&mut h, rng, from);
+            let first_ok = Vmm.is_consistent_reference(&h);
+            write(&mut h, rng);
+            [(tr, first_ok), (tw, Vmm.is_consistent_reference(&h))]
+        };
+
+        // Each push answers for the recorded part plus its own event: the
+        // first one cannot know about the second yet.
+        let mut expected = true;
+        for (t, ok) in order {
+            assert_eq!(fork.push(&h, t), ok, "seed {seed}, pending T{t}:\n{}", h.render());
+            expected = ok;
+            if !ok {
+                break;
+            }
+        }
+        assert_eq!(fresh.reset(&h), expected, "seed {seed}, reset:\n{}", h.render());
+        if expected {
+            assert_same_clocks(&fork, &fresh, &format!("seed {seed}, pending pushes"), &h);
+        }
+        Some(expected)
+    }
+
     /// Grow random graphs by push/pop sequences and hold the chain checker
     /// to the closure-based reference after every step; a fresh `reset`
     /// must answer the same and, on accepted graphs, rebuild the same
-    /// clocks.
+    /// clocks — and so must a fork of the checker, restricted and then
+    /// extended by two pending events.
     #[test]
     fn chain_checker_equals_reference_at_every_step() {
         let (mut steps, mut accepted, mut rejected, mut resets) = (0u32, 0u32, 0u32, 0u32);
+        let (mut forks, mut forks_accepted) = (0u32, 0u32);
         for seed in 1..=300u64 {
             let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
             let threads = 2 + rng.below(3);
@@ -903,10 +1141,7 @@ mod tests {
                     assert_eq!(fresh.reset(&g), expected, "seed {seed}, reset:\n{}", g.render());
                     resets += 1;
                     if expected {
-                        for (a, b) in fresh.th.iter().zip(&ck.th) {
-                            assert_eq!(a.clocks, b.clocks, "seed {seed}:\n{}", g.render());
-                        }
-                        assert_eq!(fresh.sc_events, ck.sc_events);
+                        assert_same_clocks(&fresh, &ck, &format!("seed {seed}, reset"), &g);
                     }
                 }
                 if !expected {
@@ -915,6 +1150,12 @@ mod tests {
                     continue;
                 }
                 accepted += 1;
+                if rng.chance(20) {
+                    if let Some(ok) = fork_and_push_pending(&mut rng, &g, &ck, seed) {
+                        forks += 1;
+                        forks_accepted += u32::from(ok);
+                    }
+                }
                 if rng.chance(30) {
                     // The explorer's continuation: pop, re-push unchecked.
                     ck.pop(t);
@@ -928,5 +1169,11 @@ mod tests {
         // Vacuity guard: both answers must be exercised.
         assert!(accepted * 10 >= steps, "{accepted} of {steps} steps accepted");
         assert!(rejected * 10 >= steps, "{rejected} of {steps} steps rejected");
+        assert!(forks >= 1000, "only {forks} forks");
+        assert!(forks_accepted * 10 >= forks, "{forks_accepted} of {forks} forks accepted");
+        assert!(
+            (forks - forks_accepted) * 10 >= forks,
+            "{forks_accepted} of {forks} forks accepted"
+        );
     }
 }

@@ -252,7 +252,10 @@ fn worker_counts_and_checkers_preserve_catalog_counts() {
 /// The exploration is the same search under the fast (chain) checker and
 /// under the per-check reference, at every worker count: a single
 /// consistency answer that differed would move `inconsistent`, and
-/// usually `popped` and `constructed` with it.
+/// usually `popped` and `constructed` with it. The reference runs behind
+/// the stateless adapter, whose fork is itself and whose every `push` is a
+/// from-scratch check: it is the oracle of the states that chain roots
+/// inherit through the work queue (there is no 1-worker-only path).
 fn assert_checkers_explore_identically(tag: &str, p: &vsync::lang::Program, cfg: &AmcConfig) {
     let reference = explore(p, &cfg.clone().with_reference_checker());
     for workers in [1usize, 2, 8] {

@@ -84,6 +84,30 @@ fn injected_panics_yield_identical_errors_across_configurations() {
     failpoint::clear();
 }
 
+/// Every consistency check of a run is attributed to `Consistency`: the
+/// initial graph's `reset`, the scans' pushes, and the root checks that
+/// adopt the admitting chain's forked state and push what it has not
+/// recorded. One worker is deterministic, so the `k`-th hit walks through
+/// all of them.
+#[test]
+fn every_consistency_check_panics_in_the_consistency_phase() {
+    let _gate = failpoint::exclusive();
+    let p = mp_program();
+    let mut hits = 0;
+    loop {
+        failpoint::clear();
+        failpoint::configure("explore.consistency", Action::Panic, hits + 1);
+        match verify(&p, &config(1, true)) {
+            Verdict::Error(e) => assert_eq!(e.phase, EnginePhase::Consistency, "hit {}", hits + 1),
+            Verdict::Verified => break, // fewer hits than that: the walk is over
+            v => panic!("hit {}: unexpected verdict {v}", hits + 1),
+        }
+        hits += 1;
+    }
+    failpoint::clear();
+    assert!(hits >= 10, "only {hits} consistency checks in the run");
+}
+
 /// A panic inside an optimizer probe lands in the `Optimize` phase (the
 /// candidate is undecided, never refuted) and the session reports an
 /// engine error rather than a relaxed assignment.
