@@ -1,21 +1,28 @@
 //! The AMC exploration (paper Fig. 6): entry points and the one driver.
 //!
 //! [`explore_with`] validates the program and hands it to the exploration
-//! driver, [`Engine::run`]: a loop that pops a chain root from the shared
-//! [`WorkQueue`], runs its chain under `catch_unwind`
-//! ([`crate::revisit`] holds the chain logic — replay, consistency,
-//! in-place extension, backward revisits, leaf checks), arbitrates how the
-//! chain ended, and injects the admitted children back into the queue.
-//! The loop is written once. [`AmcConfig::workers`] `== 1` runs it inline
-//! on the calling thread; `> 1` runs the same function on that many scoped
-//! threads over the same queue, the same sharded seen-sets and the same
-//! [`BudgetTracker`].
+//! driver, [`Engine::run`]: a loop that pops a chain root from the
+//! frontier, runs its chain under `catch_unwind` ([`crate::revisit`] holds
+//! the chain logic — replay, consistency, in-place extension, backward
+//! revisits, leaf checks), arbitrates how the chain ended, and puts the
+//! admitted children back on the frontier. The loop is written once.
+//! [`AmcConfig::workers`] `== 1` runs it inline on the calling thread;
+//! `> 1` runs the same function on that many scoped threads over the same
+//! sharded seen-sets and the same [`BudgetTracker`].
 //!
-//! The queue holds one item type at every worker count, [`WorkItem`]: the
-//! root's graph plus the consistency state the admitting chain forked for
-//! it ([`Inherited`]). The state travels with the item — whichever worker
-//! pops it adopts it — and is charged to the memory budget alongside the
-//! graph.
+//! The frontier is one LIFO stack of chain roots *per worker* plus a
+//! shared pool ([`WorkQueue`]). A worker pushes the children it admits on
+//! its own stack and pops from it; it takes the pool's lock only when its
+//! stack runs dry, and gives the oldest half of its stack to the pool only
+//! while a peer is asleep there waiting for work. Graphs and forked
+//! checker states therefore stay on the core that allocated them unless
+//! somebody would otherwise idle.
+//!
+//! The frontier holds one item type at every worker count, [`WorkItem`]:
+//! the root's graph plus the consistency state the admitting chain forked
+//! for it ([`Inherited`]). The state travels with the item — whichever
+//! worker pops it adopts it — and is charged to the memory budget
+//! alongside the graph.
 //!
 //! ## Determinism
 //!
@@ -23,9 +30,9 @@
 //! root's content. The seen-sets admit each orbit exactly once and
 //! successors are functions of content, so the set of explored graphs —
 //! hence the verdict and `complete_executions` — is the same for every
-//! worker count (DESIGN.md §3). With one worker the queue is a LIFO stack
-//! and every counter, telemetry event and `Inconclusive` payload is a
-//! deterministic function of the program.
+//! worker count (DESIGN.md §3). With one worker nobody ever waits, so the
+//! frontier is that worker's LIFO stack and every counter, telemetry event
+//! and `Inconclusive` payload is a deterministic function of the program.
 //!
 //! ## Thread-symmetry reduction
 //!
@@ -44,7 +51,7 @@
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -479,8 +486,9 @@ fn stats_delta(a: &ExploreStats, b: &ExploreStats) -> ExploreStats {
 const DEDUP_ENTRY_BYTES: u64 = 48;
 
 /// Shared accounting for a run's [`ResourceBudget`]: live frontier bytes
-/// (graph and inherited checker state of every queued item, charged on
-/// push, released on pop) plus monotone dedup-set bytes and entry counts.
+/// (graph and inherited checker state of every item on a worker's stack or
+/// in the pool, charged on push, released when it is popped or abandoned)
+/// plus monotone dedup-set bytes and entry counts.
 /// Byte accounting is skipped entirely when no memory ceiling is set, so
 /// unlimited runs never call [`WorkItem::approx_heap_bytes`].
 struct BudgetTracker {
@@ -515,6 +523,15 @@ impl BudgetTracker {
         if self.max_bytes != 0 {
             self.bytes.fetch_sub(item.approx_heap_bytes() as u64, Ordering::Relaxed);
         }
+    }
+
+    /// Release roots that a stopped run leaves unexplored; their number is
+    /// the run's `frontier_dropped`.
+    fn abandon(&self, roots: Vec<WorkItem>) -> u64 {
+        for root in &roots {
+            self.release(root);
+        }
+        roots.len() as u64
     }
 
     fn note_dedup_entry(&self) {
@@ -593,6 +610,8 @@ impl WorkItem {
 
 /// State shared by every worker of one exploration.
 struct Shared {
+    /// The frontier's pool; the rest of the frontier is on the workers'
+    /// own stacks.
     queue: WorkQueue,
     /// Orbits already materialized as chain roots.
     visited: SeenShards,
@@ -610,6 +629,22 @@ struct Shared {
     gate: Mutex<Instant>,
 }
 
+impl Shared {
+    fn new(initial: WorkItem, workers: usize, limits: &ResourceBudget) -> Self {
+        let budget = BudgetTracker::new(limits);
+        budget.charge(&initial);
+        Shared {
+            queue: WorkQueue::new(initial, workers),
+            visited: SeenShards::new(),
+            leaves: SeenShards::new(),
+            budget,
+            steps: AtomicU64::new(0),
+            merged: SharedStats::default(),
+            gate: Mutex::new(Instant::now()),
+        }
+    }
+}
+
 /// One worker's private state: what a chain reads and writes while it
 /// runs. The chain logic in [`crate::revisit`] sees the counters, the
 /// child buffer and the hasher; the frontier, budgets and pacing stay
@@ -618,6 +653,8 @@ pub(crate) struct Worker<'r> {
     pub(crate) stats: ExploreStats,
     /// Children admitted since the last transfer to the frontier.
     pub(crate) out: Vec<WorkItem>,
+    /// This worker's share of the frontier, newest root last.
+    stack: Vec<WorkItem>,
     pub(crate) executions: Vec<ExecutionGraph>,
     /// Engine phase the worker is executing, for panic attribution
     /// ([`EngineError::phase`]) and, when profiling is on, wall-clock
@@ -661,24 +698,27 @@ impl Worker<'_> {
         self.shared.leaves.insert(h, &self.shared.budget)
     }
 
-    /// Hand the children admitted so far to the frontier, so peers can
-    /// pick them up while the chain is still running. `Some` when that
-    /// exhausts a resource budget.
+    /// Move the children admitted so far onto this worker's stack,
+    /// charging them to the budget. `Some` when that exhausts it.
     fn transfer(&mut self) -> Option<StopReason> {
         for c in &self.out {
             self.shared.budget.charge(c);
         }
-        self.shared.queue.push_children(&mut self.out);
+        self.stack.append(&mut self.out);
         self.shared.budget.exceeded()
     }
 
     /// Run once per chain step, *before* the step's work: transfers the
     /// previous step's children (so a mid-chain stop accounts them as
-    /// dropped frontier instead of losing them), performs the cooperative
-    /// control checks and counts the step. A `Some` return stops the run.
+    /// dropped frontier instead of losing them), shares the stack with a
+    /// peer that has run out of work, performs the cooperative control
+    /// checks and counts the step. A `Some` return stops the run.
     pub(crate) fn tick(&mut self) -> Option<StopReason> {
         if let Some(reason) = self.transfer() {
             return Some(reason);
+        }
+        if self.shared.queue.has_waiters() && !self.stack.is_empty() {
+            self.shared.queue.donate(&mut self.stack);
         }
         if let Some(reason) = self.pacer.poll(&self.phase, &self.stats) {
             return Some(reason);
@@ -700,23 +740,13 @@ impl Engine<'_> {
     /// instead of unwinding out of the library.
     fn run(&self) -> AmcResult {
         let workers = self.config.workers.max(1);
-        let budget = BudgetTracker::new(&self.config.budget);
         let initial = WorkItem {
             graph: ExecutionGraph::new(self.prog.num_threads(), self.prog.init().clone()),
             inherited: None,
         };
-        budget.charge(&initial);
-        let shared = Shared {
-            queue: WorkQueue::new(initial),
-            visited: SeenShards::new(),
-            leaves: SeenShards::new(),
-            budget,
-            steps: AtomicU64::new(0),
-            merged: SharedStats::default(),
-            gate: Mutex::new(Instant::now()),
-        };
+        let shared = Shared::new(initial, workers, &self.config.budget);
         let sh = &shared;
-        let results: Vec<(ExploreStats, Vec<ExecutionGraph>)> = if workers == 1 {
+        let results: Vec<WorkerResult> = if workers == 1 {
             vec![self.work(0, 1, sh)]
         } else {
             std::thread::scope(|scope| {
@@ -735,7 +765,7 @@ impl Engine<'_> {
                                 thread: None,
                                 payload: panic_payload(payload),
                             }));
-                            (ExploreStats::default(), Vec::new())
+                            WorkerResult::default()
                         })
                     })
                     .collect()
@@ -743,26 +773,29 @@ impl Engine<'_> {
         };
         let mut stats = ExploreStats::default();
         let mut executions = Vec::new();
-        for (s, mut e) in results {
-            stats.merge(&s);
-            executions.append(&mut e);
+        let mut dropped = 0;
+        for mut r in results {
+            stats.merge(&r.stats);
+            executions.append(&mut r.executions);
+            dropped += r.dropped;
         }
-        let verdict = shared.queue.into_verdict();
-        if let Verdict::Inconclusive(i) = &verdict {
-            stats.frontier_dropped = i.frontier_dropped;
+        let Shared { queue, budget, .. } = shared;
+        let (mut verdict, pool) = queue.into_parts();
+        dropped += budget.abandon(pool);
+        if let Verdict::Inconclusive(i) = &mut verdict {
+            // Roots abandoned anywhere on the frontier: every worker's
+            // stack plus the pool.
+            i.frontier_dropped = dropped;
+            stats.frontier_dropped = dropped;
         }
         AmcResult { verdict, stats, executions }
     }
 
-    /// One worker's loop: pop a chain root, release its budget charge, run
-    /// the chain under `catch_unwind`, arbitrate how it ended, inject its
-    /// children. Returns the worker's counters and collected executions.
-    fn work(
-        &self,
-        index: usize,
-        workers: usize,
-        shared: &Shared,
-    ) -> (ExploreStats, Vec<ExecutionGraph>) {
+    /// One worker's loop: pop a chain root — from its own stack, or from
+    /// the pool when that is empty — release its budget charge, run the
+    /// chain under `catch_unwind`, arbitrate how it ended, stack its
+    /// children.
+    fn work(&self, index: usize, workers: usize, shared: &Shared) -> WorkerResult {
         // If this worker panics outside the catch_unwind below (queue
         // bookkeeping, progress callbacks), `pending` never reaches zero;
         // without this guard the peers would sleep on the condvar forever
@@ -780,6 +813,7 @@ impl Engine<'_> {
         let mut w = Worker {
             stats: ExploreStats::default(),
             out: Vec::new(),
+            stack: Vec::new(),
             executions: Vec::new(),
             phase: PhaseTracker::new(self.control.profile),
             enc: ExploreEncoder::new(self.partition.as_ref()),
@@ -806,9 +840,15 @@ impl Engine<'_> {
         // The interpreter state of the chain in flight; like `w.ck` it is
         // carried from step to step and rebuilt at every root.
         let mut replay = ChainReplay::default();
-        while let Some(item) = shared.queue.pop() {
-            shared.budget.release(&item);
+        loop {
+            // Also what a wait in `pop` is billed to, not the phase the
+            // previous chain happened to end in.
             w.phase.set(EnginePhase::Driver);
+            if shared.queue.stopped() {
+                break;
+            }
+            let Some(item) = w.stack.pop().or_else(|| shared.queue.pop()) else { break };
+            shared.budget.release(&item);
             let end = catch_unwind(AssertUnwindSafe(|| self.run_chain(item, &mut w, &mut replay)));
             let stop = match end {
                 Ok(ChainEnd::Done) => w.transfer(),
@@ -831,107 +871,120 @@ impl Engine<'_> {
                     break;
                 }
             };
-            match stop {
-                None => shared.queue.finish_item(),
-                Some(reason) => {
-                    shared.queue.finish(Verdict::Inconclusive(Inconclusive {
-                        reason,
-                        explored: shared.steps.load(Ordering::Relaxed),
-                        frontier_dropped: shared.queue.len(),
-                    }));
-                    break;
-                }
+            if let Some(reason) = stop {
+                shared.queue.finish(Verdict::Inconclusive(Inconclusive {
+                    reason,
+                    explored: shared.steps.load(Ordering::Relaxed),
+                    frontier_dropped: 0, // counted by `run` once every worker is back
+                }));
+                break;
             }
         }
+        let dropped = shared.budget.abandon(w.stack);
         let profile = w.phase.take_profile();
         w.pacer.finish(&w.stats, profile);
         w.stats.phases.merge(&profile);
-        (w.stats, w.executions)
+        WorkerResult { stats: w.stats, executions: w.executions, dropped }
     }
 }
 
-/// The exploration frontier: a LIFO stack of chain roots shared by all
-/// workers.
+/// What one worker hands back to [`Engine::run`].
+#[derive(Default)]
+struct WorkerResult {
+    stats: ExploreStats,
+    executions: Vec<ExecutionGraph>,
+    /// Roots left on the worker's stack when it stopped.
+    dropped: u64,
+}
+
+/// The shared side of the frontier: the pool through which workers that
+/// ran out of roots get some from workers that have them, plus the run's
+/// termination and verdict state.
 ///
-/// `pending` counts items that are queued *or* currently being processed:
-/// exploration is complete exactly when it reaches zero. Verdict-bearing
-/// chains set `stop`, draining all workers promptly.
+/// `pending` counts the roots in the pool *plus* the workers that are not
+/// asleep in [`WorkQueue::pop`] — a worker holds its unit from its start
+/// until it finds both its stack and the pool empty. Exploration is
+/// complete exactly when it reaches zero. Verdict-bearing chains set
+/// `stop`, draining all workers promptly.
 struct WorkQueue {
     state: Mutex<QueueState>,
     cond: Condvar,
+    /// Workers asleep in [`WorkQueue::pop`]. Written under the `state`
+    /// lock; read without it by running workers as a hint to donate
+    /// (`Relaxed`: it publishes nothing, and a stale read only moves the
+    /// donation to the next chain step).
+    waiting: AtomicUsize,
+    /// Set, under the `state` lock, by the first verdict or abort. Read
+    /// without the lock by workers popping from their own stack
+    /// (`Relaxed`: the verdict itself is read after the workers joined).
+    stop: AtomicBool,
 }
 
 struct QueueState {
-    items: Vec<WorkItem>,
+    pool: Vec<WorkItem>,
     pending: usize,
-    stop: bool,
     verdict: Option<Verdict>,
 }
 
 impl WorkQueue {
-    fn new(initial: WorkItem) -> Self {
+    fn new(initial: WorkItem, workers: usize) -> Self {
         WorkQueue {
             state: Mutex::new(QueueState {
-                items: vec![initial],
-                pending: 1,
-                stop: false,
+                pool: vec![initial],
+                pending: 1 + workers,
                 verdict: None,
             }),
             cond: Condvar::new(),
+            waiting: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
         }
     }
 
-    /// Pop a work item, sleeping while the queue is empty but siblings are
-    /// still in flight. `None` means the exploration is over.
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::Relaxed)
+    }
+
+    fn has_waiters(&self) -> bool {
+        self.waiting.load(Ordering::Relaxed) != 0
+    }
+
+    /// Called by a worker whose stack is empty: take a root from the
+    /// pool, sleeping while it is empty but peers are still running.
+    /// `None` means the exploration is over.
     fn pop(&self) -> Option<WorkItem> {
         let mut q = relock(&self.state);
+        q.pending -= 1; // the caller stops running ...
+        if q.pending == 0 {
+            self.cond.notify_all();
+        }
         loop {
-            if q.stop {
+            if self.stopped() {
                 return None;
             }
-            if let Some(g) = q.items.pop() {
-                return Some(g);
+            if let Some(item) = q.pool.pop() {
+                return Some(item); // ... and runs again: one root less, one worker more
             }
             if q.pending == 0 {
                 return None;
             }
+            self.waiting.fetch_add(1, Ordering::Relaxed);
             q = self.cond.wait(q).unwrap_or_else(|e| e.into_inner());
+            self.waiting.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
-    /// Current frontier length — the `frontier_dropped` of a degraded
-    /// stop.
-    fn len(&self) -> u64 {
-        relock(&self.state).items.len() as u64
-    }
-
-    /// Inject children *mid-item*, without ending the popped item's
-    /// accounting — a chain hands alternates and revisit children to
-    /// peers at every step while it keeps extending in place.
-    fn push_children(&self, children: &mut Vec<WorkItem>) {
-        if children.is_empty() {
-            return;
-        }
-        let n = children.len();
+    /// Move the oldest half of a running worker's stack (rounded up: the
+    /// worker is busy with a chain) to the pool and wake as many sleepers
+    /// as there are roots for. The oldest roots sit nearest the root of
+    /// the search tree, so they tend to carry the largest subtrees and the
+    /// donor keeps the ones whose blocks are warm in its cache.
+    fn donate(&self, stack: &mut Vec<WorkItem>) {
+        let n = stack.len().div_ceil(2);
         let mut q = relock(&self.state);
-        q.items.append(children);
+        q.pool.extend(stack.drain(..n));
         q.pending += n;
-        if q.stop {
-            self.cond.notify_all();
-        } else {
-            for _ in 0..n {
-                self.cond.notify_one();
-            }
-        }
-    }
-
-    /// Account the end of one popped item (its children were already
-    /// injected via [`WorkQueue::push_children`]).
-    fn finish_item(&self) {
-        let mut q = relock(&self.state);
-        q.pending -= 1;
-        if q.pending == 0 || q.stop {
-            self.cond.notify_all();
+        for _ in 0..n.min(self.waiting.load(Ordering::Relaxed)) {
+            self.cond.notify_one();
         }
     }
 
@@ -958,23 +1011,23 @@ impl WorkQueue {
         if replace {
             q.verdict = Some(v);
         }
-        q.stop = true;
+        self.stop.store(true, Ordering::Relaxed);
         self.cond.notify_all();
     }
 
     /// Stop all workers without recording a verdict (panic unwind path).
     fn abort(&self) {
-        let mut q = relock(&self.state);
-        q.stop = true;
+        // Under the lock, so a peer between its `stop` check and its wait
+        // cannot miss the wake-up.
+        let _q = relock(&self.state);
+        self.stop.store(true, Ordering::Relaxed);
         self.cond.notify_all();
     }
 
-    fn into_verdict(self) -> Verdict {
-        self.state
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .verdict
-            .unwrap_or(Verdict::Verified)
+    /// The verdict, and the roots still in the pool.
+    fn into_parts(self) -> (Verdict, Vec<WorkItem>) {
+        let q = self.state.into_inner().unwrap_or_else(|e| e.into_inner());
+        (q.verdict.unwrap_or(Verdict::Verified), q.pool)
     }
 }
 
@@ -1382,6 +1435,23 @@ mod tests {
         assert_eq!(i.reason, StopReason::MaxGraphs);
         assert!(i.explored >= 2, "partial coverage reported: {i:?}");
         assert_eq!(r.stats.frontier_dropped, i.frontier_dropped);
+        // `frontier_dropped` counts the roots the stop abandons. With one
+        // worker they all sit on its own stack, and the `(explored,
+        // frontier_dropped)` pairs are the ones the shared LIFO queue of
+        // commit cea8b4b reported.
+        let mut pairs = |p: &Program, caps: &[u64]| -> Vec<(u64, u64)> {
+            caps.iter()
+                .map(|&cap| {
+                    c.max_graphs = cap;
+                    match explore(p, &c).verdict {
+                        Verdict::Inconclusive(i) => (i.explored, i.frontier_dropped),
+                        v => panic!("max_graphs={cap}: expected inconclusive, got {v}"),
+                    }
+                })
+                .collect()
+        };
+        assert_eq!(pairs(&sb_program(), &[2, 5]), [(3, 0), (6, 1)]);
+        assert_eq!(pairs(&ttas_program(), &[2, 5, 10, 40]), [(3, 2), (6, 2), (11, 3), (41, 2)]);
     }
 
     /// A tiny memory budget degrades the run to `Inconclusive` with
@@ -1450,6 +1520,10 @@ mod tests {
         assert_eq!(budget.exceeded(), Some(StopReason::MemoryBudget), "the state tips it over");
         budget.release(&vmm);
         assert_eq!(budget.exceeded(), None);
+        // Abandoned roots give their bytes back like popped ones.
+        budget.charge(&vmm);
+        assert_eq!(budget.abandon(vec![vmm]), 1);
+        assert_eq!(budget.exceeded(), None);
     }
 
     #[test]
@@ -1466,9 +1540,8 @@ mod tests {
         assert!(explore(&sb_program(), &c).is_verified());
     }
 
-    #[test]
-    fn ttas_lock_mutual_exclusion() {
-        // The paper's Fig. 3 TTAS lock with 2 threads, one acquisition each.
+    /// The paper's Fig. 3 TTAS lock with 2 threads, one acquisition each.
+    fn ttas_program() -> Program {
         let lock = X;
         let counter = Y;
         let mut pb = ProgramBuilder::new("ttas");
@@ -1491,8 +1564,12 @@ mod tests {
             });
         }
         pb.final_check(counter, Test::eq(2u64), "both increments applied");
-        let p = pb.build().unwrap();
-        let r = explore(&p, &cfg(ModelKind::Vmm));
+        pb.build().unwrap()
+    }
+
+    #[test]
+    fn ttas_lock_mutual_exclusion() {
+        let r = explore(&ttas_program(), &cfg(ModelKind::Vmm));
         assert!(r.is_verified(), "verdict: {} ({})", r.verdict, r.stats);
     }
 
@@ -1584,6 +1661,151 @@ mod tests {
         assert_eq!(v.stop_reason(), Some(StopReason::MaxGraphs), "got {v}");
     }
 
+    /// A root tagged by its thread count, for the queue tests.
+    fn root(tag: usize) -> WorkItem {
+        WorkItem {
+            graph: ExecutionGraph::new(tag, std::collections::BTreeMap::new()),
+            inherited: None,
+        }
+    }
+
+    /// Spin until `n` workers are asleep in `WorkQueue::pop`.
+    fn await_sleepers(q: &WorkQueue, n: usize) {
+        while q.waiting.load(Ordering::Relaxed) != n {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Donation hands the *oldest* half of a stack (rounded up) to the
+    /// pool and wakes a sleeper for it; the run ends when the last running
+    /// worker finds stack and pool empty.
+    #[test]
+    fn donation_moves_the_oldest_half_and_wakes_a_sleeper() {
+        let q = WorkQueue::new(root(0), 2);
+        assert_eq!(q.pop().map(|i| i.graph.num_threads()), Some(0), "this worker takes the root");
+        std::thread::scope(|scope| {
+            let peer = scope.spawn(|| {
+                let first = q.pop().map(|i| i.graph.num_threads());
+                (first, q.pop().map(|i| i.graph.num_threads()))
+            });
+            await_sleepers(&q, 1);
+            assert!(q.has_waiters());
+            let mut stack = vec![root(1), root(2), root(3)];
+            q.donate(&mut stack);
+            assert_eq!(stack.len(), 1, "the newest root stays");
+            assert_eq!(stack[0].graph.num_threads(), 3);
+            // The peer takes the newer of the two donated roots, comes back
+            // for the other, and — this worker still running — both pops
+            // succeed without a second donation.
+            assert_eq!(peer.join().unwrap(), (Some(2), Some(1)));
+        });
+        assert!(!q.has_waiters());
+        // The peer is "running" root 1; when this worker runs dry it sleeps
+        // until the peer does too, and then both see the end.
+        std::thread::scope(|scope| {
+            let me = scope.spawn(|| q.pop().is_none());
+            await_sleepers(&q, 1);
+            assert!(q.pop().is_none(), "last running worker ends the run");
+            assert!(me.join().unwrap(), "and releases the sleeper");
+        });
+        let (verdict, pool) = q.into_parts();
+        assert!(matches!(verdict, Verdict::Verified));
+        assert!(pool.is_empty());
+    }
+
+    /// One thread, one store: the initial graph is the only chain root.
+    fn one_root_program() -> Program {
+        let mut pb = ProgramBuilder::new("one-root");
+        pb.thread(|t| {
+            t.store(X, 1u64, Mode::Rlx);
+        });
+        pb.build().unwrap()
+    }
+
+    /// More workers than work: one root, no children, eight workers.
+    #[test]
+    fn more_workers_than_work_terminates() {
+        let p = one_root_program();
+        let r = explore(&p, &cfg(ModelKind::Vmm).with_workers(8));
+        assert!(r.is_verified(), "{}", r.verdict);
+        assert_eq!(r.stats.complete_executions, 1);
+        assert_eq!(r.stats.constructed, 1, "the initial graph is the only root");
+    }
+
+    /// No lost wake-up when the last running worker finishes with peers
+    /// asleep: 300 back-to-back 4-worker runs of a tiny program, under a
+    /// watchdog (a sleeping worker never looks at a deadline, so a lost
+    /// wake-up would hang the scope join).
+    #[test]
+    fn back_to_back_parallel_runs_never_lose_a_wakeup() {
+        let (done, watchdog) = std::sync::mpsc::channel();
+        let runs = std::thread::spawn(move || {
+            let p = sb_program();
+            let c = cfg(ModelKind::Vmm).with_workers(4);
+            for run in 0..300 {
+                let r = explore(&p, &c);
+                assert!(r.is_verified(), "run {run}: {}", r.verdict);
+                assert_eq!(r.stats.complete_executions, 4, "run {run}");
+            }
+            done.send(()).ok();
+        });
+        let outcome = watchdog.recv_timeout(std::time::Duration::from_secs(120));
+        assert!(outcome.is_ok(), "a 4-worker run hung or failed");
+        runs.join().unwrap();
+    }
+
+    /// Time spent asleep in `WorkQueue::pop` is billed to `Driver`, not to
+    /// the phase the worker's previous chain ended in — and a worker that
+    /// only ever waits accrues time to `Driver` alone. The test plays the
+    /// peer by hand: it holds one unit of `pending`, so the worker under
+    /// test sleeps until the test lets the run end.
+    #[test]
+    fn idle_wait_is_billed_to_the_driver() {
+        let p = one_root_program();
+        let config = cfg(ModelKind::Vmm);
+        let control = RunControl { profile: true, ..RunControl::default() };
+        let engine = Engine {
+            prog: &p,
+            config: &config,
+            model: config.model.checker(config.checker),
+            control: &control,
+            partition: None,
+        };
+        let nap = std::time::Duration::from_millis(40);
+        // `takes_root`: the worker runs the one chain (ending in
+        // `FinalCheck`) before it waits; otherwise the test takes the root
+        // away first and the worker only waits.
+        for takes_root in [true, false] {
+            let initial = WorkItem {
+                graph: ExecutionGraph::new(p.num_threads(), p.init().clone()),
+                inherited: None,
+            };
+            let shared = Shared::new(initial, 2, &ResourceBudget::default());
+            if !takes_root {
+                assert!(shared.queue.pop().is_some());
+            }
+            let result = std::thread::scope(|scope| {
+                let worker = scope.spawn(|| engine.work(0, 2, &shared));
+                await_sleepers(&shared.queue, 1);
+                std::thread::sleep(nap);
+                assert!(shared.queue.pop().is_none(), "nothing left: the run ends");
+                worker.join().unwrap()
+            });
+            let phases = result.stats.phases;
+            assert_eq!(result.stats.complete_executions, u64::from(takes_root));
+            let driver = phases.get(EnginePhase::Driver).total();
+            assert!(driver >= nap, "takes_root={takes_root}: the wait is the driver's: {phases:?}");
+            let elsewhere = phases.total() - driver;
+            assert!(
+                elsewhere < nap / 2,
+                "takes_root={takes_root}: {elsewhere:?} of idle time billed to a layer: {phases:?}"
+            );
+            if !takes_root {
+                assert!(elsewhere.is_zero(), "a waiting-only worker enters no other phase");
+            }
+        }
+    }
+
     /// Verdict severity in the queue: violations/faults > engine errors >
     /// inconclusive stops; a weaker verdict never downgrades a stronger
     /// one already recorded.
@@ -1599,23 +1821,19 @@ mod tests {
                 payload: "boom".into(),
             })
         };
-        let empty = || WorkItem {
-            graph: ExecutionGraph::new(0, std::collections::BTreeMap::new()),
-            inherited: None,
-        };
         // Inconclusive → Error → Fault; later weaker verdicts are ignored.
-        let q = WorkQueue::new(empty());
+        let q = WorkQueue::new(root(0), 1);
         q.finish(inconclusive(StopReason::Cancelled));
         q.finish(error());
         q.finish(Verdict::Fault("real finding".into()));
         q.finish(error());
         q.finish(inconclusive(StopReason::DeadlineExceeded));
-        assert!(matches!(q.into_verdict(), Verdict::Fault(_)));
+        assert!(matches!(q.into_parts().0, Verdict::Fault(_)));
         // An engine error outranks a budget stop but not a violation.
-        let q = WorkQueue::new(empty());
+        let q = WorkQueue::new(root(0), 1);
         q.finish(inconclusive(StopReason::MemoryBudget));
         q.finish(error());
-        assert!(matches!(q.into_verdict(), Verdict::Error(_)));
+        assert!(matches!(q.into_parts().0, Verdict::Error(_)));
     }
 
     /// A final check with a register operand is rejected as a structured

@@ -474,3 +474,53 @@ fn prefired_interrupts_stop_the_revisit_search_promptly() {
         assert!(t0.elapsed().as_secs() < 5, "workers={workers}: deadline was not prompt");
     }
 }
+
+/// The frontier is one stack per worker plus a pool that is fed only on
+/// demand. (1) Donation actually happens: on qspinlock-3t at two workers
+/// both workers report processed steps in their `stats_delta` events.
+/// (2) `frontier_dropped` counts the roots abandoned on *every* stack: a
+/// `max_graphs`-stopped one-worker run of mcs-3t reports the
+/// `(explored, frontier_dropped)` pairs of the shared LIFO queue it
+/// replaced (commit cea8b4b), and with more workers — where a stop finds
+/// the pool empty and the roots on the workers' own stacks — the count
+/// stays positive.
+#[test]
+fn worker_local_frontiers_share_work_and_account_for_every_root() {
+    use std::sync::{Arc, Mutex};
+    use vsync::core::{EventKind as BusEvent, Session, Verdict};
+    use vsync::locks::model::{mutex_client, McsLock};
+    use vsync::locks::SessionExt as _;
+
+    let popped: Arc<Mutex<[u64; 2]>> = Arc::default();
+    let sink = Arc::clone(&popped);
+    let report = Session::lock("qspinlock", 3, 1)
+        .workers(2)
+        .on_event(move |ev| {
+            if let BusEvent::StatsDelta { worker, stats } = &ev.kind {
+                sink.lock().unwrap()[*worker] += stats.popped;
+            }
+        })
+        .run();
+    assert!(report.is_verified());
+    let popped = *popped.lock().unwrap();
+    assert!(popped[0] > 0 && popped[1] > 0, "one worker did everything: {popped:?}");
+    assert_eq!(popped[0] + popped[1], 61_948, "the pinned qspinlock-3t step count");
+
+    let p = mutex_client(&McsLock::default(), 3, 1);
+    let stopped = |cap: u64, workers: usize| {
+        let mut cfg = AmcConfig::default().with_workers(workers);
+        cfg.max_graphs = cap;
+        match explore(&p, &cfg).verdict {
+            Verdict::Inconclusive(i) => (i.explored, i.frontier_dropped),
+            v => panic!("max_graphs={cap} workers={workers}: expected inconclusive, got {v}"),
+        }
+    };
+    for (cap, pair) in [(100, (101, 5)), (500, (501, 22)), (2000, (2001, 48))] {
+        assert_eq!(stopped(cap, 1), pair, "max_graphs={cap}");
+        for workers in [2usize, 8] {
+            let (explored, dropped) = stopped(cap, workers);
+            assert!(explored > cap, "max_graphs={cap} workers={workers}");
+            assert!(dropped > 0, "max_graphs={cap} workers={workers}: stacks not counted");
+        }
+    }
+}

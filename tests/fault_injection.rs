@@ -84,6 +84,36 @@ fn injected_panics_yield_identical_errors_across_configurations() {
     failpoint::clear();
 }
 
+/// A panic in a worker that holds roots on its own stack — the 40th
+/// step of ttas-3t, dozens of admissions in — still surfaces as
+/// `Verdict::Error`, and the peers asleep in the pool (with eight workers
+/// most of them are, that early) are released rather than left waiting for
+/// roots that died with the panicking worker. The watchdog turns a hang
+/// into a failure.
+#[test]
+fn panic_with_roots_on_the_local_stack_releases_sleeping_peers() {
+    let _gate = failpoint::exclusive();
+    let (done, watchdog) = std::sync::mpsc::channel();
+    let runs = std::thread::spawn(move || {
+        let p = vsync::locks::model::mutex_client(&vsync::locks::model::TtasLock::default(), 3, 1);
+        for workers in [1usize, 2, 8] {
+            failpoint::clear();
+            failpoint::configure("explore.pop", Action::Panic, 40);
+            let v = verify(&p, &config(workers, true));
+            let Verdict::Error(e) = &v else {
+                panic!("workers={workers}: expected error, got {v}")
+            };
+            assert_eq!(e.phase, EnginePhase::Driver, "workers={workers}: {e}");
+            assert_eq!(e.payload, "failpoint 'explore.pop' fired", "workers={workers}");
+        }
+        failpoint::clear();
+        done.send(()).ok();
+    });
+    let outcome = watchdog.recv_timeout(Duration::from_secs(120));
+    assert!(outcome.is_ok(), "a run hung or failed after the injected panic");
+    runs.join().unwrap();
+}
+
 /// Every consistency check of a run is attributed to `Consistency`: the
 /// initial graph's `reset`, the scans' pushes, and the root checks that
 /// adopt the admitting chain's forked state and push what it has not
