@@ -8,9 +8,6 @@
 //!
 //! * [`Relation::is_acyclic`] runs an iterative DFS over the bitset rows
 //!   (`O(n²/64)` words scanned, usually far less);
-//! * [`Relation::close_acyclic`] computes the transitive closure of a DAG
-//!   by word-level row unions in reverse topological order
-//!   (`O((n + E) · n/64)`), detecting cycles on the way;
 //! * [`Relation::close`] — the classic word-parallel Floyd–Warshall — is
 //!   retained for the naive reference checkers that the differential tests
 //!   compare against.
@@ -215,15 +212,6 @@ impl Relation {
         &self.bits[a * self.words_per_row..(a + 1) * self.words_per_row]
     }
 
-    /// Union an external row bitset into row `a`.
-    pub fn union_row_into(&mut self, a: usize, words: &[u64]) {
-        debug_assert_eq!(words.len(), self.words_per_row);
-        let dst = &mut self.bits[a * self.words_per_row..(a + 1) * self.words_per_row];
-        for (d, s) in dst.iter_mut().zip(words) {
-            *d |= s;
-        }
-    }
-
     /// Iterate over the successors of `a` (set bits of its row).
     pub fn successors(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
         iter_set_bits(self.row(a))
@@ -265,68 +253,6 @@ impl Relation {
                     }
                     1 => return false, // back edge: cycle
                     _ => {}
-                }
-            }
-        }
-        true
-    }
-
-    /// A topological order of the relation's nodes (sources first), or
-    /// `None` if the relation has a cycle. Kahn's algorithm over the bitset
-    /// rows.
-    pub fn topo_order(&self) -> Option<Vec<usize>> {
-        let mut indeg = vec![0u32; self.n];
-        for a in 0..self.n {
-            for b in self.successors(a) {
-                indeg[b] += 1;
-            }
-        }
-        let mut order: Vec<usize> = (0..self.n).filter(|&v| indeg[v] == 0).collect();
-        let mut head = 0;
-        while head < order.len() {
-            let v = order[head];
-            head += 1;
-            for u in self.successors(v) {
-                indeg[u] -= 1;
-                if indeg[u] == 0 {
-                    order.push(u);
-                }
-            }
-        }
-        (order.len() == self.n).then_some(order)
-    }
-
-    /// Replace `self` by its transitive closure, assuming acyclicity:
-    /// processes nodes in reverse topological order and unions each
-    /// successor's (already final) row into the node's row — word-level,
-    /// `O((n + E) · n/64)`.
-    ///
-    /// Returns `false` (leaving the relation unchanged) if the relation has
-    /// a cycle; use [`Relation::close`] when closure of a cyclic relation
-    /// is actually needed.
-    pub fn close_acyclic(&mut self) -> bool {
-        let Some(order) = self.topo_order() else { return false };
-        let wpr = self.words_per_row;
-        let mut orig = vec![0u64; wpr];
-        for &v in order.iter().rev() {
-            orig.copy_from_slice(self.row(v));
-            for (w, &word) in orig.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let u = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if u != v {
-                        let (vrow, urow) = if v < u {
-                            let (a, b) = self.bits.split_at_mut(u * wpr);
-                            (&mut a[v * wpr..v * wpr + wpr], &b[..wpr])
-                        } else {
-                            let (a, b) = self.bits.split_at_mut(v * wpr);
-                            (&mut b[..wpr], &a[u * wpr..u * wpr + wpr])
-                        };
-                        for (d, s) in vrow.iter_mut().zip(urow) {
-                            *d |= s;
-                        }
-                    }
                 }
             }
         }
@@ -461,49 +387,7 @@ mod tests {
             c.close();
             let naive = c.is_irreflexive();
             assert_eq!(r.is_acyclic(), naive, "case {case} (n={n}) disagrees");
-            assert_eq!(r.topo_order().is_some(), naive, "topo_order cycle detection");
         }
-    }
-
-    #[test]
-    fn close_acyclic_matches_floyd_warshall_on_dags() {
-        let mut state = 0x13198a2e03707344u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for case in 0..200 {
-            let n = 1 + (next() % 20) as usize;
-            let mut r = Relation::new(n);
-            for _ in 0..next() % (2 * n as u64) {
-                // Forward edges only: guaranteed acyclic.
-                let a = (next() % n as u64) as usize;
-                let b = (next() % n as u64) as usize;
-                if a < b {
-                    r.add(a, b);
-                }
-            }
-            let mut fast = r.clone();
-            assert!(fast.close_acyclic(), "DAG misdetected as cyclic (case {case})");
-            let mut slow = r.clone();
-            slow.close();
-            for a in 0..n {
-                for b in 0..n {
-                    assert_eq!(fast.has(a, b), slow.has(a, b), "case {case}: edge {a}->{b}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn close_acyclic_refuses_cycles() {
-        let mut r = Relation::new(3);
-        r.add(0, 1);
-        r.add(1, 2);
-        r.add(2, 0);
-        assert!(!r.close_acyclic());
     }
 
     #[test]
@@ -513,12 +397,5 @@ mod tests {
         r.add(0, 129);
         assert_eq!(r.successors(0).collect::<Vec<_>>(), vec![1, 129]);
         assert_eq!(r.row(0).len(), 3);
-        let ext = {
-            let mut e = Relation::new(130);
-            e.add(1, 64);
-            e.row(1).to_vec()
-        };
-        r.union_row_into(0, &ext);
-        assert_eq!(r.successors(0).collect::<Vec<_>>(), vec![1, 64, 129]);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! These are the *reference* formulations: every relation is rebuilt from
 //! scratch and acyclicity goes through a full transitive closure. The
-//! explorer's hot path uses [`crate::fast`] instead; the reference is
-//! retained as the oracle of the differential test suite.
+//! explorer's hot path uses the chain checkers ([`crate::chain`]) instead;
+//! the reference is retained as the oracle of the differential test suite.
 
 use vsync_graph::{EventId, EventIndex, EventKind, ExecutionGraph, Relation, RfSource};
 

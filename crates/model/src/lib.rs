@@ -29,13 +29,13 @@
 pub mod axioms;
 pub mod chain;
 pub mod fast;
+mod order;
 mod sc;
 mod tso;
 mod vmm;
 
 pub use chain::ChainChecker;
-pub use fast::attribution::{checker_attribution, set_checker_attribution};
-pub use fast::AxiomContext;
+pub use fast::{checker_attribution, set_checker_attribution};
 pub use sc::Sc;
 pub use tso::Tso;
 pub use vmm::{sw_relation, Vmm};
@@ -49,7 +49,8 @@ pub trait MemoryModel: std::fmt::Debug + Send + Sync {
 
     /// Does the model admit this (possibly partial) execution graph?
     ///
-    /// Runs the model's fast path (see [`fast`] and [`chain`]).
+    /// A [`ChainChecker::reset`] on a fresh checker of the model (see
+    /// [`chain`]).
     fn is_consistent(&self, g: &ExecutionGraph) -> bool;
 
     /// A fresh checker for following one exploration chain: the same
@@ -69,7 +70,7 @@ pub trait MemoryModel: std::fmt::Debug + Send + Sync {
 /// Which consistency-check implementation the explorer should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CheckerKind {
-    /// The closure-free fast path (the default).
+    /// The model's chain checker (the default).
     #[default]
     Fast,
     /// The naive closure-based reference formulation — for differential
@@ -91,7 +92,7 @@ impl MemoryModel for ReferenceModel {
     }
 
     fn is_consistent(&self, g: &ExecutionGraph) -> bool {
-        fast::attribution::note(true);
+        fast::note(true);
         self.0.model().is_consistent_reference(g)
     }
 

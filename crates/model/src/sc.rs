@@ -5,8 +5,8 @@ use vsync_graph::{EventIndex, ExecutionGraph};
 use crate::axioms::{
     acyclic_by_closure, atomicity_holds, fr_relation, mo_relation, po_relation, rf_relation,
 };
-use crate::chain::{ChainChecker, Stateless};
-use crate::fast::AxiomContext;
+use crate::chain::ChainChecker;
+use crate::order::{OrderChecker, SC};
 use crate::MemoryModel;
 
 /// The sequentially consistent memory model: all executions must be
@@ -26,15 +26,11 @@ impl MemoryModel for Sc {
     }
 
     fn is_consistent(&self, g: &ExecutionGraph) -> bool {
-        if crate::fast::below_fast_path_threshold(g) {
-            return self.is_consistent_reference(g);
-        }
-        let cx = AxiomContext::new(g);
-        cx.atomicity_holds() && cx.sc_order().is_acyclic()
+        OrderChecker::new(SC).reset(g)
     }
 
     fn chain_checker(&self) -> Box<dyn ChainChecker> {
-        Box::new(Stateless(Sc))
+        Box::new(OrderChecker::new(SC))
     }
 
     fn is_consistent_reference(&self, g: &ExecutionGraph) -> bool {
@@ -64,11 +60,11 @@ mod tests {
         EventKind::Read { loc, mode: Mode::Rlx, rf, rmw: false, awaiting: false }
     }
 
-    /// Every Sc test asserts both paths: fast and reference must agree.
+    /// Every Sc test asserts both formulations: they must agree.
     fn consistent(g: &ExecutionGraph) -> bool {
         let fast = Sc.is_consistent(g);
         let naive = Sc.is_consistent_reference(g);
-        assert_eq!(fast, naive, "fast/reference divergence on:\n{}", g.render());
+        assert_eq!(fast, naive, "checker/reference divergence on:\n{}", g.render());
         fast
     }
 

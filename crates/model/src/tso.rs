@@ -5,8 +5,8 @@ use vsync_graph::{EventId, EventIndex, EventKind, ExecutionGraph};
 use crate::axioms::{
     acyclic_by_closure, atomicity_holds, fr_relation, mo_relation, per_loc_coherent, rf_relation,
 };
-use crate::chain::{ChainChecker, Stateless};
-use crate::fast::AxiomContext;
+use crate::chain::ChainChecker;
+use crate::order::{OrderChecker, TSO};
 use crate::MemoryModel;
 
 /// The TSO memory model in the style of x86-TSO.
@@ -14,7 +14,8 @@ use crate::MemoryModel;
 /// * per-location coherence and RMW atomicity;
 /// * `acyclic(ppo ∪ rfe ∪ mo ∪ fr)` where `ppo` is program order minus
 ///   write→read pairs, unless the pair is separated by an SC fence
-///   (`mfence`) or either end is part of a locked RMW;
+///   (`mfence`) or either end is part of a locked RMW; a weaker fence is
+///   no instruction on x86 and no event of `ppo`;
 /// * only *external* reads-from edges constrain the global order (a thread
 ///   may read its own buffered store early).
 ///
@@ -52,18 +53,11 @@ impl MemoryModel for Tso {
     }
 
     fn is_consistent(&self, g: &ExecutionGraph) -> bool {
-        if crate::fast::below_fast_path_threshold(g) {
-            return self.is_consistent_reference(g);
-        }
-        let cx = AxiomContext::new(g);
-        if !cx.atomicity_holds() || !cx.per_loc_coherent() {
-            return false;
-        }
-        cx.tso_order(Tso::wr_ordered).is_acyclic()
+        OrderChecker::new(TSO).reset(g)
     }
 
     fn chain_checker(&self) -> Box<dyn ChainChecker> {
-        Box::new(Stateless(Tso))
+        Box::new(OrderChecker::new(TSO))
     }
 
     fn is_consistent_reference(&self, g: &ExecutionGraph) -> bool {
@@ -90,13 +84,18 @@ impl MemoryModel for Tso {
                 }
             }
         }
+        // x86 has only `mfence`: a weaker fence is no event of the order
+        // and must not relay a W -> R pair through itself.
+        let no_op = |k: &EventKind| matches!(k, EventKind::Fence { mode } if !mode.is_sc());
         for t in 0..g.num_threads() {
             let evs = g.thread_events(t as u32);
             for i in 0..evs.len() {
                 for j in i + 1..evs.len() {
                     let a_w = evs[i].kind.is_write();
                     let b_r = evs[j].kind.is_read();
-                    let keep = if a_w && b_r {
+                    let keep = if no_op(&evs[i].kind) || no_op(&evs[j].kind) {
+                        false
+                    } else if a_w && b_r {
                         Tso::wr_ordered(g, t as u32, i, j)
                     } else {
                         true
@@ -128,27 +127,28 @@ mod tests {
         EventKind::Read { loc, mode: Mode::Rlx, rf, rmw: false, awaiting: false }
     }
 
-    /// Every Tso test asserts both paths: fast and reference must agree.
+    /// Every Tso test asserts both formulations: they must agree.
     fn consistent(g: &ExecutionGraph) -> bool {
         let fast = Tso.is_consistent(g);
         let naive = Tso.is_consistent_reference(g);
-        assert_eq!(fast, naive, "fast/reference divergence on:\n{}", g.render());
+        assert_eq!(fast, naive, "checker/reference divergence on:\n{}", g.render());
         fast
     }
 
-    fn store_buffering(with_fences: bool) -> ExecutionGraph {
+    /// SB with both threads reading 0, `fence` between each store and load.
+    fn store_buffering(fence: Option<Mode>) -> ExecutionGraph {
         let (x, y) = (1, 2);
         let mut g = ExecutionGraph::new(2, BTreeMap::new());
         let wx = g.push_event(0, w(x, 1));
         g.insert_mo(x, wx, 0);
-        if with_fences {
-            g.push_event(0, EventKind::Fence { mode: Mode::Sc });
+        if let Some(mode) = fence {
+            g.push_event(0, EventKind::Fence { mode });
         }
         g.push_event(0, r(y, RfSource::Write(EventId::Init(y))));
         let wy = g.push_event(1, w(y, 1));
         g.insert_mo(y, wy, 0);
-        if with_fences {
-            g.push_event(1, EventKind::Fence { mode: Mode::Sc });
+        if let Some(mode) = fence {
+            g.push_event(1, EventKind::Fence { mode });
         }
         g.push_event(1, r(x, RfSource::Write(EventId::Init(x))));
         g
@@ -157,12 +157,21 @@ mod tests {
     #[test]
     fn sb_allowed_without_fences() {
         // The hallmark TSO relaxation: both threads read 0.
-        assert!(consistent(&store_buffering(false)));
+        assert!(consistent(&store_buffering(None)));
     }
 
     #[test]
     fn sb_forbidden_with_mfence() {
-        assert!(!consistent(&store_buffering(true)));
+        assert!(!consistent(&store_buffering(Some(Mode::Sc))));
+    }
+
+    /// Only an `mfence` drains the store buffer: a weaker fence compiles
+    /// to nothing on x86 and must not order the store with the load.
+    #[test]
+    fn sb_allowed_with_weaker_fences() {
+        for mode in [Mode::Acq, Mode::Rel, Mode::AcqRel, Mode::Rlx] {
+            assert!(consistent(&store_buffering(Some(mode))), "fence.{}", mode.short_name());
+        }
     }
 
     #[test]
@@ -176,6 +185,28 @@ mod tests {
         g.insert_mo(f, wf, 0);
         g.push_event(1, r(f, RfSource::Write(wf)));
         g.push_event(1, r(d, RfSource::Write(EventId::Init(d))));
+        assert!(!consistent(&g));
+    }
+
+    /// Per-location coherence is an axiom of its own: the global order
+    /// has no `po` edge from a write to a later read of the same thread.
+    #[test]
+    fn coherence_violations_forbidden() {
+        let x = 1;
+        // CoRR: T1 reads w2, then the mo-older w1.
+        let mut g = ExecutionGraph::new(2, BTreeMap::new());
+        let w1 = g.push_event(0, w(x, 1));
+        g.insert_mo(x, w1, 0);
+        let w2 = g.push_event(0, w(x, 2));
+        g.insert_mo(x, w2, 1);
+        g.push_event(1, r(x, RfSource::Write(w2)));
+        g.push_event(1, r(x, RfSource::Write(w1)));
+        assert!(!consistent(&g));
+        // CoWR: T0 reads the initial value after overwriting it.
+        let mut g = ExecutionGraph::new(1, BTreeMap::new());
+        let w1 = g.push_event(0, w(x, 1));
+        g.insert_mo(x, w1, 0);
+        g.push_event(0, r(x, RfSource::Write(EventId::Init(x))));
         assert!(!consistent(&g));
     }
 
