@@ -166,9 +166,8 @@ pub struct OracleOutcome {
 /// entry point never collects executions, strips the result down to an
 /// [`OracleOutcome`], and leans on the driver's first-violation stop: the
 /// verdict-bearing worker stops the shared queue, so every peer drains at
-/// its next pop instead of exploring useless branches. Candidate
-/// evaluations run under their own [`CancelToken`] children, so a
-/// scheduler can cooperatively cancel losers mid-flight.
+/// its next pop instead of exploring useless branches. Every candidate
+/// evaluation runs under the session's own [`CancelToken`] and deadline.
 ///
 /// [`CancelToken`]: crate::session::CancelToken
 pub fn explore_oracle(prog: &Program, config: &AmcConfig, control: &RunControl) -> OracleOutcome {

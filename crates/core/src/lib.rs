@@ -53,9 +53,8 @@ pub use explorer::{
     OracleOutcome,
 };
 pub use optimize::{
-    enumerate_maximal, is_locally_maximal, optimize, optimize_multi, optimize_with,
-    OptimizationReport, OptimizationStep, OptimizeEvent, OptimizePhase, OptimizeStrategy,
-    OptimizerConfig,
+    enumerate_maximal, is_locally_maximal, optimize, optimize_multi, OptimizationReport,
+    OptimizationStep, OptimizeEvent, OptimizePhase, OptimizeStrategy, OptimizerConfig,
 };
 pub use session::{
     CancelToken, ModelRun, ProgressFn, ProgressSnapshot, Report, RunControl, Session,

@@ -10,7 +10,7 @@
 //! Every decision it takes is justified by one of two facts:
 //!
 //! * **a verified group commits wholesale** — if `acc` with a whole group
-//!   at its weakest modes verifies, the prefix-monotonicity theorem
+//!   at its weakest modes verifies, the group-commit argument
 //!   (DESIGN.md §7.3) shows the sequential loop would accept exactly the
 //!   weakest mode at every member: each member's candidate is a
 //!   strengthening of the verified group assignment, and a weakest-first
@@ -60,14 +60,14 @@ use super::{CheckOutcome, Ctx, OptimizationStep, OptimizePhase};
 pub(crate) struct Interrupted;
 
 /// Commit one accepted relaxation and notify subscribers.
-fn commit(ctx: &Ctx<'_>, acc: &mut Program, site: u32, to: Mode, pass: usize) {
+fn commit(ctx: &mut Ctx<'_>, acc: &mut Program, site: u32, to: Mode, pass: usize) {
     let from = acc.sites()[site as usize].mode;
     ctx.record(pass, OptimizePhase::Bisect, OptimizationStep { site, from, to, accepted: true });
     acc.apply_patch(&[(site, to)]);
 }
 
 /// Record one rejected relaxation.
-fn reject(ctx: &Ctx<'_>, acc: &Program, site: u32, to: Mode, pass: usize) {
+fn reject(ctx: &mut Ctx<'_>, acc: &Program, site: u32, to: Mode, pass: usize) {
     let from = acc.sites()[site as usize].mode;
     ctx.record(pass, OptimizePhase::Bisect, OptimizationStep { site, from, to, accepted: false });
 }
@@ -76,7 +76,7 @@ fn reject(ctx: &Ctx<'_>, acc: &Program, site: u32, to: Mode, pass: usize) {
 /// failure, refine resisting sites. Returns whether anything was
 /// accepted.
 pub(crate) fn commit_pass(
-    ctx: &Ctx<'_>,
+    ctx: &mut Ctx<'_>,
     acc: &mut Program,
     pass: usize,
 ) -> Result<bool, Interrupted> {
@@ -104,7 +104,7 @@ pub(crate) fn commit_pass(
 
         // Whole-tail attempt (the batch candidate on the first round).
         if tail_refuted.is_none() {
-            match ctx.check_candidate(&acc.with_patch(rest), ctx.pool_size(), None) {
+            match ctx.check_candidate(&acc.with_patch(rest)) {
                 CheckOutcome::Verified => {
                     for &(site, mode) in rest {
                         commit(ctx, acc, site, mode, pass);
@@ -135,7 +135,7 @@ pub(crate) fn commit_pass(
             }
             if len == 1 {
                 let (site, mode) = rest[0];
-                match ctx.check_single(acc, site, mode, ctx.pool_size(), None) {
+                match ctx.check_single(acc, site, mode) {
                     CheckOutcome::Verified => {
                         commit(ctx, acc, site, mode, pass);
                         changed = true;
@@ -165,7 +165,7 @@ pub(crate) fn commit_pass(
                 }
                 break;
             }
-            match ctx.check_candidate(&acc.with_patch(&rest[..len]), ctx.pool_size(), None) {
+            match ctx.check_candidate(&acc.with_patch(&rest[..len])) {
                 CheckOutcome::Verified => {
                     for &(site, mode) in &rest[..len] {
                         commit(ctx, acc, site, mode, pass);
@@ -206,7 +206,7 @@ enum Refine {
 /// `tail` has at least two members, each surviving candidate is first
 /// fused with the tail at its weakest modes — see the module docs.
 fn refine_site(
-    ctx: &Ctx<'_>,
+    ctx: &mut Ctx<'_>,
     acc: &mut Program,
     site: u32,
     tail: &[(u32, Mode)],
@@ -222,7 +222,7 @@ fn refine_site(
             let mut patch = Vec::with_capacity(1 + tail.len());
             patch.push((site, cand));
             patch.extend_from_slice(tail);
-            match ctx.check_candidate(&acc.with_patch(&patch), ctx.pool_size(), None) {
+            match ctx.check_candidate(&acc.with_patch(&patch)) {
                 CheckOutcome::Verified => {
                     commit(ctx, acc, site, cand, pass);
                     for &(s, m) in tail {
@@ -231,7 +231,7 @@ fn refine_site(
                     return Ok(Refine::AllCommitted);
                 }
                 CheckOutcome::Refuted { monotone } => {
-                    match ctx.check_single(acc, site, cand, ctx.pool_size(), None) {
+                    match ctx.check_single(acc, site, cand) {
                         CheckOutcome::Verified => {
                             commit(ctx, acc, site, cand, pass);
                             // The fused candidate — which is exactly the
@@ -247,7 +247,7 @@ fn refine_site(
                 CheckOutcome::Interrupted | CheckOutcome::Errored => return Err(Interrupted),
             }
         } else {
-            match ctx.check_single(acc, site, cand, ctx.pool_size(), None) {
+            match ctx.check_single(acc, site, cand) {
                 CheckOutcome::Verified => {
                     commit(ctx, acc, site, cand, pass);
                     return Ok(Refine::Accepted { tail_refuted: None });

@@ -21,11 +21,11 @@
 //!   relaxation: all relaxable sites are dropped to their weakest modes
 //!   in one candidate and failures are bisected ([`bisect`]), so a
 //!   mostly-relaxable primitive costs `O(log n)` explorations instead of
-//!   `O(n)`. Later passes screen candidates at distinct sites
-//!   concurrently against the pass-start baseline on a worker pool
-//!   (losers cooperatively cancelled), then re-verify the merged
-//!   assignment once; on conflict the pass falls back to the sequential
-//!   accept order ([`schedule`]).
+//!   `O(n)`. The walk takes exactly the decisions of the reference's
+//!   first pass, after which only fault-class rejections are still
+//!   undecided (DESIGN.md §7.3) — so from pass 2 on it *is* the
+//!   reference's ladder, with the rejection memo answering every
+//!   candidate a model violation already refuted.
 //!
 //! Every rejection yields a violating execution graph that is kept in a
 //! [`witness`] cache; future candidates are first replayed against the
@@ -34,11 +34,10 @@
 //! them. See `DESIGN.md` §7 for the soundness and determinism arguments.
 
 mod bisect;
-mod schedule;
 mod witness;
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vsync_graph::Mode;
@@ -52,25 +51,26 @@ use crate::verdict::{AmcConfig, EngineError, EnginePhase, Verdict};
 
 use witness::WitnessCache;
 
+/// Cap on cached failure witnesses (least recently useful evicted first).
+const MAX_WITNESSES: usize = 32;
+
 /// How the optimizer searches the relaxation space. Both strategies reach
 /// the same locally maximal assignment (see the module docs); they differ
-/// in how many full explorations they pay and how much of the work runs
-/// concurrently.
+/// in how many full explorations they pay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OptimizeStrategy {
     /// The reference loop: sites in order, weakest candidate first, one
     /// full exploration per attempt, passes to fixpoint.
     Sequential,
-    /// Batch-relax / bisect opening, then concurrent per-site candidate
-    /// screening + single merged re-verify per pass, with the witness
-    /// cache. The default.
+    /// Batch-relax / bisect opening, then the reference ladder, with the
+    /// witness cache and the rejection memo. The default.
     #[default]
     Adaptive,
 }
 
 impl fmt::Display for OptimizeStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+        f.pad(match self {
             OptimizeStrategy::Sequential => "sequential",
             OptimizeStrategy::Adaptive => "adaptive",
         })
@@ -92,27 +92,18 @@ impl std::str::FromStr for OptimizeStrategy {
 /// Which stage of the search produced an [`OptimizeEvent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OptimizePhase {
-    /// The reference sequential loop.
+    /// The sequential ladder: every pass of the reference strategy, and
+    /// the adaptive strategy's passes after its opening.
     Sequential,
     /// Adaptive batch relaxation / bisection of a failing batch.
     Bisect,
-    /// Concurrent per-site candidate screening against the pass baseline.
-    Screen,
-    /// Commit of the merged per-site accepts (single re-verification).
-    Merge,
-    /// Monotonic fallback to the sequential accept order after a merge
-    /// conflict (or a non-monotone screening rejection).
-    Fallback,
 }
 
 impl fmt::Display for OptimizePhase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+        f.pad(match self {
             OptimizePhase::Sequential => "sequential",
             OptimizePhase::Bisect => "bisect",
-            OptimizePhase::Screen => "screen",
-            OptimizePhase::Merge => "merge",
-            OptimizePhase::Fallback => "fallback",
         })
     }
 }
@@ -120,8 +111,8 @@ impl fmt::Display for OptimizePhase {
 /// A per-step progress notification from a running optimization,
 /// delivered to [`OptimizerConfig::with_on_step`] /
 /// `Session::on_optimize_step` callbacks as each relaxation attempt is
-/// decided. In parallel phases events arrive from worker threads in
-/// completion order.
+/// decided, on the thread that runs the optimizer and in
+/// [`OptimizationReport::steps`] order.
 #[derive(Debug, Clone, Copy)]
 pub struct OptimizeEvent<'a> {
     /// 1-based pass number (the adaptive batch/bisect opening is pass 1).
@@ -138,14 +129,10 @@ pub struct OptimizeEvent<'a> {
 pub(crate) type StepFn = Arc<dyn Fn(&OptimizeEvent<'_>) + Send + Sync>;
 
 /// Configuration of an optimization run.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct OptimizerConfig {
-    /// AMC configuration used for each verification call. `workers` also
-    /// sizes the adaptive strategy's candidate-screening pool.
+    /// AMC configuration used for each verification call.
     pub amc: AmcConfig,
-    /// Maximum number of full passes over the site table (0 = until
-    /// fixpoint).
-    pub max_passes: usize,
     /// Cooperative cancellation flag, re-checked before every oracle
     /// verification. An interrupted run keeps every relaxation accepted
     /// so far (each one was individually verified, or is a strengthening
@@ -154,33 +141,16 @@ pub struct OptimizerConfig {
     pub cancel: Option<CancelToken>,
     /// Search strategy (default [`OptimizeStrategy::Adaptive`]).
     pub strategy: OptimizeStrategy,
-    /// Cap on cached failure witnesses (oldest evicted first).
-    pub max_witnesses: usize,
     /// Per-step progress callback, if any.
     pub(crate) on_step: Option<StepFn>,
-}
-
-impl Default for OptimizerConfig {
-    fn default() -> Self {
-        OptimizerConfig {
-            amc: AmcConfig::default(),
-            max_passes: 0,
-            cancel: None,
-            strategy: OptimizeStrategy::default(),
-            max_witnesses: 32,
-            on_step: None,
-        }
-    }
 }
 
 impl fmt::Debug for OptimizerConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OptimizerConfig")
             .field("amc", &self.amc)
-            .field("max_passes", &self.max_passes)
             .field("cancel", &self.cancel.is_some())
             .field("strategy", &self.strategy)
-            .field("max_witnesses", &self.max_witnesses)
             .field("on_step", &self.on_step.is_some())
             .finish()
     }
@@ -191,13 +161,6 @@ impl OptimizerConfig {
     #[must_use]
     pub fn with_amc(amc: AmcConfig) -> Self {
         OptimizerConfig { amc, ..OptimizerConfig::default() }
-    }
-
-    /// Builder-style: cap the number of full passes over the site table.
-    #[must_use = "builder methods return the modified config"]
-    pub fn with_max_passes(mut self, max_passes: usize) -> Self {
-        self.max_passes = max_passes;
-        self
     }
 
     /// Builder-style: attach a cancellation token.
@@ -215,7 +178,7 @@ impl OptimizerConfig {
     }
 
     /// Builder-style: subscribe to per-step [`OptimizeEvent`]s. The
-    /// callback may run on optimizer worker threads.
+    /// callback runs on the thread that called the optimizer.
     #[must_use = "builder methods return the modified config"]
     pub fn with_on_step(
         mut self,
@@ -268,10 +231,10 @@ pub struct OptimizationReport {
     pub error: Option<EngineError>,
     /// The strategy that produced this report.
     pub strategy: OptimizeStrategy,
-    /// Every relaxation attempt that was decided. For the adaptive
-    /// strategy, screening steps are appended in completion order; the
-    /// accepted steps, applied to the baseline in report order, always
-    /// reproduce [`program`](Self::program)'s assignment.
+    /// Every relaxation attempt that was decided, in decision order —
+    /// a function of the program and the strategy alone, identical for
+    /// every worker count. The accepted steps, applied to the baseline in
+    /// report order, reproduce [`program`](Self::program)'s assignment.
     pub steps: Vec<OptimizationStep>,
     /// Candidate verifications that ran at least one full exploration
     /// (the classic oracle-call count).
@@ -283,8 +246,7 @@ pub struct OptimizationReport {
     /// Work items popped across all oracle explorations — the true
     /// exploration bill. Rejections stop at the first violation (the
     /// early-stop oracle), so this weighs a cheap refutation and a full
-    /// verifying exploration honestly. Zero for [`optimize_with`]'s
-    /// custom closure oracles (the engine cannot see inside them).
+    /// verifying exploration honestly.
     pub explored_graphs: u64,
     /// Candidates refuted without paying an exploration: by replaying a
     /// cached failure witness, or by the monotone rejection memo (a
@@ -361,115 +323,6 @@ pub fn optimize_multi(
     run_engine(prog, extra_scenarios, config, control, false)
 }
 
-/// Core *sequential* optimization loop with a caller-provided boolean
-/// verification oracle — the reference semantics every strategy must
-/// reproduce, and the extension point for custom oracles (which cannot be
-/// parallelized or witness-cached, so this always runs the classic loop;
-/// `explorations` is reported equal to `verifications`).
-pub fn optimize_with(
-    prog: &Program,
-    config: &OptimizerConfig,
-    mut oracle: impl FnMut(&Program) -> bool,
-) -> OptimizationReport {
-    let start = Instant::now();
-    let mut program = prog.clone();
-    let before = program.barrier_summary();
-    let mut verifications = 0u64;
-    let mut steps: Vec<OptimizationStep> = Vec::new();
-
-    let emit = |pass: usize, step: OptimizationStep, program: &Program| {
-        if let Some(cb) = &config.on_step {
-            cb(&OptimizeEvent {
-                pass,
-                phase: OptimizePhase::Sequential,
-                site: &program.sites()[step.site as usize].name,
-                step,
-            });
-        }
-    };
-
-    let mut check = |p: &Program, n: &mut u64| -> bool {
-        *n += 1;
-        oracle(p)
-    };
-
-    if !check(&program, &mut verifications) {
-        return OptimizationReport {
-            after: before,
-            program,
-            verified: false,
-            interrupted: config.is_cancelled(),
-            error: None,
-            strategy: OptimizeStrategy::Sequential,
-            steps,
-            verifications,
-            explorations: verifications,
-            explored_graphs: 0,
-            cache_hits: 0,
-            before,
-            elapsed: start.elapsed(),
-        };
-    }
-
-    let mut pass = 0;
-    let mut interrupted = false;
-    'passes: loop {
-        pass += 1;
-        let mut changed = false;
-        for i in 0..program.sites().len() {
-            let site = &program.sites()[i];
-            if !site.relaxable {
-                continue;
-            }
-            let (kind, current) = (site.kind, site.mode);
-            for cand in kind.weaker_modes(current) {
-                if config.is_cancelled() {
-                    interrupted = true;
-                    break 'passes;
-                }
-                program.set_mode(ModeRef(i as u32), cand);
-                let ok = check(&program, &mut verifications);
-                if !ok && config.is_cancelled() {
-                    // The rejection came from an interrupted verification,
-                    // not from the memory model: drop the step unrecorded.
-                    program.set_mode(ModeRef(i as u32), current);
-                    interrupted = true;
-                    break 'passes;
-                }
-                let step =
-                    OptimizationStep { site: i as u32, from: current, to: cand, accepted: ok };
-                steps.push(step);
-                emit(pass, step, &program);
-                if ok {
-                    changed = true;
-                    break;
-                }
-                program.set_mode(ModeRef(i as u32), current);
-            }
-        }
-        if !changed || (config.max_passes != 0 && pass >= config.max_passes) {
-            break;
-        }
-    }
-
-    let after = program.barrier_summary();
-    OptimizationReport {
-        program,
-        verified: true,
-        interrupted,
-        error: None,
-        strategy: OptimizeStrategy::Sequential,
-        steps,
-        verifications,
-        explorations: verifications,
-        explored_graphs: 0,
-        cache_hits: 0,
-        before,
-        after,
-        elapsed: start.elapsed(),
-    }
-}
-
 /// Outcome of one candidate verification inside the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CheckOutcome {
@@ -486,51 +339,46 @@ pub(crate) enum CheckOutcome {
     /// The run was interrupted before the verdict was decided.
     Interrupted,
     /// The verification panicked; the panic was caught and recorded in
-    /// [`Shared::error`]. Like [`Interrupted`](CheckOutcome::Interrupted),
+    /// [`Ctx::error`]. Like [`Interrupted`](CheckOutcome::Interrupted),
     /// the candidate's status is *unknown* — strategies must treat it as
     /// undecided (keep prior accepts, stop searching), never as refuted.
     Errored,
 }
 
-/// Counters and step log shared across the engine's worker threads.
-pub(crate) struct Shared {
-    pub steps: Vec<OptimizationStep>,
-    pub verifications: u64,
-    pub explorations: u64,
-    pub cache: WitnessCache,
+/// Engine context: the candidate oracle plus the run's bookkeeping. One
+/// thread drives a run, so this is plain state behind `&mut`.
+pub(crate) struct Ctx<'a> {
+    /// The primary program at its *baseline* assignment (site names and
+    /// table layout are assignment-independent).
+    primary: &'a Program,
+    scenarios: &'a [Program],
+    config: &'a OptimizerConfig,
+    control: RunControl,
+    model: &'static dyn MemoryModel,
+    cache_enabled: bool,
+    steps: Vec<OptimizationStep>,
+    verifications: u64,
+    explorations: u64,
+    cache: WitnessCache,
     /// Work items popped across all oracle explorations (the engine's
     /// true exploration bill).
-    pub graphs: u64,
+    graphs: u64,
     /// Did any oracle call reject with a *fault* (budget/modeling error)
     /// rather than a model violation? Faults are outside the
     /// monotonicity argument, so the adaptive strategy's deferred
     /// baseline verification must not be skipped once one was seen.
-    pub fault_seen: bool,
+    fault_seen: bool,
     /// Single-site candidates refuted by a model violation. Assignments
     /// only ever weaken during a run, and a violation-rejection transfers
     /// to every weaker baseline (monotonicity), so a memoized rejection
     /// is final — this is what makes the fixpoint passes free.
-    pub memo: std::collections::HashSet<(u32, Mode)>,
+    memo: std::collections::HashSet<(u32, Mode)>,
     /// Candidates short-circuited by the memo (no exploration, no
     /// witness replay needed).
-    pub memo_hits: u64,
+    memo_hits: u64,
     /// The first caught engine panic (kept first-wins so the report is
     /// deterministic for a deterministically-injected fault).
-    pub error: Option<EngineError>,
-}
-
-/// Engine context: the candidate oracle plus shared bookkeeping, usable
-/// concurrently from the screening pool.
-pub(crate) struct Ctx<'a> {
-    /// The primary program at its *baseline* assignment (site names and
-    /// table layout are assignment-independent).
-    pub primary: &'a Program,
-    scenarios: &'a [Program],
-    pub config: &'a OptimizerConfig,
-    control: RunControl,
-    model: &'static dyn MemoryModel,
-    cache_enabled: bool,
-    pub shared: Mutex<Shared>,
+    error: Option<EngineError>,
 }
 
 impl<'a> Ctx<'a> {
@@ -546,51 +394,30 @@ impl<'a> Ctx<'a> {
             config,
             model: config.amc.model.checker(config.amc.checker),
             cache_enabled: config.strategy != OptimizeStrategy::Sequential,
-            control,
-            shared: Mutex::new(Shared {
-                steps: Vec::new(),
-                verifications: 0,
-                explorations: 0,
-                cache: WitnessCache::new(config.max_witnesses),
-                graphs: 0,
-                fault_seen: false,
-                memo: std::collections::HashSet::new(),
-                memo_hits: 0,
-                error: None,
-            }),
+            // The per-candidate explorations are too short for progress
+            // snapshots to mean anything.
+            control: RunControl { progress: None, ..control },
+            steps: Vec::new(),
+            verifications: 0,
+            explorations: 0,
+            cache: WitnessCache::new(MAX_WITNESSES),
+            graphs: 0,
+            fault_seen: false,
+            memo: std::collections::HashSet::new(),
+            memo_hits: 0,
+            error: None,
         }
-    }
-
-    /// Lock the shared state, recovering from poisoning: a panic inside
-    /// a screening worker is already isolated per probe, so the counters
-    /// a poisoned guard protects are still meaningful.
-    pub(crate) fn shared(&self) -> std::sync::MutexGuard<'_, Shared> {
-        self.shared.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Record a caught engine panic (first one wins) and return
     /// [`CheckOutcome::Errored`].
-    fn record_error(&self, error: EngineError) -> CheckOutcome {
-        let mut shared = self.shared();
-        shared.error.get_or_insert(error);
+    fn record_error(&mut self, error: EngineError) -> CheckOutcome {
+        self.error.get_or_insert(error);
         CheckOutcome::Errored
     }
 
-    /// Number of concurrent candidate evaluations the screening pool runs.
-    pub(crate) fn pool_size(&self) -> usize {
-        self.config.amc.workers.max(1)
-    }
-
-    /// A per-task cancellation token: observes the engine token (so
-    /// session interrupts propagate into running evaluations) but can be
-    /// fired on its own to cancel one losing candidate.
-    pub(crate) fn task_token(&self) -> CancelToken {
-        self.control.cancel.child()
-    }
-
     /// Has the caller (session token, config token or deadline) requested
-    /// an interrupt? Loser-cancellation of individual tasks does *not*
-    /// count.
+    /// an interrupt?
     pub(crate) fn interrupt_requested(&self) -> bool {
         self.control.cancel.is_cancelled()
             || self.config.is_cancelled()
@@ -611,32 +438,18 @@ impl<'a> Ctx<'a> {
     }
 
     /// Verify one candidate assignment: witness-cache probe first, then
-    /// full explorations of the primary and every scenario.
-    ///
-    /// `workers` sizes each exploration; `token`, when given, must be a
-    /// [`CancelToken::child`] of the engine's token (so session interrupts
-    /// propagate) and lets the scheduler cancel this one evaluation.
-    pub(crate) fn check_candidate(
-        &self,
-        candidate: &Program,
-        workers: usize,
-        token: Option<&CancelToken>,
-    ) -> CheckOutcome {
-        self.check_candidate_inner(candidate, workers, token, false)
+    /// full explorations of the primary and every scenario, each at
+    /// `config.amc.workers` under the session's token and deadline.
+    pub(crate) fn check_candidate(&mut self, candidate: &Program) -> CheckOutcome {
+        self.check_candidate_inner(candidate, false)
     }
 
-    fn check_candidate_inner(
-        &self,
-        candidate: &Program,
-        workers: usize,
-        token: Option<&CancelToken>,
-        skip_primary: bool,
-    ) -> CheckOutcome {
+    fn check_candidate_inner(&mut self, candidate: &Program, skip_primary: bool) -> CheckOutcome {
         // One probe = one isolation unit: a panic anywhere in the
         // witness replay or the oracle explorations quarantines this
         // candidate (undecided), not the whole optimization run.
         let probe = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.check_candidate_probe(candidate, workers, token, skip_primary)
+            self.check_candidate_probe(candidate, skip_primary)
         }));
         probe.unwrap_or_else(|payload| {
             let payload = payload
@@ -648,51 +461,22 @@ impl<'a> Ctx<'a> {
         })
     }
 
-    fn check_candidate_probe(
-        &self,
-        candidate: &Program,
-        workers: usize,
-        token: Option<&CancelToken>,
-        skip_primary: bool,
-    ) -> CheckOutcome {
+    fn check_candidate_probe(&mut self, candidate: &Program, skip_primary: bool) -> CheckOutcome {
         let _ = failpoint::hit("optimize.verify");
         let progs = self.candidate_set(candidate);
-        if self.cache_enabled {
-            // Snapshot under the lock (graph clones are copy-on-write
-            // cheap), replay lock-free so concurrent screening workers
-            // never serialize on the cache, then re-lock to account the
-            // hit.
-            let witnesses = self.shared().cache.snapshot();
-            for (id, program, graph) in witnesses {
-                let Some(p) = progs.get(program) else {
-                    continue;
-                };
-                if witness::witness_refutes(&graph, p, self.model) {
-                    self.shared().cache.note_hit(id);
-                    return CheckOutcome::Refuted { monotone: true };
-                }
-            }
+        if self.cache_enabled && self.cache.refutes(&progs, self.model) {
+            return CheckOutcome::Refuted { monotone: true };
         }
         // Count as an oracle call only when at least one exploration will
         // actually run (the session-verified primary with no scenarios
         // explores nothing).
         if progs.len() > usize::from(skip_primary) {
-            self.shared().verifications += 1;
+            self.verifications += 1;
         }
-        let mut amc = self.config.amc.clone();
-        amc.workers = workers.max(1);
-        let control = RunControl {
-            cancel: token.cloned().unwrap_or_else(|| self.control.cancel.clone()),
-            progress: None,
-            ..self.control.clone()
-        };
-        for (idx, p) in progs.iter().enumerate() {
-            if skip_primary && idx == 0 {
-                continue;
-            }
-            self.shared().explorations += 1;
-            let out = explore_oracle(p, &amc, &control);
-            self.shared().graphs += out.graphs;
+        for (idx, p) in progs.iter().enumerate().skip(usize::from(skip_primary)) {
+            self.explorations += 1;
+            let out = explore_oracle(p, &self.config.amc, &self.control);
+            self.graphs += out.graphs;
             if let Some(e) = out.error {
                 return self.record_error(e);
             }
@@ -701,13 +485,10 @@ impl<'a> Ctx<'a> {
             }
             if !out.ok {
                 let monotone = out.witness.is_some();
-                {
-                    let mut shared = self.shared();
-                    shared.fault_seen |= !monotone;
-                    if self.cache_enabled {
-                        if let Some(g) = out.witness {
-                            shared.cache.add(idx, g);
-                        }
+                self.fault_seen |= !monotone;
+                if self.cache_enabled {
+                    if let Some(g) = out.witness {
+                        self.cache.add(idx, g);
                     }
                 }
                 return CheckOutcome::Refuted { monotone };
@@ -720,24 +501,14 @@ impl<'a> Ctx<'a> {
     /// rejection memo consulted first: a candidate once refuted by a
     /// model violation stays refuted against every later (weaker)
     /// baseline, so it never pays a replay or an exploration again.
-    pub(crate) fn check_single(
-        &self,
-        acc: &Program,
-        site: u32,
-        mode: Mode,
-        workers: usize,
-        token: Option<&CancelToken>,
-    ) -> CheckOutcome {
-        if self.cache_enabled {
-            let mut shared = self.shared();
-            if shared.memo.contains(&(site, mode)) {
-                shared.memo_hits += 1;
-                return CheckOutcome::Refuted { monotone: true };
-            }
+    pub(crate) fn check_single(&mut self, acc: &Program, site: u32, mode: Mode) -> CheckOutcome {
+        if self.cache_enabled && self.memo.contains(&(site, mode)) {
+            self.memo_hits += 1;
+            return CheckOutcome::Refuted { monotone: true };
         }
-        let outcome = self.check_candidate(&acc.with_patch(&[(site, mode)]), workers, token);
-        if self.cache_enabled && outcome == (CheckOutcome::Refuted { monotone: true }) {
-            self.shared().memo.insert((site, mode));
+        let outcome = self.check_candidate(&acc.with_patch(&[(site, mode)]));
+        if outcome == (CheckOutcome::Refuted { monotone: true }) {
+            self.memoize(site, mode);
         }
         outcome
     }
@@ -745,15 +516,15 @@ impl<'a> Ctx<'a> {
     /// Memoize a single-site rejection decided by group-level reasoning
     /// (the bisection narrowing a failing group down to one site) so no
     /// later pass re-pays it.
-    pub(crate) fn memoize(&self, site: u32, mode: Mode) {
+    pub(crate) fn memoize(&mut self, site: u32, mode: Mode) {
         if self.cache_enabled {
-            self.shared().memo.insert((site, mode));
+            self.memo.insert((site, mode));
         }
     }
 
     /// Record a decided step and notify the per-step subscriber.
-    pub(crate) fn record(&self, pass: usize, phase: OptimizePhase, step: OptimizationStep) {
-        self.shared().steps.push(step);
+    pub(crate) fn record(&mut self, pass: usize, phase: OptimizePhase, step: OptimizationStep) {
+        self.steps.push(step);
         if let Some(cb) = &self.config.on_step {
             cb(&OptimizeEvent {
                 pass,
@@ -765,7 +536,7 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Run the staged engine (any strategy) over `prog` + `scenarios`.
+/// Run the engine (either strategy) over `prog` + `scenarios`.
 ///
 /// `control` carries the session-level cancellation token and deadline;
 /// `assume_primary_verified` lets the [`crate::Session`] pipeline skip
@@ -778,26 +549,25 @@ pub(crate) fn run_engine(
     assume_primary_verified: bool,
 ) -> OptimizationReport {
     let start = Instant::now();
-    let ctx = Ctx::new(prog, scenarios, config, control);
+    let mut ctx = Ctx::new(prog, scenarios, config, control);
     let mut program = prog.clone();
     let before = program.barrier_summary();
 
-    let report = |program: Program, verified: bool, interrupted: bool, ctx: &Ctx<'_>| {
-        let shared = ctx.shared();
+    let report = |program: Program, verified: bool, interrupted: bool, ctx: Ctx<'_>| {
         let after = program.barrier_summary();
         OptimizationReport {
             program,
             verified,
             // A caught engine panic leaves the final candidate undecided,
             // exactly like a cancellation.
-            interrupted: interrupted || shared.error.is_some(),
-            error: shared.error.clone(),
+            interrupted: interrupted || ctx.error.is_some(),
+            error: ctx.error,
             strategy: config.strategy,
-            steps: shared.steps.clone(),
-            verifications: shared.verifications,
-            explorations: shared.explorations,
-            explored_graphs: shared.graphs,
-            cache_hits: shared.cache.hits + shared.memo_hits,
+            steps: ctx.steps,
+            verifications: ctx.verifications,
+            explorations: ctx.explorations,
+            explored_graphs: ctx.graphs,
+            cache_hits: ctx.cache.hits + ctx.memo_hits,
             before,
             after,
             elapsed: start.elapsed(),
@@ -817,26 +587,29 @@ pub(crate) fn run_engine(
     // whose candidates all fail for the same monotonicity reason).
     let deferred = config.strategy == OptimizeStrategy::Adaptive;
     if !deferred {
-        match ctx.check_candidate_inner(&program, ctx.pool_size(), None, assume_primary_verified) {
+        match ctx.check_candidate_inner(&program, assume_primary_verified) {
             CheckOutcome::Verified => {}
-            CheckOutcome::Refuted { .. } => return report(program, false, false, &ctx),
+            CheckOutcome::Refuted { .. } => return report(program, false, false, ctx),
             CheckOutcome::Interrupted | CheckOutcome::Errored => {
                 // `verified: false` + `interrupted` means *unknown* —
                 // unless the session already verified the primary and
                 // there was nothing else to check.
-                return report(
-                    program,
-                    assume_primary_verified && scenarios.is_empty(),
-                    true,
-                    &ctx,
-                );
+                return report(program, assume_primary_verified && scenarios.is_empty(), true, ctx);
             }
         }
     }
 
     let interrupted = match config.strategy {
-        OptimizeStrategy::Sequential => sequential_passes(&ctx, &mut program),
-        OptimizeStrategy::Adaptive => run_passes(&ctx, &mut program),
+        OptimizeStrategy::Sequential => ladder_passes(&mut ctx, &mut program, 1),
+        // Batch relaxation: all relaxable sites to their weakest modes at
+        // once, bisecting (and group-committing) on failure; then the
+        // reference's ladder, which only a fault-class rejection can
+        // still give anything to decide.
+        OptimizeStrategy::Adaptive => match bisect::commit_pass(&mut ctx, &mut program, 1) {
+            Ok(true) => ladder_passes(&mut ctx, &mut program, 2),
+            Ok(false) => false,
+            Err(bisect::Interrupted) => true,
+        },
     };
 
     // An accepted candidate vouches for the baseline only through
@@ -844,105 +617,65 @@ pub(crate) fn run_engine(
     // observed, the budget-limited reference oracle might also have
     // faulted on the baseline itself, so the deferred check must run to
     // keep the strategies' verdicts identical.
-    let unvouched = program.site_modes() == prog.site_modes() || ctx.shared().fault_seen;
+    let unvouched = program.site_modes() == prog.site_modes() || ctx.fault_seen;
     if deferred && unvouched {
-        if interrupted || ctx.shared().error.is_some() {
-            return report(program, assume_primary_verified && scenarios.is_empty(), true, &ctx);
+        if interrupted || ctx.error.is_some() {
+            return report(program, assume_primary_verified && scenarios.is_empty(), true, ctx);
         }
-        match ctx.check_candidate_inner(prog, ctx.pool_size(), None, assume_primary_verified) {
+        match ctx.check_candidate_inner(prog, assume_primary_verified) {
             CheckOutcome::Verified => {}
             CheckOutcome::Refuted { .. } => {
                 // The baseline does not pass the oracle: the reference
                 // strategy would have stopped before any relaxation —
                 // report the canonical unverified shape (unchanged
                 // program, no steps), discarding any accepts.
-                ctx.shared().steps.clear();
-                return report(prog.clone(), false, false, &ctx);
+                ctx.steps.clear();
+                return report(prog.clone(), false, false, ctx);
             }
             CheckOutcome::Interrupted | CheckOutcome::Errored => {
-                return report(
-                    program,
-                    assume_primary_verified && scenarios.is_empty(),
-                    true,
-                    &ctx,
-                );
+                return report(program, assume_primary_verified && scenarios.is_empty(), true, ctx);
             }
         }
     }
-    report(program, true, interrupted, &ctx)
+    report(program, true, interrupted, ctx)
 }
 
-/// The reference strategy on the engine oracle: identical candidate order
-/// and accept decisions to [`optimize_with`], with per-exploration
-/// counting (and no witness cache — every rejection pays the full
-/// exploration, which is exactly what the benches compare against).
-/// Returns whether the run was interrupted.
-fn sequential_passes(ctx: &Ctx<'_>, program: &mut Program) -> bool {
-    let mut pass = 0;
-    loop {
-        pass += 1;
+/// The reference loop: sites in order, weakest candidate first, one
+/// [`Ctx::check_single`] per attempt, passes (numbered from `first_pass`)
+/// until one accepts nothing. The whole `Sequential` strategy — which runs
+/// it without the witness cache or the memo, so every rejection pays the
+/// full exploration the benches compare against — and the adaptive
+/// strategy's passes after its opening. Returns whether the run was
+/// interrupted.
+fn ladder_passes(ctx: &mut Ctx<'_>, program: &mut Program, first_pass: usize) -> bool {
+    for pass in first_pass.. {
         let mut changed = false;
-        for i in 0..program.sites().len() {
-            let site = &program.sites()[i];
-            if !site.relaxable {
-                continue;
-            }
-            let (kind, current) = (site.kind, site.mode);
-            for cand in kind.weaker_modes(current) {
+        for site in program.relaxable_sites() {
+            let s = &program.sites()[site as usize];
+            let from = s.mode;
+            for to in s.kind.weaker_modes(from) {
                 if ctx.interrupt_requested() {
                     return true;
                 }
-                program.set_mode(ModeRef(i as u32), cand);
-                let outcome = ctx.check_candidate(program, ctx.pool_size(), None);
-                let ok = match outcome {
+                let accepted = match ctx.check_single(program, site, to) {
                     CheckOutcome::Verified => true,
                     CheckOutcome::Refuted { .. } => false,
-                    CheckOutcome::Interrupted | CheckOutcome::Errored => {
-                        program.set_mode(ModeRef(i as u32), current);
-                        return true;
-                    }
+                    CheckOutcome::Interrupted | CheckOutcome::Errored => return true,
                 };
-                ctx.record(
-                    pass,
-                    OptimizePhase::Sequential,
-                    OptimizationStep { site: i as u32, from: current, to: cand, accepted: ok },
-                );
-                if ok {
+                let step = OptimizationStep { site, from, to, accepted };
+                ctx.record(pass, OptimizePhase::Sequential, step);
+                if accepted {
+                    program.apply_patch(&[(site, to)]);
                     changed = true;
                     break;
                 }
-                program.set_mode(ModeRef(i as u32), current);
             }
         }
-        if !changed || (ctx.config.max_passes != 0 && pass >= ctx.config.max_passes) {
-            return false;
+        if !changed {
+            break;
         }
     }
-}
-
-/// The staged pass loop of the adaptive strategy. Returns whether the
-/// run was interrupted.
-fn run_passes(ctx: &Ctx<'_>, program: &mut Program) -> bool {
-    let mut pass = 0;
-    loop {
-        pass += 1;
-        let result = if pass == 1 {
-            // Batch relaxation: all relaxable sites to their weakest
-            // modes at once, bisecting (and group-committing) on failure.
-            match bisect::commit_pass(ctx, program, pass) {
-                Ok(changed) => schedule::PassResult { changed, interrupted: false },
-                Err(bisect::Interrupted) => return true,
-            }
-        } else {
-            schedule::run_pass(ctx, program, pass)
-        };
-        if result.interrupted {
-            return true;
-        }
-        if !result.changed || (ctx.config.max_passes != 0 && pass >= ctx.config.max_passes) {
-            return false;
-        }
-    }
+    false
 }
 
 /// Enumerate *all* maximally-relaxed barrier assignments of a program
@@ -1268,5 +1001,8 @@ mod tests {
             assert_eq!(v.to_string(), s);
         }
         assert!("nope".parse::<OptimizeStrategy>().is_err());
+        // `vsync optimize --steps` aligns its columns with these.
+        assert_eq!(format!("{:<10}|", OptimizePhase::Bisect), "bisect    |");
+        assert_eq!(format!("{:>12}|", OptimizeStrategy::Adaptive), "    adaptive|");
     }
 }

@@ -36,9 +36,6 @@ use crate::stagnancy::is_stagnant;
 
 /// One cached violating execution.
 struct Witness {
-    /// Stable identity, for lock-free probing ([`WitnessCache::snapshot`]
-    /// / [`WitnessCache::note_hit`]).
-    id: u64,
     /// Index into the candidate set: 0 = primary, `1 + i` = scenario `i`.
     /// A witness only ever replays against the program it came from.
     program: usize,
@@ -50,14 +47,13 @@ struct Witness {
 pub(crate) struct WitnessCache {
     items: Vec<Witness>,
     cap: usize,
-    next_id: u64,
     /// Candidates refuted by replay (no exploration paid).
     pub hits: u64,
 }
 
 impl WitnessCache {
     pub(crate) fn new(cap: usize) -> Self {
-        WitnessCache { items: Vec::new(), cap, next_id: 0, hits: 0 }
+        WitnessCache { items: Vec::new(), cap, hits: 0 }
     }
 
     /// Cache a violating execution of candidate-set member `program`.
@@ -68,43 +64,22 @@ impl WitnessCache {
         if self.items.len() >= self.cap {
             self.items.remove(0);
         }
-        self.items.push(Witness { id: self.next_id, program, graph });
-        self.next_id += 1;
-    }
-
-    /// Snapshot the cache for lock-free probing, newest witnesses first
-    /// (they came from the closest assignments). Graph clones are cheap —
-    /// event storage is copy-on-write — so the caller can replay them
-    /// without holding the cache lock.
-    pub(crate) fn snapshot(&self) -> Vec<(u64, usize, ExecutionGraph)> {
-        self.items.iter().rev().map(|w| (w.id, w.program, w.graph.clone())).collect()
-    }
-
-    /// Account a refutation established from a [`snapshot`](Self::snapshot)
-    /// entry: bump the hit counter and move the witness (if it has not
-    /// been evicted meanwhile) to most-recently-used.
-    pub(crate) fn note_hit(&mut self, id: u64) {
-        self.hits += 1;
-        if let Some(i) = self.items.iter().position(|w| w.id == id) {
-            let w = self.items.remove(i);
-            self.items.push(w);
-        }
+        self.items.push(Witness { program, graph });
     }
 
     /// Does any cached witness refute the candidate set `progs` (primary
-    /// followed by the mode-transferred scenarios)? A hit bumps the
-    /// witness to most-recently-used. (Single-threaded probe — the
-    /// engine's concurrent path snapshots instead.)
-    #[cfg(test)]
+    /// followed by the mode-transferred scenarios)? Witnesses are tried
+    /// newest first (they came from the closest assignments), each only
+    /// against the member it was recorded for; a hit moves the witness to
+    /// most-recently-used.
     pub(crate) fn refutes(&mut self, progs: &[Program], model: &dyn MemoryModel) -> bool {
-        for (id, program, graph) in self.snapshot() {
-            let Some(p) = progs.get(program) else { continue };
-            if witness_refutes(&graph, p, model) {
-                self.note_hit(id);
-                return true;
-            }
-        }
-        false
+        let hit = self.items.iter().rposition(|w| {
+            progs.get(w.program).is_some_and(|p| witness_refutes(&w.graph, p, model))
+        });
+        let Some(i) = hit else { return false };
+        self.hits += 1;
+        self.items[i..].rotate_left(1);
+        true
     }
 }
 
@@ -252,6 +227,31 @@ mod tests {
         assert!(!witness_refutes(&w, &fenced(Mode::Rlx), model()));
     }
 
+    /// Two message-passing rounds in a row, each with its own flag modes
+    /// `(store, poll)`: a violation through round 1 and one through round
+    /// 2 are different executions, and each is inconsistent as soon as
+    /// *its* round is rel/acq.
+    fn mp2(round1: (Mode, Mode), round2: (Mode, Mode)) -> Program {
+        const X2: u64 = 0x30;
+        const Y2: u64 = 0x40;
+        let mut pb = ProgramBuilder::new("mp2");
+        pb.thread(move |t| {
+            t.store(X, 1u64, ("data1.store", Mode::Rlx));
+            t.store(Y, 1u64, ("flag1.store", round1.0));
+            t.store(X2, 1u64, ("data2.store", Mode::Rlx));
+            t.store(Y2, 1u64, ("flag2.store", round2.0));
+        });
+        pb.thread(move |t| {
+            t.await_eq(Reg(0), Y, 1u64, ("flag1.poll", round1.1));
+            t.load(Reg(1), X, ("data1.load", Mode::Rlx));
+            t.assert_eq(Reg(1), 1u64, "data1 visible");
+            t.await_eq(Reg(2), Y2, 1u64, ("flag2.poll", round2.1));
+            t.load(Reg(3), X2, ("data2.load", Mode::Rlx));
+            t.assert_eq(Reg(3), 1u64, "data2 visible");
+        });
+        pb.build().unwrap()
+    }
+
     #[test]
     fn cache_is_bounded_and_counts_hits() {
         let broken = mp(Mode::Rlx, Mode::Rlx);
@@ -264,6 +264,42 @@ mod tests {
         assert!(cache.refutes(std::slice::from_ref(&broken), model()));
         assert_eq!(cache.hits, 1);
         assert!(!cache.refutes(std::slice::from_ref(&mp(Mode::Rel, Mode::Acq)), model()));
+        assert_eq!(cache.hits, 1);
+
+        let (ok, bad) = ((Mode::Rel, Mode::Acq), (Mode::Rlx, Mode::Rlx));
+        let (only1, only2, both) = (mp2(bad, ok), mp2(ok, bad), mp2(bad, bad));
+        let (w1, w2) = (witness_of(&only1), witness_of(&only2));
+        assert!(witness_refutes(&w1, &only1, model()) && !witness_refutes(&w1, &only2, model()));
+        assert!(witness_refutes(&w2, &only2, model()) && !witness_refutes(&w2, &only1, model()));
+        let order = |c: &WitnessCache| c.items.iter().map(|w| w.graph.clone()).collect::<Vec<_>>();
+
+        // Newest first: both witnesses refute `both`; had the older one
+        // been tried first, the hit would have moved it to the back.
+        let mut cache = WitnessCache::new(2);
+        cache.add(0, w1.clone());
+        cache.add(0, w2.clone());
+        assert!(cache.refutes(std::slice::from_ref(&both), model()));
+        assert_eq!(order(&cache), [w1.clone(), w2.clone()]);
+
+        // A hit is a use: w1 becomes most-recently-used, so the insert at
+        // capacity evicts w2 instead.
+        assert!(cache.refutes(std::slice::from_ref(&only1), model()));
+        assert_eq!(order(&cache), [w2.clone(), w1.clone()]);
+        cache.add(0, witness_of(&both));
+        assert_eq!(cache.items.len(), 2);
+        assert_eq!(cache.items[0].graph, w1, "the unused witness was evicted");
+        assert_eq!(cache.hits, 2);
+
+        // A witness recorded for candidate-set member 1 is replayed
+        // against member 1 only — never against member 0, which it would
+        // refute just as well.
+        let verified = mp2(ok, ok);
+        let mut cache = WitnessCache::new(2);
+        cache.add(1, w1);
+        assert!(!cache.refutes(std::slice::from_ref(&only1), model()));
+        assert!(!cache.refutes(&[only1.clone(), verified.clone()], model()));
+        assert_eq!(cache.hits, 0);
+        assert!(cache.refutes(&[verified, only1], model()));
         assert_eq!(cache.hits, 1);
     }
 }

@@ -54,16 +54,10 @@ use crate::verdict::{AmcConfig, EnginePhase, ExploreStats, Verdict};
 ///
 /// Clone it (cheap — an `Arc<AtomicBool>`) and hand it to whatever
 /// supervises the run; every exploration worker checks it cooperatively
-/// on each popped work item. Once fired it stays fired.
-///
-/// Tokens form a hierarchy: a [`CancelToken::child`] observes its parent's
-/// cancellation but can be fired independently without affecting the
-/// parent or its siblings. The optimizer uses children to cancel losing
-/// candidate evaluations while the session-level token stays clean.
+/// on each popped work item (one atomic load). Once fired it stays fired.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
-    parent: Option<Arc<CancelToken>>,
 }
 
 impl CancelToken {
@@ -73,33 +67,16 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// A child token: cancelled when either it or any ancestor is fired;
-    /// firing the child leaves the parent (and its other children) alone.
-    #[must_use]
-    pub fn child(&self) -> CancelToken {
-        CancelToken { flag: Arc::default(), parent: Some(Arc::new(self.clone())) }
-    }
-
-    /// Fire the token: every run sharing it (and every descendant token)
-    /// winds down at its next cancellation point and reports
+    /// Fire the token: every run sharing it winds down at its next
+    /// cancellation point and reports
     /// [`Verdict::Inconclusive`] with [`crate::StopReason::Cancelled`].
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Release);
     }
 
-    /// Has this token (or any ancestor) been fired?
+    /// Has this token been fired?
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        if self.flag.load(Ordering::Acquire) {
-            return true;
-        }
-        self.parent.as_deref().is_some_and(CancelToken::is_cancelled)
-    }
-
-    /// Has this token *itself* been fired (ignoring ancestors)? Lets the
-    /// optimizer distinguish a cancelled loser from a session interrupt.
-    #[must_use]
-    pub fn is_cancelled_locally(&self) -> bool {
         self.flag.load(Ordering::Acquire)
     }
 }
@@ -726,7 +703,7 @@ impl Session {
     /// After each model that verifies, run push-button barrier
     /// optimization under that model. The `config`'s AMC settings are
     /// overridden by the session's (model, workers, checker, budgets);
-    /// `max_passes` is honored, and a `cancel` token on the config is
+    /// the strategy is honored, and a `cancel` token on the config is
     /// respected in addition to the session's own.
     pub fn optimize(mut self, config: OptimizerConfig) -> Session {
         self.optimizer = Some(config);
@@ -742,8 +719,8 @@ impl Session {
     }
 
     /// Subscribe to per-step [`OptimizeEvent`]s from the optimization
-    /// phase (each relaxation attempt as it is decided). The callback may
-    /// run on optimizer worker threads. A callback set directly on the
+    /// phase (each relaxation attempt as it is decided, on the thread
+    /// that called [`Session::run`]). A callback set directly on the
     /// [`OptimizerConfig`] takes precedence.
     pub fn on_optimize_step(
         mut self,
@@ -875,8 +852,8 @@ impl Session {
     /// cancellation token and deadline (every candidate verification is a
     /// cancellation point and in-flight explorations observe the token
     /// directly; progress snapshots are not emitted — the per-candidate
-    /// explorations are too short to be meaningful). The strategy, pass
-    /// cap and caller-attached cancel token come from the
+    /// explorations are too short to be meaningful). The strategy and
+    /// caller-attached cancel token come from the
     /// [`OptimizerConfig`]; the AMC settings (model, workers, checker,
     /// budgets) are the session's.
     ///
@@ -912,7 +889,7 @@ impl Session {
                 }
             }));
         }
-        let oracle_control = RunControl { progress: None, model, ..control.clone() };
+        let oracle_control = RunControl { model, ..control.clone() };
         run_engine(&self.program, &self.optimize_scenarios, &config, oracle_control, true)
     }
 }

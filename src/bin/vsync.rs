@@ -40,8 +40,7 @@ options:
   --acquires K     acquisitions per thread (default 1)
   --model M        sc | tso | vmm (default vmm)
   --models A,B     comma-separated model matrix (overrides --model)
-  --workers N      worker threads: sizes each exploration and the
-                   optimizer's candidate-screening pool (default 1)
+  --workers N      worker threads of each exploration (default 1)
   --deadline-ms T  wall-clock budget; expiry reports `inconclusive`
   --max-memory-mb N  approximate heap budget per exploration (frontier +
                    dedup table); exhaustion reports `inconclusive` with
@@ -57,7 +56,6 @@ options:
   --jobs J         (corpus) files checked concurrently (default: cores, max 8)
   --strategy S     (optimize) sequential | adaptive
                    (default adaptive; sequential is the reference loop)
-  --passes N       (optimize) cap optimization passes (default: fixpoint)
   --steps          (optimize) stream per-step relaxation events to stderr
   --enumerate      (optimize) list all maximally-relaxed assignments
   --dot            (verify/bug) print counterexamples as Graphviz
@@ -94,7 +92,6 @@ struct Options {
     progress: bool,
     symmetry: bool,
     strategy: OptimizeStrategy,
-    passes: usize,
     steps: bool,
     enumerate: bool,
     dot: bool,
@@ -122,7 +119,6 @@ impl Options {
             progress: false,
             symmetry: true,
             strategy: OptimizeStrategy::default(),
-            passes: 0,
             steps: false,
             enumerate: false,
             dot: false,
@@ -185,10 +181,6 @@ impl Options {
                 "--strategy" => {
                     let s = it.next().ok_or("--strategy needs sequential|adaptive")?;
                     o.strategy = s.parse()?;
-                }
-                "--passes" => {
-                    o.passes =
-                        it.next().and_then(|v| v.parse().ok()).ok_or("--passes needs a number")?
                 }
                 "--steps" => o.steps = true,
                 "--enumerate" => o.enumerate = true,
@@ -543,8 +535,7 @@ fn run() -> Result<ExitCode, String> {
                 }
                 Ok(ExitCode::SUCCESS)
             } else {
-                let ocfg =
-                    OptimizerConfig::default().with_strategy(o.strategy).with_max_passes(o.passes);
+                let ocfg = OptimizerConfig::default().with_strategy(o.strategy);
                 let tel = Telemetry::start(&o)?;
                 let mut s = tel.session(o.session(p).optimize(ocfg));
                 if o.steps {

@@ -5,14 +5,14 @@
 //! without ever keeping an unverified accept.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use vsync::core::{
-    enumerate_maximal, optimize, optimize_multi, verify, AmcConfig, CancelToken,
+    enumerate_maximal, optimize, optimize_multi, verify, AmcConfig, CancelToken, OptimizationStep,
     OptimizeStrategy, OptimizerConfig, Verdict,
 };
 use vsync::graph::Mode;
-use vsync::lang::Program;
+use vsync::lang::{Program, ProgramBuilder, Reg, Test};
 use vsync::locks::model::{mutex_client, CasLock};
 use vsync::locks::registry;
 use vsync::model::ModelKind;
@@ -26,58 +26,157 @@ fn modes(p: &Program) -> Vec<Mode> {
     p.site_modes()
 }
 
+/// Every `on_step` event of a run, as `(pass, step)`.
+type StepLog = Arc<Mutex<Vec<(usize, OptimizationStep)>>>;
+
+fn logged(strategy: OptimizeStrategy, workers: usize) -> (OptimizerConfig, StepLog) {
+    let log = StepLog::default();
+    let sink = log.clone();
+    let cfg = config(strategy, workers)
+        .with_on_step(move |e| sink.lock().unwrap().push((e.pass, e.step)));
+    (cfg, log)
+}
+
+fn accepts_after_pass_1(log: &StepLog) -> usize {
+    log.lock().unwrap().iter().filter(|(pass, step)| *pass >= 2 && step.accepted).count()
+}
+
+/// Explorations an adaptive run pays up to and including its `n`-th
+/// decided step: the callback fires the token on that step, and every
+/// later candidate is preceded by an interrupt check, so nothing after it
+/// is explored (an interrupted run also skips the deferred baseline
+/// check).
+fn explorations_through_step(base: &Program, n: usize) -> u64 {
+    let token = CancelToken::new();
+    let seen = AtomicUsize::new(0);
+    let cfg = {
+        let token = token.clone();
+        config(OptimizeStrategy::Adaptive, 1).with_on_step(move |_| {
+            if seen.fetch_add(1, Ordering::Relaxed) + 1 == n {
+                token.cancel();
+            }
+        })
+    };
+    optimize(base, &cfg.with_cancel(token)).explorations
+}
+
 /// Every registered lock, 2-thread client, from the all-SC baseline:
-/// adaptive lands on the sequential reference's exact final assignment.
-/// Worker counts rotate through {1, 2, 8} across the registry
-/// so each count covers several locks without a full cross product.
+/// adaptive lands on the sequential reference's exact final assignment,
+/// and its whole step list — rejections included — is the same at
+/// workers ∈ {1, 2, 8} (one thread decides every step; the workers only
+/// size each exploration).
+///
+/// Also pins the premise the one-ladder fixpoint rests on (DESIGN.md
+/// §7.3): with no fault-class rejection, neither strategy accepts anything
+/// after pass 1, and adaptive pays no exploration after pass 1 — every
+/// later step is answered by the rejection memo.
 #[test]
 fn strategies_agree_across_the_full_registry() {
-    let worker_counts = [1usize, 2, 8];
-    for (i, entry) in registry::catalog().iter().enumerate() {
+    for entry in registry::catalog() {
+        let name = entry.name;
         let base = entry.client(2, 1).with_all_sc();
-        let workers = worker_counts[i % worker_counts.len()];
-        let seq = optimize(&base, &config(OptimizeStrategy::Sequential, 1));
-        assert!(seq.verified, "{}: sequential baseline failed", entry.name);
+        let (cfg, seq_log) = logged(OptimizeStrategy::Sequential, 1);
+        let seq = optimize(&base, &cfg);
+        assert!(seq.verified, "{name}: sequential baseline failed");
+        assert_eq!(accepts_after_pass_1(&seq_log), 0, "{name}: sequential");
+
         let strategy = OptimizeStrategy::Adaptive;
-        let r = optimize(&base, &config(strategy, workers));
-        assert!(r.verified, "{}: {strategy} failed to verify", entry.name);
-        assert_eq!(
-            modes(&seq.program),
-            modes(&r.program),
-            "{}: {strategy} (workers={workers}) diverged from sequential",
-            entry.name
-        );
-        // The accepted steps replay to the same assignment.
-        let mut replayed = base.clone();
-        for step in r.steps.iter().filter(|s| s.accepted) {
-            replayed.set_mode(vsync::lang::ModeRef(step.site), step.to);
+        let runs = [1usize, 2, 8].map(|workers| {
+            let (cfg, log) = logged(strategy, workers);
+            (workers, optimize(&base, &cfg), log)
+        });
+        for (workers, r, log) in &runs {
+            assert!(r.verified, "{name}: {strategy} failed to verify");
+            assert_eq!(
+                modes(&seq.program),
+                modes(&r.program),
+                "{name}: {strategy} (workers={workers}) diverged from sequential"
+            );
+            // The accepted steps replay to the same assignment.
+            let mut replayed = base.clone();
+            for step in r.steps.iter().filter(|s| s.accepted) {
+                replayed.set_mode(vsync::lang::ModeRef(step.site), step.to);
+            }
+            assert_eq!(
+                modes(&replayed),
+                modes(&r.program),
+                "{name}: {strategy} steps are not replayable"
+            );
+            assert_eq!(accepts_after_pass_1(log), 0, "{name}: {strategy}/{workers}");
+            // Decisions only: which violating execution a multi-worker
+            // exploration finds first — and so what the witness cache can
+            // replay later — may differ, moving `cache_hits` against
+            // `explorations`.
+            assert_eq!(runs[0].1.steps, r.steps, "{name}: steps differ at {workers} workers");
         }
+
+        let (_, r, log) = &runs[0];
+        let log = log.lock().unwrap();
+        let steps: Vec<OptimizationStep> = log.iter().map(|(_, s)| *s).collect();
+        assert_eq!(steps, r.steps, "{name}: the event stream is the step list");
+        let pass_1 = log.iter().filter(|(pass, _)| *pass == 1).count();
+        assert!(pass_1 < log.len(), "{name}: no fixpoint pass ran");
         assert_eq!(
-            modes(&replayed),
-            modes(&r.program),
-            "{}: {strategy} steps are not replayable",
-            entry.name
+            explorations_through_step(&base, pass_1),
+            r.explorations,
+            "{name}: {strategy} explored after pass 1"
         );
     }
 }
 
-/// The closure-oracle reference loop (`optimize_with`) and the engine's
-/// sequential strategy are two copies of the same semantics — this pins
-/// them together so an edit to one cannot silently fork the reference
-/// the other differential tests compare against.
+/// Message passing from all-SC whose reader spins *locally* on a stale
+/// data read: the one input on which passes after the first still have
+/// something to decide. Relaxing `flag.store` or `flag.poll` to `rlx`
+/// admits the stale read, the local loop exhausts the replay budget and
+/// the candidate is rejected with `Verdict::Fault` — no witness, outside
+/// the monotonicity argument, so never memoized.
+fn mp_with_local_spin() -> Program {
+    let mut pb = ProgramBuilder::new("mp-spin");
+    pb.thread(|t| {
+        t.store(0x10, 1u64, ("data.store", Mode::Sc));
+        t.store(0x20, 1u64, ("flag.store", Mode::Sc));
+    });
+    pb.thread(|t| {
+        t.await_eq(Reg(0), 0x20, 1u64, ("flag.poll", Mode::Sc));
+        t.load(Reg(1), 0x10, ("data.load", Mode::Sc));
+        let l = t.here_label();
+        t.jmp_if(Reg(1), Test::eq(0u64), l);
+    });
+    pb.build().unwrap()
+}
+
+/// Fault-class rejections are re-decided by the pass-2 ladder — once
+/// each. The reference pays 9 explorations (baseline + 6 + 2); adaptive
+/// pays 13: its pass 1, the two pass-2 re-decisions and the deferred
+/// baseline check that `fault_seen` forces. (The screening pool this
+/// ladder replaced decided each of the two twice — screen, then fallback
+/// — for 15.)
 #[test]
-fn optimize_with_matches_the_engine_sequential_strategy() {
-    use vsync::core::{explore, optimize_with};
-    for lock in ["ttas", "mcs"] {
-        let base = registry::entry(lock).unwrap().client(2, 1).with_all_sc();
-        let engine = optimize(&base, &config(OptimizeStrategy::Sequential, 1));
-        let amc = AmcConfig::with_model(ModelKind::Vmm);
-        let closure = optimize_with(&base, &config(OptimizeStrategy::Sequential, 1), |p| {
-            explore(p, &amc).verdict.is_verified()
-        });
-        assert_eq!(modes(&engine.program), modes(&closure.program), "{lock}");
-        assert_eq!(engine.steps, closure.steps, "{lock}: step-for-step identical");
-        assert_eq!(engine.verifications, closure.verifications, "{lock}");
+fn fault_class_rejections_are_redecided_once_in_pass_2() {
+    let base = mp_with_local_spin();
+    let want = vec![Mode::Rlx, Mode::Rel, Mode::Acq, Mode::Rlx];
+    let redecided = |log: &StepLog| -> Vec<(u32, Mode, bool)> {
+        let log = log.lock().unwrap();
+        log.iter().filter(|(p, _)| *p >= 2).map(|(_, s)| (s.site, s.to, s.accepted)).collect()
+    };
+    let flag_sites_to_rlx = vec![(1, Mode::Rlx, false), (2, Mode::Rlx, false)];
+
+    let (cfg, log) = logged(OptimizeStrategy::Sequential, 1);
+    let seq = optimize(&base, &cfg);
+    assert!(seq.verified && !seq.interrupted);
+    assert_eq!(modes(&seq.program), want);
+    assert_eq!(redecided(&log), flag_sites_to_rlx);
+    assert_eq!(seq.explorations, 9);
+
+    for workers in [1, 2] {
+        let (cfg, log) = logged(OptimizeStrategy::Adaptive, workers);
+        let ad = optimize(&base, &cfg);
+        assert!(ad.verified && !ad.interrupted, "the deferred baseline check must run and pass");
+        assert_eq!(modes(&ad.program), want);
+        assert_eq!(ad.cache_hits, 0, "a fault leaves no witness and no memo entry");
+        assert_eq!(redecided(&log), flag_sites_to_rlx);
+        assert_eq!(ad.explorations, 13, "workers={workers}");
+        assert_eq!(ad.steps, seq.steps, "same decisions in the same order");
     }
 }
 
