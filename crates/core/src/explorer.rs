@@ -42,7 +42,9 @@
 //! twins per `k`-thread symmetry class collapse onto one orbit (counted as
 //! `symmetry_pruned`), and the item admitted for an orbit is normalized to
 //! the orbit's canonical representative so successor generation stays a
-//! function of the orbit. Soundness: DESIGN.md §8.
+//! function of the orbit. Hash and representative both come from each
+//! worker's [`Canonicalizer`] — the one graph encoder, which the oracle
+//! below and `canonical_hash_modulo` run too. Soundness: DESIGN.md §8.
 //!
 //! The differential oracle [`crate::reference::explore`] (sequential
 //! enumerate-and-dedup) imports nothing from this module's driver
@@ -55,7 +57,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-use vsync_graph::{EventId, EventKind, ExecutionGraph, ExploreEncoder, Loc, RfSource, ThreadId};
+use vsync_graph::{Canonicalizer, EventId, EventKind, ExecutionGraph, Loc, RfSource, ThreadId};
 use vsync_lang::{ChainReplay, Operand, Program};
 use vsync_model::chain::Fork;
 use vsync_model::{ChainChecker, MemoryModel};
@@ -293,7 +295,7 @@ pub(crate) struct Engine<'p> {
     control: &'p RunControl,
     /// Non-trivial thread-symmetry partition, when symmetry reduction is
     /// enabled for this run. Each worker derives its own
-    /// [`ExploreEncoder`] (scratch buffers) from it.
+    /// [`Canonicalizer`] (scratch buffers) from it.
     partition: Option<vsync_graph::ThreadPartition>,
 }
 
@@ -311,7 +313,7 @@ struct Pacer<'c> {
     /// snapshot per interval.
     gate: &'c Mutex<Instant>,
     /// Counters merged across workers, for progress snapshots.
-    merged: &'c SharedStats,
+    merged: &'c Mutex<ExploreStats>,
     count: u64,
     workers: usize,
     /// This worker's index, stamped onto telemetry events so multi-worker
@@ -346,12 +348,16 @@ impl Pacer<'_> {
         }
         let control = self.control;
         if control.events.is_some() || control.progress.is_some() {
-            let delta = stats_delta(local, &self.last_local);
+            let delta = local.minus(&self.last_local);
             self.last_local = *local;
             if let Some(cb) = &control.progress {
                 // Snapshots are built from `merged`, which trails the true
                 // totals by at most CHECK_PERIOD steps per worker.
-                self.merged.add(&delta);
+                let merged = {
+                    let mut m = relock(self.merged);
+                    m.merge(&delta);
+                    *m
+                };
                 // try_lock: a peer already emitting means we simply skip.
                 // A poisoned gate only ever holds a timestamp — recover it.
                 let guard = match self.gate.try_lock() {
@@ -364,7 +370,9 @@ impl Pacer<'_> {
                         *last = now;
                         cb(&ProgressSnapshot {
                             model: control.model,
-                            stats: self.merged.snapshot(),
+                            // Phase profiles stay worker-local (merged
+                            // once at the end); snapshots carry counters.
+                            stats: ExploreStats { phases: PhaseProfile::default(), ..merged },
                             elapsed: now.duration_since(self.started),
                             workers: self.workers,
                         });
@@ -386,7 +394,7 @@ impl Pacer<'_> {
     /// bus then add up to exactly the run's `ExploreStats`.
     fn finish(&mut self, local: &ExploreStats, profile: PhaseProfile) {
         if let Some(bus) = &self.control.events {
-            self.emit(bus, stats_delta(local, &self.last_local), profile);
+            self.emit(bus, local.minus(&self.last_local), profile);
         }
     }
 
@@ -401,82 +409,6 @@ impl Pacer<'_> {
             bus.emit(BusEvent::PhaseSlice { worker: self.worker, phases: slice });
         }
         self.last_profile = profile;
-    }
-}
-
-/// Atomic accumulation of per-worker [`ExploreStats`], so parallel
-/// progress snapshots can merge counters without stopping anyone.
-#[derive(Default)]
-struct SharedStats {
-    popped: AtomicU64,
-    pushed: AtomicU64,
-    constructed: AtomicU64,
-    duplicates: AtomicU64,
-    symmetry_pruned: AtomicU64,
-    inconsistent: AtomicU64,
-    wasteful: AtomicU64,
-    revisits: AtomicU64,
-    complete_executions: AtomicU64,
-    blocked_graphs: AtomicU64,
-    events: AtomicU64,
-    probes: AtomicU64,
-}
-
-impl SharedStats {
-    fn add(&self, s: &ExploreStats) {
-        self.popped.fetch_add(s.popped, Ordering::Relaxed);
-        self.pushed.fetch_add(s.pushed, Ordering::Relaxed);
-        self.constructed.fetch_add(s.constructed, Ordering::Relaxed);
-        self.duplicates.fetch_add(s.duplicates, Ordering::Relaxed);
-        self.symmetry_pruned.fetch_add(s.symmetry_pruned, Ordering::Relaxed);
-        self.inconsistent.fetch_add(s.inconsistent, Ordering::Relaxed);
-        self.wasteful.fetch_add(s.wasteful, Ordering::Relaxed);
-        self.revisits.fetch_add(s.revisits, Ordering::Relaxed);
-        self.complete_executions.fetch_add(s.complete_executions, Ordering::Relaxed);
-        self.blocked_graphs.fetch_add(s.blocked_graphs, Ordering::Relaxed);
-        self.events.fetch_add(s.events, Ordering::Relaxed);
-        self.probes.fetch_add(s.probes, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> ExploreStats {
-        ExploreStats {
-            popped: self.popped.load(Ordering::Relaxed),
-            pushed: self.pushed.load(Ordering::Relaxed),
-            constructed: self.constructed.load(Ordering::Relaxed),
-            duplicates: self.duplicates.load(Ordering::Relaxed),
-            symmetry_pruned: self.symmetry_pruned.load(Ordering::Relaxed),
-            inconsistent: self.inconsistent.load(Ordering::Relaxed),
-            wasteful: self.wasteful.load(Ordering::Relaxed),
-            revisits: self.revisits.load(Ordering::Relaxed),
-            complete_executions: self.complete_executions.load(Ordering::Relaxed),
-            blocked_graphs: self.blocked_graphs.load(Ordering::Relaxed),
-            events: self.events.load(Ordering::Relaxed),
-            frontier_dropped: 0,
-            probes: self.probes.load(Ordering::Relaxed),
-            // Phase profiles stay worker-local (merged once at the end);
-            // progress snapshots carry counters only.
-            phases: PhaseProfile::default(),
-        }
-    }
-}
-
-/// Field-wise `a - b`; `b` is always an earlier copy of `a`.
-fn stats_delta(a: &ExploreStats, b: &ExploreStats) -> ExploreStats {
-    ExploreStats {
-        popped: a.popped - b.popped,
-        pushed: a.pushed - b.pushed,
-        constructed: a.constructed - b.constructed,
-        duplicates: a.duplicates - b.duplicates,
-        symmetry_pruned: a.symmetry_pruned - b.symmetry_pruned,
-        inconsistent: a.inconsistent - b.inconsistent,
-        wasteful: a.wasteful - b.wasteful,
-        revisits: a.revisits - b.revisits,
-        complete_executions: a.complete_executions - b.complete_executions,
-        blocked_graphs: a.blocked_graphs - b.blocked_graphs,
-        events: a.events - b.events,
-        frontier_dropped: a.frontier_dropped - b.frontier_dropped,
-        probes: a.probes - b.probes,
-        phases: a.phases.minus(&b.phases),
     }
 }
 
@@ -624,7 +556,7 @@ struct Shared {
     /// explored-work ceiling means the same thing at every worker count.
     steps: AtomicU64,
     /// Cross-worker counters and emission gate for progress snapshots.
-    merged: SharedStats,
+    merged: Mutex<ExploreStats>,
     gate: Mutex<Instant>,
 }
 
@@ -638,7 +570,7 @@ impl Shared {
             leaves: SeenShards::new(),
             budget,
             steps: AtomicU64::new(0),
-            merged: SharedStats::default(),
+            merged: Mutex::new(ExploreStats::default()),
             gate: Mutex::new(Instant::now()),
         }
     }
@@ -660,7 +592,7 @@ pub(crate) struct Worker<'r> {
     /// accrual to the run's [`PhaseProfile`].
     pub(crate) phase: PhaseTracker,
     /// Symmetry-aware view hasher (per-worker scratch buffers).
-    pub(crate) enc: ExploreEncoder,
+    pub(crate) enc: Canonicalizer,
     /// The model's consistency checker, following the chain in flight:
     /// at the root it adopts the item's inherited state (or is `reset`),
     /// then `push`/`pop` alongside every `push_event`/`pop_event` of the
@@ -815,7 +747,7 @@ impl Engine<'_> {
             stack: Vec::new(),
             executions: Vec::new(),
             phase: PhaseTracker::new(self.control.profile),
-            enc: ExploreEncoder::new(self.partition.as_ref()),
+            enc: Canonicalizer::new(self.partition.as_ref()),
             ck: self.model.chain_checker(),
             viable_sources: Vec::new(),
             viable_positions: Vec::new(),

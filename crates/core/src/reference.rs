@@ -21,25 +21,29 @@
 //! hash (modulo thread symmetry when [`AmcConfig::symmetry`] is on, with
 //! first arrivals normalized to the orbit representative): the scheduler
 //! is deterministic and revisit restrictions are content-determined, so
-//! two items with equal content have identical futures.
+//! two items with equal content have identical futures. The hash and the
+//! representative come from [`Canonicalizer`], the encoder the production
+//! search probes with, so both searches name every orbit by the same
+//! graph and their collected execution sets can be compared directly.
 //!
 //! The oracle is sequential and un-instrumented by design. It honours
 //! [`AmcConfig::max_graphs`] and nothing else of the run-time machinery —
 //! no workers, no cancellation, no resource budgets, no phase profiling,
 //! no fault injection, no panic isolation — and shares no driver code with
 //! the production search. What the two have in common is the layer below
-//! the search (execution graphs, replay, the consistency checkers, the
-//! stagnancy analysis) and two pure helpers, `failed_final_check` and
-//! `min_source_pos`. Of that layer it uses the from-scratch entry points
-//! only — [`vsync_lang::replay_with_budget`] and [`ChainChecker::reset`]
-//! per popped graph, never `ChainReplay::advance` or a forked checker — so
-//! the differential tests hold the production search's carried interpreter
-//! and inherited checker states to an oracle that has neither.
+//! the search (execution graphs and their canonical encoding, replay, the
+//! consistency checkers, the stagnancy analysis) and two pure helpers,
+//! `failed_final_check` and `min_source_pos`. Of that layer it uses the
+//! from-scratch entry points only — [`vsync_lang::replay_with_budget`] and
+//! [`ChainChecker::reset`] per popped graph, never `ChainReplay::advance`
+//! or a forked checker — so the differential tests hold the production
+//! search's carried interpreter and inherited checker states to an oracle
+//! that has neither.
 
 use std::collections::HashSet;
 
 use vsync_graph::{
-    content_hash, Canonicalizer, EventId, EventKind, ExecutionGraph, Loc, Mode, RfSource, ThreadId,
+    Canonicalizer, EventId, EventKind, ExecutionGraph, GraphView, Loc, Mode, RfSource, ThreadId,
 };
 use vsync_lang::{PendingOp, Program, ReadDesc, ThreadStatus};
 use vsync_model::ChainChecker;
@@ -57,20 +61,22 @@ use crate::verdict::{
 /// `constructed`, `duplicates`, ...) describe this algorithm, which
 /// constructs every candidate it pushes. `stats.phases` is always empty.
 pub fn explore(prog: &Program, config: &AmcConfig) -> AmcResult {
+    // Validate first: only a well-formed program has a partition to ask for.
+    if let Err(e) = prog.validate() {
+        let verdict = Verdict::Fault(format!("malformed program: {e}"));
+        return AmcResult { verdict, stats: ExploreStats::default(), executions: Vec::new() };
+    }
     let mut search = Search {
         prog,
         config,
         checker: config.model.checker(config.checker).chain_checker(),
-        canon: None,
+        canon: Canonicalizer::new(config.symmetry.then(|| prog.symmetry_partition()).as_ref()),
         seen: HashSet::new(),
         stack: Vec::new(),
         stats: ExploreStats::default(),
         executions: Vec::new(),
     };
-    let verdict = match prog.validate() {
-        Err(e) => Verdict::Fault(format!("malformed program: {e}")),
-        Ok(()) => search.run(),
-    };
+    let verdict = search.run();
     AmcResult { verdict, stats: search.stats, executions: search.executions }
 }
 
@@ -80,8 +86,9 @@ struct Search<'p> {
     /// Asked from scratch (`reset`) for every popped graph; the stagnancy
     /// analysis then steps it through the blocked reads' resolutions.
     checker: Box<dyn ChainChecker>,
-    /// Symmetry canonicalizer, `None` when the run has no usable symmetry.
-    canon: Option<Canonicalizer>,
+    /// The graph encoder the production search runs too; modulo the
+    /// program's thread symmetry when [`AmcConfig::symmetry`] is on.
+    canon: Canonicalizer,
     seen: HashSet<u128>,
     stack: Vec<ExecutionGraph>,
     stats: ExploreStats,
@@ -90,12 +97,6 @@ struct Search<'p> {
 
 impl Search<'_> {
     fn run(&mut self) -> Verdict {
-        if self.config.symmetry {
-            let partition = self.prog.symmetry_partition();
-            if !partition.is_trivial() {
-                self.canon = Some(Canonicalizer::new(&partition));
-            }
-        }
         self.stack.push(ExecutionGraph::new(self.prog.num_threads(), self.prog.init().clone()));
         self.stats.constructed = 1;
         while let Some(g) = self.stack.pop() {
@@ -118,24 +119,15 @@ impl Search<'_> {
     /// Process one popped work item, pushing its children. A `Some`
     /// return is a terminal verdict that ends the exploration.
     fn process(&mut self, mut g: ExecutionGraph) -> Option<Verdict> {
-        // Replay first: it repairs derived read flags, which both the
-        // content hash and the consistency check depend on.
+        // Replay first: it repairs derived read flags, which the
+        // consistency check depends on.
         let mut out = vsync_lang::replay_with_budget(self.prog, &mut g, self.config.step_budget);
         if let Some(f) = out.fault() {
             return Some(Verdict::Fault(f.to_owned()));
         }
         self.stats.events += g.num_events() as u64;
-        let (hash, permuted) = match &mut self.canon {
-            Some(c) => {
-                let hashed = c.canonical_hash(&g);
-                self.stats.probes += c.take_probes();
-                hashed
-            }
-            None => {
-                self.stats.probes += 1;
-                (content_hash(&g), false)
-            }
-        };
+        let (hash, permuted) = self.canon.hash_view(&GraphView::full(&g));
+        self.stats.probes += self.canon.take_probes();
         if !self.seen.insert(hash) {
             // An orbit twin (or the very content) was already admitted
             // and covers this item's futures up to relabeling.
@@ -151,11 +143,7 @@ impl Search<'_> {
             // normalize to the representative so successor generation
             // (which picks the first ready thread — not a
             // relabeling-invariant choice) is a function of the orbit.
-            let perm = self
-                .canon
-                .as_ref()
-                .and_then(Canonicalizer::chosen_perm)
-                .expect("permuted hash implies a chosen relabeling");
+            let perm = self.canon.chosen_perm().expect("permuted hash implies a chosen relabeling");
             g = g.permute_threads(perm);
             out = vsync_lang::replay_with_budget(self.prog, &mut g, self.config.step_budget);
             if let Some(f) = out.fault() {

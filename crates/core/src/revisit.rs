@@ -40,20 +40,22 @@
 //! *materializations* (admitted roots, [`Worker::visit`]), `leaves` counts
 //! *terminal* contents (complete and blocked graphs, [`Worker::leaf`])
 //! exactly once each. Under thread symmetry both sets hash modulo the
-//! program's symmetry partition ([`ExploreEncoder`]), and first arrivals
+//! program's symmetry partition ([`Canonicalizer`]), and first arrivals
 //! are normalized to their orbit representative — so verdicts,
 //! `complete_executions` (orbit counts) and counterexample messages are
 //! identical across worker counts, and equal to what the independent
 //! enumerate-and-dedup oracle [`crate::reference::explore`] reports
 //! (candidates are scanned in that oracle's push order, so the in-place
-//! continuation is the child its LIFO stack would pop next).
+//! continuation is the child its LIFO stack would pop next). The oracle
+//! canonicalizes with the same [`Canonicalizer`], so the two searches
+//! also agree on *which* graph represents each orbit.
 //!
 //! [`ExploreStats::constructed`] counts one graph per *admitted* item
 //! where the oracle constructs one per push — on qspinlock-3t an order of
 //! magnitude fewer (DESIGN.md §12).
 //!
 //! [`ExploreStats::constructed`]: crate::verdict::ExploreStats::constructed
-//! [`ExploreEncoder`]: vsync_graph::ExploreEncoder
+//! [`Canonicalizer`]: vsync_graph::Canonicalizer
 
 use vsync_graph::{EventId, EventKind, ExecutionGraph, GraphView, Loc, Mode, RfSource, ThreadId};
 use vsync_lang::{ChainReplay, PendingOp, ReadDesc, ThreadStatus};

@@ -225,6 +225,28 @@ impl ExploreStats {
         self.probes += other.probes;
         self.phases.merge(&other.phases);
     }
+
+    /// Field-wise `self - earlier`, the inverse of [`ExploreStats::merge`];
+    /// `earlier` must be an earlier copy of `self`.
+    #[must_use]
+    pub fn minus(&self, earlier: &ExploreStats) -> ExploreStats {
+        ExploreStats {
+            popped: self.popped - earlier.popped,
+            pushed: self.pushed - earlier.pushed,
+            constructed: self.constructed - earlier.constructed,
+            duplicates: self.duplicates - earlier.duplicates,
+            symmetry_pruned: self.symmetry_pruned - earlier.symmetry_pruned,
+            inconsistent: self.inconsistent - earlier.inconsistent,
+            wasteful: self.wasteful - earlier.wasteful,
+            revisits: self.revisits - earlier.revisits,
+            complete_executions: self.complete_executions - earlier.complete_executions,
+            blocked_graphs: self.blocked_graphs - earlier.blocked_graphs,
+            events: self.events - earlier.events,
+            frontier_dropped: self.frontier_dropped - earlier.frontier_dropped,
+            probes: self.probes - earlier.probes,
+            phases: self.phases.minus(&earlier.phases),
+        }
+    }
 }
 
 impl fmt::Display for ExploreStats {

@@ -6,7 +6,7 @@
 
 use std::fmt::Write as _;
 
-use crate::event::{EventId, EventKind, RfSource};
+use crate::event::{EventId, RfSource};
 use crate::graph::ExecutionGraph;
 
 fn node_name(id: EventId) -> String {
@@ -83,24 +83,10 @@ pub fn to_dot(g: &ExecutionGraph) -> String {
     out
 }
 
-/// Render a one-line-per-event text form, for terminal diagnostics.
-pub fn to_text(g: &ExecutionGraph) -> String {
-    let mut out = String::new();
-    for (id, ev) in g.events() {
-        let marker = match &ev.kind {
-            EventKind::Read { rf: RfSource::Bottom, .. } => "  <- AT-pending",
-            EventKind::Error { .. } => "  <- ERROR",
-            _ => "",
-        };
-        let _ = writeln!(out, "{id}: {}{marker}", ev.kind);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Mode;
+    use crate::event::{EventKind, Mode};
     use std::collections::BTreeMap;
 
     fn sample() -> ExecutionGraph {
@@ -124,12 +110,5 @@ mod tests {
         assert!(dot.contains("cluster_t0"));
         // Pending read highlighted.
         assert!(dot.contains("color=red"));
-    }
-
-    #[test]
-    fn text_marks_pending_reads() {
-        let txt = to_text(&sample());
-        assert!(txt.contains("AT-pending"));
-        assert!(txt.contains("T0.0"));
     }
 }

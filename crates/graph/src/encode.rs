@@ -3,34 +3,34 @@
 //! The explorer deduplicates work items by graph *content* (events, rf, mo
 //! — not exploration timestamps): two work items with the same content have
 //! identical futures under the deterministic scheduler, so one can be
-//! dropped. Content is serialized canonically and hashed with a 128-bit
-//! two-lane multiply-rotate hash ([`hash128`]) that absorbs 8 bytes per
-//! step — the explorer hashes every popped graph, so the per-byte FNV
-//! multiply this replaced was one of the hottest instructions in the whole
-//! checker. At lock-verification scale (well under 2^40 graphs) collisions
-//! are negligible.
+//! dropped. This module alone decides what "same content" means — for the
+//! search engine, its reference oracle, the benchmark probe and the tests:
+//!
+//! * **One serializer**, `encode`, writes a [`GraphView`] — a graph, or the
+//!   restriction-plus-rf-override a revisit *would* produce — as a
+//!   canonical byte string, optionally with its threads relabeled.
+//! * **Two sinks** receive that byte stream: a `Vec<u8>` where the bytes
+//!   are needed (orbit minimization compares encodings), the streaming
+//!   hash state where only the hash is. Hence
+//!   `content_hash(g) == hash128(&canonical_bytes(g))`.
+//! * **One canonical form**: modulo a [`ThreadPartition`], the
+//!   lexicographic minimum over the partition's relabelings
+//!   ([`Canonicalizer`]); the relabeling attaining it names the orbit's
+//!   representative, the same one for every caller.
+//! * **Derived read flags are never encoded.** A read's `rmw` / `awaiting`
+//!   flags are functions of the program, the event structure and the rf
+//!   edge (replay recomputes them), so among the executions of one program
+//!   omitting them loses nothing — and a revisit's view, whose re-pointed
+//!   read still carries its old source's flags, encodes like the repaired
+//!   child.
+//!
+//! Hashing is a 128-bit two-lane multiply-rotate hash ([`hash128`])
+//! absorbing 8 bytes per step; at lock-verification scale (well under 2^40
+//! graphs) collisions are negligible.
 
 use crate::event::{EventId, EventKind, RfSource, ThreadId};
 use crate::graph::ExecutionGraph;
 use crate::symmetry::{ThreadPartition, MAX_SYMMETRY_PERMUTATIONS};
-
-/// 128-bit FNV-1a offset basis.
-const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-/// 128-bit FNV-1a prime.
-const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
-
-/// Hash a byte string with 128-bit FNV-1a.
-///
-/// Retained for callers hashing small byte strings; the graph content hash
-/// uses the word-at-a-time [`hash128`].
-pub fn fnv128(bytes: &[u8]) -> u128 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u128;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// SplitMix64's finalizer: full-avalanche 64-bit mix.
 #[inline]
@@ -40,12 +40,10 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Streaming two-lane 128-bit hash absorbing one `u64` per step.
-///
-/// Each lane is a multiply-rotate chain with its own odd constant; the
-/// finalizer cross-mixes the lanes and the total length through
-/// [`mix64`]. Sequential absorption keeps the full 128-bit state on the
-/// dependency chain, and the finalizer provides avalanche.
+/// Streaming two-lane 128-bit hash absorbing one `u64` per step. Each lane
+/// is a multiply-rotate chain with its own odd constant, so the full state
+/// stays on the dependency chain; the finalizer cross-mixes the lanes and
+/// the total length through [`mix64`] for avalanche.
 struct Hash128 {
     a: u64,
     b: u64,
@@ -68,27 +66,6 @@ impl Hash128 {
     }
 
     #[inline]
-    fn byte(&mut self, v: u8) {
-        self.buf |= (v as u64) << (8 * self.buf_len);
-        self.buf_len += 1;
-        if self.buf_len == 8 {
-            self.flush();
-        }
-    }
-
-    #[inline]
-    fn u64(&mut self, v: u64) {
-        // Keep byte-stream identity: equivalent to 8 `byte` calls.
-        if self.buf_len == 0 {
-            self.word(v);
-        } else {
-            for b in v.to_le_bytes() {
-                self.byte(b);
-            }
-        }
-    }
-
-    #[inline]
     fn flush(&mut self) {
         if self.buf_len > 0 {
             let (v, n) = (self.buf, self.buf_len as u64);
@@ -107,135 +84,59 @@ impl Hash128 {
     }
 }
 
-/// Hash a byte string with the two-lane word-at-a-time 128-bit hash used
-/// by [`content_hash`] (zero-padded tail word, length folded in at the
-/// end). `content_hash(g)` equals `hash128(&canonical_bytes(g))`.
+/// Where `encode` writes: a byte buffer, or a hash state.
+trait Sink {
+    fn byte(&mut self, b: u8);
+    fn bytes(&mut self, bs: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn byte(&mut self, b: u8) {
+        self.push(b);
+    }
+
+    #[inline]
+    fn bytes(&mut self, bs: &[u8]) {
+        self.extend_from_slice(bs);
+    }
+}
+
+impl Sink for Hash128 {
+    #[inline]
+    fn byte(&mut self, b: u8) {
+        self.buf |= (b as u64) << (8 * self.buf_len);
+        self.buf_len += 1;
+        if self.buf_len == 8 {
+            self.flush();
+        }
+    }
+
+    #[inline]
+    fn bytes(&mut self, bs: &[u8]) {
+        for &b in bs {
+            self.byte(b);
+        }
+    }
+}
+
+/// Hash a byte string with the two-lane word-at-a-time 128-bit hash
+/// (zero-padded tail word, length folded in at the end).
 pub fn hash128(bytes: &[u8]) -> u128 {
     let mut h = Hash128::new();
-    for &b in bytes {
-        h.byte(b);
-    }
+    h.bytes(bytes);
     h.finish()
 }
 
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_event_id(out: &mut Vec<u8>, id: EventId) {
-    match id {
-        EventId::Init(loc) => {
-            out.push(0);
-            push_u64(out, loc);
-        }
-        EventId::Event { thread, index } => {
-            out.push(1);
-            out.extend_from_slice(&thread.to_le_bytes());
-            out.extend_from_slice(&index.to_le_bytes());
-        }
-    }
-}
-
-/// Serialize the semantic content of a graph to a canonical byte string.
-///
-/// Timestamps are deliberately excluded: they record the exploration path,
-/// not the execution. Two graphs encode equally iff they have the same
-/// events (kinds, in program order), reads-from edges and modification
-/// orders.
-pub fn canonical_bytes(g: &ExecutionGraph) -> Vec<u8> {
-    let mut out = Vec::with_capacity(g.num_events() * 24 + 64);
-    canonical_bytes_into(g, &mut out);
-    out
-}
-
-/// [`canonical_bytes`] into a caller-owned buffer (cleared first, capacity
-/// kept). The dedup hot path encodes every popped graph; reusing one
-/// scratch buffer per worker removes that per-graph allocation.
-pub fn canonical_bytes_into(g: &ExecutionGraph, out: &mut Vec<u8>) {
-    encode_relabeled(g, None, out);
-}
-
-/// Serialize `g` as if its threads were relabeled by `perm`
-/// (`perm[original] = new label`, with `inv` its inverse): thread blocks
-/// appear in new-label order and every embedded [`EventId`] has its thread
-/// rewritten through `perm`. `None` encodes the graph as-is.
-fn encode_relabeled(g: &ExecutionGraph, perm: Option<(&[ThreadId], &[ThreadId])>, out: &mut Vec<u8>) {
-    out.clear();
-    let map_id = |id: EventId| match (perm, id) {
-        (Some((fwd, _)), EventId::Event { thread, index }) => {
-            EventId::Event { thread: fwd[thread as usize], index }
-        }
-        _ => id,
-    };
-    for (&loc, &val) in g.init_table() {
-        push_u64(out, loc);
-        push_u64(out, val);
-    }
-    out.push(0xfe);
-    for t in 0..g.num_threads() as ThreadId {
-        out.push(0xfd);
-        let source = match perm {
-            Some((_, inv)) => inv[t as usize],
-            None => t,
-        };
-        for ev in g.thread_events(source) {
-            match &ev.kind {
-                EventKind::Read { loc, mode, rf, rmw, awaiting } => {
-                    out.push(1);
-                    push_u64(out, *loc);
-                    out.push(mode.tag());
-                    out.push((*rmw as u8) | ((*awaiting as u8) << 1));
-                    match rf {
-                        RfSource::Bottom => out.push(0),
-                        RfSource::Write(w) => {
-                            out.push(1);
-                            push_event_id(out, map_id(*w));
-                        }
-                    }
-                }
-                EventKind::Write { loc, val, mode, rmw } => {
-                    out.push(2);
-                    push_u64(out, *loc);
-                    push_u64(out, *val);
-                    out.push(mode.tag());
-                    out.push(*rmw as u8);
-                }
-                EventKind::Fence { mode } => {
-                    out.push(3);
-                    out.push(mode.tag());
-                }
-                EventKind::Error { msg } => {
-                    out.push(4);
-                    push_u64(out, msg.len() as u64);
-                    out.extend_from_slice(msg.as_bytes());
-                }
-            }
-        }
-    }
-    out.push(0xfc);
-    for loc in g.written_locs().collect::<Vec<_>>() {
-        push_u64(out, loc);
-        for &w in g.mo(loc) {
-            push_event_id(out, map_id(w));
-        }
-        out.push(0xfb);
-    }
-}
-
-/// A filtered view of a graph — the revisit engine's
-/// hash-before-materialize probe target.
+/// A filtered view of a graph: what the encoder serializes, and the
+/// revisit engine's hash-before-materialize probe target.
 ///
 /// Describes the graph that *would* result from restricting `g` to
 /// per-thread program-order prefixes (`keep_lens`; `None` keeps
 /// everything) and re-pointing at most one read's reads-from edge
-/// (`rf_override`), without building that graph. The encoding is
-/// **flag-blind**: the derived `rmw` / `awaiting` read flags are excluded,
-/// because the one read a revisit re-points carries stale flags until the
-/// next replay repairs them. The flags are pure functions of the program,
-/// the event structure and the rf edge, so among the executions of a
-/// single program flag-blind equality coincides with full content
-/// equality — but hashes from this encoding live in a different universe
-/// than [`content_hash`] and must never be mixed with it.
+/// (`rf_override`), without building that graph. It encodes like the
+/// materialized result — before and after a replay repairs that result's
+/// derived read flags, which no encoding includes (module docs).
 #[derive(Debug, Clone, Copy)]
 pub struct GraphView<'a> {
     g: &'a ExecutionGraph,
@@ -279,35 +180,37 @@ impl<'a> GraphView<'a> {
     }
 }
 
-/// Serialize a [`GraphView`] as if its threads were relabeled by `perm`
-/// (same convention as `encode_relabeled`). The byte layout mirrors
-/// [`canonical_bytes`] except that read events carry no flags byte, so a
-/// view encoding never collides with a flag-aware encoding by layout
-/// accident alone — they are compared only among themselves.
-fn encode_view_relabeled(
-    v: &GraphView<'_>,
-    perm: Option<(&[ThreadId], &[ThreadId])>,
-    out: &mut Vec<u8>,
-) {
-    out.clear();
+/// A thread relabeling `fwd[original] = new label` with its inverse.
+type Relabeling = (Vec<ThreadId>, Vec<ThreadId>);
+
+/// The serializer: the init table, each thread's events in program order
+/// with their reads-from sources, each location's modification order — as
+/// if the threads were relabeled by `perm` (`None` = as-is): thread blocks
+/// appear in new-label order and every embedded [`EventId`] has its thread
+/// rewritten. Timestamps (the exploration path, not the execution) and the
+/// derived read flags (module docs) are left out.
+fn encode<S: Sink>(v: &GraphView<'_>, perm: Option<&Relabeling>, out: &mut S) {
     let g = v.g;
-    let map_id = |id: EventId| match (perm, id) {
-        (Some((fwd, _)), EventId::Event { thread, index }) => {
-            EventId::Event { thread: fwd[thread as usize], index }
+    let put_id = |out: &mut S, id: EventId| match id {
+        EventId::Init(loc) => {
+            out.byte(0);
+            out.bytes(&loc.to_le_bytes());
         }
-        _ => id,
+        EventId::Event { thread, index } => {
+            let thread = perm.map_or(thread, |(fwd, _)| fwd[thread as usize]);
+            out.byte(1);
+            out.bytes(&thread.to_le_bytes());
+            out.bytes(&index.to_le_bytes());
+        }
     };
     for (&loc, &val) in g.init_table() {
-        push_u64(out, loc);
-        push_u64(out, val);
+        out.bytes(&loc.to_le_bytes());
+        out.bytes(&val.to_le_bytes());
     }
-    out.push(0xfe);
+    out.byte(0xfe);
     for t in 0..g.num_threads() as ThreadId {
-        out.push(0xfd);
-        let source = match perm {
-            Some((_, inv)) => inv[t as usize],
-            None => t,
-        };
+        out.byte(0xfd);
+        let source = perm.map_or(t, |(_, inv)| inv[t as usize]);
         let evs = g.thread_events(source);
         let cut = match v.keep_lens {
             Some(lens) => (lens[source as usize] as usize).min(evs.len()),
@@ -321,141 +224,64 @@ fn encode_view_relabeled(
                         Some((read, write)) if read == id => RfSource::Write(write),
                         _ => *rf,
                     };
-                    out.push(1);
-                    push_u64(out, *loc);
-                    out.push(mode.tag());
+                    out.byte(1);
+                    out.bytes(&loc.to_le_bytes());
+                    out.byte(mode.tag());
                     match rf {
-                        RfSource::Bottom => out.push(0),
+                        RfSource::Bottom => out.byte(0),
                         RfSource::Write(w) => {
-                            out.push(1);
-                            push_event_id(out, map_id(w));
+                            out.byte(1);
+                            put_id(out, w);
                         }
                     }
                 }
                 EventKind::Write { loc, val, mode, rmw } => {
-                    out.push(2);
-                    push_u64(out, *loc);
-                    push_u64(out, *val);
-                    out.push(mode.tag());
-                    out.push(*rmw as u8);
+                    out.byte(2);
+                    out.bytes(&loc.to_le_bytes());
+                    out.bytes(&val.to_le_bytes());
+                    out.byte(mode.tag());
+                    out.byte(*rmw as u8);
                 }
                 EventKind::Fence { mode } => {
-                    out.push(3);
-                    out.push(mode.tag());
+                    out.byte(3);
+                    out.byte(mode.tag());
                 }
                 EventKind::Error { msg } => {
-                    out.push(4);
-                    push_u64(out, msg.len() as u64);
-                    out.extend_from_slice(msg.as_bytes());
+                    out.byte(4);
+                    out.bytes(&(msg.len() as u64).to_le_bytes());
+                    out.bytes(msg.as_bytes());
                 }
             }
         }
     }
-    out.push(0xfc);
-    for loc in g.written_locs().collect::<Vec<_>>() {
+    out.byte(0xfc);
+    for loc in g.written_locs() {
         let mut any = false;
         for &w in g.mo(loc) {
             if !v.kept(w) {
                 continue;
             }
             if !any {
-                push_u64(out, loc);
+                out.bytes(&loc.to_le_bytes());
                 any = true;
             }
-            push_event_id(out, map_id(w));
+            put_id(out, w);
         }
-        // A location whose every write is cut vanishes, exactly as in
-        // `ExecutionGraph::restrict`: the encoding of a view equals the
-        // encoding of the materialized restriction.
+        // A location whose every write is cut vanishes, as it does in
+        // `ExecutionGraph::restrict_set`: a view encodes like its result.
         if any {
-            out.push(0xfb);
+            out.byte(0xfb);
         }
     }
 }
 
-/// Reusable hashing state for [`GraphView`]s — the revisit engine's
-/// counterpart of [`Canonicalizer`]. Holds the partition's non-identity
-/// relabelings (none ⇒ plain content hashing) and scratch buffers; one
-/// instance per explorer worker.
-#[derive(Debug)]
-pub struct ExploreEncoder {
-    perms: Vec<(Vec<ThreadId>, Vec<ThreadId>)>,
-    best: Vec<u8>,
-    cur: Vec<u8>,
-    chosen: Option<usize>,
-    /// Encodings performed since the last [`ExploreEncoder::take_probes`]
-    /// (each hash costs `1 + |perms|`).
-    probes: u64,
-}
-
-impl ExploreEncoder {
-    /// Build the encoder; `None` (or a trivial partition) hashes views
-    /// as-is, a partition hashes them modulo its thread relabelings.
-    #[must_use]
-    pub fn new(partition: Option<&ThreadPartition>) -> Self {
-        let perms = match partition {
-            None => Vec::new(),
-            Some(p) => {
-                let limited = p.clone().limited(MAX_SYMMETRY_PERMUTATIONS);
-                limited
-                    .permutations()
-                    .into_iter()
-                    .filter(|perm| perm.iter().enumerate().any(|(t, &l)| l != t as ThreadId))
-                    .map(|fwd| {
-                        let mut inv = vec![0 as ThreadId; fwd.len()];
-                        for (t, &l) in fwd.iter().enumerate() {
-                            inv[l as usize] = t as ThreadId;
-                        }
-                        (fwd, inv)
-                    })
-                    .collect()
-            }
-        };
-        ExploreEncoder { perms, best: Vec::new(), cur: Vec::new(), chosen: None, probes: 0 }
-    }
-
-    /// Flag-blind (orbit-canonical, if a partition is active) hash of a
-    /// view, plus whether a non-identity relabeling produced the canonical
-    /// form ([`ExploreEncoder::chosen_perm`] then reports which).
-    pub fn hash_view(&mut self, v: &GraphView<'_>) -> (u128, bool) {
-        let (best, cur) = (&mut self.best, &mut self.cur);
-        encode_view_relabeled(v, None, best);
-        self.probes += 1 + self.perms.len() as u64;
-        self.chosen = None;
-        for (i, (fwd, inv)) in self.perms.iter().enumerate() {
-            encode_view_relabeled(v, Some((fwd, inv)), cur);
-            if cur.as_slice() < best.as_slice() {
-                std::mem::swap(best, cur);
-                self.chosen = Some(i);
-            }
-        }
-        (hash128(&self.best), self.chosen.is_some())
-    }
-
-    /// Drain the encoding-work counter: total view serializations since
-    /// the last call (the symmetry-dedup cost telemetry reports as
-    /// `probes`).
-    pub fn take_probes(&mut self) -> u64 {
-        std::mem::take(&mut self.probes)
-    }
-
-    /// The relabeling (`perm[original] = new`) that produced the last
-    /// canonical form, or `None` if the view already was the orbit
-    /// representative.
-    #[must_use]
-    pub fn chosen_perm(&self) -> Option<&[ThreadId]> {
-        self.chosen.map(|i| self.perms[i].0.as_slice())
-    }
-}
-
-/// Reusable canonicalization state for one [`ThreadPartition`]: the
-/// allowed non-identity thread relabelings (with inverses) and two scratch
-/// encoding buffers. One instance per explorer worker; feeding it graphs
-/// of different programs with the same partition shape is fine.
+/// Reusable canonicalization state: the non-identity thread relabelings a
+/// [`ThreadPartition`] allows (none ⇒ plain content encoding), two scratch
+/// buffers and a work counter. One per engine worker, one per oracle run;
+/// graphs of different programs with the same partition shape may share it.
 #[derive(Debug)]
 pub struct Canonicalizer {
-    /// Non-identity relabelings: `(forward, inverse)` pairs.
-    perms: Vec<(Vec<ThreadId>, Vec<ThreadId>)>,
+    perms: Vec<Relabeling>,
     best: Vec<u8>,
     cur: Vec<u8>,
     /// Index into `perms` of the minimizing relabeling of the last
@@ -467,46 +293,46 @@ pub struct Canonicalizer {
 }
 
 impl Canonicalizer {
-    /// Build the canonicalizer for a partition. Partitions beyond
+    /// `None` (or a trivial partition) encodes views as-is, a partition
+    /// encodes them modulo its thread relabelings. Partitions beyond
     /// [`MAX_SYMMETRY_PERMUTATIONS`] are split down to the cap first
     /// (sound: splitting only loses pruning power).
     #[must_use]
-    pub fn new(partition: &ThreadPartition) -> Self {
-        let limited = partition.clone().limited(MAX_SYMMETRY_PERMUTATIONS);
-        let perms = limited
-            .permutations()
-            .into_iter()
-            .filter(|p| p.iter().enumerate().any(|(t, &l)| l != t as ThreadId))
-            .map(|fwd| {
-                let mut inv = vec![0 as ThreadId; fwd.len()];
-                for (t, &l) in fwd.iter().enumerate() {
-                    inv[l as usize] = t as ThreadId;
-                }
-                (fwd, inv)
-            })
-            .collect();
+    pub fn new(partition: Option<&ThreadPartition>) -> Self {
+        let perms = match partition {
+            None => Vec::new(),
+            Some(p) => p
+                .clone()
+                .limited(MAX_SYMMETRY_PERMUTATIONS)
+                .permutations()
+                .into_iter()
+                .filter(|perm| perm.iter().enumerate().any(|(t, &l)| l != t as ThreadId))
+                .map(|fwd| {
+                    let mut inv = vec![0 as ThreadId; fwd.len()];
+                    for (t, &l) in fwd.iter().enumerate() {
+                        inv[l as usize] = t as ThreadId;
+                    }
+                    (fwd, inv)
+                })
+                .collect(),
+        };
         Canonicalizer { perms, best: Vec::new(), cur: Vec::new(), chosen: None, probes: 0 }
     }
 
-    /// Does the partition allow any relabeling at all?
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        !self.perms.is_empty()
-    }
-
-    /// The canonical encoding of `g` modulo the partition: the
-    /// lexicographically smallest [`canonical_bytes`]-style serialization
-    /// over all allowed relabelings. The returned slice lives in the
-    /// canonicalizer's scratch buffer; [`Canonicalizer::chosen_perm`]
-    /// reports which relabeling won.
-    pub fn canonicalize(&mut self, g: &ExecutionGraph) -> &[u8] {
+    /// The canonical encoding of `v` modulo the partition: the
+    /// lexicographically smallest serialization over all allowed
+    /// relabelings ([`Canonicalizer::chosen_perm`] reports which one won).
+    /// The returned slice lives in the canonicalizer's scratch buffer.
+    pub fn canonicalize(&mut self, v: &GraphView<'_>) -> &[u8] {
         // Swap-based double buffering: `best` holds the minimum so far.
         let (best, cur) = (&mut self.best, &mut self.cur);
-        encode_relabeled(g, None, best);
+        best.clear();
+        encode(v, None, best);
         self.probes += 1 + self.perms.len() as u64;
         self.chosen = None;
-        for (i, (fwd, inv)) in self.perms.iter().enumerate() {
-            encode_relabeled(g, Some((fwd, inv)), cur);
+        for (i, perm) in self.perms.iter().enumerate() {
+            cur.clear();
+            encode(v, Some(perm), cur);
             if cur.as_slice() < best.as_slice() {
                 std::mem::swap(best, cur);
                 self.chosen = Some(i);
@@ -516,127 +342,60 @@ impl Canonicalizer {
     }
 
     /// [`hash128`] of [`Canonicalizer::canonicalize`], plus whether a
-    /// non-identity relabeling produced the canonical form (i.e. the graph
-    /// was *not* already the orbit representative).
-    pub fn canonical_hash(&mut self, g: &ExecutionGraph) -> (u128, bool) {
-        let h = hash128(self.canonicalize(g));
+    /// non-identity relabeling produced the canonical form (i.e. the view
+    /// was *not* already its orbit's representative).
+    pub fn hash_view(&mut self, v: &GraphView<'_>) -> (u128, bool) {
+        let h = hash128(self.canonicalize(v));
         (h, self.chosen.is_some())
     }
 
-    /// The relabeling (`perm[original] = new`) that produced the last
-    /// canonical form, or `None` if the graph already was the
-    /// representative.
+    /// The relabeling (`perm[original] = new`) behind the last canonical
+    /// form; `None` if the view already was its orbit's representative.
     #[must_use]
     pub fn chosen_perm(&self) -> Option<&[ThreadId]> {
         self.chosen.map(|i| self.perms[i].0.as_slice())
     }
 
-    /// Drain the encoding-work counter: total graph serializations since
-    /// the last call (the symmetry-dedup cost telemetry reports as
-    /// `probes`).
+    /// Drain the encoding-work counter: view serializations since the last
+    /// call (the symmetry-dedup cost telemetry reports as `probes`).
     pub fn take_probes(&mut self) -> u64 {
         std::mem::take(&mut self.probes)
     }
 }
 
+/// Serialize the semantic content of a graph to a canonical byte string:
+/// two executions of one program encode equally iff they have the same
+/// events (in program order), reads-from edges and modification orders.
+#[must_use]
+pub fn canonical_bytes(g: &ExecutionGraph) -> Vec<u8> {
+    let mut out = Vec::with_capacity(g.num_events() * 24 + 64);
+    encode(&GraphView::full(g), None, &mut out);
+    out
+}
+
+/// 128-bit content hash of a graph: `hash128(&canonical_bytes(g))`,
+/// streamed without the intermediate buffer.
+#[must_use]
+pub fn content_hash(g: &ExecutionGraph) -> u128 {
+    let mut h = Hash128::new();
+    encode(&GraphView::full(g), None, &mut h);
+    h.finish()
+}
+
 /// The canonical encoding of `g` under permutations of symmetric threads:
-/// the lexicographically smallest serialization over all relabelings the
-/// partition allows. Graphs related by such a relabeling — and only those
-/// — encode identically. With a trivial partition this is exactly
-/// [`canonical_bytes`].
-///
-/// One-shot convenience over [`Canonicalizer`], which the explorer uses to
-/// reuse the permutation table and scratch buffers across graphs.
+/// graphs related by a relabeling the partition allows — and only those —
+/// encode identically. With a trivial partition this is exactly
+/// [`canonical_bytes`]. One-shot [`Canonicalizer::canonicalize`].
 #[must_use]
 pub fn canonical_bytes_modulo(g: &ExecutionGraph, partition: &ThreadPartition) -> Vec<u8> {
-    let mut c = Canonicalizer::new(partition);
-    c.canonicalize(g).to_vec()
+    Canonicalizer::new(Some(partition)).canonicalize(&GraphView::full(g)).to_vec()
 }
 
 /// [`hash128`] over [`canonical_bytes_modulo`]: the orbit-invariant
 /// content hash the explorer's symmetry-aware dedup keys on.
 #[must_use]
 pub fn canonical_hash_modulo(g: &ExecutionGraph, partition: &ThreadPartition) -> u128 {
-    Canonicalizer::new(partition).canonical_hash(g).0
-}
-
-impl Hash128 {
-    fn event_id(&mut self, id: EventId) {
-        match id {
-            EventId::Init(loc) => {
-                self.byte(0);
-                self.u64(loc);
-            }
-            EventId::Event { thread, index } => {
-                self.byte(1);
-                for b in thread.to_le_bytes() {
-                    self.byte(b);
-                }
-                for b in index.to_le_bytes() {
-                    self.byte(b);
-                }
-            }
-        }
-    }
-}
-
-/// 128-bit content hash of a graph: [`hash128`] over the canonical
-/// encoding, streamed (identical to `hash128(&canonical_bytes(g))`,
-/// without the intermediate allocation).
-pub fn content_hash(g: &ExecutionGraph) -> u128 {
-    let mut h = Hash128::new();
-    for (&loc, &val) in g.init_table() {
-        h.u64(loc);
-        h.u64(val);
-    }
-    h.byte(0xfe);
-    for t in 0..g.num_threads() {
-        h.byte(0xfd);
-        for ev in g.thread_events(t as u32) {
-            match &ev.kind {
-                EventKind::Read { loc, mode, rf, rmw, awaiting } => {
-                    h.byte(1);
-                    h.u64(*loc);
-                    h.byte(mode.tag());
-                    h.byte((*rmw as u8) | ((*awaiting as u8) << 1));
-                    match rf {
-                        RfSource::Bottom => h.byte(0),
-                        RfSource::Write(w) => {
-                            h.byte(1);
-                            h.event_id(*w);
-                        }
-                    }
-                }
-                EventKind::Write { loc, val, mode, rmw } => {
-                    h.byte(2);
-                    h.u64(*loc);
-                    h.u64(*val);
-                    h.byte(mode.tag());
-                    h.byte(*rmw as u8);
-                }
-                EventKind::Fence { mode } => {
-                    h.byte(3);
-                    h.byte(mode.tag());
-                }
-                EventKind::Error { msg } => {
-                    h.byte(4);
-                    h.u64(msg.len() as u64);
-                    for &b in msg.as_bytes() {
-                        h.byte(b);
-                    }
-                }
-            }
-        }
-    }
-    h.byte(0xfc);
-    for loc in g.written_locs() {
-        h.u64(loc);
-        for &w in g.mo(loc) {
-            h.event_id(w);
-        }
-        h.byte(0xfb);
-    }
-    h.finish()
+    Canonicalizer::new(Some(partition)).hash_view(&GraphView::full(g)).0
 }
 
 #[cfg(test)]
@@ -714,19 +473,11 @@ mod tests {
     }
 
     #[test]
-    fn fnv_is_stable() {
-        // Golden value guards against accidental algorithm changes that
-        // would silently invalidate persisted hashes.
-        assert_eq!(fnv128(b""), FNV_OFFSET);
-        assert_ne!(fnv128(b"a"), fnv128(b"b"));
-    }
-
-    #[test]
     fn streamed_hash_equals_buffered_hash() {
-        let g = sample();
-        assert_eq!(content_hash(&g), hash128(&canonical_bytes(&g)));
-        let empty = ExecutionGraph::new(0, BTreeMap::new());
-        assert_eq!(content_hash(&empty), hash128(&canonical_bytes(&empty)));
+        for g in [sample(), ExecutionGraph::new(0, BTreeMap::new())] {
+            assert_eq!(content_hash(&g), hash128(&canonical_bytes(&g)));
+            assert_eq!(content_hash(&g), view_hash(&GraphView::full(&g)));
+        }
     }
 
     /// Two threads with mirrored roles: T0 writes 1, T1 writes 2 (same
@@ -742,14 +493,6 @@ mod tests {
             g
         };
         (mk(0), mk(1))
-    }
-
-    #[test]
-    fn canonical_bytes_into_matches_allocating_variant() {
-        let g = sample();
-        let mut buf = vec![0xAA; 3]; // stale contents must be cleared
-        canonical_bytes_into(&g, &mut buf);
-        assert_eq!(buf, canonical_bytes(&g));
     }
 
     #[test]
@@ -776,23 +519,25 @@ mod tests {
     fn canonicalizer_reports_the_winning_relabeling() {
         let (a, b) = twin_pair();
         let sym = crate::ThreadPartition::from_class_ids(&[0, 0]);
-        let mut c = Canonicalizer::new(&sym);
-        assert!(c.is_active());
-        let (ha, a_permuted) = c.canonical_hash(&a);
-        let (hb, b_permuted) = c.canonical_hash(&b);
+        let mut c = Canonicalizer::new(Some(&sym));
+        let (ha, a_permuted) = c.hash_view(&GraphView::full(&a));
+        let (hb, b_permuted) = c.hash_view(&GraphView::full(&b));
         assert_eq!(ha, hb);
         // Exactly one of the twins is the representative.
         assert_ne!(a_permuted, b_permuted);
-        let (permuted_graph, flag) = if a_permuted { (&a, a_permuted) } else { (&b, b_permuted) };
-        assert!(flag);
-        let mut c2 = Canonicalizer::new(&sym);
-        let _ = c2.canonical_hash(permuted_graph);
-        let perm = c2.chosen_perm().expect("non-identity relabeling chosen");
+        let loser = if a_permuted { &a } else { &b };
+        let mut c2 = Canonicalizer::new(Some(&sym));
+        let _ = c2.hash_view(&GraphView::full(loser));
+        let perm = c2.chosen_perm().expect("non-identity relabeling chosen").to_vec();
         // Applying the winning relabeling lands on the representative.
-        let canon = permuted_graph.permute_threads(perm);
-        let (_, again) = c2.canonical_hash(&canon);
+        let canon = loser.permute_threads(&perm);
+        let (hc, again) = c2.hash_view(&GraphView::full(&canon));
         assert!(!again, "the representative canonicalizes to itself");
+        assert_eq!(hc, ha);
+        assert!(c2.chosen_perm().is_none());
         assert_eq!(canonical_hash_modulo(&canon, &sym), ha);
+        assert_eq!(canonical_bytes_modulo(loser, &sym), canonical_bytes(&canon));
+        assert_eq!(c2.take_probes(), 4, "two canonicalizations, identity + one swap each");
     }
 
     #[test]
@@ -809,7 +554,7 @@ mod tests {
     }
 
     fn view_hash(v: &GraphView<'_>) -> u128 {
-        ExploreEncoder::new(None).hash_view(v).0
+        Canonicalizer::new(None).hash_view(v).0
     }
 
     #[test]
@@ -825,11 +570,12 @@ mod tests {
             g
         };
         let (plain, stale) = (mk(false, false), mk(true, true));
-        // The flag-aware content hash separates stale and repaired flags…
-        assert_ne!(content_hash(&plain), content_hash(&stale));
-        // …the view hash deliberately merges them…
+        // Stale and repaired flags hash alike, under `content_hash` too:
+        // there is one encoding and it never includes them…
+        assert_eq!(content_hash(&plain), content_hash(&stale));
+        assert_eq!(canonical_bytes(&plain), canonical_bytes(&stale));
         assert_eq!(view_hash(&GraphView::full(&plain)), view_hash(&GraphView::full(&stale)));
-        // …while still separating genuinely different rf edges.
+        // …while genuinely different rf edges stay apart.
         let mut other = mk(false, false);
         other.set_rf(EventId::new(1, 0), RfSource::Write(EventId::Init(0x10)));
         assert_ne!(view_hash(&GraphView::full(&plain)), view_hash(&GraphView::full(&other)));
@@ -874,29 +620,6 @@ mod tests {
         // hash — that is the whole point of flag-blindness.
         child.set_read_flags(r, false, false);
         assert_eq!(view_hash(&view), view_hash(&GraphView::full(&child)));
-    }
-
-    #[test]
-    fn explore_encoder_canonicalizes_twins_like_canonicalizer() {
-        let (a, b) = twin_pair();
-        let sym = crate::ThreadPartition::from_class_ids(&[0, 0]);
-        let mut enc = ExploreEncoder::new(Some(&sym));
-        let (ha, a_perm) = enc.hash_view(&GraphView::full(&a));
-        let (hb, b_perm) = enc.hash_view(&GraphView::full(&b));
-        assert_eq!(ha, hb, "twins share the orbit hash");
-        assert_ne!(a_perm, b_perm, "exactly one twin is the representative");
-        let loser = if a_perm { &a } else { &b };
-        let mut enc2 = ExploreEncoder::new(Some(&sym));
-        let _ = enc2.hash_view(&GraphView::full(loser));
-        let perm = enc2.chosen_perm().expect("non-identity relabeling chosen").to_vec();
-        let canon = loser.permute_threads(&perm);
-        let (hc, again) = enc2.hash_view(&GraphView::full(&canon));
-        assert_eq!(hc, ha);
-        assert!(!again, "the representative is already canonical");
-        // Without a partition the twins stay distinct.
-        let mut plain = ExploreEncoder::new(None);
-        assert_ne!(plain.hash_view(&GraphView::full(&a)).0, plain.hash_view(&GraphView::full(&b)).0);
-        assert!(plain.chosen_perm().is_none());
     }
 
     #[test]

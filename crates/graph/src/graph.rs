@@ -5,7 +5,7 @@
 //! one-clone-per-child pattern copies only the single thread it then
 //! extends — every other thread's events are shared with the parent.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::event::{Event, EventId, EventKind, Loc, Mode, RfSource, ThreadId, Value};
@@ -372,12 +372,6 @@ impl ExecutionGraph {
     /// through program order and reads-from edges, *including* the seeds.
     ///
     /// Init events are implicit and never included.
-    pub fn porf_prefix(&self, seeds: impl IntoIterator<Item = EventId>) -> HashSet<EventId> {
-        self.porf_prefix_set(seeds).iter(self).collect()
-    }
-
-    /// [`ExecutionGraph::porf_prefix`] as a dense [`EventSet`] — the
-    /// allocation-light form used by the explorer's revisit hot path.
     pub fn porf_prefix_set(&self, seeds: impl IntoIterator<Item = EventId>) -> EventSet {
         let mut prefix = EventSet::new(self);
         let mut work: Vec<EventId> = seeds.into_iter().filter(|e| !e.is_init()).collect();
@@ -413,28 +407,19 @@ impl ExecutionGraph {
     /// # Panics
     ///
     /// Panics (in debug builds) if `keep` is not prefix-closed.
-    pub fn restrict(&self, keep: &HashSet<EventId>) -> ExecutionGraph {
-        self.restrict_with(|id| keep.contains(&id))
-    }
-
-    /// [`ExecutionGraph::restrict`] with a dense [`EventSet`] keep-set.
     pub fn restrict_set(&self, keep: &EventSet) -> ExecutionGraph {
-        self.restrict_with(|id| keep.contains(id))
-    }
-
-    fn restrict_with(&self, keep: impl Fn(EventId) -> bool) -> ExecutionGraph {
         let mut threads = Vec::with_capacity(self.threads.len());
         for (t, evs) in self.threads.iter().enumerate() {
             // Find the cut first so a fully-surviving thread shares the
             // parent's storage without copying a single event.
             let mut cut = 0;
-            while cut < evs.len() && keep(EventId::new(t as ThreadId, cut as u32)) {
+            while cut < evs.len() && keep.contains(EventId::new(t as ThreadId, cut as u32)) {
                 cut += 1;
             }
             #[cfg(debug_assertions)]
             for i in cut..evs.len() {
                 assert!(
-                    !keep(EventId::new(t as ThreadId, i as u32)),
+                    !keep.contains(EventId::new(t as ThreadId, i as u32)),
                     "keep set is not po-prefix-closed for thread {t}"
                 );
             }
@@ -448,7 +433,7 @@ impl ExecutionGraph {
             .mo
             .iter()
             .map(|(&loc, ws)| {
-                (loc, ws.iter().filter(|w| keep(**w)).copied().collect::<Vec<_>>())
+                (loc, ws.iter().filter(|w| keep.contains(**w)).copied().collect::<Vec<_>>())
             })
             .filter(|(_, ws): &(Loc, Vec<EventId>)| !ws.is_empty())
             .collect();
@@ -457,7 +442,7 @@ impl ExecutionGraph {
         for (id, _, rf) in g.reads() {
             if let RfSource::Write(w) = rf {
                 if !w.is_init() {
-                    assert!(keep(w), "dangling rf after restrict: {id} reads deleted {w}");
+                    assert!(keep.contains(w), "dangling rf after restrict: {id} reads deleted {w}");
                 }
             }
         }
@@ -734,14 +719,14 @@ mod tests {
         let w1 = g.push_event(0, write_kind(0x20, 1)); // T0.1
         g.insert_mo(0x20, w1, 0);
         let r = g.push_event(1, read_kind(0x20, RfSource::Write(w1))); // T1.0
-        let prefix = g.porf_prefix([r]);
+        let prefix = g.porf_prefix_set([r]);
         // r's prefix: r itself, w1 (rf), w0 (po before w1).
-        assert!(prefix.contains(&r));
-        assert!(prefix.contains(&w1));
-        assert!(prefix.contains(&w0));
+        assert!(prefix.contains(r));
+        assert!(prefix.contains(w1));
+        assert!(prefix.contains(w0));
         assert_eq!(prefix.len(), 3);
         // w0's prefix is just w0.
-        assert_eq!(g.porf_prefix([w0]).len(), 1);
+        assert_eq!(g.porf_prefix_set([w0]).len(), 1);
     }
 
     #[test]
@@ -752,8 +737,10 @@ mod tests {
         let w1 = g.push_event(0, write_kind(0x10, 2));
         g.insert_mo(0x10, w1, 1);
         let r = g.push_event(1, read_kind(0x10, RfSource::Write(w0)));
-        let keep: HashSet<EventId> = [w0, r].into_iter().collect();
-        let g2 = g.restrict(&keep);
+        let mut keep = EventSet::new(&g);
+        keep.insert(w0);
+        keep.insert(r);
+        let g2 = g.restrict_set(&keep);
         assert_eq!(g2.num_events(), 2);
         assert_eq!(g2.mo(0x10), &[w0]);
         assert_eq!(g2.read_value(r), Some(1));

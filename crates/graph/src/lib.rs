@@ -16,10 +16,10 @@
 //! The crate also provides dense bit-matrix relations ([`Relation`],
 //! [`EventIndex`]) used by the memory models, canonical content hashing
 //! used by the explorer's deduplication ([`content_hash`]) — including
-//! the thread-symmetry-aware quotient ([`canonical_hash_modulo`],
+//! the thread-symmetry-aware quotient ([`Canonicalizer`],
 //! [`ThreadPartition`]) that collapses relabeled twin executions of
 //! template-identical threads — and Graphviz / text rendering of
-//! counterexamples ([`to_dot`], [`to_text`]).
+//! counterexamples ([`to_dot`], [`ExecutionGraph::render`]).
 //!
 //! ```
 //! use std::collections::BTreeMap;
@@ -45,10 +45,10 @@ mod graph;
 mod symmetry;
 
 pub use dense::{iter_set_bits, EventIndex, Relation};
-pub use dot::{to_dot, to_text};
+pub use dot::to_dot;
 pub use encode::{
-    canonical_bytes, canonical_bytes_into, canonical_bytes_modulo, canonical_hash_modulo,
-    content_hash, fnv128, hash128, Canonicalizer, ExploreEncoder, GraphView,
+    canonical_bytes, canonical_bytes_modulo, canonical_hash_modulo, content_hash, hash128,
+    Canonicalizer, GraphView,
 };
 pub use event::{Event, EventId, EventKind, Loc, Mode, RfSource, ThreadId, Value};
 pub use graph::{EventSet, ExecutionGraph};

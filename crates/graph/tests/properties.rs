@@ -5,10 +5,11 @@
 //! use a tiny deterministic SplitMix64-driven generator; every case is
 //! reproducible from the printed seed.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use vsync_graph::{
-    canonical_bytes, content_hash, EventId, EventKind, ExecutionGraph, Mode, Relation, RfSource,
+    canonical_bytes, canonical_bytes_modulo, content_hash, hash128, Canonicalizer, EventId,
+    EventKind, EventSet, ExecutionGraph, GraphView, Mode, Relation, RfSource, ThreadPartition,
 };
 
 const LOCS: [u64; 3] = [0x10, 0x20, 0x30];
@@ -127,19 +128,20 @@ fn porf_prefix_is_closed() {
     for_random_graphs("porf_prefix_is_closed", |g| {
         let all: Vec<EventId> = g.events().map(|(id, _)| id).collect();
         for &seed in all.iter().take(4) {
-            let prefix = g.porf_prefix([seed]);
-            for &e in &prefix {
+            let prefix = g.porf_prefix_set([seed]);
+            assert!(prefix.contains(seed), "a prefix includes its seed");
+            for e in prefix.iter(g) {
                 if let EventId::Event { thread, index } = e {
                     if index > 0 {
                         assert!(
-                            prefix.contains(&EventId::new(thread, index - 1)),
+                            prefix.contains(EventId::new(thread, index - 1)),
                             "po predecessor of {e} missing"
                         );
                     }
                 }
                 if let EventKind::Read { rf: RfSource::Write(w), .. } = &g.event(e).kind {
                     if !w.is_init() {
-                        assert!(prefix.contains(w), "rf source of {e} missing");
+                        assert!(prefix.contains(*w), "rf source of {e} missing");
                     }
                 }
             }
@@ -152,13 +154,21 @@ fn porf_prefix_is_closed() {
 #[test]
 fn restrict_to_prefix_is_sound() {
     for_random_graphs("restrict_to_prefix_is_sound", |g| {
-        let all: HashSet<EventId> = g.events().map(|(id, _)| id).collect();
-        let identity = g.restrict(&all);
+        let mut all = EventSet::new(g);
+        for (id, _) in g.events() {
+            all.insert(id);
+        }
+        let identity = g.restrict_set(&all);
         assert_eq!(content_hash(g), content_hash(&identity));
         if let Some((seed, _)) = g.events().last() {
-            let keep = g.porf_prefix([seed]);
-            let sub = g.restrict(&keep);
+            let keep = g.porf_prefix_set([seed]);
+            let sub = g.restrict_set(&keep);
             assert_eq!(sub.num_events(), keep.len());
+            assert_eq!(
+                (0..g.num_threads() as u32).map(|t| sub.thread_len(t) as u32).collect::<Vec<_>>(),
+                keep.prefix_lens(),
+                "the restriction keeps exactly the set's per-thread prefixes"
+            );
             // Every kept read still has its source.
             for (_, _, rf) in sub.reads() {
                 if let RfSource::Write(w) = rf {
@@ -169,13 +179,14 @@ fn restrict_to_prefix_is_sound() {
     });
 }
 
-/// Canonical encodings are stable (pure) and equal encodings mean equal
-/// hashes; touching rf changes the encoding.
+/// Canonical encodings are stable (pure), the streamed hash is the hash
+/// of the buffered bytes, and touching rf changes the encoding.
 #[test]
 fn canonical_encoding_is_pure() {
     for_random_graphs("canonical_encoding_is_pure", |g| {
         assert_eq!(canonical_bytes(g), canonical_bytes(g));
         assert_eq!(content_hash(g), content_hash(g));
+        assert_eq!(hash128(&canonical_bytes(g)), content_hash(g));
         let mut g2 = g.clone();
         let target = g2.reads().find_map(|(r, loc, rf)| match rf {
             RfSource::Write(w) if !w.is_init() => Some((r, loc)),
@@ -187,6 +198,45 @@ fn canonical_encoding_is_pure() {
             assert_ne!(content_hash(g), content_hash(&g2));
         }
     });
+}
+
+/// The one thing a [`GraphView`] adds: for every backward revisit the
+/// engine could take (a read `r`, a same-location write `w` that `r` does
+/// not read and whose porf-prefix does not contain `r`), the view of the
+/// would-be child encodes like the child built the long way — plainly and
+/// modulo a partition that lets every thread swap with every other.
+#[test]
+fn restricted_view_encodes_like_the_materialized_revisit() {
+    let (mut cutting, mut relabeled) = (0, 0);
+    for_random_graphs("restricted_view_encodes_like_the_materialized_revisit", |g| {
+        let symmetric = ThreadPartition::from_class_ids(&vec![0; g.num_threads()]);
+        let mut plain = Canonicalizer::new(None);
+        let mut modulo = Canonicalizer::new(Some(&symmetric));
+        for (r, loc, rf) in g.reads() {
+            for &w in g.mo(loc) {
+                if rf == RfSource::Write(w) || g.porf_prefix_set([w]).contains(r) {
+                    continue;
+                }
+                let keep = g.porf_prefix_set([w, r]);
+                let lens = keep.prefix_lens();
+                let view = GraphView::restricted(g, &lens, r, w);
+                let mut child = g.restrict_set(&keep);
+                child.set_rf(r, RfSource::Write(w));
+                assert_eq!(plain.canonicalize(&view), canonical_bytes(&child), "{r} <- {w}");
+                assert_eq!(
+                    modulo.canonicalize(&view),
+                    canonical_bytes_modulo(&child, &symmetric),
+                    "{r} <- {w} modulo thread symmetry"
+                );
+                relabeled += modulo.chosen_perm().is_some() as u32;
+                assert_eq!(hash128(&canonical_bytes(&child)), content_hash(&child));
+                cutting += (keep.len() < g.num_events()) as u32;
+            }
+        }
+    });
+    // The generator must exercise what the property is about.
+    assert!(cutting >= 20, "only {cutting} revisits cut events");
+    assert!(relabeled >= 10, "only {relabeled} views had a relabeled canonical form");
 }
 
 /// final_state reports exactly the mo-maximal writes.

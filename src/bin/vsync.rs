@@ -36,8 +36,8 @@ vsync fmt [--check|--write] <path>  canonically format litmus files
                                      --write: rewrite in place)
 
 options:
-  --threads N      client threads (default 2)
-  --acquires K     acquisitions per thread (default 1)
+  --threads N      client threads (default 2; at least 1)
+  --acquires K     acquisitions per thread (default 1; at least 1)
   --model M        sc | tso | vmm (default vmm)
   --models A,B     comma-separated model matrix (overrides --model)
   --workers N      worker threads of each exploration (default 1)
@@ -86,7 +86,8 @@ struct Options {
     workers: usize,
     jobs: usize,
     deadline: Option<Duration>,
-    max_memory_mb: u64,
+    /// `--max-memory-mb`, in bytes (0 = unlimited).
+    max_memory_bytes: u64,
     max_dedup: u64,
     json: bool,
     progress: bool,
@@ -103,6 +104,16 @@ struct Options {
     fixed: bool,
 }
 
+/// The operand of a client-size option. 0 is refused: an empty client has
+/// one (empty) execution and would report `verified` about no lock at all.
+fn positive(option: &str, operand: Option<&String>) -> Result<usize, String> {
+    match operand.and_then(|v| v.parse().ok()) {
+        Some(0) => Err(format!("{option} must be at least 1")),
+        Some(n) => Ok(n),
+        None => Err(format!("{option} needs a number")),
+    }
+}
+
 impl Options {
     fn parse(args: &[String]) -> Result<Options, String> {
         let mut o = Options {
@@ -113,7 +124,7 @@ impl Options {
             workers: 1,
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
             deadline: None,
-            max_memory_mb: 0,
+            max_memory_bytes: 0,
             max_dedup: 0,
             json: false,
             progress: false,
@@ -130,14 +141,8 @@ impl Options {
         let mut it = args.iter().peekable();
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--threads" => {
-                    o.threads =
-                        it.next().and_then(|v| v.parse().ok()).ok_or("--threads needs a number")?
-                }
-                "--acquires" => {
-                    o.acquires =
-                        it.next().and_then(|v| v.parse().ok()).ok_or("--acquires needs a number")?
-                }
+                "--threads" => o.threads = positive(a, it.next())?,
+                "--acquires" => o.acquires = positive(a, it.next())?,
                 "--model" => {
                     let m = it.next().ok_or("--model needs sc|tso|vmm")?;
                     o.models = vec![m.parse()?];
@@ -164,10 +169,13 @@ impl Options {
                     o.deadline = Some(Duration::from_millis(ms));
                 }
                 "--max-memory-mb" => {
-                    o.max_memory_mb = it
+                    let mb: u64 = it
                         .next()
                         .and_then(|v| v.parse().ok())
-                        .ok_or("--max-memory-mb needs a number")?
+                        .ok_or("--max-memory-mb needs a number")?;
+                    // Saturate: a wrapped product could land on 0, which
+                    // means "unlimited".
+                    o.max_memory_bytes = mb.saturating_mul(1024 * 1024);
                 }
                 "--max-dedup" => {
                     o.max_dedup = it
@@ -215,7 +223,7 @@ impl Options {
             no_symmetry: !self.symmetry,
             deadline: self.deadline,
             cancel: CancelToken::new(),
-            max_memory_bytes: self.max_memory_mb * 1024 * 1024,
+            max_memory_bytes: self.max_memory_bytes,
             max_dedup_entries: self.max_dedup,
             progress: self.progress.then(|| {
                 Arc::new(|p: &ProgressSnapshot| {
@@ -242,7 +250,7 @@ impl Options {
             .models(self.models.iter().copied())
             .workers(self.workers)
             .symmetry(self.symmetry)
-            .max_memory_bytes(self.max_memory_mb * 1024 * 1024)
+            .max_memory_bytes(self.max_memory_bytes)
             .max_dedup_entries(self.max_dedup);
         if let Some(d) = self.deadline {
             s = s.deadline(d);
@@ -698,5 +706,35 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        Options::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn empty_clients_are_refused_by_name() {
+        for option in ["--threads", "--acquires"] {
+            let e = parse(&[option, "0"]).err().expect("0 must be refused");
+            assert!(e.contains(option), "{e}");
+            assert!(parse(&[option, "3"]).is_ok());
+            assert!(parse(&[option]).is_err());
+        }
+        let o = parse(&["--threads", "3", "--acquires", "2"]).unwrap();
+        assert_eq!((o.threads, o.acquires), (3, 2));
+    }
+
+    #[test]
+    fn memory_budget_saturates_instead_of_wrapping_to_unlimited() {
+        assert_eq!(parse(&[]).unwrap().max_memory_bytes, 0);
+        assert_eq!(parse(&["--max-memory-mb", "2"]).unwrap().max_memory_bytes, 2 << 20);
+        // 2^44 MiB = 2^64 bytes: wrapped, that is 0 = unlimited.
+        let huge = parse(&["--max-memory-mb", "17592186044416"]).unwrap();
+        assert_eq!(huge.max_memory_bytes, u64::MAX);
     }
 }

@@ -194,6 +194,11 @@ fn symmetry_explores_one_representative_per_orbit() {
             "per-orbit count must equal the number of orbits of the full set"
         );
         assert!(on.stats.popped <= off.stats.popped, "symmetry may never explore more");
+        let mut canonicalizer = vsync::graph::Canonicalizer::new(Some(&partition));
+        for g in &on.executions {
+            let (_, relabeled) = canonicalizer.hash_view(&vsync::graph::GraphView::full(g));
+            assert!(!relabeled, "collected a non-canonical representative:\n{}", g.render());
+        }
     });
 }
 

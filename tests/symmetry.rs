@@ -14,11 +14,17 @@
 //!   messages) as the naive symmetry-off reference, never explores more,
 //!   and keeps per-orbit counts worker-count deterministic.
 //!
+//! * **One name per orbit** — the search and its reference oracle
+//!   collect the *same* execution graphs on symmetric clients, each its
+//!   own canonical form under the public canonicalizer.
+//!
 //! The generator is a deterministic SplitMix64 stream; failures print the
 //! offending seed.
 
-use vsync::core::{explore, AmcConfig, Verdict};
-use vsync::graph::{canonical_hash_modulo, Mode};
+use std::collections::BTreeSet;
+
+use vsync::core::{explore, reference, AmcConfig, Verdict};
+use vsync::graph::{canonical_bytes, canonical_hash_modulo, Canonicalizer, GraphView, Mode};
 use vsync::lang::{Program, ProgramBuilder, Reg};
 use vsync::locks::registry;
 use vsync::model::ModelKind;
@@ -190,6 +196,43 @@ fn asymmetric_threads_are_never_merged() {
         });
     }
     assert!(pb.build().unwrap().symmetry_partition().is_trivial());
+}
+
+/// Engine, oracle and the public [`Canonicalizer`] run one encoder, so
+/// they name every orbit alike: on symmetric 3-thread clients the search
+/// and the reference search collect identical execution graphs (not just
+/// equally many), and each collected graph is its own canonical form.
+#[test]
+fn engine_and_oracle_collect_the_same_orbit_representatives() {
+    for lock in ["caslock", "taslock", "semaphore", "ttas", "ticketlock"] {
+        let p = registry::entry(lock).expect("lock is in the catalog").client(3, 1);
+        let partition = p.symmetry_partition();
+        assert!(!partition.is_trivial(), "{lock}: the client must be symmetric");
+        let cfg = AmcConfig::with_model(ModelKind::Vmm).collecting();
+        let engine = explore(&p, &cfg);
+        let oracle = reference::explore(&p, &cfg);
+        assert!(engine.is_verified() && oracle.is_verified(), "{lock}");
+        let mut canonicalizer = Canonicalizer::new(Some(&partition));
+        for (who, r) in [("engine", &engine), ("oracle", &oracle)] {
+            assert_eq!(r.executions.len() as u64, r.stats.complete_executions, "{lock} {who}");
+            for g in &r.executions {
+                let (_, relabeled) = canonicalizer.hash_view(&GraphView::full(g));
+                assert!(!relabeled, "{lock}: the {who} collected a non-canonical graph");
+            }
+        }
+        let names = |gs: &[vsync::graph::ExecutionGraph]| -> BTreeSet<Vec<u8>> {
+            gs.iter().map(canonical_bytes).collect()
+        };
+        let (of_engine, of_oracle) = (names(&engine.executions), names(&oracle.executions));
+        let common = of_engine.intersection(&of_oracle).count();
+        // `assert!`, not `assert_eq!`: a failure should print the tally,
+        // not two sets of kilobyte encodings.
+        assert!(
+            of_engine == of_oracle,
+            "{lock}: engine and oracle share {common} of {} representatives",
+            of_engine.len()
+        );
+    }
 }
 
 /// The verdict-kind label used by the differential assertions.
