@@ -11,7 +11,7 @@ use vsync_graph::Mode;
 use vsync_lang::{AluOp, Cmp, RmwOp};
 use vsync_model::ModelKind;
 
-use crate::diag::Span;
+use crate::diag::{source_line, Span};
 use crate::lexer::Comment;
 
 /// An integer literal with its written base (for canonical reprinting).
@@ -45,8 +45,9 @@ impl std::fmt::Display for IntLit {
     }
 }
 
-/// A whole parsed file: header, items in source order, plus the raw lines
-/// and comments needed for diagnostics and comment-preserving formatting.
+/// A whole parsed file: header, items in source order, plus the source
+/// text and comments needed for diagnostics and comment-preserving
+/// formatting.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
     /// Program name from the `litmus "name"` header.
@@ -57,17 +58,18 @@ pub struct SourceFile {
     pub items: Vec<Item>,
     /// Source line of the header (for comment placement).
     pub header_line: u32,
-    /// Full-line and trailing comments, in source order.
+    /// Full-line and trailing comments, in source order; their text is a
+    /// byte range of `source`.
     pub(crate) comments: Vec<Comment>,
-    /// The raw source lines (for diagnostics built during lowering).
-    pub(crate) lines: Vec<String>,
+    /// The parsed source text (comment text and diagnostic excerpts are
+    /// cut from it; empty for files built by [`crate::program_to_ast`]).
+    pub(crate) source: String,
 }
 
 impl SourceFile {
     /// A diagnostic anchored at `span` with its source excerpt.
     pub(crate) fn diag(&self, message: impl Into<String>, span: Span) -> crate::Diagnostic {
-        let line = self.lines.get(span.line.saturating_sub(1) as usize);
-        crate::Diagnostic::new(message, span, line.cloned().unwrap_or_default())
+        crate::Diagnostic::new(message, span, source_line(&self.source, span.line))
     }
 }
 

@@ -22,6 +22,13 @@ impl Span {
     }
 }
 
+/// Line `line` (1-based) of `src` in the sense of [`str::lines`], without
+/// its line ending; empty past the end. Excerpts are cut only on error
+/// paths, so this scans rather than keeping a line table.
+pub(crate) fn source_line(src: &str, line: u32) -> &str {
+    src.lines().nth(line.saturating_sub(1) as usize).unwrap_or("")
+}
+
 /// A parse or lowering error with a stable `line:col` location and the
 /// offending source line, rendered rustc-style:
 ///

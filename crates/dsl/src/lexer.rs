@@ -4,19 +4,31 @@
 //! so the token stream is flat. Comments (`#` or `//` to end of line) are
 //! not tokens; they are collected separately so the formatter can
 //! re-attach them to the statement that follows them.
+//!
+//! The lexer scans bytes and allocates nothing per token: tokens are
+//! `Copy` and borrow the source, integers are accumulated in place, a
+//! string literal is kept as its raw body (escapes validated) until the
+//! parser takes it ([`decode_str`]), and a comment is a line number plus a
+//! byte range. Its allocations are the token and comment vectors, plus a
+//! message and excerpt on the error path. Columns count characters, not
+//! bytes: a UTF-8 continuation byte never advances them, and non-ASCII
+//! input takes a cold path (Unicode whitespace is whitespace, anything
+//! else outside strings and comments is an unexpected character).
 
-use crate::diag::{Diagnostic, Span};
+use crate::diag::{source_line, Diagnostic, Span};
 
-/// A lexical token kind.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Tok {
+/// A lexical token kind, borrowing identifiers and strings from the
+/// source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tok<'s> {
     /// Identifier / keyword (may contain `_` and `-` after the first char).
-    Ident(String),
+    Ident(&'s str),
     /// Unsigned integer literal; `hex` records the written base so the
     /// formatter can preserve it.
     Int { value: u64, hex: bool },
-    /// Double-quoted string literal (escapes resolved).
-    Str(String),
+    /// Double-quoted string literal: the raw text between the quotes, its
+    /// escapes validated but not yet decoded (see [`decode_str`]).
+    Str(&'s str),
     /// `{`
     LBrace,
     /// `}`
@@ -57,7 +69,7 @@ pub(crate) enum Tok {
     Eof,
 }
 
-impl Tok {
+impl Tok<'_> {
     /// Short description for "expected X, found Y" messages.
     pub(crate) fn describe(&self) -> String {
         match self {
@@ -88,204 +100,282 @@ impl Tok {
 }
 
 /// A token plus its source span.
-#[derive(Debug, Clone)]
-pub(crate) struct Token {
-    pub(crate) tok: Tok,
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Token<'s> {
+    pub(crate) tok: Tok<'s>,
     pub(crate) span: Span,
 }
 
-/// A comment line collected during lexing (text without the marker).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A comment collected during lexing: where it starts and the byte range
+/// of its trimmed text (without the `#` / `//` marker) in the source.
+#[derive(Debug, Clone)]
 pub(crate) struct Comment {
     /// 1-based source line the comment starts on.
     pub(crate) line: u32,
-    /// Comment text, trimmed, without the `#` / `//` marker.
-    pub(crate) text: String,
+    /// Byte offset of the trimmed text in the source.
+    pub(crate) start: usize,
+    /// Byte offset just past the trimmed text.
+    pub(crate) end: usize,
 }
 
-/// Lexer output: tokens, source lines (for excerpts) and comments.
+impl Comment {
+    /// The comment's text, cut from the source it was lexed from.
+    pub(crate) fn text<'s>(&self, src: &'s str) -> &'s str {
+        &src[self.start..self.end]
+    }
+}
+
+/// Lexer output: tokens and comments (excerpts are cut from the source on
+/// demand).
 #[derive(Debug)]
-pub(crate) struct Lexed {
-    pub(crate) tokens: Vec<Token>,
-    pub(crate) lines: Vec<String>,
+pub(crate) struct Lexed<'s> {
+    pub(crate) tokens: Vec<Token<'s>>,
     pub(crate) comments: Vec<Comment>,
 }
 
-impl Lexed {
-    /// The source line a span points into (empty past the end).
-    pub(crate) fn line(&self, line: u32) -> &str {
-        self.lines.get(line.saturating_sub(1) as usize).map_or("", String::as_str)
-    }
-
-    /// A diagnostic anchored at `span`.
-    pub(crate) fn diag(&self, message: impl Into<String>, span: Span) -> Diagnostic {
-        Diagnostic::new(message, span, self.line(span.line))
-    }
+fn is_ident_start(b: u8) -> bool {
+    b.is_ascii_alphabetic() || b == b'_'
 }
 
-fn is_ident_start(c: char) -> bool {
-    c.is_ascii_alphabetic() || c == '_'
+fn is_ident_continue(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_' || b == b'-'
 }
 
-fn is_ident_continue(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_' || c == '-'
+/// What an integer literal's text runs over (its value is checked after).
+fn is_word(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// ASCII whitespace other than `\n`, in the sense of [`char::is_whitespace`]
+/// (which, unlike [`u8::is_ascii_whitespace`], includes the vertical tab).
+fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r' | b'\x0B' | b'\x0C')
+}
+
+/// The length of the run of bytes at the start of `bytes` that satisfy
+/// `class`.
+fn run(bytes: &[u8], class: fn(u8) -> bool) -> usize {
+    bytes.iter().position(|&b| !class(b)).unwrap_or(bytes.len())
+}
+
+/// Does `b` start a character (rather than continue a UTF-8 sequence)?
+fn starts_char(b: u8) -> bool {
+    b & 0xC0 != 0x80
+}
+
+/// The value of an integer literal's text (ASCII alphanumerics and `_`,
+/// starting with a digit): `_` separators are ignored everywhere, a
+/// leading `0x` / `0X` selects hexadecimal; `None` on a bad digit, a
+/// missing hex digit or overflow.
+fn int_value(text: &[u8]) -> Option<(u64, bool)> {
+    let mut digits = text.iter().copied().filter(|&b| b != b'_').peekable();
+    let first = digits.next()?;
+    let hex = first == b'0' && matches!(digits.peek(), Some(b'x' | b'X'));
+    let (radix, mut value, mut any) = if hex {
+        digits.next();
+        (16, 0u64, false)
+    } else {
+        (10, u64::from(first - b'0'), true)
+    };
+    for b in digits {
+        let d = (b as char).to_digit(radix)?;
+        value = value.checked_mul(u64::from(radix))?.checked_add(u64::from(d))?;
+        any = true;
+    }
+    any.then_some((value, hex))
+}
+
+/// Decode the raw body of a [`Tok::Str`] (escapes were validated by the
+/// lexer, so every `\` is followed by one of `" \ n t r`).
+pub(crate) fn decode_str(raw: &str) -> String {
+    if !raw.contains('\\') {
+        return raw.to_owned();
+    }
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        out.push(match chars.next() {
+            Some('n') => '\n',
+            Some('t') => '\t',
+            Some('r') => '\r',
+            Some(c) => c,
+            None => break,
+        });
+    }
+    out
 }
 
 /// Tokenize `src`.
-pub(crate) fn lex(src: &str) -> Result<Lexed, Diagnostic> {
-    let lines: Vec<String> = src.lines().map(str::to_owned).collect();
-    let excerpt = |line: u32| -> String {
-        lines.get(line.saturating_sub(1) as usize).cloned().unwrap_or_default()
-    };
-    let mut tokens = Vec::new();
+pub(crate) fn lex(src: &str) -> Result<Lexed<'_>, Diagnostic> {
+    let bytes = src.as_bytes();
+    // A small first guess (padded files run at about one token per four
+    // bytes): one sized for the worst case made every large file's token
+    // vector a fresh mapping, page-faulted on each parse.
+    let mut tokens = Vec::with_capacity(src.len() / 16);
     let mut comments = Vec::new();
-    let chars: Vec<char> = src.chars().collect();
     let (mut i, mut line, mut col) = (0usize, 1u32, 1u32);
+    // Byte offsets of the current and the previous line's first byte (for
+    // the end-of-input span).
+    let (mut line_start, mut prev_line_start) = (0usize, 0usize);
     macro_rules! fail {
-        ($span:expr, $($msg:tt)*) => {
-            return Err(Diagnostic::new(format!($($msg)*), $span, excerpt($span.line)))
-        };
+        ($span:expr, $($msg:tt)*) => {{
+            let span: Span = $span;
+            return Err(Diagnostic::new(format!($($msg)*), span, source_line(src, span.line)))
+        }};
     }
-    while i < chars.len() {
-        let c = chars[i];
-        let span1 = Span::new(line, col, 1);
+    while i < bytes.len() {
+        let b = bytes[i];
         // Whitespace (newlines included — the grammar is self-delimiting).
-        if c == '\n' {
+        if b == b'\n' {
             i += 1;
             line += 1;
             col = 1;
+            prev_line_start = line_start;
+            line_start = i;
             continue;
         }
-        if c.is_whitespace() {
-            i += 1;
-            col += 1;
+        if is_space(b) {
+            let n = run(&bytes[i..], is_space);
+            i += n;
+            col += n as u32;
             continue;
         }
-        // Comments: `#` or `//` to end of line.
-        if c == '#' || (c == '/' && chars.get(i + 1) == Some(&'/')) {
-            let skip = if c == '#' { 1 } else { 2 };
-            let start = i + skip;
-            let mut end = start;
-            while end < chars.len() && chars[end] != '\n' {
-                end += 1;
-            }
-            let text: String = chars[start..end].iter().collect();
-            comments.push(Comment { line, text: text.trim().to_owned() });
-            col += (end - i) as u32;
+        // Comments: `#` or `//` to end of line. The column is not advanced:
+        // only a newline or the end of input can follow.
+        if b == b'#' || (b == b'/' && bytes.get(i + 1) == Some(&b'/')) {
+            let start = i + if b == b'#' { 1 } else { 2 };
+            let end =
+                bytes[start..].iter().position(|&c| c == b'\n').map_or(bytes.len(), |n| start + n);
+            let text = src[start..end].trim_start();
+            let text_start = end - text.len();
+            comments.push(Comment {
+                line,
+                start: text_start,
+                end: text_start + text.trim_end().len(),
+            });
             i = end;
             continue;
         }
-        if is_ident_start(c) {
+        if is_ident_start(b) {
             let start = i;
-            while i < chars.len() && is_ident_continue(chars[i]) {
-                i += 1;
-            }
-            let text: String = chars[start..i].iter().collect();
+            i += run(&bytes[i..], is_ident_continue);
             let len = (i - start) as u32;
-            tokens.push(Token { tok: Tok::Ident(text), span: Span::new(line, col, len) });
+            tokens.push(Token { tok: Tok::Ident(&src[start..i]), span: Span::new(line, col, len) });
             col += len;
             continue;
         }
-        if c.is_ascii_digit() {
+        if b.is_ascii_digit() {
             let start = i;
-            while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                i += 1;
-            }
-            let text: String = chars[start..i].iter().collect();
+            i += run(&bytes[i..], is_word);
             let len = (i - start) as u32;
             let span = Span::new(line, col, len);
-            let digits = text.replace('_', "");
-            let (value, hex) = if let Some(h) = digits.strip_prefix("0x").or(digits.strip_prefix("0X")) {
-                (u64::from_str_radix(h, 16), true)
-            } else {
-                (digits.parse::<u64>(), false)
-            };
-            match value {
-                Ok(value) => tokens.push(Token { tok: Tok::Int { value, hex }, span }),
-                Err(_) => fail!(span, "invalid integer literal '{text}'"),
+            match int_value(&bytes[start..i]) {
+                Some((value, hex)) => tokens.push(Token { tok: Tok::Int { value, hex }, span }),
+                None => fail!(span, "invalid integer literal '{}'", &src[start..i]),
             }
             col += len;
             continue;
         }
-        if c == '"' {
-            let (start_line, start_col) = (line, col);
+        if b == b'"' {
+            let (start_col, body) = (col, i + 1);
             i += 1;
             col += 1;
-            let mut text = String::new();
             loop {
-                match chars.get(i) {
-                    None | Some('\n') => {
-                        fail!(Span::new(start_line, start_col, col - start_col), "unterminated string literal")
+                match bytes.get(i) {
+                    None | Some(b'\n') => {
+                        fail!(
+                            Span::new(line, start_col, col - start_col),
+                            "unterminated string literal"
+                        )
                     }
-                    Some('"') => {
-                        i += 1;
-                        col += 1;
-                        break;
-                    }
-                    Some('\\') => {
+                    Some(b'"') => break,
+                    Some(b'\\') => {
                         let esc_span = Span::new(line, col, 2);
-                        let e = chars.get(i + 1).copied();
-                        match e {
-                            Some('"') => text.push('"'),
-                            Some('\\') => text.push('\\'),
-                            Some('n') => text.push('\n'),
-                            Some('t') => text.push('\t'),
-                            Some('r') => text.push('\r'),
+                        match src[i + 1..].chars().next() {
+                            Some('"' | '\\' | 'n' | 't' | 'r') => {}
                             Some(other) => fail!(esc_span, "unknown escape '\\{other}' in string"),
                             None => fail!(esc_span, "unterminated string literal"),
                         }
                         i += 2;
                         col += 2;
                     }
-                    Some(&ch) => {
-                        text.push(ch);
+                    Some(_) => {
                         i += 1;
                         col += 1;
                     }
                 }
+                // Skip the rest of a multi-byte character: its continuation
+                // bytes are not columns.
+                while i < bytes.len() && !starts_char(bytes[i]) {
+                    i += 1;
+                }
             }
-            let len = col - start_col;
-            tokens.push(Token { tok: Tok::Str(text), span: Span::new(start_line, start_col, len) });
+            let tok = Tok::Str(&src[body..i]);
+            i += 1;
+            col += 1;
+            tokens.push(Token { tok, span: Span::new(line, start_col, col - start_col) });
             continue;
         }
         // Punctuation, with two-character lookahead for comparisons.
-        let two = chars.get(i + 1).copied();
-        let (tok, len) = match (c, two) {
-            ('=', Some('=')) => (Tok::EqEq, 2),
-            ('=', _) => (Tok::Eq, 1),
-            ('!', Some('=')) => (Tok::Ne, 2),
-            ('!', _) => (Tok::Bang, 1),
-            ('<', Some('=')) => (Tok::Le, 2),
-            ('<', _) => (Tok::Lt, 1),
-            ('>', Some('=')) => (Tok::Ge, 2),
-            ('>', _) => (Tok::Gt, 1),
-            ('{', _) => (Tok::LBrace, 1),
-            ('}', _) => (Tok::RBrace, 1),
-            ('[', _) => (Tok::LBracket, 1),
-            (']', _) => (Tok::RBracket, 1),
-            (',', _) => (Tok::Comma, 1),
-            (':', _) => (Tok::Colon, 1),
-            ('.', _) => (Tok::Dot, 1),
-            ('@', _) => (Tok::At, 1),
-            ('+', _) => (Tok::Plus, 1),
-            ('&', _) => (Tok::Amp, 1),
-            (other, _) => fail!(span1, "unexpected character '{other}'"),
+        let two = bytes.get(i + 1).copied();
+        let (tok, len) = match (b, two) {
+            (b'=', Some(b'=')) => (Tok::EqEq, 2),
+            (b'=', _) => (Tok::Eq, 1),
+            (b'!', Some(b'=')) => (Tok::Ne, 2),
+            (b'!', _) => (Tok::Bang, 1),
+            (b'<', Some(b'=')) => (Tok::Le, 2),
+            (b'<', _) => (Tok::Lt, 1),
+            (b'>', Some(b'=')) => (Tok::Ge, 2),
+            (b'>', _) => (Tok::Gt, 1),
+            (b'{', _) => (Tok::LBrace, 1),
+            (b'}', _) => (Tok::RBrace, 1),
+            (b'[', _) => (Tok::LBracket, 1),
+            (b']', _) => (Tok::RBracket, 1),
+            (b',', _) => (Tok::Comma, 1),
+            (b':', _) => (Tok::Colon, 1),
+            (b'.', _) => (Tok::Dot, 1),
+            (b'@', _) => (Tok::At, 1),
+            (b'+', _) => (Tok::Plus, 1),
+            (b'&', _) => (Tok::Amp, 1),
+            _ => {
+                // Cold path: a non-ASCII character is whitespace or an error.
+                let c = src[i..].chars().next().expect("i is on a char boundary");
+                if c.is_whitespace() {
+                    i += c.len_utf8();
+                    col += 1;
+                    continue;
+                }
+                fail!(Span::new(line, col, 1), "unexpected character '{c}'")
+            }
         };
         tokens.push(Token { tok, span: Span::new(line, col, len) });
         i += len as usize;
         col += len;
     }
-    let end_line = lines.len().max(1) as u32;
-    let end_col = lines.last().map_or(1, |l| l.chars().count() as u32 + 1);
+    // The end-of-input span sits just past the last line, in the sense of
+    // `str::lines` (a trailing newline opens no new line; a trailing
+    // `\r\n` is not part of the line).
+    let (end_line, last) = if line_start < src.len() {
+        (line, &src[line_start..])
+    } else if line > 1 {
+        (line - 1, &src[prev_line_start..line_start])
+    } else {
+        (1, "")
+    };
+    let end_col = last.lines().next().map_or(0, |l| l.chars().count() as u32) + 1;
     tokens.push(Token { tok: Tok::Eof, span: Span::new(end_line, end_col, 1) });
-    Ok(Lexed { tokens, lines, comments })
+    Ok(Lexed { tokens, comments })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().tokens.into_iter().map(|t| t.tok).collect()
     }
 
@@ -294,12 +384,12 @@ mod tests {
         assert_eq!(
             toks("r0 = load.acq x"),
             vec![
-                Tok::Ident("r0".into()),
+                Tok::Ident("r0"),
                 Tok::Eq,
-                Tok::Ident("load".into()),
+                Tok::Ident("load"),
                 Tok::Dot,
-                Tok::Ident("acq".into()),
-                Tok::Ident("x".into()),
+                Tok::Ident("acq"),
+                Tok::Ident("x"),
                 Tok::Eof,
             ]
         );
@@ -308,42 +398,52 @@ mod tests {
     #[test]
     fn lexes_numbers_both_bases() {
         assert_eq!(
-            toks("16 0x10"),
+            toks("16 0x10 1_000 0_x1_0"),
             vec![
                 Tok::Int { value: 16, hex: false },
+                Tok::Int { value: 16, hex: true },
+                Tok::Int { value: 1000, hex: false },
                 Tok::Int { value: 16, hex: true },
                 Tok::Eof
             ]
         );
+        assert_eq!(toks("18446744073709551615")[0], Tok::Int { value: u64::MAX, hex: false });
         assert!(lex("0xzz").is_err());
+        assert!(lex("0x").is_err());
+        assert!(lex("1abc").is_err());
         assert!(lex("99999999999999999999999").is_err());
+        assert!(lex("0x10000000000000000").is_err());
     }
 
     #[test]
     fn lexes_comparisons_and_bang() {
-        assert_eq!(toks("== != <= >= < > !"), vec![
-            Tok::EqEq, Tok::Ne, Tok::Le, Tok::Ge, Tok::Lt, Tok::Gt, Tok::Bang, Tok::Eof
-        ]);
+        assert_eq!(
+            toks("== != <= >= < > !"),
+            vec![Tok::EqEq, Tok::Ne, Tok::Le, Tok::Ge, Tok::Lt, Tok::Gt, Tok::Bang, Tok::Eof]
+        );
     }
 
     #[test]
     fn dashed_idents_are_single_tokens() {
-        assert_eq!(toks("await-termination"), vec![Tok::Ident("await-termination".into()), Tok::Eof]);
+        assert_eq!(toks("await-termination"), vec![Tok::Ident("await-termination"), Tok::Eof]);
     }
 
     #[test]
     fn strings_resolve_escapes() {
-        assert_eq!(toks(r#""a\"b\n""#), vec![Tok::Str("a\"b\n".into()), Tok::Eof]);
+        assert_eq!(toks(r#""a\"b\n""#), vec![Tok::Str(r#"a\"b\n"#), Tok::Eof]);
+        assert_eq!(decode_str(r#"a\"b\n\\\t\r"#), "a\"b\n\\\t\r");
+        assert_eq!(decode_str("plain"), "plain");
         assert!(lex("\"abc").is_err());
         assert!(lex(r#""\q""#).is_err());
     }
 
     #[test]
     fn comments_are_collected_not_tokenized() {
-        let l = lex("# top\nnop // trailing\n").unwrap();
+        let src = "# top\nnop // trailing\r\n";
+        let l = lex(src).unwrap();
         assert_eq!(l.comments.len(), 2);
-        assert_eq!(l.comments[0], Comment { line: 1, text: "top".into() });
-        assert_eq!(l.comments[1], Comment { line: 2, text: "trailing".into() });
+        assert_eq!((l.comments[0].line, l.comments[0].text(src)), (1, "top"));
+        assert_eq!((l.comments[1].line, l.comments[1].text(src)), (2, "trailing"));
         assert_eq!(l.tokens.len(), 2); // nop + eof
     }
 
@@ -352,5 +452,26 @@ mod tests {
         let l = lex("a\n  bb").unwrap();
         assert_eq!(l.tokens[0].span, Span::new(1, 1, 1));
         assert_eq!(l.tokens[1].span, Span::new(2, 3, 2));
+    }
+
+    #[test]
+    fn columns_count_characters() {
+        let l = lex("\"λμ\" x\u{a0}y").unwrap();
+        assert_eq!(l.tokens[0].span, Span::new(1, 1, 4));
+        assert_eq!(l.tokens[1].span, Span::new(1, 6, 1));
+        assert_eq!(l.tokens[2].span, Span::new(1, 8, 1));
+        let e = lex("\"é\" λ").unwrap_err();
+        assert_eq!((e.message.as_str(), e.span), ("unexpected character 'λ'", Span::new(1, 5, 1)));
+    }
+
+    #[test]
+    fn end_of_input_sits_past_the_last_line() {
+        let eof = |src| lex(src).unwrap().tokens.last().unwrap().span;
+        assert_eq!(eof(""), Span::new(1, 1, 1));
+        assert_eq!(eof("ab"), Span::new(1, 3, 1));
+        assert_eq!(eof("ab\n"), Span::new(1, 3, 1));
+        assert_eq!(eof("ab\r\n"), Span::new(1, 3, 1));
+        assert_eq!(eof("ab\n\n"), Span::new(2, 1, 1));
+        assert_eq!(eof("ab\n# é"), Span::new(2, 4, 1));
     }
 }

@@ -42,7 +42,14 @@
 //! formatting, [`print_program`] for emitting DSL text from an in-memory
 //! [`vsync_lang::Program`] such that `parse ∘ print` reproduces the
 //! program structurally). Errors are span-carrying [`Diagnostic`]s with
-//! rustc-style source excerpts.
+//! rustc-style source excerpts; columns count characters, not bytes.
+//!
+//! The front end allocates per AST node that owns a name, not per byte,
+//! line or token: the lexer scans bytes into `Copy` tokens that borrow
+//! the source, the parser copies out only the names and strings the AST
+//! keeps, and a [`SourceFile`] holds its source as one string from which
+//! comments and diagnostic excerpts are sliced (excerpts only on error
+//! paths).
 //!
 //! ```
 //! let test = vsync_dsl::compile(

@@ -4,6 +4,10 @@
 //! newlines are insignificant and no statement separators are needed.
 //! The parser only checks syntax; name resolution (locations, labels,
 //! shared sites) happens in [`crate::lower`].
+//!
+//! Tokens are `Copy` and borrow the source, so looking ahead and
+//! consuming cost nothing; keywords are matched on the borrowed slices,
+//! and only the names and strings the AST keeps are copied out.
 
 use vsync_graph::Mode;
 use vsync_lang::{AluOp, Cmp, RmwOp, NUM_REGS};
@@ -13,8 +17,8 @@ use crate::ast::{
     AddrAst, ExpectedVerdict, FinalCheckAst, IntLit, Item, LocDecl, LocName, OperandAst, RhsAst,
     SiteAst, SourceFile, Stmt, StmtKind, TestAst,
 };
-use crate::diag::{Diagnostic, Span};
-use crate::lexer::{lex, Lexed, Tok, Token};
+use crate::diag::{source_line, Diagnostic, Span};
+use crate::lexer::{decode_str, lex, Comment, Tok, Token};
 
 /// Parse a litmus source file into its AST.
 ///
@@ -24,11 +28,12 @@ use crate::lexer::{lex, Lexed, Tok, Token};
 /// excerpt.
 pub fn parse(src: &str) -> Result<SourceFile, Diagnostic> {
     let lexed = lex(src)?;
-    Parser { lexed, pos: 0 }.file()
+    Parser { src, tokens: lexed.tokens, pos: 0 }.file(lexed.comments)
 }
 
-struct Parser {
-    lexed: Lexed,
+struct Parser<'s> {
+    src: &'s str,
+    tokens: Vec<Token<'s>>,
     pos: usize,
 }
 
@@ -41,25 +46,25 @@ fn reg_of(ident: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.lexed.tokens[self.pos]
+impl<'s> Parser<'s> {
+    fn peek(&self) -> Token<'s> {
+        self.tokens[self.pos]
     }
 
-    fn peek2(&self) -> &Tok {
-        &self.lexed.tokens[(self.pos + 1).min(self.lexed.tokens.len() - 1)].tok
+    fn peek2(&self) -> Tok<'s> {
+        self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].tok
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.lexed.tokens[self.pos].clone();
-        if self.pos + 1 < self.lexed.tokens.len() {
+    fn bump(&mut self) -> Token<'s> {
+        let t = self.tokens[self.pos];
+        if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         t
     }
 
-    fn eat(&mut self, tok: &Tok) -> bool {
-        if &self.peek().tok == tok {
+    fn eat(&mut self, tok: Tok<'_>) -> bool {
+        if self.peek().tok == tok {
             self.bump();
             true
         } else {
@@ -68,129 +73,101 @@ impl Parser {
     }
 
     fn diag(&self, message: impl Into<String>, span: Span) -> Diagnostic {
-        self.lexed.diag(message, span)
+        Diagnostic::new(message, span, source_line(self.src, span.line))
     }
 
     fn diag_here(&self, message: impl Into<String>) -> Diagnostic {
         self.diag(message, self.peek().span)
     }
 
-    fn expect(&mut self, tok: Tok, what: &str) -> Result<Token, Diagnostic> {
+    fn expected(&self, what: &str) -> Diagnostic {
+        self.diag_here(format!("expected {what}, found {}", self.peek().tok.describe()))
+    }
+
+    fn expect(&mut self, tok: Tok<'_>, what: &str) -> Result<Token<'s>, Diagnostic> {
         if self.peek().tok == tok {
             Ok(self.bump())
         } else {
-            Err(self.diag_here(format!("expected {what}, found {}", self.peek().tok.describe())))
+            Err(self.expected(what))
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<(String, Span), Diagnostic> {
-        match &self.peek().tok {
-            Tok::Ident(s) => {
-                let s = s.clone();
-                let span = self.bump().span;
-                Ok((s, span))
-            }
-            other => Err(self.diag_here(format!("expected {what}, found {}", other.describe()))),
+    fn expect_ident(&mut self, what: &str) -> Result<(&'s str, Span), Diagnostic> {
+        match self.peek().tok {
+            Tok::Ident(s) => Ok((s, self.bump().span)),
+            _ => Err(self.expected(what)),
         }
     }
 
     fn expect_int(&mut self, what: &str) -> Result<(IntLit, Span), Diagnostic> {
         match self.peek().tok {
-            Tok::Int { value, hex } => {
-                let span = self.bump().span;
-                Ok((IntLit { value, hex }, span))
-            }
-            ref other => Err(self.diag_here(format!("expected {what}, found {}", other.describe()))),
+            Tok::Int { value, hex } => Ok((IntLit { value, hex }, self.bump().span)),
+            _ => Err(self.expected(what)),
         }
     }
 
     fn expect_string(&mut self, what: &str) -> Result<(String, Span), Diagnostic> {
-        match &self.peek().tok {
-            Tok::Str(s) => {
-                let s = s.clone();
-                let span = self.bump().span;
-                Ok((s, span))
-            }
-            other => Err(self.diag_here(format!("expected {what}, found {}", other.describe()))),
+        match self.peek().tok {
+            Tok::Str(raw) => Ok((decode_str(raw), self.bump().span)),
+            _ => Err(self.expected(what)),
         }
     }
 
     // ---- file & items ------------------------------------------------
 
-    fn file(mut self) -> Result<SourceFile, Diagnostic> {
-        let kw = self.expect_ident("the 'litmus \"name\"' header")?;
-        if kw.0 != "litmus" {
-            return Err(self.diag(format!("expected the 'litmus \"name\"' header, found '{}'", kw.0), kw.1));
+    fn file(mut self, comments: Vec<Comment>) -> Result<SourceFile, Diagnostic> {
+        let (kw, kw_span) = self.expect_ident("the 'litmus \"name\"' header")?;
+        if kw != "litmus" {
+            return Err(self.diag(format!("expected the 'litmus \"name\"' header, found '{kw}'"), kw_span));
         }
-        let header_line = kw.1.line;
-        let (name, name_span) = match &self.peek().tok {
+        let header_line = kw_span.line;
+        let (name, name_span) = match self.peek().tok {
             Tok::Str(_) => self.expect_string("the program name")?,
-            Tok::Ident(_) => self.expect_ident("the program name")?,
-            other => {
-                return Err(self.diag_here(format!(
-                    "expected the program name (a string or identifier), found {}",
-                    other.describe()
-                )))
-            }
+            Tok::Ident(s) => (s.to_owned(), self.bump().span),
+            _ => return Err(self.expected("the program name (a string or identifier)")),
         };
         let mut items = Vec::new();
         loop {
-            match &self.peek().tok {
+            match self.peek().tok {
                 Tok::Eof => break,
-                Tok::Ident(kw) => {
-                    let kw = kw.clone();
-                    match kw.as_str() {
-                        "init" => items.push(self.init_item()?),
-                        "thread" => items.push(self.thread_item()?),
-                        "final" => items.push(self.final_item()?),
-                        "expect" => items.push(self.expect_item()?),
-                        "symmetry" => items.push(self.symmetry_item()?),
-                        other => {
-                            return Err(self.diag_here(format!(
-                                "expected a section (init, thread, final, expect, symmetry), found '{other}'"
-                            )))
-                        }
-                    }
-                }
-                other => {
-                    return Err(self.diag_here(format!(
-                        "expected a section (init, thread, final, expect, symmetry), found {}",
-                        other.describe()
-                    )))
-                }
+                Tok::Ident("init") => items.push(self.init_item()?),
+                Tok::Ident("thread") => items.push(self.thread_item()?),
+                Tok::Ident("final") => items.push(self.final_item()?),
+                Tok::Ident("expect") => items.push(self.expect_item()?),
+                Tok::Ident("symmetry") => items.push(self.symmetry_item()?),
+                _ => return Err(self.expected("a section (init, thread, final, expect, symmetry)")),
             }
         }
-        let Lexed { comments, lines, .. } = self.lexed;
-        Ok(SourceFile { name, name_span, items, header_line, comments, lines })
+        Ok(SourceFile { name, name_span, items, header_line, comments, source: self.src.to_owned() })
     }
 
     fn init_item(&mut self) -> Result<Item, Diagnostic> {
         let line = self.bump().span.line; // `init`
         self.expect(Tok::LBrace, "'{'")?;
         let mut decls = Vec::new();
-        while !self.eat(&Tok::RBrace) {
+        while !self.eat(Tok::RBrace) {
             decls.push(self.loc_decl()?);
         }
         Ok(Item::Init { decls, line })
     }
 
     fn loc_decl(&mut self) -> Result<LocDecl, Diagnostic> {
-        match &self.peek().tok {
-            Tok::Ident(_) => {
-                let (name, span) = self.expect_ident("a location name")?;
-                if let Some(r) = reg_of(&name) {
+        match self.peek().tok {
+            Tok::Ident(name) => {
+                let span = self.bump().span;
+                if let Some(r) = reg_of(name) {
                     return Err(self.diag(
                         format!("'r{r}' is reserved for registers and cannot name a location"),
                         span,
                     ));
                 }
                 let line = span.line;
-                let addr = if self.eat(&Tok::At) {
+                let addr = if self.eat(Tok::At) {
                     Some(self.expect_int("an address")?.0)
                 } else {
                     None
                 };
-                let init = if self.eat(&Tok::Eq) {
+                let init = if self.eat(Tok::Eq) {
                     Some(self.expect_int("an initial value")?.0)
                 } else {
                     None
@@ -201,7 +178,7 @@ impl Parser {
                         span,
                     ));
                 }
-                Ok(LocDecl { name: LocName::Named(name, span), addr, init, line })
+                Ok(LocDecl { name: LocName::Named(name.to_owned(), span), addr, init, line })
             }
             Tok::Int { .. } => {
                 let (lit, span) = self.expect_int("an address")?;
@@ -209,16 +186,13 @@ impl Parser {
                 let (val, _) = self.expect_int("an initial value")?;
                 Ok(LocDecl { name: LocName::Addr(lit, span), addr: None, init: Some(val), line: span.line })
             }
-            other => Err(self.diag_here(format!(
-                "expected a location declaration, found {}",
-                other.describe()
-            ))),
+            _ => Err(self.expected("a location declaration")),
         }
     }
 
     fn thread_item(&mut self) -> Result<Item, Diagnostic> {
         let line = self.bump().span.line; // `thread`
-        let count = if self.eat(&Tok::LBracket) {
+        let count = if self.eat(Tok::LBracket) {
             let (lit, span) = self.expect_int("a thread count")?;
             self.expect(Tok::RBracket, "']'")?;
             if lit.value == 0 {
@@ -230,7 +204,7 @@ impl Parser {
         };
         self.expect(Tok::LBrace, "'{'")?;
         let mut stmts = Vec::new();
-        while !self.eat(&Tok::RBrace) {
+        while !self.eat(Tok::RBrace) {
             stmts.push(self.stmt()?);
         }
         Ok(Item::Thread { count, stmts, line })
@@ -240,7 +214,7 @@ impl Parser {
         let line = self.bump().span.line; // `final`
         self.expect(Tok::LBrace, "'{'")?;
         let mut checks = Vec::new();
-        while !self.eat(&Tok::RBrace) {
+        while !self.eat(Tok::RBrace) {
             let check_line = self.peek().span.line;
             let loc = self.addr("a checked location")?;
             if let AddrAst::Reg { span, .. } = loc {
@@ -265,7 +239,7 @@ impl Parser {
                     span,
                 ));
             }
-            let msg = if self.eat(&Tok::Colon) {
+            let msg = if self.eat(Tok::Colon) {
                 Some(self.expect_string("the failure message")?.0)
             } else {
                 None
@@ -284,7 +258,7 @@ impl Parser {
         self.expect(Tok::Colon, "':'")?;
         let (verdict_name, verdict_span) =
             self.expect_ident("an expected verdict (verified, safety, await-termination, fault)")?;
-        let verdict = ExpectedVerdict::from_name(&verdict_name).ok_or_else(|| {
+        let verdict = ExpectedVerdict::from_name(verdict_name).ok_or_else(|| {
             self.diag(
                 format!(
                     "unknown expected verdict '{verdict_name}' (verified, safety, await-termination, fault)"
@@ -292,7 +266,7 @@ impl Parser {
                 verdict_span,
             )
         })?;
-        let executions = if self.eat(&Tok::Eq) {
+        let executions = if self.eat(Tok::Eq) {
             let (lit, span) = self.expect_int("an execution count")?;
             if verdict != ExpectedVerdict::Verified {
                 return Err(self.diag(
@@ -310,9 +284,9 @@ impl Parser {
     fn symmetry_item(&mut self) -> Result<Item, Diagnostic> {
         let line = self.bump().span.line; // `symmetry`
         let mut groups = Vec::new();
-        while self.eat(&Tok::LBrace) {
+        while self.eat(Tok::LBrace) {
             let mut group = Vec::new();
-            while !self.eat(&Tok::RBrace) {
+            while !self.eat(Tok::RBrace) {
                 let (lit, span) = self.expect_int("a thread index")?;
                 group.push((lit.value, span));
             }
@@ -327,74 +301,67 @@ impl Parser {
     // ---- statements --------------------------------------------------
 
     fn stmt(&mut self) -> Result<Stmt, Diagnostic> {
-        let line = self.peek().span.line;
-        let kind = match &self.peek().tok {
-            Tok::Ident(id) => {
-                let id = id.clone();
-                if *self.peek2() == Tok::Colon {
-                    let (name, span) = self.expect_ident("a label")?;
-                    self.bump(); // ':'
-                    StmtKind::Label(name, span)
-                } else if let Some(r) = reg_of(&id) {
-                    let span = self.bump().span;
-                    let dst = self.check_reg(r, span)?;
-                    self.expect(Tok::Eq, "'='")?;
-                    StmtKind::Assign { dst: (dst, span), rhs: self.rhs()? }
+        let Token { tok, span } = self.peek();
+        let line = span.line;
+        let Tok::Ident(id) = tok else {
+            return Err(self.expected("a statement"));
+        };
+        if self.peek2() == Tok::Colon {
+            self.bump(); // the label
+            self.bump(); // ':'
+            return Ok(Stmt { kind: StmtKind::Label(id.to_owned(), span), line });
+        }
+        if let Some(r) = reg_of(id) {
+            self.bump();
+            let dst = self.check_reg(r, span)?;
+            self.expect(Tok::Eq, "'='")?;
+            let rhs = self.rhs()?;
+            return Ok(Stmt { kind: StmtKind::Assign { dst: (dst, span), rhs }, line });
+        }
+        let kind = match id {
+            "store" => {
+                self.bump();
+                let site = self.site()?;
+                let addr = self.addr("a store address")?;
+                self.expect(Tok::Comma, "','")?;
+                let src = self.operand("the stored value")?;
+                StmtKind::Store { site, addr, src }
+            }
+            "fence" => {
+                self.bump();
+                StmtKind::Fence { site: self.site()? }
+            }
+            "jmp" => {
+                self.bump();
+                let (target, target_span) = self.expect_ident("a label")?;
+                let cond = if self.eat(Tok::Ident("if")) {
+                    let src = self.operand("the tested operand")?;
+                    let test = self.test()?;
+                    Some((src, test))
                 } else {
-                    match id.as_str() {
-                        "store" => {
-                            self.bump();
-                            let site = self.site()?;
-                            let addr = self.addr("a store address")?;
-                            self.expect(Tok::Comma, "','")?;
-                            let src = self.operand("the stored value")?;
-                            StmtKind::Store { site, addr, src }
-                        }
-                        "fence" => {
-                            self.bump();
-                            StmtKind::Fence { site: self.site()? }
-                        }
-                        "jmp" => {
-                            self.bump();
-                            let target = self.expect_ident("a label")?;
-                            let cond = if matches!(&self.peek().tok, Tok::Ident(k) if k == "if") {
-                                self.bump();
-                                let src = self.operand("the tested operand")?;
-                                let test = self.test()?;
-                                Some((src, test))
-                            } else {
-                                None
-                            };
-                            StmtKind::Jmp { target, cond }
-                        }
-                        "assert" => {
-                            self.bump();
-                            let src = self.operand("the asserted operand")?;
-                            let test = self.test()?;
-                            let msg = if self.eat(&Tok::Comma) {
-                                Some(self.expect_string("the assertion message")?.0)
-                            } else {
-                                None
-                            };
-                            StmtKind::Assert { src, test, msg }
-                        }
-                        "nop" => {
-                            self.bump();
-                            StmtKind::Nop
-                        }
-                        other => {
-                            return Err(self.diag_here(format!(
-                                "expected a statement, found '{other}' \
-                                 (statements: rN = ..., store, fence, jmp, assert, nop, label:)"
-                            )))
-                        }
-                    }
-                }
+                    None
+                };
+                StmtKind::Jmp { target: (target.to_owned(), target_span), cond }
+            }
+            "assert" => {
+                self.bump();
+                let src = self.operand("the asserted operand")?;
+                let test = self.test()?;
+                let msg = if self.eat(Tok::Comma) {
+                    Some(self.expect_string("the assertion message")?.0)
+                } else {
+                    None
+                };
+                StmtKind::Assert { src, test, msg }
+            }
+            "nop" => {
+                self.bump();
+                StmtKind::Nop
             }
             other => {
                 return Err(self.diag_here(format!(
-                    "expected a statement, found {}",
-                    other.describe()
+                    "expected a statement, found '{other}' \
+                     (statements: rN = ..., store, fence, jmp, assert, nop, label:)"
                 )))
             }
         };
@@ -403,7 +370,7 @@ impl Parser {
 
     fn rhs(&mut self) -> Result<RhsAst, Diagnostic> {
         let (op, span) = self.expect_ident("an operation (load, rmw, cas, await_load, mov, ...)")?;
-        Ok(match op.as_str() {
+        Ok(match op {
             "load" => {
                 let site = self.site()?;
                 RhsAst::Load { site, addr: self.addr("a load address")? }
@@ -411,7 +378,7 @@ impl Parser {
             "rmw" | "await_rmw" => {
                 self.expect(Tok::Dot, "'.' and an rmw operation")?;
                 let (name, name_span) = self.expect_ident("an rmw operation")?;
-                let rmw = rmw_of(&name).ok_or_else(|| {
+                let rmw = rmw_of(name).ok_or_else(|| {
                     self.diag(
                         format!("unknown rmw operation '{name}' (xchg, add, sub, or, and, xor)"),
                         name_span,
@@ -424,7 +391,7 @@ impl Parser {
                 if op == "rmw" {
                     RhsAst::Rmw { op: rmw, site, addr, operand }
                 } else {
-                    self.until_kw()?;
+                    self.expect(Tok::Ident("until"), "'until'")?;
                     RhsAst::AwaitRmw { op: rmw, site, addr, operand, until: self.test()? }
                 }
             }
@@ -444,7 +411,7 @@ impl Parser {
             "await_load" => {
                 let site = self.site()?;
                 let addr = self.addr("a polled address")?;
-                self.until_kw()?;
+                self.expect(Tok::Ident("until"), "'until'")?;
                 RhsAst::AwaitLoad { site, addr, until: self.test()? }
             }
             // Sugar: `await_eq a, v` / `await_neq a, v` are canonical
@@ -458,32 +425,24 @@ impl Parser {
                 RhsAst::AwaitLoad { site, addr, until: TestAst { mask: None, cmp, rhs } }
             }
             "mov" => RhsAst::Mov { src: self.operand("the source operand")? },
-            alu if alu_of(alu).is_some() => {
-                let a = self.operand("the left operand")?;
-                self.expect(Tok::Comma, "','")?;
-                let b = self.operand("the right operand")?;
-                RhsAst::Alu { op: alu_of(alu).unwrap(), a, b }
-            }
-            other => {
-                return Err(self.diag(
-                    format!(
-                        "unknown operation '{other}' (load, rmw.<op>, cas, await_load, await_eq, \
-                         await_neq, await_rmw.<op>, await_cas, mov, add, sub, and, or, xor, shl, shr)"
-                    ),
-                    span,
-                ))
-            }
+            alu => match alu_of(alu) {
+                Some(op) => {
+                    let a = self.operand("the left operand")?;
+                    self.expect(Tok::Comma, "','")?;
+                    let b = self.operand("the right operand")?;
+                    RhsAst::Alu { op, a, b }
+                }
+                None => {
+                    return Err(self.diag(
+                        format!(
+                            "unknown operation '{alu}' (load, rmw.<op>, cas, await_load, await_eq, \
+                             await_neq, await_rmw.<op>, await_cas, mov, add, sub, and, or, xor, shl, shr)"
+                        ),
+                        span,
+                    ))
+                }
+            },
         })
-    }
-
-    fn until_kw(&mut self) -> Result<(), Diagnostic> {
-        match &self.peek().tok {
-            Tok::Ident(k) if k == "until" => {
-                self.bump();
-                Ok(())
-            }
-            other => Err(self.diag_here(format!("expected 'until', found {}", other.describe()))),
-        }
     }
 
     // ---- operands, addresses, tests, sites ---------------------------
@@ -497,59 +456,54 @@ impl Parser {
     }
 
     fn operand(&mut self, what: &str) -> Result<OperandAst, Diagnostic> {
-        match &self.peek().tok {
+        match self.peek().tok {
             Tok::Ident(id) => {
-                let id = id.clone();
                 let span = self.bump().span;
-                match reg_of(&id) {
+                match reg_of(id) {
                     Some(r) => Ok(OperandAst::Reg(self.check_reg(r, span)?, span)),
-                    None => Ok(OperandAst::Name(id, span)),
+                    None => Ok(OperandAst::Name(id.to_owned(), span)),
                 }
             }
-            Tok::Int { .. } => {
-                let (lit, span) = self.expect_int(what)?;
-                Ok(OperandAst::Lit(lit, span))
-            }
-            other => Err(self.diag_here(format!("expected {what}, found {}", other.describe()))),
+            Tok::Int { value, hex } => Ok(OperandAst::Lit(IntLit { value, hex }, self.bump().span)),
+            _ => Err(self.expected(what)),
         }
     }
 
     fn addr(&mut self, what: &str) -> Result<AddrAst, Diagnostic> {
-        match &self.peek().tok {
+        match self.peek().tok {
             Tok::Ident(id) => {
-                let id = id.clone();
                 let span = self.bump().span;
-                if let Some(r) = reg_of(&id) {
+                if let Some(r) = reg_of(id) {
                     return Err(self.diag(
                         format!("register-indirect addresses use brackets: [r{r}] or [r{r} + off]"),
                         span,
                     ));
                 }
-                let offset =
-                    if self.eat(&Tok::Plus) { Some(self.expect_int("an offset")?.0) } else { None };
-                Ok(AddrAst::Name { name: id, offset, span })
+                let offset = self.offset()?;
+                Ok(AddrAst::Name { name: id.to_owned(), offset, span })
             }
-            Tok::Int { .. } => {
-                let (lit, span) = self.expect_int(what)?;
-                Ok(AddrAst::Lit(lit, span))
-            }
+            Tok::Int { value, hex } => Ok(AddrAst::Lit(IntLit { value, hex }, self.bump().span)),
             Tok::LBracket => {
                 self.bump();
                 let (id, span) = self.expect_ident("a register")?;
-                let r = reg_of(&id)
+                let r = reg_of(id)
                     .ok_or_else(|| self.diag(format!("expected a register, found '{id}'"), span))?;
                 let reg = self.check_reg(r, span)?;
-                let offset =
-                    if self.eat(&Tok::Plus) { Some(self.expect_int("an offset")?.0) } else { None };
+                let offset = self.offset()?;
                 self.expect(Tok::RBracket, "']'")?;
                 Ok(AddrAst::Reg { reg, offset, span })
             }
-            other => Err(self.diag_here(format!("expected {what}, found {}", other.describe()))),
+            _ => Err(self.expected(what)),
         }
     }
 
+    /// An optional `+ int` address offset.
+    fn offset(&mut self) -> Result<Option<IntLit>, Diagnostic> {
+        Ok(if self.eat(Tok::Plus) { Some(self.expect_int("an offset")?.0) } else { None })
+    }
+
     fn test(&mut self) -> Result<TestAst, Diagnostic> {
-        let mask = if self.eat(&Tok::Amp) { Some(self.operand("the mask")?) } else { None };
+        let mask = if self.eat(Tok::Amp) { Some(self.operand("the mask")?) } else { None };
         let cmp = match self.peek().tok {
             Tok::EqEq => Cmp::Eq,
             Tok::Ne => Cmp::Ne,
@@ -557,12 +511,7 @@ impl Parser {
             Tok::Le => Cmp::Le,
             Tok::Gt => Cmp::Gt,
             Tok::Ge => Cmp::Ge,
-            ref other => {
-                return Err(self.diag_here(format!(
-                    "expected a comparison (==, !=, <, <=, >, >=), found {}",
-                    other.describe()
-                )))
-            }
+            _ => return Err(self.expected("a comparison (==, !=, <, <=, >, >=)")),
         };
         self.bump();
         let rhs = self.operand("the compared value")?;
@@ -572,21 +521,22 @@ impl Parser {
     fn site(&mut self) -> Result<SiteAst, Diagnostic> {
         self.expect(Tok::Dot, "'.' and a barrier mode")?;
         let (name, mode_span) = self.expect_ident("a barrier mode")?;
-        let mode = mode_of(&name).ok_or_else(|| {
+        let mode = mode_of(name).ok_or_else(|| {
             self.diag(format!("unknown barrier mode '{name}' (rlx, acq, rel, acq_rel, sc)"), mode_span)
         })?;
-        let fixed = self.eat(&Tok::Bang);
-        let site_name = if self.eat(&Tok::At) {
-            match &self.peek().tok {
+        let fixed = self.eat(Tok::Bang);
+        let site_name = if self.eat(Tok::At) {
+            match self.peek().tok {
                 Tok::Str(_) => Some(self.expect_string("a site name")?),
-                Tok::Ident(_) => {
-                    let (mut name, mut span) = self.expect_ident("a site name")?;
+                Tok::Ident(first) => {
+                    let mut span = self.bump().span;
+                    let mut name = first.to_owned();
                     // Dotted site names (`dpdk.acquire.xchg`).
                     while self.peek().tok == Tok::Dot && matches!(self.peek2(), Tok::Ident(_)) {
                         self.bump();
                         let (seg, seg_span) = self.expect_ident("a site-name segment")?;
                         name.push('.');
-                        name.push_str(&seg);
+                        name.push_str(seg);
                         // Widen the span only while the chain stays on the
                         // name's line (newlines are whitespace, so a
                         // segment may legally continue on the next line).
@@ -596,12 +546,7 @@ impl Parser {
                     }
                     Some((name, span))
                 }
-                other => {
-                    return Err(self.diag_here(format!(
-                        "expected a site name, found {}",
-                        other.describe()
-                    )))
-                }
+                _ => return Err(self.expected("a site name")),
             }
         } else {
             None
@@ -726,6 +671,15 @@ mod tests {
         assert_eq!(site.name.as_ref().unwrap().0, "dpdk.acquire.store_next");
         let StmtKind::Fence { site } = &stmts[1].kind else { panic!() };
         assert_eq!(site.name.as_ref().unwrap().0, "2+2w.t0.s1");
+    }
+
+    #[test]
+    fn strings_are_decoded_when_taken() {
+        let f = parse(r#"litmus "a\"b" thread { assert r0 == 0, "x\ty\\" }"#).unwrap();
+        assert_eq!(f.name, "a\"b");
+        let Item::Thread { stmts, .. } = &f.items[0] else { panic!() };
+        let StmtKind::Assert { msg, .. } = &stmts[0].kind else { panic!() };
+        assert_eq!(msg.as_deref(), Some("x\ty\\"));
     }
 
     #[test]

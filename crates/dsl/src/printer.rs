@@ -20,7 +20,6 @@ use crate::ast::{
     SiteAst, SourceFile, Stmt, StmtKind, TestAst,
 };
 use crate::diag::{Diagnostic, Span};
-use crate::lexer::Comment;
 use crate::lower::LitmusTest;
 use crate::parser::{alu_name, parse};
 
@@ -44,10 +43,11 @@ pub fn format_file(file: &SourceFile) -> String {
                 break;
             }
             out.push_str(indent);
-            if c.text.is_empty() {
+            let text = c.text(&file.source);
+            if text.is_empty() {
                 out.push_str("#\n");
             } else {
-                out.push_str(&format!("# {}\n", c.text));
+                out.push_str(&format!("# {text}\n"));
             }
             comments.next();
         }
@@ -386,8 +386,8 @@ pub fn program_to_ast(program: &Program, expectations: &[Expectation]) -> Source
         name_span: DUMMY,
         items,
         header_line: 0,
-        comments: Vec::<Comment>::new(),
-        lines: Vec::new(),
+        comments: Vec::new(),
+        source: String::new(),
     }
 }
 

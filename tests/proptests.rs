@@ -1,14 +1,17 @@
 //! Randomized property tests over the whole stack: random small concurrent
 //! programs and random barrier assignments must respect the meta-level laws
 //! of the theory — model strength ordering, dedup transparency,
-//! monotonicity of barriers, and graph encoding stability.
+//! monotonicity of barriers, invariance under thread permutation, and
+//! graph encoding stability.
 //!
 //! The build environment has no network access, so instead of proptest we
 //! use a deterministic SplitMix64-driven generator; every case is
 //! reproducible from the printed seed.
 
+use std::collections::BTreeSet;
+
 use vsync::core::{explore, AmcConfig, Verdict};
-use vsync::graph::{content_hash, Mode};
+use vsync::graph::{canonical_bytes, content_hash, EventId, ExecutionGraph, Mode};
 use vsync::lang::{Program, ProgramBuilder, Reg};
 use vsync::model::ModelKind;
 
@@ -104,14 +107,6 @@ fn build_program(threads: &[Vec<(Op, Mode)>]) -> Program {
     pb.build().expect("generated program is well-formed")
 }
 
-fn executions(p: &Program, model: ModelKind) -> u64 {
-    let r = explore(p, &AmcConfig::with_model(model));
-    match r.verdict {
-        Verdict::Verified => r.stats.complete_executions,
-        v => panic!("random program without asserts cannot fail: {v}"),
-    }
-}
-
 /// Run `check` on `cases` random programs, reporting the failing seed.
 fn for_random_programs(
     test_name: &str,
@@ -131,17 +126,45 @@ fn for_random_programs(
     }
 }
 
+/// The complete executions of `p` under `model`, symmetry off (so every
+/// execution is its own representative).
+fn all_executions(p: &Program, model: ModelKind) -> Vec<ExecutionGraph> {
+    let r = explore(p, &AmcConfig::with_model(model).collecting().without_symmetry());
+    assert!(matches!(r.verdict, Verdict::Verified), "random program without asserts cannot fail");
+    assert_eq!(r.executions.len() as u64, r.stats.complete_executions);
+    r.executions
+}
+
+/// What one execution shows an observer: per thread, the values its
+/// reads returned in program order, and the final memory state.
+type Outcome = (Vec<Vec<u64>>, Vec<(u64, u64)>);
+
+fn outcome(g: &ExecutionGraph) -> Outcome {
+    let reads = (0..g.num_threads() as u32)
+        .map(|t| {
+            let events = g.thread_events(t).iter().enumerate();
+            events
+                .filter(|(_, e)| e.kind.is_read())
+                .map(|(i, _)| g.read_value(EventId::new(t, i as u32)).expect("reads are resolved"))
+                .collect()
+        })
+        .collect();
+    (reads, g.final_state().into_iter().collect())
+}
+
 /// Model strength: every SC execution is TSO-consistent, every TSO
-/// execution is VMM-consistent — counts must be monotone.
+/// execution is VMM-consistent — as sets of execution graphs, not only
+/// as counts.
 #[test]
 fn model_strength_ordering() {
     for_random_programs("model_strength_ordering", 48, (2, 3), 3, |p| {
-        let sc = executions(p, ModelKind::Sc);
-        let tso = executions(p, ModelKind::Tso);
-        let vmm = executions(p, ModelKind::Vmm);
-        assert!(sc >= 1, "at least one interleaving exists");
-        assert!(sc <= tso, "SC ⊆ TSO violated: {sc} > {tso}");
-        assert!(tso <= vmm, "TSO ⊆ VMM violated: {tso} > {vmm}");
+        let set = |model| -> BTreeSet<Vec<u8>> {
+            all_executions(p, model).iter().map(canonical_bytes).collect()
+        };
+        let (sc, tso, vmm) = (set(ModelKind::Sc), set(ModelKind::Tso), set(ModelKind::Vmm));
+        assert!(!sc.is_empty(), "at least one interleaving exists");
+        assert!(sc.is_subset(&tso), "an SC execution is not TSO-consistent");
+        assert!(tso.is_subset(&vmm), "a TSO execution is not VMM-consistent");
     });
 }
 
@@ -202,20 +225,132 @@ fn symmetry_explores_one_representative_per_orbit() {
     });
 }
 
-/// Strengthening all barriers never *adds* behaviours: the all-SC variant
-/// has at most as many executions as the original.
+/// Strengthening all barriers never *adds* behaviours: every outcome of
+/// the all-SC variant is an outcome of the original. (Outcomes, not
+/// graphs: a `fence.rlx` leaves no event, its SC strengthening does.)
 #[test]
 fn strengthening_shrinks_behaviours() {
     for_random_programs("strengthening_shrinks_behaviours", 48, (2, 3), 3, |p| {
-        let strong = p.with_all_sc();
-        let weak_count = executions(p, ModelKind::Vmm);
-        let strong_count = executions(&strong, ModelKind::Vmm);
-        assert!(
-            strong_count <= weak_count,
-            "all-SC gained executions: {strong_count} > {weak_count}"
-        );
-        assert!(strong_count >= 1);
+        let outcomes = |p: &Program| -> BTreeSet<Outcome> {
+            all_executions(p, ModelKind::Vmm).iter().map(outcome).collect()
+        };
+        let (weak, strong) = (outcomes(p), outcomes(&p.with_all_sc()));
+        assert!(!strong.is_empty());
+        assert!(strong.is_subset(&weak), "all-SC reached an outcome the original cannot");
     });
+}
+
+/// The execution count and outcome multiset of `threads` run in `order`
+/// (thread `k` of the run is thread `order[k]`), outcomes stated in the
+/// original numbering.
+fn outcomes_in_order(
+    threads: &[Vec<(Op, Mode)>],
+    order: &[usize],
+    model: ModelKind,
+) -> (usize, Vec<Outcome>) {
+    let reordered: Vec<Vec<(Op, Mode)>> = order.iter().map(|&t| threads[t].clone()).collect();
+    let relabel: Vec<u32> = order.iter().map(|&t| t as u32).collect();
+    let executions = all_executions(&build_program(&reordered), model);
+    let mut outcomes: Vec<Outcome> =
+        executions.iter().map(|g| outcome(&g.permute_threads(&relabel))).collect();
+    outcomes.sort();
+    (executions.len(), outcomes)
+}
+
+/// A random 4-thread program in which two threads each read two
+/// different locations (the IRIW family, where thread order has been
+/// seen to matter), the readers placed at random positions.
+fn random_wide_threads(rng: &mut Rng) -> Vec<Vec<(Op, Mode)>> {
+    let mut threads: Vec<Vec<(Op, Mode)>> = (0..4)
+        .map(|_| (0..1 + rng.below(2)).map(|_| (random_op(rng), random_mode(rng))).collect())
+        .collect();
+    let mut readers = [rng.below(4) as usize, rng.below(3) as usize];
+    if readers[1] >= readers[0] {
+        readers[1] += 1;
+    }
+    for r in readers {
+        let first = rng.below(LOCS.len() as u64) as usize;
+        threads[r] =
+            vec![(Op::Load(first), random_mode(rng)), (Op::Load(1 - first), random_mode(rng))];
+        if rng.below(2) == 0 {
+            threads[r].insert(rng.below(3) as usize, (random_op(rng), random_mode(rng)));
+        }
+    }
+    threads
+}
+
+/// Seeds of [`random_wide_threads`] on which the thread-permutation law
+/// fails today, each an ignored test of its own (see
+/// `tests/litmus_orders.rs` for the IRIW orders with the same cause).
+macro_rules! permutation_law_over_deleted {
+    ($($test:ident: $seed:literal;)*) => {
+        const PERMUTATION_LAW_OVER_DELETED: &[u64] = &[$($seed),*];
+        $(
+            #[test]
+            #[ignore = "revisit over-deletion"]
+            fn $test() {
+                permutation_law($seed).unwrap();
+            }
+        )*
+    };
+}
+
+permutation_law_over_deleted! {
+    permutation_law_seed_8: 8;
+    permutation_law_seed_9: 9;
+    permutation_law_seed_11: 11;
+    permutation_law_seed_27: 27;
+    permutation_law_seed_29: 29;
+    permutation_law_seed_32: 32;
+    permutation_law_seed_42: 42;
+    permutation_law_seed_45: 45;
+    permutation_law_seed_49: 49;
+    permutation_law_seed_51: 51;
+}
+
+/// The law for the program of `seed`, under one of the three models by
+/// seed: every thread order of it (a random sample of three besides the
+/// identity) has the identity's execution count and outcome multiset.
+fn permutation_law(seed: u64) -> Result<(), String> {
+    let model = ModelKind::all()[(seed % 3) as usize];
+    let mut rng = Rng(seed.wrapping_mul(0x2545f4914f6cdd1d).wrapping_add(0x9e3779b97f4a7c15));
+    let threads = random_wide_threads(&mut rng);
+    let identity: Vec<usize> = (0..threads.len()).collect();
+    let (count, outcomes) = outcomes_in_order(&threads, &identity, model);
+    for _ in 0..3 {
+        let mut order = identity.clone();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let (c, o) = outcomes_in_order(&threads, &order, model);
+        if (c, &o) != (count, &outcomes) {
+            return Err(format!(
+                "seed {seed} under {model}: order {order:?} gives {c} executions, \
+                 the identity {count} (outcome multisets equal: {})\n{threads:?}",
+                o == outcomes
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// With symmetry off, relabeling threads changes neither the number of
+/// complete executions nor the multiset of outcomes — an oracle that
+/// needs no second search, on programs wide enough to reach the revisit
+/// over-deletion (DESIGN.md §12 "Known defect"), whose seeds are listed
+/// above.
+#[test]
+fn thread_permutation_preserves_executions_and_outcomes() {
+    let mut failures = Vec::new();
+    for seed in 0..60u64 {
+        if PERMUTATION_LAW_OVER_DELETED.contains(&seed) {
+            continue;
+        }
+        if let Err(e) = permutation_law(seed) {
+            failures.push(e);
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 /// Every collected execution is consistent with the model and has no
