@@ -5,7 +5,9 @@
 //! trace-event schema Perfetto relies on: a top-level array whose entries
 //! all carry `name`/`ph`/`pid` (and `ts` for non-metadata records), with
 //! `ph` drawn from the emitted alphabet (`M`, `B`, `E`, `X`, `C`, `i`),
-//! `dur` on every complete (`X`) span, and balanced `B`/`E` pairs.
+//! `dur` on every complete (`X`) span, and properly nested `B`/`E` pairs:
+//! every `E` closes the innermost open `B` of the same name on its own
+//! `(pid, tid)` track, and no `B` is left open.
 //!
 //! ```sh
 //! # validate an existing trace
@@ -16,6 +18,7 @@
 //!
 //! Exits non-zero (panics) on any schema violation, so CI can gate on it.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use vsync_bench::json::Value;
@@ -27,39 +30,40 @@ fn validate(src: &str) -> (usize, usize) {
     let Value::Arr(events) = &v else { panic!("trace top level must be an array") };
     assert!(!events.is_empty(), "trace must contain events");
     let mut spans = 0usize;
-    let mut depth = 0i64;
+    // Open `B` names per `(pid, tid)` track, innermost last.
+    let mut open: HashMap<(u64, u64), Vec<&str>> = HashMap::new();
     for (i, ev) in events.iter().enumerate() {
         let name = ev.get("name").and_then(Value::as_str);
         assert!(name.is_some_and(|n| !n.is_empty()), "event {i} has no name");
         let ph = ev.get("ph").and_then(Value::as_str).unwrap_or_else(|| panic!("event {i} has no ph"));
-        assert!(ev.get("pid").and_then(Value::as_num).is_some(), "event {i} has no pid");
-        assert!(ev.get("tid").and_then(Value::as_num).is_some(), "event {i} has no tid");
+        let num = |key| {
+            ev.get(key).and_then(Value::as_num).unwrap_or_else(|| panic!("event {i} has no {key}"))
+        };
+        let (pid, tid) = (num("pid"), num("tid"));
+        let track = (pid as u64, tid as u64);
+        if ph != "M" {
+            num("ts"); // metadata alone carries no timestamp
+        }
         match ph {
-            "M" => {} // metadata carries no timestamp
-            "B" => {
-                assert!(ev.get("ts").and_then(Value::as_num).is_some(), "event {i} has no ts");
-                depth += 1;
-            }
+            "M" | "C" | "i" => {}
+            "B" => open.entry(track).or_default().push(name.unwrap()),
             "E" => {
-                assert!(ev.get("ts").and_then(Value::as_num).is_some(), "event {i} has no ts");
-                depth -= 1;
-                assert!(depth >= 0, "event {i}: unmatched E record");
+                let innermost = open.get_mut(&track).and_then(Vec::pop);
+                assert_eq!(
+                    innermost, name,
+                    "event {i}: E record does not close the innermost B on pid {pid}, tid {tid}"
+                );
             }
             "X" => {
-                assert!(ev.get("ts").and_then(Value::as_num).is_some(), "event {i} has no ts");
-                assert!(
-                    ev.get("dur").and_then(Value::as_num).is_some_and(|d| d >= 0.0),
-                    "event {i}: X span without a duration"
-                );
+                assert!(num("dur") >= 0.0, "event {i}: X span with a negative duration");
                 spans += 1;
-            }
-            "C" | "i" => {
-                assert!(ev.get("ts").and_then(Value::as_num).is_some(), "event {i} has no ts");
             }
             other => panic!("event {i}: unexpected ph {other:?}"),
         }
     }
-    assert_eq!(depth, 0, "unbalanced B/E pairs");
+    for ((pid, tid), names) in &open {
+        assert!(names.is_empty(), "pid {pid}, tid {tid}: B records never closed: {names:?}");
+    }
     (events.len(), spans)
 }
 
@@ -72,8 +76,9 @@ fn main() {
             (path, src)
         }
         None => {
-            // Self-generate: explore a catalog lock with the trace writer
-            // subscribed, exactly as the CLI's `--trace` does.
+            // Self-generate: explore a catalog lock with profiling on and
+            // the trace writer subscribed, exactly as the CLI's `--trace`
+            // does.
             let path = std::env::temp_dir().join("vsync_validate_trace.json");
             let entry =
                 vsync_locks::registry::entry("ticketlock").expect("ticketlock is in the catalog");
@@ -82,6 +87,7 @@ fn main() {
             let sink = writer.sink();
             let r = Session::new(entry.client(2, 1))
                 .models(ModelKind::all())
+                .profile(true)
                 .on_event(move |ev| sink(ev))
                 .run();
             assert!(r.is_verified(), "ticketlock must verify");

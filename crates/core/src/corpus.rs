@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use vsync_dsl::{Diagnostic, Expectation, ExpectedVerdict, LitmusTest, Span};
 use vsync_model::ModelKind;
 
-use crate::session::{json_str, phases_json, verdict_kind, ProgressFn, Session};
+use crate::session::{json_str, phases_json, verdict_kind, Session};
 use crate::telemetry::{EventBus, EventFn, EventKind, PhaseProfile};
 use crate::verdict::{EngineError, EnginePhase, Verdict};
 use crate::{failpoint, CancelToken};
@@ -76,20 +76,18 @@ pub struct CorpusOptions {
     pub deadline: Option<Duration>,
     /// Cooperative cancellation, shared by every per-file session.
     pub cancel: CancelToken,
-    /// Progress sink forwarded to every session (CLI `--progress`).
-    pub progress: Option<ProgressFn>,
     /// Approximate per-exploration heap budget in bytes (0 = unlimited).
     pub max_memory_bytes: u64,
     /// Per-exploration dedup-table entry cap (0 = unlimited).
     pub max_dedup_entries: u64,
-    /// Telemetry sink forwarded to every session (CLI `--trace`). One
-    /// [`run_corpus`] run shares a single event bus — one sequence
-    /// counter and clock — across all files; corpus-level
-    /// [`EventKind::CorpusFile`] / [`EventKind::Quarantine`] events flow
-    /// through the same stream.
+    /// Telemetry sink forwarded to every session (CLI `--trace`,
+    /// `--progress`). One [`run_corpus`] run shares a single event bus —
+    /// one sequence counter, clock and session numbering — across all
+    /// files; corpus-level [`EventKind::CorpusFile`] /
+    /// [`EventKind::Quarantine`] events flow through the same stream as
+    /// session 0.
     pub on_event: Option<EventFn>,
-    /// Per-phase wall-clock profiling for every session (forced on when
-    /// `on_event` is set).
+    /// Per-phase wall-clock profiling for every session.
     pub profile: bool,
 }
 
@@ -123,7 +121,7 @@ pub struct ModelOutcome {
     /// Exploration wall-clock time.
     pub elapsed: Duration,
     /// Per-phase wall-clock attribution (all-zero unless
-    /// [`CorpusOptions::profile`] or [`CorpusOptions::on_event`] was set).
+    /// [`CorpusOptions::profile`] was set).
     pub phases: PhaseProfile,
     /// Did the outcome meet the expectation (see the module docs)?
     pub ok: bool,
@@ -449,10 +447,6 @@ fn check_test_with_bus(
     if let Some(at) = deadline_at {
         session = session.deadline(at.saturating_duration_since(Instant::now()));
     }
-    if let Some(p) = &opts.progress {
-        let p = Arc::clone(p);
-        session = session.on_progress(move |snap| p(snap));
-    }
     let report = session.run();
     report
         .models
@@ -640,9 +634,9 @@ pub fn run_corpus(root: &Path, opts: &CorpusOptions) -> Result<CorpusReport, Sou
         };
         if let Some(bus) = &bus {
             if matches!(report.outcome, FileOutcome::Quarantined(_)) {
-                bus.emit(EventKind::Quarantine { path: label.clone() });
+                bus.emit(0, EventKind::Quarantine { path: label.clone() });
             }
-            bus.emit(EventKind::CorpusFile { path: label.clone(), passed: report.passed() });
+            bus.emit(0, EventKind::CorpusFile { path: label.clone(), passed: report.passed() });
         }
         *reports[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(report);
     };

@@ -34,6 +34,15 @@
 //! frontier is that worker's LIFO stack and every counter, telemetry event
 //! and `Inconclusive` payload is a deterministic function of the program.
 //!
+//! ## Pacing
+//!
+//! Each worker's `Pacer` runs once per chain step and has three duties:
+//! the cancel flag on every step; the deadline every `CHECK_PERIOD`
+//! steps; and, on the same cadence and once more on exit, a drain of the
+//! worker's counter delta (plus its phase slice while profiling is on)
+//! onto the session's event bus. It shares nothing with the other
+//! workers, so watching a run adds no cross-worker synchronization.
+//!
 //! ## Thread-symmetry reduction
 //!
 //! With [`AmcConfig::symmetry`] (default on) the seen-sets are keyed on
@@ -64,8 +73,8 @@ use vsync_model::{ChainChecker, MemoryModel};
 
 use crate::failpoint;
 use crate::revisit::{ChainEnd, RevisitTargets};
-use crate::session::{ProgressSnapshot, RunControl};
-use crate::telemetry::{EventBus, EventKind as BusEvent, PhaseProfile, PhaseTracker};
+use crate::session::RunControl;
+use crate::telemetry::{EventKind as BusEvent, PhaseProfile, PhaseTracker, SessionBus};
 use crate::verdict::{
     AmcConfig, AmcResult, EngineError, EnginePhase, ExploreStats, Inconclusive, ResourceBudget,
     StopReason, Verdict,
@@ -103,7 +112,7 @@ pub fn explore(prog: &Program, config: &AmcConfig) -> AmcResult {
 }
 
 /// [`explore`] with runtime controls: a cancellation token, a deadline and
-/// a progress sink (see [`RunControl`]). This is the engine entry point
+/// an event bus (see [`RunControl`]). This is the engine entry point
 /// the [`crate::Session`] pipeline drives; prefer the `Session` builder
 /// unless you are wiring the explorer into your own scheduler.
 ///
@@ -299,23 +308,17 @@ pub(crate) struct Engine<'p> {
     partition: Option<vsync_graph::ThreadPartition>,
 }
 
-/// Chain steps between deadline/progress checks. The cancel flag is read
-/// on every step (one relaxed-ish atomic load); `Instant::now()`, the
-/// progress machinery and the telemetry drain only every `CHECK_PERIOD`
-/// steps so they stay out of the hot path.
+/// Chain steps between deadline checks. The cancel flag is read on every
+/// step (one relaxed-ish atomic load); `Instant::now()` and the telemetry
+/// drain only every `CHECK_PERIOD` steps so they stay out of the hot path.
 const CHECK_PERIOD: u64 = 64;
 
-/// Per-worker cadence state for the cooperative control checks.
+/// Per-worker cadence state for the cooperative control checks. It does
+/// three things: cancellation, the deadline, and draining this worker's
+/// telemetry onto the event bus.
 struct Pacer<'c> {
     control: &'c RunControl,
-    started: Instant,
-    /// Last progress emission of *any* worker, so only one worker emits a
-    /// snapshot per interval.
-    gate: &'c Mutex<Instant>,
-    /// Counters merged across workers, for progress snapshots.
-    merged: &'c Mutex<ExploreStats>,
     count: u64,
-    workers: usize,
     /// This worker's index, stamped onto telemetry events so multi-worker
     /// streams can be demultiplexed.
     worker: usize,
@@ -327,11 +330,11 @@ struct Pacer<'c> {
 
 impl Pacer<'_> {
     /// One cancellation point. Returns the stop reason that should end
-    /// the run, if any; otherwise, every [`CHECK_PERIOD`] calls, drains
-    /// this worker's telemetry onto the event bus (when one is attached)
-    /// and possibly emits a progress snapshot. `local` is *this worker's*
-    /// cumulative counters, so stats deltas are per-worker and
-    /// deterministic at `workers == 1`.
+    /// the run, if any; otherwise, every [`CHECK_PERIOD`] calls, checks
+    /// the deadline and drains this worker's telemetry onto the event bus
+    /// (when one is attached). `local` is *this worker's* cumulative
+    /// counters, so stats deltas are per-worker and deterministic at
+    /// `workers == 1`.
     fn poll(&mut self, tracker: &PhaseTracker, local: &ExploreStats) -> Option<StopReason> {
         if self.control.cancel.is_cancelled() {
             return Some(StopReason::Cancelled);
@@ -340,51 +343,14 @@ impl Pacer<'_> {
         if self.count % CHECK_PERIOD != 1 {
             return None;
         }
-        let now = Instant::now();
-        if let Some(d) = self.control.deadline {
-            if now >= d {
-                return Some(StopReason::DeadlineExceeded);
-            }
+        if self.control.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Some(StopReason::DeadlineExceeded);
         }
-        let control = self.control;
-        if control.events.is_some() || control.progress.is_some() {
-            let delta = local.minus(&self.last_local);
-            self.last_local = *local;
-            if let Some(cb) = &control.progress {
-                // Snapshots are built from `merged`, which trails the true
-                // totals by at most CHECK_PERIOD steps per worker.
-                let merged = {
-                    let mut m = relock(self.merged);
-                    m.merge(&delta);
-                    *m
-                };
-                // try_lock: a peer already emitting means we simply skip.
-                // A poisoned gate only ever holds a timestamp — recover it.
-                let guard = match self.gate.try_lock() {
-                    Ok(g) => Some(g),
-                    Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-                    Err(std::sync::TryLockError::WouldBlock) => None,
-                };
-                if let Some(mut last) = guard {
-                    if now.duration_since(*last) >= control.progress_interval {
-                        *last = now;
-                        cb(&ProgressSnapshot {
-                            model: control.model,
-                            // Phase profiles stay worker-local (merged
-                            // once at the end); snapshots carry counters.
-                            stats: ExploreStats { phases: PhaseProfile::default(), ..merged },
-                            elapsed: now.duration_since(self.started),
-                            workers: self.workers,
-                        });
-                    }
-                }
-            }
-            if let Some(bus) = &control.events {
-                // `snapshot` (not `take_profile`): the tracker's cumulative
-                // profile must survive for the final merge into the run's
-                // stats; the bus only sees the since-last-drain slice.
-                self.emit(bus, delta, tracker.snapshot());
-            }
+        if let Some(bus) = &self.control.events {
+            // The tracker's profile is cumulative (the final merge into
+            // the run's stats reads it too); the bus only sees the
+            // since-last-drain slice.
+            self.emit(bus, local, tracker.snapshot());
         }
         None
     }
@@ -394,13 +360,16 @@ impl Pacer<'_> {
     /// bus then add up to exactly the run's `ExploreStats`.
     fn finish(&mut self, local: &ExploreStats, profile: PhaseProfile) {
         if let Some(bus) = &self.control.events {
-            self.emit(bus, local.minus(&self.last_local), profile);
+            self.emit(bus, local, profile);
         }
     }
 
     /// Put one `stats_delta` and one `phase_slice` (since this worker's
-    /// previous ones) on the bus, each only when it carries something.
-    fn emit(&mut self, bus: &EventBus, delta: ExploreStats, profile: PhaseProfile) {
+    /// previous ones) on the bus, each only when it carries something —
+    /// so with profiling off no `phase_slice` is ever emitted.
+    fn emit(&mut self, bus: &SessionBus, local: &ExploreStats, profile: PhaseProfile) {
+        let delta = local.minus(&self.last_local);
+        self.last_local = *local;
         if delta != ExploreStats::default() {
             bus.emit(BusEvent::StatsDelta { worker: self.worker, stats: delta });
         }
@@ -555,9 +524,6 @@ struct Shared {
     /// [`AmcConfig::max_graphs`] and of `Inconclusive::explored`, so the
     /// explored-work ceiling means the same thing at every worker count.
     steps: AtomicU64,
-    /// Cross-worker counters and emission gate for progress snapshots.
-    merged: Mutex<ExploreStats>,
-    gate: Mutex<Instant>,
 }
 
 impl Shared {
@@ -570,8 +536,6 @@ impl Shared {
             leaves: SeenShards::new(),
             budget,
             steps: AtomicU64::new(0),
-            merged: Mutex::new(ExploreStats::default()),
-            gate: Mutex::new(Instant::now()),
         }
     }
 }
@@ -729,7 +693,7 @@ impl Engine<'_> {
     /// children.
     fn work(&self, index: usize, workers: usize, shared: &Shared) -> WorkerResult {
         // If this worker panics outside the catch_unwind below (queue
-        // bookkeeping, progress callbacks), `pending` never reaches zero;
+        // bookkeeping, event sinks), `pending` never reaches zero;
         // without this guard the peers would sleep on the condvar forever
         // and the scope join would deadlock instead of surfacing the
         // failure.
@@ -755,11 +719,7 @@ impl Engine<'_> {
             targets: RevisitTargets::default(),
             pacer: Pacer {
                 control: self.control,
-                started: Instant::now(),
-                gate: &shared.gate,
-                merged: &shared.merged,
                 count: 0,
-                workers,
                 worker: index,
                 last_local: ExploreStats::default(),
                 last_profile: PhaseProfile::default(),
@@ -814,7 +774,7 @@ impl Engine<'_> {
             }
         }
         let dropped = shared.budget.abandon(w.stack);
-        let profile = w.phase.take_profile();
+        let profile = w.phase.snapshot();
         w.pacer.finish(&w.stats, profile);
         w.stats.phases.merge(&profile);
         WorkerResult { stats: w.stats, executions: w.executions, dropped }

@@ -11,7 +11,7 @@
 //!   verifies (paper §3.3, Table 1).
 //!
 //! The front door is the [`Session`] pipeline — model matrix, workers,
-//! budgets, progress streaming, cancellation and structured [`Report`]s in
+//! budgets, the event bus, cancellation and structured [`Report`]s in
 //! one builder chain; [`verify`], [`explore`] and [`optimize`] remain as
 //! thin single-shot wrappers over the same engine.
 //!
@@ -54,11 +54,9 @@ pub use explorer::{
 };
 pub use optimize::{
     enumerate_maximal, is_locally_maximal, optimize, optimize_multi, OptimizationReport,
-    OptimizationStep, OptimizeEvent, OptimizePhase, OptimizeStrategy, OptimizerConfig,
+    OptimizationStep, OptimizeStrategy, OptimizerConfig,
 };
-pub use session::{
-    CancelToken, ModelRun, ProgressFn, ProgressSnapshot, Report, RunControl, Session,
-};
+pub use session::{CancelToken, ModelRun, Report, RunControl, Session};
 pub use stagnancy::{is_stagnant, is_stuck};
 pub use telemetry::{
     clock_read_ns, render_metrics, EngineEvent, EventFn, EventKind, PhaseProfile, PhaseStat,

@@ -53,23 +53,23 @@
 use vsync_graph::Mode;
 use vsync_lang::Program;
 
-use super::{CheckOutcome, Ctx, OptimizationStep, OptimizePhase};
+use super::{CheckOutcome, Ctx, OptimizationStep};
 
 /// The pass was cut short by a session interrupt. `acc` holds only fully
 /// verified accepts.
 pub(crate) struct Interrupted;
 
-/// Commit one accepted relaxation and notify subscribers.
+/// Commit one accepted relaxation and record it.
 fn commit(ctx: &mut Ctx<'_>, acc: &mut Program, site: u32, to: Mode, pass: usize) {
     let from = acc.sites()[site as usize].mode;
-    ctx.record(pass, OptimizePhase::Bisect, OptimizationStep { site, from, to, accepted: true });
+    ctx.record(OptimizationStep { pass, site, from, to, accepted: true });
     acc.apply_patch(&[(site, to)]);
 }
 
 /// Record one rejected relaxation.
 fn reject(ctx: &mut Ctx<'_>, acc: &Program, site: u32, to: Mode, pass: usize) {
     let from = acc.sites()[site as usize].mode;
-    ctx.record(pass, OptimizePhase::Bisect, OptimizationStep { site, from, to, accepted: false });
+    ctx.record(OptimizationStep { pass, site, from, to, accepted: false });
 }
 
 /// Run the adaptive batch/bisect pass over `acc`: relax-all, bisect on

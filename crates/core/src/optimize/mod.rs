@@ -37,7 +37,6 @@ mod bisect;
 mod witness;
 
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vsync_graph::Mode;
@@ -47,6 +46,7 @@ use vsync_model::MemoryModel;
 use crate::explorer::{explore, explore_oracle};
 use crate::failpoint;
 use crate::session::{CancelToken, RunControl};
+use crate::telemetry::EventKind;
 use crate::verdict::{AmcConfig, EngineError, EnginePhase, Verdict};
 
 use witness::WitnessCache;
@@ -89,47 +89,10 @@ impl std::str::FromStr for OptimizeStrategy {
     }
 }
 
-/// Which stage of the search produced an [`OptimizeEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OptimizePhase {
-    /// The sequential ladder: every pass of the reference strategy, and
-    /// the adaptive strategy's passes after its opening.
-    Sequential,
-    /// Adaptive batch relaxation / bisection of a failing batch.
-    Bisect,
-}
-
-impl fmt::Display for OptimizePhase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.pad(match self {
-            OptimizePhase::Sequential => "sequential",
-            OptimizePhase::Bisect => "bisect",
-        })
-    }
-}
-
-/// A per-step progress notification from a running optimization,
-/// delivered to [`OptimizerConfig::with_on_step`] /
-/// `Session::on_optimize_step` callbacks as each relaxation attempt is
-/// decided, on the thread that runs the optimizer and in
-/// [`OptimizationReport::steps`] order.
-#[derive(Debug, Clone, Copy)]
-pub struct OptimizeEvent<'a> {
-    /// 1-based pass number (the adaptive batch/bisect opening is pass 1).
-    pub pass: usize,
-    /// The stage that decided this step.
-    pub phase: OptimizePhase,
-    /// Resolved name of the site (see [`OptimizationStep::site`]).
-    pub site: &'a str,
-    /// The decided step.
-    pub step: OptimizationStep,
-}
-
-/// Shared callback type for per-step optimization events.
-pub(crate) type StepFn = Arc<dyn Fn(&OptimizeEvent<'_>) + Send + Sync>;
-
-/// Configuration of an optimization run.
-#[derive(Clone, Default)]
+/// Configuration of an optimization run. Steps are observed through
+/// [`OptimizationReport::steps`], or live as `optimize_step` events on a
+/// [`crate::Session`]'s bus.
+#[derive(Debug, Clone, Default)]
 pub struct OptimizerConfig {
     /// AMC configuration used for each verification call.
     pub amc: AmcConfig,
@@ -141,19 +104,6 @@ pub struct OptimizerConfig {
     pub cancel: Option<CancelToken>,
     /// Search strategy (default [`OptimizeStrategy::Adaptive`]).
     pub strategy: OptimizeStrategy,
-    /// Per-step progress callback, if any.
-    pub(crate) on_step: Option<StepFn>,
-}
-
-impl fmt::Debug for OptimizerConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("OptimizerConfig")
-            .field("amc", &self.amc)
-            .field("cancel", &self.cancel.is_some())
-            .field("strategy", &self.strategy)
-            .field("on_step", &self.on_step.is_some())
-            .finish()
-    }
 }
 
 impl OptimizerConfig {
@@ -177,17 +127,6 @@ impl OptimizerConfig {
         self
     }
 
-    /// Builder-style: subscribe to per-step [`OptimizeEvent`]s. The
-    /// callback runs on the thread that called the optimizer.
-    #[must_use = "builder methods return the modified config"]
-    pub fn with_on_step(
-        mut self,
-        callback: impl Fn(&OptimizeEvent<'_>) + Send + Sync + 'static,
-    ) -> Self {
-        self.on_step = Some(Arc::new(callback));
-        self
-    }
-
     fn is_cancelled(&self) -> bool {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
@@ -196,10 +135,13 @@ impl OptimizerConfig {
 /// One attempted relaxation. Sites are recorded by index into the
 /// program's site table ([`Program::sites`]); names are resolved only
 /// when rendering ([`OptimizationReport::render`] /
-/// [`OptimizationReport::site_name`]), so the hot loop never clones
-/// strings.
+/// [`OptimizationReport::site_name`]) or emitting a bus event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptimizationStep {
+    /// 1-based pass that decided the step. Under
+    /// [`Adaptive`](OptimizeStrategy::Adaptive), pass 1 is the batch /
+    /// bisect opening and later passes are the sequential ladder.
+    pub pass: usize,
     /// Site index into the program's site table.
     pub site: u32,
     /// Mode before.
@@ -315,11 +257,7 @@ pub fn optimize_multi(
     extra_scenarios: &[Program],
     config: &OptimizerConfig,
 ) -> OptimizationReport {
-    let control = RunControl {
-        cancel: config.cancel.clone().unwrap_or_default(),
-        model: config.amc.model,
-        ..RunControl::default()
-    };
+    let control = RunControl::with_cancel(config.cancel.clone().unwrap_or_default());
     run_engine(prog, extra_scenarios, config, control, false)
 }
 
@@ -394,9 +332,7 @@ impl<'a> Ctx<'a> {
             config,
             model: config.amc.model.checker(config.amc.checker),
             cache_enabled: config.strategy != OptimizeStrategy::Sequential,
-            // The per-candidate explorations are too short for progress
-            // snapshots to mean anything.
-            control: RunControl { progress: None, ..control },
+            control,
             steps: Vec::new(),
             verifications: 0,
             explorations: 0,
@@ -522,15 +458,16 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Record a decided step and notify the per-step subscriber.
-    pub(crate) fn record(&mut self, pass: usize, phase: OptimizePhase, step: OptimizationStep) {
+    /// Record a decided step and, when the run has a bus, emit it.
+    pub(crate) fn record(&mut self, step: OptimizationStep) {
         self.steps.push(step);
-        if let Some(cb) = &self.config.on_step {
-            cb(&OptimizeEvent {
-                pass,
-                phase,
-                site: &self.primary.sites()[step.site as usize].name,
-                step,
+        if let Some(bus) = &self.control.events {
+            bus.emit(EventKind::OptimizeStep {
+                pass: step.pass,
+                site: self.primary.sites()[step.site as usize].name.clone(),
+                from: step.from,
+                to: step.to,
+                accepted: step.accepted,
             });
         }
     }
@@ -662,8 +599,7 @@ fn ladder_passes(ctx: &mut Ctx<'_>, program: &mut Program, first_pass: usize) ->
                     CheckOutcome::Refuted { .. } => false,
                     CheckOutcome::Interrupted | CheckOutcome::Errored => return true,
                 };
-                let step = OptimizationStep { site, from, to, accepted };
-                ctx.record(pass, OptimizePhase::Sequential, step);
+                ctx.record(OptimizationStep { pass, site, from, to, accepted });
                 if accepted {
                     program.apply_patch(&[(site, to)]);
                     changed = true;
@@ -973,23 +909,29 @@ mod tests {
         );
     }
 
+    /// A run with a bus emits one `optimize_step` per recorded step, in
+    /// report order, with the site name resolved.
     #[test]
     fn per_step_events_stream_with_resolved_names() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let seen = Arc::new(AtomicUsize::new(0));
-        let s = seen.clone();
-        let config = cfg_with(OptimizeStrategy::Adaptive).with_on_step(move |e| {
-            assert!(!e.site.is_empty());
-            assert!(e.pass >= 1);
-            s.fetch_add(1, Ordering::Relaxed);
-        });
-        let report = optimize(&mp_all_sc(), &config);
+        use crate::telemetry::{EngineEvent, EventBus};
+        use std::sync::{Arc, Mutex};
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let bus = Arc::new(EventBus::new(Arc::new(move |ev: &EngineEvent| {
+            if let EventKind::OptimizeStep { pass, site, from, to, accepted } = &ev.kind {
+                sink.lock().unwrap().push((*pass, site.clone(), *from, *to, *accepted));
+            }
+        })));
+        let control = RunControl { events: Some(bus.start_session("mp", 1)), ..Default::default() };
+        let report = run_engine(&mp_all_sc(), &[], &cfg(), control, false);
         assert!(report.verified);
-        assert_eq!(
-            seen.load(Ordering::Relaxed),
-            report.steps.len(),
-            "every recorded step produced exactly one event"
-        );
+        let expected: Vec<_> = report
+            .steps
+            .iter()
+            .map(|s| (s.pass, report.site_name(s).to_owned(), s.from, s.to, s.accepted))
+            .collect();
+        assert!(!expected.is_empty());
+        assert_eq!(*seen.lock().unwrap(), expected, "one event per recorded step");
     }
 
     #[test]
@@ -1001,8 +943,7 @@ mod tests {
             assert_eq!(v.to_string(), s);
         }
         assert!("nope".parse::<OptimizeStrategy>().is_err());
-        // `vsync optimize --steps` aligns its columns with these.
-        assert_eq!(format!("{:<10}|", OptimizePhase::Bisect), "bisect    |");
+        // Table columns pad the strategy name.
         assert_eq!(format!("{:>12}|", OptimizeStrategy::Adaptive), "    adaptive|");
     }
 }

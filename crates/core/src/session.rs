@@ -3,9 +3,10 @@
 //! A [`Session`] takes a program to a [`Report`] in one fluent chain:
 //! pick the model matrix, the worker count and the checker, attach
 //! budgets ([`Session::deadline`], [`Session::max_graphs`]), subscribe to
-//! periodic [`ProgressSnapshot`]s, share a [`CancelToken`] with whatever
-//! supervises the run, optionally request barrier optimization — and call
-//! [`Session::run`].
+//! the typed event bus ([`Session::on_event`]: lifecycle, counter deltas,
+//! optimizer steps — what a progress line or a step log is built from),
+//! share a [`CancelToken`] with whatever supervises the run, optionally
+//! request barrier optimization — and call [`Session::run`].
 //!
 //! ```
 //! use vsync_core::Session;
@@ -46,8 +47,8 @@ use vsync_lang::Program;
 use vsync_model::{CheckerKind, ModelKind};
 
 use crate::explorer::explore_with;
-use crate::optimize::{run_engine, OptimizationReport, OptimizeEvent, OptimizerConfig, StepFn};
-use crate::telemetry::{EngineEvent, EventBus, EventFn, EventKind, PhaseProfile};
+use crate::optimize::{run_engine, OptimizationReport, OptimizerConfig};
+use crate::telemetry::{EngineEvent, EventBus, EventKind, PhaseProfile, SessionBus};
 use crate::verdict::{AmcConfig, EnginePhase, ExploreStats, Verdict};
 
 /// A shareable, thread-safe cancellation flag.
@@ -81,73 +82,34 @@ impl CancelToken {
     }
 }
 
-/// A periodic view of a running exploration, delivered to the
-/// [`Session::on_progress`] callback.
-#[derive(Debug, Clone)]
-pub struct ProgressSnapshot {
-    /// The model currently being explored.
-    pub model: ModelKind,
-    /// Merged counters across all workers at snapshot time. Parallel
-    /// workers flush their local counters in small batches, so the
-    /// snapshot may trail the true totals by a few dozen items.
-    pub stats: ExploreStats,
-    /// Time since this model's exploration started.
-    pub elapsed: Duration,
-    /// Number of exploration workers.
-    pub workers: usize,
-}
-
-/// Shared callback type for progress snapshots (what
-/// [`Session::on_progress`] wraps; [`crate::CorpusOptions::progress`]
-/// takes one directly so many sessions can share a sink).
-pub type ProgressFn = Arc<dyn Fn(&ProgressSnapshot) + Send + Sync>;
-
 /// Runtime controls threaded through the exploration hot loop: the
-/// cancellation token, the absolute deadline and the progress sink.
+/// cancellation token, the absolute deadline, and the session's event
+/// bus and profiling switch.
 ///
 /// [`crate::explore_with`] accepts one directly; [`Session`] builds it
 /// from its builder state.
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RunControl {
     /// Cooperative cancellation flag (checked on every popped item).
     pub(crate) cancel: CancelToken,
     /// Absolute wall-clock cutoff (checked every few dozen items).
     pub(crate) deadline: Option<Instant>,
-    /// Progress callback, if any.
-    pub(crate) progress: Option<ProgressFn>,
-    /// Minimum time between two progress snapshots.
-    pub(crate) progress_interval: Duration,
-    /// Model label stamped onto snapshots.
-    pub(crate) model: ModelKind,
-    /// The session's telemetry bus, when an event sink is attached
-    /// (optimizer oracles and corpus files inherit it via `..clone()`).
-    pub(crate) events: Option<Arc<EventBus>>,
-    /// Per-phase wall-clock profiling on/off (forced on while `events`
-    /// is attached, so phase slices can flow onto the bus).
+    /// The session's handle on the telemetry bus, when an event sink is
+    /// attached (optimizer oracles inherit it via `..clone()`).
+    pub(crate) events: Option<SessionBus>,
+    /// Per-phase wall-clock profiling on/off ([`Session::profile`]);
+    /// phase slices reach the bus only while it is on.
     pub(crate) profile: bool,
 }
 
-impl fmt::Debug for RunControl {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RunControl")
-            .field("cancelled", &self.cancel.is_cancelled())
-            .field("deadline", &self.deadline)
-            .field("progress", &self.progress.is_some())
-            .field("progress_interval", &self.progress_interval)
-            .field("events", &self.events.is_some())
-            .field("profile", &self.profile)
-            .finish()
-    }
-}
-
 impl RunControl {
-    /// A control tied to `token`, with no deadline and no progress sink.
+    /// A control tied to `token`, with no deadline and no event sink.
     #[must_use]
     pub fn with_cancel(token: CancelToken) -> Self {
         RunControl { cancel: token, ..RunControl::default() }
     }
 
-    /// A control with an absolute deadline and no progress sink.
+    /// A control with an absolute deadline and no event sink.
     #[must_use]
     pub fn with_deadline(deadline: Instant) -> Self {
         RunControl { deadline: Some(deadline), ..RunControl::default() }
@@ -469,7 +431,7 @@ fn indent(s: &str, pad: &str) -> String {
 }
 
 /// Builder for one push-button verification run: model matrix, workers,
-/// budgets, progress, cancellation, optimization — then [`Session::run`].
+/// budgets, events, cancellation, optimization — then [`Session::run`].
 #[must_use = "a Session does nothing until .run() is called"]
 pub struct Session {
     program: Program,
@@ -477,15 +439,12 @@ pub struct Session {
     config: AmcConfig,
     deadline: Option<Duration>,
     cancel: CancelToken,
-    progress: Option<ProgressFn>,
-    progress_interval: Duration,
     optimizer: Option<OptimizerConfig>,
     optimize_scenarios: Vec<Program>,
-    optimize_steps: Option<StepFn>,
-    events: Option<EventFn>,
-    /// A pre-built bus injected by the corpus runner so many sessions
-    /// share one sequence counter and clock (wins over `events`).
-    shared_bus: Option<Arc<EventBus>>,
+    /// The bus [`Session::on_event`] wraps its sink in, or one the corpus
+    /// runner shares across many sessions (one sequence counter, clock
+    /// and session numbering).
+    events: Option<Arc<EventBus>>,
     profile: bool,
 }
 
@@ -497,7 +456,7 @@ impl fmt::Debug for Session {
             .field("config", &self.config)
             .field("deadline", &self.deadline)
             .field("optimize", &self.optimizer.is_some())
-            .field("events", &(self.events.is_some() || self.shared_bus.is_some()))
+            .field("events", &self.events.is_some())
             .field("profile", &self.profile)
             .finish()
     }
@@ -514,13 +473,9 @@ impl Session {
             config,
             deadline: None,
             cancel: CancelToken::new(),
-            progress: None,
-            progress_interval: Duration::from_millis(250),
             optimizer: None,
             optimize_scenarios: Vec::new(),
-            optimize_steps: None,
             events: None,
-            shared_bus: None,
             profile: false,
         }
     }
@@ -667,23 +622,6 @@ impl Session {
         self
     }
 
-    /// Subscribe to periodic [`ProgressSnapshot`]s from the exploration
-    /// hot loop. The callback runs on exploration worker threads.
-    pub fn on_progress(
-        mut self,
-        callback: impl Fn(&ProgressSnapshot) + Send + Sync + 'static,
-    ) -> Session {
-        self.progress = Some(Arc::new(callback));
-        self
-    }
-
-    /// Minimum interval between progress snapshots (default 250 ms;
-    /// `Duration::ZERO` snapshots at every cadence point — test use).
-    pub fn progress_interval(mut self, interval: Duration) -> Session {
-        self.progress_interval = interval;
-        self
-    }
-
     /// A [`CancelToken`] shared with this session: fire it from any
     /// thread to wind the run down at the next cancellation point.
     #[must_use]
@@ -718,48 +656,36 @@ impl Session {
         self
     }
 
-    /// Subscribe to per-step [`OptimizeEvent`]s from the optimization
-    /// phase (each relaxation attempt as it is decided, on the thread
-    /// that called [`Session::run`]). A callback set directly on the
-    /// [`OptimizerConfig`] takes precedence.
-    pub fn on_optimize_step(
-        mut self,
-        callback: impl Fn(&OptimizeEvent<'_>) + Send + Sync + 'static,
-    ) -> Session {
-        self.optimize_steps = Some(Arc::new(callback));
-        self
-    }
-
     /// Subscribe to the session's typed telemetry stream: every
-    /// [`EngineEvent`] — lifecycle, per-worker stats deltas and phase
-    /// slices, optimizer steps, budget warnings, faults — in one
-    /// sequence-numbered channel. Attaching a sink also enables
-    /// per-phase profiling (as [`Session::profile`]). The callback runs
-    /// on whichever engine thread emits; with one exploration worker the
-    /// stream is fully deterministic (see DESIGN.md §13).
-    pub fn on_event(
-        mut self,
-        callback: impl Fn(&EngineEvent) + Send + Sync + 'static,
-    ) -> Session {
-        self.events = Some(Arc::new(callback));
+    /// [`EngineEvent`] — lifecycle, per-worker stats deltas, optimizer
+    /// steps, budget warnings, faults, and phase slices when
+    /// [`Session::profile`] is on — in one sequence-numbered channel. It
+    /// is the only way to watch a run: fire [`Session::cancel_token`]
+    /// from it to stop one. The callback runs on whichever engine thread
+    /// emits; with one exploration worker the stream is fully
+    /// deterministic (see DESIGN.md §13).
+    pub fn on_event(mut self, callback: impl Fn(&EngineEvent) + Send + Sync + 'static) -> Session {
+        self.events = Some(Arc::new(EventBus::new(Arc::new(callback))));
         self
     }
 
     /// Enable per-phase wall-clock profiling: both exploration drivers
     /// time their engine phases into the run's
     /// [`ExploreStats::phases`] [`PhaseProfile`] (surfaced in
-    /// [`Report::to_json`] and [`render_metrics`](crate::render_metrics)).
-    /// Off by default — the disabled path is a single branch per phase
-    /// transition, gated ≤ 3% overhead in CI.
+    /// [`Report::to_json`] and [`render_metrics`](crate::render_metrics))
+    /// and, with an event sink attached, stream it as `phase_slice`
+    /// events. Off by default, and an attached sink does not turn it on:
+    /// the disabled path is a single branch per phase transition, with no
+    /// clock read.
     pub fn profile(mut self, on: bool) -> Session {
         self.profile = on;
         self
     }
 
     /// Share a pre-built [`EventBus`] (corpus runner): many sessions, one
-    /// sequence counter and clock.
+    /// sequence counter, clock and session numbering.
     pub(crate) fn with_event_bus(mut self, bus: Arc<EventBus>) -> Session {
-        self.shared_bus = Some(bus);
+        self.events = Some(bus);
         self
     }
 
@@ -767,32 +693,18 @@ impl Session {
     /// verified ones if requested, and assemble the [`Report`].
     pub fn run(self) -> Report {
         let started = Instant::now();
-        let bus = self
-            .shared_bus
-            .clone()
-            .or_else(|| self.events.clone().map(|sink| Arc::new(EventBus::new(sink))));
+        let bus =
+            self.events.as_ref().map(|b| b.start_session(self.program.name(), self.models.len()));
         let control = RunControl {
             cancel: self.cancel.clone(),
             deadline: self.deadline.map(|d| started + d),
-            progress: self.progress.clone(),
-            progress_interval: self.progress_interval,
-            model: self.config.model,
             events: bus.clone(),
-            // Phase slices only flow when the tracker records, so an
-            // attached sink forces profiling on.
-            profile: self.profile || bus.is_some(),
+            profile: self.profile,
         };
-        if let Some(bus) = &bus {
-            bus.emit(EventKind::SessionStart {
-                program: self.program.name().to_owned(),
-                models: self.models.len(),
-            });
-        }
         let mut runs = Vec::new();
         for &model in &self.models {
             let mut config = self.config.clone();
             config.model = model;
-            let control = RunControl { model, ..control.clone() };
             if let Some(bus) = &bus {
                 bus.emit(EventKind::ExploreStart { model, workers: config.workers.max(1) });
             }
@@ -817,7 +729,14 @@ impl Session {
             let mut stats = result.stats;
             let optimization = match (&self.optimizer, &result.verdict) {
                 (Some(ocfg), Verdict::Verified) => {
-                    let opt = self.run_optimizer(model, &config, ocfg, &control);
+                    // The session's AMC settings and controls: the token,
+                    // deadline and bus reach every oracle exploration, and
+                    // each decided step goes on the bus. The program was
+                    // just verified under this exact config, so the engine
+                    // skips re-exploring it and only checks scenarios.
+                    let ocfg = OptimizerConfig { amc: config.clone(), ..ocfg.clone() };
+                    let scenarios = &self.optimize_scenarios;
+                    let opt = run_engine(&self.program, scenarios, &ocfg, control.clone(), true);
                     // Attribute the optimizer's wall clock as one
                     // `Optimize` span so the per-phase profile covers the
                     // whole model run, not just the exploration.
@@ -846,51 +765,6 @@ impl Session {
             bus.emit(EventKind::SessionFinish { verified: report.is_verified() });
         }
         report
-    }
-
-    /// One optimization run under `model`, sharing the session's
-    /// cancellation token and deadline (every candidate verification is a
-    /// cancellation point and in-flight explorations observe the token
-    /// directly; progress snapshots are not emitted — the per-candidate
-    /// explorations are too short to be meaningful). The strategy and
-    /// caller-attached cancel token come from the
-    /// [`OptimizerConfig`]; the AMC settings (model, workers, checker,
-    /// budgets) are the session's.
-    ///
-    /// The session just verified `self.program` under this exact config,
-    /// so the engine's initial verification skips the (expensive) primary
-    /// re-exploration and only checks scenarios.
-    fn run_optimizer(
-        &self,
-        model: ModelKind,
-        amc: &AmcConfig,
-        ocfg: &OptimizerConfig,
-        control: &RunControl,
-    ) -> OptimizationReport {
-        let mut config = ocfg.clone();
-        config.amc = amc.clone();
-        if config.on_step.is_none() {
-            config.on_step = self.optimize_steps.clone();
-        }
-        if let Some(bus) = control.events.clone() {
-            // Forward every optimizer step onto the event bus, still
-            // honoring any user callback.
-            let prev = config.on_step.take();
-            config.on_step = Some(Arc::new(move |e: &OptimizeEvent<'_>| {
-                bus.emit(EventKind::OptimizeStep {
-                    pass: e.pass,
-                    site: e.site.to_owned(),
-                    from: e.step.from,
-                    to: e.step.to,
-                    accepted: e.step.accepted,
-                });
-                if let Some(prev) = &prev {
-                    prev(e);
-                }
-            }));
-        }
-        let oracle_control = RunControl { model, ..control.clone() };
-        run_engine(&self.program, &self.optimize_scenarios, &config, oracle_control, true)
     }
 }
 

@@ -1,14 +1,16 @@
 //! Unified engine telemetry: per-phase wall-clock profiling, the typed
 //! event bus, and the exporters (Chrome-trace writer, metrics table).
 //!
-//! Three previously disjoint channels — `ExploreStats` progress
-//! snapshots, optimizer `OptimizationStep`s, and ad-hoc bench timing —
-//! flow through one typed stream of [`EngineEvent`]s with monotonic
-//! sequence numbers, stamped against a single session clock. The layer
-//! is near-zero-cost when disabled: drivers consult one `bool`
-//! (`RunControl::profile`) per phase transition and one `Option` per
-//! pacer drain; with both off no telemetry code allocates or takes a
-//! lock (see DESIGN.md §13 for the overhead model and the CI gate).
+//! The bus is the one way to observe a run: lifecycle, per-worker
+//! counter deltas, phase time, optimizer steps and faults flow through
+//! one typed stream of [`EngineEvent`]s with monotonic sequence numbers,
+//! stamped against a single clock and with the number of the session
+//! that emitted them. Progress lines and step logs are subscribers, not
+//! channels of their own. The layer is near-zero-cost when disabled:
+//! drivers consult one `bool` (`RunControl::profile`) per phase
+//! transition and one `Option` per pacer drain; with both off no
+//! telemetry code allocates or takes a lock (see DESIGN.md §13 for the
+//! overhead model and the CI gate).
 //!
 //! * [`PhaseProfile`] / [`PhaseStat`] — per-[`EnginePhase`] total/count/
 //!   max aggregates, surfaced in `ExploreStats`, `Report::to_json` and
@@ -16,14 +18,16 @@
 //! * `PhaseTracker` — the per-worker scoped timer both exploration
 //!   drivers thread through their hot loops (a drop-in for the old
 //!   `Cell<EnginePhase>` panic-attribution cell);
-//! * `EventBus` (crate-private) / [`EngineEvent`] / [`EventKind`] — the typed bus
-//!   behind `Session::on_event`, drained at the existing pacer cadence
-//!   so per-worker buffers never add hot-loop synchronization;
+//! * `EventBus` / `SessionBus` (crate-private) / [`EngineEvent`] /
+//!   [`EventKind`] — the typed bus behind `Session::on_event`, drained at
+//!   the existing pacer cadence so per-worker buffers never add hot-loop
+//!   synchronization;
 //! * [`TraceWriter`] — a Perfetto-loadable Chrome-trace JSON writer
-//!   (one event object per line);
+//!   (one event object per line, one process track per session);
 //! * [`render_metrics`] — the human `--metrics` summary table.
 
 use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -248,14 +252,6 @@ impl PhaseTracker {
         }
         *self.profile.borrow()
     }
-
-    /// Drain: the profile so far (open span rolled in), resetting the
-    /// accumulator.
-    pub(crate) fn take_profile(&self) -> PhaseProfile {
-        let p = self.snapshot();
-        *self.profile.borrow_mut() = PhaseProfile::default();
-        p
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -265,8 +261,9 @@ impl PhaseTracker {
 /// An event sink: called synchronously from whichever thread emits.
 pub type EventFn = Arc<dyn Fn(&EngineEvent) + Send + Sync>;
 
-/// One telemetry event: a monotonic sequence number, a timestamp
-/// relative to the owning bus's epoch, and the typed payload.
+/// One telemetry event: a monotonic sequence number, the emitting
+/// session, a timestamp relative to the owning bus's epoch, and the typed
+/// payload.
 ///
 /// Sequence numbers are allocated atomically at emission, so a
 /// single-worker run's stream is fully deterministic (same program,
@@ -277,6 +274,10 @@ pub type EventFn = Arc<dyn Fn(&EngineEvent) + Send + Sync>;
 pub struct EngineEvent {
     /// Monotonic sequence number (0-based, gap-free per bus).
     pub seq: u64,
+    /// The emitting session, numbered from 1 in `session_start` order on
+    /// its bus (every session of a corpus run shares one bus); 0 for the
+    /// corpus runner's own events, which belong to no session.
+    pub session: u64,
     /// Time since the bus was created (the session clock).
     pub ts: Duration,
     /// The typed payload.
@@ -392,25 +393,38 @@ impl EventKind {
     }
 }
 
-/// The session-wide event bus: one sink, one clock, one atomic
-/// sequence counter. Cloned (via `Arc`) into every `RunControl`, so
-/// the optimizer's oracle explorations and every corpus file share the
-/// same stream.
+/// The event bus: one sink, one clock, one atomic sequence counter and
+/// one session counter. A corpus run shares one bus across every file's
+/// session; each session emits through its own [`SessionBus`].
 pub(crate) struct EventBus {
     sink: EventFn,
     seq: AtomicU64,
+    sessions: AtomicU64,
     started: Instant,
 }
 
 impl EventBus {
     pub(crate) fn new(sink: EventFn) -> EventBus {
-        EventBus { sink, seq: AtomicU64::new(0), started: Instant::now() }
+        EventBus {
+            sink,
+            seq: AtomicU64::new(0),
+            sessions: AtomicU64::new(0),
+            started: Instant::now(),
+        }
     }
 
-    /// Stamp and deliver one event.
-    pub(crate) fn emit(&self, kind: EventKind) {
+    /// Number a new session and emit its `session_start`.
+    pub(crate) fn start_session(self: &Arc<Self>, program: &str, models: usize) -> SessionBus {
+        let session = self.sessions.fetch_add(1, Ordering::Relaxed) + 1;
+        let bus = SessionBus { bus: Arc::clone(self), session };
+        bus.emit(EventKind::SessionStart { program: program.to_owned(), models });
+        bus
+    }
+
+    /// Stamp and deliver one event of `session` (0: no session).
+    pub(crate) fn emit(&self, session: u64, kind: EventKind) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let ev = EngineEvent { seq, ts: self.started.elapsed(), kind };
+        let ev = EngineEvent { seq, session, ts: self.started.elapsed(), kind };
         (self.sink)(&ev);
     }
 }
@@ -418,6 +432,21 @@ impl EventBus {
 impl std::fmt::Debug for EventBus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventBus").field("seq", &self.seq.load(Ordering::Relaxed)).finish()
+    }
+}
+
+/// One session's handle on the bus, cloned into every `RunControl` the
+/// session builds: the optimizer's oracle explorations emit through it
+/// too, so every event of the session carries its number.
+#[derive(Debug, Clone)]
+pub(crate) struct SessionBus {
+    bus: Arc<EventBus>,
+    session: u64,
+}
+
+impl SessionBus {
+    pub(crate) fn emit(&self, kind: EventKind) {
+        self.bus.emit(self.session, kind);
     }
 }
 
@@ -431,12 +460,16 @@ impl std::fmt::Debug for EventBus {
 /// (unfinished) file is still loadable by Perfetto, which tolerates a
 /// missing `]`.
 ///
-/// Mapping: explorations and the session become `B`/`E` duration pairs
-/// on tid 0; [`EventKind::PhaseSlice`]s are laid out as back-to-back
-/// `X` complete spans on the worker's tid (a per-tid cursor keeps
-/// slices non-overlapping — within a slice the per-phase ordering is
-/// synthetic, the durations are real); [`EventKind::StatsDelta`]s
-/// accumulate into `C` counter samples; everything else is an instant.
+/// Mapping: session *s* is process `s + 1`, so sessions that run
+/// concurrently (corpus `--jobs N`) never share a track; the corpus
+/// runner's own events (session 0) stay on process 1. Within a session,
+/// the session and its explorations become `B`/`E` duration pairs on tid
+/// 0; [`EventKind::PhaseSlice`]s are laid out as back-to-back `X`
+/// complete spans on tid `worker + 1` (a per-track cursor keeps slices
+/// non-overlapping — within a slice the per-phase ordering is synthetic,
+/// the durations are real); [`EventKind::StatsDelta`]s accumulate into
+/// `C` counter samples on the same tid; everything else is an instant on
+/// tid 0.
 pub struct TraceWriter {
     inner: Mutex<TraceInner>,
 }
@@ -445,14 +478,19 @@ struct TraceInner {
     out: BufWriter<File>,
     /// Has any event line been written yet (for comma placement)?
     first: bool,
-    /// Per-tid layout cursor (ns since epoch) for phase-slice spans.
-    cursors: Vec<u64>,
-    /// Per-worker accumulated counter totals (counter samples are
-    /// cumulative in the Chrome-trace model).
-    totals: Vec<ExploreStats>,
-    /// tids already given a `thread_name` metadata record.
-    named: Vec<bool>,
+    /// Per-`(pid, tid)` layout state.
+    tracks: HashMap<(u64, usize), Track>,
     finished: bool,
+}
+
+/// Layout state of one `(pid, tid)` track.
+#[derive(Default)]
+struct Track {
+    /// Phase-slice layout cursor (ns since epoch).
+    cursor: u64,
+    /// Accumulated counter totals (counter samples are cumulative in the
+    /// Chrome-trace model).
+    totals: ExploreStats,
 }
 
 impl TraceWriter {
@@ -469,19 +507,11 @@ impl TraceWriter {
             inner: Mutex::new(TraceInner {
                 out,
                 first: true,
-                cursors: Vec::new(),
-                totals: Vec::new(),
-                named: Vec::new(),
+                tracks: HashMap::new(),
                 finished: false,
             }),
         };
-        w.with_inner(|inner| {
-            Self::line(
-                inner,
-                "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \
-                 \"args\": {\"name\": \"vsync\"}}",
-            );
-        });
+        w.with_inner(|inner| Self::process_name(inner, 1, "vsync"));
         Ok(w)
     }
 
@@ -508,24 +538,41 @@ impl TraceWriter {
         let _ = inner.out.write_all(s.as_bytes());
     }
 
-    /// Name a worker tid lazily (Perfetto track labels).
-    fn ensure_tid(inner: &mut TraceInner, tid: usize, label: &str) {
-        if inner.named.len() <= tid {
-            inner.named.resize(tid + 1, false);
-        }
-        if !inner.named[tid] {
-            inner.named[tid] = true;
+    fn process_name(inner: &mut TraceInner, pid: u64, label: &str) {
+        let s = format!(
+            "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \
+             \"args\": {{\"name\": {}}}}}",
+            json_str(label)
+        );
+        Self::line(inner, &s);
+    }
+
+    /// The `(pid, tid)` track; a new one is named first (Perfetto track
+    /// labels).
+    fn track<'a>(inner: &'a mut TraceInner, pid: u64, tid: usize, label: &str) -> &'a mut Track {
+        if !inner.tracks.contains_key(&(pid, tid)) {
             let s = format!(
-                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \
+                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \
                  \"args\": {{\"name\": \"{label}\"}}}}"
             );
             Self::line(inner, &s);
         }
+        inner.tracks.entry((pid, tid)).or_default()
     }
 
-    fn instant(inner: &mut TraceInner, name: &str, ts_us: u128, args: &str) {
+    /// A `B`/`E` duration record on the session's tid 0.
+    fn span(inner: &mut TraceInner, pid: u64, ph: &str, name: &str, ts_us: u128, args: &str) {
+        let cat = if name == "session" { "session" } else { "explore" };
         let s = format!(
-            "{{\"name\": \"{name}\", \"ph\": \"i\", \"ts\": {ts_us}, \"pid\": 1, \"tid\": 0, \
+            "{{\"name\": \"{name}\", \"ph\": \"{ph}\", \"ts\": {ts_us}, \"pid\": {pid}, \
+             \"tid\": 0, \"cat\": \"{cat}\", \"args\": {args}}}"
+        );
+        Self::line(inner, &s);
+    }
+
+    fn instant(inner: &mut TraceInner, pid: u64, name: &str, ts_us: u128, args: &str) {
+        let s = format!(
+            "{{\"name\": \"{name}\", \"ph\": \"i\", \"ts\": {ts_us}, \"pid\": {pid}, \"tid\": 0, \
              \"s\": \"g\", \"cat\": \"engine\", \"args\": {args}}}"
         );
         Self::line(inner, &s);
@@ -533,50 +580,33 @@ impl TraceWriter {
 
     fn handle(&self, ev: &EngineEvent) {
         let ts_us = ev.ts.as_micros();
+        let pid = ev.session + 1;
         self.with_inner(|inner| match &ev.kind {
             EventKind::SessionStart { program, models } => {
-                Self::ensure_tid(inner, 0, "session");
-                let s = format!(
-                    "{{\"name\": \"session\", \"ph\": \"B\", \"ts\": {ts_us}, \"pid\": 1, \
-                     \"tid\": 0, \"cat\": \"session\", \"args\": {{\"program\": {}, \
-                     \"models\": {models}}}}}",
-                    json_str(program)
-                );
-                Self::line(inner, &s);
+                Self::process_name(inner, pid, &format!("session {}: {program}", ev.session));
+                Self::track(inner, pid, 0, "session");
+                let args = format!("{{\"program\": {}, \"models\": {models}}}", json_str(program));
+                Self::span(inner, pid, "B", "session", ts_us, &args);
             }
             EventKind::SessionFinish { verified } => {
-                let s = format!(
-                    "{{\"name\": \"session\", \"ph\": \"E\", \"ts\": {ts_us}, \"pid\": 1, \
-                     \"tid\": 0, \"cat\": \"session\", \"args\": {{\"verified\": {verified}}}}}"
-                );
-                Self::line(inner, &s);
+                let args = format!("{{\"verified\": {verified}}}");
+                Self::span(inner, pid, "E", "session", ts_us, &args);
             }
             EventKind::ExploreStart { model, workers } => {
-                let s = format!(
-                    "{{\"name\": \"explore {model}\", \"ph\": \"B\", \"ts\": {ts_us}, \
-                     \"pid\": 1, \"tid\": 0, \"cat\": \"explore\", \
-                     \"args\": {{\"workers\": {workers}}}}}"
-                );
-                Self::line(inner, &s);
+                let args = format!("{{\"workers\": {workers}}}");
+                Self::span(inner, pid, "B", &format!("explore {model}"), ts_us, &args);
             }
             EventKind::ExploreFinish { model, verdict } => {
-                let s = format!(
-                    "{{\"name\": \"explore {model}\", \"ph\": \"E\", \"ts\": {ts_us}, \
-                     \"pid\": 1, \"tid\": 0, \"cat\": \"explore\", \
-                     \"args\": {{\"verdict\": \"{verdict}\"}}}}"
-                );
-                Self::line(inner, &s);
+                let args = format!("{{\"verdict\": \"{verdict}\"}}");
+                Self::span(inner, pid, "E", &format!("explore {model}"), ts_us, &args);
             }
             EventKind::StatsDelta { worker, stats } => {
                 let tid = worker + 1;
-                Self::ensure_tid(inner, tid, &format!("worker {worker}"));
-                if inner.totals.len() <= *worker {
-                    inner.totals.resize(worker + 1, ExploreStats::default());
-                }
-                inner.totals[*worker].merge(stats);
-                let t = &inner.totals[*worker];
+                let track = Self::track(inner, pid, tid, &format!("worker {worker}"));
+                track.totals.merge(stats);
+                let t = track.totals;
                 let s = format!(
-                    "{{\"name\": \"stats\", \"ph\": \"C\", \"ts\": {ts_us}, \"pid\": 1, \
+                    "{{\"name\": \"stats\", \"ph\": \"C\", \"ts\": {ts_us}, \"pid\": {pid}, \
                      \"tid\": {tid}, \"args\": {{\"constructed\": {}, \
                      \"complete_executions\": {}, \"duplicates\": {}, \"probes\": {}}}}}",
                     t.constructed, t.complete_executions, t.duplicates, t.probes
@@ -585,20 +615,19 @@ impl TraceWriter {
             }
             EventKind::PhaseSlice { worker, phases } => {
                 let tid = worker + 1;
-                Self::ensure_tid(inner, tid, &format!("worker {worker}"));
-                if inner.cursors.len() <= *worker {
-                    inner.cursors.resize(worker + 1, 0);
-                }
                 // Lay the slice's per-phase spans back-to-back, ending at
                 // the drain timestamp (so slices read as contiguous work
                 // leading up to each drain).
                 let total_ns: u64 = phases.iter().map(|(_, s)| s.total_ns).sum();
                 let end_ns = u64::try_from(ev.ts.as_nanos()).unwrap_or(u64::MAX);
-                let mut cur = inner.cursors[*worker].max(end_ns.saturating_sub(total_ns));
-                for (phase, stat) in phases.iter().filter(|(_, s)| s.count > 0) {
+                let spans = || phases.iter().filter(|(_, s)| s.count > 0);
+                let track = Self::track(inner, pid, tid, &format!("worker {worker}"));
+                let mut cur = track.cursor.max(end_ns.saturating_sub(total_ns));
+                track.cursor = cur + spans().map(|(_, s)| s.total_ns).sum::<u64>();
+                for (phase, stat) in spans() {
                     let s = format!(
                         "{{\"name\": \"{}\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \
-                         \"pid\": 1, \"tid\": {tid}, \"cat\": \"phase\", \
+                         \"pid\": {pid}, \"tid\": {tid}, \"cat\": \"phase\", \
                          \"args\": {{\"count\": {}}}}}",
                         phase.key(),
                         cur / 1_000,
@@ -608,7 +637,6 @@ impl TraceWriter {
                     Self::line(inner, &s);
                     cur += stat.total_ns;
                 }
-                inner.cursors[*worker] = cur;
             }
             EventKind::OptimizeStep { pass, site, from, to, accepted } => {
                 let args = format!(
@@ -616,26 +644,26 @@ impl TraceWriter {
                      \"to\": \"{to}\", \"accepted\": {accepted}}}",
                     json_str(site)
                 );
-                Self::instant(inner, "optimize_step", ts_us, &args);
+                Self::instant(inner, pid, "optimize_step", ts_us, &args);
             }
             EventKind::BudgetWarning { model, reason } => {
                 let args = format!("{{\"model\": \"{model}\", \"reason\": \"{reason}\"}}");
-                Self::instant(inner, "budget_warning", ts_us, &args);
+                Self::instant(inner, pid, "budget_warning", ts_us, &args);
             }
             EventKind::EngineFault { model, phase, payload } => {
                 let args = format!(
                     "{{\"model\": \"{model}\", \"phase\": \"{phase}\", \"payload\": {}}}",
                     json_str(payload)
                 );
-                Self::instant(inner, "engine_fault", ts_us, &args);
+                Self::instant(inner, pid, "engine_fault", ts_us, &args);
             }
             EventKind::Quarantine { path } => {
                 let args = format!("{{\"path\": {}}}", json_str(path));
-                Self::instant(inner, "quarantine", ts_us, &args);
+                Self::instant(inner, pid, "quarantine", ts_us, &args);
             }
             EventKind::CorpusFile { path, passed } => {
                 let args = format!("{{\"path\": {}, \"passed\": {passed}}}", json_str(path));
-                Self::instant(inner, "corpus_file", ts_us, &args);
+                Self::instant(inner, pid, "corpus_file", ts_us, &args);
             }
         });
     }
@@ -763,19 +791,19 @@ mod tests {
         off.set(EnginePhase::Replay);
         off.set(EnginePhase::Extend);
         assert_eq!(off.get(), EnginePhase::Extend);
-        assert!(off.take_profile().is_empty());
+        assert!(off.snapshot().is_empty());
 
         let on = PhaseTracker::new(true);
         on.set(EnginePhase::Replay);
         std::thread::sleep(Duration::from_millis(1));
         on.set(EnginePhase::Extend);
-        let p = on.take_profile();
+        let p = on.snapshot();
         assert!(p.get(EnginePhase::Replay).total_ns >= 1_000_000);
         // The initial Driver span and the open Extend span both closed.
         assert!(p.get(EnginePhase::Driver).count >= 1);
         assert!(p.get(EnginePhase::Extend).count >= 1);
-        // Draining resets.
-        assert!(on.take_profile().get(EnginePhase::Replay).count <= 1);
+        // Snapshots are cumulative: no entry is counted twice.
+        assert_eq!(on.snapshot().get(EnginePhase::Replay).count, p.get(EnginePhase::Replay).count);
     }
 
     #[test]
@@ -789,7 +817,7 @@ mod tests {
         };
         let bus = EventBus::new(sink);
         for _ in 0..5 {
-            bus.emit(EventKind::SessionFinish { verified: true });
+            bus.emit(0, EventKind::SessionFinish { verified: true });
         }
         assert_eq!(*seen.lock().unwrap(), vec![0, 1, 2, 3, 4]);
     }

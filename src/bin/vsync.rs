@@ -2,15 +2,16 @@
 //!
 //! See [`HELP`] for the command and option summary.
 
+use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use vsync::core::{
     collect_litmus_files, enumerate_maximal, render_metrics, run_corpus, AmcConfig, CancelToken,
-    CorpusOptions, CorpusReport, FileOutcome, OptimizeStrategy, OptimizerConfig, PhaseProfile,
-    ProgressSnapshot, Report, Session, TraceWriter,
+    CorpusOptions, CorpusReport, EngineEvent, EventFn, EventKind, ExploreStats, FileOutcome,
+    OptimizeStrategy, OptimizerConfig, PhaseProfile, Report, Session, TraceWriter,
 };
 use vsync::graph::{to_dot, Mode};
 use vsync::lang::{Program, ProgramBuilder, Reg};
@@ -38,7 +39,9 @@ vsync fmt [--check|--write] <path>  canonically format litmus files
 options:
   --threads N      client threads (default 2; at least 1)
   --acquires K     acquisitions per thread (default 1; at least 1)
-  --model M        sc | tso | vmm (default vmm)
+  --model M        sc | tso | vmm (default vmm). vmm is RC11-style: it
+                   forbids every po ∪ rf cycle (porf-acyclic), so unlike
+                   the paper's IMM it admits no load buffering
   --models A,B     comma-separated model matrix (overrides --model)
   --workers N      worker threads of each exploration (default 1)
   --deadline-ms T  wall-clock budget; expiry reports `inconclusive`
@@ -52,12 +55,18 @@ options:
                    distinctly (naive reference counts; default prunes
                    them, reported as `sym-pruned`)
   --json           (verify/optimize/bug/check/corpus) print the report as JSON
-  --progress       (verify/bug/check/corpus) stream progress snapshots to stderr
+  --progress       (verify/optimize/bug/check/corpus) print each running
+                   exploration's counters to stderr: on the first update,
+                   then at most every 250 ms
   --jobs J         (corpus) files checked concurrently (default: cores, max 8)
   --strategy S     (optimize) sequential | adaptive
                    (default adaptive; sequential is the reference loop)
-  --steps          (optimize) stream per-step relaxation events to stderr
-  --enumerate      (optimize) list all maximally-relaxed assignments
+  --steps          (optimize) print each decided relaxation to stderr as
+                   `[pass N] accept|reject <site> <from> -> <to>`
+                   (adaptive: pass 1 is the batch/bisect opening)
+  --enumerate      (optimize) list all maximally-relaxed assignments; only
+                   --threads, --acquires, --model, --workers and
+                   --no-symmetry apply
   --dot            (verify/bug) print counterexamples as Graphviz
   --dot DIR        (check) write one Graphviz file per violating model
                    under DIR (rf/mo/po edges labeled)
@@ -75,6 +84,19 @@ exit codes:
      input file/directory was missing or unreadable
   3  engine error: a worker panicked (the panic was caught and reported)
      or a corpus file was quarantined";
+
+/// Options `optimize --enumerate` does not apply.
+const ENUMERATE_IGNORES: [&str; 9] = [
+    "--deadline-ms",
+    "--max-memory-mb",
+    "--max-dedup",
+    "--json",
+    "--progress",
+    "--steps",
+    "--strategy",
+    "--trace",
+    "--metrics",
+];
 
 struct Options {
     threads: usize,
@@ -225,16 +247,7 @@ impl Options {
             cancel: CancelToken::new(),
             max_memory_bytes: self.max_memory_bytes,
             max_dedup_entries: self.max_dedup,
-            progress: self.progress.then(|| {
-                Arc::new(|p: &ProgressSnapshot| {
-                    eprintln!(
-                        "[{}] {:.1?}: {} ({} workers)",
-                        p.model, p.elapsed, p.stats, p.workers
-                    );
-                }) as Arc<dyn Fn(&ProgressSnapshot) + Send + Sync>
-            }),
-            on_event: None,
-            profile: false,
+            ..CorpusOptions::default()
         }
     }
 
@@ -255,21 +268,75 @@ impl Options {
         if let Some(d) = self.deadline {
             s = s.deadline(d);
         }
-        if self.progress {
-            s = s.on_progress(|p| {
-                eprintln!("[{}] {:.1?}: {} ({} workers)", p.model, p.elapsed, p.stats, p.workers);
-            });
-        }
         s
     }
 }
 
-/// CLI-side telemetry wiring for `--trace` / `--metrics`: an optional
-/// Chrome-trace writer plus the checker-attribution snapshot taken
-/// before the run (the counters are process-global, so only the delta
-/// belongs to this run).
+/// `--progress`, a bus subscriber: per session, the `stats_delta`s of the
+/// running exploration summed since its `explore_start`, printed on the
+/// first delta and then at most every 250 ms. Deltas outside an
+/// exploration span (the optimizer's oracle runs) are not shown.
+#[derive(Default)]
+struct Progress(Mutex<HashMap<u64, Exploring>>);
+
+/// One session's running exploration, as `--progress` sees it.
+struct Exploring {
+    model: ModelKind,
+    workers: usize,
+    started: Duration,
+    stats: ExploreStats,
+    /// Bus time before which no line is printed.
+    quiet_until: Duration,
+}
+
+impl Progress {
+    const INTERVAL: Duration = Duration::from_millis(250);
+
+    fn observe(&self, ev: &EngineEvent) {
+        let mut runs = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        match &ev.kind {
+            EventKind::ExploreStart { model, workers } => {
+                let run = Exploring {
+                    model: *model,
+                    workers: *workers,
+                    started: ev.ts,
+                    stats: ExploreStats::default(),
+                    quiet_until: ev.ts,
+                };
+                runs.insert(ev.session, run);
+            }
+            EventKind::ExploreFinish { .. } => {
+                runs.remove(&ev.session);
+            }
+            EventKind::StatsDelta { stats, .. } => {
+                let Some(run) = runs.get_mut(&ev.session) else { return };
+                run.stats.merge(stats);
+                if ev.ts < run.quiet_until {
+                    return;
+                }
+                run.quiet_until = ev.ts + Self::INTERVAL;
+                eprintln!(
+                    "[{}] {:.1?}: {} ({} workers)",
+                    run.model,
+                    ev.ts.saturating_sub(run.started),
+                    run.stats,
+                    run.workers
+                );
+            }
+            _ => {}
+        }
+    }
+}
+
+/// CLI-side telemetry wiring: one event sink feeding whichever of
+/// `--trace`, `--progress` and `--steps` are set, profiling for
+/// `--metrics` and `--trace` (whose phase spans need it), and the
+/// checker-attribution snapshot taken before the run (the counters are
+/// process-global, so only the delta belongs to this run).
 struct Telemetry {
     writer: Option<Arc<TraceWriter>>,
+    sink: Option<EventFn>,
+    profile: bool,
     metrics: bool,
     attr_before: (u64, u64),
 }
@@ -283,18 +350,42 @@ impl Telemetry {
             )),
             None => None,
         };
+        let sink = (writer.is_some() || o.progress || o.steps).then(|| {
+            let trace = writer.as_ref().map(TraceWriter::sink);
+            let progress = o.progress.then(Progress::default);
+            let steps = o.steps;
+            Arc::new(move |ev: &EngineEvent| {
+                if let Some(trace) = &trace {
+                    trace(ev);
+                }
+                if let Some(progress) = &progress {
+                    progress.observe(ev);
+                }
+                if steps {
+                    if let EventKind::OptimizeStep { pass, site, from, to, accepted } = &ev.kind {
+                        let verdict = if *accepted { "accept" } else { "reject" };
+                        eprintln!("[pass {pass}] {verdict} {site:<44} {from} -> {to}");
+                    }
+                }
+            }) as EventFn
+        });
         if o.metrics {
             set_checker_attribution(true);
         }
-        Ok(Telemetry { writer, metrics: o.metrics, attr_before: checker_attribution() })
+        Ok(Telemetry {
+            profile: o.metrics || writer.is_some(),
+            writer,
+            sink,
+            metrics: o.metrics,
+            attr_before: checker_attribution(),
+        })
     }
 
-    /// Apply to a session: enable profiling for `--metrics` and feed the
-    /// event stream into the trace writer for `--trace`.
+    /// Apply to a session: profiling and the event sink.
     fn session(&self, mut s: Session) -> Session {
-        s = s.profile(self.metrics);
-        if let Some(w) = &self.writer {
-            let sink = w.sink();
+        s = s.profile(self.profile);
+        if let Some(sink) = &self.sink {
+            let sink = Arc::clone(sink);
             s = s.on_event(move |ev| sink(ev));
         }
         s
@@ -302,10 +393,8 @@ impl Telemetry {
 
     /// The corpus-runner analogue of [`Telemetry::session`].
     fn corpus(&self, opts: &mut CorpusOptions) {
-        opts.profile = self.metrics;
-        if let Some(w) = &self.writer {
-            opts.on_event = Some(w.sink());
-        }
+        opts.profile = self.profile;
+        opts.on_event = self.sink.clone();
     }
 
     /// Print the metrics table (stderr) and close the trace file.
@@ -522,10 +611,12 @@ fn run() -> Result<ExitCode, String> {
                 .ok_or_else(|| format!("unknown lock '{name}' (try `vsync locks`)"))?;
             let p = entry.client(o.threads, o.acquires).with_all_sc();
             if o.enumerate {
-                if o.deadline.is_some() || o.json || o.progress || o.models.len() > 1 {
+                if o.models.len() > 1
+                    || rest.iter().any(|a| ENUMERATE_IGNORES.contains(&a.as_str()))
+                {
                     eprintln!(
-                        "note: --enumerate honors --model and --workers only; \
-                         other session flags are ignored"
+                        "note: --enumerate explores under the first model only and ignores {}",
+                        ENUMERATE_IGNORES.join(", ")
                     );
                 }
                 let cfg = OptimizerConfig::with_amc(
@@ -545,21 +636,7 @@ fn run() -> Result<ExitCode, String> {
             } else {
                 let ocfg = OptimizerConfig::default().with_strategy(o.strategy);
                 let tel = Telemetry::start(&o)?;
-                let mut s = tel.session(o.session(p).optimize(ocfg));
-                if o.steps {
-                    s = s.on_optimize_step(|e| {
-                        eprintln!(
-                            "[pass {} {:<10}] {} {:<44} {} -> {}",
-                            e.pass,
-                            e.phase,
-                            if e.step.accepted { "accept" } else { "reject" },
-                            e.site,
-                            e.step.from,
-                            e.step.to
-                        );
-                    });
-                }
-                let r = s.run();
+                let r = tel.session(o.session(p).optimize(ocfg)).run();
                 tel.finish(&report_profile(&r), r.elapsed, o.workers);
                 if o.json {
                     println!("{}", r.to_json());

@@ -5,11 +5,11 @@
 //! without ever keeping an unverified accept.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use vsync::core::{
-    enumerate_maximal, optimize, optimize_multi, verify, AmcConfig, CancelToken, OptimizationStep,
-    OptimizeStrategy, OptimizerConfig, Verdict,
+    enumerate_maximal, optimize, optimize_multi, verify, AmcConfig, CancelToken, EventKind,
+    OptimizationReport, OptimizationStep, OptimizeStrategy, OptimizerConfig, Session, Verdict,
 };
 use vsync::graph::Mode;
 use vsync::lang::{Program, ProgramBuilder, Reg, Test};
@@ -26,38 +26,43 @@ fn modes(p: &Program) -> Vec<Mode> {
     p.site_modes()
 }
 
-/// Every `on_step` event of a run, as `(pass, step)`.
-type StepLog = Arc<Mutex<Vec<(usize, OptimizationStep)>>>;
-
-fn logged(strategy: OptimizeStrategy, workers: usize) -> (OptimizerConfig, StepLog) {
-    let log = StepLog::default();
-    let sink = log.clone();
-    let cfg = config(strategy, workers)
-        .with_on_step(move |e| sink.lock().unwrap().push((e.pass, e.step)));
-    (cfg, log)
+fn accepts_after_pass_1(steps: &[OptimizationStep]) -> usize {
+    steps.iter().filter(|s| s.pass >= 2 && s.accepted).count()
 }
 
-fn accepts_after_pass_1(log: &StepLog) -> usize {
-    log.lock().unwrap().iter().filter(|(pass, step)| *pass >= 2 && step.accepted).count()
+/// Optimize `base` in a session whose token is fired from its event sink
+/// on the `n`-th `optimize_step`; also returns how many steps the sink
+/// saw.
+fn optimize_cancelled_at_step(
+    base: &Program,
+    n: usize,
+    workers: usize,
+) -> (OptimizationReport, usize) {
+    let session = Session::new(base.clone())
+        .workers(workers)
+        .optimize(config(OptimizeStrategy::Adaptive, workers));
+    let token = session.cancel_token();
+    let seen = Arc::new(AtomicUsize::new(0));
+    let sink = Arc::clone(&seen);
+    let report = session
+        .on_event(move |ev| {
+            if let EventKind::OptimizeStep { .. } = ev.kind {
+                if sink.fetch_add(1, Ordering::Relaxed) + 1 == n {
+                    token.cancel();
+                }
+            }
+        })
+        .run();
+    let opt = report.models.into_iter().next().and_then(|m| m.optimization);
+    (opt.expect("the baseline verified, so the optimizer ran"), seen.load(Ordering::Relaxed))
 }
 
 /// Explorations an adaptive run pays up to and including its `n`-th
-/// decided step: the callback fires the token on that step, and every
-/// later candidate is preceded by an interrupt check, so nothing after it
-/// is explored (an interrupted run also skips the deferred baseline
-/// check).
+/// decided step: the sink fires the token on that step, and every later
+/// candidate is preceded by an interrupt check, so nothing after it is
+/// explored (an interrupted run also skips the deferred baseline check).
 fn explorations_through_step(base: &Program, n: usize) -> u64 {
-    let token = CancelToken::new();
-    let seen = AtomicUsize::new(0);
-    let cfg = {
-        let token = token.clone();
-        config(OptimizeStrategy::Adaptive, 1).with_on_step(move |_| {
-            if seen.fetch_add(1, Ordering::Relaxed) + 1 == n {
-                token.cancel();
-            }
-        })
-    };
-    optimize(base, &cfg.with_cancel(token)).explorations
+    optimize_cancelled_at_step(base, n, 1).0.explorations
 }
 
 /// Every registered lock, 2-thread client, from the all-SC baseline:
@@ -75,17 +80,14 @@ fn strategies_agree_across_the_full_registry() {
     for entry in registry::catalog() {
         let name = entry.name;
         let base = entry.client(2, 1).with_all_sc();
-        let (cfg, seq_log) = logged(OptimizeStrategy::Sequential, 1);
-        let seq = optimize(&base, &cfg);
+        let seq = optimize(&base, &config(OptimizeStrategy::Sequential, 1));
         assert!(seq.verified, "{name}: sequential baseline failed");
-        assert_eq!(accepts_after_pass_1(&seq_log), 0, "{name}: sequential");
+        assert_eq!(accepts_after_pass_1(&seq.steps), 0, "{name}: sequential");
 
         let strategy = OptimizeStrategy::Adaptive;
-        let runs = [1usize, 2, 8].map(|workers| {
-            let (cfg, log) = logged(strategy, workers);
-            (workers, optimize(&base, &cfg), log)
-        });
-        for (workers, r, log) in &runs {
+        let runs =
+            [1usize, 2, 8].map(|workers| (workers, optimize(&base, &config(strategy, workers))));
+        for (workers, r) in &runs {
             assert!(r.verified, "{name}: {strategy} failed to verify");
             assert_eq!(
                 modes(&seq.program),
@@ -102,7 +104,7 @@ fn strategies_agree_across_the_full_registry() {
                 modes(&r.program),
                 "{name}: {strategy} steps are not replayable"
             );
-            assert_eq!(accepts_after_pass_1(log), 0, "{name}: {strategy}/{workers}");
+            assert_eq!(accepts_after_pass_1(&r.steps), 0, "{name}: {strategy}/{workers}");
             // Decisions only: which violating execution a multi-worker
             // exploration finds first — and so what the witness cache can
             // replay later — may differ, moving `cache_hits` against
@@ -110,12 +112,9 @@ fn strategies_agree_across_the_full_registry() {
             assert_eq!(runs[0].1.steps, r.steps, "{name}: steps differ at {workers} workers");
         }
 
-        let (_, r, log) = &runs[0];
-        let log = log.lock().unwrap();
-        let steps: Vec<OptimizationStep> = log.iter().map(|(_, s)| *s).collect();
-        assert_eq!(steps, r.steps, "{name}: the event stream is the step list");
-        let pass_1 = log.iter().filter(|(pass, _)| *pass == 1).count();
-        assert!(pass_1 < log.len(), "{name}: no fixpoint pass ran");
+        let r = &runs[0].1;
+        let pass_1 = r.steps.iter().filter(|s| s.pass == 1).count();
+        assert!(pass_1 < r.steps.len(), "{name}: no fixpoint pass ran");
         assert_eq!(
             explorations_through_step(&base, pass_1),
             r.explorations,
@@ -155,26 +154,23 @@ fn mp_with_local_spin() -> Program {
 fn fault_class_rejections_are_redecided_once_in_pass_2() {
     let base = mp_with_local_spin();
     let want = vec![Mode::Rlx, Mode::Rel, Mode::Acq, Mode::Rlx];
-    let redecided = |log: &StepLog| -> Vec<(u32, Mode, bool)> {
-        let log = log.lock().unwrap();
-        log.iter().filter(|(p, _)| *p >= 2).map(|(_, s)| (s.site, s.to, s.accepted)).collect()
+    let redecided = |steps: &[OptimizationStep]| -> Vec<(u32, Mode, bool)> {
+        steps.iter().filter(|s| s.pass >= 2).map(|s| (s.site, s.to, s.accepted)).collect()
     };
     let flag_sites_to_rlx = vec![(1, Mode::Rlx, false), (2, Mode::Rlx, false)];
 
-    let (cfg, log) = logged(OptimizeStrategy::Sequential, 1);
-    let seq = optimize(&base, &cfg);
+    let seq = optimize(&base, &config(OptimizeStrategy::Sequential, 1));
     assert!(seq.verified && !seq.interrupted);
     assert_eq!(modes(&seq.program), want);
-    assert_eq!(redecided(&log), flag_sites_to_rlx);
+    assert_eq!(redecided(&seq.steps), flag_sites_to_rlx);
     assert_eq!(seq.explorations, 9);
 
     for workers in [1, 2] {
-        let (cfg, log) = logged(OptimizeStrategy::Adaptive, workers);
-        let ad = optimize(&base, &cfg);
+        let ad = optimize(&base, &config(OptimizeStrategy::Adaptive, workers));
         assert!(ad.verified && !ad.interrupted, "the deferred baseline check must run and pass");
         assert_eq!(modes(&ad.program), want);
         assert_eq!(ad.cache_hits, 0, "a fault leaves no witness and no memo entry");
-        assert_eq!(redecided(&log), flag_sites_to_rlx);
+        assert_eq!(redecided(&ad.steps), flag_sites_to_rlx);
         assert_eq!(ad.explorations, 13, "workers={workers}");
         assert_eq!(ad.steps, seq.steps, "same decisions in the same order");
     }
@@ -214,27 +210,18 @@ fn adaptive_explores_less_than_sequential() {
     assert!(ad.cache_hits > 0, "the witness cache never fired");
 }
 
-/// A token fired from the per-step callback interrupts the adaptive
-/// engine mid-bisection; every accept kept in the report is individually
-/// (or batch-) verified, so the partial program still verifies and is
-/// pointwise weaker-or-equal than the baseline.
+/// A session token fired from the event sink on the first
+/// `optimize_step` interrupts the adaptive engine mid-bisection; every
+/// accept kept in the report is individually (or batch-) verified, so
+/// the partial program still verifies and is pointwise weaker-or-equal
+/// than the baseline.
 #[test]
 fn mid_bisect_interrupt_keeps_a_verified_partial_assignment() {
     let strategy = OptimizeStrategy::Adaptive;
     for workers in [1, 2, 8] {
         let base = registry::entry("ttas").unwrap().client(2, 1).with_all_sc();
-        let token = CancelToken::new();
-        let fired = Arc::new(AtomicUsize::new(0));
-        let cfg = {
-            let token = token.clone();
-            let fired = fired.clone();
-            config(strategy, workers).with_on_step(move |_| {
-                fired.fetch_add(1, Ordering::Relaxed);
-                token.cancel();
-            })
-        };
-        let report = optimize(&base, &cfg.with_cancel(token));
-        assert!(fired.load(Ordering::Relaxed) > 0, "{strategy}: no step event fired");
+        let (report, fired) = optimize_cancelled_at_step(&base, 1, workers);
+        assert!(fired > 0, "{strategy}: no step event fired");
         assert!(report.interrupted, "{strategy}/{workers}: not interrupted");
         assert!(report.verified, "{strategy}/{workers}: baseline lost");
         // Whatever was kept verifies from scratch...

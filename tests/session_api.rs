@@ -1,13 +1,12 @@
 //! Integration tests for the push-button `Session` pipeline: the
 //! cross-model acceptance matrix, cancellation and deadline budgets,
-//! progress streaming, and the structured JSON report.
+//! progress on the event bus, and the structured JSON report.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use vsync::core::{
-    verify, AmcConfig, CancelToken, Inconclusive, OptimizationReport, OptimizationStep,
+    verify, AmcConfig, CancelToken, EventKind, Inconclusive, OptimizationReport, OptimizationStep,
     OptimizerConfig, Report, Session, StopReason, Verdict,
 };
 use vsync::core::{ExploreStats, ModelRun};
@@ -61,14 +60,23 @@ fn prefired_cancel_token_is_deterministic_across_worker_counts() {
     }
 }
 
-/// A token fired mid-run (from the progress callback, i.e. from inside
-/// the hot loop) still lands on `Interrupted` for any worker count.
+/// Fire the session's token on its first `stats_delta` — from inside the
+/// exploration hot loop, after work has started.
+fn cancel_on_first_delta(session: Session) -> Session {
+    let token = session.cancel_token();
+    session.on_event(move |ev| {
+        if let EventKind::StatsDelta { .. } = ev.kind {
+            token.cancel();
+        }
+    })
+}
+
+/// A token fired mid-run (from an event sink, i.e. from inside the hot
+/// loop) still lands on `Interrupted` for any worker count.
 #[test]
 fn midrun_cancel_interrupts_for_all_worker_counts() {
     for workers in [1, 2, 8] {
-        let session = Session::lock("mcs", 3, 1).workers(workers).progress_interval(Duration::ZERO);
-        let token = session.cancel_token();
-        let report = session.on_progress(move |_| token.cancel()).run();
+        let report = cancel_on_first_delta(Session::lock("mcs", 3, 1).workers(workers)).run();
         let run = &report.models[0];
         assert!(
             matches!(
@@ -123,44 +131,43 @@ fn expired_deadline_covers_remaining_matrix_entries() {
     }
 }
 
-/// Progress snapshots stream from the hot loop with plausible,
-/// monotonically growing counters and the right model stamp.
+/// Counter deltas — what the CLI's `--progress` prints — stream from the
+/// hot loop inside the exploration's `explore_start`/`explore_finish`
+/// span, with plausible, growing counters and the right model stamp.
 #[test]
-fn progress_snapshots_stream_from_the_hot_loop() {
-    let snapshots = Arc::new(AtomicU64::new(0));
-    let max_popped = Arc::new(AtomicU64::new(0));
-    let (s, m) = (snapshots.clone(), max_popped.clone());
+fn progress_deltas_stream_from_the_hot_loop() {
+    // (model, workers) of the open exploration; (deltas, popped so far).
+    let open: Arc<Mutex<Option<(ModelKind, usize)>>> = Arc::default();
+    let seen: Arc<Mutex<(u64, u64)>> = Arc::default();
+    let (o, s) = (Arc::clone(&open), Arc::clone(&seen));
     let report = Session::lock("ttas", 2, 2)
-        .progress_interval(Duration::ZERO)
-        .on_progress(move |p| {
-            assert_eq!(p.model, ModelKind::Vmm);
-            assert_eq!(p.workers, 1);
-            s.fetch_add(1, Ordering::Relaxed);
-            m.fetch_max(p.stats.popped, Ordering::Relaxed);
+        .on_event(move |ev| match &ev.kind {
+            EventKind::ExploreStart { model, workers } => {
+                *o.lock().unwrap() = Some((*model, *workers));
+            }
+            EventKind::ExploreFinish { .. } => *o.lock().unwrap() = None,
+            EventKind::StatsDelta { stats, .. } => {
+                assert_eq!(*o.lock().unwrap(), Some((ModelKind::Vmm, 1)), "delta outside a span");
+                let mut s = s.lock().unwrap();
+                s.0 += 1;
+                s.1 += stats.popped;
+            }
+            _ => {}
         })
         .run();
     assert!(report.is_verified());
-    let n = snapshots.load(Ordering::Relaxed);
-    assert!(n > 0, "no snapshots emitted");
-    let seen = max_popped.load(Ordering::Relaxed);
-    assert!(
-        seen <= report.models[0].stats.popped,
-        "snapshot popped {seen} exceeds final {}",
-        report.models[0].stats.popped
-    );
-    assert!(seen > 0, "snapshots never carried counters");
+    let (deltas, popped) = *seen.lock().unwrap();
+    assert!(deltas > 0, "no deltas emitted");
+    assert_eq!(popped, report.models[0].stats.popped, "the deltas add up to the final count");
 }
 
 /// Interrupted optimization keeps the verified-so-far assignment and is
 /// flagged, both in the report struct and the JSON.
 #[test]
 fn cancel_during_optimization_is_reported() {
-    let session = Session::lock("ttas", 2, 1)
-        .optimize(OptimizerConfig::default())
-        .progress_interval(Duration::ZERO);
-    let token = session.cancel_token();
+    let session = Session::lock("ttas", 2, 1).optimize(OptimizerConfig::default());
     // Fire during the *verification* phase: optimization never starts.
-    let report = session.on_progress(move |_| token.cancel()).run();
+    let report = cancel_on_first_delta(session).run();
     assert!(report.is_interrupted());
     assert!(report.models[0].optimization.is_none());
 
@@ -264,6 +271,7 @@ fn report_json_golden() {
                     error: None,
                     strategy: vsync::core::OptimizeStrategy::Adaptive,
                     steps: vec![OptimizationStep {
+                        pass: 1,
                         site: 0,
                         from: vsync::graph::Mode::Sc,
                         to: vsync::graph::Mode::Rlx,

@@ -1,15 +1,15 @@
 //! Telemetry integration tests: event-stream determinism at one worker,
 //! phase-profile count/time invariants, bus totals equal to the final
-//! stats, and the exporter surfaces (corpus events, optimizer step
-//! forwarding).
+//! stats with and without profiling, and the exporter surfaces (corpus
+//! events and session numbers, optimizer steps).
 
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use vsync::core::{
-    run_corpus, CorpusOptions, EnginePhase, EventKind, ExploreStats, OptimizerConfig, PhaseProfile,
-    Session,
+    run_corpus, CorpusOptions, EnginePhase, EventKind, ExploreStats, OptimizeStrategy,
+    OptimizerConfig, PhaseProfile, Session,
 };
 use vsync::graph::Mode;
 use vsync::lang::{Program, ProgramBuilder, Reg};
@@ -43,6 +43,7 @@ fn event_keys(p: &Program, workers: usize) -> Vec<&'static str> {
     let r = Session::new(p.clone())
         .model(ModelKind::Vmm)
         .workers(workers)
+        .profile(true)
         .on_event(move |ev| sink.lock().unwrap().push((ev.seq, ev.kind.key())))
         .run();
     assert!(r.is_verified());
@@ -54,9 +55,9 @@ fn event_keys(p: &Program, workers: usize) -> Vec<&'static str> {
 }
 
 /// At one worker the event stream is a deterministic function of the
-/// program: two runs produce identical sequences, and the mp litmus
-/// shape produces exactly this golden one — one drain at the first pacer
-/// check, one when the worker exits.
+/// program: two profiled runs produce identical sequences, and the mp
+/// litmus shape produces exactly this golden one — one drain at the
+/// first pacer check, one when the worker exits.
 #[test]
 fn single_worker_event_stream_is_deterministic() {
     let p = mp_program();
@@ -132,74 +133,110 @@ fn probe_counters_flow_into_stats() {
 
 /// Every worker drains its pacer once more on exit, so the deltas and
 /// slices on the bus add up to exactly the report's final stats — for
-/// any worker count, and on a run long enough to drain mid-flight.
+/// any worker count, and on a run long enough to drain mid-flight. An
+/// attached sink does not turn profiling on: without `profile(true)` the
+/// profile stays empty, no `phase_slice` is emitted, and the deltas still
+/// add up.
 #[test]
 fn bus_totals_equal_final_stats() {
-    for workers in [1usize, 2, 8] {
-        let totals: Arc<Mutex<(ExploreStats, PhaseProfile)>> = Arc::default();
-        let sink = Arc::clone(&totals);
-        let r = Session::lock("ttas", 3, 1)
-            .model(ModelKind::Vmm)
-            .workers(workers)
-            .on_event(move |ev| match &ev.kind {
-                EventKind::StatsDelta { stats, .. } => sink.lock().unwrap().0.merge(stats),
-                EventKind::PhaseSlice { phases, .. } => sink.lock().unwrap().1.merge(phases),
-                _ => {}
-            })
-            .run();
-        assert!(r.is_verified(), "workers={workers}");
-        let stats = r.models[0].stats;
-        assert!(stats.popped > 64, "workers={workers}: too short to drain mid-run");
-        let (mut deltas, slices) = *totals.lock().unwrap();
-        assert_eq!(slices, stats.phases, "workers={workers}: Σ phase_slice != final profile");
-        deltas.phases = stats.phases;
-        assert_eq!(deltas, stats, "workers={workers}: Σ stats_delta != final stats");
+    for profile in [true, false] {
+        for workers in [1usize, 2, 8] {
+            let tag = format!("profile={profile} workers={workers}");
+            let totals: Arc<Mutex<(ExploreStats, PhaseProfile, u64)>> = Arc::default();
+            let sink = Arc::clone(&totals);
+            let r = Session::lock("ttas", 3, 1)
+                .model(ModelKind::Vmm)
+                .workers(workers)
+                .profile(profile)
+                .on_event(move |ev| {
+                    let mut t = sink.lock().unwrap();
+                    match &ev.kind {
+                        EventKind::StatsDelta { stats, .. } => t.0.merge(stats),
+                        EventKind::PhaseSlice { phases, .. } => {
+                            t.1.merge(phases);
+                            t.2 += 1;
+                        }
+                        _ => {}
+                    }
+                })
+                .run();
+            assert!(r.is_verified(), "{tag}");
+            let stats = r.models[0].stats;
+            assert!(stats.popped > 64, "{tag}: too short to drain mid-run");
+            let (mut deltas, slices, slice_events) = *totals.lock().unwrap();
+            assert_eq!(slices, stats.phases, "{tag}: Σ phase_slice != final profile");
+            assert_eq!(stats.phases.is_empty(), !profile, "{tag}: profile without profile(true)");
+            assert_eq!(slice_events == 0, !profile, "{tag}: phase_slice without profile(true)");
+            deltas.phases = stats.phases;
+            assert_eq!(deltas, stats, "{tag}: Σ stats_delta != final stats");
+        }
     }
 }
 
-/// The optimizer's step events are forwarded onto the session bus, and
-/// optimizer time lands in the `Optimize` phase of the profile.
+/// Each decided optimizer step reaches the session bus as one
+/// `optimize_step`, in report order, under both strategies: the bus's
+/// `(pass, site, from, to, accepted)` list is the report's step list with
+/// site names resolved, and passes start at 1 and never decrease. With
+/// profiling on, optimizer time lands in the `Optimize` phase.
 #[test]
 fn optimizer_steps_reach_the_event_bus() {
-    let steps = Arc::new(Mutex::new(0u64));
-    let sink = Arc::clone(&steps);
-    let r = Session::lock("ttas", 2, 1)
-        .optimize(OptimizerConfig::default())
-        .on_event(move |ev| {
-            if let EventKind::OptimizeStep { site, .. } = &ev.kind {
-                assert!(!site.is_empty());
-                *sink.lock().unwrap() += 1;
-            }
-        })
-        .run();
-    assert!(r.is_verified());
-    let steps = *steps.lock().unwrap();
-    let reported = r.models[0].optimization.as_ref().expect("optimizer ran").steps.len() as u64;
-    assert_eq!(steps, reported, "every optimizer step must reach the bus");
-    assert!(
-        r.models[0].stats.phases.get(EnginePhase::Optimize).count > 0,
-        "optimizer wall time must be attributed"
-    );
+    for strategy in [OptimizeStrategy::Sequential, OptimizeStrategy::Adaptive] {
+        let steps = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&steps);
+        let r = Session::lock("ttas", 2, 1)
+            .optimize(OptimizerConfig::default().with_strategy(strategy))
+            .profile(true)
+            .on_event(move |ev| {
+                if let EventKind::OptimizeStep { pass, site, from, to, accepted } = &ev.kind {
+                    sink.lock().unwrap().push((*pass, site.clone(), *from, *to, *accepted));
+                }
+            })
+            .run();
+        assert!(r.is_verified(), "{strategy}");
+        let opt = r.models[0].optimization.as_ref().expect("optimizer ran");
+        let reported: Vec<_> = opt
+            .steps
+            .iter()
+            .map(|s| (s.pass, opt.site_name(s).to_owned(), s.from, s.to, s.accepted))
+            .collect();
+        let steps = steps.lock().unwrap();
+        assert!(!steps.is_empty(), "{strategy}: no step decided");
+        assert_eq!(*steps, reported, "{strategy}: the bus's steps are the report's");
+        assert_eq!(steps[0].0, 1, "{strategy}: passes start at 1");
+        assert!(steps.windows(2).all(|w| w[0].0 <= w[1].0), "{strategy}: a pass went back");
+        assert!(
+            r.models[0].stats.phases.get(EnginePhase::Optimize).count > 0,
+            "{strategy}: optimizer wall time must be attributed"
+        );
+    }
 }
 
 /// A corpus run shares one bus across files: per-file sessions stream
-/// into it and every file closes with a `corpus_file` event; per-model
-/// phase attribution reaches the corpus outcomes.
+/// into it, numbered from 1 in `session_start` order, and every file
+/// closes with a session-0 `corpus_file` event; per-model phase
+/// attribution reaches the corpus outcomes.
 #[test]
 fn corpus_runs_emit_file_events_and_phase_profiles() {
-    let keys: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&keys);
+    let events: Arc<Mutex<Vec<(u64, &'static str)>>> = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&events);
     let opts = CorpusOptions {
-        jobs: 1,
+        jobs: 2,
         profile: true,
-        on_event: Some(Arc::new(move |ev| sink.lock().unwrap().push(ev.kind.key()))),
+        on_event: Some(Arc::new(move |ev| sink.lock().unwrap().push((ev.session, ev.kind.key())))),
         ..CorpusOptions::default()
     };
-    let r = run_corpus(Path::new("corpus/mp.litmus"), &opts).expect("corpus file readable");
+    let r = run_corpus(Path::new("corpus"), &opts).expect("corpus dir readable");
     assert!(r.passed());
-    let keys = keys.lock().unwrap();
-    assert_eq!(keys.last(), Some(&"corpus_file"), "each file closes with corpus_file");
-    assert!(keys.contains(&"session_start"), "per-file sessions share the bus");
+    let events = events.lock().unwrap();
+    let mut numbers: Vec<u64> =
+        events.iter().filter(|(_, k)| *k == "session_start").map(|(s, _)| *s).collect();
+    numbers.sort_unstable();
+    assert_eq!(numbers, (1..=r.files.len() as u64).collect::<Vec<_>>(), "one number per file");
+    assert_eq!(events.last().map(|e| e.1), Some("corpus_file"), "a file closes the stream");
+    for (session, key) in events.iter() {
+        let corpus_level = matches!(*key, "corpus_file" | "quarantine");
+        assert_eq!(*session == 0, corpus_level, "{key} carries session {session}");
+    }
     for f in &r.files {
         let vsync::core::FileOutcome::Checked(models) = &f.outcome else {
             panic!("{}: expected a checked outcome", f.path)
