@@ -46,8 +46,7 @@
 use std::collections::HashSet;
 
 use vsync_graph::{
-    Canonicalizer, EventId, EventKind, ExecutionGraph, GraphView, Loc, Mode, PorfClocks, RfSource,
-    ThreadId,
+    Canonicalizer, EventId, EventKind, ExecutionGraph, GraphView, Loc, Mode, RfSource, ThreadId,
 };
 use vsync_lang::{PendingOp, Program, ReadDesc, ThreadStatus};
 use vsync_model::chain::thread_floor;
@@ -317,10 +316,9 @@ impl Search<'_> {
             let wid = g2.push_event(t, EventKind::Write { loc, val, mode, rmw });
             g2.insert_mo(loc, wid, pos);
             // Revisits from this placed variant.
-            let clocks = PorfClocks::new(&g2);
             for (r, rloc, rf) in g2.reads().collect::<Vec<_>>() {
                 let EventId::Event { thread, index } = r else { unreachable!("reads are regular") };
-                if rloc != loc || clocks.of(wid)[thread as usize] > index {
+                if rloc != loc || g2.porf_clock(wid)[thread as usize] > index {
                     continue; // another location, or in the write's porf-prefix
                 }
                 match rf {
@@ -335,7 +333,7 @@ impl Search<'_> {
                     RfSource::Write(old) if old != wid => {
                         // Standard revisit: keep only the porf-prefixes of
                         // the new write and of the read, re-point the read.
-                        let mut g3 = g2.restrict(&clocks.join([wid, r]));
+                        let mut g3 = g2.restrict(&g2.porf_join([wid, r]));
                         g3.set_rf(r, RfSource::Write(wid));
                         self.stats.revisits += 1;
                         self.push(g3);

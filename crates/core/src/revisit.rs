@@ -26,10 +26,13 @@
 //!   initial graph and items relabeled by `permute_threads`.
 //! * Admission is **hash-before-materialize**: every candidate — forward
 //!   alternate or revisit child — is hashed through a [`GraphView`] of
-//!   the speculative graph (a restriction plus an rf override, encoded
+//!   the speculative graph (a restriction plus an rf override, hashed
 //!   without building anything) and cloned only if its orbit has never
-//!   been admitted before. Duplicate orbits cost one encoding, zero
-//!   constructions.
+//!   been admitted before. Duplicate orbits cost zero constructions and,
+//!   for a program without thread symmetry, no encoding either: the
+//!   graph carries per-thread hash states, so the probe combines
+//!   `O(threads + writes)` words. Symmetric programs encode
+//!   `1 + |relabelings|` times to find the orbit's representative.
 //! * Candidates start at the **coherence floor** ([`ChainChecker::floor`]):
 //!   rf sources and mo placements below it are inconsistent whatever else
 //!   happens, so they are neither checked nor admitted.
@@ -43,7 +46,7 @@
 //!   write's porf-prefix, and kept by every child (DESIGN.md §12). What a
 //!   revisit keeps depends on neither the placement nor mo, so the
 //!   targets and their keep-sets are computed once per write, as joins of
-//!   porf clocks ([`RevisitTargets`]).
+//!   the porf clocks the graph keeps current ([`RevisitTargets`]).
 //!
 //! Two global sets partition the dedup duties: `visited` gates
 //! *materializations* (admitted roots, [`Worker::visit`]), `leaves` counts
@@ -67,9 +70,7 @@
 //! [`Canonicalizer`]: vsync_graph::Canonicalizer
 //! [`ChainChecker::floor`]: vsync_model::ChainChecker::floor
 
-use vsync_graph::{
-    EventId, EventKind, ExecutionGraph, GraphView, Loc, Mode, PorfClocks, RfSource, ThreadId,
-};
+use vsync_graph::{EventId, EventKind, ExecutionGraph, GraphView, Loc, Mode, RfSource, ThreadId};
 use vsync_lang::{ChainReplay, PendingOp, ReadDesc, ThreadStatus};
 
 use crate::explorer::{failed_final_check, Engine, Inherited, Pending, WorkItem, Worker};
@@ -498,7 +499,7 @@ impl Engine<'_> {
     /// orbit was never admitted before, materialize it (normalized to the
     /// orbit representative) into `w.out`, with `w.ck` forked down to the
     /// part of it the chain has recorded. This is where `constructed`
-    /// diverges from the reference oracle: duplicates cost an encoding,
+    /// diverges from the reference oracle: duplicates cost a hash probe,
     /// not a graph.
     fn admit(
         &self,
@@ -559,12 +560,10 @@ struct Candidate {
 /// The backward-revisit targets of one W-step: the reads of the write's
 /// location outside the write's porf-prefix, each with the per-thread
 /// lengths its revisit keeps. Neither depends on where the write lands
-/// in mo, so they are computed once per write, before the placement scan:
-/// one pass of porf clocks over the graph, then a join of two clocks per
-/// read.
+/// in mo, so they are computed once per write, before the placement scan,
+/// as a join of two of the porf clocks the graph carries per read.
 #[derive(Default)]
 pub(crate) struct RevisitTargets {
-    clocks: PorfClocks,
     /// The porf clock the write will have.
     write: Vec<u32>,
     /// The target reads, in program order per thread, and whether each
@@ -585,13 +584,10 @@ impl RevisitTargets {
         if g.reads_of(loc).all(|(r, _)| r.thread() == Some(t)) {
             return;
         }
-        self.clocks.compute(g);
         let n = g.thread_len(t);
         self.write.clear();
         match n.checked_sub(1) {
-            Some(pred) => {
-                self.write.extend_from_slice(self.clocks.of(EventId::new(t, pred as u32)))
-            }
+            Some(pred) => self.write.extend_from_slice(g.porf_clock(EventId::new(t, pred as u32))),
             None => self.write.resize(g.num_threads(), 0),
         }
         self.write[t as usize] = n as u32 + 1;
@@ -601,7 +597,7 @@ impl RevisitTargets {
                 continue; // in the write's porf-prefix
             }
             self.reads.push((r, rf.is_bottom()));
-            let read = self.clocks.of(r);
+            let read = g.porf_clock(r);
             self.keep.extend(self.write.iter().zip(read).map(|(&a, &b)| a.max(b)));
         }
     }

@@ -9,14 +9,16 @@
 //! * **One serializer**, `encode`, writes a [`GraphView`] — a graph, or the
 //!   restriction-plus-rf-override a revisit *would* produce — as a
 //!   canonical byte string, optionally with its threads relabeled.
-//! * **Two sinks** receive that byte stream: a `Vec<u8>` where the bytes
-//!   are needed (orbit minimization compares encodings), the streaming
-//!   hash state where only the hash is. Hence
-//!   `content_hash(g) == hash128(&canonical_bytes(g))`.
 //! * **One canonical form**: modulo a [`ThreadPartition`], the
 //!   lexicographic minimum over the partition's relabelings
 //!   ([`Canonicalizer`]); the relabeling attaining it names the orbit's
-//!   representative, the same one for every caller.
+//!   representative, the same one for every caller. Under a non-trivial
+//!   partition the hash is [`hash128`] of those bytes.
+//! * **One carried hash** where no relabeling applies: the graph keeps
+//!   each thread's running hash state per event, and a view's hash
+//!   ([`content_hash`], [`Canonicalizer::hash_view`] without relabelings)
+//!   combines the states at the cut with the kept mo lists — nothing is
+//!   serialized. It tells views apart exactly where their bytes do.
 //! * **Derived read flags are never encoded.** A read's `rmw` / `awaiting`
 //!   flags are functions of the program, the event structure and the rf
 //!   edge (replay recomputes them), so among the executions of one program
@@ -28,7 +30,9 @@
 //! absorbing 8 bytes per step; at lock-verification scale (well under 2^40
 //! graphs) collisions are negligible.
 
-use crate::event::{EventId, EventKind, RfSource, ThreadId};
+use std::collections::BTreeMap;
+
+use crate::event::{EventId, EventKind, Loc, RfSource, ThreadId, Value};
 use crate::graph::ExecutionGraph;
 use crate::symmetry::{ThreadPartition, MAX_SYMMETRY_PERMUTATIONS};
 
@@ -40,19 +44,85 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Streaming two-lane 128-bit hash absorbing one `u64` per step. Each lane
-/// is a multiply-rotate chain with its own odd constant, so the full state
-/// stays on the dependency chain; the finalizer cross-mixes the lanes and
-/// the total length through [`mix64`] for avalanche.
-///
-/// The input is a byte stream cut into little-endian words, however it
-/// arrives: a field of up to eight bytes ([`Sink::put`]) or an 8-byte
-/// chunk of a slice ([`Sink::bytes`]) is shifted into the pending word at
-/// once instead of byte by byte, so the hash of a stream does not depend
-/// on how it was split into calls.
-struct Hash128 {
+/// The two multiply-rotate lanes of [`Hash128`], absorbing one `u64` per
+/// step. Each lane has its own odd constant, so the full state stays on
+/// the dependency chain. A graph keeps one running `Lanes` per event of
+/// each thread ([`Lanes::event`]), which is what makes a view's hash a
+/// lookup ([`view_hash`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Lanes {
     a: u64,
     b: u64,
+}
+
+impl Lanes {
+    /// The state before anything was absorbed.
+    pub(crate) const SEED: Lanes = Lanes { a: 0x243f6a8885a308d3, b: 0x13198a2e03707344 };
+
+    #[inline]
+    fn word(&mut self, v: u64) {
+        self.a = (self.a ^ v).wrapping_mul(0x9e3779b97f4a7c15).rotate_left(31);
+        self.b = (self.b ^ v).wrapping_mul(0xc2b2ae3d27d4eb4f).rotate_left(29);
+    }
+
+    /// The state after absorbing one event's flag-free content — for a
+    /// read, with its source re-pointed to `rf_override` if given. The
+    /// first word tags the kind and packs its small fields, so the word
+    /// sequence of an event list determines the list.
+    #[must_use]
+    pub(crate) fn event(mut self, kind: &EventKind, rf_override: Option<EventId>) -> Lanes {
+        match kind {
+            EventKind::Read { loc, mode, rf, .. } => {
+                let rf = rf_override.map_or(*rf, RfSource::Write);
+                let (src_tag, src) = match rf {
+                    RfSource::Bottom => (0, 0),
+                    RfSource::Write(EventId::Init(l)) => (1, l),
+                    RfSource::Write(w @ EventId::Event { .. }) => (2, id_word(w)),
+                };
+                self.word(1 | u64::from(mode.tag()) << 8 | src_tag << 16);
+                self.word(*loc);
+                self.word(src);
+            }
+            EventKind::Write { loc, val, mode, rmw } => {
+                self.word(2 | u64::from(mode.tag()) << 8 | u64::from(*rmw) << 16);
+                self.word(*loc);
+                self.word(*val);
+            }
+            EventKind::Fence { mode } => self.word(3 | u64::from(mode.tag()) << 8),
+            EventKind::Error { msg } => {
+                self.word(4 | (msg.len() as u64) << 8);
+                for c in msg.as_bytes().chunks(8) {
+                    let mut w = [0u8; 8];
+                    w[..c.len()].copy_from_slice(c);
+                    self.word(u64::from_le_bytes(w));
+                }
+            }
+        }
+        self
+    }
+}
+
+/// A regular event id as one word: `thread + 1` in the low half, so no id
+/// has a zero low half ([`view_hash`] separates locations with `0`).
+#[inline]
+fn id_word(id: EventId) -> u64 {
+    match id {
+        EventId::Event { thread, index } => (u64::from(thread) + 1) | u64::from(index) << 32,
+        EventId::Init(_) => unreachable!("init events are encoded by location"),
+    }
+}
+
+/// Streaming two-lane 128-bit hash: [`Lanes`] plus the total length; the
+/// finalizer cross-mixes the lanes and the length through [`mix64`] for
+/// avalanche.
+///
+/// The input is a byte stream cut into little-endian words, however it
+/// arrives: a field of up to eight bytes ([`Hash128::put`]) or an 8-byte
+/// chunk of a slice ([`Hash128::bytes`]) is shifted into the pending word
+/// at once instead of byte by byte, so the hash of a stream does not
+/// depend on how it was split into calls.
+struct Hash128 {
+    lanes: Lanes,
     len: u64,
     /// Pending bytes not yet forming a full word (little-endian).
     buf: u64,
@@ -61,13 +131,12 @@ struct Hash128 {
 
 impl Hash128 {
     fn new() -> Self {
-        Hash128 { a: 0x243f6a8885a308d3, b: 0x13198a2e03707344, len: 0, buf: 0, buf_len: 0 }
+        Hash128 { lanes: Lanes::SEED, len: 0, buf: 0, buf_len: 0 }
     }
 
     #[inline]
     fn word(&mut self, v: u64) {
-        self.a = (self.a ^ v).wrapping_mul(0x9e3779b97f4a7c15).rotate_left(31);
-        self.b = (self.b ^ v).wrapping_mul(0xc2b2ae3d27d4eb4f).rotate_left(29);
+        self.lanes.word(v);
         self.len = self.len.wrapping_add(8);
     }
 
@@ -77,33 +146,13 @@ impl Hash128 {
             self.word(self.buf);
             self.len = self.len.wrapping_sub(8 - n); // count real bytes only
         }
-        let x = mix64(self.a ^ mix64(self.len));
-        let y = mix64(self.b.wrapping_add(x));
+        let x = mix64(self.lanes.a ^ mix64(self.len));
+        let y = mix64(self.lanes.b.wrapping_add(x));
         ((x as u128) << 64) | y as u128
     }
-}
 
-/// Where `encode` writes: a byte buffer, or a hash state.
-trait Sink {
     /// Append the `n` (1..=8) little-endian bytes of `v`, whose higher
     /// bytes must be zero.
-    fn put(&mut self, v: u64, n: u32);
-    fn bytes(&mut self, bs: &[u8]);
-}
-
-impl Sink for Vec<u8> {
-    #[inline]
-    fn put(&mut self, v: u64, n: u32) {
-        self.extend_from_slice(&v.to_le_bytes()[..n as usize]);
-    }
-
-    #[inline]
-    fn bytes(&mut self, bs: &[u8]) {
-        self.extend_from_slice(bs);
-    }
-}
-
-impl Sink for Hash128 {
     #[inline]
     fn put(&mut self, v: u64, n: u32) {
         let k = self.buf_len;
@@ -118,7 +167,6 @@ impl Sink for Hash128 {
         self.buf_len = k + n - 8;
     }
 
-    #[inline]
     fn bytes(&mut self, bs: &[u8]) {
         let mut chunks = bs.chunks_exact(8);
         for c in &mut chunks {
@@ -138,6 +186,17 @@ impl Sink for Hash128 {
 pub fn hash128(bytes: &[u8]) -> u128 {
     let mut h = Hash128::new();
     h.bytes(bytes);
+    h.finish()
+}
+
+/// The digest of an init table that [`view_hash`] starts from; a graph
+/// computes it once, when it is created.
+pub(crate) fn init_digest(init: &BTreeMap<Loc, Value>) -> u128 {
+    let mut h = Hash128::new();
+    for (&loc, &val) in init {
+        h.word(loc);
+        h.word(val);
+    }
     h.finish()
 }
 
@@ -172,7 +231,7 @@ impl<'a> GraphView<'a> {
     }
 
     /// View the restriction of `g` to the per-thread prefixes `keep_lens`
-    /// (as from [`crate::PorfClocks::join`]: a porf-closed part), with
+    /// (as from [`ExecutionGraph::porf_join`]: a porf-closed part), with
     /// `read`'s source re-pointed to `write` (the shape of a backward
     /// revisit). Both `read` and `write` must survive the cut.
     #[must_use]
@@ -183,6 +242,12 @@ impl<'a> GraphView<'a> {
         write: EventId,
     ) -> Self {
         GraphView { g, keep_lens: Some(keep_lens), rf_override: Some((read, write)) }
+    }
+
+    /// How many of thread `t`'s events the view keeps.
+    fn cut(&self, t: ThreadId) -> usize {
+        let len = self.g.thread_len(t);
+        self.keep_lens.map_or(len, |lens| (lens[t as usize] as usize).min(len))
     }
 
     fn kept(&self, id: EventId) -> bool {
@@ -196,41 +261,43 @@ impl<'a> GraphView<'a> {
 /// A thread relabeling `fwd[original] = new label` with its inverse.
 type Relabeling = (Vec<ThreadId>, Vec<ThreadId>);
 
+/// Append the `n` (1..=8) low little-endian bytes of `v`.
+#[inline]
+fn put(out: &mut Vec<u8>, v: u64, n: u32) {
+    out.extend_from_slice(&v.to_le_bytes()[..n as usize]);
+}
+
 /// The serializer: the init table, each thread's events in program order
 /// with their reads-from sources, each location's modification order — as
 /// if the threads were relabeled by `perm` (`None` = as-is): thread blocks
 /// appear in new-label order and every embedded [`EventId`] has its thread
 /// rewritten. Timestamps (the exploration path, not the execution) and the
 /// derived read flags (module docs) are left out.
-fn encode<S: Sink>(v: &GraphView<'_>, perm: Option<&Relabeling>, out: &mut S) {
+fn encode(v: &GraphView<'_>, perm: Option<&Relabeling>, out: &mut Vec<u8>) {
     let g = v.g;
     // An event id: tag 0 + location, or tag 1 + thread (4 bytes) + index
     // (4 bytes).
-    let put_id = |out: &mut S, id: EventId| match id {
+    let put_id = |out: &mut Vec<u8>, id: EventId| match id {
         EventId::Init(loc) => {
-            out.put(0, 1);
-            out.put(loc, 8);
+            put(out, 0, 1);
+            put(out, loc, 8);
         }
         EventId::Event { thread, index } => {
             let thread = perm.map_or(thread, |(fwd, _)| fwd[thread as usize]);
-            out.put(1, 1);
-            out.put(u64::from(thread) | u64::from(index) << 32, 8);
+            put(out, 1, 1);
+            put(out, u64::from(thread) | u64::from(index) << 32, 8);
         }
     };
     for (&loc, &val) in g.init_table() {
-        out.put(loc, 8);
-        out.put(val, 8);
+        put(out, loc, 8);
+        put(out, val, 8);
     }
-    out.put(0xfe, 1);
+    put(out, 0xfe, 1);
     for t in 0..g.num_threads() as ThreadId {
-        out.put(0xfd, 1);
+        put(out, 0xfd, 1);
         let source = perm.map_or(t, |(_, inv)| inv[t as usize]);
         let evs = g.thread_events(source);
-        let cut = match v.keep_lens {
-            Some(lens) => (lens[source as usize] as usize).min(evs.len()),
-            None => evs.len(),
-        };
-        for (i, ev) in evs[..cut].iter().enumerate() {
+        for (i, ev) in evs[..v.cut(source)].iter().enumerate() {
             match &ev.kind {
                 EventKind::Read { loc, mode, rf, .. } => {
                     let id = EventId::new(source, i as u32);
@@ -238,42 +305,42 @@ fn encode<S: Sink>(v: &GraphView<'_>, perm: Option<&Relabeling>, out: &mut S) {
                         Some((read, write)) if read == id => RfSource::Write(write),
                         _ => *rf,
                     };
-                    out.put(1, 1);
-                    out.put(*loc, 8);
+                    put(out, 1, 1);
+                    put(out, *loc, 8);
                     // Mode tag, then 0 for `⊥` or 1 and the source.
                     let mode = u64::from(mode.tag());
                     match rf {
-                        RfSource::Bottom => out.put(mode, 2),
+                        RfSource::Bottom => put(out, mode, 2),
                         RfSource::Write(w) => {
-                            out.put(mode | 1 << 8, 2);
+                            put(out, mode | 1 << 8, 2);
                             put_id(out, w);
                         }
                     }
                 }
                 EventKind::Write { loc, val, mode, rmw } => {
-                    out.put(2, 1);
-                    out.put(*loc, 8);
-                    out.put(*val, 8);
-                    out.put(u64::from(mode.tag()) | u64::from(*rmw) << 8, 2);
+                    put(out, 2, 1);
+                    put(out, *loc, 8);
+                    put(out, *val, 8);
+                    put(out, u64::from(mode.tag()) | u64::from(*rmw) << 8, 2);
                 }
-                EventKind::Fence { mode } => out.put(3 | u64::from(mode.tag()) << 8, 2),
+                EventKind::Fence { mode } => put(out, 3 | u64::from(mode.tag()) << 8, 2),
                 EventKind::Error { msg } => {
-                    out.put(4, 1);
-                    out.put(msg.len() as u64, 8);
-                    out.bytes(msg.as_bytes());
+                    put(out, 4, 1);
+                    put(out, msg.len() as u64, 8);
+                    out.extend_from_slice(msg.as_bytes());
                 }
             }
         }
     }
-    out.put(0xfc, 1);
-    for loc in g.written_locs() {
+    put(out, 0xfc, 1);
+    for (loc, ws) in g.mo_lists() {
         let mut any = false;
-        for &w in g.mo(loc) {
+        for &w in ws {
             if !v.kept(w) {
                 continue;
             }
             if !any {
-                out.put(loc, 8);
+                put(out, loc, 8);
                 any = true;
             }
             put_id(out, w);
@@ -281,9 +348,58 @@ fn encode<S: Sink>(v: &GraphView<'_>, perm: Option<&Relabeling>, out: &mut S) {
         // A location whose every write is cut vanishes, as it does in
         // `ExecutionGraph::restrict`: a view encodes like its result.
         if any {
-            out.put(0xfb, 1);
+            put(out, 0xfb, 1);
         }
     }
+}
+
+/// The content hash of a view, combined from what its graph carries
+/// instead of serialized: the init table's digest; per thread, in thread
+/// order, the cut length and the thread's hash state at the cut, with the
+/// re-pointed read folded in; then each location's kept mo list, closed by
+/// a `0` word. Two views hash equally exactly when their
+/// [`canonical_bytes`] are equal (up to 128-bit collisions).
+///
+/// `O(threads + writes)` when the re-pointed read is the last kept event
+/// of its thread, as in every view the engine builds; otherwise the kept
+/// events after it are absorbed again.
+fn view_hash(v: &GraphView<'_>) -> u128 {
+    let g = v.g;
+    let mut h = Hash128::new();
+    let init = g.init_digest();
+    h.word(init as u64);
+    h.word((init >> 64) as u64);
+    for t in 0..g.num_threads() as ThreadId {
+        let cut = v.cut(t);
+        let lanes = match v.rf_override {
+            Some((EventId::Event { thread, index }, w))
+                if thread == t && (index as usize) < cut =>
+            {
+                let (i, evs) = (index as usize, g.thread_events(t));
+                let at_read = g.thread_hash(t, i).event(&evs[i].kind, Some(w));
+                evs[i + 1..cut].iter().fold(at_read, |s, ev| s.event(&ev.kind, None))
+            }
+            _ => g.thread_hash(t, cut),
+        };
+        h.word(cut as u64);
+        h.word(lanes.a);
+        h.word(lanes.b);
+    }
+    for (loc, ws) in g.mo_lists() {
+        let mut any = false;
+        for &w in ws.iter().filter(|&&w| v.kept(w)) {
+            if !any {
+                h.word(loc);
+                any = true;
+            }
+            h.word(id_word(w));
+        }
+        // As in `encode`: a location whose every write is cut vanishes.
+        if any {
+            h.word(0);
+        }
+    }
+    h.finish()
 }
 
 /// Reusable canonicalization state: the non-identity thread relabelings a
@@ -298,8 +414,8 @@ pub struct Canonicalizer {
     /// Index into `perms` of the minimizing relabeling of the last
     /// [`Canonicalizer::canonicalize`] call (`None` = identity won).
     chosen: Option<usize>,
-    /// Encodings performed since the last [`Canonicalizer::take_probes`]
-    /// (each canonicalization costs `1 + |perms|`).
+    /// Probe work since the last [`Canonicalizer::take_probes`]: each
+    /// canonicalization or view hash counts `1 + |perms|`.
     probes: u64,
 }
 
@@ -352,17 +468,17 @@ impl Canonicalizer {
         &self.best
     }
 
-    /// [`hash128`] of [`Canonicalizer::canonicalize`], plus whether a
-    /// non-identity relabeling produced the canonical form (i.e. the view
-    /// was *not* already its orbit's representative). Without relabelings
-    /// the encoding streams straight into the hash: no bytes are buffered.
+    /// The view's hash modulo the partition, plus whether a non-identity
+    /// relabeling produced the canonical form (i.e. the view was *not*
+    /// already its orbit's representative). With relabelings it is
+    /// [`hash128`] of [`Canonicalizer::canonicalize`]; without, it is
+    /// combined from the hash states the graph carries (`view_hash`) and
+    /// nothing is encoded. Either way it counts `1 + |relabelings|` probes.
     pub fn hash_view(&mut self, v: &GraphView<'_>) -> (u128, bool) {
         if self.perms.is_empty() {
-            let mut h = Hash128::new();
-            encode(v, None, &mut h);
             self.probes += 1;
             self.chosen = None;
-            return (h.finish(), false);
+            return (view_hash(v), false);
         }
         let h = hash128(self.canonicalize(v));
         (h, self.chosen.is_some())
@@ -375,8 +491,9 @@ impl Canonicalizer {
         self.chosen.map(|i| self.perms[i].0.as_slice())
     }
 
-    /// Drain the encoding-work counter: view serializations since the last
-    /// call (the symmetry-dedup cost telemetry reports as `probes`).
+    /// Drain the probe-work counter: `1 + |relabelings|` per view since
+    /// the last call (the symmetry-dedup cost telemetry reports as
+    /// `probes`).
     pub fn take_probes(&mut self) -> u64 {
         std::mem::take(&mut self.probes)
     }
@@ -392,13 +509,13 @@ pub fn canonical_bytes(g: &ExecutionGraph) -> Vec<u8> {
     out
 }
 
-/// 128-bit content hash of a graph: `hash128(&canonical_bytes(g))`,
-/// streamed without the intermediate buffer.
+/// 128-bit content hash of a graph, combined from the per-thread hash
+/// states the graph carries (`O(threads + writes)`, nothing serialized):
+/// two graphs hash equally exactly when their [`canonical_bytes`] are
+/// equal, up to 128-bit collisions.
 #[must_use]
 pub fn content_hash(g: &ExecutionGraph) -> u128 {
-    let mut h = Hash128::new();
-    encode(&GraphView::full(g), None, &mut h);
-    h.finish()
+    view_hash(&GraphView::full(g))
 }
 
 /// The canonical encoding of `g` under permutations of symmetric threads:
@@ -491,11 +608,27 @@ mod tests {
         assert_ne!(content_hash(&mk(false)), content_hash(&mk(true)));
     }
 
+    /// `content_hash` is the plain canonicalizer's hash of the full view,
+    /// and it tells graphs apart exactly where their bytes do.
     #[test]
-    fn streamed_hash_equals_buffered_hash() {
-        for g in [sample(), ExecutionGraph::new(0, BTreeMap::new())] {
-            assert_eq!(content_hash(&g), hash128(&canonical_bytes(&g)));
-            assert_eq!(content_hash(&g), view_hash(&GraphView::full(&g)));
+    fn content_hash_is_the_full_view_hash() {
+        let (a, b) = twin_pair();
+        let graphs = [
+            sample(),
+            ExecutionGraph::new(0, BTreeMap::new()),
+            ExecutionGraph::new(2, BTreeMap::new()),
+            ExecutionGraph::new(2, BTreeMap::from([(0x10, 0)])),
+            a,
+            b,
+        ];
+        for g in &graphs {
+            assert_eq!(content_hash(g), view_hash(&GraphView::full(g)));
+            for h in &graphs {
+                assert_eq!(
+                    content_hash(g) == content_hash(h),
+                    canonical_bytes(g) == canonical_bytes(h)
+                );
+            }
         }
     }
 
@@ -623,7 +756,7 @@ mod tests {
 
         // The engine's keep set: porf-prefix of the write ∪ porf-prefix of
         // the read (which always contains the read's old source).
-        let keep_lens = crate::PorfClocks::new(&g).join([w1, r]);
+        let keep_lens = g.porf_join([w1, r]);
         assert_eq!(keep_lens, vec![2, 1], "wy is cut, both x-writes survive");
         let view = GraphView::restricted(&g, &keep_lens, r, w1);
         // Materialize the same child the long way.
@@ -700,7 +833,7 @@ mod tests {
             .map(|b| u8::from_str_radix(b, 16).unwrap())
             .collect();
         assert_eq!(canonical_bytes(&g), golden);
-        assert_eq!(content_hash(&g), 0xfd3051abec3bd638f74dfc02fad960f7);
+        assert_eq!(content_hash(&g), 0x812c72aadc04918bfcb59799eb4b76f6);
     }
 
     #[test]

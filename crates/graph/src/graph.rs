@@ -4,10 +4,27 @@
 //! (immutable) init table sit behind `Arc`s, so the explorer's
 //! one-clone-per-child pattern copies only the single thread it then
 //! extends — every other thread's events are shared with the parent.
+//!
+//! Next to each thread's events the graph keeps two per-event indexes,
+//! brought up to date by its own `&mut self` mutators (workers share
+//! graphs immutably, so nothing is filled in lazily):
+//!
+//! * the thread's running hash state after each event's flag-free
+//!   content, rf source included — a view's content hash combines these
+//!   per thread instead of serializing the graph (`encode::view_hash`);
+//! * each event's porf clock ([`ExecutionGraph::porf_clock`]).
+//!
+//! A chain step changes one event, so the common updates are small:
+//! `push_event`, and `set_rf` on a thread's last read, cost one event hash
+//! and one `threads`-wide join, `set_event_mode` on a last event one hash,
+//! and `pop_event` a truncation. `restrict` keeps both indexes of its
+//! porf-closed part as they are, `permute_threads` relabels them, and
+//! `insert_mo` / `remove_mo` touch neither.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use crate::encode::{init_digest, Lanes};
 use crate::event::{Event, EventId, EventKind, Loc, Mode, RfSource, ThreadId, Value};
 
 /// An execution graph `G` (paper §1.1): per-thread event sequences
@@ -23,16 +40,68 @@ use crate::event::{Event, EventId, EventKind, Loc, Mode, RfSource, ThreadId, Val
 /// (default `0`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutionGraph {
-    /// Events of each thread, in program order (copy-on-write per thread).
-    threads: Vec<Arc<Vec<Event>>>,
+    /// Each thread's events in program order, with their indexes
+    /// (copy-on-write per thread).
+    threads: Vec<Arc<Track>>,
     /// Modification order per location: all non-init write events, oldest
     /// first. The virtual init write is implicitly at position `-1`.
     mo: BTreeMap<Loc, Vec<EventId>>,
     /// Initial values of locations (missing entries are `0`); immutable
     /// after construction, shared between clones.
     init: Arc<BTreeMap<Loc, Value>>,
+    /// The digest of `init` every content hash starts from.
+    init_digest: u128,
     /// Next exploration timestamp.
     next_ts: u32,
+    /// Reads whose source is not (yet) an event of the graph: a hand-built
+    /// graph may name a write before pushing it. While there are any, each
+    /// push looks for the reads it completes.
+    dangling: u32,
+}
+
+/// One thread's program order and the indexes kept alongside it.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Track {
+    events: Vec<Event>,
+    /// `hashes[i]`: the thread's hash state after events `0..=i`.
+    hashes: Vec<Lanes>,
+    /// Event `i`'s porf clock is `clocks[i * nt..(i + 1) * nt]`, `nt` the
+    /// graph's thread count.
+    clocks: Vec<u32>,
+}
+
+impl Track {
+    /// Event `i`'s porf clock.
+    fn clock(&self, i: usize, nt: usize) -> &[u32] {
+        &self.clocks[i * nt..(i + 1) * nt]
+    }
+}
+
+/// Raise `clock` pointwise to `other`.
+fn join(clock: &mut [u32], other: &[u32]) {
+    for (c, &o) in clock.iter_mut().zip(other) {
+        *c = (*c).max(o);
+    }
+}
+
+/// A track is cloned by `Arc::make_mut` right before a push, so the copy
+/// leaves room for a few more events instead of reallocating at once.
+impl Clone for Track {
+    fn clone(&self) -> Self {
+        fn roomy<T: Clone>(v: &[T], extra: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(v.len() + extra);
+            out.extend_from_slice(v);
+            out
+        }
+        const ROOM: usize = 4;
+        // Clock entries per event: the graph's thread count.
+        let nt = self.clocks.len().checked_div(self.events.len()).unwrap_or(0);
+        Track {
+            events: roomy(&self.events, ROOM),
+            hashes: roomy(&self.hashes, ROOM),
+            clocks: roomy(&self.clocks, ROOM * nt),
+        }
+    }
 }
 
 impl ExecutionGraph {
@@ -40,10 +109,12 @@ impl ExecutionGraph {
     /// memory values.
     pub fn new(n_threads: usize, init: BTreeMap<Loc, Value>) -> Self {
         ExecutionGraph {
-            threads: (0..n_threads).map(|_| Arc::new(Vec::new())).collect(),
+            threads: (0..n_threads).map(|_| Arc::new(Track::default())).collect(),
             mo: BTreeMap::new(),
+            init_digest: init_digest(&init),
             init: Arc::new(init),
             next_ts: 0,
+            dangling: 0,
         }
     }
 
@@ -54,12 +125,12 @@ impl ExecutionGraph {
 
     /// Number of regular (non-init) events currently in the graph.
     pub fn num_events(&self) -> usize {
-        self.threads.iter().map(|t| t.len()).sum()
+        self.threads.iter().map(|t| t.events.len()).sum()
     }
 
     /// Number of events of one thread.
     pub fn thread_len(&self, thread: ThreadId) -> usize {
-        self.threads[thread as usize].len()
+        self.threads[thread as usize].events.len()
     }
 
     /// Approximate heap footprint of this graph in bytes, for resource
@@ -68,20 +139,24 @@ impl ExecutionGraph {
     /// over a frontier of sibling graphs over-estimates — budgets degrade
     /// early rather than late. The shared init table is not counted.
     pub fn approx_heap_bytes(&self) -> usize {
-        let events: usize = self.threads.iter().map(|t| t.len()).sum();
+        let events = self.num_events();
         let mo_entries: usize = self.mo.values().map(Vec::len).sum();
         // Rough BTreeMap node overhead per mo location.
         const MO_NODE_BYTES: usize = 48;
+        let per_event = std::mem::size_of::<Event>()
+            + std::mem::size_of::<Lanes>()
+            + self.threads.len() * std::mem::size_of::<u32>();
         std::mem::size_of::<Self>()
-            + self.threads.len() * std::mem::size_of::<Arc<Vec<Event>>>()
-            + events * std::mem::size_of::<Event>()
+            + self.threads.len()
+                * (std::mem::size_of::<Arc<Track>>() + std::mem::size_of::<Track>())
+            + events * per_event
             + mo_entries * std::mem::size_of::<EventId>()
             + self.mo.len() * MO_NODE_BYTES
     }
 
     /// The events of one thread in program order.
     pub fn thread_events(&self, thread: ThreadId) -> &[Event] {
-        &self.threads[thread as usize]
+        &self.threads[thread as usize].events
     }
 
     /// The initial value of a location.
@@ -102,15 +177,20 @@ impl ExecutionGraph {
     pub fn event(&self, id: EventId) -> &Event {
         match id {
             EventId::Init(loc) => panic!("init event of {loc:#x} has no Event record"),
-            EventId::Event { thread, index } => &self.threads[thread as usize][index as usize],
+            EventId::Event { thread, index } => {
+                &self.threads[thread as usize].events[index as usize]
+            }
         }
     }
 
-    fn event_mut(&mut self, id: EventId) -> &mut Event {
+    /// The kind of a regular event, for a mutator that then brings the
+    /// indexes from `(thread, index)` on up to date.
+    fn kind_mut(&mut self, id: EventId) -> (&mut EventKind, usize, usize) {
         match id {
             EventId::Init(loc) => panic!("init event of {loc:#x} has no Event record"),
             EventId::Event { thread, index } => {
-                &mut Arc::make_mut(&mut self.threads[thread as usize])[index as usize]
+                let (t, i) = (thread as usize, index as usize);
+                (&mut Arc::make_mut(&mut self.threads[t]).events[i].kind, t, i)
             }
         }
     }
@@ -148,12 +228,45 @@ impl ExecutionGraph {
 
     /// Append an event to a thread's program order; returns its id.
     pub fn push_event(&mut self, thread: ThreadId, kind: EventKind) -> EventId {
-        let index = self.threads[thread as usize].len() as u32;
-        let mut ev = Event::new(kind);
-        ev.ts = self.next_ts;
+        let (t, nt) = (thread as usize, self.threads.len());
+        let i = self.threads[t].events.len();
+        let id = EventId::new(thread, i as u32);
+        let hash = self.thread_hash(thread, i).event(&kind, None);
+        let (src, dangles) = match kind {
+            EventKind::Read { rf, .. } => (self.source(id, rf), self.dangles(id, rf)),
+            _ => (None, false),
+        };
+        // The clock: the po-predecessor's (or none), the event itself, and
+        // the source's — from another track, or from this one's prefix.
+        let (track, other) = match src {
+            Some(EventId::Event { thread: u, index: j }) if u != thread => {
+                let [dst, from] =
+                    self.threads.get_disjoint_mut([t, u as usize]).expect("distinct threads");
+                (Arc::make_mut(dst), Some(from.clock(j as usize, nt)))
+            }
+            _ => (Arc::make_mut(&mut self.threads[t]), None),
+        };
+        let at = i * nt;
+        if i > 0 {
+            track.clocks.extend_from_within(at - nt..at);
+        } else {
+            track.clocks.resize(nt, 0);
+        }
+        track.clocks[at + t] = i as u32 + 1;
+        if let Some(row) = other {
+            join(&mut track.clocks[at..], row);
+        } else if let Some(EventId::Event { index: j, .. }) = src {
+            let (before, row) = track.clocks.split_at_mut(at);
+            join(row, &before[j as usize * nt..(j as usize + 1) * nt]);
+        }
+        track.events.push(Event { kind, ts: self.next_ts });
+        track.hashes.push(hash);
         self.next_ts += 1;
-        Arc::make_mut(&mut self.threads[thread as usize]).push(ev);
-        EventId::new(thread, index)
+        if self.dangling > 0 {
+            self.complete_dangling(id);
+        }
+        self.dangling += u32::from(dangles);
+        id
     }
 
     /// Remove the most recently pushed event of `thread` and return its
@@ -164,15 +277,25 @@ impl ExecutionGraph {
     /// only valid while the popped event is the globally newest one, so
     /// the timestamp counter rewinds exactly.
     ///
+    /// Nothing may read from the popped event: undo a `set_rf` to it
+    /// first.
+    ///
     /// # Panics
     ///
     /// Panics if the thread is empty or its last event is not the
     /// globally newest (its `ts` must be `next_ts - 1`).
     pub fn pop_event(&mut self, thread: ThreadId) -> EventKind {
-        let evs = Arc::make_mut(&mut self.threads[thread as usize]);
-        let ev = evs.pop().expect("pop_event on empty thread");
+        let nt = self.threads.len();
+        let track = Arc::make_mut(&mut self.threads[thread as usize]);
+        let ev = track.events.pop().expect("pop_event on empty thread");
         assert_eq!(ev.ts + 1, self.next_ts, "pop_event must undo the newest push");
+        track.hashes.pop();
+        track.clocks.truncate(track.events.len() * nt);
         self.next_ts -= 1;
+        let id = EventId::new(thread, track.events.len() as u32);
+        if let EventKind::Read { rf, .. } = ev.kind {
+            self.dangling -= u32::from(self.dangles(id, rf));
+        }
         ev.kind
     }
 
@@ -218,6 +341,11 @@ impl ExecutionGraph {
         self.mo.keys().copied()
     }
 
+    /// Each written location with its modification order, by location.
+    pub(crate) fn mo_lists(&self) -> impl Iterator<Item = (Loc, &[EventId])> + '_ {
+        self.mo.iter().map(|(&loc, ws)| (loc, ws.as_slice()))
+    }
+
     /// The position of a write in the extended modification order of its
     /// location: init is 0, the first non-init write is 1, and so on.
     ///
@@ -238,10 +366,15 @@ impl ExecutionGraph {
     ///
     /// Panics if `read` is not a read event.
     pub fn set_rf(&mut self, read: EventId, src: RfSource) {
-        match &mut self.event_mut(read).kind {
-            EventKind::Read { rf, .. } => *rf = src,
+        let (kind, t, i) = self.kind_mut(read);
+        let old = match kind {
+            EventKind::Read { rf, .. } => std::mem::replace(rf, src),
             k => panic!("{read} is not a read: {k}"),
-        }
+        };
+        self.dangling =
+            self.dangling + u32::from(self.dangles(read, src)) - u32::from(self.dangles(read, old));
+        self.rehash(t, i);
+        self.reclock(t, i);
     }
 
     /// Overwrite the derived flags of a read event.
@@ -254,7 +387,8 @@ impl ExecutionGraph {
     ///
     /// Panics if `read` is not a read event.
     pub fn set_read_flags(&mut self, read: EventId, rmw: bool, awaiting: bool) {
-        match &mut self.event_mut(read).kind {
+        // Flags are derived data: neither index depends on them.
+        match self.kind_mut(read).0 {
             EventKind::Read { rmw: r, awaiting: a, .. } => {
                 *r = rmw;
                 *a = awaiting;
@@ -276,12 +410,14 @@ impl ExecutionGraph {
     ///
     /// Panics if `id` is an init or error event (neither carries a mode).
     pub fn set_event_mode(&mut self, id: EventId, mode: Mode) {
-        match &mut self.event_mut(id).kind {
+        let (kind, t, i) = self.kind_mut(id);
+        match kind {
             EventKind::Read { mode: m, .. }
             | EventKind::Write { mode: m, .. }
             | EventKind::Fence { mode: m } => *m = mode,
             k => panic!("{id} carries no mode: {k}"),
         }
+        self.rehash(t, i);
     }
 
     /// The reads-from source of a read event.
@@ -303,8 +439,10 @@ impl ExecutionGraph {
     /// Iterate over all regular events with their ids, by thread then
     /// program order.
     pub fn events(&self) -> impl Iterator<Item = (EventId, &Event)> + '_ {
-        self.threads.iter().enumerate().flat_map(|(t, evs)| {
-            evs.iter()
+        self.threads.iter().enumerate().flat_map(|(t, track)| {
+            track
+                .events
+                .iter()
                 .enumerate()
                 .map(move |(i, e)| (EventId::new(t as ThreadId, i as u32), e))
         })
@@ -370,7 +508,7 @@ impl ExecutionGraph {
 
     /// The restriction of the graph to the first `lens[t]` events of every
     /// thread `t` (the lengths of a `porf`-prefix, as from
-    /// [`PorfClocks::join`]); the modification orders keep their kept
+    /// [`ExecutionGraph::porf_join`]); the modification orders keep their kept
     /// writes in order. The kept part must be closed under `rf`
     /// predecessors, so no kept read loses its source.
     ///
@@ -382,16 +520,24 @@ impl ExecutionGraph {
             EventId::Init(_) => true,
             EventId::Event { thread, index } => index < lens[thread as usize],
         };
+        let nt = self.threads.len();
         let threads = self
             .threads
             .iter()
             .zip(lens)
-            .map(|(evs, &len)| {
-                // A fully-surviving thread shares the parent's storage.
-                if len as usize >= evs.len() {
-                    Arc::clone(evs)
+            .map(|(track, &len)| {
+                let len = len as usize;
+                // A fully-surviving thread shares the parent's storage. The
+                // kept part is porf-closed, so its clocks stay exact, and
+                // hash states are per-thread prefixes.
+                if len >= track.events.len() {
+                    Arc::clone(track)
                 } else {
-                    Arc::new(evs[..len as usize].to_vec())
+                    Arc::new(Track {
+                        events: track.events[..len].to_vec(),
+                        hashes: track.hashes[..len].to_vec(),
+                        clocks: track.clocks[..len * nt].to_vec(),
+                    })
                 }
             })
             .collect();
@@ -401,7 +547,10 @@ impl ExecutionGraph {
             .map(|(&loc, ws)| (loc, ws.iter().copied().filter(|&w| kept(w)).collect::<Vec<_>>()))
             .filter(|(_, ws)| !ws.is_empty())
             .collect();
-        let g = ExecutionGraph { threads, mo, init: self.init.clone(), next_ts: self.next_ts };
+        let mut g = ExecutionGraph { threads, mo, ..self.clone_shell() };
+        if g.dangling > 0 {
+            g.dangling = g.reads().filter(|&(r, _, rf)| g.dangles(r, rf)).count() as u32;
+        }
         #[cfg(debug_assertions)]
         for (id, _, rf) in g.reads() {
             if let RfSource::Write(w) = rf {
@@ -434,15 +583,11 @@ impl ExecutionGraph {
                 EventId::Event { thread: perm[thread as usize], index }
             }
         };
-        // Placeholder Arcs; every slot is overwritten below (sharing the
-        // placeholder between slots until then is fine — clippy's
-        // rc_clone_in_vec_init lint wants that made explicit).
-        let placeholder: Arc<Vec<Event>> = Arc::new(Vec::new());
-        let mut threads: Vec<Arc<Vec<Event>>> =
-            (0..self.threads.len()).map(|_| Arc::clone(&placeholder)).collect();
-        let mut placed = vec![false; self.threads.len()];
-        for (t, evs) in self.threads.iter().enumerate() {
-            let mapped: Vec<Event> = evs
+        let nt = self.threads.len();
+        let mut threads: Vec<Option<Arc<Track>>> = vec![None; nt];
+        for (t, track) in self.threads.iter().enumerate() {
+            let events: Vec<Event> = track
+                .events
                 .iter()
                 .map(|ev| {
                     let kind = match &ev.kind {
@@ -461,17 +606,32 @@ impl ExecutionGraph {
                     Event { kind, ts: ev.ts }
                 })
                 .collect();
-            let slot = perm[t] as usize;
-            assert!(!placed[slot], "perm maps two threads to label {slot}");
-            placed[slot] = true;
-            threads[slot] = Arc::new(mapped);
+            // Hash states embed relabeled sources: re-absorb. Clock rows
+            // move their entries to the new labels.
+            let hashes = events
+                .iter()
+                .scan(Lanes::SEED, |s, ev| {
+                    *s = s.event(&ev.kind, None);
+                    Some(*s)
+                })
+                .collect();
+            let mut clocks = vec![0; track.clocks.len()];
+            for (new, old) in clocks.chunks_mut(nt).zip(track.clocks.chunks(nt)) {
+                for (u, &c) in old.iter().enumerate() {
+                    new[perm[u] as usize] = c;
+                }
+            }
+            let slot = &mut threads[perm[t] as usize];
+            assert!(slot.is_none(), "perm maps two threads to label {}", perm[t]);
+            *slot = Some(Arc::new(Track { events, hashes, clocks }));
         }
         let mo = self
             .mo
             .iter()
             .map(|(&loc, ws)| (loc, ws.iter().map(|&w| map_id(w)).collect()))
             .collect();
-        ExecutionGraph { threads, mo, init: self.init.clone(), next_ts: self.next_ts }
+        let threads = threads.into_iter().map(|t| t.expect("perm is a permutation")).collect();
+        ExecutionGraph { threads, mo, ..self.clone_shell() }
     }
 
     /// Pretty multi-line rendering used in counterexample reports.
@@ -481,9 +641,9 @@ impl ExecutionGraph {
         for (&loc, &val) in self.init.iter() {
             let _ = writeln!(out, "  Winit({loc:#x}) = {val}");
         }
-        for (t, evs) in self.threads.iter().enumerate() {
+        for (t, track) in self.threads.iter().enumerate() {
             let _ = writeln!(out, "  thread T{t}:");
-            for (i, ev) in evs.iter().enumerate() {
+            for (i, ev) in track.events.iter().enumerate() {
                 let _ = writeln!(out, "    [{i:>3}] {}", ev.kind);
             }
         }
@@ -495,141 +655,182 @@ impl ExecutionGraph {
     }
 }
 
-/// The `porf` clocks of a graph's events: entry `u` of event `e`'s clock
-/// is how many events of thread `u` lie in `porf-prefix(e)` — everything
-/// reachable backwards from `e` through program order and reads-from
-/// edges, `e` included. The prefix is po-prefix-closed, so those counts
-/// describe it exactly, and the prefix of a set of events is the
-/// pointwise maximum of their clocks ([`PorfClocks::join`]).
-///
-/// [`PorfClocks::compute`] derives every clock in one pass over a
-/// `po ∪ rf` topological order (`O(events × threads)`); the revisit engine
-/// computes them once per write step instead of searching a prefix per
-/// mo placement and revisited read.
-#[derive(Debug, Clone, Default)]
-pub struct PorfClocks {
-    nt: usize,
-    /// First row of each thread, plus the total as a last entry.
-    base: Vec<usize>,
-    /// One row of `nt` entries per event, thread by thread.
-    rows: Vec<u32>,
-    /// Per thread: how many of its events have their row settled.
-    done: Vec<usize>,
-}
-
-impl PorfClocks {
-    /// The clocks of `g`'s events.
-    pub fn new(g: &ExecutionGraph) -> Self {
-        let mut c = PorfClocks::default();
-        c.compute(g);
-        c
-    }
-
-    /// Recompute for `g`, reusing the buffers.
-    pub fn compute(&mut self, g: &ExecutionGraph) {
-        let nt = g.num_threads();
-        self.nt = nt;
-        self.base.clear();
-        let mut n = 0;
-        for t in 0..nt {
-            self.base.push(n);
-            n += g.thread_len(t as ThreadId);
-        }
-        self.base.push(n);
-        self.rows.clear();
-        self.rows.resize(n * nt, 0);
-        self.done.clear();
-        self.done.resize(nt, 0);
-        // An event is ready once its po-predecessor and (for reads) its
-        // source are settled. Running dry first means a po ∪ rf cycle,
-        // which no consistent graph has; sweeping to the fixpoint then
-        // still yields reachability.
-        loop {
-            let (mut progress, mut all) = (false, true);
-            for t in 0..nt {
-                let evs = g.thread_events(t as ThreadId);
-                while let Some(ev) = evs.get(self.done[t]) {
-                    if let Some((u, j)) = rf_event(ev) {
-                        if self.done[u] <= j {
-                            break;
-                        }
-                    }
-                    self.settle(g, t, self.done[t]);
-                    self.done[t] += 1;
-                    progress = true;
-                }
-                all &= self.done[t] == evs.len();
-            }
-            if all {
-                return;
-            }
-            if !progress {
-                break;
-            }
-        }
-        while (0..nt)
-            .flat_map(|t| (0..g.thread_len(t as ThreadId)).map(move |i| (t, i)))
-            .fold(false, |changed, (t, i)| self.settle(g, t, i) | changed)
-        {}
-    }
-
-    /// Raise event `(t, i)`'s row to the join of its po-predecessor's and
-    /// its source's rows plus itself; `true` if it changed.
-    fn settle(&mut self, g: &ExecutionGraph, t: usize, i: usize) -> bool {
-        let nt = self.nt;
-        let at = (self.base[t] + i) * nt;
-        let src =
-            rf_event(&g.thread_events(t as ThreadId)[i]).map(|(u, j)| (self.base[u] + j) * nt);
-        let mut changed = false;
-        for u in 0..nt {
-            let mut v = if u == t { i as u32 + 1 } else { 0 };
-            if i > 0 {
-                v = v.max(self.rows[at - nt + u]);
-            }
-            if let Some(s) = src {
-                v = v.max(self.rows[s + u]);
-            }
-            if v > self.rows[at + u] {
-                self.rows[at + u] = v;
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    /// The clock of a regular event.
+// The per-event indexes (module docs): their lookups and their upkeep.
+impl ExecutionGraph {
+    /// The porf clock of a regular event: entry `u` is how many events of
+    /// thread `u` lie in `porf-prefix(e)` — everything reachable backwards
+    /// from `e` through program order and reads-from edges, `e` included.
+    /// The prefix is po-prefix-closed, so those counts describe it
+    /// exactly, and the prefix of a set of events is the pointwise maximum
+    /// of their clocks ([`ExecutionGraph::porf_join`]).
+    ///
+    /// The graph keeps every clock current as the join of the event's
+    /// po-predecessor's clock and its source's (module docs), so this is a
+    /// lookup; the revisit engine joins two per W-step target instead of
+    /// searching a prefix per mo placement and revisited read.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is an init event or not an event of the graph the
-    /// clocks were computed for.
-    pub fn of(&self, id: EventId) -> &[u32] {
+    /// Panics if `id` is an init event or not an event of the graph.
+    pub fn porf_clock(&self, id: EventId) -> &[u32] {
         let EventId::Event { thread, index } = id else { panic!("init events have no porf clock") };
-        let at = self.base[thread as usize] + index as usize;
-        assert!(at < self.base[thread as usize + 1], "{id} is not an event of the graph");
-        &self.rows[at * self.nt..(at + 1) * self.nt]
+        let track = &self.threads[thread as usize];
+        assert!((index as usize) < track.events.len(), "{id} is not an event of the graph");
+        track.clock(index as usize, self.threads.len())
     }
 
     /// The per-thread lengths of the `porf`-prefix of a set of events:
     /// the join of their clocks (init events contribute nothing).
-    pub fn join(&self, seeds: impl IntoIterator<Item = EventId>) -> Vec<u32> {
-        let mut lens = vec![0; self.nt];
+    pub fn porf_join(&self, seeds: impl IntoIterator<Item = EventId>) -> Vec<u32> {
+        let mut lens = vec![0; self.threads.len()];
         for id in seeds.into_iter().filter(|id| !id.is_init()) {
-            for (l, &c) in lens.iter_mut().zip(self.of(id)) {
-                *l = (*l).max(c);
-            }
+            join(&mut lens, self.porf_clock(id));
         }
         lens
     }
-}
 
-/// The regular event an event reads from, as `(thread, index)`.
-fn rf_event(ev: &Event) -> Option<(usize, usize)> {
-    match ev.kind {
-        EventKind::Read { rf: RfSource::Write(EventId::Event { thread, index }), .. } => {
-            Some((thread as usize, index as usize))
+    /// Thread `t`'s hash state after its first `cut` events.
+    pub(crate) fn thread_hash(&self, t: ThreadId, cut: usize) -> Lanes {
+        cut.checked_sub(1).map_or(Lanes::SEED, |i| self.threads[t as usize].hashes[i])
+    }
+
+    /// The digest of the init table.
+    pub(crate) fn init_digest(&self) -> u128 {
+        self.init_digest
+    }
+
+    /// Everything but threads and mo, for a derived graph.
+    fn clone_shell(&self) -> ExecutionGraph {
+        ExecutionGraph {
+            threads: Vec::new(),
+            mo: BTreeMap::new(),
+            init: Arc::clone(&self.init),
+            init_digest: self.init_digest,
+            next_ts: self.next_ts,
+            dangling: self.dangling,
         }
-        _ => None,
+    }
+
+    /// Whether `id` is a regular event of the graph.
+    fn contains(&self, id: EventId) -> bool {
+        match id {
+            EventId::Init(_) => false,
+            EventId::Event { thread, index } => (index as usize) < self.thread_len(thread),
+        }
+    }
+
+    /// The regular event `read` takes its value from, if the graph has it
+    /// (a read naming itself has none).
+    fn source(&self, read: EventId, rf: RfSource) -> Option<EventId> {
+        match rf {
+            RfSource::Write(w) if w != read && self.contains(w) => Some(w),
+            _ => None,
+        }
+    }
+
+    /// Whether `read`'s source `rf` names another regular event that the
+    /// graph lacks.
+    fn dangles(&self, read: EventId, rf: RfSource) -> bool {
+        matches!(rf, RfSource::Write(w @ EventId::Event { .. }) if w != read && !self.contains(w))
+    }
+
+    /// Re-absorb thread `t`'s hash states from event `i` on.
+    fn rehash(&mut self, t: usize, i: usize) {
+        let track = Arc::make_mut(&mut self.threads[t]);
+        let mut s = i.checked_sub(1).map_or(Lanes::SEED, |p| track.hashes[p]);
+        for (ev, h) in track.events[i..].iter().zip(&mut track.hashes[i..]) {
+            s = s.event(&ev.kind, None);
+            *h = s;
+        }
+    }
+
+    /// Set event `(t, i)`'s clock to the join of its own position, its
+    /// po-predecessor's clock and its source's (a source the graph lacks
+    /// contributes nothing) — joined into the current clock unless
+    /// `reset`. `true` if the clock changed.
+    fn settle(&mut self, t: usize, i: usize, reset: bool) -> bool {
+        let nt = self.threads.len();
+        let id = EventId::new(t as ThreadId, i as u32);
+        let src = match self.threads[t].events[i].kind {
+            EventKind::Read { rf, .. } => match self.source(id, rf) {
+                Some(EventId::Event { thread, index }) => Some((thread as usize, index as usize)),
+                _ => None,
+            },
+            _ => None,
+        };
+        let at = i * nt;
+        let raise = |row: &mut [u32], pred: Option<&[u32]>, src: Option<&[u32]>| {
+            let mut changed = false;
+            for (u, slot) in row.iter_mut().enumerate() {
+                let mut v = if u == t { i as u32 + 1 } else { 0 };
+                if !reset {
+                    v = v.max(*slot);
+                }
+                v = v.max(pred.map_or(0, |p| p[u])).max(src.map_or(0, |s| s[u]));
+                changed |= v != *slot;
+                *slot = v;
+            }
+            changed
+        };
+        match src {
+            Some((u, j)) if u != t => {
+                let [dst, from] =
+                    self.threads.get_disjoint_mut([t, u]).expect("source on another thread");
+                let from = from.clock(j, nt);
+                let (before, row) = Arc::make_mut(dst).clocks.split_at_mut(at);
+                raise(&mut row[..nt], (i > 0).then(|| &before[at - nt..]), Some(from))
+            }
+            _ => {
+                let clocks = &mut Arc::make_mut(&mut self.threads[t]).clocks;
+                let (before, rest) = clocks.split_at_mut(at);
+                let (row, after) = rest.split_at_mut(nt);
+                // A source on the same thread is po-before the event, or —
+                // on a po ∪ rf cycle — after it.
+                let src = src.map(|(_, j)| match j.checked_sub(i + 1) {
+                    None => &before[j * nt..(j + 1) * nt],
+                    Some(k) => &after[k * nt..(k + 1) * nt],
+                });
+                raise(row, (i > 0).then(|| &before[at - nt..]), src)
+            }
+        }
+    }
+
+    /// Bring the clocks up to date after read `(t, i)`'s source changed
+    /// or appeared. Only the read and the events whose porf-prefix holds
+    /// it can move. The engine only re-points a thread's last read, which
+    /// no other event's prefix holds: one `settle`. Otherwise those events
+    /// restart from their own positions and are raised until stable — on
+    /// a po ∪ rf cycle, to reachability.
+    fn reclock(&mut self, t: usize, i: usize) {
+        if i + 1 == self.threads[t].events.len() {
+            self.settle(t, i, true);
+            return;
+        }
+        let nt = self.threads.len();
+        let affected: Vec<(usize, usize)> = (0..nt)
+            .flat_map(|u| (0..self.threads[u].events.len()).map(move |j| (u, j)))
+            .filter(|&(u, j)| self.threads[u].clock(j, nt)[t] > i as u32)
+            .collect();
+        for &(u, j) in &affected {
+            let row = &mut Arc::make_mut(&mut self.threads[u]).clocks[j * nt..(j + 1) * nt];
+            row.fill(0);
+            row[u] = j as u32 + 1;
+        }
+        while affected.iter().fold(false, |changed, &(u, j)| self.settle(u, j, false) | changed) {}
+    }
+
+    /// `id` was just pushed: re-clock the dangling reads that name it.
+    fn complete_dangling(&mut self, id: EventId) {
+        let readers: Vec<EventId> = self
+            .reads()
+            .filter(|&(r, _, rf)| r != id && rf == RfSource::Write(id))
+            .map(|(r, _, _)| r)
+            .collect();
+        for r in readers {
+            self.dangling -= 1;
+            let EventId::Event { thread, index } = r else { unreachable!("reads are regular") };
+            self.reclock(thread as usize, index as usize);
+        }
     }
 }
 
@@ -715,26 +916,30 @@ mod tests {
         let w1 = g.push_event(0, write_kind(0x20, 1)); // T0.1
         g.insert_mo(0x20, w1, 0);
         let r = g.push_event(1, read_kind(0x20, RfSource::Write(w1))); // T1.0
-        let c = PorfClocks::new(&g);
         // r's prefix: r itself, w1 (rf), w0 (po before w1).
-        assert_eq!(c.of(r), &[2, 1]);
+        assert_eq!(g.porf_clock(r), &[2, 1]);
         // w0's prefix is just w0.
-        assert_eq!(c.of(w0), &[1, 0]);
-        assert_eq!(c.join([w0, r, EventId::Init(0x10)]), vec![2, 1]);
-        assert_eq!(c.join([]), vec![0, 0]);
+        assert_eq!(g.porf_clock(w0), &[1, 0]);
+        assert_eq!(g.porf_join([w0, r, EventId::Init(0x10)]), vec![2, 1]);
+        assert_eq!(g.porf_join([]), vec![0, 0]);
     }
 
     #[test]
     fn porf_clocks_of_a_cycle_are_reachability() {
-        // LB's po ∪ rf cycle: each read's prefix is everything.
+        // LB's po ∪ rf cycle: each read's prefix is everything. T0's read
+        // names T1's write before it exists; pushing the write completes it.
         let mut g = ExecutionGraph::new(2, BTreeMap::new());
         g.push_event(0, read_kind(0x10, RfSource::Write(EventId::new(1, 1))));
         g.push_event(0, write_kind(0x20, 1));
         g.push_event(1, read_kind(0x20, RfSource::Write(EventId::new(0, 1))));
+        assert_eq!(g.porf_clock(EventId::new(0, 0)), &[1, 0], "a missing source adds nothing");
         g.push_event(1, write_kind(0x10, 1));
-        let c = PorfClocks::new(&g);
-        assert_eq!(c.of(EventId::new(0, 0)), &[2, 2]);
-        assert_eq!(c.of(EventId::new(1, 0)), &[2, 2]);
+        assert_eq!(g.porf_clock(EventId::new(0, 0)), &[2, 2]);
+        assert_eq!(g.porf_clock(EventId::new(1, 0)), &[2, 2]);
+        // Cutting the cycle open lowers every clock on it again.
+        g.set_rf(EventId::new(0, 0), RfSource::Write(EventId::Init(0x10)));
+        assert_eq!(g.porf_clock(EventId::new(0, 0)), &[1, 0]);
+        assert_eq!(g.porf_clock(EventId::new(1, 1)), &[2, 2]);
     }
 
     #[test]

@@ -51,5 +51,5 @@ pub use encode::{
     Canonicalizer, GraphView,
 };
 pub use event::{Event, EventId, EventKind, Loc, Mode, RfSource, ThreadId, Value};
-pub use graph::{ExecutionGraph, PorfClocks};
+pub use graph::ExecutionGraph;
 pub use symmetry::{ThreadPartition, MAX_SYMMETRY_PERMUTATIONS};

@@ -23,7 +23,11 @@ const SLOT_MASK: u64 = 3;
 /// the releaser opens the next one.
 #[derive(Debug, Clone, Copy)]
 pub struct ArrayLock {
-    /// Mode of the ticket-drawing fetch-add.
+    /// Mode of the ticket-drawing fetch-add. `acq_rel` by default: with
+    /// three threads and two rounds a slot is reused, and a relaxed draw
+    /// lets the reusing holder's critical section overlap the previous
+    /// one (`vsync optimize arraylock --threads 3 --acquires 2` keeps it
+    /// at `acq_rel`).
     pub fai_mode: Mode,
     /// Mode of the slot-polling read.
     pub await_mode: Mode,
@@ -33,7 +37,7 @@ pub struct ArrayLock {
 
 impl Default for ArrayLock {
     fn default() -> Self {
-        ArrayLock { fai_mode: Mode::Rlx, await_mode: Mode::Acq, release_mode: Mode::Rel }
+        ArrayLock { fai_mode: Mode::AcqRel, await_mode: Mode::Acq, release_mode: Mode::Rel }
     }
 }
 
@@ -267,6 +271,20 @@ mod tests {
     fn array_lock_two_rounds_wraps_slots() {
         let v = verify(&mutex_client(&ArrayLock::default(), 2, 2), &vmm());
         assert!(v.is_verified(), "{v}");
+    }
+
+    /// Three threads drawing two tickets each reuse a slot; with a relaxed
+    /// ticket draw the final counter could read 5.
+    #[test]
+    fn array_lock_three_threads_two_rounds() {
+        for model in [ModelKind::Sc, ModelKind::Tso, ModelKind::Vmm] {
+            let v =
+                verify(&mutex_client(&ArrayLock::default(), 3, 2), &AmcConfig::with_model(model));
+            assert!(v.is_verified(), "{model:?}: {v}");
+        }
+        let relaxed = ArrayLock { fai_mode: Mode::Rlx, ..ArrayLock::default() };
+        let v = verify(&mutex_client(&relaxed, 3, 2), &vmm());
+        assert!(matches!(v, Verdict::Safety(_)), "{v}");
     }
 
     #[test]

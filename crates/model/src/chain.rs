@@ -878,7 +878,7 @@ mod tests {
     use crate::order::{OrderChecker, SC, TSO};
     use crate::{Sc, Tso, Vmm};
     use std::collections::BTreeMap;
-    use vsync_graph::{Mode, PorfClocks};
+    use vsync_graph::Mode;
 
     /// xorshift64*: small, seedable, good enough to drive a generator.
     struct Rng(u64);
@@ -1119,7 +1119,7 @@ mod tests {
         let name = sub.model.name();
         let threads = g.num_threads();
         let seeds: Vec<EventId> = g.events().map(|(id, _)| id).filter(|_| rng.chance(25)).collect();
-        let lens = PorfClocks::new(g).join(seeds);
+        let lens = g.porf_join(seeds);
         let mut h = g.restrict(&lens);
         let mut fork = (sub.fresh)();
         fork.adopt(&ck.fork(&lens));
@@ -1257,15 +1257,14 @@ mod tests {
                 what(g, format!("placement {pos}"))
             );
             tally.placements += 1;
-            let clocks = PorfClocks::new(g);
             for (r, rf) in g.reads_of(loc) {
                 let EventId::Event { thread, index } = r else { unreachable!() };
-                if clocks.of(wid)[thread as usize] > index {
+                if g.porf_clock(wid)[thread as usize] > index {
                     continue; // in the write's porf-prefix: not revisitable
                 }
                 let mut child = match rf {
                     RfSource::Bottom => g.clone(),
-                    RfSource::Write(_) => g.restrict(&clocks.join([wid, r])),
+                    RfSource::Write(_) => g.restrict(&g.porf_join([wid, r])),
                 };
                 child.set_rf(r, RfSource::Write(wid));
                 assert!(

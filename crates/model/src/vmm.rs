@@ -3,11 +3,10 @@
 //!
 //! IMM (Podkopaev et al., POPL'19) tracks syntactic dependencies to permit
 //! some load-buffering behaviours; RC11 (Lahav et al., PLDI'17) instead
-//! forbids all `po ∪ rf` cycles. For synchronization primitives the two
-//! models agree on everything this reproduction exercises: coherence,
-//! release/acquire synchronization (including fences and release
-//! sequences), RMW atomicity and the SC axioms. `Vmm` is the RC11-style
-//! member of that family; DESIGN.md §5 documents the substitution.
+//! forbids all `po ∪ rf` cycles, and so does `Vmm`. It therefore admits
+//! none of the load buffering IMM allows: a `verified` under `Vmm` never
+//! checked those executions. DESIGN.md §5 documents the substitution and
+//! `corpus/lb_handoff.litmus` records the lock hand-off shape at risk.
 //!
 //! [`MemoryModel::is_consistent`] is a [`ChainChecker::reset`] on a fresh
 //! vector-clock [`VmmChecker`] — the same code the explorer steps along its

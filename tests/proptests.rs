@@ -8,11 +8,14 @@
 //! use a deterministic SplitMix64-driven generator; every case is
 //! reproducible from the printed seed.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use vsync::core::{explore, AmcConfig, Verdict};
-use vsync::graph::{canonical_bytes, content_hash, EventId, ExecutionGraph, Mode};
+use vsync::graph::{
+    canonical_bytes, content_hash, Canonicalizer, EventId, ExecutionGraph, GraphView, Mode,
+};
 use vsync::lang::{Program, ProgramBuilder, Reg};
+use vsync::locks::registry;
 use vsync::model::ModelKind;
 
 const LOCS: [u64; 2] = [0x10, 0x20];
@@ -390,6 +393,35 @@ fn content_hash_no_observed_collisions() {
             }
         }
     });
+}
+
+/// The plain canonicalizer's view hash groups the executions the engine
+/// collects for every catalog lock at 2 threads, under SC, TSO and VMM,
+/// exactly as their canonical bytes do: equal bytes give equal hashes and
+/// equal hashes equal bytes.
+#[test]
+fn view_hash_groups_catalog_executions_as_their_bytes_do() {
+    let mut by_bytes: HashMap<Vec<u8>, u128> = HashMap::new();
+    let mut by_hash: HashMap<u128, Vec<u8>> = HashMap::new();
+    let mut plain = Canonicalizer::new(None);
+    let mut total = 0;
+    for entry in registry::catalog() {
+        let p = entry.client(2, 1);
+        for model in [ModelKind::Sc, ModelKind::Tso, ModelKind::Vmm] {
+            let r = explore(&p, &AmcConfig::with_model(model).collecting());
+            assert!(!r.executions.is_empty(), "{} {model:?}: no executions", entry.name);
+            for g in &r.executions {
+                let (h, _) = plain.hash_view(&GraphView::full(g));
+                let bytes = canonical_bytes(g);
+                let name = format!("{} {model:?}", entry.name);
+                assert_eq!(*by_bytes.entry(bytes.clone()).or_insert(h), h, "{name}: equal bytes");
+                assert_eq!(*by_hash.entry(h).or_insert_with(|| bytes.clone()), bytes, "{name}");
+                total += 1;
+            }
+        }
+    }
+    assert_eq!(by_hash.len(), by_bytes.len());
+    assert!(by_hash.len() < total, "some execution recurs across locks or models");
 }
 
 /// DSL round-trip support: a richer generator than [`random_threads`]
