@@ -78,8 +78,6 @@ pub struct CorpusOptions {
     pub cancel: CancelToken,
     /// Approximate per-exploration heap budget in bytes (0 = unlimited).
     pub max_memory_bytes: u64,
-    /// Per-exploration dedup-table entry cap (0 = unlimited).
-    pub max_dedup_entries: u64,
     /// Telemetry sink forwarded to every session (CLI `--trace`,
     /// `--progress`). One [`run_corpus`] run shares a single event bus —
     /// one sequence counter, clock and session numbering — across all
@@ -438,7 +436,6 @@ fn check_test_with_bus(
         .workers(opts.workers.max(1))
         .symmetry(!opts.no_symmetry)
         .max_memory_bytes(opts.max_memory_bytes)
-        .max_dedup_entries(opts.max_dedup_entries)
         .profile(opts.profile)
         .with_cancel(opts.cancel.clone());
     if let Some(bus) = bus {

@@ -52,12 +52,13 @@
 //! `symmetry_pruned`), and the item admitted for an orbit is normalized to
 //! the orbit's canonical representative so successor generation stays a
 //! function of the orbit. Hash and representative both come from each
-//! worker's [`Canonicalizer`] — the one graph encoder, which the oracle
-//! below and `canonical_hash_modulo` run too. Soundness: DESIGN.md §8.
+//! worker's [`Canonicalizer`] — the one graph encoder, which
+//! `canonical_hash_modulo` runs too. Soundness: DESIGN.md §8.
 //!
-//! The differential oracle [`crate::reference::explore`] (sequential
-//! enumerate-and-dedup) imports nothing from this module's driver
-//! infrastructure, so the two searches cross-check each other.
+//! This is the only search. Its oracles share none of its rules: the
+//! test-support enumerator and the published litmus verdicts, and
+//! self-comparisons across symmetry settings and worker counts
+//! (DESIGN.md §12 "The oracles").
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -388,28 +389,24 @@ const DEDUP_ENTRY_BYTES: u64 = 48;
 /// Shared accounting for a run's [`ResourceBudget`]: live frontier bytes
 /// (graph and inherited checker state of every item on a worker's stack or
 /// in the pool, charged on push, released when it is popped or abandoned)
-/// plus monotone dedup-set bytes and entry counts.
+/// plus monotone seen-set bytes.
 /// Byte accounting is skipped entirely when no memory ceiling is set, so
 /// unlimited runs never call [`WorkItem::approx_heap_bytes`].
 struct BudgetTracker {
     max_bytes: u64,
-    max_entries: u64,
     bytes: AtomicU64,
-    entries: AtomicU64,
-    /// Synthetic exhaustion injected by a failpoint (`0` none, `1`
-    /// memory, `2` dedup) — lets the fault harness exercise the
-    /// degradation path deterministically without tuning real budgets.
-    forced: AtomicUsize,
+    /// Synthetic memory exhaustion injected by a failpoint — lets the
+    /// fault harness exercise the degradation path deterministically
+    /// without tuning real budgets.
+    forced: AtomicBool,
 }
 
 impl BudgetTracker {
     fn new(b: &ResourceBudget) -> Self {
         BudgetTracker {
             max_bytes: b.max_memory_bytes,
-            max_entries: b.max_dedup_entries,
             bytes: AtomicU64::new(0),
-            entries: AtomicU64::new(0),
-            forced: AtomicUsize::new(0),
+            forced: AtomicBool::new(false),
         }
     }
 
@@ -438,33 +435,16 @@ impl BudgetTracker {
         if self.max_bytes != 0 {
             self.bytes.fetch_add(DEDUP_ENTRY_BYTES, Ordering::Relaxed);
         }
-        if self.max_entries != 0 {
-            self.entries.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Record a synthetic allocation failure (failpoint `oom` action).
-    fn force(&self, reason: StopReason) {
-        let code = match reason {
-            StopReason::DedupBudget => 2,
-            _ => 1,
-        };
-        self.forced.store(code, Ordering::Relaxed);
+    fn force(&self) {
+        self.forced.store(true, Ordering::Relaxed);
     }
 
     fn exceeded(&self) -> Option<StopReason> {
-        match self.forced.load(Ordering::Relaxed) {
-            1 => return Some(StopReason::MemoryBudget),
-            2 => return Some(StopReason::DedupBudget),
-            _ => {}
-        }
-        if self.max_entries != 0 && self.entries.load(Ordering::Relaxed) > self.max_entries {
-            return Some(StopReason::DedupBudget);
-        }
-        if self.max_bytes != 0 && self.bytes.load(Ordering::Relaxed) > self.max_bytes {
-            return Some(StopReason::MemoryBudget);
-        }
-        None
+        let over = self.max_bytes != 0 && self.bytes.load(Ordering::Relaxed) > self.max_bytes;
+        (over || self.forced.load(Ordering::Relaxed)).then_some(StopReason::MemoryBudget)
     }
 }
 
@@ -579,7 +559,7 @@ impl Worker<'_> {
     #[inline]
     pub(crate) fn failpoint(&self, site: &'static str) {
         if failpoint::hit(site).is_oom() {
-            self.shared.budget.force(StopReason::MemoryBudget);
+            self.shared.budget.force();
         }
     }
 
@@ -1081,7 +1061,7 @@ mod tests {
         let p = pb.build().unwrap();
         assert!(verify(&p, &cfg(ModelKind::Vmm)).is_verified());
         // The two interleavings are thread-relabelings of each other: one
-        // orbit under symmetry, two with the naive reference oracle.
+        // orbit under symmetry, two without it.
         assert_eq!(count_executions(&p, &cfg(ModelKind::Vmm)), 1, "one orbit");
         assert_eq!(
             count_executions(&p, &cfg(ModelKind::Vmm).without_symmetry()),
@@ -1386,7 +1366,7 @@ mod tests {
         assert!(state > 0);
         assert_eq!(vmm.approx_heap_bytes(), bare + state);
 
-        let limit = ResourceBudget { max_memory_bytes: bare as u64, max_dedup_entries: 0 };
+        let limit = ResourceBudget { max_memory_bytes: bare as u64 };
         let budget = BudgetTracker::new(&limit);
         budget.charge(&vmm);
         assert_eq!(budget.exceeded(), Some(StopReason::MemoryBudget), "the state tips it over");
@@ -1398,18 +1378,20 @@ mod tests {
         assert_eq!(budget.exceeded(), None);
     }
 
+    /// The memory budget bounds the seen-sets on its own: with nothing on
+    /// the frontier, `N` entries fit in `N` entries' worth of bytes and
+    /// one more trips it.
     #[test]
-    fn dedup_budget_degrades_to_inconclusive() {
-        for workers in [1usize, 2, 8] {
-            let c = cfg(ModelKind::Vmm).with_workers(workers).with_max_dedup_entries(2);
-            let r = explore(&sb_program(), &c);
-            let Verdict::Inconclusive(i) = r.verdict else {
-                panic!("workers={workers}: expected inconclusive, got {}", r.verdict)
-            };
-            assert_eq!(i.reason, StopReason::DedupBudget, "workers={workers}");
+    fn seen_set_entries_are_charged_to_the_memory_budget() {
+        const N: u64 = 5;
+        let budget =
+            BudgetTracker::new(&ResourceBudget { max_memory_bytes: N * DEDUP_ENTRY_BYTES });
+        for _ in 0..N {
+            budget.note_dedup_entry();
         }
-        let c = cfg(ModelKind::Vmm).with_max_dedup_entries(1_000_000);
-        assert!(explore(&sb_program(), &c).is_verified());
+        assert_eq!(budget.exceeded(), None);
+        budget.note_dedup_entry();
+        assert_eq!(budget.exceeded(), Some(StopReason::MemoryBudget));
     }
 
     /// The paper's Fig. 3 TTAS lock with 2 threads, one acquisition each.

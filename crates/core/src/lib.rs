@@ -37,7 +37,6 @@ mod corpus;
 mod explorer;
 pub mod failpoint;
 mod optimize;
-pub mod reference;
 mod revisit;
 mod session;
 mod stagnancy;

@@ -55,16 +55,13 @@
 //! program's symmetry partition ([`Canonicalizer`]), and first arrivals
 //! are normalized to their orbit representative — so verdicts,
 //! `complete_executions` (orbit counts) and counterexample messages are
-//! identical across worker counts, and equal to what the independent
-//! enumerate-and-dedup oracle [`crate::reference::explore`] reports
-//! (candidates are scanned in that oracle's push order, so the in-place
-//! continuation is the child its LIFO stack would pop next). The oracle
-//! canonicalizes with the same [`Canonicalizer`], so the two searches
-//! also agree on *which* graph represents each orbit.
+//! identical across worker counts, verdicts and messages also across
+//! symmetry settings, and each collected execution is its own orbit's
+//! canonical form.
 //!
-//! [`ExploreStats::constructed`] counts one graph per *admitted* item
-//! where the oracle constructs one per push — on qspinlock-3t an order of
-//! magnitude fewer (DESIGN.md §12).
+//! [`ExploreStats::constructed`] counts one graph per *admitted* item,
+//! not one per candidate: on qspinlock-3t 11,558 graphs for 61,948 chain
+//! steps (DESIGN.md §12).
 //!
 //! [`ExploreStats::constructed`]: crate::verdict::ExploreStats::constructed
 //! [`Canonicalizer`]: vsync_graph::Canonicalizer
@@ -229,7 +226,7 @@ impl Engine<'_> {
         if permuted {
             // First arrival of its orbit in non-canonical form: normalize
             // so counterexamples and collected executions are the orbit
-            // representatives the reference oracle reports.
+            // representatives, whichever twin arrived first.
             let perm = w.enc.chosen_perm().expect("permuted hash implies a chosen relabeling");
             g = g.permute_threads(perm);
             // The interpreter followed the chain, not its relabeling.
@@ -313,12 +310,13 @@ impl Engine<'_> {
         prev_rf: Option<RfSource>,
         w: &mut Worker<'_>,
     ) -> bool {
-        // Candidates in the reference oracle's push order (`⊥` last), so
-        // the in-place continuation — the last viable candidate — is the
-        // child the LIFO driver would pop first. Each event carries its
-        // exact derived flags (from the candidate source's value), so the
-        // speculative check below equals the one the reference oracle
-        // runs after replaying the materialized child.
+        // Candidates in mo order from the floor, `⊥` last. The order fixes
+        // the in-place continuation — the last viable candidate — and so
+        // which children are admitted and which twin of an orbit arrives
+        // first: every CI-pinned counter depends on it. Each event carries
+        // its exact derived flags (from the candidate source's value), so
+        // the speculative check below equals the check of the replayed,
+        // materialized child.
         let event = |g: &ExecutionGraph, rf: RfSource| EventKind::Read {
             loc,
             mode,
@@ -498,9 +496,8 @@ impl Engine<'_> {
     /// Admit one candidate work item: hash its view, and only if its
     /// orbit was never admitted before, materialize it (normalized to the
     /// orbit representative) into `w.out`, with `w.ck` forked down to the
-    /// part of it the chain has recorded. This is where `constructed`
-    /// diverges from the reference oracle: duplicates cost a hash probe,
-    /// not a graph.
+    /// part of it the chain has recorded. This is what keeps
+    /// `constructed` low: duplicates cost a hash probe, not a graph.
     fn admit(
         &self,
         view: &GraphView<'_>,

@@ -246,9 +246,9 @@ impl Report {
     /// `verdict` is one of `"verified"`, `"safety"`, `"await_termination"`,
     /// `"fault"`, `"inconclusive"`, `"error"`; `stop_reason` is `null`
     /// unless the verdict is inconclusive, in which case it is one of
-    /// `"cancelled"`, `"deadline"`, `"max_graphs"`, `"memory_budget"`,
-    /// `"dedup_budget"`; `message` carries the failure, interrupt or
-    /// engine-error description (`null` when verified) and
+    /// `"cancelled"`, `"deadline"`, `"max_graphs"`, `"memory_budget"`;
+    /// `message` carries the failure, interrupt or engine-error
+    /// description (`null` when verified) and
     /// `counterexample` the rendered witness graph (`null` unless a
     /// violation was found).
     #[must_use]
@@ -597,14 +597,6 @@ impl Session {
     /// process.
     pub fn max_memory_bytes(mut self, bytes: u64) -> Session {
         self.config.budget.max_memory_bytes = bytes;
-        self
-    }
-
-    /// Hard cap on dedup-table entries per exploration (0 = unlimited);
-    /// exhaustion degrades the run to [`Verdict::Inconclusive`] with
-    /// [`crate::StopReason::DedupBudget`].
-    pub fn max_dedup_entries(mut self, entries: u64) -> Session {
-        self.config.budget.max_dedup_entries = entries;
         self
     }
 

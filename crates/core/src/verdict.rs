@@ -19,14 +19,12 @@ use vsync_model::{CheckerKind, ModelKind};
 pub struct ResourceBudget {
     /// Approximate heap ceiling in bytes for frontier + dedup (0 = unlimited).
     pub max_memory_bytes: u64,
-    /// Ceiling on dedup-set entries across all shards (0 = unlimited).
-    pub max_dedup_entries: u64,
 }
 
 impl ResourceBudget {
     /// Is any ceiling configured?
     pub fn is_limited(&self) -> bool {
-        self.max_memory_bytes != 0 || self.max_dedup_entries != 0
+        self.max_memory_bytes != 0
     }
 }
 
@@ -65,8 +63,8 @@ pub struct AmcConfig {
     /// Consistency-check implementation: the closure-free fast path
     /// (default) or the naive closure-based reference formulation.
     pub checker: CheckerKind,
-    /// Memory / dedup ceilings with graceful degradation (default:
-    /// unlimited).
+    /// Memory ceiling (frontier + seen-sets) with graceful degradation
+    /// (default: unlimited).
     pub budget: ResourceBudget,
 }
 
@@ -121,13 +119,6 @@ impl AmcConfig {
         self
     }
 
-    /// Builder-style: dedup-entry ceiling (0 = unlimited).
-    #[must_use = "builder methods return the modified config"]
-    pub fn with_max_dedup_entries(mut self, entries: u64) -> Self {
-        self.budget.max_dedup_entries = entries;
-        self
-    }
-
     /// Builder-style: disable thread-symmetry reduction (explore every
     /// relabeled twin distinctly — the reference oracle for orbit counts).
     #[must_use = "builder methods return the modified config"]
@@ -168,9 +159,8 @@ pub struct ExploreStats {
     /// Work items pushed.
     pub pushed: u64,
     /// Execution graphs materialized in memory (the initial graph plus
-    /// every cloned branch alternate / revisit child). The production
-    /// search keeps it close to the number of *distinct* consistent
-    /// graphs; under [`crate::reference::explore`] it is `pushed + 1`.
+    /// every cloned branch alternate / revisit child). In-place chain
+    /// extension keeps it well below `popped`.
     pub constructed: u64,
     /// Items skipped as duplicates (content hash already seen).
     pub duplicates: u64,
@@ -292,7 +282,7 @@ impl fmt::Display for Counterexample {
 
 /// Why a run stopped before the search space was exhausted. Unifies the
 /// external interruptions (cancellation, deadline) with the internal
-/// exploration caps (work-item cap, memory / dedup budgets): all of them
+/// exploration caps (work-item cap, memory budget): all of them
 /// produce [`Verdict::Inconclusive`] with the same partial-stats shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
@@ -304,8 +294,6 @@ pub enum StopReason {
     MaxGraphs,
     /// The [`ResourceBudget::max_memory_bytes`] ceiling was reached.
     MemoryBudget,
-    /// The [`ResourceBudget::max_dedup_entries`] ceiling was reached.
-    DedupBudget,
 }
 
 impl StopReason {
@@ -316,7 +304,6 @@ impl StopReason {
             StopReason::DeadlineExceeded => "deadline",
             StopReason::MaxGraphs => "max_graphs",
             StopReason::MemoryBudget => "memory_budget",
-            StopReason::DedupBudget => "dedup_budget",
         }
     }
 }
@@ -328,7 +315,6 @@ impl fmt::Display for StopReason {
             StopReason::DeadlineExceeded => f.write_str("deadline exceeded"),
             StopReason::MaxGraphs => f.write_str("work-item cap exceeded"),
             StopReason::MemoryBudget => f.write_str("memory budget exhausted"),
-            StopReason::DedupBudget => f.write_str("dedup budget exhausted"),
         }
     }
 }
@@ -362,8 +348,8 @@ impl fmt::Display for Inconclusive {
 pub enum EnginePhase {
     /// Replaying a program prefix over an execution graph.
     Replay,
-    /// Hash-after-construct dedup. Not entered by the production search
-    /// (which attributes its hashing to [`EnginePhase::Probe`]); kept so
+    /// Hash-after-construct dedup. Not entered by the search (which
+    /// attributes its hashing to [`EnginePhase::Probe`]); kept so
     /// phase indices and the `"dedup"` report key stay stable.
     Dedup,
     /// The search's hash-before-materialize probe: encoding a
@@ -567,8 +553,8 @@ mod tests {
         assert!(AmcConfig::default().collecting().collect_executions);
         assert!(!AmcConfig::default().without_symmetry().symmetry);
         assert!(AmcConfig::default().with_symmetry(false).with_symmetry(true).symmetry);
-        let b = AmcConfig::default().with_max_memory_bytes(1 << 20).with_max_dedup_entries(7);
-        assert_eq!(b.budget, ResourceBudget { max_memory_bytes: 1 << 20, max_dedup_entries: 7 });
+        let b = AmcConfig::default().with_max_memory_bytes(1 << 20);
+        assert_eq!(b.budget, ResourceBudget { max_memory_bytes: 1 << 20 });
         assert!(b.budget.is_limited());
     }
 
@@ -620,7 +606,6 @@ mod tests {
             (StopReason::DeadlineExceeded, "deadline"),
             (StopReason::MaxGraphs, "max_graphs"),
             (StopReason::MemoryBudget, "memory_budget"),
-            (StopReason::DedupBudget, "dedup_budget"),
         ] {
             assert_eq!(r.key(), k);
         }

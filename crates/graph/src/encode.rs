@@ -4,7 +4,7 @@
 //! — not exploration timestamps): two work items with the same content have
 //! identical futures under the deterministic scheduler, so one can be
 //! dropped. This module alone decides what "same content" means — for the
-//! search engine, its reference oracle, the benchmark probe and the tests:
+//! search engine, `canonical_hash_modulo`, the benchmark probe and the tests:
 //!
 //! * **One serializer**, `encode`, writes a [`GraphView`] — a graph, or the
 //!   restriction-plus-rf-override a revisit *would* produce — as a
@@ -404,7 +404,7 @@ fn view_hash(v: &GraphView<'_>) -> u128 {
 
 /// Reusable canonicalization state: the non-identity thread relabelings a
 /// [`ThreadPartition`] allows (none ⇒ plain content encoding), two scratch
-/// buffers and a work counter. One per engine worker, one per oracle run;
+/// buffers and a work counter. One per engine worker, one per test loop;
 /// graphs of different programs with the same partition shape may share it.
 #[derive(Debug)]
 pub struct Canonicalizer {

@@ -48,8 +48,6 @@ options:
   --max-memory-mb N  approximate heap budget per exploration (frontier +
                    dedup table); exhaustion reports `inconclusive` with
                    partial counters instead of aborting (default: unlimited)
-  --max-dedup N    cap on dedup-table entries per exploration; exhaustion
-                   reports `inconclusive` (default: unlimited)
   --no-symmetry    disable thread-symmetry reduction: explore every
                    relabeled twin of template-identical client threads
                    distinctly (naive reference counts; default prunes
@@ -80,16 +78,15 @@ exit codes:
   0  verified / every expectation met
   1  violation found or expectation mismatch
   2  inconclusive: cancelled, deadline expired, a resource budget
-     (--max-memory-mb / --max-dedup / max-graphs) was exhausted, or the
+     (--max-memory-mb / max-graphs) was exhausted, or the
      input file/directory was missing or unreadable
   3  engine error: a worker panicked (the panic was caught and reported)
      or a corpus file was quarantined";
 
 /// Options `optimize --enumerate` does not apply.
-const ENUMERATE_IGNORES: [&str; 9] = [
+const ENUMERATE_IGNORES: [&str; 8] = [
     "--deadline-ms",
     "--max-memory-mb",
-    "--max-dedup",
     "--json",
     "--progress",
     "--steps",
@@ -110,7 +107,6 @@ struct Options {
     deadline: Option<Duration>,
     /// `--max-memory-mb`, in bytes (0 = unlimited).
     max_memory_bytes: u64,
-    max_dedup: u64,
     json: bool,
     progress: bool,
     symmetry: bool,
@@ -147,7 +143,6 @@ impl Options {
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
             deadline: None,
             max_memory_bytes: 0,
-            max_dedup: 0,
             json: false,
             progress: false,
             symmetry: true,
@@ -199,12 +194,6 @@ impl Options {
                     // means "unlimited".
                     o.max_memory_bytes = mb.saturating_mul(1024 * 1024);
                 }
-                "--max-dedup" => {
-                    o.max_dedup = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--max-dedup needs a number")?
-                }
                 "--no-symmetry" => o.symmetry = false,
                 "--json" => o.json = true,
                 "--progress" => o.progress = true,
@@ -246,7 +235,6 @@ impl Options {
             deadline: self.deadline,
             cancel: CancelToken::new(),
             max_memory_bytes: self.max_memory_bytes,
-            max_dedup_entries: self.max_dedup,
             ..CorpusOptions::default()
         }
     }
@@ -263,8 +251,7 @@ impl Options {
             .models(self.models.iter().copied())
             .workers(self.workers)
             .symmetry(self.symmetry)
-            .max_memory_bytes(self.max_memory_bytes)
-            .max_dedup_entries(self.max_dedup);
+            .max_memory_bytes(self.max_memory_bytes);
         if let Some(d) = self.deadline {
             s = s.deadline(d);
         }

@@ -86,8 +86,8 @@ fn corpus_expectations_hold_across_models_and_workers() {
                 // The reduction's guaranteed observable is the orbit
                 // count collapsing below the naive per-twin count. A
                 // non-canonical dedup miss (`symmetry_pruned`) is only a
-                // side signal: the revisit engine probes far fewer graphs
-                // than enumerate-and-dedup, so on a tiny file the handful
+                // side signal: the revisit engine probes only the views
+                // its chains generate, so on a tiny file the handful
                 // of twin misses can all land on canonical labelings and
                 // be counted as plain duplicates.
                 let pruned: u64 = models.iter().map(|m| m.symmetry_pruned).sum();

@@ -10,20 +10,27 @@
 //!   per-check reference does — every counter, `inconsistent` included —
 //!   on random programs and on 3-thread catalog rows;
 //! * bug-finding scenarios must report the same verdict kind under every
-//!   configuration;
-//! * the revisit-driven search must agree with the retained
-//!   enumerate-and-dedup reference search on randomized programs —
-//!   verdicts and canonical-orbit complete-execution counts across
-//!   worker counts and symmetry settings — and reproduce the identical
-//!   violation messages on the broken study cases.
+//!   configuration, and the broken study cases one pinned violation
+//!   message across worker counts and symmetry settings;
+//! * the revisit-driven search must collect exactly the executions the
+//!   enumerator (`support/enumerate.rs`, which shares no search rule with
+//!   it) lists for randomized programs — as sets, modulo thread symmetry
+//!   where it is on — across worker counts and symmetry settings.
 //!
 //! The generator is a deterministic SplitMix64 stream; failures print the
 //! offending seed and graph.
 
-use std::collections::BTreeMap;
+#[path = "support/enumerate.rs"]
+#[allow(dead_code)]
+mod enumerate;
 
+use std::collections::{BTreeMap, BTreeSet};
+
+use enumerate::Op;
 use vsync::core::{explore, AmcConfig};
-use vsync::graph::{EventId, EventKind, ExecutionGraph, Mode, RfSource};
+use vsync::graph::{
+    canonical_bytes, canonical_hash_modulo, EventId, EventKind, ExecutionGraph, Mode, RfSource,
+};
 use vsync::model::ModelKind;
 
 /// SplitMix64: tiny, deterministic, good-enough mixing for test generation.
@@ -286,7 +293,7 @@ fn assert_checkers_explore_identically(tag: &str, p: &vsync::lang::Program, cfg:
 fn chain_checker_steers_random_programs_like_the_reference() {
     for seed in 0..600u64 {
         let mut rng = Rng(seed.wrapping_mul(0x5851f42d4c957f2d).wrapping_add(0x9e3779b97f4a7c15));
-        let p = random_program(&mut rng);
+        let p = enumerate::program("random", &random_threads(&mut rng));
         let model = ModelKind::all()[seed as usize % 3];
         let cfg = AmcConfig::with_model(model).with_symmetry(seed % 2 == 0);
         assert_checkers_explore_identically(&format!("seed {seed} ({model})"), &p, &cfg);
@@ -346,90 +353,97 @@ fn fixed_study_cases_verify_in_parallel() {
     }
 }
 
-/// One tiny random straight-line program: 1–2 threads, 1–3 operations
-/// each over two locations (kept small so the enumerate reference stays
-/// fast in debug builds).
-fn random_program(rng: &mut Rng) -> vsync::lang::Program {
-    use vsync::lang::{ProgramBuilder, Reg};
-    let mut pb = ProgramBuilder::new("random");
-    for _ in 0..1 + rng.below(2) {
-        let ops: Vec<u64> = (0..1 + rng.below(3)).map(|_| rng.next()).collect();
-        pb.thread(move |t| {
-            for (i, op) in ops.iter().enumerate() {
-                let loc = LOCS[(op >> 8) as usize % LOCS.len()];
-                let val = 1 + (op >> 16) % 3;
-                let r = Reg((i % 8) as u8);
-                match op % 5 {
-                    0 => t.load(r, loc, mode(&mut Rng(*op), 0)),
-                    1 => t.store(loc, val, mode(&mut Rng(*op), 1)),
-                    2 => t.fetch_add(r, loc, val, mode(&mut Rng(*op), 2)),
-                    3 => t.cas(r, loc, (op >> 24) % 2, val, mode(&mut Rng(*op), 2)),
-                    _ => t.fence(mode(&mut Rng(*op), 2)),
-                };
-            }
-        });
-    }
-    pb.build().expect("generated program is well-formed")
+/// One tiny random straight-line program as op lists: 1–2 threads, 1–3
+/// operations each over two locations (kept small so the enumerator
+/// stays fast in debug builds).
+fn random_threads(rng: &mut Rng) -> Vec<Vec<Op>> {
+    (0..1 + rng.below(2))
+        .map(|_| {
+            (0..1 + rng.below(3))
+                .map(|_| {
+                    let op = rng.next();
+                    let loc = LOCS[(op >> 8) as usize % LOCS.len()];
+                    let val = 1 + (op >> 16) % 3;
+                    match op % 5 {
+                        0 => Op::Load(loc, mode(&mut Rng(op), 0)),
+                        1 => Op::Store(loc, val, mode(&mut Rng(op), 1)),
+                        2 => Op::FetchAdd(loc, val, mode(&mut Rng(op), 2)),
+                        3 => Op::Cas(loc, (op >> 24) % 2, val, mode(&mut Rng(op), 2)),
+                        _ => Op::Fence(mode(&mut Rng(op), 2)),
+                    }
+                })
+                .collect()
+        })
+        .collect()
 }
 
-/// The revisit-driven search agrees with the enumerate-and-dedup
-/// reference search on 600 random programs: identical verdicts,
-/// complete-execution counts (canonical-orbit counts under symmetry,
-/// naive counts without) and blocked-graph counts. Each seed cycles
-/// through the model matrix, the revisit worker counts {1, 2, 8} and
-/// both symmetry settings; the enumerate oracle always runs
-/// sequentially, so this also rechecks worker-count independence.
+/// The revisit-driven search collects exactly the enumerator's set of
+/// complete executions on 600 random programs: as canonical bytes with
+/// symmetry off, as orbits (`canonical_hash_modulo`) with it on. Its
+/// `complete_executions` is the size of that set and it leaves no graph
+/// blocked. Each seed cycles through the model matrix, the worker counts
+/// {1, 2, 8} and both symmetry settings.
 #[test]
 fn revisit_agrees_with_enumerate_on_random_programs() {
     for seed in 0..600u64 {
         let mut rng = Rng(seed.wrapping_mul(0x5851f42d4c957f2d).wrapping_add(0x9e3779b97f4a7c15));
-        let p = random_program(&mut rng);
+        let threads = random_threads(&mut rng);
+        let p = enumerate::program("random", &threads);
         let model = ModelKind::all()[seed as usize % 3];
         let workers = [1usize, 2, 8][(seed / 3) as usize % 3];
         let symmetry = seed % 2 == 0;
-        let cfg = AmcConfig::with_model(model).with_symmetry(symmetry);
-        let reference = vsync::core::reference::explore(&p, &cfg);
-        let revisit = explore(&p, &cfg.with_workers(workers));
         let tag = format!("seed {seed} ({model}, workers={workers}, symmetry={symmetry})");
-        assert_eq!(
-            std::mem::discriminant(&revisit.verdict),
-            std::mem::discriminant(&reference.verdict),
-            "{tag}: {} vs {}",
-            revisit.verdict,
-            reference.verdict
+        let cfg = AmcConfig::with_model(model).with_symmetry(symmetry).with_workers(workers);
+        let r = explore(&p, &cfg.collecting());
+        assert!(r.is_verified(), "{tag}: {}", r.verdict);
+        let partition = p.symmetry_partition();
+        let key = |g: &ExecutionGraph| match symmetry {
+            true => canonical_hash_modulo(g, &partition).to_le_bytes().to_vec(),
+            false => canonical_bytes(g),
+        };
+        let engine: BTreeSet<Vec<u8>> = r.executions.iter().map(key).collect();
+        let oracle: BTreeSet<Vec<u8>> =
+            enumerate::executions(&threads, model.model()).iter().map(key).collect();
+        assert!(
+            engine == oracle,
+            "{tag}: engine {} executions, enumerator {}\n{threads:?}",
+            engine.len(),
+            oracle.len()
         );
-        assert_eq!(
-            revisit.stats.complete_executions, reference.stats.complete_executions,
-            "{tag}: complete executions"
-        );
-        assert_eq!(
-            revisit.stats.blocked_graphs, reference.stats.blocked_graphs,
-            "{tag}: blocked graphs"
-        );
+        assert_eq!(r.stats.complete_executions, engine.len() as u64, "{tag}: complete executions");
+        assert_eq!(r.stats.blocked_graphs, 0, "{tag}: blocked graphs");
     }
 }
 
-/// Both searches find the *identical* violation message on the broken
-/// study cases, for every worker count and symmetry setting: the safety
-/// counterexample (and its rendered assertion message) is not an artifact
-/// of the search order.
+/// The broken study cases report one violation message, the same for
+/// every worker count and symmetry setting: the counterexample (and its
+/// rendered message) is not an artifact of the search order.
 #[test]
-fn revisit_matches_enumerate_violation_messages_on_study_cases() {
+fn study_case_violation_messages_are_stable_across_configurations() {
     use vsync::core::Verdict;
     use vsync::locks::model::{dpdk_scenario, huawei_scenario};
     let msg_of = |name: &str, v: &Verdict| match v {
         Verdict::Safety(ce) | Verdict::AwaitTermination(ce) => ce.message.clone(),
         v => panic!("{name}: broken study case must violate, got {v}"),
     };
-    for (name, p) in [("dpdk", dpdk_scenario(false)), ("huawei", huawei_scenario(false))] {
+    for (name, p, expected) in [
+        (
+            "dpdk",
+            dpdk_scenario(false),
+            "await never terminates: blocked read(s) T0.7@0x1008 cannot observe any new write",
+        ),
+        (
+            "huawei",
+            huawei_scenario(false),
+            "final-state check failed: both increments visible (no data corruption) \
+             (final value of 0x200 is 1)",
+        ),
+    ] {
         for symmetry in [true, false] {
-            let cfg = AmcConfig::default().with_symmetry(symmetry);
-            let reference = vsync::core::reference::explore(&p, &cfg);
-            let expected = msg_of(name, &reference.verdict);
             for workers in [1usize, 2, 8] {
-                let r = explore(&p, &cfg.clone().with_workers(workers));
+                let cfg = AmcConfig::default().with_symmetry(symmetry).with_workers(workers);
                 assert_eq!(
-                    msg_of(name, &r.verdict),
+                    msg_of(name, &explore(&p, &cfg).verdict),
                     expected,
                     "{name}: workers={workers} symmetry={symmetry}"
                 );

@@ -1,10 +1,10 @@
-//! The classic litmus shapes (and two racing CASes, which only atomicity
-//! keeps from both succeeding) in every thread order, held to an oracle that
-//! shares no search rule with the engine (`support/enumerate.rs`) and to
-//! the published allowed/forbidden verdicts (Alglave, Maranget and
-//! Tautschnig, "Herding cats", TOPLAS 2014; for the RC11-style VMM, Lahav
-//! et al., PLDI 2017 — with load buffering forbidden, as `Vmm` forbids
-//! every `po ∪ rf` cycle).
+//! The classic litmus shapes (and two racing CASes or fetch-adds, which
+//! only atomicity keeps from both reading 0) in every thread order, held
+//! to an oracle that shares no search rule with the engine
+//! (`support/enumerate.rs`) and to the published allowed/forbidden
+//! verdicts (Alglave, Maranget and Tautschnig, "Herding cats", TOPLAS
+//! 2014; for the RC11-style VMM, Lahav et al., PLDI 2017 — with load
+//! buffering forbidden, as `Vmm` forbids every `po ∪ rf` cycle).
 //!
 //! Per shape, order and model: the engine (symmetry off, executions
 //! collected) must find exactly the enumerator's set of complete
@@ -20,7 +20,6 @@ use std::collections::BTreeMap;
 use enumerate::{permutations, Op};
 use vsync::core::{explore, AmcConfig, Verdict};
 use vsync::graph::{canonical_bytes, ExecutionGraph, Loc, Mode};
-use vsync::lang::{Program, ProgramBuilder, Reg};
 use vsync::model::ModelKind;
 
 const X: Loc = 0x10;
@@ -105,6 +104,16 @@ fn shapes() -> Vec<Shape> {
             [false, false, false],
         ),
         (
+            "fai",
+            vec![
+                vec![Op::FetchAdd(X, 1, Mode::Rlx), ld(Y)],
+                vec![Op::FetchAdd(X, 1, Mode::Rlx), st(Y, 1)],
+            ],
+            vec![vec![0, 0], vec![0]],
+            vec![],
+            [false, false, false],
+        ),
+        (
             "corr",
             vec![vec![st(X, 1)], vec![ld(X), ld(X)]],
             vec![vec![], vec![1, 0]],
@@ -170,24 +179,6 @@ over_deleted! {
     iriw_fences_3210: "iriw+fences" [3, 2, 1, 0];
 }
 
-fn program(shape: &Shape, order: &[usize]) -> Program {
-    let mut pb = ProgramBuilder::new(&shape.name);
-    for &t in order {
-        let ops = shape.threads[t].clone();
-        pb.thread(move |b| {
-            for op in &ops {
-                match *op {
-                    Op::Load(l, m) => b.load(Reg(0), l, m),
-                    Op::Store(l, v, m) => b.store(l, v, m),
-                    Op::Cas(l, e, n, m) => b.cas(Reg(0), l, e, n, m),
-                    Op::Fence(m) => b.fence(m),
-                };
-            }
-        });
-    }
-    pb.build().unwrap()
-}
-
 /// Is the execution (of the threads in `order`) the shape's weak outcome?
 fn is_weak(shape: &Shape, order: &[usize], g: &ExecutionGraph) -> bool {
     let finals = g.final_state();
@@ -207,7 +198,7 @@ fn is_weak(shape: &Shape, order: &[usize], g: &ExecutionGraph) -> bool {
 /// under every model; the first disagreement, if any.
 fn check(shape: &Shape, order: &[usize]) -> Result<(), String> {
     let threads: Vec<Vec<Op>> = order.iter().map(|&t| shape.threads[t].clone()).collect();
-    let p = program(shape, order);
+    let p = enumerate::program(&shape.name, &threads);
     for (m, model) in ModelKind::all().into_iter().enumerate() {
         let what = format!("{} in order {order:?} under {model}", shape.name);
         let mut oracle: Vec<Vec<u8>> =

@@ -8,13 +8,17 @@
 //! use a deterministic SplitMix64-driven generator; every case is
 //! reproducible from the printed seed.
 
+#[path = "support/enumerate.rs"]
+#[allow(dead_code)]
+mod enumerate;
+
 use std::collections::{BTreeSet, HashMap};
 
 use vsync::core::{explore, AmcConfig, Verdict};
 use vsync::graph::{
     canonical_bytes, content_hash, Canonicalizer, EventId, ExecutionGraph, GraphView, Mode,
 };
-use vsync::lang::{Program, ProgramBuilder, Reg};
+use vsync::lang::Program;
 use vsync::locks::registry;
 use vsync::model::ModelKind;
 
@@ -71,43 +75,45 @@ fn random_threads(rng: &mut Rng, n_threads: (u64, u64), max_ops: u64) -> Vec<Vec
         .collect()
 }
 
+/// The per-thread op lists with their modes picked per op kind: loads
+/// never release, stores never acquire.
+fn enumerator_ops(threads: &[Vec<(Op, Mode)>]) -> Vec<Vec<enumerate::Op>> {
+    use enumerate::Op as E;
+    let op = |(op, mode): &(Op, Mode)| match (op, *mode) {
+        (Op::Load(l), Mode::Rel | Mode::AcqRel) => E::Load(LOCS[*l], Mode::Acq),
+        (Op::Load(l), m) => E::Load(LOCS[*l], m),
+        (Op::Store(l, v), Mode::Acq | Mode::AcqRel) => E::Store(LOCS[*l], *v as u64, Mode::Rel),
+        (Op::Store(l, v), m) => E::Store(LOCS[*l], *v as u64, m),
+        (Op::FetchAdd(l, v), m) => E::FetchAdd(LOCS[*l], *v as u64, m),
+        (Op::Cas(l, e, n), m) => E::Cas(LOCS[*l], *e as u64, *n as u64, m),
+        (Op::Fence, m) => E::Fence(m),
+    };
+    threads.iter().map(|ops| ops.iter().map(op).collect()).collect()
+}
+
 /// Build a program from per-thread op lists (modes picked per op kind).
 fn build_program(threads: &[Vec<(Op, Mode)>]) -> Program {
-    let mut pb = ProgramBuilder::new("random");
-    for ops in threads {
-        let ops = ops.clone();
-        pb.thread(move |t| {
-            for (i, (op, mode)) in ops.iter().enumerate() {
-                let r = Reg((i % 8) as u8);
-                match op {
-                    Op::Load(l) => {
-                        let m = match mode {
-                            Mode::Rel | Mode::AcqRel => Mode::Acq,
-                            m => *m,
-                        };
-                        t.load(r, LOCS[*l], m);
-                    }
-                    Op::Store(l, v) => {
-                        let m = match mode {
-                            Mode::Acq | Mode::AcqRel => Mode::Rel,
-                            m => *m,
-                        };
-                        t.store(LOCS[*l], *v as u64, m);
-                    }
-                    Op::FetchAdd(l, v) => {
-                        t.fetch_add(r, LOCS[*l], *v as u64, *mode);
-                    }
-                    Op::Cas(l, e, n) => {
-                        t.cas(r, LOCS[*l], *e as u64, *n as u64, *mode);
-                    }
-                    Op::Fence => {
-                        t.fence(*mode);
-                    }
-                }
-            }
-        });
+    enumerate::program("random", &enumerator_ops(threads))
+}
+
+/// Run `check` on the op lists of `cases` random programs, reporting the
+/// failing seed.
+fn for_random_threads(
+    test_name: &str,
+    cases: u64,
+    n_threads: (u64, u64),
+    max_ops: u64,
+    mut check: impl FnMut(&[Vec<(Op, Mode)>]),
+) {
+    for seed in 0..cases {
+        let mut rng = Rng(seed.wrapping_mul(0x5851f42d4c957f2d).wrapping_add(0x14057b7ef767814f));
+        let threads = random_threads(&mut rng, n_threads, max_ops);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check(&threads)));
+        if let Err(e) = r {
+            eprintln!("{test_name}: failing case at seed {seed}");
+            std::panic::resume_unwind(e);
+        }
     }
-    pb.build().expect("generated program is well-formed")
 }
 
 /// Run `check` on `cases` random programs, reporting the failing seed.
@@ -118,15 +124,9 @@ fn for_random_programs(
     max_ops: u64,
     mut check: impl FnMut(&Program),
 ) {
-    for seed in 0..cases {
-        let mut rng = Rng(seed.wrapping_mul(0x5851f42d4c957f2d).wrapping_add(0x14057b7ef767814f));
-        let p = build_program(&random_threads(&mut rng, n_threads, max_ops));
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check(&p)));
-        if let Err(e) = r {
-            eprintln!("{test_name}: failing case at seed {seed}");
-            std::panic::resume_unwind(e);
-        }
-    }
+    for_random_threads(test_name, cases, n_threads, max_ops, |threads| {
+        check(&build_program(threads))
+    });
 }
 
 /// The complete executions of `p` under `model`, symmetry off (so every
@@ -172,20 +172,19 @@ fn model_strength_ordering() {
 }
 
 /// Deduplication neither drops nor repeats a complete execution: the
-/// production search's execution set (distinct content hashes) equals
-/// the one the independent reference oracle collects, and its size is
-/// the reported `complete_executions`. Symmetry is disabled here — it
-/// deliberately quotients the set (see
+/// search's execution set (distinct content hashes) equals the one the
+/// enumerator lists, and its size is the reported `complete_executions`.
+/// Symmetry is disabled here — it deliberately quotients the set (see
 /// `symmetry_explores_one_representative_per_orbit`).
 #[test]
 fn dedup_preserves_execution_sets() {
-    for_random_programs("dedup_preserves_execution_sets", 48, (2, 2), 2, |p| {
+    for_random_threads("dedup_preserves_execution_sets", 48, (2, 2), 2, |threads| {
         let cfg = AmcConfig::with_model(ModelKind::Vmm).collecting().without_symmetry();
-        let a = explore(p, &cfg);
-        let b = vsync::core::reference::explore(p, &cfg);
-        let ha: std::collections::BTreeSet<u128> = a.executions.iter().map(content_hash).collect();
-        let hb: std::collections::BTreeSet<u128> = b.executions.iter().map(content_hash).collect();
-        assert_eq!(&ha, &hb, "production and reference execution sets differ");
+        let a = explore(&build_program(threads), &cfg);
+        let b = enumerate::executions(&enumerator_ops(threads), ModelKind::Vmm.model());
+        let ha: BTreeSet<u128> = a.executions.iter().map(content_hash).collect();
+        let hb: BTreeSet<u128> = b.iter().map(content_hash).collect();
+        assert_eq!(&ha, &hb, "search and enumerator execution sets differ");
         assert_eq!(
             ha.len() as u64,
             a.stats.complete_executions,

@@ -2,7 +2,8 @@
 //! search rule with the engine: no replay, no revisits, no seen-sets, no
 //! incremental checker. It uses the execution-graph type to state its
 //! answers and the model's closure-based `is_consistent_reference` to
-//! filter them — nothing else of the crate.
+//! filter them — nothing else of the crate. [`program`] builds the
+//! engine's input from the same op lists.
 //!
 //! Every candidate is built whole: pick a source for every read such that
 //! `po ∪ rf` is acyclic, evaluate values along that order (a CAS whose
@@ -10,10 +11,15 @@
 //! nothing may read from a write part that does not exist), pick a
 //! modification order of every location, keep the consistent graphs.
 //! Distinct choices give distinct graphs, so the result has no duplicates.
+//!
+//! The graphs are the ones the engine builds for the same ops: an RMW's
+//! two events both carry its mode, and a relaxed fence is dropped, since
+//! lowering emits no event for it.
 
 use std::collections::BTreeMap;
 
 use vsync::graph::{EventId, EventKind, ExecutionGraph, Loc, Mode, RfSource};
+use vsync::lang::{Program, ProgramBuilder, Reg};
 use vsync::model::MemoryModel;
 
 /// One instruction of a straight-line thread.
@@ -24,15 +30,44 @@ pub enum Op {
     /// `cas(loc, expected, new)`: a read, plus a write of `new` iff the
     /// read saw `expected`.
     Cas(Loc, u64, u64, Mode),
+    /// `fetch_add(loc, add)`: a read, plus a write of the value read + `add`.
+    FetchAdd(Loc, u64, Mode),
     Fence(Mode),
 }
 
 /// An instruction, by thread and position in it.
 type OpId = (usize, usize);
 
+/// The engine's input for `threads`: one program thread per op list, in
+/// order, every location starting at 0.
+pub fn program(name: &str, threads: &[Vec<Op>]) -> Program {
+    let mut pb = ProgramBuilder::new(name);
+    for ops in threads {
+        let ops = ops.clone();
+        pb.thread(move |b| {
+            for (i, op) in ops.iter().enumerate() {
+                let r = Reg((i % 8) as u8);
+                match *op {
+                    Op::Load(l, m) => b.load(r, l, m),
+                    Op::Store(l, v, m) => b.store(l, v, m),
+                    Op::Cas(l, e, n, m) => b.cas(r, l, e, n, m),
+                    Op::FetchAdd(l, v, m) => b.fetch_add(r, l, v, m),
+                    Op::Fence(m) => b.fence(m),
+                };
+            }
+        });
+    }
+    pb.build().expect("straight-line programs are well-formed")
+}
+
 /// Every consistent complete execution of `threads` (all locations start
 /// at 0) under `model`.
 pub fn executions(threads: &[Vec<Op>], model: &dyn MemoryModel) -> Vec<ExecutionGraph> {
+    let kept: Vec<Vec<Op>> = threads
+        .iter()
+        .map(|ops| ops.iter().copied().filter(|op| !matches!(op, Op::Fence(Mode::Rlx))).collect())
+        .collect();
+    let threads = &kept[..];
     let ops = |kind: fn(&Op) -> Option<Loc>| -> Vec<(OpId, Loc)> {
         let all = threads
             .iter()
@@ -41,11 +76,11 @@ pub fn executions(threads: &[Vec<Op>], model: &dyn MemoryModel) -> Vec<Execution
         all.filter_map(|(id, op)| kind(op).map(|l| (id, l))).collect()
     };
     let reads = ops(|op| match *op {
-        Op::Load(l, _) | Op::Cas(l, ..) => Some(l),
+        Op::Load(l, _) | Op::Cas(l, ..) | Op::FetchAdd(l, ..) => Some(l),
         _ => None,
     });
     let writes = ops(|op| match *op {
-        Op::Store(l, ..) | Op::Cas(l, ..) => Some(l),
+        Op::Store(l, ..) | Op::Cas(l, ..) | Op::FetchAdd(l, ..) => Some(l),
         _ => None,
     });
     // Per read: `None` is the init write, `Some(op)` a (potential) write.
@@ -78,17 +113,23 @@ pub fn executions(threads: &[Vec<Op>], model: &dyn MemoryModel) -> Vec<Execution
                     Some(_) => {}
                     None => ok = false,
                 },
+                Op::FetchAdd(_, add, _) => match seen(rf[&id]) {
+                    Some(v) => {
+                        written.insert(id, v.wrapping_add(add));
+                    }
+                    None => ok = false,
+                },
                 Op::Fence(_) => {}
             }
         }
         if !ok {
             continue;
         }
-        // Events: a CAS that writes is two, its write part second.
-        let cas = |(t, i): OpId| matches!(threads[t][i], Op::Cas(..));
+        // Events: an RMW that writes is two, its write part second.
+        let rmw = |(t, i): OpId| matches!(threads[t][i], Op::Cas(..) | Op::FetchAdd(..));
         let id_of = |(t, i): OpId, write: bool| {
-            let before = (0..i).filter(|&j| cas((t, j)) && written.contains_key(&(t, j))).count();
-            EventId::new(t as u32, (i + before + usize::from(write && cas((t, i)))) as u32)
+            let before = (0..i).filter(|&j| rmw((t, j)) && written.contains_key(&(t, j))).count();
+            EventId::new(t as u32, (i + before + usize::from(write && rmw((t, i)))) as u32)
         };
         let source =
             |r: OpId, loc| RfSource::Write(rf[&r].map_or(EventId::Init(loc), |w| id_of(w, true)));
@@ -102,16 +143,19 @@ pub fn executions(threads: &[Vec<Op>], model: &dyn MemoryModel) -> Vec<Execution
                         EventKind::Read { loc, mode, rf: source((t, i), loc), rmw: false, awaiting }
                     }
                     Op::Store(loc, val, mode) => EventKind::Write { loc, val, mode, rmw: false },
-                    Op::Cas(loc, _, _, mode) => {
+                    Op::Cas(loc, _, _, mode) | Op::FetchAdd(loc, _, mode) => {
                         EventKind::Read { loc, mode, rf: source((t, i), loc), rmw, awaiting }
                     }
                     Op::Fence(mode) => EventKind::Fence { mode },
                 };
                 g.push_event(t as u32, kind);
-                if let (Op::Cas(loc, _, val, mode), true) = (op, rmw) {
+                if let (Op::Cas(loc, .., mode) | Op::FetchAdd(loc, _, mode), true) = (op, rmw) {
+                    let val = written[&(t, i)];
                     g.push_event(t as u32, EventKind::Write { loc, val, mode, rmw: true });
                 }
-                if let (Op::Store(loc, ..) | Op::Cas(loc, ..), true) = (op, rmw) {
+                if let (Op::Store(loc, ..) | Op::Cas(loc, ..) | Op::FetchAdd(loc, ..), true) =
+                    (op, rmw)
+                {
                     per_loc.entry(loc).or_default().push(id_of((t, i), true));
                 }
             }

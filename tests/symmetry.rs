@@ -11,20 +11,21 @@
 //! * **Differential** — across the *full* lock registry, all memory
 //!   models and workers {1, 2, 8}, symmetry-on exploration produces the
 //!   same verdicts (and, for the broken study cases, the same violation
-//!   messages) as the naive symmetry-off reference, never explores more,
+//!   messages) as the naive symmetry-off run, never explores more,
 //!   and keeps per-orbit counts worker-count deterministic.
 //!
-//! * **One name per orbit** — the search and its reference oracle
-//!   collect the *same* execution graphs on symmetric clients, each its
-//!   own canonical form under the public canonicalizer.
+//! * **One name per orbit** — on symmetric clients the symmetry-on run
+//!   collects one execution per orbit of the symmetry-off run's
+//!   executions, each its own canonical form under the public
+//!   canonicalizer.
 //!
 //! The generator is a deterministic SplitMix64 stream; failures print the
 //! offending seed.
 
 use std::collections::BTreeSet;
 
-use vsync::core::{explore, reference, AmcConfig, Verdict};
-use vsync::graph::{canonical_bytes, canonical_hash_modulo, Canonicalizer, GraphView, Mode};
+use vsync::core::{explore, AmcConfig, Verdict};
+use vsync::graph::{canonical_hash_modulo, Canonicalizer, GraphView, Mode};
 use vsync::lang::{Program, ProgramBuilder, Reg};
 use vsync::locks::registry;
 use vsync::model::ModelKind;
@@ -198,39 +199,41 @@ fn asymmetric_threads_are_never_merged() {
     assert!(pb.build().unwrap().symmetry_partition().is_trivial());
 }
 
-/// Engine, oracle and the public [`Canonicalizer`] run one encoder, so
-/// they name every orbit alike: on symmetric 3-thread clients the search
-/// and the reference search collect identical execution graphs (not just
-/// equally many), and each collected graph is its own canonical form.
+/// Symmetry on and off find the same orbits on symmetric 3-thread
+/// clients: every execution the symmetry-on run collects is its own
+/// canonical form under the public [`Canonicalizer`], one per orbit, and
+/// their `canonical_hash_modulo` set is that of the symmetry-off run's
+/// executions.
 #[test]
-fn engine_and_oracle_collect_the_same_orbit_representatives() {
+fn symmetry_on_and_off_collect_the_same_orbits() {
     for lock in ["caslock", "taslock", "semaphore", "ttas", "ticketlock"] {
         let p = registry::entry(lock).expect("lock is in the catalog").client(3, 1);
         let partition = p.symmetry_partition();
         assert!(!partition.is_trivial(), "{lock}: the client must be symmetric");
         let cfg = AmcConfig::with_model(ModelKind::Vmm).collecting();
-        let engine = explore(&p, &cfg);
-        let oracle = reference::explore(&p, &cfg);
-        assert!(engine.is_verified() && oracle.is_verified(), "{lock}");
+        let on = explore(&p, &cfg);
+        let off = explore(&p, &cfg.clone().without_symmetry());
+        assert!(on.is_verified() && off.is_verified(), "{lock}");
         let mut canonicalizer = Canonicalizer::new(Some(&partition));
-        for (who, r) in [("engine", &engine), ("oracle", &oracle)] {
-            assert_eq!(r.executions.len() as u64, r.stats.complete_executions, "{lock} {who}");
-            for g in &r.executions {
-                let (_, relabeled) = canonicalizer.hash_view(&GraphView::full(g));
-                assert!(!relabeled, "{lock}: the {who} collected a non-canonical graph");
-            }
+        for g in &on.executions {
+            let (_, relabeled) = canonicalizer.hash_view(&GraphView::full(g));
+            assert!(!relabeled, "{lock}: symmetry on collected a non-canonical graph");
         }
-        let names = |gs: &[vsync::graph::ExecutionGraph]| -> BTreeSet<Vec<u8>> {
-            gs.iter().map(canonical_bytes).collect()
+        let orbits = |gs: &[vsync::graph::ExecutionGraph]| -> BTreeSet<u128> {
+            gs.iter().map(|g| canonical_hash_modulo(g, &partition)).collect()
         };
-        let (of_engine, of_oracle) = (names(&engine.executions), names(&oracle.executions));
-        let common = of_engine.intersection(&of_oracle).count();
+        let (of_on, of_off) = (orbits(&on.executions), orbits(&off.executions));
+        assert_eq!(on.executions.len() as u64, on.stats.complete_executions, "{lock}");
+        assert_eq!(of_on.len() as u64, on.stats.complete_executions, "{lock}: one per orbit");
+        assert_eq!(off.executions.len() as u64, off.stats.complete_executions, "{lock}");
         // `assert!`, not `assert_eq!`: a failure should print the tally,
-        // not two sets of kilobyte encodings.
+        // not two sets of hashes.
+        let common = of_on.intersection(&of_off).count();
         assert!(
-            of_engine == of_oracle,
-            "{lock}: engine and oracle share {common} of {} representatives",
-            of_engine.len()
+            of_on == of_off,
+            "{lock}: symmetry on and off share {common} of {} / {} orbits",
+            of_on.len(),
+            of_off.len()
         );
     }
 }
