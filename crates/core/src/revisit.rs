@@ -51,7 +51,10 @@
 //! Two global sets partition the dedup duties: `visited` gates
 //! *materializations* (admitted roots, [`Worker::visit`]), `leaves` counts
 //! *terminal* contents (complete and blocked graphs, [`Worker::leaf`])
-//! exactly once each. Under thread symmetry both sets hash modulo the
+//! exactly once each. `visited` is not only a saving: it is what makes the
+//! search terminate: with symmetry off and admission not gated by it,
+//! ttas-3t, semaphore-3t and mcs-3t run into the 20 M step cap (DESIGN.md
+//! §12, *At-most-once construction*). Under thread symmetry both sets hash modulo the
 //! program's symmetry partition ([`Canonicalizer`]), and first arrivals
 //! are normalized to their orbit representative — so verdicts,
 //! `complete_executions` (orbit counts) and counterexample messages are

@@ -61,7 +61,7 @@ pub struct AmcConfig {
     /// partial-run counters may differ).
     pub workers: usize,
     /// Consistency-check implementation: the closure-free fast path
-    /// (default) or the naive closure-based reference formulation.
+    /// (default) or the axiom evaluator (the reference).
     pub checker: CheckerKind,
     /// Memory ceiling (frontier + seen-sets) with graceful degradation
     /// (default: unlimited).
@@ -134,7 +134,7 @@ impl AmcConfig {
         self
     }
 
-    /// Builder-style: use the naive closure-based reference checker.
+    /// Builder-style: use the reference checker, the axiom evaluator.
     #[must_use = "builder methods return the modified config"]
     pub fn with_reference_checker(mut self) -> Self {
         self.checker = CheckerKind::Reference;

@@ -8,9 +8,9 @@
 //!
 //! * [`Relation::is_acyclic`] runs an iterative DFS over the bitset rows
 //!   (`O(n²/64)` words scanned, usually far less);
-//! * [`Relation::close`] — the classic word-parallel Floyd–Warshall — is
-//!   retained for the naive reference checkers that the differential tests
-//!   compare against.
+//! * [`Relation::close`] — the classic word-parallel Floyd–Warshall — and
+//!   the rest of the relation algebra serve the axiom evaluator
+//!   (`vsync_model::axioms`) that the differential tests compare against.
 
 use crate::event::EventId;
 use crate::graph::ExecutionGraph;
@@ -175,6 +175,36 @@ impl Relation {
         }
     }
 
+    /// Intersect with another relation of the same size.
+    pub fn intersect_with(&mut self, other: &Relation) {
+        debug_assert_eq!(self.n, other.n);
+        for (w, o) in self.bits.iter_mut().zip(&other.bits) {
+            *w &= o;
+        }
+    }
+
+    /// Remove every edge of another relation of the same size.
+    pub fn subtract(&mut self, other: &Relation) {
+        debug_assert_eq!(self.n, other.n);
+        for (w, o) in self.bits.iter_mut().zip(&other.bits) {
+            *w &= !o;
+        }
+    }
+
+    /// The inverse relation: `b -> a` for every edge `a -> b`.
+    pub fn transpose(&self) -> Relation {
+        let mut out = Relation::new(self.n);
+        for (a, b) in self.edges() {
+            out.add(b, a);
+        }
+        out
+    }
+
+    /// Does the relation have no edge at all?
+    pub fn has_no_edges(&self) -> bool {
+        self.bits.iter().all(|&w| w == 0)
+    }
+
     /// Replace `self` by its transitive closure.
     ///
     /// Word-parallel Floyd–Warshall: `O(n^2 * n/64)`.
@@ -265,12 +295,13 @@ impl Relation {
         let mut out = Relation::new(self.n);
         let wpr = self.words_per_row;
         for a in 0..self.n {
-            for b in 0..self.n {
-                if self.has(a, b) {
-                    let dst = &mut out.bits[a * wpr..(a + 1) * wpr];
-                    let src = &other.bits[b * wpr..(b + 1) * wpr];
-                    for (d, s) in dst.iter_mut().zip(src) {
-                        *d |= s;
+            for w in 0..wpr {
+                let mut word = self.bits[a * wpr + w];
+                while word != 0 {
+                    let b = w * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    for k in 0..wpr {
+                        out.bits[a * wpr + k] |= other.bits[b * wpr + k];
                     }
                 }
             }
@@ -280,7 +311,7 @@ impl Relation {
 
     /// Iterate over all edges `(a, b)`.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.n).flat_map(move |a| (0..self.n).filter(move |&b| self.has(a, b)).map(move |b| (a, b)))
+        (0..self.n).flat_map(move |a| self.successors(a).map(move |b| (a, b)))
     }
 }
 
@@ -353,6 +384,23 @@ mod tests {
         r.add(1, 1);
         assert!(!r.is_acyclic());
         assert!(!r.is_irreflexive());
+    }
+
+    #[test]
+    fn intersection_difference_and_transpose() {
+        let mut a = Relation::new(70);
+        a.add(0, 1);
+        a.add(2, 69);
+        let mut b = Relation::new(70);
+        b.add(2, 69);
+        let mut both = a.clone();
+        both.intersect_with(&b);
+        assert_eq!(both.edges().collect::<Vec<_>>(), vec![(2, 69)]);
+        a.subtract(&b);
+        assert_eq!(a.edges().collect::<Vec<_>>(), vec![(0, 1)]);
+        assert_eq!(a.transpose().edges().collect::<Vec<_>>(), vec![(1, 0)]);
+        a.subtract(&a.clone());
+        assert!(a.has_no_edges() && !b.has_no_edges());
     }
 
     #[test]

@@ -1280,7 +1280,7 @@ mod tests {
     }
 
     /// Grow random graphs by push/pop sequences and hold the chain checker
-    /// to the closure-based reference after every step; a fresh `reset`
+    /// to the axiom evaluator after every step; a fresh `reset`
     /// must answer the same and, on accepted graphs, rebuild the same
     /// state — and so must a fork of the checker, restricted and then
     /// extended by two pending events.

@@ -1,8 +1,7 @@
 //! Opt-in counters attributing every consistency answer either to a
 //! chain checker ([`crate::chain::VmmChecker`]'s clocks, the cycle search
-//! of [`Sc`](crate::Sc) and [`Tso`](crate::Tso)) — the *fast path* — or to a
-//! closure-based reference formulation
-//! ([`ReferenceModel`](crate::ReferenceModel)).
+//! of [`Sc`](crate::Sc) and [`Tso`](crate::Tso)) — the *fast path* — or to
+//! the axiom evaluator ([`ReferenceModel`](crate::ReferenceModel)).
 //!
 //! Process-global by necessity — `is_consistent` takes no context — so the
 //! counters are only meaningful when one session runs at a time (the CLI's

@@ -3,6 +3,12 @@
 //! Axiomatic weak memory models as consistency predicates over execution
 //! graphs (`consM(G)`, paper §1.1).
 //!
+//! Each model is defined once, as a list of named axioms in [`axioms`]
+//! ([`MemoryModel::axioms`]), and decided twice: by evaluating that list
+//! from scratch ([`MemoryModel::is_consistent_reference`], the oracle),
+//! and by the model's chain checker ([`chain`], the explorer's hot path),
+//! which the crate's tests hold to the evaluator step by step.
+//!
 //! Three models are provided:
 //!
 //! * [`Sc`] — sequential consistency (the reference; also what the paper's
@@ -38,8 +44,9 @@ pub use chain::ChainChecker;
 pub use fast::{checker_attribution, set_checker_attribution};
 pub use sc::Sc;
 pub use tso::Tso;
-pub use vmm::{sw_relation, Vmm};
+pub use vmm::Vmm;
 
+use axioms::Axiom;
 use vsync_graph::{ExecutionGraph, Loc, ThreadId};
 
 /// A weak memory model: a consistency predicate over execution graphs.
@@ -57,14 +64,21 @@ pub trait MemoryModel: std::fmt::Debug + Send + Sync {
     /// predicate as [`MemoryModel::is_consistent`], asked step by step.
     fn chain_checker(&self) -> Box<dyn ChainChecker>;
 
-    /// The naive closure-based formulation of the same predicate.
+    /// The model's definition: the named axioms a consistent graph
+    /// satisfies ([`axioms`]).
+    fn axioms(&self) -> &'static [Axiom];
+
+    /// The same predicate as [`MemoryModel::is_consistent`], decided by
+    /// evaluating [`MemoryModel::axioms`] on `g` from scratch.
     ///
-    /// Extensionally equal to [`MemoryModel::is_consistent`]; retained as
-    /// the oracle for differential testing (and selectable as
-    /// `CheckerKind::Reference`). Deliberately has no default body: a
-    /// model without a genuine reference formulation would make the
-    /// differential tests vacuous.
-    fn is_consistent_reference(&self, g: &ExecutionGraph) -> bool;
+    /// The oracle of the differential tests (and selectable as
+    /// `CheckerKind::Reference`). A model supplies its axioms, not this
+    /// body: the one evaluator derives every relation from scratch and
+    /// shares none of the chain checkers' incremental reasoning, so the
+    /// differential tests compare two independent formulations.
+    fn is_consistent_reference(&self, g: &ExecutionGraph) -> bool {
+        axioms::holds(self.axioms(), g)
+    }
 
     /// [`ChainChecker::floor`] computed from `g` alone, for a consistent
     /// `g`: below it, no source or placement of `thread`'s next access of
@@ -81,12 +95,12 @@ pub enum CheckerKind {
     /// The model's chain checker (the default).
     #[default]
     Fast,
-    /// The naive closure-based reference formulation — for differential
-    /// testing and baseline measurements only.
+    /// The axiom evaluator ([`MemoryModel::is_consistent_reference`]) —
+    /// for differential testing and baseline measurements only.
     Reference,
 }
 
-/// A [`MemoryModel`] adapter that answers with the reference formulation.
+/// A [`MemoryModel`] adapter that answers with the axiom evaluator.
 #[derive(Debug, Clone, Copy)]
 pub struct ReferenceModel(pub ModelKind);
 
@@ -101,16 +115,15 @@ impl MemoryModel for ReferenceModel {
 
     fn is_consistent(&self, g: &ExecutionGraph) -> bool {
         fast::note(true);
-        self.0.model().is_consistent_reference(g)
+        self.is_consistent_reference(g)
     }
 
     fn chain_checker(&self) -> Box<dyn ChainChecker> {
         Box::new(chain::Stateless(*self))
     }
 
-    fn is_consistent_reference(&self, g: &ExecutionGraph) -> bool {
-        // Already the reference: both flavors answer identically.
-        self.is_consistent(g)
+    fn axioms(&self) -> &'static [Axiom] {
+        self.0.model().axioms()
     }
 
     fn floor(&self, g: &ExecutionGraph, thread: ThreadId, loc: Loc) -> usize {
@@ -140,7 +153,7 @@ impl ModelKind {
         }
     }
 
-    /// The closure-based reference checker for this kind.
+    /// The axiom-evaluating reference checker for this kind.
     pub fn reference_model(self) -> &'static dyn MemoryModel {
         const SC_REF: ReferenceModel = ReferenceModel(ModelKind::Sc);
         const TSO_REF: ReferenceModel = ReferenceModel(ModelKind::Tso);

@@ -1,18 +1,17 @@
-//! Sequential consistency.
+//! Sequential consistency: the shared axioms plus
+//! `acyclic(po ∪ rf ∪ mo ∪ fr)`.
 
-use vsync_graph::{EventIndex, ExecutionGraph};
+use std::sync::OnceLock;
 
-use crate::axioms::{
-    acyclic_by_closure, atomicity_holds, fr_relation, mo_relation, po_relation, rf_relation,
-};
+use vsync_graph::ExecutionGraph;
+
+use crate::axioms::{atomicity, coherence, fr, mo, po, rf, Axiom};
 use crate::chain::ChainChecker;
 use crate::order::{OrderChecker, SC};
 use crate::MemoryModel;
 
 /// The sequentially consistent memory model: all executions must be
 /// explainable by an interleaving; barrier modes are irrelevant.
-///
-/// Axiom: `acyclic(po ∪ rf ∪ mo ∪ fr)` plus RMW atomicity.
 ///
 /// Used as the reference model: the paper's "sc-only" lock variants are
 /// correct exactly when they verify under [`Sc`], and any bug found under
@@ -33,16 +32,11 @@ impl MemoryModel for Sc {
         Box::new(OrderChecker::new(SC))
     }
 
-    fn is_consistent_reference(&self, g: &ExecutionGraph) -> bool {
-        if !atomicity_holds(g) {
-            return false;
-        }
-        let ix = EventIndex::new(g);
-        let mut rel = po_relation(g, &ix);
-        rel.union_with(&rf_relation(g, &ix));
-        rel.union_with(&mo_relation(g, &ix));
-        rel.union_with(&fr_relation(g, &ix));
-        acyclic_by_closure(&rel)
+    fn axioms(&self) -> &'static [Axiom] {
+        static AXIOMS: OnceLock<Vec<Axiom>> = OnceLock::new();
+        AXIOMS.get_or_init(|| {
+            vec![coherence(), atomicity(), Axiom::Acyclic("sc", po() | rf() | mo() | fr())]
+        })
     }
 }
 

@@ -1,23 +1,19 @@
-//! Total store order (x86-style).
+//! Total store order (x86-style): the shared axioms plus
+//! `acyclic(ppo ∪ rfe ∪ mo ∪ fr)`.
 
-use vsync_graph::{EventId, EventIndex, EventKind, ExecutionGraph};
+use std::sync::OnceLock;
 
-use crate::axioms::{
-    acyclic_by_closure, atomicity_holds, fr_relation, mo_relation, per_loc_coherent, rf_relation,
-};
+use vsync_graph::ExecutionGraph;
+
+use crate::axioms::{atomicity, coherence, ext, fr, id, mo, po, rf, Axiom, Set};
 use crate::chain::ChainChecker;
 use crate::order::{OrderChecker, TSO};
 use crate::MemoryModel;
 
-/// The TSO memory model in the style of x86-TSO.
-///
-/// * per-location coherence and RMW atomicity;
-/// * `acyclic(ppo ∪ rfe ∪ mo ∪ fr)` where `ppo` is program order minus
-///   write→read pairs, unless the pair is separated by an SC fence
-///   (`mfence`) or either end is part of a locked RMW; a weaker fence is
-///   no instruction on x86 and no event of `ppo`;
-/// * only *external* reads-from edges constrain the global order (a thread
-///   may read its own buffered store early).
+/// The TSO memory model in the style of x86-TSO: `ppo` drops the
+/// write → read pairs a store buffer reorders, and only *external*
+/// reads-from edges constrain the global order (a thread may read its own
+/// buffered store early).
 ///
 /// Barrier modes other than SC fences are ignored: every x86 load already
 /// has acquire semantics and every store release semantics, which is why the
@@ -25,27 +21,6 @@ use crate::MemoryModel;
 /// fences/accesses (§4.2.2).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Tso;
-
-impl Tso {
-    /// Is the `W -> R` pair (a po-earlier write, a po-later read of the same
-    /// thread) ordered despite store buffering?
-    fn wr_ordered(g: &ExecutionGraph, thread: u32, wi: usize, ri: usize) -> bool {
-        let evs = g.thread_events(thread);
-        // Locked RMWs drain the buffer; so does an mfence in between.
-        let end_is_locked = |k: &EventKind| match k {
-            EventKind::Read { rmw, .. } | EventKind::Write { rmw, .. } => *rmw,
-            _ => false,
-        };
-        if end_is_locked(&evs[wi].kind) || end_is_locked(&evs[ri].kind) {
-            return true;
-        }
-        evs[wi + 1..ri].iter().any(|e| match &e.kind {
-            EventKind::Fence { mode } => mode.is_sc(),
-            EventKind::Read { rmw, .. } | EventKind::Write { rmw, .. } => *rmw,
-            _ => false,
-        })
-    }
-}
 
 impl MemoryModel for Tso {
     fn name(&self) -> &'static str {
@@ -60,56 +35,24 @@ impl MemoryModel for Tso {
         Box::new(OrderChecker::new(TSO))
     }
 
-    fn is_consistent_reference(&self, g: &ExecutionGraph) -> bool {
-        if !atomicity_holds(g) || !per_loc_coherent(g) {
-            return false;
-        }
-        let ix = EventIndex::new(g);
-        let mut ghb = mo_relation(g, &ix);
-        ghb.union_with(&fr_relation(g, &ix));
-        // External reads-from only (init counts as external).
-        let rf = rf_relation(g, &ix);
-        for (widx, ridx) in rf.edges() {
-            let w = ix.id_of(widx);
-            let r = ix.id_of(ridx);
-            if w.thread() != r.thread() {
-                ghb.add(widx, ridx);
-            }
-        }
-        // Preserved program order.
-        for init_idx in 0..ix.init_count() {
-            for t in 0..g.num_threads() {
-                if g.thread_len(t as u32) > 0 {
-                    ghb.add(init_idx, ix.index_of(EventId::new(t as u32, 0)));
-                }
-            }
-        }
-        // x86 has only `mfence`: a weaker fence is no event of the order
-        // and must not relay a W -> R pair through itself.
-        let no_op = |k: &EventKind| matches!(k, EventKind::Fence { mode } if !mode.is_sc());
-        for t in 0..g.num_threads() {
-            let evs = g.thread_events(t as u32);
-            for i in 0..evs.len() {
-                for j in i + 1..evs.len() {
-                    let a_w = evs[i].kind.is_write();
-                    let b_r = evs[j].kind.is_read();
-                    let keep = if no_op(&evs[i].kind) || no_op(&evs[j].kind) {
-                        false
-                    } else if a_w && b_r {
-                        Tso::wr_ordered(g, t as u32, i, j)
-                    } else {
-                        true
-                    };
-                    if keep {
-                        ghb.add(
-                            ix.index_of(EventId::new(t as u32, i as u32)),
-                            ix.index_of(EventId::new(t as u32, j as u32)),
-                        );
-                    }
-                }
-            }
-        }
-        acyclic_by_closure(&ghb)
+    fn axioms(&self) -> &'static [Axiom] {
+        static AXIOMS: OnceLock<Vec<Axiom>> = OnceLock::new();
+        AXIOMS.get_or_init(|| {
+            let po = po();
+            let (fences, locked) = (id(Set::F), id(Set::Rmw));
+            // A fence weaker than `mfence` is no x86 instruction, so no event of `ppo`.
+            let nop = fences.clone() - id(Set::Sc);
+            // W → R stays ordered across an `mfence` or a locked RMW, or if an end is locked.
+            let drains = (fences & id(Set::Sc)) | locked.clone();
+            let buffered = (id(Set::W) - locked.clone()).seq(&po).seq(&(id(Set::R) - locked))
+                - po.seq(&drains).seq(&po);
+            let ppo = po.clone() - nop.seq(&po) - po.seq(&nop) - buffered;
+            vec![
+                coherence(),
+                atomicity(),
+                Axiom::Acyclic("tso", ppo | (rf() & ext()) | mo() | fr()),
+            ]
+        })
     }
 }
 
@@ -117,7 +60,7 @@ impl MemoryModel for Tso {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
-    use vsync_graph::{Mode, RfSource};
+    use vsync_graph::{EventId, EventKind, Mode, RfSource};
 
     fn w(loc: u64, val: u64) -> EventKind {
         EventKind::Write { loc, val, mode: Mode::Rlx, rmw: false }

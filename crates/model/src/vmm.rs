@@ -6,18 +6,23 @@
 //! forbids all `po ∪ rf` cycles, and so does `Vmm`. It therefore admits
 //! none of the load buffering IMM allows: a `verified` under `Vmm` never
 //! checked those executions. DESIGN.md §5 documents the substitution and
-//! `corpus/lb_handoff.litmus` records the lock hand-off shape at risk.
+//! `corpus/lb_handoff.litmus` records the lock hand-off shape at risk;
+//! admitting it is an edit of one axiom, `no-thin-air` below.
 //!
-//! [`MemoryModel::is_consistent`] is a [`ChainChecker::reset`] on a fresh
-//! vector-clock [`VmmChecker`] — the same code the explorer steps along its
-//! chains; the closure-based formulation is retained as
-//! [`MemoryModel::is_consistent_reference`] for differential testing.
+//! The model is the shared coherence and atomicity axioms plus
+//! `acyclic(po ∪ rf)`, `irreflexive(hb)`, `irreflexive(hb ; eco)` and
+//! `acyclic(psc)`, with `sw`, `hb` and `psc` as [`Vmm::axioms`] writes
+//! them (DESIGN.md §2.4). [`MemoryModel::is_consistent`] is a
+//! [`ChainChecker::reset`] on a fresh vector-clock [`VmmChecker`] — the
+//! same code the explorer steps along its chains;
+//! [`MemoryModel::is_consistent_reference`] evaluates the axioms.
 
-use vsync_graph::{EventId, EventIndex, EventKind, ExecutionGraph, Loc, Relation, RfSource, ThreadId};
+use std::sync::OnceLock;
+
+use vsync_graph::{EventId, EventKind, ExecutionGraph, Loc, RfSource, ThreadId};
 
 use crate::axioms::{
-    acyclic_by_closure, atomicity_holds, eco_relation, fr_relation, mo_relation,
-    per_loc_coherent, po_relation, rf_relation, rmw_pairs,
+    atomicity, coherence, fr, id, loc, mo, po, predecessors, rf, rmw, Axiom, Rel, Set,
 };
 use crate::chain::{ChainChecker, VmmChecker};
 use crate::MemoryModel;
@@ -25,6 +30,21 @@ use crate::MemoryModel;
 /// The RC11-style weak memory model (see module docs).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Vmm;
+
+/// `hb = (po ∪ sw)⁺` over the given `po`, where
+/// `sw = [⊒rel] ; ([F] ; po)? ; rs ; rf ; (po ; [F])? ; [⊒acq]` and the
+/// release sequences `rs = (rf ; rmw)*` follow RMW chains only.
+fn hb(po: &Rel) -> Rel {
+    let f = id(Set::F);
+    let rs = rf().seq(&rmw()).star();
+    let sw = id(Set::Rel)
+        .seq(&f.seq(po).opt())
+        .seq(&rs)
+        .seq(&rf())
+        .seq(&po.seq(&f).opt())
+        .seq(&id(Set::Acq));
+    (po.clone() | sw).plus()
+}
 
 impl MemoryModel for Vmm {
     fn name(&self) -> &'static str {
@@ -39,228 +59,45 @@ impl MemoryModel for Vmm {
         Box::<VmmChecker>::default()
     }
 
-    fn is_consistent_reference(&self, g: &ExecutionGraph) -> bool {
-        // Cheap structural axioms first.
-        if !atomicity_holds(g) || !per_loc_coherent(g) {
-            return false;
-        }
-        let ix = EventIndex::new(g);
-        // No-thin-air: acyclic(po ∪ rf).
-        let po = po_relation(g, &ix);
-        let rf = rf_relation(g, &ix);
-        let mut porf = po.clone();
-        porf.union_with(&rf);
-        if !acyclic_by_closure(&porf) {
-            return false;
-        }
-        // Happens-before.
-        let sw = sw_relation(g, &ix);
-        let mut hb = po;
-        hb.union_with(&sw);
-        hb.close();
-        if !hb.is_irreflexive() {
-            return false;
-        }
-        // Coherence: irreflexive(hb ; eco?).
-        let eco = eco_relation(g, &ix);
-        for (a, b) in hb.edges() {
-            if eco.has(b, a) {
-                return false;
-            }
-        }
-        // SC axiom.
-        psc_acyclic_naive(g, &ix, &hb, &eco)
+    fn axioms(&self) -> &'static [Axiom] {
+        static AXIOMS: OnceLock<Vec<Axiom>> = OnceLock::new();
+        AXIOMS.get_or_init(|| {
+            let po = po();
+            let hb = hb(&po);
+            let eco = (rf() | mo() | fr()).plus();
+            let (sc, fsc) = (id(Set::Sc), id(Set::F) & id(Set::Sc));
+            // The `po` part of `scb` has no init edges.
+            let scb =
+                (po.clone() - id(Set::Init).seq(&po) - loc()) | (hb.clone() & loc()) | mo() | fr();
+            let psc = (sc.clone() | fsc.seq(&hb)).seq(&scb).seq(&(sc | hb.seq(&fsc)))
+                | fsc.seq(&(hb.clone() | hb.seq(&eco).seq(&hb))).seq(&fsc);
+            vec![
+                coherence(),
+                atomicity(),
+                Axiom::Acyclic("no-thin-air", po | rf()),
+                Axiom::Irreflexive("hb", hb.clone()),
+                Axiom::Irreflexive("hb-coherence", hb.seq(&eco)),
+                Axiom::Acyclic("psc", psc),
+            ]
+        })
     }
 
-    /// The closure-based floor: the latest position any access of `loc`
-    /// at or hb-before `thread`'s last event wrote or read from.
+    /// The largest coherence position among the accesses of `loc` in
+    /// `dom(hb? ; [last])`, `last` being `thread`'s last event.
     fn floor(&self, g: &ExecutionGraph, thread: ThreadId, loc: Loc) -> usize {
         let Some(last) = g.thread_len(thread).checked_sub(1) else { return 0 };
-        let ix = EventIndex::new(g);
-        let mut hb = po_relation(g, &ix);
-        hb.union_with(&sw_relation(g, &ix));
-        hb.close();
-        let last = ix.index_of(EventId::new(thread, last as u32));
-        g.events()
-            .filter(|&(e, _)| {
-                let e = ix.index_of(e);
-                e == last || hb.has(e, last)
-            })
-            .filter_map(|(e, ev)| match ev.kind {
+        let before = predecessors(&hb(&po()).opt(), g, EventId::new(thread, last as u32));
+        let position = |e: EventId| match e {
+            EventId::Init(_) => None, // position 0, where every floor starts
+            _ => match g.event(e).kind {
                 EventKind::Write { loc: l, .. } if l == loc => g.mo_position(e),
                 EventKind::Read { loc: l, rf: RfSource::Write(w), .. } if l == loc => {
                     g.mo_position(w)
                 }
                 _ => None,
-            })
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// The synchronizes-with relation of RC11:
-///
-/// `sw = [E⊒rel] ; ([F];po)? ; rs ; rf ; [R] ; (po;[F])? ; [E⊒acq]`
-///
-/// where the release sequence `rs` of a write `w` is `w` together with the
-/// chain of RMW writes reading (transitively) from it.
-pub fn sw_relation(g: &ExecutionGraph, ix: &EventIndex) -> Relation {
-    let mut sw = Relation::new(ix.len());
-    let pairs = rmw_pairs(g);
-    for (wid, wev) in g.events() {
-        let EventKind::Write { mode: wmode, .. } = &wev.kind else { continue };
-        // Release sources: the write itself (if ⊒rel) and every ⊒rel fence
-        // po-before it in the same thread.
-        let mut sources: Vec<EventId> = Vec::new();
-        if wmode.is_release() {
-            sources.push(wid);
-        }
-        let (wt, wi) = (wid.thread().unwrap(), wid.index().unwrap());
-        for j in 0..wi {
-            let e = &g.thread_events(wt)[j as usize];
-            if matches!(&e.kind, EventKind::Fence { mode } if mode.is_release()) {
-                sources.push(EventId::new(wt, j));
-            }
-        }
-        if sources.is_empty() {
-            continue;
-        }
-        // Release sequence of w.
-        let mut rseq = vec![wid];
-        loop {
-            let before = rseq.len();
-            for (r, w2) in &pairs {
-                if rseq.contains(w2) {
-                    continue;
-                }
-                if let RfSource::Write(src) = g.rf(*r) {
-                    if rseq.contains(&src) {
-                        rseq.push(*w2);
-                    }
-                }
-            }
-            if rseq.len() == before {
-                break;
-            }
-        }
-        // Acquire targets: readers of the release sequence.
-        for (rid, _, src) in g.reads() {
-            let RfSource::Write(srcw) = src else { continue };
-            if !rseq.contains(&srcw) {
-                continue;
-            }
-            let rmode = g.event(rid).kind.mode();
-            let mut targets: Vec<EventId> = Vec::new();
-            if rmode.is_acquire() {
-                targets.push(rid);
-            }
-            let (rt, ri) = (rid.thread().unwrap(), rid.index().unwrap());
-            for (j, e) in g.thread_events(rt).iter().enumerate().skip(ri as usize + 1) {
-                if matches!(&e.kind, EventKind::Fence { mode } if mode.is_acquire()) {
-                    targets.push(EventId::new(rt, j as u32));
-                }
-            }
-            for &s in &sources {
-                for &t in &targets {
-                    sw.add(ix.index_of(s), ix.index_of(t));
-                }
-            }
-        }
-    }
-    sw
-}
-
-/// Check the RC11 SC axiom `acyclic(psc_base ∪ psc_F)` the closure-based
-/// way (the reference formulation: compose + Floyd–Warshall).
-fn psc_acyclic_naive(
-    g: &ExecutionGraph,
-    ix: &EventIndex,
-    hb: &Relation,
-    eco: &Relation,
-) -> bool {
-    let n = ix.len();
-    let is_sc_fence = |i: usize| match ix.id_of(i) {
-        EventId::Init(_) => false,
-        id => matches!(&g.event(id).kind, EventKind::Fence { mode } if mode.is_sc()),
-    };
-    let is_sc_access = |i: usize| match ix.id_of(i) {
-        EventId::Init(_) => false,
-        id => match &g.event(id).kind {
-            EventKind::Read { mode, .. } | EventKind::Write { mode, .. } => mode.is_sc(),
-            _ => false,
-        },
-    };
-    if (0..n).all(|i| !is_sc_fence(i) && !is_sc_access(i)) {
-        return true; // no SC events, axiom trivially holds
-    }
-
-    // scb = (po \ po_loc) ∪ hb|loc ∪ mo ∪ fr
-    let mut scb = Relation::new(n);
-    for t in 0..g.num_threads() {
-        let evs = g.thread_events(t as u32);
-        for i in 0..evs.len() {
-            for j in i + 1..evs.len() {
-                let la = evs[i].kind.loc();
-                let lb = evs[j].kind.loc();
-                if la.is_none() || lb.is_none() || la != lb {
-                    scb.add(
-                        ix.index_of(EventId::new(t as u32, i as u32)),
-                        ix.index_of(EventId::new(t as u32, j as u32)),
-                    );
-                }
-            }
-        }
-    }
-    for (a, b) in hb.edges() {
-        let la = loc_of_idx(g, ix, a);
-        let lb = loc_of_idx(g, ix, b);
-        if la.is_some() && la == lb {
-            scb.add(a, b);
-        }
-    }
-    let mut mo_full = mo_relation(g, ix);
-    mo_full.close();
-    scb.union_with(&mo_full);
-    scb.union_with(&fr_relation(g, ix));
-
-    // left = [Esc] ∪ [Fsc];hb?   right = [Esc] ∪ hb?;[Fsc]
-    let mut left = Relation::new(n);
-    let mut right = Relation::new(n);
-    for i in 0..n {
-        if is_sc_access(i) || is_sc_fence(i) {
-            left.add(i, i);
-            right.add(i, i);
-        }
-    }
-    for (a, b) in hb.edges() {
-        if is_sc_fence(a) {
-            left.add(a, b);
-        }
-        if is_sc_fence(b) {
-            right.add(a, b);
-        }
-    }
-    let mut psc = left.compose(&scb).compose(&right);
-
-    // psc_F = [Fsc] ; (hb ∪ hb;eco;hb) ; [Fsc]
-    let hb_eco_hb = hb.compose(eco).compose(hb);
-    for (a, b) in hb.edges() {
-        if is_sc_fence(a) && is_sc_fence(b) {
-            psc.add(a, b);
-        }
-    }
-    for (a, b) in hb_eco_hb.edges() {
-        if is_sc_fence(a) && is_sc_fence(b) {
-            psc.add(a, b);
-        }
-    }
-    acyclic_by_closure(&psc)
-}
-
-fn loc_of_idx(g: &ExecutionGraph, ix: &EventIndex, i: usize) -> Option<u64> {
-    match ix.id_of(i) {
-        EventId::Init(loc) => Some(loc),
-        id => g.event(id).kind.loc(),
+            },
+        };
+        before.into_iter().filter_map(position).max().unwrap_or(0)
     }
 }
 

@@ -1,6 +1,6 @@
 //! `checker_attribution` partitions every consistency answer into *fast*
 //! (the chain checkers: VMM's clocks, the SC/TSO cycle search) and
-//! *reference* (closure formulations).
+//! *reference* (the axiom evaluator).
 //!
 //! The counters are process-global, so this file holds exactly one test:
 //! its own test binary, no concurrent checks.

@@ -1,8 +1,8 @@
 //! Differential tests of the consistency fast path and the parallel
 //! explorer:
 //!
-//! * the closure-free fast checkers must agree with the retained naive
-//!   closure-based reference checkers on randomized execution graphs —
+//! * the chain checkers must agree with the axiom evaluator (each model's
+//!   `is_consistent_reference`) on randomized execution graphs —
 //!   including inconsistent, cyclic, pending-read and RMW-violating ones;
 //! * `count_executions` must be identical for `workers ∈ {1, 2, 8}` and
 //!   for fast vs. reference checking across the lock catalog;
@@ -15,7 +15,9 @@
 //! * the revisit-driven search must collect exactly the executions the
 //!   enumerator (`support/enumerate.rs`, which shares no search rule with
 //!   it) lists for randomized programs — as sets, modulo thread symmetry
-//!   where it is on — across worker counts and symmetry settings.
+//!   where it is on — across worker counts and symmetry settings;
+//! * lock clients with awaits, which the enumerator cannot run, keep
+//!   their pinned execution counts.
 //!
 //! The generator is a deterministic SplitMix64 stream; failures print the
 //! offending seed and graph.
@@ -312,6 +314,27 @@ fn chain_checker_steers_three_thread_locks_like_the_reference() {
         ("ticket-3t", mutex_client(&TicketLock::default(), 3, 1)),
     ] {
         assert_checkers_explore_identically(name, &p, &AmcConfig::default());
+    }
+}
+
+/// Lock clients with awaits keep every execution. No oracle runs awaits
+/// (the enumerator cannot), yet a revisit rule that keeps too little loses
+/// executions exactly here (DESIGN.md §12, "Known defect"): symmetry off,
+/// one worker, `complete_executions` under SC / TSO / VMM. Lowering a pin
+/// means an execution was lost; raising one needs the new executions
+/// shown.
+#[test]
+fn await_clients_keep_every_execution() {
+    use vsync::locks::registry;
+    let pins = [("ticketlock", [46, 46, 46]), ("twalock", [126, 126, 198]), ("semaphore", [666; 3])];
+    for (lock, pins) in pins {
+        let p = registry::entry(lock).expect("a catalog lock").client(3, 1);
+        for (model, pin) in ModelKind::all().into_iter().zip(pins) {
+            let cfg = AmcConfig::with_model(model).with_symmetry(false).with_workers(1);
+            let r = explore(&p, &cfg);
+            assert!(r.is_verified(), "{lock}-3t ({model}): {}", r.verdict);
+            assert_eq!(r.stats.complete_executions, pin, "{lock}-3t ({model})");
+        }
     }
 }
 

@@ -1,8 +1,8 @@
 //! An execution enumerator for straight-line programs that shares no
 //! search rule with the engine: no replay, no revisits, no seen-sets, no
 //! incremental checker. It uses the execution-graph type to state its
-//! answers and the model's closure-based `is_consistent_reference` to
-//! filter them — nothing else of the crate. [`program`] builds the
+//! answers and the model's axioms, evaluated by `is_consistent_reference`,
+//! to filter them — nothing else of the crate. [`program`] builds the
 //! engine's input from the same op lists.
 //!
 //! Every candidate is built whole: pick a source for every read such that

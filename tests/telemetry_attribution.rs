@@ -1,6 +1,6 @@
 //! The two numbers behind `vsync verify --metrics`' "consistency checks:
-//! N fast-path, M reference" line: a default session never asks a
-//! closure formulation, a `CheckerKind::Reference` session asks nothing
+//! N fast-path, M reference" line: a default session never asks the
+//! axiom evaluator, a `CheckerKind::Reference` session asks nothing
 //! else.
 //!
 //! This file deliberately holds a single test — the counters are
