@@ -52,8 +52,7 @@ pub use explorer::{
     OracleOutcome,
 };
 pub use optimize::{
-    enumerate_maximal, is_locally_maximal, optimize, optimize_multi, OptimizationReport,
-    OptimizationStep, OptimizeStrategy, OptimizerConfig,
+    enumerate_maximal, optimize, OptimizationReport, OptimizationStep, OptimizerConfig,
 };
 pub use session::{CancelToken, ModelRun, Report, RunControl, Session};
 pub use stagnancy::{is_stagnant, is_stuck};

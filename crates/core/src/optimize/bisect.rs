@@ -1,7 +1,9 @@
-//! Adaptive batch relaxation: the first pass of the adaptive strategy
-//! relaxes *every* relaxable site to its weakest mode in one candidate
-//! and bisects the site set on failure, committing verified groups
-//! wholesale and refining only the sites that resist.
+//! Batch relaxation: the optimizer's first pass relaxes *every*
+//! relaxable site to its weakest mode in one candidate and bisects the
+//! site set on failure, committing verified groups wholesale and refining
+//! only the sites that resist. Later passes are the sequential ladder
+//! (`ladder_passes`), and `tests/support/optimize.rs` holds the plain
+//! sequential loop this pass must agree with.
 //!
 //! ## Why this is exactly the sequential pass
 //!
@@ -72,7 +74,7 @@ fn reject(ctx: &mut Ctx<'_>, acc: &Program, site: u32, to: Mode, pass: usize) {
     ctx.record(OptimizationStep { pass, site, from, to, accepted: false });
 }
 
-/// Run the adaptive batch/bisect pass over `acc`: relax-all, bisect on
+/// Run the batch/bisect pass over `acc`: relax-all, bisect on
 /// failure, refine resisting sites. Returns whether anything was
 /// accepted.
 pub(crate) fn commit_pass(

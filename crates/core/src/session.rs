@@ -238,9 +238,9 @@ impl Report {
     ///               frontier_dropped, probes,
     ///               "phases": {"<phase>": {count, total_ms, max_ms}}},
     ///     "optimization": null | {"verified", "interrupted", "error",
-    ///        "strategy", "verifications", "explorations",
-    ///        "explored_graphs", "cache_hits", "elapsed_ms", "before",
-    ///        "after", "steps": [{"site", "from", "to", "accepted"}]}}]}
+    ///        "verifications", "explorations", "explored_graphs",
+    ///        "cache_hits", "elapsed_ms", "before", "after",
+    ///        "steps": [{"site", "from", "to", "accepted"}]}}]}
     /// ```
     ///
     /// `verdict` is one of `"verified"`, `"safety"`, `"await_termination"`,
@@ -371,13 +371,12 @@ fn optimization_json(o: &OptimizationReport) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"verified\": {}, \"interrupted\": {}, \"error\": {}, \"strategy\": {}, \
+        "{{\"verified\": {}, \"interrupted\": {}, \"error\": {}, \
          \"verifications\": {}, \"explorations\": {}, \"explored_graphs\": {}, \
          \"cache_hits\": {}, \"elapsed_ms\": {:.3}, \"before\": {}, \"after\": {}, \"steps\": [",
         o.verified,
         o.interrupted,
         o.error.as_ref().map_or("null".to_owned(), |e| json_str(&e.to_string())),
-        json_str(&o.strategy.to_string()),
         o.verifications,
         o.explorations,
         o.explored_graphs,
@@ -632,9 +631,9 @@ impl Session {
 
     /// After each model that verifies, run push-button barrier
     /// optimization under that model. The `config`'s AMC settings are
-    /// overridden by the session's (model, workers, checker, budgets);
-    /// the strategy is honored, and a `cancel` token on the config is
-    /// respected in addition to the session's own.
+    /// overridden by the session's (model, workers, checker, budgets),
+    /// and a `cancel` token on the config is respected in addition to the
+    /// session's own.
     pub fn optimize(mut self, config: OptimizerConfig) -> Session {
         self.optimizer = Some(config);
         self

@@ -3,6 +3,8 @@
 //! See [`HELP`] for the command and option summary.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::io::{self, Write as _};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -11,7 +13,7 @@ use std::time::Duration;
 use vsync::core::{
     collect_litmus_files, enumerate_maximal, render_metrics, run_corpus, AmcConfig, CancelToken,
     CorpusOptions, CorpusReport, EngineEvent, EventFn, EventKind, ExploreStats, FileOutcome,
-    OptimizeStrategy, OptimizerConfig, PhaseProfile, Report, Session, TraceWriter,
+    OptimizerConfig, PhaseProfile, Report, Session, TraceWriter,
 };
 use vsync::graph::{to_dot, Mode};
 use vsync::lang::{Program, ProgramBuilder, Reg};
@@ -57,11 +59,10 @@ options:
                    exploration's counters to stderr: on the first update,
                    then at most every 250 ms
   --jobs J         (corpus) files checked concurrently (default: cores, max 8)
-  --strategy S     (optimize) sequential | adaptive
-                   (default adaptive; sequential is the reference loop)
   --steps          (optimize) print each decided relaxation to stderr as
                    `[pass N] accept|reject <site> <from> -> <to>`
-                   (adaptive: pass 1 is the batch/bisect opening)
+                   (pass 1 is the batch/bisect opening, later passes
+                   the sequential ladder)
   --enumerate      (optimize) list all maximally-relaxed assignments; only
                    --threads, --acquires, --model, --workers and
                    --no-symmetry apply
@@ -84,16 +85,8 @@ exit codes:
      or a corpus file was quarantined";
 
 /// Options `optimize --enumerate` does not apply.
-const ENUMERATE_IGNORES: [&str; 8] = [
-    "--deadline-ms",
-    "--max-memory-mb",
-    "--json",
-    "--progress",
-    "--steps",
-    "--strategy",
-    "--trace",
-    "--metrics",
-];
+const ENUMERATE_IGNORES: [&str; 7] =
+    ["--deadline-ms", "--max-memory-mb", "--json", "--progress", "--steps", "--trace", "--metrics"];
 
 struct Options {
     threads: usize,
@@ -110,7 +103,6 @@ struct Options {
     json: bool,
     progress: bool,
     symmetry: bool,
-    strategy: OptimizeStrategy,
     steps: bool,
     enumerate: bool,
     dot: bool,
@@ -146,7 +138,6 @@ impl Options {
             json: false,
             progress: false,
             symmetry: true,
-            strategy: OptimizeStrategy::default(),
             steps: false,
             enumerate: false,
             dot: false,
@@ -197,10 +188,6 @@ impl Options {
                 "--no-symmetry" => o.symmetry = false,
                 "--json" => o.json = true,
                 "--progress" => o.progress = true,
-                "--strategy" => {
-                    let s = it.next().ok_or("--strategy needs sequential|adaptive")?;
-                    o.strategy = s.parse()?;
-                }
                 "--steps" => o.steps = true,
                 "--enumerate" => o.enumerate = true,
                 // `--dot` alone prints to stdout (verify/bug); with a
@@ -488,14 +475,14 @@ fn corpus_exit_code(r: &vsync::core::CorpusReport) -> ExitCode {
 }
 
 /// Print a session report and turn it into an exit code.
-fn report(r: &Report, o: &Options) -> ExitCode {
+fn report(r: &Report, o: &Options, out: &mut Output) -> ExitCode {
     if o.json {
-        println!("{}", r.to_json());
+        writeln!(out, "{}", r.to_json());
     } else {
-        print!("{}", r.render());
+        write!(out, "{}", r.render());
         if o.dot {
             if let Some(ce) = r.models.iter().find_map(|m| m.verdict.counterexample()) {
-                println!("{}", to_dot(&ce.graph));
+                writeln!(out, "{}", to_dot(&ce.graph));
             }
         }
     }
@@ -552,32 +539,38 @@ fn litmus(name: &str) -> Result<Program, String> {
     pb.build().map_err(|e| e.to_string())
 }
 
-fn run() -> Result<ExitCode, String> {
+fn run(out: &mut Output) -> Result<ExitCode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, rest) = match args.split_first() {
         Some((c, r)) => (c.as_str(), r),
         None => {
-            println!(
+            writeln!(
+                out,
                 "usage: vsync <locks|verify|optimize|bug|litmus|check|corpus|fmt> ... (see --help)"
             );
             return Ok(ExitCode::SUCCESS);
         }
     };
     if cmd == "--help" || cmd == "help" {
-        println!("{HELP}");
+        writeln!(out, "{HELP}");
         return Ok(ExitCode::SUCCESS);
     }
     match cmd {
         "locks" => {
-            println!("{:<18} {:<10} {:>5} {:>4}  summary", "name", "family", "sites", "sym");
+            writeln!(out, "{:<18} {:<10} {:>5} {:>4}  summary", "name", "family", "sites", "sym");
             for e in registry::catalog() {
                 let sites = e.client(2, 1).relaxable_sites().len();
                 let sym = if e.symmetric_client() { "yes" } else { "-" };
-                println!("{:<18} {:<10} {:>5} {:>4}  {}", e.name, e.family, sites, sym, e.summary);
+                writeln!(
+                    out,
+                    "{:<18} {:<10} {:>5} {:>4}  {}",
+                    e.name, e.family, sites, sym, e.summary
+                );
             }
-            println!(
+            writeln!(
+                out,
                 "\nverify or optimize any entry: `vsync verify <name>`, `vsync optimize <name> \
-                 [--strategy sequential|adaptive] [--workers N]`"
+                 [--workers N]`"
             );
             Ok(ExitCode::SUCCESS)
         }
@@ -589,7 +582,7 @@ fn run() -> Result<ExitCode, String> {
             let tel = Telemetry::start(&o)?;
             let r = tel.session(o.session(entry.client(o.threads, o.acquires))).run();
             tel.finish(&report_profile(&r), r.elapsed, o.workers);
-            Ok(report(&r, &o))
+            Ok(report(&r, &o, out))
         }
         "optimize" => {
             let (name, rest) = rest.split_first().ok_or("optimize needs a lock name")?;
@@ -612,23 +605,22 @@ fn run() -> Result<ExitCode, String> {
                         .with_symmetry(o.symmetry),
                 );
                 let (names, maximal) = enumerate_maximal(&p, &cfg);
-                println!("{} maximally-relaxed assignment(s):", maximal.len());
+                writeln!(out, "{} maximally-relaxed assignment(s):", maximal.len());
                 for (i, modes) in maximal.iter().enumerate() {
-                    println!("#{i}");
+                    writeln!(out, "#{i}");
                     for (n, m) in names.iter().zip(modes) {
-                        println!("  {n:<44} {m}");
+                        writeln!(out, "  {n:<44} {m}");
                     }
                 }
                 Ok(ExitCode::SUCCESS)
             } else {
-                let ocfg = OptimizerConfig::default().with_strategy(o.strategy);
                 let tel = Telemetry::start(&o)?;
-                let r = tel.session(o.session(p).optimize(ocfg)).run();
+                let r = tel.session(o.session(p).optimize(OptimizerConfig::default())).run();
                 tel.finish(&report_profile(&r), r.elapsed, o.workers);
                 if o.json {
-                    println!("{}", r.to_json());
+                    writeln!(out, "{}", r.to_json());
                 } else {
-                    print!("{}", r.render());
+                    write!(out, "{}", r.render());
                 }
                 Ok(session_exit_code(&r))
             }
@@ -644,7 +636,7 @@ fn run() -> Result<ExitCode, String> {
             let tel = Telemetry::start(&o)?;
             let r = tel.session(o.session(p)).run();
             tel.finish(&report_profile(&r), r.elapsed, o.workers);
-            Ok(report(&r, &o))
+            Ok(report(&r, &o, out))
         }
         "check" => {
             let (file, rest) = rest.split_first().ok_or("check needs a .litmus file")?;
@@ -661,9 +653,9 @@ fn run() -> Result<ExitCode, String> {
                 write_corpus_dots(dir, &r)?;
             }
             if o.json {
-                println!("{}", r.to_json());
+                writeln!(out, "{}", r.to_json());
             } else {
-                print!("{}", r.render_table());
+                write!(out, "{}", r.render_table());
             }
             Ok(corpus_exit_code(&r))
         }
@@ -682,9 +674,9 @@ fn run() -> Result<ExitCode, String> {
                 return Err(format!("no .litmus files under {dir}"));
             }
             if o.json {
-                println!("{}", r.to_json());
+                writeln!(out, "{}", r.to_json());
             } else {
-                print!("{}", r.render_table());
+                write!(out, "{}", r.render_table());
             }
             Ok(corpus_exit_code(&r))
         }
@@ -738,7 +730,7 @@ fn run() -> Result<ExitCode, String> {
                             eprintln!("reformatted {label}");
                         }
                     }
-                    Ok(formatted) => print!("{formatted}"),
+                    Ok(formatted) => write!(out, "{formatted}"),
                 }
             }
             Ok(if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS })
@@ -749,12 +741,13 @@ fn run() -> Result<ExitCode, String> {
             let p = litmus(name)?;
             let r = o.session(p).collect_executions().run();
             for m in &r.models {
-                println!(
+                writeln!(
+                    out,
                     "{name} under {}: {} consistent executions",
                     m.model, m.stats.complete_executions
                 );
                 for (i, g) in m.executions.iter().enumerate() {
-                    println!("--- execution {i} ---\n{}", g.render());
+                    writeln!(out, "--- execution {i} ---\n{}", g.render());
                 }
             }
             Ok(ExitCode::SUCCESS)
@@ -763,11 +756,43 @@ fn run() -> Result<ExitCode, String> {
     }
 }
 
+/// Standard output, written through one fallible path. `println!`
+/// panics once the reader is gone (`vsync locks | head -1`); here the
+/// first write error silences the rest of the output instead, and
+/// [`Output::finish`] reports it.
+struct Output {
+    stdout: io::Stdout,
+    error: Option<io::Error>,
+}
+
+impl Output {
+    /// The target of `write!` and `writeln!`.
+    fn write_fmt(&mut self, args: fmt::Arguments<'_>) {
+        if self.error.is_none() {
+            self.error = self.stdout.write_fmt(args).err();
+        }
+    }
+
+    /// Flush, and return the first write error — except a closed pipe,
+    /// which only means the reader wanted no more.
+    fn finish(mut self) -> io::Result<()> {
+        match self.error.take().map_or_else(|| self.stdout.flush(), Err) {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+            flushed => flushed,
+        }
+    }
+}
+
 fn main() -> ExitCode {
-    match run() {
-        Ok(code) => code,
+    let mut out = Output { stdout: io::stdout(), error: None };
+    let code = run(&mut out).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    });
+    match out.finish() {
+        Ok(()) => code,
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: cannot write to stdout: {e}");
             ExitCode::FAILURE
         }
     }

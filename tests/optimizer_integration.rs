@@ -2,9 +2,12 @@
 //! baseline, the optimizer must land on verified, locally-maximal barrier
 //! assignments whose shape matches the known-good published modes.
 
-use vsync::core::{
-    is_locally_maximal, optimize, optimize_multi, verify, AmcConfig, OptimizerConfig,
-};
+#[path = "support/optimize.rs"]
+#[allow(dead_code)]
+mod reference;
+
+use reference::is_locally_maximal;
+use vsync::core::{optimize, verify, AmcConfig, OptimizerConfig, Session};
 use vsync::graph::Mode;
 use vsync::lang::Program;
 use vsync::locks::model::{mutex_client, CasLock, McsLock, TicketLock, TtasLock};
@@ -31,7 +34,7 @@ fn caslock_optimizes_to_acquire_release() {
     assert_eq!(mode_of(&report.program, "caslock.acquire.cas"), Mode::Acq);
     assert_eq!(mode_of(&report.program, "caslock.release.store"), Mode::Rel);
     assert_eq!(report.after.sc, 0);
-    assert!(is_locally_maximal(&report.program, &config()));
+    assert!(is_locally_maximal(&report.program, &config().amc));
 }
 
 #[test]
@@ -44,7 +47,7 @@ fn ttas_optimizes_await_to_relaxed() {
     assert_eq!(mode_of(&report.program, "ttas.release.store"), Mode::Rel);
     assert!(mode_of(&report.program, "ttas.acquire.xchg").is_acquire());
     assert_eq!(report.after.sc, 0);
-    assert!(is_locally_maximal(&report.program, &config()));
+    assert!(is_locally_maximal(&report.program, &config().amc));
 }
 
 #[test]
@@ -97,7 +100,8 @@ fn multi_scenario_oracle_is_stricter() {
 
     let mut pair = mutex_client(&CasLock::default(), 2, 1);
     pair.copy_modes_by_name(&solo); // all-SC start
-    let report = optimize_multi(&solo, &[pair], &config());
+    let session = Session::new(solo).optimize(config()).optimize_scenarios(vec![pair]).run();
+    let report = session.models[0].optimization.as_ref().expect("the baseline verified");
     assert!(report.verified);
     assert!(
         report.after.acq >= 1 && report.after.rel >= 1,

@@ -1,15 +1,20 @@
-//! Differential tests of the optimizer's search strategies: the adaptive
-//! engine must reproduce the *identical final barrier assignment* of the
-//! sequential reference loop — across the full lock registry and for any
-//! worker count — and every strategy must honor cooperative cancellation
-//! without ever keeping an unverified accept.
+//! Differential tests of the optimizer against its oracle, the sequential
+//! ladder in `support/optimize.rs`, which shares only the verifier with
+//! it: the optimizer must reproduce the reference's *identical final
+//! barrier assignment* — across the full lock registry and for any
+//! worker count — and must honor cooperative cancellation without ever
+//! keeping an unverified accept.
+
+#[path = "support/optimize.rs"]
+#[allow(dead_code)]
+mod reference;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use vsync::core::{
-    enumerate_maximal, optimize, optimize_multi, verify, AmcConfig, CancelToken, EventKind,
-    OptimizationReport, OptimizationStep, OptimizeStrategy, OptimizerConfig, Session, Verdict,
+    enumerate_maximal, optimize, verify, AmcConfig, CancelToken, EventKind, OptimizationReport,
+    OptimizationStep, OptimizerConfig, Session, Verdict,
 };
 use vsync::graph::Mode;
 use vsync::lang::{Program, ProgramBuilder, Reg, Test};
@@ -17,9 +22,12 @@ use vsync::locks::model::{mutex_client, CasLock};
 use vsync::locks::registry;
 use vsync::model::ModelKind;
 
-fn config(strategy: OptimizeStrategy, workers: usize) -> OptimizerConfig {
-    OptimizerConfig::with_amc(AmcConfig::with_model(ModelKind::Vmm).with_workers(workers))
-        .with_strategy(strategy)
+fn amc(workers: usize) -> AmcConfig {
+    AmcConfig::with_model(ModelKind::Vmm).with_workers(workers)
+}
+
+fn config(workers: usize) -> OptimizerConfig {
+    OptimizerConfig::with_amc(amc(workers))
 }
 
 fn modes(p: &Program) -> Vec<Mode> {
@@ -38,9 +46,7 @@ fn optimize_cancelled_at_step(
     n: usize,
     workers: usize,
 ) -> (OptimizationReport, usize) {
-    let session = Session::new(base.clone())
-        .workers(workers)
-        .optimize(config(OptimizeStrategy::Adaptive, workers));
+    let session = Session::new(base.clone()).workers(workers).optimize(config(workers));
     let token = session.cancel_token();
     let seen = Arc::new(AtomicUsize::new(0));
     let sink = Arc::clone(&seen);
@@ -57,7 +63,7 @@ fn optimize_cancelled_at_step(
     (opt.expect("the baseline verified, so the optimizer ran"), seen.load(Ordering::Relaxed))
 }
 
-/// Explorations an adaptive run pays up to and including its `n`-th
+/// Explorations an optimizer run pays up to and including its `n`-th
 /// decided step: the sink fires the token on that step, and every later
 /// candidate is preceded by an interrupt check, so nothing after it is
 /// explored (an interrupted run also skips the deferred baseline check).
@@ -65,34 +71,32 @@ fn explorations_through_step(base: &Program, n: usize) -> u64 {
     optimize_cancelled_at_step(base, n, 1).0.explorations
 }
 
-/// Every registered lock, 2-thread client, from the all-SC baseline:
-/// adaptive lands on the sequential reference's exact final assignment,
-/// and its whole step list — rejections included — is the same at
-/// workers ∈ {1, 2, 8} (one thread decides every step; the workers only
-/// size each exploration).
+/// Every registered lock, 2-thread client, from the all-SC baseline: the
+/// optimizer lands on the sequential reference's exact final assignment,
+/// and its whole step list — rejections included — is the reference's
+/// at workers ∈ {1, 2, 8} (one thread decides every step; the workers
+/// only size each exploration).
 ///
 /// Also pins the premise the one-ladder fixpoint rests on (DESIGN.md
-/// §7.3): with no fault-class rejection, neither strategy accepts anything
-/// after pass 1, and adaptive pays no exploration after pass 1 — every
-/// later step is answered by the rejection memo.
+/// §7.3): with no fault-class rejection, neither search accepts anything
+/// after pass 1, and the optimizer pays no exploration after pass 1 —
+/// every later step is answered by the rejection memo.
 #[test]
 fn strategies_agree_across_the_full_registry() {
     for entry in registry::catalog() {
         let name = entry.name;
         let base = entry.client(2, 1).with_all_sc();
-        let seq = optimize(&base, &config(OptimizeStrategy::Sequential, 1));
-        assert!(seq.verified, "{name}: sequential baseline failed");
-        assert_eq!(accepts_after_pass_1(&seq.steps), 0, "{name}: sequential");
+        let seq = reference::sequential(&base, &[], &amc(1));
+        assert!(seq.verified, "{name}: reference baseline failed");
+        assert_eq!(accepts_after_pass_1(&seq.steps), 0, "{name}: reference");
 
-        let strategy = OptimizeStrategy::Adaptive;
-        let runs =
-            [1usize, 2, 8].map(|workers| (workers, optimize(&base, &config(strategy, workers))));
+        let runs = [1usize, 2, 8].map(|workers| (workers, optimize(&base, &config(workers))));
         for (workers, r) in &runs {
-            assert!(r.verified, "{name}: {strategy} failed to verify");
+            assert!(r.verified, "{name}: optimizer failed to verify");
             assert_eq!(
                 modes(&seq.program),
                 modes(&r.program),
-                "{name}: {strategy} (workers={workers}) diverged from sequential"
+                "{name}: optimizer (workers={workers}) diverged from the reference"
             );
             // The accepted steps replay to the same assignment.
             let mut replayed = base.clone();
@@ -102,14 +106,17 @@ fn strategies_agree_across_the_full_registry() {
             assert_eq!(
                 modes(&replayed),
                 modes(&r.program),
-                "{name}: {strategy} steps are not replayable"
+                "{name}: optimizer steps are not replayable"
             );
-            assert_eq!(accepts_after_pass_1(&r.steps), 0, "{name}: {strategy}/{workers}");
+            assert_eq!(accepts_after_pass_1(&r.steps), 0, "{name}: optimizer/{workers}");
             // Decisions only: which violating execution a multi-worker
             // exploration finds first — and so what the witness cache can
             // replay later — may differ, moving `cache_hits` against
             // `explorations`.
-            assert_eq!(runs[0].1.steps, r.steps, "{name}: steps differ at {workers} workers");
+            assert_eq!(
+                seq.steps, r.steps,
+                "{name}: steps differ from the reference's at {workers} workers"
+            );
         }
 
         let r = &runs[0].1;
@@ -118,7 +125,7 @@ fn strategies_agree_across_the_full_registry() {
         assert_eq!(
             explorations_through_step(&base, pass_1),
             r.explorations,
-            "{name}: {strategy} explored after pass 1"
+            "{name}: optimizer explored after pass 1"
         );
     }
 }
@@ -145,11 +152,11 @@ fn mp_with_local_spin() -> Program {
 }
 
 /// Fault-class rejections are re-decided by the pass-2 ladder — once
-/// each. The reference pays 9 explorations (baseline + 6 + 2); adaptive
-/// pays 13: its pass 1, the two pass-2 re-decisions and the deferred
-/// baseline check that `fault_seen` forces. (The screening pool this
-/// ladder replaced decided each of the two twice — screen, then fallback
-/// — for 15.)
+/// each. The reference pays 9 explorations (baseline + 6 + 2); the
+/// optimizer pays 13: its pass 1, the two pass-2 re-decisions and the
+/// deferred baseline check that `fault_seen` forces. (The screening pool
+/// this ladder replaced decided each of the two twice — screen, then
+/// fallback — for 15.)
 #[test]
 fn fault_class_rejections_are_redecided_once_in_pass_2() {
     let base = mp_with_local_spin();
@@ -159,14 +166,14 @@ fn fault_class_rejections_are_redecided_once_in_pass_2() {
     };
     let flag_sites_to_rlx = vec![(1, Mode::Rlx, false), (2, Mode::Rlx, false)];
 
-    let seq = optimize(&base, &config(OptimizeStrategy::Sequential, 1));
-    assert!(seq.verified && !seq.interrupted);
+    let seq = reference::sequential(&base, &[], &amc(1));
+    assert!(seq.verified);
     assert_eq!(modes(&seq.program), want);
     assert_eq!(redecided(&seq.steps), flag_sites_to_rlx);
     assert_eq!(seq.explorations, 9);
 
     for workers in [1, 2] {
-        let ad = optimize(&base, &config(OptimizeStrategy::Adaptive, workers));
+        let ad = optimize(&base, &config(workers));
         assert!(ad.verified && !ad.interrupted, "the deferred baseline check must run and pass");
         assert_eq!(modes(&ad.program), want);
         assert_eq!(ad.cache_hits, 0, "a fault leaves no witness and no memo entry");
@@ -177,33 +184,36 @@ fn fault_class_rejections_are_redecided_once_in_pass_2() {
 }
 
 /// The multi-scenario oracle keeps the equivalence: the extra scenario
-/// constrains all strategies identically.
+/// constrains the optimizer and the reference identically.
 #[test]
 fn strategies_agree_with_extra_scenarios() {
     let solo = mutex_client(&CasLock::default(), 1, 1).with_all_sc();
     let mut pair = mutex_client(&CasLock::default(), 2, 1);
     pair.copy_modes_by_name(&solo);
-    let scenarios = [pair];
-    let seq = optimize_multi(&solo, &scenarios, &config(OptimizeStrategy::Sequential, 1));
+    let seq = reference::sequential(&solo, std::slice::from_ref(&pair), &amc(1));
     assert!(seq.verified);
-    let strategy = OptimizeStrategy::Adaptive;
     for workers in [1, 2] {
-        let r = optimize_multi(&solo, &scenarios, &config(strategy, workers));
-        assert!(r.verified, "{strategy}/{workers}");
-        assert_eq!(modes(&seq.program), modes(&r.program), "{strategy}/{workers}");
+        let report = Session::new(solo.clone())
+            .workers(workers)
+            .optimize(config(workers))
+            .optimize_scenarios(vec![pair.clone()])
+            .run();
+        let r = report.models[0].optimization.as_ref().expect("the baseline verified");
+        assert!(r.verified, "workers={workers}");
+        assert_eq!(modes(&seq.program), modes(&r.program), "workers={workers}");
     }
 }
 
-/// The adaptive engine needs strictly fewer full explorations than the
+/// The optimizer needs at most half the full explorations of the
 /// sequential reference on a lock with a non-trivial site table.
 #[test]
 fn adaptive_explores_less_than_sequential() {
     let base = registry::entry("mcs").unwrap().client(2, 1).with_all_sc();
-    let seq = optimize(&base, &config(OptimizeStrategy::Sequential, 1));
-    let ad = optimize(&base, &config(OptimizeStrategy::Adaptive, 1));
+    let seq = reference::sequential(&base, &[], &amc(1));
+    let ad = optimize(&base, &config(1));
     assert!(
         2 * ad.explorations <= seq.explorations,
-        "adaptive {} vs sequential {} explorations",
+        "optimizer {} vs reference {} explorations",
         ad.explorations,
         seq.explorations
     );
@@ -211,34 +221,33 @@ fn adaptive_explores_less_than_sequential() {
 }
 
 /// A session token fired from the event sink on the first
-/// `optimize_step` interrupts the adaptive engine mid-bisection; every
+/// `optimize_step` interrupts the optimizer mid-bisection; every
 /// accept kept in the report is individually (or batch-) verified, so
 /// the partial program still verifies and is pointwise weaker-or-equal
 /// than the baseline.
 #[test]
 fn mid_bisect_interrupt_keeps_a_verified_partial_assignment() {
-    let strategy = OptimizeStrategy::Adaptive;
     for workers in [1, 2, 8] {
         let base = registry::entry("ttas").unwrap().client(2, 1).with_all_sc();
         let (report, fired) = optimize_cancelled_at_step(&base, 1, workers);
-        assert!(fired > 0, "{strategy}: no step event fired");
-        assert!(report.interrupted, "{strategy}/{workers}: not interrupted");
-        assert!(report.verified, "{strategy}/{workers}: baseline lost");
+        assert!(fired > 0, "workers={workers}: no step event fired");
+        assert!(report.interrupted, "workers={workers}: not interrupted");
+        assert!(report.verified, "workers={workers}: baseline lost");
         // Whatever was kept verifies from scratch...
         assert!(
             verify(&report.program, &AmcConfig::with_model(ModelKind::Vmm)).is_verified(),
-            "{strategy}/{workers}: partial assignment does not verify"
+            "workers={workers}: partial assignment does not verify"
         );
         // ...and never strengthens a site beyond the baseline.
         for (b, a) in base.sites().iter().zip(report.program.sites()) {
             if !b.relaxable {
-                assert_eq!(b.mode, a.mode, "{strategy}: fixed site {} touched", b.name);
+                assert_eq!(b.mode, a.mode, "workers={workers}: fixed site {} touched", b.name);
             }
         }
     }
 }
 
-/// A pre-fired token stops the adaptive engine before any relaxation
+/// A pre-fired token stops the optimizer before any relaxation
 /// attempt: verified-unknown (`false` + interrupted), no steps, program
 /// untouched.
 #[test]
@@ -246,7 +255,7 @@ fn prefired_token_stops_before_any_attempt() {
     let base = registry::entry("caslock").unwrap().client(2, 1).with_all_sc();
     let token = CancelToken::new();
     token.cancel();
-    let report = optimize(&base, &config(OptimizeStrategy::Adaptive, 1).with_cancel(token));
+    let report = optimize(&base, &config(1).with_cancel(token));
     assert!(report.interrupted);
     assert!(!report.verified, "baseline was never verified: must report unknown");
     assert!(report.steps.is_empty());
@@ -283,20 +292,17 @@ fn enumerate_maximal_cancellation() {
 }
 
 /// Interrupting *between* oracle calls via a deadline also lands on a
-/// verified-or-unknown state for every strategy (no worker hangs).
+/// verified-or-unknown state (no worker hangs).
 #[test]
-fn zero_deadline_interrupts_every_strategy() {
-    use vsync::core::Session;
+fn zero_deadline_interrupts_the_optimizer() {
     use vsync::locks::SessionExt as _;
-    for strategy in [OptimizeStrategy::Sequential, OptimizeStrategy::Adaptive] {
-        let report = Session::lock("ttas", 2, 1)
-            .deadline(std::time::Duration::ZERO)
-            .optimize(OptimizerConfig::default().with_strategy(strategy))
-            .run();
-        // The exploration itself already hits the deadline, so the
-        // optimizer never runs — the point is that nothing hangs and the
-        // report is coherent.
-        assert!(report.is_interrupted(), "{strategy}");
-        assert!(matches!(report.models[0].verdict, Verdict::Inconclusive(_)), "{strategy}");
-    }
+    let report = Session::lock("ttas", 2, 1)
+        .deadline(std::time::Duration::ZERO)
+        .optimize(OptimizerConfig::default())
+        .run();
+    // The exploration itself already hits the deadline, so the optimizer
+    // never runs — the point is that nothing hangs and the report is
+    // coherent.
+    assert!(report.is_interrupted());
+    assert!(matches!(report.models[0].verdict, Verdict::Inconclusive(_)));
 }

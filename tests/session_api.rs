@@ -269,7 +269,6 @@ fn report_json_golden() {
                     verified: true,
                     interrupted: false,
                     error: None,
-                    strategy: vsync::core::OptimizeStrategy::Adaptive,
                     steps: vec![OptimizationStep {
                         pass: 1,
                         site: 0,
@@ -306,7 +305,7 @@ fn report_json_golden() {
         "\"complete_executions\": 2, \"blocked_graphs\": 0, \"events\": 40, ",
         "\"frontier_dropped\": 0, \"probes\": 0, \"phases\": {}}, ",
         "\"optimization\": {\"verified\": true, \"interrupted\": false, \"error\": null, ",
-        "\"strategy\": \"adaptive\", \"verifications\": 3, ",
+        "\"verifications\": 3, ",
         "\"explorations\": 2, \"explored_graphs\": 40, \"cache_hits\": 1, ",
         "\"elapsed_ms\": 0.250, ",
         "\"before\": {\"rlx\": 0, \"acq\": 0, \"rel\": 0, \"acq_rel\": 0, \"sc\": 1}, ",

@@ -7,9 +7,13 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+#[path = "support/optimize.rs"]
+#[allow(dead_code)]
+mod reference;
+
 use vsync::core::{
-    run_corpus, CorpusOptions, EnginePhase, EventKind, ExploreStats, OptimizeStrategy,
-    OptimizerConfig, PhaseProfile, Session,
+    run_corpus, AmcConfig, CorpusOptions, EnginePhase, EventKind, ExploreStats, OptimizerConfig,
+    PhaseProfile, Session,
 };
 use vsync::graph::Mode;
 use vsync::lang::{Program, ProgramBuilder, Reg};
@@ -174,41 +178,43 @@ fn bus_totals_equal_final_stats() {
 }
 
 /// Each decided optimizer step reaches the session bus as one
-/// `optimize_step`, in report order, under both strategies: the bus's
-/// `(pass, site, from, to, accepted)` list is the report's step list with
-/// site names resolved, and passes start at 1 and never decrease. With
-/// profiling on, optimizer time lands in the `Optimize` phase.
+/// `optimize_step`, in report order: the bus's `(pass, site, from, to,
+/// accepted)` list is the report's step list with site names resolved,
+/// and that list is the sequential reference's (`support/optimize.rs`),
+/// so passes start at 1 and never decrease. With profiling on, optimizer
+/// time lands in the `Optimize` phase.
 #[test]
 fn optimizer_steps_reach_the_event_bus() {
-    for strategy in [OptimizeStrategy::Sequential, OptimizeStrategy::Adaptive] {
-        let steps = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&steps);
-        let r = Session::lock("ttas", 2, 1)
-            .optimize(OptimizerConfig::default().with_strategy(strategy))
-            .profile(true)
-            .on_event(move |ev| {
-                if let EventKind::OptimizeStep { pass, site, from, to, accepted } = &ev.kind {
-                    sink.lock().unwrap().push((*pass, site.clone(), *from, *to, *accepted));
-                }
-            })
-            .run();
-        assert!(r.is_verified(), "{strategy}");
-        let opt = r.models[0].optimization.as_ref().expect("optimizer ran");
-        let reported: Vec<_> = opt
-            .steps
-            .iter()
-            .map(|s| (s.pass, opt.site_name(s).to_owned(), s.from, s.to, s.accepted))
-            .collect();
-        let steps = steps.lock().unwrap();
-        assert!(!steps.is_empty(), "{strategy}: no step decided");
-        assert_eq!(*steps, reported, "{strategy}: the bus's steps are the report's");
-        assert_eq!(steps[0].0, 1, "{strategy}: passes start at 1");
-        assert!(steps.windows(2).all(|w| w[0].0 <= w[1].0), "{strategy}: a pass went back");
-        assert!(
-            r.models[0].stats.phases.get(EnginePhase::Optimize).count > 0,
-            "{strategy}: optimizer wall time must be attributed"
-        );
-    }
+    let steps = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&steps);
+    let base = vsync::locks::registry::entry("ttas").unwrap().client(2, 1);
+    let r = Session::new(base.clone())
+        .optimize(OptimizerConfig::default())
+        .profile(true)
+        .on_event(move |ev| {
+            if let EventKind::OptimizeStep { pass, site, from, to, accepted } = &ev.kind {
+                sink.lock().unwrap().push((*pass, site.clone(), *from, *to, *accepted));
+            }
+        })
+        .run();
+    assert!(r.is_verified());
+    let opt = r.models[0].optimization.as_ref().expect("optimizer ran");
+    let reported: Vec<_> = opt
+        .steps
+        .iter()
+        .map(|s| (s.pass, opt.site_name(s).to_owned(), s.from, s.to, s.accepted))
+        .collect();
+    let steps = steps.lock().unwrap();
+    assert!(!steps.is_empty(), "no step decided");
+    assert_eq!(*steps, reported, "the bus's steps are the report's");
+    let seq = reference::sequential(&base, &[], &AmcConfig::default());
+    assert_eq!(opt.steps, seq.steps, "the optimizer's steps are the reference's");
+    assert_eq!(steps[0].0, 1, "passes start at 1");
+    assert!(steps.windows(2).all(|w| w[0].0 <= w[1].0), "a pass went back");
+    assert!(
+        r.models[0].stats.phases.get(EnginePhase::Optimize).count > 0,
+        "optimizer wall time must be attributed"
+    );
 }
 
 /// A corpus run shares one bus across files: per-file sessions stream
