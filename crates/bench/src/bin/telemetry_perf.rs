@@ -27,11 +27,11 @@
 //! `VSYNC_WORKERS` (default 1 — single-worker keeps the comparison
 //! scheduling-deterministic).
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use vsync_core::json::Json;
 use vsync_core::{Report, Session};
 use vsync_model::ModelKind;
 
@@ -130,23 +130,19 @@ fn main() {
          Instant::now() ({clock_read_ns:.1} ns here)"
     );
 
-    // Hand-rolled JSON (the build environment has no serde).
     let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"telemetry_perf\",");
-    let _ = writeln!(json, "  \"samples\": {samples},");
-    let _ = writeln!(json, "  \"workers\": {workers},");
-    let _ = writeln!(json, "  \"row\": \"qspinlock-3t\",");
-    let _ = writeln!(json, "  \"disabled_ms\": {:.3},", disabled.as_secs_f64() * 1e3);
-    let _ = writeln!(json, "  \"enabled_ms\": {:.3},", enabled.as_secs_f64() * 1e3);
-    let _ = writeln!(json, "  \"events\": {event_count},");
-    let _ = writeln!(json, "  \"overhead_pct\": {overhead_pct:.3},");
-    let _ = writeln!(json, "  \"transitions\": {transitions},");
-    let _ = writeln!(json, "  \"per_transition_ns\": {per_transition_ns:.3},");
-    let _ = writeln!(json, "  \"clock_read_ns\": {clock_read_ns:.3},");
-    let _ = writeln!(json, "  \"clock_reads_per_transition\": {clock_reads:.3},");
-    let _ = writeln!(json, "  \"gate_clock_reads\": {max_clock_reads:.3}");
-    let _ = writeln!(json, "}}");
+    Json::new(&mut json).obj(|j| {
+        j.key("bench").str("telemetry_perf");
+        j.key("samples").uint(samples as u64).key("workers").uint(workers as u64);
+        j.key("row").str("qspinlock-3t");
+        j.key("disabled_ms").ms(disabled).key("enabled_ms").ms(enabled);
+        j.key("events").uint(event_count).key("overhead_pct").fixed3(overhead_pct);
+        j.key("transitions").uint(transitions).key("per_transition_ns").fixed3(per_transition_ns);
+        j.key("clock_read_ns").fixed3(clock_read_ns);
+        j.key("clock_reads_per_transition").fixed3(clock_reads);
+        j.key("gate_clock_reads").fixed3(max_clock_reads);
+    });
+    json.push('\n');
     let parsed = vsync_bench::json::parse(&json).expect("BENCH_telemetry.json is valid JSON");
     assert!(parsed.get("overhead_pct").is_some());
     std::fs::write("BENCH_telemetry.json", json).expect("write BENCH_telemetry.json");

@@ -1,12 +1,15 @@
 //! Minimal dependency-free JSON tooling for the bench drivers.
 //!
 //! The repo's machine-readable artifacts (`Report::to_json()`, corpus
-//! JSON, `--trace` files) are hand-rolled because the build environment has
-//! no serde; this module is the consuming side — a small recursive-descent
-//! parser that preserves object key order, so tests can assert the
+//! JSON, `--trace` files, bench rows) are written by
+//! [`vsync_core::json::Json`] because the build environment has no serde;
+//! this module is the consuming side — a small recursive-descent parser
+//! that preserves object key order, so tests and tools can assert the
 //! emitted JSON is well-formed and round-trippable.
 
 use std::fmt;
+
+use vsync_core::json::Json;
 
 /// A parsed JSON value. Object keys keep their source order — exactly
 /// what the golden tests need to assert stable key order.
@@ -74,52 +77,29 @@ impl Value {
             _ => None,
         }
     }
+
+    fn write(&self, j: &mut Json<'_>) {
+        match self {
+            Value::Null => _ = j.null(),
+            Value::Bool(b) => _ = j.bool(*b),
+            Value::Num(n) => _ = j.float(*n),
+            Value::Str(s) => _ = j.str(s),
+            Value::Arr(items) => _ = j.arr(|j| items.iter().for_each(|v| v.write(j))),
+            Value::Obj(members) => {
+                j.obj(|j| members.iter().for_each(|(k, v)| v.write(j.key(k))));
+            }
+        }
+    }
 }
 
 impl fmt::Display for Value {
-    /// Re-serialize (member order preserved). `parse(v.to_string())`
-    /// equals `v` up to float formatting — the round-trip the tests use.
+    /// Re-serialize (member order preserved) through the product writer,
+    /// [`vsync_core::json::Json`]. `parse(v.to_string())` equals `v` up to
+    /// float formatting — the round-trip the tests use.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => f.write_str("null"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Num(n) => write!(f, "{n}"),
-            Value::Str(s) => {
-                f.write_str("\"")?;
-                for c in s.chars() {
-                    match c {
-                        '"' => f.write_str("\\\"")?,
-                        '\\' => f.write_str("\\\\")?,
-                        '\n' => f.write_str("\\n")?,
-                        '\r' => f.write_str("\\r")?,
-                        '\t' => f.write_str("\\t")?,
-                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                        c => write!(f, "{c}")?,
-                    }
-                }
-                f.write_str("\"")
-            }
-            Value::Arr(items) => {
-                f.write_str("[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                f.write_str("]")
-            }
-            Value::Obj(members) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    write!(f, "{}: {v}", Value::Str(k.clone()))?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = String::new();
+        self.write(&mut Json::new(&mut out));
+        f.write_str(&out)
     }
 }
 
@@ -321,7 +301,7 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"\\q\""] {
+        for bad in ["", "{", "[1,", r#"{"a" 1}"#, "tru", "1 2", "\"\\q\""] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
     }

@@ -6,7 +6,8 @@
 //! binaries agree on parameters. The engine's own performance is
 //! tracked by the repo benchmark (`BENCHMARK.json`, `benchmark/`), not
 //! here; two telemetry CI gates (`telemetry_perf`, `validate_trace`) are
-//! the only perf bins left in this crate.
+//! the only perf bins left in this crate, and [`validate_trace`] is also
+//! the trace check of the tier-1 tests.
 //!
 //! Environment knobs for the binaries:
 //!
@@ -23,8 +24,10 @@
 pub mod json;
 pub mod timing;
 
+use std::collections::HashMap;
 use std::time::Instant;
 
+use json::Value;
 use vsync_core::{optimize, OptimizationReport, OptimizerConfig, Session};
 use vsync_lang::Program;
 use vsync_locks::model::{qspinlock_handover_scenario, qspinlock_scenario};
@@ -32,6 +35,61 @@ use vsync_locks::registry;
 use vsync_locks::runtime::table5_pairs;
 use vsync_model::ModelKind;
 use vsync_sim::{sweep, Arch, Record, Workload};
+
+/// Check a Chrome trace written by [`vsync_core::TraceWriter`] (the CLI's
+/// `--trace`) against the trace-event schema Perfetto relies on: a
+/// top-level array whose entries all carry `name`/`ph`/`pid` (and `ts` for
+/// non-metadata records), with `ph` drawn from the emitted alphabet (`M`,
+/// `B`, `E`, `X`, `C`, `i`), `dur` on every complete (`X`) span, and
+/// properly nested `B`/`E` pairs: every `E` closes the innermost open `B`
+/// of the same name on its own `(pid, tid)` track, and no `B` is left
+/// open. Returns the number of event records and of `X` spans.
+///
+/// # Panics
+///
+/// On the first schema violation, naming the offending record.
+pub fn validate_trace(src: &str) -> (usize, usize) {
+    let v = json::parse(src).expect("trace parses as JSON");
+    let Value::Arr(events) = &v else { panic!("trace top level must be an array") };
+    assert!(!events.is_empty(), "trace must contain events");
+    let mut spans = 0usize;
+    // Open `B` names per `(pid, tid)` track, innermost last.
+    let mut open: HashMap<(u64, u64), Vec<&str>> = HashMap::new();
+    for (i, ev) in events.iter().enumerate() {
+        let name = ev.get("name").and_then(Value::as_str);
+        assert!(name.is_some_and(|n| !n.is_empty()), "event {i} has no name");
+        let ph =
+            ev.get("ph").and_then(Value::as_str).unwrap_or_else(|| panic!("event {i} has no ph"));
+        let num = |key| {
+            ev.get(key).and_then(Value::as_num).unwrap_or_else(|| panic!("event {i} has no {key}"))
+        };
+        let (pid, tid) = (num("pid"), num("tid"));
+        let track = (pid as u64, tid as u64);
+        if ph != "M" {
+            num("ts"); // metadata alone carries no timestamp
+        }
+        match ph {
+            "M" | "C" | "i" => {}
+            "B" => open.entry(track).or_default().push(name.unwrap()),
+            "E" => {
+                let innermost = open.get_mut(&track).and_then(Vec::pop);
+                assert_eq!(
+                    innermost, name,
+                    "event {i}: E record does not close the innermost B on pid {pid}, tid {tid}"
+                );
+            }
+            "X" => {
+                assert!(num("dur") >= 0.0, "event {i}: X span with a negative duration");
+                spans += 1;
+            }
+            other => panic!("event {i}: unexpected ph {other:?}"),
+        }
+    }
+    for ((pid, tid), names) in &open {
+        assert!(names.is_empty(), "pid {pid}, tid {tid}: B records never closed: {names:?}");
+    }
+    (events.len(), spans)
+}
 
 /// Virtual duration of one microbenchmark run (cycles).
 ///

@@ -16,9 +16,7 @@
 //! stuck file cannot starve the rest of the corpus beyond the global
 //! deadline. The runner is fault-isolated: a panic while checking one
 //! file is caught and turns into [`FileOutcome::Quarantined`] without
-//! touching any other file's verdict, and a file whose run came back
-//! [`Verdict::Inconclusive`] is retried once (with a small
-//! deterministic backoff) before its partial result is accepted.
+//! touching any other file's verdict.
 //! Reports render as a per-file verdict table
 //! ([`CorpusReport::render_table`]) or dependency-free JSON with stable
 //! key order ([`CorpusReport::to_json`]).
@@ -33,7 +31,8 @@ use std::time::{Duration, Instant};
 use vsync_dsl::{Diagnostic, Expectation, ExpectedVerdict, LitmusTest, Span};
 use vsync_model::ModelKind;
 
-use crate::session::{json_str, phases_json, verdict_kind, Session};
+use crate::json::Json;
+use crate::session::{phases_json, verdict_kind, Session};
 use crate::telemetry::{EventBus, EventFn, EventKind, PhaseProfile};
 use crate::verdict::{EngineError, EnginePhase, Verdict};
 use crate::{failpoint, CancelToken};
@@ -261,7 +260,7 @@ impl CorpusReport {
                             (Verdict::Verified, Some(_)) => {
                                 format!("verified = {}", m.executions)
                             }
-                            (v, _) => verdict_kind(v).replace('_', "-"),
+                            (v, _) => annotation_kind(v).to_owned(),
                         };
                         let status = if m.ok { "ok" } else { "MISMATCH" };
                         let _ = writeln!(
@@ -301,67 +300,73 @@ impl CorpusReport {
     /// directly.
     #[must_use]
     pub fn to_json(&self) -> String {
-        use fmt::Write as _;
         let mut out = String::new();
-        let quarantined: Vec<String> = self.quarantined().iter().map(|p| json_str(p)).collect();
-        let _ = write!(
-            out,
-            "{{\"corpus\": {}, \"passed\": {}, \"quarantined\": [{}], \"elapsed_ms\": {:.3}, \"files\": [",
-            json_str(&self.root),
-            self.passed(),
-            quarantined.join(", "),
-            self.elapsed.as_secs_f64() * 1e3
-        );
-        for (i, f) in self.files.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"path\": {}, \"program\": {}, \"passed\": {}, \"quarantined\": {}, \"error\": {}, \"models\": [",
-                json_str(&f.path),
-                json_str(&f.program),
-                f.passed(),
-                matches!(f.outcome, FileOutcome::Quarantined(_)),
-                match &f.outcome {
-                    FileOutcome::Error(d) => json_str(&d.render()),
-                    FileOutcome::Quarantined(e) => json_str(&e.to_string()),
-                    FileOutcome::Checked(_) => "null".to_owned(),
+        Json::new(&mut out).obj(|j| {
+            j.key("corpus").str(&self.root);
+            j.key("passed").bool(self.passed());
+            j.key("quarantined").arr(|j| {
+                for p in self.quarantined() {
+                    j.str(p);
                 }
-            );
-            if let FileOutcome::Checked(models) = &f.outcome {
-                for (j, m) in models.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    let _ = write!(
-                        out,
-                        "{{\"model\": {}, \"expected\": {}, \"expected_executions\": {}, \
-                         \"verdict\": {}, \"message\": {}, \"executions\": {}, \
-                         \"symmetry_pruned\": {}, \"ok\": {}, \"elapsed_ms\": {:.3}, \
-                         \"phases\": {}}}",
-                        json_str(&m.model.to_string()),
-                        m.expected.map_or("null".to_owned(), |e| json_str(e.verdict.name())),
-                        m.expected
-                            .and_then(|e| e.executions)
-                            .map_or("null".to_owned(), |n| n.to_string()),
-                        json_str(&verdict_kind(&m.verdict).replace('_', "-")),
-                        match &m.verdict {
-                            Verdict::Verified => "null".to_owned(),
-                            v => json_str(&v.to_string()),
-                        },
-                        m.executions,
-                        m.symmetry_pruned,
-                        m.ok,
-                        m.elapsed.as_secs_f64() * 1e3,
-                        phases_json(&m.phases)
-                    );
+            });
+            j.key("elapsed_ms").ms(self.elapsed);
+            j.key("files").arr(|j| {
+                for f in &self.files {
+                    j.obj(|j| file_json(j, f));
                 }
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
+            });
+        });
         out
+    }
+}
+
+fn file_json(j: &mut Json<'_>, f: &FileReport) {
+    j.key("path").str(&f.path);
+    j.key("program").str(&f.program);
+    j.key("passed").bool(f.passed());
+    j.key("quarantined").bool(matches!(f.outcome, FileOutcome::Quarantined(_)));
+    j.key("error");
+    match &f.outcome {
+        FileOutcome::Error(d) => j.str(&d.render()),
+        FileOutcome::Quarantined(e) => j.display(e),
+        FileOutcome::Checked(_) => j.null(),
+    };
+    j.key("models").arr(|j| {
+        if let FileOutcome::Checked(models) = &f.outcome {
+            for m in models {
+                j.obj(|j| model_json(j, m));
+            }
+        }
+    });
+}
+
+fn model_json(j: &mut Json<'_>, m: &ModelOutcome) {
+    j.key("model").display(m.model);
+    j.key("expected").opt_str(m.expected.map(|e| e.verdict.name()));
+    j.key("expected_executions");
+    match m.expected.and_then(|e| e.executions) {
+        Some(n) => j.uint(n),
+        None => j.null(),
+    };
+    j.key("verdict").str(annotation_kind(&m.verdict));
+    j.key("message");
+    match &m.verdict {
+        Verdict::Verified => j.null(),
+        v => j.display(v),
+    };
+    j.key("executions").uint(m.executions);
+    j.key("symmetry_pruned").uint(m.symmetry_pruned);
+    j.key("ok").bool(m.ok);
+    j.key("elapsed_ms").ms(m.elapsed);
+    j.key("phases").obj(|j| phases_json(j, &m.phases));
+}
+
+/// [`verdict_kind`] in the annotation spelling (`await-termination`), so
+/// a verdict compares directly with an `expect` line.
+fn annotation_kind(v: &Verdict) -> &'static str {
+    match verdict_kind(v) {
+        "await_termination" => "await-termination",
+        kind => kind,
     }
 }
 
@@ -530,9 +535,12 @@ pub fn collect_litmus_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// One guarded attempt at checking a file: the `corpus.check` failpoint
+/// Check one file with fault isolation: the `corpus.check` failpoint
 /// plus the whole compile-and-check runs under `catch_unwind`, so an
 /// engine panic quarantines this file instead of tearing down the pool.
+/// An inconclusive file is reported as such, not re-run: a memory budget
+/// or `max_graphs` stops a rerun at the same point, and the deadline and
+/// the cancel token are the corpus's own.
 fn check_source_guarded(
     label: &str,
     source: &str,
@@ -560,34 +568,6 @@ fn check_source_guarded(
             }),
         }
     })
-}
-
-/// Check one file with fault isolation and a bounded retry: a panic is
-/// quarantined immediately; an inconclusive (budget-degraded) result is
-/// retried once after a small deterministic, file-indexed backoff —
-/// unless the run was cancelled or the corpus deadline is the thing
-/// that expired, where a retry could only waste the remaining budget.
-fn check_file(
-    index: usize,
-    label: &str,
-    source: &str,
-    opts: &CorpusOptions,
-    deadline_at: Option<Instant>,
-    bus: Option<&Arc<EventBus>>,
-) -> FileReport {
-    let first = check_source_guarded(label, source, opts, deadline_at, bus);
-    let deadline_left = match deadline_at {
-        Some(at) => Instant::now() < at,
-        None => true,
-    };
-    if !first.interrupted() || opts.cancel.is_cancelled() || !deadline_left {
-        return first;
-    }
-    // Deterministic per-file jitter: spreads retries of neighbouring
-    // files without consulting a clock or an RNG.
-    let backoff = Duration::from_millis(25 + (index as u64 % 8) * 5);
-    std::thread::sleep(backoff);
-    check_source_guarded(label, source, opts, deadline_at, bus)
 }
 
 /// Run every `.litmus` file under `root`: `opts.jobs` files checked
@@ -619,7 +599,7 @@ pub fn run_corpus(root: &Path, opts: &CorpusOptions) -> Result<CorpusReport, Sou
         let Some(path) = files.get(i) else { break };
         let label = path.display().to_string();
         let report = match std::fs::read_to_string(path) {
-            Ok(src) => check_file(i, &label, &src, opts, deadline_at, bus.as_ref()),
+            Ok(src) => check_source_guarded(&label, &src, opts, deadline_at, bus.as_ref()),
             Err(e) => FileReport {
                 path: label.clone(),
                 program: String::new(),
@@ -752,7 +732,7 @@ mod tests {
             CorpusReport { root: "corpus".into(), files, elapsed: Duration::from_millis(5) };
         assert!(report.passed());
         let json = report.to_json();
-        assert!(json.starts_with("{\"corpus\": \"corpus\", \"passed\": true"));
+        assert!(json.starts_with(r#"{"corpus": "corpus", "passed": true"#));
         assert!(json.contains("\"expected_executions\": 2"));
         let table = report.render_table();
         assert!(table.contains("mp.litmus"), "{table}");

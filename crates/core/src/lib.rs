@@ -36,6 +36,7 @@
 mod corpus;
 mod explorer;
 pub mod failpoint;
+pub mod json;
 mod optimize;
 mod revisit;
 mod session;

@@ -92,9 +92,9 @@ pub(crate) fn witness_refutes(
 ) -> bool {
     let mut g = graph.clone();
     let out = replay_adopt_modes(prog, &mut g);
-    if out.fault().is_some() || out.wasteful {
-        // Structural mismatch (fence elision, budget) or a wasteful
-        // repeat: the witness does not apply to this candidate.
+    if out.fault().is_some() {
+        // Structural mismatch (fence elision, budget): the witness does
+        // not apply to this candidate.
         return false;
     }
     let mut checker = model.chain_checker();

@@ -77,6 +77,10 @@ use crate::explorer::{failed_final_check, Engine, Inherited, Pending, WorkItem, 
 use crate::stagnancy::is_stagnant;
 use crate::verdict::{Counterexample, EnginePhase, StopReason, Verdict};
 
+/// Hard cap on events per thread: the Bounded-Length safety net that
+/// turns an unbounded non-await loop into a fault instead of a hang.
+const MAX_EVENTS_PER_THREAD: usize = 4_096;
+
 /// How a chain ended.
 pub(crate) enum ChainEnd {
     /// The chain ran to a leaf (or died at a check); exploration continues
@@ -122,10 +126,6 @@ impl Engine<'_> {
                 return ChainEnd::Verdict(Verdict::Fault(f.to_owned()));
             }
             w.stats.events += g.num_events() as u64;
-            if rep.wasteful {
-                w.stats.wasteful += 1;
-                return ChainEnd::Done;
-            }
             if extended.is_none() {
                 // Chain roots are materialized without a consistency
                 // check — revisit children in particular can be
@@ -150,11 +150,11 @@ impl Engine<'_> {
                 Some(t) => {
                     w.phase.set(EnginePhase::Extend);
                     w.failpoint("explore.extend");
-                    if g.thread_len(t) >= self.config.max_events_per_thread {
+                    if g.thread_len(t) >= MAX_EVENTS_PER_THREAD {
                         return ChainEnd::Verdict(Verdict::Fault(format!(
                             "thread {t} exceeded {} events — unbounded non-await loop? \
                              (Bounded-Length principle)",
-                            self.config.max_events_per_thread
+                            MAX_EVENTS_PER_THREAD
                         )));
                     }
                     let ThreadStatus::Ready(op) = &rep.threads[t as usize] else { unreachable!() };
@@ -541,7 +541,6 @@ impl Engine<'_> {
             let inherited = Inherited { state: w.ck.fork(&recorded), pending };
             WorkItem { graph, inherited: Some(inherited) }
         };
-        w.stats.pushed += 1;
         w.stats.constructed += 1;
         w.out.push(child);
         w.phase.set(caller_phase);

@@ -47,6 +47,7 @@ use vsync_lang::Program;
 use vsync_model::{CheckerKind, ModelKind};
 
 use crate::explorer::explore_with;
+use crate::json::Json;
 use crate::optimize::{run_engine, OptimizationReport, OptimizerConfig};
 use crate::telemetry::{EngineEvent, EventBus, EventKind, PhaseProfile, SessionBus};
 use crate::verdict::{AmcConfig, EnginePhase, ExploreStats, Verdict};
@@ -232,8 +233,8 @@ impl Report {
     /// {"program", "verified", "interrupted", "elapsed_ms", "models": [
     ///    {"model", "verdict", "stop_reason", "message", "counterexample",
     ///     "elapsed_ms",
-    ///     "stats": {popped, pushed, constructed, duplicates,
-    ///               symmetry_pruned, inconsistent, wasteful, revisits,
+    ///     "stats": {popped, constructed, duplicates,
+    ///               symmetry_pruned, inconsistent, revisits,
     ///               complete_executions, blocked_graphs, events,
     ///               frontier_dropped, probes,
     ///               "phases": {"<phase>": {count, total_ms, max_ms}}},
@@ -253,38 +254,18 @@ impl Report {
     /// violation was found).
     #[must_use]
     pub fn to_json(&self) -> String {
-        use fmt::Write as _;
         let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"program\": {}, \"verified\": {}, \"interrupted\": {}, \"elapsed_ms\": {:.3}, \"models\": [",
-            json_str(&self.program),
-            self.is_verified(),
-            self.is_interrupted(),
-            self.elapsed.as_secs_f64() * 1e3,
-        );
-        for (i, m) in self.models.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"model\": {}, \"verdict\": {}, \"stop_reason\": {}, \"message\": {}, \"counterexample\": {}, \"elapsed_ms\": {:.3}, \"stats\": {}, \"optimization\": {}}}",
-                json_str(&m.model.to_string()),
-                json_str(verdict_kind(&m.verdict)),
-                m.verdict
-                    .stop_reason()
-                    .map_or("null".to_owned(), |r| json_str(r.key())),
-                verdict_message(&m.verdict),
-                m.verdict
-                    .counterexample()
-                    .map_or("null".to_owned(), |ce| json_str(&ce.graph.render())),
-                m.elapsed.as_secs_f64() * 1e3,
-                stats_json(&m.stats),
-                m.optimization.as_ref().map_or("null".to_owned(), optimization_json),
-            );
-        }
-        out.push_str("]}");
+        Json::new(&mut out).obj(|j| {
+            j.key("program").str(&self.program);
+            j.key("verified").bool(self.is_verified());
+            j.key("interrupted").bool(self.is_interrupted());
+            j.key("elapsed_ms").ms(self.elapsed);
+            j.key("models").arr(|j| {
+                for m in &self.models {
+                    j.obj(|j| model_json(j, m));
+                }
+            });
+        });
         out
     }
 }
@@ -301,128 +282,88 @@ pub(crate) fn verdict_kind(v: &Verdict) -> &'static str {
     }
 }
 
-fn verdict_message(v: &Verdict) -> String {
-    match v {
-        Verdict::Verified => "null".to_owned(),
-        Verdict::Safety(ce) | Verdict::AwaitTermination(ce) => json_str(&ce.message),
-        Verdict::Fault(m) => json_str(m),
-        Verdict::Inconclusive(i) => json_str(&i.to_string()),
-        Verdict::Error(e) => json_str(&e.to_string()),
-    }
+fn model_json(j: &mut Json<'_>, m: &ModelRun) {
+    j.key("model").display(m.model);
+    j.key("verdict").str(verdict_kind(&m.verdict));
+    j.key("stop_reason").opt_str(m.verdict.stop_reason().map(|r| r.key()));
+    j.key("message");
+    match &m.verdict {
+        Verdict::Verified => j.null(),
+        Verdict::Safety(ce) | Verdict::AwaitTermination(ce) => j.str(&ce.message),
+        Verdict::Fault(msg) => j.str(msg),
+        Verdict::Inconclusive(i) => j.display(i),
+        Verdict::Error(e) => j.display(e),
+    };
+    j.key("counterexample")
+        .opt_str(m.verdict.counterexample().map(|ce| ce.graph.render()).as_deref());
+    j.key("elapsed_ms").ms(m.elapsed);
+    j.key("stats").obj(|j| stats_json(j, &m.stats));
+    j.key("optimization");
+    match &m.optimization {
+        Some(o) => j.obj(|j| optimization_json(j, o)),
+        None => j.null(),
+    };
 }
 
-fn stats_json(s: &ExploreStats) -> String {
-    format!(
-        "{{\"popped\": {}, \"pushed\": {}, \"constructed\": {}, \"duplicates\": {}, \
-         \"symmetry_pruned\": {}, \
-         \"inconsistent\": {}, \"wasteful\": {}, \"revisits\": {}, \
-         \"complete_executions\": {}, \"blocked_graphs\": {}, \"events\": {}, \
-         \"frontier_dropped\": {}, \"probes\": {}, \"phases\": {}}}",
-        s.popped,
-        s.pushed,
-        s.constructed,
-        s.duplicates,
-        s.symmetry_pruned,
-        s.inconsistent,
-        s.wasteful,
-        s.revisits,
-        s.complete_executions,
-        s.blocked_graphs,
-        s.events,
-        s.frontier_dropped,
-        s.probes,
-        phases_json(&s.phases)
-    )
+fn stats_json(j: &mut Json<'_>, s: &ExploreStats) {
+    j.key("popped").uint(s.popped);
+    j.key("constructed").uint(s.constructed);
+    j.key("duplicates").uint(s.duplicates);
+    j.key("symmetry_pruned").uint(s.symmetry_pruned);
+    j.key("inconsistent").uint(s.inconsistent);
+    j.key("revisits").uint(s.revisits);
+    j.key("complete_executions").uint(s.complete_executions);
+    j.key("blocked_graphs").uint(s.blocked_graphs);
+    j.key("events").uint(s.events);
+    j.key("frontier_dropped").uint(s.frontier_dropped);
+    j.key("probes").uint(s.probes);
+    j.key("phases").obj(|j| phases_json(j, &s.phases));
 }
 
-/// Serialize a [`PhaseProfile`]: one member per phase with recorded
+/// The members of a [`PhaseProfile`] object: one per phase with recorded
 /// spans, in [`EnginePhase::ALL`](crate::EnginePhase::ALL) order.
 /// Profiling-off runs (the default) serialize as `{}`, keeping the
 /// schema deterministic.
-pub(crate) fn phases_json(p: &PhaseProfile) -> String {
-    use fmt::Write as _;
-    let mut out = String::from("{");
+pub(crate) fn phases_json(j: &mut Json<'_>, p: &PhaseProfile) {
     for (phase, s) in p.iter().filter(|(_, s)| s.count > 0) {
-        if out.len() > 1 {
-            out.push_str(", ");
-        }
-        let _ = write!(
-            out,
-            "\"{}\": {{\"count\": {}, \"total_ms\": {:.3}, \"max_ms\": {:.3}}}",
-            phase.key(),
-            s.count,
-            s.total_ns as f64 / 1e6,
-            s.max_ns as f64 / 1e6
-        );
+        j.key(phase.key()).obj(|j| {
+            j.key("count").uint(s.count);
+            j.key("total_ms").fixed3(s.total_ns as f64 / 1e6);
+            j.key("max_ms").fixed3(s.max_ns as f64 / 1e6);
+        });
     }
-    out.push('}');
-    out
 }
 
-fn summary_json(s: &vsync_lang::BarrierSummary) -> String {
-    format!(
-        "{{\"rlx\": {}, \"acq\": {}, \"rel\": {}, \"acq_rel\": {}, \"sc\": {}}}",
-        s.rlx, s.acq, s.rel, s.acq_rel, s.sc
-    )
+fn summary_json(j: &mut Json<'_>, s: &vsync_lang::BarrierSummary) {
+    j.key("rlx").uint(s.rlx as u64).key("acq").uint(s.acq as u64).key("rel").uint(s.rel as u64);
+    j.key("acq_rel").uint(s.acq_rel as u64).key("sc").uint(s.sc as u64);
 }
 
-fn optimization_json(o: &OptimizationReport) -> String {
-    use fmt::Write as _;
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"verified\": {}, \"interrupted\": {}, \"error\": {}, \
-         \"verifications\": {}, \"explorations\": {}, \"explored_graphs\": {}, \
-         \"cache_hits\": {}, \"elapsed_ms\": {:.3}, \"before\": {}, \"after\": {}, \"steps\": [",
-        o.verified,
-        o.interrupted,
-        o.error.as_ref().map_or("null".to_owned(), |e| json_str(&e.to_string())),
-        o.verifications,
-        o.explorations,
-        o.explored_graphs,
-        o.cache_hits,
-        o.elapsed.as_secs_f64() * 1e3,
-        summary_json(&o.before),
-        summary_json(&o.after),
-    );
-    for (i, s) in o.steps.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+fn optimization_json(j: &mut Json<'_>, o: &OptimizationReport) {
+    j.key("verified").bool(o.verified);
+    j.key("interrupted").bool(o.interrupted);
+    j.key("error");
+    match &o.error {
+        Some(e) => j.display(e),
+        None => j.null(),
+    };
+    j.key("verifications").uint(o.verifications);
+    j.key("explorations").uint(o.explorations);
+    j.key("explored_graphs").uint(o.explored_graphs);
+    j.key("cache_hits").uint(o.cache_hits);
+    j.key("elapsed_ms").ms(o.elapsed);
+    j.key("before").obj(|j| summary_json(j, &o.before));
+    j.key("after").obj(|j| summary_json(j, &o.after));
+    j.key("steps").arr(|j| {
+        for s in &o.steps {
+            // Step sites are stored as indices; resolve to names here only.
+            j.obj(|j| {
+                j.key("site").str(o.site_name(s));
+                j.key("from").display(s.from).key("to").display(s.to);
+                j.key("accepted").bool(s.accepted);
+            });
         }
-        // Step sites are stored as indices; resolve to names here only.
-        let _ = write!(
-            out,
-            "{{\"site\": {}, \"from\": {}, \"to\": {}, \"accepted\": {}}}",
-            json_str(o.site_name(s)),
-            json_str(&s.from.to_string()),
-            json_str(&s.to.to_string()),
-            s.accepted
-        );
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Escape a string as a JSON string literal.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    });
 }
 
 fn indent(s: &str, pad: &str) -> String {
@@ -603,13 +544,6 @@ impl Session {
     /// memory-hungry on large programs).
     pub fn collect_executions(mut self) -> Session {
         self.config.collect_executions = true;
-        self
-    }
-
-    /// Replace the whole [`AmcConfig`] (model is still overridden per
-    /// matrix entry). For knobs without a dedicated builder method.
-    pub fn amc_config(mut self, config: AmcConfig) -> Session {
-        self.config = config;
         self
     }
 
@@ -821,12 +755,6 @@ mod tests {
         let report = Session::new(handshake()).models(std::iter::empty::<ModelKind>()).run();
         assert_eq!(report.models.len(), 1, "default matrix kept");
         assert_eq!(report.models[0].model, ModelKind::Vmm);
-    }
-
-    #[test]
-    fn json_escaping_is_sound() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

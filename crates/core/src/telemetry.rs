@@ -28,7 +28,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use vsync_graph::Mode;
 use vsync_model::ModelKind;
 
-use crate::session::json_str;
+use crate::json::Json;
 use crate::verdict::{EnginePhase, ExploreStats};
 
 // ---------------------------------------------------------------------
@@ -476,6 +476,8 @@ pub struct TraceWriter {
 
 struct TraceInner {
     out: BufWriter<File>,
+    /// The line being written (one buffer, reused).
+    line: String,
     /// Has any event line been written yet (for comma placement)?
     first: bool,
     /// Per-`(pid, tid)` layout state.
@@ -506,12 +508,13 @@ impl TraceWriter {
         let w = TraceWriter {
             inner: Mutex::new(TraceInner {
                 out,
+                line: String::new(),
                 first: true,
                 tracks: HashMap::new(),
                 finished: false,
             }),
         };
-        w.with_inner(|inner| Self::process_name(inner, 1, "vsync"));
+        w.with_inner(|inner| Self::meta(inner, "process_name", 1, 0, "vsync"));
         Ok(w)
     }
 
@@ -529,89 +532,108 @@ impl TraceWriter {
         }
     }
 
-    fn line(inner: &mut TraceInner, s: &str) {
+    /// One event object, written by `body`, as the next line.
+    fn line(inner: &mut TraceInner, body: impl FnOnce(&mut Json<'_>)) {
+        inner.line.clear();
+        if !std::mem::replace(&mut inner.first, false) {
+            inner.line.push_str(",\n");
+        }
+        Json::new(&mut inner.line).obj(body);
         // Trace output is best-effort: an exporter I/O error must never
         // fail the verification run it is observing.
-        let sep: &[u8] = if inner.first { b"" } else { b",\n" };
-        inner.first = false;
-        let _ = inner.out.write_all(sep);
-        let _ = inner.out.write_all(s.as_bytes());
+        let _ = inner.out.write_all(inner.line.as_bytes());
     }
 
-    fn process_name(inner: &mut TraceInner, pid: u64, label: &str) {
-        let s = format!(
-            "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \
-             \"args\": {{\"name\": {}}}}}",
-            json_str(label)
-        );
-        Self::line(inner, &s);
+    /// A metadata record naming a process or a thread (Perfetto labels).
+    fn meta(
+        inner: &mut TraceInner,
+        what: &str,
+        pid: u64,
+        tid: usize,
+        label: impl fmt::Display,
+    ) {
+        Self::line(inner, |j| {
+            j.key("name").str(what).key("ph").str("M");
+            j.key("pid").uint(pid).key("tid").uint(tid as u64);
+            j.key("args").obj(|j| _ = j.key("name").display(label));
+        });
     }
 
-    /// The `(pid, tid)` track; a new one is named first (Perfetto track
-    /// labels).
-    fn track<'a>(inner: &'a mut TraceInner, pid: u64, tid: usize, label: &str) -> &'a mut Track {
+    /// The `(pid, tid)` track; a new one is named first.
+    fn track(inner: &mut TraceInner, pid: u64, tid: usize, label: impl fmt::Display) -> &mut Track {
         if !inner.tracks.contains_key(&(pid, tid)) {
-            let s = format!(
-                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \
-                 \"args\": {{\"name\": \"{label}\"}}}}"
-            );
-            Self::line(inner, &s);
+            Self::meta(inner, "thread_name", pid, tid, label);
         }
         inner.tracks.entry((pid, tid)).or_default()
     }
 
-    /// A `B`/`E` duration record on the session's tid 0.
-    fn span(inner: &mut TraceInner, pid: u64, ph: &str, name: &str, ts_us: u128, args: &str) {
-        let cat = if name == "session" { "session" } else { "explore" };
-        let s = format!(
-            "{{\"name\": \"{name}\", \"ph\": \"{ph}\", \"ts\": {ts_us}, \"pid\": {pid}, \
-             \"tid\": 0, \"cat\": \"{cat}\", \"args\": {args}}}"
-        );
-        Self::line(inner, &s);
+    /// A `B`/`E` duration record, or an `i` instant, on the session's
+    /// tid 0.
+    fn record(
+        inner: &mut TraceInner,
+        (pid, ts): (u64, Duration),
+        ph: &str,
+        cat: &str,
+        name: impl fmt::Display,
+        args: impl FnOnce(&mut Json<'_>),
+    ) {
+        Self::line(inner, |j| {
+            j.key("name").display(name).key("ph").str(ph).key("ts").us(ts);
+            j.key("pid").uint(pid).key("tid").uint(0);
+            if ph == "i" {
+                j.key("s").str("g");
+            }
+            j.key("cat").str(cat).key("args").obj(args);
+        });
     }
 
-    fn instant(inner: &mut TraceInner, pid: u64, name: &str, ts_us: u128, args: &str) {
-        let s = format!(
-            "{{\"name\": \"{name}\", \"ph\": \"i\", \"ts\": {ts_us}, \"pid\": {pid}, \"tid\": 0, \
-             \"s\": \"g\", \"cat\": \"engine\", \"args\": {args}}}"
-        );
-        Self::line(inner, &s);
+    fn instant(
+        inner: &mut TraceInner,
+        at: (u64, Duration),
+        name: &str,
+        args: impl FnOnce(&mut Json<'_>),
+    ) {
+        Self::record(inner, at, "i", "engine", name, args);
     }
 
     fn handle(&self, ev: &EngineEvent) {
-        let ts_us = ev.ts.as_micros();
         let pid = ev.session + 1;
+        let at = (pid, ev.ts);
         self.with_inner(|inner| match &ev.kind {
             EventKind::SessionStart { program, models } => {
-                Self::process_name(inner, pid, &format!("session {}: {program}", ev.session));
+                let label = format_args!("session {}: {program}", ev.session);
+                Self::meta(inner, "process_name", pid, 0, label);
                 Self::track(inner, pid, 0, "session");
-                let args = format!("{{\"program\": {}, \"models\": {models}}}", json_str(program));
-                Self::span(inner, pid, "B", "session", ts_us, &args);
+                Self::record(inner, at, "B", "session", "session", |j| {
+                    j.key("program").str(program).key("models").uint(*models as u64);
+                });
             }
             EventKind::SessionFinish { verified } => {
-                let args = format!("{{\"verified\": {verified}}}");
-                Self::span(inner, pid, "E", "session", ts_us, &args);
+                let args = |j: &mut Json<'_>| _ = j.key("verified").bool(*verified);
+                Self::record(inner, at, "E", "session", "session", args);
             }
             EventKind::ExploreStart { model, workers } => {
-                let args = format!("{{\"workers\": {workers}}}");
-                Self::span(inner, pid, "B", &format!("explore {model}"), ts_us, &args);
+                let args = |j: &mut Json<'_>| _ = j.key("workers").uint(*workers as u64);
+                Self::record(inner, at, "B", "explore", format_args!("explore {model}"), args);
             }
             EventKind::ExploreFinish { model, verdict } => {
-                let args = format!("{{\"verdict\": \"{verdict}\"}}");
-                Self::span(inner, pid, "E", &format!("explore {model}"), ts_us, &args);
+                let args = |j: &mut Json<'_>| _ = j.key("verdict").str(verdict);
+                Self::record(inner, at, "E", "explore", format_args!("explore {model}"), args);
             }
             EventKind::StatsDelta { worker, stats } => {
                 let tid = worker + 1;
-                let track = Self::track(inner, pid, tid, &format!("worker {worker}"));
+                let track = Self::track(inner, pid, tid, format_args!("worker {worker}"));
                 track.totals.merge(stats);
                 let t = track.totals;
-                let s = format!(
-                    "{{\"name\": \"stats\", \"ph\": \"C\", \"ts\": {ts_us}, \"pid\": {pid}, \
-                     \"tid\": {tid}, \"args\": {{\"constructed\": {}, \
-                     \"complete_executions\": {}, \"duplicates\": {}, \"probes\": {}}}}}",
-                    t.constructed, t.complete_executions, t.duplicates, t.probes
-                );
-                Self::line(inner, &s);
+                Self::line(inner, |j| {
+                    j.key("name").str("stats").key("ph").str("C").key("ts").us(ev.ts);
+                    j.key("pid").uint(pid).key("tid").uint(tid as u64);
+                    j.key("args").obj(|j| {
+                        j.key("constructed").uint(t.constructed);
+                        j.key("complete_executions").uint(t.complete_executions);
+                        j.key("duplicates").uint(t.duplicates).key("probes").uint(t.probes);
+                    });
+                });
             }
             EventKind::PhaseSlice { worker, phases } => {
                 let tid = worker + 1;
@@ -621,49 +643,45 @@ impl TraceWriter {
                 let total_ns: u64 = phases.iter().map(|(_, s)| s.total_ns).sum();
                 let end_ns = u64::try_from(ev.ts.as_nanos()).unwrap_or(u64::MAX);
                 let spans = || phases.iter().filter(|(_, s)| s.count > 0);
-                let track = Self::track(inner, pid, tid, &format!("worker {worker}"));
+                let track = Self::track(inner, pid, tid, format_args!("worker {worker}"));
                 let mut cur = track.cursor.max(end_ns.saturating_sub(total_ns));
                 track.cursor = cur + spans().map(|(_, s)| s.total_ns).sum::<u64>();
                 for (phase, stat) in spans() {
-                    let s = format!(
-                        "{{\"name\": \"{}\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \
-                         \"pid\": {pid}, \"tid\": {tid}, \"cat\": \"phase\", \
-                         \"args\": {{\"count\": {}}}}}",
-                        phase.key(),
-                        cur / 1_000,
-                        (stat.total_ns / 1_000).max(1),
-                        stat.count
-                    );
-                    Self::line(inner, &s);
+                    let dur = Duration::from_nanos(stat.total_ns).max(Duration::from_micros(1));
+                    Self::line(inner, |j| {
+                        j.key("name").str(phase.key()).key("ph").str("X");
+                        j.key("ts").us(Duration::from_nanos(cur)).key("dur").us(dur);
+                        j.key("pid").uint(pid).key("tid").uint(tid as u64).key("cat").str("phase");
+                        j.key("args").obj(|j| _ = j.key("count").uint(stat.count));
+                    });
                     cur += stat.total_ns;
                 }
             }
             EventKind::OptimizeStep { pass, site, from, to, accepted } => {
-                let args = format!(
-                    "{{\"pass\": {pass}, \"site\": {}, \"from\": \"{from}\", \
-                     \"to\": \"{to}\", \"accepted\": {accepted}}}",
-                    json_str(site)
-                );
-                Self::instant(inner, pid, "optimize_step", ts_us, &args);
+                Self::instant(inner, at, "optimize_step", |j| {
+                    j.key("pass").uint(*pass as u64).key("site").str(site);
+                    j.key("from").display(from).key("to").display(to);
+                    j.key("accepted").bool(*accepted);
+                });
             }
             EventKind::BudgetWarning { model, reason } => {
-                let args = format!("{{\"model\": \"{model}\", \"reason\": \"{reason}\"}}");
-                Self::instant(inner, pid, "budget_warning", ts_us, &args);
+                Self::instant(inner, at, "budget_warning", |j| {
+                    j.key("model").display(model).key("reason").str(reason);
+                });
             }
             EventKind::EngineFault { model, phase, payload } => {
-                let args = format!(
-                    "{{\"model\": \"{model}\", \"phase\": \"{phase}\", \"payload\": {}}}",
-                    json_str(payload)
-                );
-                Self::instant(inner, pid, "engine_fault", ts_us, &args);
+                Self::instant(inner, at, "engine_fault", |j| {
+                    j.key("model").display(model).key("phase").display(phase);
+                    j.key("payload").str(payload);
+                });
             }
             EventKind::Quarantine { path } => {
-                let args = format!("{{\"path\": {}}}", json_str(path));
-                Self::instant(inner, pid, "quarantine", ts_us, &args);
+                Self::instant(inner, at, "quarantine", |j| _ = j.key("path").str(path));
             }
             EventKind::CorpusFile { path, passed } => {
-                let args = format!("{{\"path\": {}, \"passed\": {passed}}}", json_str(path));
-                Self::instant(inner, pid, "corpus_file", ts_us, &args);
+                Self::instant(inner, at, "corpus_file", |j| {
+                    j.key("path").str(path).key("passed").bool(*passed);
+                });
             }
         });
     }

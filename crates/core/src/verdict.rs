@@ -33,8 +33,6 @@ impl ResourceBudget {
 pub struct AmcConfig {
     /// Memory model to verify against.
     pub model: ModelKind,
-    /// Hard cap on events per thread (Bounded-Length safety net).
-    pub max_events_per_thread: usize,
     /// Hard cap on popped work items (0 = unlimited). Exceeding it stops
     /// the run with [`Verdict::Inconclusive`] ([`StopReason::MaxGraphs`]).
     pub max_graphs: u64,
@@ -72,7 +70,6 @@ impl Default for AmcConfig {
     fn default() -> Self {
         AmcConfig {
             model: ModelKind::Vmm,
-            max_events_per_thread: 4_096,
             max_graphs: 20_000_000,
             step_budget: vsync_lang::DEFAULT_STEP_BUDGET,
             symmetry: true,
@@ -105,13 +102,6 @@ impl AmcConfig {
         self
     }
 
-    /// Builder-style: cap the number of popped work items (0 = unlimited).
-    #[must_use = "builder methods return the modified config"]
-    pub fn with_max_graphs(mut self, max_graphs: u64) -> Self {
-        self.max_graphs = max_graphs;
-        self
-    }
-
     /// Builder-style: approximate heap ceiling in bytes (0 = unlimited).
     #[must_use = "builder methods return the modified config"]
     pub fn with_max_memory_bytes(mut self, bytes: u64) -> Self {
@@ -140,13 +130,6 @@ impl AmcConfig {
         self.checker = CheckerKind::Reference;
         self
     }
-
-    /// Builder-style: select a consistency-checker implementation.
-    #[must_use = "builder methods return the modified config"]
-    pub fn with_checker(mut self, checker: CheckerKind) -> Self {
-        self.checker = checker;
-        self
-    }
 }
 
 /// Counters describing an exploration (paper Fig. 6's search).
@@ -156,10 +139,9 @@ pub struct ExploreStats {
     /// root popped from the frontier, or an in-place extension of it), so
     /// `popped` is the unit of "graphs processed".
     pub popped: u64,
-    /// Work items pushed.
-    pub pushed: u64,
-    /// Execution graphs materialized in memory (the initial graph plus
-    /// every cloned branch alternate / revisit child). In-place chain
+    /// Execution graphs materialized in memory: the initial graph plus
+    /// every cloned branch alternate / revisit child, each pushed as one
+    /// work item (so `constructed − 1` items were pushed). In-place chain
     /// extension keeps it well below `popped`.
     pub constructed: u64,
     /// Items skipped as duplicates (content hash already seen).
@@ -174,8 +156,6 @@ pub struct ExploreStats {
     pub symmetry_pruned: u64,
     /// Items discarded as inconsistent with the memory model.
     pub inconsistent: u64,
-    /// Items discarded by the wasteful filter `W(G)`.
-    pub wasteful: u64,
     /// Revisit branches generated.
     pub revisits: u64,
     /// Complete executions reached (all threads terminated).
@@ -201,12 +181,10 @@ impl ExploreStats {
     /// Field-wise accumulation — used to merge per-worker stats.
     pub fn merge(&mut self, other: &ExploreStats) {
         self.popped += other.popped;
-        self.pushed += other.pushed;
         self.constructed += other.constructed;
         self.duplicates += other.duplicates;
         self.symmetry_pruned += other.symmetry_pruned;
         self.inconsistent += other.inconsistent;
-        self.wasteful += other.wasteful;
         self.revisits += other.revisits;
         self.complete_executions += other.complete_executions;
         self.blocked_graphs += other.blocked_graphs;
@@ -222,12 +200,10 @@ impl ExploreStats {
     pub fn minus(&self, earlier: &ExploreStats) -> ExploreStats {
         ExploreStats {
             popped: self.popped - earlier.popped,
-            pushed: self.pushed - earlier.pushed,
             constructed: self.constructed - earlier.constructed,
             duplicates: self.duplicates - earlier.duplicates,
             symmetry_pruned: self.symmetry_pruned - earlier.symmetry_pruned,
             inconsistent: self.inconsistent - earlier.inconsistent,
-            wasteful: self.wasteful - earlier.wasteful,
             revisits: self.revisits - earlier.revisits,
             complete_executions: self.complete_executions - earlier.complete_executions,
             blocked_graphs: self.blocked_graphs - earlier.blocked_graphs,
@@ -243,16 +219,14 @@ impl fmt::Display for ExploreStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} executions ({} popped, {} pushed, {} constructed, {} dups, {} sym-pruned, \
-             {} inconsistent, {} wasteful, {} revisits, {} blocked)",
+            "{} executions ({} popped, {} constructed, {} dups, {} sym-pruned, \
+             {} inconsistent, {} revisits, {} blocked)",
             self.complete_executions,
             self.popped,
-            self.pushed,
             self.constructed,
             self.duplicates,
             self.symmetry_pruned,
             self.inconsistent,
-            self.wasteful,
             self.revisits,
             self.blocked_graphs
         )?;

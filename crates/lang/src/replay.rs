@@ -8,8 +8,10 @@
 //!
 //! Replay is also where the paper's two side conditions are enforced:
 //!
-//! * the **wasteful filter** `W(G)` — an await reading from the same write
-//!   in two consecutive iterations marks the graph wasteful (Def. 2);
+//! * the **wasteful filter** `W(G)` — an await must not read from the
+//!   same write in two consecutive iterations (Def. 2). Replay reports the
+//!   previous iteration's source as `prev_rf`, and the explorer never
+//!   generates the repeat, so no graph it builds is wasteful;
 //! * the **Bounded-Effect principle** — a failed `await_rmw` iteration
 //!   whose elided write would have changed the value is a modeling fault
 //!   (Def. 3, footnote 9).
@@ -27,8 +29,7 @@
 //! re-executed from its inputs: an RMW stopped between its read and its
 //! write part has not written its destination register yet (`r1 = rmw.add
 //! x, r1` must still see the old `r1`), and an await stopped after `k`
-//! failed iterations re-derives `prev_rf` and the wasteful flag by
-//! re-consuming them. [`ChainReplay::reset`] is the from-scratch replay of
+//! failed iterations re-derives `prev_rf` by re-consuming them. [`ChainReplay::reset`] is the from-scratch replay of
 //! every thread — [`replay_with_budget`] is exactly that on a fresh
 //! `ChainReplay`, so there is one interpreter loop.
 
@@ -207,9 +208,6 @@ impl ThreadStatus {
 pub struct ReplayOutcome {
     /// Per-thread statuses.
     pub threads: Vec<ThreadStatus>,
-    /// Did some await read from the same write in two consecutive
-    /// iterations (`W(G)`, paper Def. 2)?
-    pub wasteful: bool,
 }
 
 impl ReplayOutcome {
@@ -336,9 +334,9 @@ impl ChainReplay {
     }
 
     /// The outcome for `g` = the graph of the previous call plus events
-    /// pushed on `thread`: resumes `thread` from its cursor, replaces its
-    /// status and ORs its wasteful flag in. Must be called with the
-    /// `budget` of the `reset` it follows.
+    /// pushed on `thread`: resumes `thread` from its cursor and replaces
+    /// its status. Must be called with the `budget` of the `reset` it
+    /// follows.
     pub fn advance(
         &mut self,
         prog: &Program,
@@ -361,7 +359,6 @@ impl ChainReplay {
         self.cursors.clear();
         self.cursors.resize(threads, Cursor::START);
         self.outcome.threads.clear();
-        self.outcome.wasteful = false;
         for t in 0..threads as u32 {
             let status = self.run_thread(prog, g, t, budget, adopt);
             self.outcome.threads.push(status);
@@ -379,11 +376,7 @@ impl ChainReplay {
     ) -> ThreadStatus {
         let cur = &mut self.cursors[thread as usize];
         let instr_start = (cur.ev, cur.steps);
-        let mut tr =
-            ThreadReplay { prog, thread, cur, instr_start, budget, wasteful: false, adopt_modes };
-        let status = tr.run(g);
-        self.outcome.wasteful |= tr.wasteful;
-        status
+        ThreadReplay { prog, thread, cur, instr_start, budget, adopt_modes }.run(g)
     }
 }
 
@@ -397,7 +390,6 @@ struct ThreadReplay<'p> {
     /// `(ev, steps)` of the cursor when the instruction in flight began.
     instr_start: (usize, usize),
     budget: usize,
-    wasteful: bool,
     /// Tolerate mode-only mismatches and rewrite the graph's event modes
     /// to the program's (see [`replay_adopt_modes`]).
     adopt_modes: bool,
@@ -792,11 +784,7 @@ impl<'p> ThreadReplay<'p> {
                              different value (Bounded-Effect principle, paper Def. 3)"
                         )));
                     }
-                    let rf = g.rf(id);
-                    if prev_rf == Some(rf) {
-                        self.wasteful = true; // W(G): same write twice in a row
-                    }
-                    prev_rf = Some(rf);
+                    prev_rf = Some(g.rf(id));
                     self.cur.steps += 1;
                     if self.cur.steps > self.budget {
                         return AwaitStep::Status(ThreadStatus::Fault(
@@ -995,30 +983,6 @@ mod tests {
         );
         let out = replay(&prog, &mut g);
         assert!(out.fault().unwrap().contains("Bounded-Effect"));
-    }
-
-    #[test]
-    fn wasteful_detected_on_repeated_source() {
-        let mut pb = ProgramBuilder::new("p");
-        pb.thread(|t| {
-            t.await_eq(Reg(0), X, 1u64, vsync_graph::Mode::Rlx);
-        });
-        let prog = pb.build().unwrap();
-        let mut g = ExecutionGraph::new(1, prog.init().clone());
-        for _ in 0..2 {
-            g.push_event(
-                0,
-                EventKind::Read {
-                    loc: X,
-                    mode: vsync_graph::Mode::Rlx,
-                    rf: RfSource::Write(EventId::Init(X)),
-                    rmw: false,
-                    awaiting: true,
-                },
-            );
-        }
-        let out = replay(&prog, &mut g);
-        assert!(out.wasteful, "two consecutive reads from init are wasteful");
     }
 
     #[test]

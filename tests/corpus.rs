@@ -5,9 +5,12 @@
 //! format (the `vsync fmt --check` CI job enforces the same locally).
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use vsync::core::{
-    collect_litmus_files, count_executions, run_corpus, AmcConfig, CorpusOptions, FileOutcome,
+    collect_litmus_files, count_executions, run_corpus, AmcConfig, CorpusOptions, EventKind,
+    FileOutcome, StopReason,
 };
 use vsync::model::ModelKind;
 
@@ -140,4 +143,46 @@ fn corpus_covers_the_advertised_families() {
     for kind in ["verified", "safety", "await-termination"] {
         assert!(kinds.contains(kind), "no corpus file expects a {kind} verdict");
     }
+}
+
+/// A file that exhausts its memory budget is checked once and reported
+/// inconclusive: the budget is per exploration, so a rerun would stop at
+/// the same point.
+#[test]
+fn starved_file_runs_one_session() {
+    let thread = |a: &str, b: &str, v: u32| {
+        format!(
+            "thread {{\n  store.rlx {a}, {v}\n  r0 = load.rlx {b}\n  store.rlx {b}, {v}\n  \
+             r1 = load.rlx {a}\n}}\n"
+        )
+    };
+    let source = format!(
+        "litmus \"starved\"\n{}{}{}{}expect vmm: verified\n",
+        thread("x", "y", 1),
+        thread("y", "x", 2),
+        thread("x", "y", 3),
+        thread("y", "x", 4)
+    );
+    let dir = std::env::temp_dir().join(format!("vsync-starved-corpus-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("starved.litmus"), source).unwrap();
+    let sessions = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&sessions);
+    let opts = CorpusOptions {
+        max_memory_bytes: 1 << 20,
+        on_event: Some(Arc::new(move |ev| {
+            if matches!(ev.kind, EventKind::SessionStart { .. }) {
+                counter.fetch_add(1, Ordering::Relaxed);
+            }
+        })),
+        ..CorpusOptions::default()
+    };
+    let report = run_corpus(&dir, &opts).expect("temp corpus readable");
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(sessions.load(Ordering::Relaxed), 1, "the starved file ran more than once");
+    let FileOutcome::Checked(models) = &report.files[0].outcome else {
+        panic!("expected a checked outcome: {}", report.to_json())
+    };
+    assert_eq!(models[0].verdict.stop_reason(), Some(StopReason::MemoryBudget));
+    assert!(report.to_json().contains("memory budget exhausted"), "{}", report.to_json());
 }

@@ -159,10 +159,8 @@ fn rwlock_reader_writer_barriers() {
 fn stats_are_coherent() {
     let p = mutex_client(&TtasLock::default(), 2, 1);
     let r = explore(&p, &vmm());
-    // Every admitted work item is constructed exactly once (the +1 is the
-    // initial graph), and the revisit engine's chains take at least one
-    // step per admitted root.
-    assert_eq!(r.stats.constructed, r.stats.pushed + 1, "{}", r.stats);
+    // The revisit engine's chains take at least one step per constructed
+    // root.
     assert!(r.stats.popped >= r.stats.constructed, "{}", r.stats);
     assert_eq!(
         r.executions.len(),

@@ -372,7 +372,6 @@ fn collected_executions_are_wellformed() {
                 .threads
                 .iter()
                 .all(|t| matches!(t, vsync::lang::ThreadStatus::Finished)));
-            assert!(!out.wasteful);
         }
     });
 }

@@ -216,12 +216,10 @@ fn session_json_is_parseable_and_stable() {
             m.get("stats").unwrap().keys(),
             vec![
                 "popped",
-                "pushed",
                 "constructed",
                 "duplicates",
                 "symmetry_pruned",
                 "inconsistent",
-                "wasteful",
                 "revisits",
                 "complete_executions",
                 "blocked_graphs",
@@ -256,7 +254,6 @@ fn report_json_golden() {
                 verdict: Verdict::Verified,
                 stats: ExploreStats {
                     popped: 7,
-                    pushed: 6,
                     constructed: 7,
                     complete_executions: 2,
                     events: 40,
@@ -300,8 +297,8 @@ fn report_json_golden() {
         "\"interrupted\": false, \"elapsed_ms\": 1.500, \"models\": [",
         "{\"model\": \"SC\", \"verdict\": \"verified\", \"stop_reason\": null, \"message\": null, ",
         "\"counterexample\": null, \"elapsed_ms\": 1.000, ",
-        "\"stats\": {\"popped\": 7, \"pushed\": 6, \"constructed\": 7, \"duplicates\": 0, ",
-        "\"symmetry_pruned\": 0, \"inconsistent\": 0, \"wasteful\": 0, \"revisits\": 0, ",
+        "\"stats\": {\"popped\": 7, \"constructed\": 7, \"duplicates\": 0, ",
+        "\"symmetry_pruned\": 0, \"inconsistent\": 0, \"revisits\": 0, ",
         "\"complete_executions\": 2, \"blocked_graphs\": 0, \"events\": 40, ",
         "\"frontier_dropped\": 0, \"probes\": 0, \"phases\": {}}, ",
         "\"optimization\": {\"verified\": true, \"interrupted\": false, \"error\": null, ",
@@ -315,8 +312,8 @@ fn report_json_golden() {
         "{\"model\": \"VMM\", \"verdict\": \"fault\", \"stop_reason\": null, ",
         "\"message\": \"budget\\nblown\", ",
         "\"counterexample\": null, \"elapsed_ms\": 0.500, ",
-        "\"stats\": {\"popped\": 0, \"pushed\": 0, \"constructed\": 0, \"duplicates\": 0, ",
-        "\"symmetry_pruned\": 0, \"inconsistent\": 0, \"wasteful\": 0, \"revisits\": 0, ",
+        "\"stats\": {\"popped\": 0, \"constructed\": 0, \"duplicates\": 0, ",
+        "\"symmetry_pruned\": 0, \"inconsistent\": 0, \"revisits\": 0, ",
         "\"complete_executions\": 0, \"blocked_graphs\": 0, \"events\": 0, ",
         "\"frontier_dropped\": 0, \"probes\": 0, \"phases\": {}}, ",
         "\"optimization\": null}]}",

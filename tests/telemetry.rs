@@ -1,7 +1,7 @@
 //! Telemetry integration tests: event-stream determinism at one worker,
 //! phase-profile count/time invariants, bus totals equal to the final
 //! stats with and without profiling, and the exporter surfaces (corpus
-//! events and session numbers, optimizer steps).
+//! events and session numbers, optimizer steps, the Chrome trace).
 
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -13,7 +13,7 @@ mod reference;
 
 use vsync::core::{
     run_corpus, AmcConfig, CorpusOptions, EnginePhase, EventKind, ExploreStats, OptimizerConfig,
-    PhaseProfile, Session,
+    PhaseProfile, Session, TraceWriter,
 };
 use vsync::graph::Mode;
 use vsync::lang::{Program, ProgramBuilder, Reg};
@@ -251,4 +251,30 @@ fn corpus_runs_emit_file_events_and_phase_profiles() {
             assert!(!m.phases.is_empty(), "{}: {} has no phase profile", f.path, m.model);
         }
     }
+}
+
+/// The `--trace` file of a two-job corpus run — sessions in flight on two
+/// threads, each on its own process track — passes the Chrome-trace
+/// schema check that CI's `validate_trace` runs.
+#[test]
+fn two_job_corpus_trace_validates() {
+    let path = std::env::temp_dir().join(format!("vsync-corpus-trace-{}.json", std::process::id()));
+    let writer = Arc::new(TraceWriter::create(&path).expect("create trace file"));
+    let opts = CorpusOptions {
+        jobs: 2,
+        profile: true,
+        on_event: Some(writer.sink()),
+        ..CorpusOptions::default()
+    };
+    let r = run_corpus(Path::new("corpus"), &opts).expect("corpus dir readable");
+    writer.finish().expect("finish trace file");
+    let src = std::fs::read_to_string(&path).expect("read trace file");
+    std::fs::remove_file(&path).unwrap();
+    assert!(r.passed());
+    let (events, spans) = vsync_bench::validate_trace(&src);
+    assert!(spans > 0, "no phase spans among {events} records");
+    let v = vsync_bench::json::parse(&src).unwrap();
+    let pids: std::collections::HashSet<u64> =
+        v.items().iter().filter_map(|e| e.get("pid")?.as_num()).map(|p| p as u64).collect();
+    assert_eq!(pids.len(), r.files.len() + 1, "one process per session, plus the corpus's");
 }
