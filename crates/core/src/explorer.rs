@@ -1,28 +1,32 @@
 //! The AMC exploration (paper Fig. 6): entry points and the one driver.
 //!
 //! [`explore_with`] validates the program and hands it to the exploration
-//! driver, [`Engine::run`]: a loop that pops a chain root from the
-//! frontier, runs its chain under `catch_unwind` ([`crate::revisit`] holds
-//! the chain logic — replay, consistency, in-place extension, backward
-//! revisits, leaf checks), arbitrates how the chain ended, and puts the
-//! admitted children back on the frontier. The loop is written once.
+//! driver, [`Engine::run`]: a loop that pops a frontier entry, runs its
+//! chain under `catch_unwind` ([`crate::revisit`] holds the chain logic —
+//! rewinding, replay, consistency, in-place extension, backward revisits,
+//! leaf checks), arbitrates how the chain ended, and puts the admitted
+//! roots on the frontier. The loop is written once.
 //! [`AmcConfig::workers`] `== 1` runs it inline on the calling thread;
 //! `> 1` runs the same function on that many scoped threads over the same
 //! sharded seen-sets and the same [`BudgetTracker`].
 //!
-//! The frontier is one LIFO stack of chain roots *per worker* plus a
-//! shared pool ([`WorkQueue`]). A worker pushes the children it admits on
-//! its own stack and pops from it; it takes the pool's lock only when its
-//! stack runs dry, and gives the oldest half of its stack to the pool only
-//! while a peer is asleep there waiting for work. Graphs and forked
-//! checker states therefore stay on the core that allocated them unless
-//! somebody would otherwise idle.
-//!
-//! The frontier holds one item type at every worker count, [`WorkItem`]:
-//! the root's graph plus the consistency state the admitting chain forked
-//! for it ([`Inherited`]). The state travels with the item — whichever
-//! worker pops it adopts it — and is charged to the memory budget
-//! alongside the graph.
+//! The frontier is one LIFO stack of entries *per worker* plus a shared
+//! pool ([`WorkQueue`]). An entry ([`Entry`]) is either a choice point of
+//! one of the worker's chains — a forward alternate or a `⊥` resolution,
+//! entered by rewinding that chain's [`Level`] — or a materialized
+//! [`WorkItem`]: the root's graph plus the consistency state the admitting
+//! chain forked for it ([`Inherited`]), which opens a level of its own. A
+//! level lives while its choice points are on the stack; the levels form
+//! a stack too ([`Levels`]), and finished ones are pooled for their
+//! buffers. A worker pushes the entries it admits on its own stack and
+//! pops from it; it takes the pool's lock only when its stack runs dry,
+//! and gives the oldest half of its stack to the pool only while a peer
+//! is asleep there waiting for work. The pool holds work items only: a
+//! donated choice point is materialized on the way
+//! ([`Level::materialize`]), so one code path serves every worker count.
+//! Graphs and forked checker states stay on the core that allocated them
+//! unless somebody would otherwise idle; an item's state is charged to
+//! the memory budget alongside its graph.
 //!
 //! ## Determinism
 //!
@@ -68,12 +72,12 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use vsync_graph::{Canonicalizer, ExecutionGraph, RfSource, ThreadId};
-use vsync_lang::{ChainReplay, Operand, Program};
+use vsync_lang::{BlockedAwait, ChainReplay, Operand, Program};
 use vsync_model::chain::Fork;
 use vsync_model::{ChainChecker, MemoryModel};
 
 use crate::failpoint;
-use crate::revisit::{ChainEnd, RevisitTargets};
+use crate::revisit::{ChainEnd, ChoicePoint, Level, RevisitTargets, Step};
 use crate::session::RunControl;
 use crate::telemetry::{EventKind as BusEvent, PhaseProfile, PhaseTracker, SessionBus};
 use crate::verdict::{
@@ -387,9 +391,9 @@ impl Pacer<'_> {
 const DEDUP_ENTRY_BYTES: u64 = 48;
 
 /// Shared accounting for a run's [`ResourceBudget`]: live frontier bytes
-/// (graph and inherited checker state of every item on a worker's stack or
-/// in the pool, charged on push, released when it is popped or abandoned)
-/// plus monotone seen-set bytes.
+/// (graph and inherited checker state of every item, and the size of every
+/// choice point, on a worker's stack or in the pool, charged on push,
+/// released when it is popped or abandoned) plus monotone seen-set bytes.
 /// Byte accounting is skipped entirely when no memory ceiling is set, so
 /// unlimited runs never call [`WorkItem::approx_heap_bytes`].
 struct BudgetTracker {
@@ -410,21 +414,21 @@ impl BudgetTracker {
         }
     }
 
-    fn charge(&self, item: &WorkItem) {
+    fn charge(&self, root: &impl Charged) {
         if self.max_bytes != 0 {
-            self.bytes.fetch_add(item.approx_heap_bytes() as u64, Ordering::Relaxed);
+            self.bytes.fetch_add(root.approx_heap_bytes() as u64, Ordering::Relaxed);
         }
     }
 
-    fn release(&self, item: &WorkItem) {
+    fn release(&self, root: &impl Charged) {
         if self.max_bytes != 0 {
-            self.bytes.fetch_sub(item.approx_heap_bytes() as u64, Ordering::Relaxed);
+            self.bytes.fetch_sub(root.approx_heap_bytes() as u64, Ordering::Relaxed);
         }
     }
 
     /// Release roots that a stopped run leaves unexplored; their number is
     /// the run's `frontier_dropped`.
-    fn abandon(&self, roots: Vec<WorkItem>) -> u64 {
+    fn abandon(&self, roots: Vec<impl Charged>) -> u64 {
         for root in &roots {
             self.release(root);
         }
@@ -448,9 +452,30 @@ impl BudgetTracker {
     }
 }
 
-/// A chain root on the frontier: the materialized graph and, when the
-/// chain that admitted it could hand it over, that chain's consistency
-/// state.
+/// What the memory budget charges for a root on the frontier.
+trait Charged {
+    fn approx_heap_bytes(&self) -> usize;
+}
+
+/// An entry of a worker's frontier stack.
+pub(crate) enum Entry {
+    /// A materialized chain root: it opens a level of its own.
+    Root(WorkItem),
+    /// A root entered by rewinding the level of the chain that admitted it.
+    Choice(ChoicePoint),
+}
+
+impl Charged for Entry {
+    fn approx_heap_bytes(&self) -> usize {
+        match self {
+            Entry::Root(item) => item.approx_heap_bytes(),
+            Entry::Choice(_) => std::mem::size_of::<ChoicePoint>(),
+        }
+    }
+}
+
+/// A materialized chain root: the graph and, when the chain that admitted
+/// it could hand it over, that chain's consistency state.
 pub(crate) struct WorkItem {
     pub(crate) graph: ExecutionGraph,
     /// `None` where no parent state exists — the initial graph, and roots
@@ -481,7 +506,7 @@ pub(crate) enum Pending {
     },
 }
 
-impl WorkItem {
+impl Charged for WorkItem {
     fn approx_heap_bytes(&self) -> usize {
         self.graph.approx_heap_bytes()
             + self.inherited.as_ref().map_or(0, |i| i.state.approx_heap_bytes())
@@ -521,15 +546,16 @@ impl Shared {
 }
 
 /// One worker's private state: what a chain reads and writes while it
-/// runs. The chain logic in [`crate::revisit`] sees the counters, the
-/// child buffer and the hasher; the frontier, budgets and pacing stay
-/// behind [`Worker::tick`], [`Worker::visit`] and [`Worker::leaf`].
+/// runs, besides its [`Level`]. The chain logic in [`crate::revisit`] sees
+/// the counters, the entry buffer and the hasher; the frontier, budgets
+/// and pacing stay behind [`Worker::tick`], [`Worker::visit`] and
+/// [`Worker::leaf`].
 pub(crate) struct Worker<'r> {
     pub(crate) stats: ExploreStats,
-    /// Children admitted since the last transfer to the frontier.
-    pub(crate) out: Vec<WorkItem>,
-    /// This worker's share of the frontier, newest root last.
-    stack: Vec<WorkItem>,
+    /// Entries admitted since the last transfer to the frontier.
+    pub(crate) out: Vec<Entry>,
+    /// This worker's share of the frontier, newest entry last.
+    stack: Vec<Entry>,
     pub(crate) executions: Vec<ExecutionGraph>,
     /// Engine phase the worker is executing, for panic attribution
     /// ([`EngineError::phase`]) and, when profiling is on, wall-clock
@@ -537,16 +563,17 @@ pub(crate) struct Worker<'r> {
     pub(crate) phase: PhaseTracker,
     /// Symmetry-aware view hasher (per-worker scratch buffers).
     pub(crate) enc: Canonicalizer,
-    /// The model's consistency checker, following the chain in flight:
-    /// at the root it adopts the item's inherited state (or is `reset`),
-    /// then `push`/`pop` alongside every `push_event`/`pop_event` of the
-    /// chain's graph.
-    pub(crate) ck: Box<dyn ChainChecker>,
     /// Scratch of the R- and W-step scans: the viable rf sources / mo
     /// positions of the step in flight, and the W-step's revisit targets.
     pub(crate) viable_sources: Vec<RfSource>,
     pub(crate) viable_positions: Vec<usize>,
     pub(crate) targets: RevisitTargets,
+    /// Scratch of a leaf: its blocked awaits, and the interpreter and
+    /// checker of a leaf relabeled to its orbit representative (the
+    /// level's own follow the chain).
+    pub(crate) blocked: Vec<BlockedAwait>,
+    pub(crate) leaf_replay: ChainReplay,
+    pub(crate) leaf_ck: Box<dyn ChainChecker>,
     pacer: Pacer<'r>,
     shared: &'r Shared,
     max_graphs: u64,
@@ -574,7 +601,7 @@ impl Worker<'_> {
         self.shared.leaves.insert(h, &self.shared.budget)
     }
 
-    /// Move the children admitted so far onto this worker's stack,
+    /// Move the entries admitted so far onto this worker's stack,
     /// charging them to the budget. `Some` when that exhausts it.
     fn transfer(&mut self) -> Option<StopReason> {
         for c in &self.out {
@@ -585,16 +612,26 @@ impl Worker<'_> {
     }
 
     /// Run once per chain step, *before* the step's work: transfers the
-    /// previous step's children (so a mid-chain stop accounts them as
+    /// previous step's entries (so a mid-chain stop accounts them as
     /// dropped frontier instead of losing them), shares the stack with a
-    /// peer that has run out of work, performs the cooperative control
+    /// peer that has run out of work — materializing the choice points it
+    /// hands over from their `levels` — performs the cooperative control
     /// checks and counts the step. A `Some` return stops the run.
-    pub(crate) fn tick(&mut self) -> Option<StopReason> {
+    pub(crate) fn tick(&mut self, levels: &mut Levels<'_>) -> Option<StopReason> {
         if let Some(reason) = self.transfer() {
             return Some(reason);
         }
         if self.shared.queue.has_waiters() && !self.stack.is_empty() {
-            self.shared.queue.donate(&mut self.stack);
+            let budget = &self.shared.budget;
+            self.shared.queue.donate(&mut self.stack, |entry| {
+                budget.release(&entry);
+                let item = match entry {
+                    Entry::Root(item) => item,
+                    Entry::Choice(cp) => levels.materialize(cp),
+                };
+                budget.charge(&item);
+                item
+            });
         }
         if let Some(reason) = self.pacer.poll(&self.phase, &self.stats) {
             return Some(reason);
@@ -606,6 +643,87 @@ impl Worker<'_> {
         }
         self.failpoint("explore.pop");
         None
+    }
+}
+
+/// A worker's levels ([`Level`]): the chains whose choice points are on
+/// its stack, the active chain's last. Entries are popped LIFO, so the
+/// levels form a stack too: a level is created when a materialized root
+/// is popped, every choice point pushed while it is active lies above the
+/// older levels' ones, and popping a choice point of a level finishes
+/// every level above it. The one checker with warm buffers moves to
+/// whichever level is active (syncbox's arena `clone_with`); suspended
+/// levels keep their state as forks. A level below the active one whose
+/// choice points were all donated is dropped at once.
+pub(crate) struct Levels<'e> {
+    /// Indexed by [`ChoicePoint::level`]; `None` for a dropped level.
+    live: Vec<Option<Level>>,
+    engine: &'e Engine<'e>,
+}
+
+impl<'e> Levels<'e> {
+    fn new(engine: &'e Engine<'e>) -> Self {
+        Levels { live: Vec::new(), engine }
+    }
+
+    /// The level of the chain in flight.
+    pub(crate) fn active(&mut self) -> &mut Level {
+        self.live.last_mut().and_then(Option::as_mut).expect("a chain runs on a level")
+    }
+
+    /// Drop the levels above `keep`; the checker of the active one, if it
+    /// was among them.
+    fn finish_above(&mut self, keep: usize) -> Option<Box<dyn ChainChecker>> {
+        let mut ck = None;
+        while self.live.len() > keep {
+            if let Some(lv) = self.live.pop().flatten() {
+                debug_assert_eq!(lv.choices, 0, "a finished level has no choice point left");
+                if !lv.is_suspended() {
+                    ck = Some(lv.into_checker());
+                }
+            }
+        }
+        ck
+    }
+
+    /// Open a level for a materialized root, above the levels that still
+    /// have choice points; the active one among them is suspended.
+    pub(crate) fn open(&mut self, graph: ExecutionGraph) {
+        let keep = self.live.iter().rposition(|lv| lv.as_ref().is_some_and(|lv| lv.choices > 0));
+        let ck = self.finish_above(keep.map_or(0, |k| k + 1));
+        let (prog, budget) = (self.engine.prog, self.engine.config.step_budget);
+        let fresh = || self.engine.model.chain_checker();
+        let ck = match self.live.last_mut().and_then(Option::as_mut) {
+            Some(top) if !top.is_suspended() => top.suspend(prog, budget, fresh()),
+            _ => ck.unwrap_or_else(fresh),
+        };
+        self.live.push(Some(Level::new(graph, self.live.len() as u32, ck)));
+    }
+
+    /// Enter `cp` on its level, which becomes the active one: every level
+    /// above it is finished.
+    pub(crate) fn enter(&mut self, cp: &ChoicePoint) -> Step {
+        let level = cp.level as usize;
+        let ck = self.finish_above(level + 1);
+        let lv = self.live[level].as_mut().expect("a level with a choice point");
+        lv.resume(ck);
+        lv.choices -= 1;
+        lv.enter(self.engine.prog, cp, self.engine.config.step_budget)
+    }
+
+    /// The work item `cp` stands for, for another worker. A level below
+    /// the active one that gives away its last choice point is dropped.
+    fn materialize(&mut self, cp: ChoicePoint) -> WorkItem {
+        let level = cp.level as usize;
+        let lv = self.live[level].as_mut().expect("a level with a choice point");
+        lv.choices -= 1;
+        let item = lv.materialize(&cp, || self.engine.model.chain_checker());
+        if lv.choices == 0 && level + 1 < self.live.len() {
+            self.live[level] = None;
+        }
+        #[cfg(debug_assertions)]
+        self.engine.assert_item_matches(&cp.expect, &item);
+        item
     }
 }
 
@@ -667,10 +785,41 @@ impl Engine<'_> {
         AmcResult { verdict, stats, executions }
     }
 
-    /// One worker's loop: pop a chain root — from its own stack, or from
-    /// the pool when that is empty — release its budget charge, run the
-    /// chain under `catch_unwind`, arbitrate how it ended, stack its
-    /// children.
+    /// Worker `index`'s private state, before its first chain.
+    fn worker<'r>(&'r self, index: usize, shared: &'r Shared) -> Worker<'r> {
+        let mut stats = ExploreStats::default();
+        if index == 0 {
+            stats.constructed = 1; // the initial graph
+        }
+        Worker {
+            stats,
+            out: Vec::new(),
+            stack: Vec::new(),
+            executions: Vec::new(),
+            phase: PhaseTracker::new(self.control.profile),
+            enc: Canonicalizer::new(self.partition.as_ref()),
+            viable_sources: Vec::new(),
+            viable_positions: Vec::new(),
+            targets: RevisitTargets::default(),
+            blocked: Vec::new(),
+            leaf_replay: ChainReplay::default(),
+            leaf_ck: self.model.chain_checker(),
+            pacer: Pacer {
+                control: self.control,
+                count: 0,
+                worker: index,
+                last_local: ExploreStats::default(),
+                last_profile: PhaseProfile::default(),
+            },
+            shared,
+            max_graphs: self.config.max_graphs,
+        }
+    }
+
+    /// One worker's loop: pop a frontier entry — from its own stack, or a
+    /// work item from the pool when that is empty — release its budget
+    /// charge, run its chain under `catch_unwind`, arbitrate how it ended,
+    /// stack the roots it admitted.
     fn work(&self, index: usize, workers: usize, shared: &Shared) -> WorkerResult {
         // If this worker panics outside the catch_unwind below (queue
         // bookkeeping, event sinks), `pending` never reaches zero;
@@ -686,43 +835,21 @@ impl Engine<'_> {
             }
         }
         let _guard = PanicGuard(&shared.queue);
-        let mut w = Worker {
-            stats: ExploreStats::default(),
-            out: Vec::new(),
-            stack: Vec::new(),
-            executions: Vec::new(),
-            phase: PhaseTracker::new(self.control.profile),
-            enc: Canonicalizer::new(self.partition.as_ref()),
-            ck: self.model.chain_checker(),
-            viable_sources: Vec::new(),
-            viable_positions: Vec::new(),
-            targets: RevisitTargets::default(),
-            pacer: Pacer {
-                control: self.control,
-                count: 0,
-                worker: index,
-                last_local: ExploreStats::default(),
-                last_profile: PhaseProfile::default(),
-            },
-            shared,
-            max_graphs: self.config.max_graphs,
-        };
-        if index == 0 {
-            w.stats.constructed = 1; // the initial graph
-        }
-        // The interpreter state of the chain in flight; like `w.ck` it is
-        // carried from step to step and rebuilt at every root.
-        let mut replay = ChainReplay::default();
+        let mut w = self.worker(index, shared);
+        let mut levels = Levels::new(self);
         loop {
-            // Also what a wait in `pop` is billed to, not the phase the
-            // previous chain happened to end in.
+            // Also what a wait in `pop` — and rewinding a level to the
+            // next choice point — is billed to, not the phase the previous
+            // chain happened to end in.
             w.phase.set(EnginePhase::Driver);
             if shared.queue.stopped() {
                 break;
             }
-            let Some(item) = w.stack.pop().or_else(|| shared.queue.pop()) else { break };
-            shared.budget.release(&item);
-            let end = catch_unwind(AssertUnwindSafe(|| self.run_chain(item, &mut w, &mut replay)));
+            let Some(entry) = w.stack.pop().or_else(|| shared.queue.pop().map(Entry::Root)) else {
+                break;
+            };
+            shared.budget.release(&entry);
+            let end = catch_unwind(AssertUnwindSafe(|| self.run_chain(entry, &mut levels, &mut w)));
             let stop = match end {
                 Ok(ChainEnd::Done) => w.transfer(),
                 Ok(ChainEnd::Stopped(reason)) => Some(reason),
@@ -847,14 +974,16 @@ impl WorkQueue {
     }
 
     /// Move the oldest half of a running worker's stack (rounded up: the
-    /// worker is busy with a chain) to the pool and wake as many sleepers
-    /// as there are roots for. The oldest roots sit nearest the root of
-    /// the search tree, so they tend to carry the largest subtrees and the
-    /// donor keeps the ones whose blocks are warm in its cache.
-    fn donate(&self, stack: &mut Vec<WorkItem>) {
+    /// worker is busy with a chain), each entry made a work item by
+    /// `materialize`, to the pool and wake as many sleepers as there are
+    /// roots for. The oldest roots sit nearest the root of the search
+    /// tree, so they tend to carry the largest subtrees and the donor
+    /// keeps the ones whose blocks are warm in its cache.
+    fn donate<E>(&self, stack: &mut Vec<E>, materialize: impl FnMut(E) -> WorkItem) {
         let n = stack.len().div_ceil(2);
+        let gift: Vec<WorkItem> = stack.drain(..n).map(materialize).collect();
         let mut q = relock(&self.state);
-        q.pool.extend(stack.drain(..n));
+        q.pool.extend(gift);
         q.pending += n;
         for _ in 0..n.min(self.waiting.load(Ordering::Relaxed)) {
             self.cond.notify_one();
@@ -953,6 +1082,7 @@ pub(crate) fn failed_final_check(prog: &Program, g: &ExecutionGraph) -> Option<S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::revisit;
     use vsync_graph::{EventKind, Loc, Mode};
     use vsync_lang::{ProgramBuilder, Reg, Test};
     use vsync_model::ModelKind;
@@ -1545,7 +1675,7 @@ mod tests {
             await_sleepers(&q, 1);
             assert!(q.has_waiters());
             let mut stack = vec![root(1), root(2), root(3)];
-            q.donate(&mut stack);
+            q.donate(&mut stack, |item| item);
             assert_eq!(stack.len(), 1, "the newest root stays");
             assert_eq!(stack[0].graph.num_threads(), 3);
             // The peer takes the newer of the two donated roots, comes back
@@ -1565,6 +1695,157 @@ mod tests {
         let (verdict, pool) = q.into_parts();
         assert!(matches!(verdict, Verdict::Verified));
         assert!(pool.is_empty());
+    }
+
+    /// Explore `p` under `config` with a peer that never stops waiting:
+    /// every worker hands the oldest half of its stack to the pool at every
+    /// chain step — choice points materialized — and pops it back when its
+    /// stack runs dry.
+    fn explore_donating(
+        p: &Program,
+        config: &AmcConfig,
+        workers: usize,
+    ) -> (ExploreStats, Vec<ExecutionGraph>) {
+        let control = RunControl::default();
+        let partition = config.symmetry.then(|| p.symmetry_partition()).filter(|p| !p.is_trivial());
+        let model = config.model.checker(config.checker);
+        let engine = Engine { prog: p, config, model, control: &control, partition };
+        let initial = WorkItem {
+            graph: ExecutionGraph::new(p.num_threads(), p.init().clone()),
+            inherited: None,
+        };
+        let shared = Shared::new(initial, workers, &config.budget);
+        shared.queue.waiting.fetch_add(1, Ordering::Relaxed);
+        let results: Vec<WorkerResult> = if workers == 1 {
+            vec![engine.work(0, 1, &shared)]
+        } else {
+            std::thread::scope(|scope| {
+                let (engine, shared) = (&engine, &shared);
+                let handles: Vec<_> = (0..workers)
+                    .map(|i| scope.spawn(move || engine.work(i, workers, shared)))
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            })
+        };
+        let (verdict, pool) = shared.queue.into_parts();
+        assert!(verdict.is_verified() && pool.is_empty(), "{verdict}");
+        let mut stats = ExploreStats::default();
+        let mut executions = Vec::new();
+        for mut r in results {
+            stats.merge(&r.stats);
+            executions.append(&mut r.executions);
+        }
+        (stats, executions)
+    }
+
+    /// Three threads of the TTAS shape without the counter.
+    fn ttas3_program() -> Program {
+        let mut pb = ProgramBuilder::new("ttas-3t");
+        for _ in 0..3 {
+            pb.thread(|t| {
+                t.await_neq(Reg(0), X, 1u64, ("acquire.await", Mode::Rlx));
+                t.xchg(Reg(1), X, 1u64, ("acquire.xchg", Mode::AcqRel));
+                t.store(X, 0u64, ("release.store", Mode::Rel));
+            });
+        }
+        pb.build().unwrap()
+    }
+
+    /// The counts that do not depend on the order roots are explored in.
+    fn order_free(s: &ExploreStats) -> [u64; 5] {
+        let dedup = s.duplicates + s.symmetry_pruned;
+        [s.popped, s.constructed, s.complete_executions, s.blocked_graphs, dedup]
+    }
+
+    /// The collected executions as a sorted list of content hashes.
+    fn orbits(graphs: &[ExecutionGraph]) -> Vec<u128> {
+        let mut hashes: Vec<u128> = graphs.iter().map(vsync_graph::content_hash).collect();
+        hashes.sort_unstable();
+        hashes
+    }
+
+    /// Donated choice points are materialized as what rewinding builds (a
+    /// debug build holds each one to the root its admitting chain would
+    /// have materialized). A forced donation at every chain step, at one
+    /// and two workers, explores the same orbits with the same counts as
+    /// an undisturbed run.
+    #[test]
+    fn forced_donation_explores_like_one_worker() {
+        for p in [sb_program(), ttas_program(), ttas3_program()] {
+            for model in [ModelKind::Vmm, ModelKind::Sc] {
+                for symmetry in [true, false] {
+                    let config = cfg(model).with_symmetry(symmetry).collecting();
+                    let base = explore(&p, &config);
+                    for workers in [1, 2] {
+                        let tag =
+                            format!("{} {model} symmetry={symmetry} workers={workers}", p.name());
+                        let (stats, executions) = explore_donating(&p, &config, workers);
+                        assert_eq!(order_free(&stats), order_free(&base.stats), "{tag}");
+                        assert_eq!(orbits(&executions), orbits(&base.executions), "{tag}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A choice point older than a `⊥` re-point of its level — the read
+    /// the fork would keep is re-pointed — is materialized without a
+    /// checker state and `reset`s at its root. One worker driven by hand
+    /// hands every choice point on its stack but the newest over after
+    /// every `period`-th chain (materialized, back in its place), which
+    /// catches such choice points; the run explores what an undisturbed
+    /// one does.
+    #[test]
+    fn choice_points_older_than_a_repoint_materialize_without_a_state() {
+        revisit::MATERIALIZED_PAST_REPOINT.with(|n| n.set(0));
+        for p in [ttas_program(), ttas3_program()] {
+            for period in [2, 3] {
+                let config = cfg(ModelKind::Vmm).collecting();
+                let base = explore(&p, &config);
+                let control = RunControl::default();
+                let partition = p.symmetry_partition();
+                let model = config.model.checker(config.checker);
+                let engine = Engine {
+                    prog: &p,
+                    config: &config,
+                    model,
+                    control: &control,
+                    partition: Some(partition),
+                };
+                let initial = WorkItem {
+                    graph: ExecutionGraph::new(p.num_threads(), p.init().clone()),
+                    inherited: None,
+                };
+                let shared = Shared::new(initial, 1, &config.budget);
+                let mut w = engine.worker(0, &shared);
+                let mut levels = Levels::new(&engine);
+                let mut chains = 0;
+                while let Some(entry) =
+                    w.stack.pop().or_else(|| shared.queue.pop().map(Entry::Root))
+                {
+                    assert!(matches!(engine.run_chain(entry, &mut levels, &mut w), ChainEnd::Done));
+                    assert!(w.transfer().is_none());
+                    chains += 1;
+                    if chains % period == 0 {
+                        let newest = w.stack.pop();
+                        let older: Vec<Entry> = w.stack.drain(..).collect();
+                        for entry in older {
+                            let item = match entry {
+                                Entry::Choice(cp) => levels.materialize(cp),
+                                Entry::Root(item) => item,
+                            };
+                            w.stack.push(Entry::Root(item));
+                        }
+                        w.stack.extend(newest);
+                    }
+                }
+                let tag = format!("{} period {period}", p.name());
+                assert_eq!(order_free(&w.stats), order_free(&base.stats), "{tag}");
+                assert_eq!(orbits(&w.executions), orbits(&base.executions), "{tag}");
+            }
+        }
+        let past_repoint = revisit::MATERIALIZED_PAST_REPOINT.with(|n| n.get());
+        assert!(past_repoint > 0, "no choice point older than a re-point was materialized");
     }
 
     /// One thread, one store: the initial graph is the only chain root.

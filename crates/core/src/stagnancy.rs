@@ -7,6 +7,8 @@
 //! await-termination violation (paper Lemmas 12/13: stagnant graphs extend
 //! to the infinite executions of `G∞`, and vice versa).
 
+use std::borrow::Borrow;
+
 use vsync_graph::{EventId, EventKind, ExecutionGraph, RfSource};
 use vsync_lang::BlockedAwait;
 use vsync_model::ChainChecker;
@@ -25,10 +27,10 @@ use vsync_model::ChainChecker;
 /// undone: both are back in their entry state on return.
 pub fn is_stagnant(
     g: &mut ExecutionGraph,
-    blocked: &[&BlockedAwait],
+    blocked: &[impl Borrow<BlockedAwait>],
     ck: &mut dyn ChainChecker,
 ) -> bool {
-    !blocked.is_empty() && blocked.iter().all(|b| is_stuck(g, b, ck))
+    !blocked.is_empty() && blocked.iter().all(|b| is_stuck(g, b.borrow(), ck))
 }
 
 /// Can no available write unblock this read with a non-wasteful,
@@ -42,9 +44,11 @@ pub fn is_stuck(g: &mut ExecutionGraph, b: &BlockedAwait, ck: &mut dyn ChainChec
     };
     // The blocked read is its thread's last event: lift it off the
     // checker, try every resolution in its place, put it back. Sources
-    // below the coherence floor can never be observed here.
+    // below the coherence floor can never be observed here. The mo-latest
+    // write goes first: it is the one most likely to unblock the read,
+    // and the answer does not depend on the order.
     ck.pop(thread);
-    let stuck = (ck.floor(g, thread, b.loc)..=g.mo(b.loc).len()).all(|pos| {
+    let stuck = (ck.floor(g, thread, b.loc)..=g.mo(b.loc).len()).rev().all(|pos| {
         let w = pos.checked_sub(1).map_or(EventId::Init(b.loc), |i| g.mo(b.loc)[i]);
         if !resolution_consistent(g, b, w, pos, ck) {
             return true; // this write can never be observed here

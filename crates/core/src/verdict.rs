@@ -139,10 +139,12 @@ pub struct ExploreStats {
     /// root popped from the frontier, or an in-place extension of it), so
     /// `popped` is the unit of "graphs processed".
     pub popped: u64,
-    /// Execution graphs materialized in memory: the initial graph plus
-    /// every cloned branch alternate / revisit child, each pushed as one
-    /// work item (so `constructed − 1` items were pushed). In-place chain
-    /// extension keeps it well below `popped`.
+    /// Chain roots admitted: the initial graph plus every admitted forward
+    /// alternate, `⊥` resolution and revisit child — whether the search
+    /// enters it by rewinding the admitting chain (alternates and
+    /// resolutions) or materializes it as a work item (revisit children,
+    /// roots relabeled by symmetry). In-place chain extension keeps it well
+    /// below `popped`.
     pub constructed: u64,
     /// Items skipped as duplicates (content hash already seen).
     pub duplicates: u64,

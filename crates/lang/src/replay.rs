@@ -32,10 +32,18 @@
 //! failed iterations re-derives `prev_rf` by re-consuming them. [`ChainReplay::reset`] is the from-scratch replay of
 //! every thread — [`replay_with_budget`] is exactly that on a fresh
 //! `ChainReplay`, so there is one interpreter loop.
+//!
+//! The explorer also *backtracks* along a chain: it pops events and
+//! enters another alternate of an earlier step. Every `advance` keeps the
+//! cursor it moved — pc, event and step counts, and only the registers the
+//! advance changed — and [`ChainReplay::rewind`] puts the cursors back.
+//! Statuses are not kept: a status is a function of its cursor and the
+//! graph, so `rewind` re-runs each moved thread once, from its restored
+//! cursor, against the graph as it was.
 
 use vsync_graph::{EventId, EventKind, ExecutionGraph, Loc, Mode, RfSource, Value};
 
-use crate::insn::{Addr, Instr, Operand, ResolvedTest, RmwOp, Test, NUM_REGS};
+use crate::insn::{Addr, Instr, Operand, Reg, ResolvedTest, RmwOp, Test, NUM_REGS};
 use crate::program::Program;
 
 /// What kind of read a pending read event is — enough for the explorer to
@@ -311,13 +319,37 @@ impl Cursor {
 ///
 /// [`ChainReplay::reset`] interprets every thread against an arbitrary
 /// graph; [`ChainReplay::advance`] answers for "that graph plus events
-/// pushed on `thread`" by resuming that thread alone. Anything else —
-/// a re-pointed `rf`, a removed event, another thread's push — needs a
-/// `reset`.
+/// pushed on `thread`" by resuming that thread alone, and
+/// [`ChainReplay::rewind`] takes the newest `advance`s back. Anything else
+/// — a removed event, another thread's push — needs a `reset`, or the
+/// rewind of the `advance`s that saw it. One change to a thread's
+/// not-yet-consumed suffix is allowed too: its cursor sits at the start of
+/// the instruction it stopped in, so re-pointing the `⊥` read a thread is
+/// blocked on and then advancing that thread is exact.
 #[derive(Debug, Default)]
 pub struct ChainReplay {
     cursors: Vec<Cursor>,
     outcome: ReplayOutcome,
+    /// One entry per `advance` since the last `reset`, newest last: the
+    /// cursor the thread had before it, registers aside.
+    saved: Vec<Saved>,
+    /// Every register write of those `advance`s with the value it
+    /// replaced, oldest first: an instruction or two's worth per
+    /// `advance`, where a copy of the cursor would be all its registers.
+    changed: Vec<(u8, Value)>,
+    /// Scratch of [`ChainReplay::rewind`]: the threads it moved back.
+    moved: Vec<bool>,
+}
+
+/// What [`ChainReplay::rewind`] restores of one `advance`: its thread's
+/// cursor before it, and how many entries of `changed` it wrote.
+#[derive(Debug)]
+struct Saved {
+    thread: u32,
+    changed: u32,
+    pc: u32,
+    ev: u32,
+    steps: usize,
 }
 
 impl ChainReplay {
@@ -336,7 +368,7 @@ impl ChainReplay {
     /// The outcome for `g` = the graph of the previous call plus events
     /// pushed on `thread`: resumes `thread` from its cursor and replaces
     /// its status. Must be called with the `budget` of the `reset` it
-    /// follows.
+    /// follows. The cursor it moves is kept for [`ChainReplay::rewind`].
     pub fn advance(
         &mut self,
         prog: &Program,
@@ -344,8 +376,47 @@ impl ChainReplay {
         thread: u32,
         budget: usize,
     ) -> &ReplayOutcome {
-        self.outcome.threads[thread as usize] = self.run_thread(prog, g, thread, budget, false);
+        let t = thread as usize;
+        let Cursor { pc, ev, steps, .. } = self.cursors[t];
+        let at = self.changed.len();
+        self.outcome.threads[t] = self.run_thread(prog, g, thread, budget, Run::Logged);
+        let changed = (self.changed.len() - at) as u32;
+        self.saved.push(Saved { thread, changed, pc: pc as u32, ev: ev as u32, steps });
         &self.outcome
+    }
+
+    /// How many [`ChainReplay::advance`]s since the last `reset` are not
+    /// taken back: what [`ChainReplay::rewind`] goes back to.
+    pub fn advances(&self) -> usize {
+        self.saved.len()
+    }
+
+    /// Take back every [`ChainReplay::advance`] after the first `keep`
+    /// since the last `reset`. `g` must be the graph the oldest of them
+    /// started from: each thread they moved goes back to its cursor
+    /// before them, and its status is re-derived from there — the
+    /// instruction it stopped in, run once more against `g` (a status is a
+    /// function of the cursor and the graph, so it is not stored).
+    pub fn rewind(&mut self, prog: &Program, g: &mut ExecutionGraph, keep: usize, budget: usize) {
+        self.moved.clear();
+        self.moved.resize(self.cursors.len(), false);
+        while self.saved.len() > keep {
+            let Saved { thread, changed, pc, ev, steps } =
+                self.saved.pop().expect("an advance above `keep`");
+            let cur = &mut self.cursors[thread as usize];
+            let at = self.changed.len() - changed as usize;
+            for &(r, old) in self.changed[at..].iter().rev() {
+                cur.regs[r as usize] = old;
+            }
+            self.changed.truncate(at);
+            (cur.pc, cur.ev, cur.steps) = (pc as usize, ev as usize, steps);
+            self.moved[thread as usize] = true;
+        }
+        for t in 0..self.cursors.len() {
+            if self.moved[t] {
+                self.outcome.threads[t] = self.run_thread(prog, g, t as u32, budget, Run::Plain);
+            }
+        }
     }
 
     /// The outcome of the last [`ChainReplay::reset`] /
@@ -356,11 +427,14 @@ impl ChainReplay {
 
     fn run_all(&mut self, prog: &Program, g: &mut ExecutionGraph, budget: usize, adopt: bool) {
         let threads = prog.num_threads();
+        self.saved.clear();
+        self.changed.clear();
         self.cursors.clear();
         self.cursors.resize(threads, Cursor::START);
         self.outcome.threads.clear();
         for t in 0..threads as u32 {
-            let status = self.run_thread(prog, g, t, budget, adopt);
+            let run = if adopt { Run::AdoptModes } else { Run::Plain };
+            let status = self.run_thread(prog, g, t, budget, run);
             self.outcome.threads.push(status);
         }
     }
@@ -372,12 +446,24 @@ impl ChainReplay {
         g: &mut ExecutionGraph,
         thread: u32,
         budget: usize,
-        adopt_modes: bool,
+        run: Run,
     ) -> ThreadStatus {
         let cur = &mut self.cursors[thread as usize];
         let instr_start = (cur.ev, cur.steps);
-        ThreadReplay { prog, thread, cur, instr_start, budget, adopt_modes }.run(g)
+        let adopt_modes = run == Run::AdoptModes;
+        let log = (run == Run::Logged).then_some(&mut self.changed);
+        ThreadReplay { prog, thread, cur, log, instr_start, budget, adopt_modes }.run(g)
     }
+}
+
+/// How [`ChainReplay::run_thread`] runs a thread.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Run {
+    Plain,
+    /// Keep every register write in `ChainReplay::changed`: an `advance`.
+    Logged,
+    /// Adopt the program's modes ([`replay_adopt_modes`]).
+    AdoptModes,
 }
 
 struct ThreadReplay<'p> {
@@ -387,6 +473,9 @@ struct ThreadReplay<'p> {
     /// executes, rewound to the instruction's start when the thread stops
     /// in it (see [`ThreadReplay::run`]).
     cur: &'p mut Cursor,
+    /// Where an `advance` keeps each register write with the value it
+    /// replaced ([`ChainReplay::rewind`]).
+    log: Option<&'p mut Vec<(u8, Value)>>,
     /// `(ev, steps)` of the cursor when the instruction in flight began.
     instr_start: (usize, usize),
     budget: usize,
@@ -407,6 +496,13 @@ enum Consume {
 }
 
 impl<'p> ThreadReplay<'p> {
+    fn set(&mut self, r: Reg, v: Value) {
+        let old = std::mem::replace(&mut self.cur.regs[r.0 as usize], v);
+        if let Some(log) = &mut self.log {
+            log.push((r.0, old));
+        }
+    }
+
     fn operand(&self, o: Operand) -> Value {
         match o {
             Operand::Reg(r) => self.cur.regs[r.0 as usize],
@@ -577,7 +673,7 @@ impl<'p> ThreadReplay<'p> {
                     let m = self.prog.mode(*mode);
                     match self.consume_read(g, loc, m, ReadDesc::Plain, None) {
                         Consume::Got(Some(v)) => {
-                            self.cur.regs[dst.0 as usize] = v;
+                            self.set(*dst, v);
                             self.cur.pc += 1;
                         }
                         Consume::Got(None) | Consume::Pending => unreachable!(),
@@ -611,7 +707,7 @@ impl<'p> ThreadReplay<'p> {
                             }
                             // Only now: stopped at the write part, the
                             // instruction restarts and `operand` may be `dst`.
-                            self.cur.regs[dst.0 as usize] = v;
+                            self.set(*dst, v);
                             self.cur.pc += 1;
                         }
                         Consume::Got(None) | Consume::Pending => unreachable!(),
@@ -636,7 +732,7 @@ impl<'p> ThreadReplay<'p> {
                                     Consume::Pending => unreachable!(),
                                 }
                             }
-                            self.cur.regs[dst.0 as usize] = v;
+                            self.set(*dst, v);
                             self.cur.pc += 1;
                         }
                         Consume::Got(None) | Consume::Pending => unreachable!(),
@@ -662,7 +758,7 @@ impl<'p> ThreadReplay<'p> {
                     let desc = ReadDesc::AwaitLoad { exit };
                     match self.run_await(g, *addr, *mode, desc) {
                         AwaitStep::Exited(v) => {
-                            self.cur.regs[dst.0 as usize] = v;
+                            self.set(*dst, v);
                             self.cur.pc += 1;
                         }
                         AwaitStep::Status(s) => return s,
@@ -674,7 +770,7 @@ impl<'p> ThreadReplay<'p> {
                         ReadDesc::AwaitRmw { exit, op: *op, operand: self.operand(*operand) };
                     match self.run_await(g, *addr, *mode, desc) {
                         AwaitStep::Exited(v) => {
-                            self.cur.regs[dst.0 as usize] = v;
+                            self.set(*dst, v);
                             self.cur.pc += 1;
                         }
                         AwaitStep::Status(s) => return s,
@@ -687,18 +783,18 @@ impl<'p> ThreadReplay<'p> {
                     };
                     match self.run_await(g, *addr, *mode, desc) {
                         AwaitStep::Exited(v) => {
-                            self.cur.regs[dst.0 as usize] = v;
+                            self.set(*dst, v);
                             self.cur.pc += 1;
                         }
                         AwaitStep::Status(s) => return s,
                     }
                 }
                 Instr::Mov { dst, src } => {
-                    self.cur.regs[dst.0 as usize] = self.operand(*src);
+                    self.set(*dst, self.operand(*src));
                     self.cur.pc += 1;
                 }
                 Instr::Op { dst, op, a, b } => {
-                    self.cur.regs[dst.0 as usize] = op.apply(self.operand(*a), self.operand(*b));
+                    self.set(*dst, op.apply(self.operand(*a), self.operand(*b)));
                     self.cur.pc += 1;
                 }
                 Instr::Jmp { target } => self.cur.pc = *target,

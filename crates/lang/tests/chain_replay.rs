@@ -6,7 +6,10 @@
 //! [`replay_with_budget`] reports for a copy of the same graph: statuses
 //! (pending ops, `prev_rf`, fault messages) and the graph itself (replay repairs derived read flags in place). The walks run
 //! over 600 seeded random programs and over directed programs for the
-//! places where resuming mid-instruction can go wrong.
+//! places where resuming mid-instruction can go wrong. [`ChainReplay::rewind`]
+//! is held to the same oracle: walks that take a random number of steps
+//! back (the graph first, then the interpreter) must find the statuses a
+//! from-scratch replay of the shortened graph reports.
 
 use vsync_graph::{EventId, EventKind, ExecutionGraph, Loc, Mode, RfSource};
 use vsync_lang::{
@@ -57,6 +60,9 @@ struct Walk<'p> {
     budget: usize,
     g: ExecutionGraph,
     chain: ChainReplay,
+    /// What each `advance` pushed, oldest first: its thread and, for a
+    /// write, the location and mo index.
+    pushed: Vec<(u32, Option<(Loc, usize)>)>,
     steps: usize,
     /// Did the walk repeat an await's previous source (a wasteful
     /// iteration, which the explorer never generates)?
@@ -72,6 +78,7 @@ impl<'p> Walk<'p> {
             budget,
             g,
             chain: ChainReplay::default(),
+            pushed: Vec::new(),
             steps: 0,
             repeated: false,
             saw_fault: false,
@@ -111,6 +118,7 @@ impl<'p> Walk<'p> {
     /// flags when `stale_flags` is set, as a revisit leaves them — then
     /// `advance` and compare.
     fn push(&mut self, t: u32, choice: Choice, stale_flags: bool) {
+        let mut slot = None;
         match self.pending(t) {
             PendingOp::Read { loc, mode, desc, .. } => {
                 let rf = match choice {
@@ -137,6 +145,7 @@ impl<'p> Walk<'p> {
                 };
                 let id = self.g.push_event(t, EventKind::Write { loc, val, mode, rmw });
                 self.g.insert_mo(loc, id, pos);
+                slot = Some((loc, pos));
             }
             PendingOp::Fence { mode } => {
                 self.g.push_event(t, EventKind::Fence { mode });
@@ -145,9 +154,25 @@ impl<'p> Walk<'p> {
                 self.g.push_event(t, EventKind::Error { msg });
             }
         }
+        self.pushed.push((t, slot));
         self.chain.advance(self.prog, &mut self.g, t, self.budget);
         self.steps += 1;
         self.check(&format!("step {} on T{t}", self.steps));
+    }
+
+    /// Take the newest `k` steps back: their events off the graph, then
+    /// their `advance`s.
+    fn rewind(&mut self, k: usize) {
+        for _ in 0..k {
+            let (t, slot) = self.pushed.pop().expect("a step to take back");
+            if let Some((loc, pos)) = slot {
+                self.g.remove_mo(loc, pos);
+            }
+            self.g.pop_event(t);
+        }
+        assert_eq!(self.chain.advances(), self.pushed.len() + k);
+        self.chain.rewind(self.prog, &mut self.g, self.pushed.len(), self.budget);
+        self.check(&format!("{k} steps back to {}", self.pushed.len()));
     }
 
     /// Extend a random ready thread by a random realization of its
@@ -260,6 +285,33 @@ fn advance_equals_replay_on_random_chains() {
     assert!(repeated >= 50, "only {repeated} walks repeat an await source");
     assert!(faults >= 20, "only {faults} faulting walks");
     assert!(blocked >= 50, "only {blocked} walks ending blocked");
+}
+
+/// Rewinding is exact: walks that go forward and back at random — and,
+/// after going back, forward again along other choices, as the explorer
+/// enters a choice point — report after every rewind what a from-scratch
+/// replay of the shortened graph reports.
+#[test]
+fn rewind_equals_replay_on_random_chains() {
+    let (mut rewinds, mut deep) = (0, 0);
+    for seed in 0..600u64 {
+        let mut rng = Rng(seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(0x5851f42d4c957f2d));
+        let prog = random_program(&mut rng);
+        let mut walk = Walk::new(&prog, DEFAULT_STEP_BUDGET);
+        for _ in 0..40 {
+            if !walk.pushed.is_empty() && rng.chance(30) {
+                let k = 1 + rng.below(walk.pushed.len());
+                walk.rewind(k);
+                rewinds += 1;
+                deep += usize::from(k >= 3);
+            } else if !walk.random_step(&mut rng) && walk.pushed.is_empty() {
+                break;
+            }
+        }
+    }
+    // Vacuity guards: rewinds happen, many of them several steps deep.
+    assert!(rewinds >= 1500, "only {rewinds} rewinds");
+    assert!(deep >= 500, "only {deep} rewinds of three steps or more");
 }
 
 fn build(f: impl FnOnce(&mut ProgramBuilder)) -> Program {
