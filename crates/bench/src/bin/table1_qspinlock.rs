@@ -19,8 +19,9 @@ fn main() {
     println!("{}", vsync_bench::render_table1(&rows));
     println!("Oracle scenarios: {}", result.scenarios.join(", "));
     println!(
-        "Verification runs: {} ({} relaxation steps accepted)",
+        "Verification runs: {} ({} certified, {} relaxation steps accepted)",
         result.report.verifications,
+        result.report.certified,
         result.report.steps.iter().filter(|s| s.accepted).count()
     );
     println!("\nPer-site assignment (cf. paper Fig. 20):");

@@ -128,12 +128,23 @@ pub fn explore(prog: &Program, config: &AmcConfig) -> AmcResult {
 /// degrades to the same shape. A panic caught inside a worker terminates
 /// the run with [`Verdict::Error`] instead of aborting the process.
 pub fn explore_with(prog: &Program, config: &AmcConfig, control: &RunControl) -> AmcResult {
+    explore_counted(prog, config, control).0
+}
+
+/// [`explore_with`], plus the SC-axiom rejections summed over every
+/// checker of every worker ([`ChainChecker::sc_rejections`]).
+fn explore_counted(
+    prog: &Program,
+    config: &AmcConfig,
+    control: &RunControl,
+) -> (AmcResult, Option<u64>) {
     if let Err(e) = prog.validate() {
-        return AmcResult {
+        let result = AmcResult {
             verdict: Verdict::Fault(format!("malformed program: {e}")),
             stats: ExploreStats::default(),
             executions: Vec::new(),
         };
+        return (result, None);
     }
     // The symmetry partition is recomputed from the *current* resolved
     // code on every run (cheap), so optimizer-patched candidates whose
@@ -173,6 +184,11 @@ pub struct OracleOutcome {
     /// are typically far cheaper than the full exploration a verified
     /// candidate pays.
     pub graphs: u64,
+    /// The SC-axiom rejections of every checker of every worker
+    /// ([`ChainChecker::sc_rejections`]): `Some(0)` on a verified run
+    /// means no answer depended on an event being SC, `None` that the
+    /// checkers could not tell.
+    pub sc_rejections: Option<u64>,
 }
 
 /// Early-stop oracle mode: the optimizer's view of the explorer.
@@ -189,29 +205,15 @@ pub struct OracleOutcome {
 pub fn explore_oracle(prog: &Program, config: &AmcConfig, control: &RunControl) -> OracleOutcome {
     let mut config = config.clone();
     config.collect_executions = false;
-    let result = explore_with(prog, &config, control);
-    let graphs = result.stats.popped;
-    match result.verdict {
-        Verdict::Verified => {
-            OracleOutcome { ok: true, interrupted: false, error: None, witness: None, graphs }
-        }
-        Verdict::Safety(ce) | Verdict::AwaitTermination(ce) => OracleOutcome {
-            ok: false,
-            interrupted: false,
-            error: None,
-            witness: Some(ce.graph),
-            graphs,
-        },
-        Verdict::Fault(_) => {
-            OracleOutcome { ok: false, interrupted: false, error: None, witness: None, graphs }
-        }
-        Verdict::Inconclusive(_) => {
-            OracleOutcome { ok: false, interrupted: true, error: None, witness: None, graphs }
-        }
-        Verdict::Error(e) => {
-            OracleOutcome { ok: false, interrupted: true, error: Some(e), witness: None, graphs }
-        }
-    }
+    let (result, sc_rejections) = explore_counted(prog, &config, control);
+    let (ok, interrupted, error, witness) = match result.verdict {
+        Verdict::Verified => (true, false, None, None),
+        Verdict::Safety(ce) | Verdict::AwaitTermination(ce) => (false, false, None, Some(ce.graph)),
+        Verdict::Fault(_) => (false, false, None, None),
+        Verdict::Inconclusive(_) => (false, true, None, None),
+        Verdict::Error(e) => (false, true, Some(e), None),
+    };
+    OracleOutcome { ok, interrupted, error, witness, graphs: result.stats.popped, sc_rejections }
 }
 
 /// Count the complete consistent executions of a program — the size of the
@@ -659,11 +661,29 @@ pub(crate) struct Levels<'e> {
     /// Indexed by [`ChoicePoint::level`]; `None` for a dropped level.
     live: Vec<Option<Level>>,
     engine: &'e Engine<'e>,
+    /// The SC-axiom rejections of the checkers dropped so far
+    /// ([`ChainChecker::sc_rejections`]; `None` once one could not tell).
+    sc_rejections: Option<u64>,
 }
 
 impl<'e> Levels<'e> {
     fn new(engine: &'e Engine<'e>) -> Self {
-        Levels { live: Vec::new(), engine }
+        Levels { live: Vec::new(), engine, sc_rejections: Some(0) }
+    }
+
+    /// Count the SC-axiom rejections of a checker about to be dropped.
+    fn retire(&mut self, ck: Box<dyn ChainChecker>) {
+        self.sc_rejections = self.sc_rejections.zip(ck.sc_rejections()).map(|(a, b)| a + b);
+    }
+
+    /// The SC-axiom rejections of every checker the worker ran: the ones
+    /// dropped, the levels' and `leaf`.
+    fn sc_rejections(mut self, leaf: Box<dyn ChainChecker>) -> Option<u64> {
+        for lv in std::mem::take(&mut self.live).into_iter().flatten() {
+            self.retire(lv.into_checker());
+        }
+        self.retire(leaf);
+        self.sc_rejections
     }
 
     /// The level of the chain in flight.
@@ -678,7 +698,9 @@ impl<'e> Levels<'e> {
         while self.live.len() > keep {
             if let Some(lv) = self.live.pop().flatten() {
                 debug_assert_eq!(lv.choices, 0, "a finished level has no choice point left");
-                if !lv.is_suspended() {
+                if lv.is_suspended() {
+                    self.retire(lv.into_checker());
+                } else {
                     ck = Some(lv.into_checker());
                 }
             }
@@ -694,7 +716,10 @@ impl<'e> Levels<'e> {
         let (prog, budget) = (self.engine.prog, self.engine.config.step_budget);
         let fresh = || self.engine.model.chain_checker();
         let ck = match self.live.last_mut().and_then(Option::as_mut) {
-            Some(top) if !top.is_suspended() => top.suspend(prog, budget, fresh()),
+            Some(top) if !top.is_suspended() => {
+                debug_assert!(ck.is_none(), "the active level is the top one");
+                top.suspend(prog, budget, fresh())
+            }
             _ => ck.unwrap_or_else(fresh),
         };
         self.live.push(Some(Level::new(graph, self.live.len() as u32, ck)));
@@ -706,9 +731,13 @@ impl<'e> Levels<'e> {
         let level = cp.level as usize;
         let ck = self.finish_above(level + 1);
         let lv = self.live[level].as_mut().expect("a level with a choice point");
-        lv.resume(ck);
+        let spare = lv.resume(ck);
         lv.choices -= 1;
-        lv.enter(self.engine.prog, cp, self.engine.config.step_budget)
+        let step = lv.enter(self.engine.prog, cp, self.engine.config.step_budget);
+        if let Some(spare) = spare {
+            self.retire(spare);
+        }
+        step
     }
 
     /// The work item `cp` stands for, for another worker. A level below
@@ -719,7 +748,9 @@ impl<'e> Levels<'e> {
         lv.choices -= 1;
         let item = lv.materialize(&cp, || self.engine.model.chain_checker());
         if lv.choices == 0 && level + 1 < self.live.len() {
-            self.live[level] = None;
+            if let Some(lv) = self.live[level].take() {
+                self.retire(lv.into_checker());
+            }
         }
         #[cfg(debug_assertions)]
         self.engine.assert_item_matches(&cp.expect, &item);
@@ -732,7 +763,7 @@ impl Engine<'_> {
     /// on the calling thread; more run the same function on scoped
     /// threads. A panic anywhere in a chain degrades to [`Verdict::Error`]
     /// instead of unwinding out of the library.
-    fn run(&self) -> AmcResult {
+    fn run(&self) -> (AmcResult, Option<u64>) {
         let workers = self.config.workers.max(1);
         let initial = WorkItem {
             graph: ExecutionGraph::new(self.prog.num_threads(), self.prog.init().clone()),
@@ -768,10 +799,12 @@ impl Engine<'_> {
         let mut stats = ExploreStats::default();
         let mut executions = Vec::new();
         let mut dropped = 0;
+        let mut sc_rejections = Some(0);
         for mut r in results {
             stats.merge(&r.stats);
             executions.append(&mut r.executions);
             dropped += r.dropped;
+            sc_rejections = sc_rejections.zip(r.sc_rejections).map(|(a, b)| a + b);
         }
         let Shared { queue, budget, .. } = shared;
         let (mut verdict, pool) = queue.into_parts();
@@ -782,7 +815,7 @@ impl Engine<'_> {
             i.frontier_dropped = dropped;
             stats.frontier_dropped = dropped;
         }
-        AmcResult { verdict, stats, executions }
+        (AmcResult { verdict, stats, executions }, sc_rejections)
     }
 
     /// Worker `index`'s private state, before its first chain.
@@ -881,10 +914,11 @@ impl Engine<'_> {
             }
         }
         let dropped = shared.budget.abandon(w.stack);
+        let sc_rejections = levels.sc_rejections(w.leaf_ck);
         let profile = w.phase.snapshot();
         w.pacer.finish(&w.stats, profile);
         w.stats.phases.merge(&profile);
-        WorkerResult { stats: w.stats, executions: w.executions, dropped }
+        WorkerResult { stats: w.stats, executions: w.executions, dropped, sc_rejections }
     }
 }
 
@@ -895,6 +929,8 @@ struct WorkerResult {
     executions: Vec<ExecutionGraph>,
     /// Roots left on the worker's stack when it stopped.
     dropped: u64,
+    /// The SC-axiom rejections of the worker's checkers.
+    sc_rejections: Option<u64>,
 }
 
 /// The shared side of the frontier: the pool through which workers that

@@ -55,6 +55,8 @@ pub use explorer::{
 pub use optimize::{
     enumerate_maximal, optimize, OptimizationReport, OptimizationStep, OptimizerConfig,
 };
+#[doc(hidden)]
+pub use optimize::{optimize_with_certificates, Certificate};
 pub use session::{CancelToken, ModelRun, Report, RunControl, Session};
 pub use stagnancy::{is_stagnant, is_stuck};
 pub use telemetry::{

@@ -27,7 +27,12 @@
 //! [`witness`] cache; future candidates are first replayed against the
 //! cached witnesses (mode-adopting replay + the fast-path consistency
 //! check) and only pay for a full exploration when no witness refutes
-//! them. See `DESIGN.md` §7 for the soundness and determinism arguments.
+//! them. A candidate that only takes sites from `sc` to the strongest
+//! non-SC mode of their kind is *certified* instead when the memory model
+//! vouches for it: an exploration that verified without the SC axiom
+//! rejecting anything already gave every answer the candidate's would
+//! ([`MemoryModel::certifies`]). See `DESIGN.md` §7 for the soundness and
+//! determinism arguments.
 
 mod bisect;
 mod witness;
@@ -35,8 +40,8 @@ mod witness;
 use std::time::{Duration, Instant};
 
 use vsync_graph::Mode;
-use vsync_lang::{BarrierSummary, ModeRef, Program};
-use vsync_model::MemoryModel;
+use vsync_lang::{BarrierSummary, ModeRef, Program, SiteKind};
+use vsync_model::{Access, MemoryModel};
 
 use crate::explorer::{explore, explore_oracle};
 use crate::failpoint;
@@ -126,13 +131,19 @@ pub struct OptimizationReport {
     /// count. The accepted steps, applied to the baseline in
     /// report order, reproduce [`program`](Self::program)'s assignment.
     pub steps: Vec<OptimizationStep>,
-    /// Candidate verifications that ran at least one full exploration
-    /// (the classic oracle-call count).
+    /// Candidate verifications the cache did not answer (the classic
+    /// oracle-call count): each one explored, or was
+    /// [`certified`](Self::certified).
     pub verifications: u64,
-    /// Individual AMC explorations performed (≥ `verifications` when
-    /// extra scenarios multiply the oracle; the repo benchmark's
-    /// `core.optimize.explorations`).
+    /// Individual AMC explorations performed (one per program of a
+    /// verification that explored, scenarios included; the repo
+    /// benchmark's `core.optimize.explorations`).
     pub explorations: u64,
+    /// Verifications answered `Verified` without exploring: the
+    /// candidate only takes sites from `sc` to the strongest non-SC mode
+    /// of their kind, against a verified exploration whose SC axiom
+    /// rejected nothing (DESIGN.md §7.4).
+    pub certified: u64,
     /// Work items popped across all oracle explorations — the true
     /// exploration bill. Rejections stop at the first violation (the
     /// early-stop oracle), so this weighs a cheap refutation and a full
@@ -164,12 +175,13 @@ impl OptimizationReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{}: {} -> {} ({} verifications, {} explorations, {} cache hits, {:.1?})",
+            "{}: {} -> {} ({} verifications, {} explorations, {} certified, {} cache hits, {:.1?})",
             self.program.name(),
             self.before,
             self.after,
             self.verifications,
             self.explorations,
+            self.certified,
             self.cache_hits,
             self.elapsed
         );
@@ -195,6 +207,25 @@ impl OptimizationReport {
 pub fn optimize(prog: &Program, config: &OptimizerConfig) -> OptimizationReport {
     let control = RunControl::with_cancel(config.cancel.clone().unwrap_or_default());
     run_engine(prog, &[], config, control, false)
+}
+
+/// A certified candidate slot: the base program whose verified
+/// exploration vouched for it, and the candidate program it replaced.
+#[doc(hidden)]
+pub type Certificate = (Program, Program);
+
+/// [`optimize`], also returning a [`Certificate`] for every slot of every
+/// certified candidate — the test hook that re-explores them.
+#[doc(hidden)]
+pub fn optimize_with_certificates(
+    prog: &Program,
+    config: &OptimizerConfig,
+) -> (OptimizationReport, Vec<Certificate>) {
+    let control = RunControl::with_cancel(config.cancel.clone().unwrap_or_default());
+    let mut ctx = Ctx::new(prog, &[], config, control);
+    ctx.certificates = Some(Vec::new());
+    let report = search(&mut ctx, false);
+    (report, ctx.certificates.unwrap_or_default())
 }
 
 /// Outcome of one candidate verification inside the engine.
@@ -232,6 +263,14 @@ pub(crate) struct Ctx<'a> {
     steps: Vec<OptimizationStep>,
     verifications: u64,
     explorations: u64,
+    certified: u64,
+    /// Per candidate-set slot (the primary, then each scenario): the site
+    /// modes of the latest exploration that verified with no SC-axiom
+    /// rejection and no symmetry reduction — what a candidate is
+    /// certified against.
+    bases: Vec<Option<Vec<Mode>>>,
+    /// Every certified slot as a [`Certificate`], when a test asked.
+    certificates: Option<Vec<Certificate>>,
     cache: WitnessCache,
     /// Work items popped across all oracle explorations (the engine's
     /// true exploration bill).
@@ -270,6 +309,9 @@ impl<'a> Ctx<'a> {
             steps: Vec::new(),
             verifications: 0,
             explorations: 0,
+            certified: 0,
+            bases: vec![None; 1 + scenarios.len()],
+            certificates: None,
             cache: WitnessCache::new(MAX_WITNESSES),
             graphs: 0,
             fault_seen: false,
@@ -337,13 +379,18 @@ impl<'a> Ctx<'a> {
         if self.cache.refutes(&progs, self.model) {
             return CheckOutcome::Refuted { monotone: true };
         }
-        // Count as an oracle call only when at least one exploration will
-        // actually run (the session-verified primary with no scenarios
-        // explores nothing).
-        if progs.len() > usize::from(skip_primary) {
+        // Count as an oracle call only when at least one program is to be
+        // checked (the session-verified primary with no scenarios checks
+        // nothing).
+        let first = usize::from(skip_primary);
+        if progs.len() > first {
             self.verifications += 1;
+            if self.certifies(&progs, first) {
+                self.certified += 1;
+                return CheckOutcome::Verified;
+            }
         }
-        for (idx, p) in progs.iter().enumerate().skip(usize::from(skip_primary)) {
+        for (idx, p) in progs.iter().enumerate().skip(first) {
             self.explorations += 1;
             let out = explore_oracle(p, &self.config.amc, &self.control);
             self.graphs += out.graphs;
@@ -352,6 +399,9 @@ impl<'a> Ctx<'a> {
             }
             if out.interrupted {
                 return CheckOutcome::Interrupted;
+            }
+            if out.ok && out.sc_rejections == Some(0) && !self.symmetric(p) {
+                self.bases[idx] = Some(p.site_modes());
             }
             if !out.ok {
                 let monotone = out.witness.is_some();
@@ -363,6 +413,35 @@ impl<'a> Ctx<'a> {
             }
         }
         CheckOutcome::Verified
+    }
+
+    /// Does the exploration of `p` reduce by a nontrivial thread symmetry?
+    fn symmetric(&self, p: &Program) -> bool {
+        self.config.amc.symmetry && !p.symmetry_partition().is_trivial()
+    }
+
+    /// May the slots from `first` on skip their explorations? Each needs a
+    /// base the model certifies it against ([`MemoryModel::certifies`]).
+    fn certifies(&mut self, progs: &[Program], first: usize) -> bool {
+        let certified = progs.iter().zip(&self.bases).skip(first).all(|(p, base)| {
+            let Some(base) = base else { return false };
+            let changes: Vec<(Access, Mode, Mode)> = p
+                .sites()
+                .iter()
+                .zip(base)
+                .filter(|(site, &from)| site.mode != from)
+                .map(|(site, &from)| (access(site.kind), from, site.mode))
+                .collect();
+            self.model.certifies(self.symmetric(p), &changes)
+        });
+        if let (true, Some(certificates)) = (certified, &mut self.certificates) {
+            for (p, base) in progs.iter().zip(&self.bases).skip(first) {
+                let base = base.as_ref().expect("a certified slot has a base");
+                let patch: Vec<(u32, Mode)> = (0..).zip(base.iter().copied()).collect();
+                certificates.push((p.with_patch(&patch), p.clone()));
+            }
+        }
+        certified
     }
 
     /// Verify one *single-site* candidate `acc[site := mode]`, with the
@@ -403,6 +482,16 @@ impl<'a> Ctx<'a> {
     }
 }
 
+/// The events that carry a site's mode, as the model sees them.
+fn access(kind: SiteKind) -> Access {
+    match kind {
+        SiteKind::Load => Access::Load,
+        SiteKind::Store => Access::Store,
+        SiteKind::Rmw => Access::Rmw,
+        SiteKind::Fence => Access::Fence,
+    }
+}
+
 /// Run the engine over `prog` + `scenarios`.
 ///
 /// `control` carries the session-level cancellation token and deadline;
@@ -415,12 +504,17 @@ pub(crate) fn run_engine(
     control: RunControl,
     assume_primary_verified: bool,
 ) -> OptimizationReport {
+    search(&mut Ctx::new(prog, scenarios, config, control), assume_primary_verified)
+}
+
+/// The search of [`run_engine`] on `ctx`.
+fn search(ctx: &mut Ctx<'_>, assume_primary_verified: bool) -> OptimizationReport {
     let start = Instant::now();
-    let mut ctx = Ctx::new(prog, scenarios, config, control);
+    let (prog, scenarios) = (ctx.primary, ctx.scenarios);
     let mut program = prog.clone();
     let before = program.barrier_summary();
 
-    let report = |program: Program, verified: bool, interrupted: bool, ctx: Ctx<'_>| {
+    let report = |program: Program, verified: bool, interrupted: bool, ctx: &mut Ctx<'_>| {
         let after = program.barrier_summary();
         OptimizationReport {
             program,
@@ -428,10 +522,11 @@ pub(crate) fn run_engine(
             // A caught engine panic leaves the final candidate undecided,
             // exactly like a cancellation.
             interrupted: interrupted || ctx.error.is_some(),
-            error: ctx.error,
-            steps: ctx.steps,
+            error: ctx.error.take(),
+            steps: std::mem::take(&mut ctx.steps),
             verifications: ctx.verifications,
             explorations: ctx.explorations,
+            certified: ctx.certified,
             explored_graphs: ctx.graphs,
             cache_hits: ctx.cache.hits + ctx.memo_hits,
             before,
@@ -444,8 +539,8 @@ pub(crate) fn run_engine(
     // once, bisecting (and group-committing) on failure; then the
     // sequential ladder, which only a fault-class rejection can still
     // give anything to decide.
-    let interrupted = match bisect::commit_pass(&mut ctx, &mut program, 1) {
-        Ok(true) => ladder_passes(&mut ctx, &mut program, 2),
+    let interrupted = match bisect::commit_pass(ctx, &mut program, 1) {
+        Ok(true) => ladder_passes(ctx, &mut program, 2),
         Ok(false) => false,
         Err(bisect::Interrupted) => true,
     };
@@ -771,7 +866,11 @@ mod tests {
         let r = optimize(&mp_all_sc(), &cfg());
         assert!(r.verified);
         assert!(r.verifications > 0);
-        assert_eq!(r.explorations, r.verifications, "no scenarios: 1 exploration each");
+        assert_eq!(
+            r.explorations + r.certified,
+            r.verifications,
+            "no scenarios: each verification explores once or is certified"
+        );
         assert!(r.explored_graphs >= r.explorations);
         assert!(r.steps.iter().any(|s| s.accepted));
         assert!(r.elapsed > Duration::ZERO);

@@ -251,13 +251,16 @@ impl Level {
     }
 
     /// Resume a suspended level with `ck` (the checker of the level that
-    /// ran above it, or, without one, its own).
-    pub(crate) fn resume(&mut self, ck: Option<Box<dyn ChainChecker>>) {
-        let Some(state) = self.frozen.take() else { return };
-        if let Some(ck) = ck {
-            self.ck = ck;
-        }
+    /// ran above it, or, without one, its own). Returns the checker left
+    /// over, if any.
+    pub(crate) fn resume(
+        &mut self,
+        ck: Option<Box<dyn ChainChecker>>,
+    ) -> Option<Box<dyn ChainChecker>> {
+        let Some(state) = self.frozen.take() else { return ck };
+        let spare = ck.map(|ck| std::mem::replace(&mut self.ck, ck));
         self.ck.adopt(&state);
+        spare
     }
 
     /// Extend the chain in place with an event the scan accepted: the

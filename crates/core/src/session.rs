@@ -239,8 +239,8 @@ impl Report {
     ///               frontier_dropped, probes,
     ///               "phases": {"<phase>": {count, total_ms, max_ms}}},
     ///     "optimization": null | {"verified", "interrupted", "error",
-    ///        "verifications", "explorations", "explored_graphs",
-    ///        "cache_hits", "elapsed_ms", "before", "after",
+    ///        "verifications", "explorations", "certified",
+    ///        "explored_graphs", "cache_hits", "elapsed_ms", "before", "after",
     ///        "steps": [{"site", "from", "to", "accepted"}]}}]}
     /// ```
     ///
@@ -349,6 +349,7 @@ fn optimization_json(j: &mut Json<'_>, o: &OptimizationReport) {
     };
     j.key("verifications").uint(o.verifications);
     j.key("explorations").uint(o.explorations);
+    j.key("certified").uint(o.certified);
     j.key("explored_graphs").uint(o.explored_graphs);
     j.key("cache_hits").uint(o.cache_hits);
     j.key("elapsed_ms").ms(o.elapsed);

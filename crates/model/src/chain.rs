@@ -89,6 +89,14 @@ pub trait ChainChecker {
     /// Forget all previous state and take over `fork`'s, which must come
     /// from a checker of the same model.
     fn adopt(&mut self, fork: &Fork);
+
+    /// How many `false` answers, over the checker's whole life, the SC
+    /// axiom alone gave: every other axiom held on the graph asked about.
+    /// `None` when the checker cannot tell them apart from the others,
+    /// which is the default. `reset`, `fork` and `adopt` keep the count.
+    fn sc_rejections(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// A checker state cut loose from its checker ([`ChainChecker::fork`]):
@@ -227,6 +235,8 @@ pub struct VmmChecker {
     /// The clocks of the event being pushed.
     cur: Vec<u32>,
     psc: PscScratch,
+    /// `false` answers of [`VmmChecker::psc_acyclic`] so far.
+    sc_rejections: u64,
 }
 
 /// Which axioms a [`VmmChecker::step`] decides.
@@ -608,6 +618,12 @@ impl ChainChecker for VmmChecker {
             self.sc_events += rec.meta.iter().filter(|m| m.sc).count();
         }
     }
+
+    /// The SC axiom is decided last, and only once every other axiom
+    /// held: each `false` answer of its cycle search is one rejection.
+    fn sc_rejections(&self) -> Option<u64> {
+        Some(self.sc_rejections)
+    }
 }
 
 /// Call `f(word index, mask)` for every word of the bit range `[lo, hi)`.
@@ -693,6 +709,7 @@ impl VmmChecker {
         self.psc_tables(g, &mut s.tables);
         let acyclic = self.psc_acyclic_over(g, &mut s);
         self.psc = s;
+        self.sc_rejections += u64::from(!acyclic);
         acyclic
     }
 
@@ -1289,6 +1306,11 @@ mod tests {
         let (mut steps, mut accepted, mut rejected, mut resets) = (0u32, 0u32, 0u32, 0u32);
         let (mut forks, mut forks_accepted) = (0u32, 0u32);
         let mut floors = FloorTally::default();
+        let others: Vec<crate::axioms::Axiom> = (sub.model.axioms().iter())
+            .filter(|a| !matches!(a, crate::axioms::Axiom::Acyclic("psc", _)))
+            .cloned()
+            .collect();
+        let mut sc_rejections = 0u64;
         for seed in 1..=300u64 {
             let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
             let threads = 2 + rng.below(3);
@@ -1324,9 +1346,21 @@ mod tests {
                     g.insert_mo(loc, id, p);
                 }
                 let expected = sub.model.is_consistent_reference(&g);
+                let counted = ck.sc_rejections();
                 let got = ck.push(&g, t);
                 assert_eq!(got, expected, "{name} seed {seed}, push on T{t}:\n{}", g.render());
                 steps += 1;
+                if let (Some(before), Some(after)) = (counted, ck.sc_rejections()) {
+                    // Counted exactly when every axiom but `psc` holds.
+                    let by_sc = !expected && crate::axioms::holds(&others, &g);
+                    assert_eq!(
+                        after - before,
+                        u64::from(by_sc),
+                        "{name} seed {seed}:\n{}",
+                        g.render()
+                    );
+                    sc_rejections += u64::from(by_sc);
+                }
                 if rng.chance(25) {
                     let mut fresh = (sub.fresh)();
                     let got = fresh.reset(&g);
@@ -1378,6 +1412,9 @@ mod tests {
         assert!(accepted * 10 >= steps, "{name}: {accepted} of {steps} steps accepted");
         assert!(rejected * 10 >= steps, "{name}: {rejected} of {steps} steps rejected");
         assert!(forks >= 500, "{name}: only {forks} forks");
+        if sub.ignores_unrecorded {
+            assert!(sc_rejections >= 20, "{name}: only {sc_rejections} SC-axiom rejections");
+        }
         assert!(forks_accepted * 10 >= forks, "{name}: {forks_accepted} of {forks} forks accepted");
         assert!(
             (forks - forks_accepted) * 10 >= forks,

@@ -47,7 +47,7 @@ pub use tso::Tso;
 pub use vmm::Vmm;
 
 use axioms::Axiom;
-use vsync_graph::{ExecutionGraph, Loc, ThreadId};
+use vsync_graph::{ExecutionGraph, Loc, Mode, ThreadId};
 
 /// A weak memory model: a consistency predicate over execution graphs.
 pub trait MemoryModel: std::fmt::Debug + Send + Sync {
@@ -87,6 +87,38 @@ pub trait MemoryModel: std::fmt::Debug + Send + Sync {
     fn floor(&self, g: &ExecutionGraph, thread: ThreadId, loc: Loc) -> usize {
         chain::thread_floor(g, thread, loc)
     }
+
+    /// May a candidate's exploration be skipped as certain to verify?
+    ///
+    /// The question is asked against a *base*: a verified exploration of
+    /// the same program under another barrier assignment, whose checkers
+    /// counted no SC-axiom rejection ([`ChainChecker::sc_rejections`] summed
+    /// to `Some(0)`). `changes` lists every site whose mode differs — the
+    /// events that carry it, the base's mode and the candidate's — and
+    /// `symmetric` says whether the candidate's run reduces by a nontrivial
+    /// thread symmetry, whose orbit representatives read mode tags. `true`
+    /// promises that the candidate's exploration would give every answer
+    /// the base's gave (DESIGN.md §7.4). The default, `false`, is always
+    /// sound.
+    fn certifies(&self, symmetric: bool, changes: &[(Access, Mode, Mode)]) -> bool {
+        let _ = (symmetric, changes);
+        false
+    }
+}
+
+/// The events that carry a barrier site's mode: a load's read, a store's
+/// write, both events of a read-modify-write, or a fence
+/// ([`MemoryModel::certifies`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Access {
+    /// A read.
+    Load,
+    /// A write.
+    Store,
+    /// A read and the write that follows it.
+    Rmw,
+    /// A fence.
+    Fence,
 }
 
 /// Which consistency-check implementation the explorer should use.

@@ -19,13 +19,13 @@
 
 use std::sync::OnceLock;
 
-use vsync_graph::{EventId, EventKind, ExecutionGraph, Loc, RfSource, ThreadId};
+use vsync_graph::{EventId, EventKind, ExecutionGraph, Loc, Mode, RfSource, ThreadId};
 
 use crate::axioms::{
     atomicity, coherence, fr, id, loc, mo, po, predecessors, rf, rmw, Axiom, Rel, Set,
 };
 use crate::chain::{ChainChecker, VmmChecker};
-use crate::MemoryModel;
+use crate::{Access, MemoryModel};
 
 /// The RC11-style weak memory model (see module docs).
 #[derive(Debug, Clone, Copy, Default)]
@@ -98,6 +98,26 @@ impl MemoryModel for Vmm {
             },
         };
         before.into_iter().filter_map(position).max().unwrap_or(0)
+    }
+
+    /// Yes when every change takes a site from `sc` to the strongest
+    /// non-SC mode its events can carry. [`VmmChecker`] reads a mode
+    /// through `is_acquire` (reads, fences), `is_release` (writes, fences)
+    /// and `is_sc`, and only the SC axiom reads `is_sc`: such a change
+    /// keeps every clock, hence every answer but the SC axiom's, and takes
+    /// SC events out of `psc`, which only shrinks. A base whose SC axiom
+    /// rejected nothing thus answers for the candidate too.
+    fn certifies(&self, symmetric: bool, changes: &[(Access, Mode, Mode)]) -> bool {
+        !symmetric
+            && changes.iter().all(|&(access, from, to)| {
+                from.is_sc()
+                    && !to.is_sc()
+                    && match access {
+                        Access::Load => to.is_acquire(),
+                        Access::Store => to.is_release(),
+                        Access::Rmw | Access::Fence => to.is_acquire() && to.is_release(),
+                    }
+            })
     }
 }
 
@@ -270,5 +290,47 @@ mod tests {
         g.push_event(1, EventKind::Fence { mode: Mode::Sc });
         g.push_event(1, r(x, RfSource::Write(EventId::Init(x)), Mode::Acq));
         consistent(&g);
+    }
+
+    /// The checker counts the answers only the SC axiom gave, across
+    /// `reset`s: SB with SC fences is one, MP's stale read (hb-coherence)
+    /// is none.
+    #[test]
+    fn the_checker_counts_sc_axiom_rejections() {
+        let mut ck = VmmChecker::default();
+        assert!(!ck.reset(&mp(Mode::Rel, Mode::Acq, true)));
+        assert_eq!(ck.sc_rejections(), Some(0));
+        assert!(!ck.reset(&sb(true)));
+        assert!(ck.reset(&sb(false)));
+        assert_eq!(ck.sc_rejections(), Some(1));
+        assert_eq!(crate::ModelKind::Vmm.reference_model().chain_checker().sc_rejections(), None);
+    }
+
+    /// Only `sc` to the strongest non-SC mode of the site's events keeps
+    /// every clock; symmetry and every other model refuse.
+    #[test]
+    fn certifies_exactly_the_drop_of_sc() {
+        let certifies = |changes: &[(Access, Mode, Mode)]| Vmm.certifies(false, changes);
+        assert!(certifies(&[]));
+        assert!(certifies(&[
+            (Access::Load, Mode::Sc, Mode::Acq),
+            (Access::Store, Mode::Sc, Mode::Rel)
+        ]));
+        assert!(certifies(&[(Access::Rmw, Mode::Sc, Mode::AcqRel)]));
+        assert!(certifies(&[(Access::Fence, Mode::Sc, Mode::AcqRel)]));
+        for (access, to) in
+            [(Access::Rmw, Mode::Acq), (Access::Rmw, Mode::Rel), (Access::Fence, Mode::Rel)]
+        {
+            assert!(!certifies(&[(access, Mode::Sc, to)]), "{access:?} sc -> {to}");
+        }
+        assert!(!certifies(&[(Access::Load, Mode::Sc, Mode::Rlx)]));
+        assert!(!certifies(&[(Access::Store, Mode::Rel, Mode::Rlx)]));
+        assert!(!certifies(&[(Access::Store, Mode::Rel, Mode::Sc)]), "a strengthening");
+        let drop = [(Access::Fence, Mode::Sc, Mode::AcqRel)];
+        assert!(!Vmm.certifies(true, &drop), "symmetry");
+        for kind in [crate::ModelKind::Sc, crate::ModelKind::Tso] {
+            assert!(!kind.model().certifies(false, &drop), "{kind}");
+        }
+        assert!(!crate::ModelKind::Vmm.reference_model().certifies(false, &drop));
     }
 }

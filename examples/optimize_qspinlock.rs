@@ -25,9 +25,10 @@ fn main() {
         println!("  {:<44} {} -> {}", result.report.site_name(step), step.from, step.to);
     }
     println!(
-        "\n{} AMC verification runs ({} explorations, {} witness-cache hits) in {:.1?}",
+        "\n{} AMC verification runs ({} explorations, {} certified, {} witness-cache hits) in {:.1?}",
         result.report.verifications,
         result.report.explorations,
+        result.report.certified,
         result.report.cache_hits,
         result.report.elapsed
     );

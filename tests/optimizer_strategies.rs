@@ -13,14 +13,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use vsync::core::{
-    enumerate_maximal, optimize, verify, AmcConfig, CancelToken, EventKind, OptimizationReport,
-    OptimizationStep, OptimizerConfig, Session, Verdict,
+    enumerate_maximal, explore, explore_oracle, optimize, optimize_with_certificates, verify,
+    AmcConfig, CancelToken, EventKind, ExploreStats, OptimizationReport, OptimizationStep,
+    OptimizerConfig, RunControl, Session, Verdict,
 };
 use vsync::graph::Mode;
-use vsync::lang::{Program, ProgramBuilder, Reg, Test};
+use vsync::lang::{Cmp, Fixed, Program, ProgramBuilder, Reg, Test};
 use vsync::locks::model::{mutex_client, CasLock};
 use vsync::locks::registry;
-use vsync::model::ModelKind;
+use vsync::model::{CheckerKind, ModelKind};
 
 fn amc(workers: usize) -> AmcConfig {
     AmcConfig::with_model(ModelKind::Vmm).with_workers(workers)
@@ -153,10 +154,12 @@ fn mp_with_local_spin() -> Program {
 
 /// Fault-class rejections are re-decided by the pass-2 ladder — once
 /// each. The reference pays 9 explorations (baseline + 6 + 2); the
-/// optimizer pays 13: its pass 1, the two pass-2 re-decisions and the
-/// deferred baseline check that `fault_seen` forces. (The screening pool
-/// this ladder replaced decided each of the two twice — screen, then
-/// fallback — for 15.)
+/// optimizer verifies 13 candidates: its pass 1, the two pass-2
+/// re-decisions and the deferred baseline check that `fault_seen`
+/// forces. Two of them — `flag.store` to `rel` and `flag.poll` to `acq`,
+/// each against the verified all-`sc` base — are certified, so it
+/// explores 11. (The screening pool this ladder replaced decided each of
+/// the two twice — screen, then fallback — for 15.)
 #[test]
 fn fault_class_rejections_are_redecided_once_in_pass_2() {
     let base = mp_with_local_spin();
@@ -178,9 +181,180 @@ fn fault_class_rejections_are_redecided_once_in_pass_2() {
         assert_eq!(modes(&ad.program), want);
         assert_eq!(ad.cache_hits, 0, "a fault leaves no witness and no memo entry");
         assert_eq!(redecided(&ad.steps), flag_sites_to_rlx);
-        assert_eq!(ad.explorations, 13, "workers={workers}");
+        assert_eq!(ad.verifications, 13, "workers={workers}");
+        assert_eq!((ad.explorations, ad.certified), (11, 2), "workers={workers}");
         assert_eq!(ad.steps, seq.steps, "same decisions in the same order");
     }
+}
+
+/// `stats` without its phase times, the one part that is not a function
+/// of the program.
+fn counters(mut stats: ExploreStats) -> ExploreStats {
+    stats.phases = Default::default();
+    stats
+}
+
+/// A certified acceptance takes the decision an exploration would have
+/// taken (DESIGN.md §7.4). On the catalog locks `pick` selects, at 2 and 3
+/// threads, symmetry off: each certified candidate, re-explored, verifies
+/// with exactly its base exploration's counters, and the optimizer's
+/// steps and assignment are the sequential ladder's. Returns how many
+/// candidates were certified.
+fn certified_candidates_explore_like_their_base(pick: impl Fn(&str) -> bool) -> u64 {
+    let amc = AmcConfig { symmetry: false, ..amc(1) };
+    let mut certified = 0;
+    for entry in registry::catalog().iter().filter(|e| pick(e.name)) {
+        for threads in [2, 3] {
+            let name = format!("{}-{threads}t", entry.name);
+            let base = entry.client(threads, 1).with_all_sc();
+            let (r, certificates) =
+                optimize_with_certificates(&base, &OptimizerConfig::with_amc(amc.clone()));
+            assert!(r.verified, "{name}");
+            assert_eq!(r.explorations + r.certified, r.verifications, "{name}");
+            assert_eq!(certificates.len() as u64, r.certified, "{name}: one slot each");
+            for (vouching, candidate) in &certificates {
+                let (want, got) = (explore(vouching, &amc), explore(candidate, &amc));
+                assert!(want.is_verified() && got.is_verified(), "{name}");
+                assert_eq!(counters(got.stats), counters(want.stats), "{name}");
+            }
+            certified += r.certified;
+            let seq = reference::sequential(&base, &[], &amc);
+            assert_eq!(seq.steps, r.steps, "{name}: steps differ from the reference's");
+            assert_eq!(modes(&seq.program), modes(&r.program), "{name}");
+        }
+    }
+    certified
+}
+
+#[test]
+fn certified_candidates_explore_like_their_base_on_the_catalog() {
+    let certified = certified_candidates_explore_like_their_base(|lock| lock != "qspinlock");
+    assert!(certified > 0, "no candidate was certified");
+}
+
+/// qspinlock apart, its 3-thread ladder being a test of its own. Nothing
+/// is certified: each of its accepted relaxations goes to `rlx`, or takes
+/// an RMW or a fence to `acq` or `rel`, short of `acq_rel`.
+#[test]
+fn certified_candidates_explore_like_their_base_on_qspinlock() {
+    assert_eq!(certified_candidates_explore_like_their_base(|lock| lock == "qspinlock"), 0);
+}
+
+/// SB with `sc` fences guarding a counter (`corpus/dekker_fences.litmus`),
+/// next to a relaxable message-passing pair.
+fn dekker_with_mp() -> Program {
+    let (me, counter, data, flag) = ([0x10u64, 0x18], 0x20u64, 0x30u64, 0x38u64);
+    let mut pb = ProgramBuilder::new("dekker+mp");
+    for t in 0..2 {
+        pb.thread(|b| {
+            let skip = b.label();
+            b.store(me[t], 1u64, Fixed(Mode::Rlx));
+            b.fence((["fence.0", "fence.1"][t], Mode::Sc));
+            b.load(Reg(0), me[1 - t], Fixed(Mode::Rlx));
+            b.jmp_if(Reg(0), Test::ne(0u64), skip);
+            b.load(Reg(1), counter, Fixed(Mode::Rlx));
+            b.add(Reg(1), Reg(1), 1u64);
+            b.store(counter, Reg(1), Fixed(Mode::Rlx));
+            b.bind(skip);
+            if t == 0 {
+                b.store(data, 1u64, ("data.store", Mode::Sc));
+                b.store(flag, 1u64, ("flag.store", Mode::Sc));
+            } else {
+                b.await_eq(Reg(2), flag, 1u64, ("flag.poll", Mode::Sc));
+                b.load(Reg(3), data, ("data.load", Mode::Sc));
+                b.assert_eq(Reg(3), 1u64, "data visible");
+            }
+        });
+    }
+    pb.final_check(counter, Test::cmp(Cmp::Le, 1u64), "mutual exclusion");
+    pb.build().unwrap()
+}
+
+/// A base whose SC axiom rejected something vouches for nothing: every
+/// verified exploration of the Dekker client needs its `sc` fences, so
+/// its `psc` rejects the store-buffering outcome, and each fence's
+/// `sc -> acq_rel` candidate is explored — and refuted.
+#[test]
+fn a_base_that_needs_sc_certifies_nothing() {
+    let base = dekker_with_mp();
+    for workers in [1, 2] {
+        let out = explore_oracle(&base, &amc(workers), &RunControl::default());
+        assert!(out.ok);
+        assert!(out.sc_rejections.is_some_and(|n| n > 0), "{workers}: {:?}", out.sc_rejections);
+    }
+
+    let r = optimize(&base, &config(1));
+    assert!(r.verified);
+    assert_eq!(r.certified, 0);
+    assert_eq!(r.explorations, r.verifications);
+    let site = |name: &str| base.sites().iter().position(|s| s.name == name).unwrap() as u32;
+    for fence in ["fence.0", "fence.1"] {
+        let tried = r.steps.iter().find(|s| s.site == site(fence) && s.to == Mode::AcqRel);
+        assert!(tried.is_some_and(|s| !s.accepted), "{fence}: {tried:?}");
+        assert_eq!(r.program.sites()[site(fence) as usize].mode, Mode::Sc, "{fence}");
+    }
+    let seq = reference::sequential(&base, &[], &amc(1));
+    assert_eq!(seq.steps, r.steps);
+    let mode = |name: &str| r.program.sites()[site(name) as usize].mode;
+    let mp = ["data.store", "flag.store", "flag.poll", "data.load"].map(mode);
+    assert_eq!(mp, [Mode::Rlx, Mode::Rel, Mode::Acq, Mode::Rlx]);
+}
+
+/// A symmetric client certifies nothing while symmetry is on (orbit
+/// representatives read mode tags), and the axiom evaluator, which
+/// cannot tell its SC-axiom rejections apart, certifies nothing at all.
+#[test]
+fn symmetry_and_the_reference_checker_refuse_certification() {
+    let ttas = registry::entry("ttas").unwrap().client(2, 1).with_all_sc();
+    let on = optimize(&ttas, &config(1));
+    let off = optimize(&ttas, &OptimizerConfig::with_amc(AmcConfig { symmetry: false, ..amc(1) }));
+    assert_eq!(on.certified, 0);
+    assert!(off.certified > 0, "the refusal is the symmetry's");
+    assert_eq!(on.steps, off.steps);
+
+    let mcs = registry::entry("mcs").unwrap().client(2, 1).with_all_sc();
+    let reference = AmcConfig { checker: CheckerKind::Reference, ..amc(1) };
+    assert_eq!(explore_oracle(&mcs, &reference, &RunControl::default()).sc_rejections, None);
+    let by_axioms = optimize(&mcs, &OptimizerConfig::with_amc(reference));
+    let by_clocks = optimize(&mcs, &config(1));
+    assert_eq!((by_axioms.certified, by_axioms.explorations), (0, 13));
+    assert_eq!((by_clocks.certified, by_clocks.explorations), (6, 7));
+    assert_eq!(by_axioms.steps, by_clocks.steps);
+}
+
+/// Two twin publishers, each with a flag store of its own, and a reader.
+/// Each flag store must be `rel`. The twins are symmetric exactly when
+/// both stores carry the same mode.
+fn twin_publishers() -> Program {
+    let (data, flag) = (0x10u64, 0x20u64);
+    let mut pb = ProgramBuilder::new("twin-publishers");
+    for site in ["flag.store.0", "flag.store.1"] {
+        pb.thread(|t| {
+            t.store(data, 1u64, Fixed(Mode::Rlx));
+            t.store(flag, 1u64, (site, Mode::Sc));
+        });
+    }
+    pb.thread(|t| {
+        t.await_eq(Reg(0), flag, 1u64, Fixed(Mode::Acq));
+        t.load(Reg(1), data, Fixed(Mode::Rlx));
+        t.assert_eq(Reg(1), 1u64, "data visible");
+    });
+    pb.build().unwrap()
+}
+
+/// A candidate whose run becomes symmetric is explored even when its base
+/// was not: `rel, sc` verifies and vouches for `rel, rel` only with
+/// symmetry off. With it on, `rel, rel` makes the publishers twins, whose
+/// orbit representatives read mode tags.
+#[test]
+fn a_candidate_that_becomes_symmetric_is_explored() {
+    let base = twin_publishers();
+    let on = optimize(&base, &config(1));
+    let off = optimize(&base, &OptimizerConfig::with_amc(AmcConfig { symmetry: false, ..amc(1) }));
+    let flags = on.program.sites().iter().filter(|s| s.relaxable).map(|s| s.mode);
+    assert_eq!(flags.collect::<Vec<_>>(), [Mode::Rel, Mode::Rel]);
+    assert_eq!(on.steps, off.steps);
+    assert_eq!((on.certified, off.certified), (0, 1));
 }
 
 /// The multi-scenario oracle keeps the equivalence: the extra scenario

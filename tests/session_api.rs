@@ -274,7 +274,8 @@ fn report_json_golden() {
                         accepted: true,
                     }],
                     verifications: 3,
-                    explorations: 2,
+                    explorations: 1,
+                    certified: 1,
                     explored_graphs: 40,
                     cache_hits: 1,
                     before: summary,
@@ -303,7 +304,7 @@ fn report_json_golden() {
         "\"frontier_dropped\": 0, \"probes\": 0, \"phases\": {}}, ",
         "\"optimization\": {\"verified\": true, \"interrupted\": false, \"error\": null, ",
         "\"verifications\": 3, ",
-        "\"explorations\": 2, \"explored_graphs\": 40, \"cache_hits\": 1, ",
+        "\"explorations\": 1, \"certified\": 1, \"explored_graphs\": 40, \"cache_hits\": 1, ",
         "\"elapsed_ms\": 0.250, ",
         "\"before\": {\"rlx\": 0, \"acq\": 0, \"rel\": 0, \"acq_rel\": 0, \"sc\": 1}, ",
         "\"after\": {\"rlx\": 0, \"acq\": 0, \"rel\": 0, \"acq_rel\": 0, \"sc\": 1}, ",
