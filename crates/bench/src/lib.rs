@@ -25,10 +25,12 @@ pub mod json;
 pub mod timing;
 
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use json::Value;
-use vsync_core::{optimize, OptimizationReport, OptimizerConfig, Session};
+use vsync_core::{
+    explore, optimize, AmcConfig, OptimizationReport, OptimizerConfig, Session, Verdict,
+};
 use vsync_lang::Program;
 use vsync_locks::model::{qspinlock_handover_scenario, qspinlock_scenario};
 use vsync_locks::registry;
@@ -217,6 +219,38 @@ pub fn table1_experiment(quick: bool) -> Table1Result {
         correctness,
     };
     Table1Result { report, row, scenarios: names }
+}
+
+/// One catalog lock's optimizer output, re-explored independently
+/// ([`reexplore_catalog_outputs`]).
+pub struct ReexploredOutput {
+    /// The lock's registry name.
+    pub lock: &'static str,
+    /// The output's verdict under the axiom evaluator, symmetry off.
+    pub verdict: Verdict,
+    /// Wall clock of that re-exploration.
+    pub elapsed: Duration,
+}
+
+/// Optimize every catalog lock's all-`sc` client with `threads` threads
+/// (VMM, default settings, as `vsync optimize` does) and re-explore each
+/// printed assignment with the axiom evaluator
+/// (`CheckerKind::Reference`) and symmetry off. The optimizer's oracle
+/// and its closing certificate use the chain checker, so this check
+/// shares no consistency code with them (DESIGN.md §7.5).
+pub fn reexplore_catalog_outputs(threads: usize) -> Vec<ReexploredOutput> {
+    let reference =
+        AmcConfig::with_model(ModelKind::Vmm).with_reference_checker().with_symmetry(false);
+    registry::catalog()
+        .iter()
+        .map(|entry| {
+            let output =
+                optimize(&entry.client(threads, 1).with_all_sc(), &OptimizerConfig::default());
+            let start = Instant::now();
+            let verdict = explore(&output.program, &reference).verdict;
+            ReexploredOutput { lock: entry.name, verdict, elapsed: start.elapsed() }
+        })
+        .collect()
 }
 
 /// Render Table 1 (Linux history + our measured row).

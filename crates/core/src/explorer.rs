@@ -158,32 +158,16 @@ pub fn verify(prog: &Program, config: &AmcConfig) -> Verdict {
     explore(prog, config).verdict
 }
 
-/// Compact outcome of an oracle-mode exploration ([`explore_oracle`]).
+/// Outcome of an oracle-mode exploration ([`explore_oracle`]).
 #[derive(Debug)]
 #[must_use = "a dropped OracleOutcome discards the candidate's verdict"]
 pub struct OracleOutcome {
-    /// Did the program verify? Meaningless when [`interrupted`] is set.
-    ///
-    /// [`interrupted`]: OracleOutcome::interrupted
-    pub ok: bool,
-    /// The run was cut short — cancellation, deadline, resource budget or
-    /// an engine error — before the verdict was decided.
-    pub interrupted: bool,
-    /// A panic caught inside the engine while checking this candidate
-    /// (also sets [`interrupted`]: the candidate's status is unknown and
-    /// must not be treated as a rejection).
-    ///
-    /// [`interrupted`]: OracleOutcome::interrupted
-    pub error: Option<EngineError>,
-    /// The violating execution graph, when the exploration found a safety
-    /// or await-termination violation. Faults (budget/modeling errors)
-    /// reject the candidate without a witness.
-    pub witness: Option<ExecutionGraph>,
-    /// Work items popped before the verdict was decided — the cost of
-    /// this oracle call. Rejections stop at the first violation, so they
-    /// are typically far cheaper than the full exploration a verified
-    /// candidate pays.
-    pub graphs: u64,
+    /// The exploration's verdict, counters and, when
+    /// [`AmcConfig::collect_executions`] is set, complete executions. A
+    /// violation's counterexample graph is the optimizer's witness;
+    /// `stats.popped` is the cost of the call (rejections stop at the first
+    /// violation, so they are typically far cheaper than a verifying run).
+    pub result: AmcResult,
     /// The SC-axiom rejections of every checker of every worker
     /// ([`ChainChecker::sc_rejections`]): `Some(0)` on a verified run
     /// means no answer depended on an event being SC, `None` that the
@@ -191,29 +175,18 @@ pub struct OracleOutcome {
     pub sc_rejections: Option<u64>,
 }
 
-/// Early-stop oracle mode: the optimizer's view of the explorer.
+/// The optimizer's view of the explorer: [`explore_with`], plus the
+/// SC-axiom rejections that certification reads (DESIGN.md §7.4).
 ///
-/// A barrier-optimization oracle only needs *rejected-or-not* plus, on
-/// rejection, the violating graph to seed the witness cache — so this
-/// entry point never collects executions, strips the result down to an
-/// [`OracleOutcome`], and leans on the driver's first-violation stop: the
+/// A rejection leans on the driver's first-violation stop: the
 /// verdict-bearing worker stops the shared queue, so every peer drains at
 /// its next pop instead of exploring useless branches. Every candidate
 /// evaluation runs under the session's own [`CancelToken`] and deadline.
 ///
 /// [`CancelToken`]: crate::session::CancelToken
 pub fn explore_oracle(prog: &Program, config: &AmcConfig, control: &RunControl) -> OracleOutcome {
-    let mut config = config.clone();
-    config.collect_executions = false;
-    let (result, sc_rejections) = explore_counted(prog, &config, control);
-    let (ok, interrupted, error, witness) = match result.verdict {
-        Verdict::Verified => (true, false, None, None),
-        Verdict::Safety(ce) | Verdict::AwaitTermination(ce) => (false, false, None, Some(ce.graph)),
-        Verdict::Fault(_) => (false, false, None, None),
-        Verdict::Inconclusive(_) => (false, true, None, None),
-        Verdict::Error(e) => (false, true, Some(e), None),
-    };
-    OracleOutcome { ok, interrupted, error, witness, graphs: result.stats.popped, sc_rejections }
+    let (result, sc_rejections) = explore_counted(prog, config, control);
+    OracleOutcome { result, sc_rejections }
 }
 
 /// Count the complete consistent executions of a program — the size of the

@@ -31,8 +31,13 @@
 //! non-SC mode of their kind is *certified* instead when the memory model
 //! vouches for it: an exploration that verified without the SC axiom
 //! rejecting anything already gave every answer the candidate's would
-//! ([`MemoryModel::certifies`]). See `DESIGN.md` §7 for the soundness and
-//! determinism arguments.
+//! ([`MemoryModel::certifies`]).
+//!
+//! The input is checked only when nothing vouches for it (the deferred
+//! baseline), and the output always is: after the search, every slot of
+//! the candidate set whose printed assignment no verifying exploration ran
+//! verbatim is explored once more (the closing certificate). See
+//! `DESIGN.md` §7 for the soundness and determinism arguments.
 
 mod bisect;
 mod witness;
@@ -47,7 +52,9 @@ use crate::explorer::{explore, explore_oracle};
 use crate::failpoint;
 use crate::session::{CancelToken, RunControl};
 use crate::telemetry::EventKind;
-use crate::verdict::{AmcConfig, EngineError, EnginePhase, Verdict};
+use crate::verdict::{
+    AmcConfig, AmcResult, EngineError, EnginePhase, ExploreStats, Inconclusive, StopReason, Verdict,
+};
 
 use witness::WitnessCache;
 
@@ -113,9 +120,11 @@ pub struct OptimizationStep {
 pub struct OptimizationReport {
     /// The optimized program (unchanged if the input did not verify).
     pub program: Program,
-    /// Whether the final program verifies. `false` with
-    /// [`interrupted`](Self::interrupted) set means *unknown*: the run was
-    /// cancelled during the initial verification.
+    /// Whether the final program verifies: it was explored, verbatim or
+    /// by a [`closing`](Self::closing) exploration, on every slot of the
+    /// candidate set. `false` with [`interrupted`](Self::interrupted) set
+    /// means *unknown*: the run was stopped before the program was
+    /// explored.
     pub verified: bool,
     /// The run was cut short by its [`OptimizerConfig::cancel`] token,
     /// the session deadline, a resource budget or a caught engine panic;
@@ -124,7 +133,10 @@ pub struct OptimizationReport {
     /// The first caught engine panic, when one cut the run short. Every
     /// relaxation accepted *before* the panic was individually verified
     /// and is kept; the failing candidate is treated as undecided, never
-    /// as refuted.
+    /// as refuted. Also set, with `verified: false`, when a closing
+    /// exploration did not verify: it names the last accepted step and
+    /// carries the violation, since one of the search's shortcuts was
+    /// wrong.
     pub error: Option<EngineError>,
     /// Every relaxation attempt that was decided, in decision order —
     /// a function of the program alone, identical for every worker
@@ -144,6 +156,14 @@ pub struct OptimizationReport {
     /// of their kind, against a verified exploration whose SC axiom
     /// rejected nothing (DESIGN.md §7.4).
     pub certified: u64,
+    /// Closing explorations: after the search, one per candidate-set slot
+    /// whose printed assignment no verifying exploration ran verbatim —
+    /// the slots whose last accepted candidate was certified. Counted
+    /// apart from [`verifications`](Self::verifications) and
+    /// [`explorations`](Self::explorations).
+    pub closing: u64,
+    /// Work items popped by the [`closing`](Self::closing) explorations.
+    pub closing_graphs: u64,
     /// Work items popped across all oracle explorations — the true
     /// exploration bill. Rejections stop at the first violation (the
     /// early-stop oracle), so this weighs a cheap refutation and a full
@@ -175,13 +195,15 @@ impl OptimizationReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{}: {} -> {} ({} verifications, {} explorations, {} certified, {} cache hits, {:.1?})",
+            "{}: {} -> {} ({} verifications, {} explorations, {} certified, {} closing, \
+             {} cache hits, {:.1?})",
             self.program.name(),
             self.before,
             self.after,
             self.verifications,
             self.explorations,
             self.certified,
+            self.closing,
             self.cache_hits,
             self.elapsed
         );
@@ -197,7 +219,8 @@ impl OptimizationReport {
     }
 }
 
-/// Verify, then relax barrier sites to a locally maximal relaxation.
+/// Relax barrier sites to a locally maximal relaxation, and explore the
+/// result.
 ///
 /// If the input program does not verify, the report carries
 /// `verified = false` and the unchanged program — optimization only ever
@@ -206,8 +229,14 @@ impl OptimizationReport {
 /// ([`Session::optimize_scenarios`](crate::Session::optimize_scenarios)).
 pub fn optimize(prog: &Program, config: &OptimizerConfig) -> OptimizationReport {
     let control = RunControl::with_cancel(config.cancel.clone().unwrap_or_default());
-    run_engine(prog, &[], config, control, false)
+    run_engine(prog, &[], config, control, None).report
 }
+
+/// A stand-in for [`MemoryModel::certifies`]: given whether the
+/// candidate's run is symmetric and its `(access, from, to)` changes
+/// against the base, may it skip its exploration?
+#[doc(hidden)]
+pub type Certifier = fn(bool, &[(Access, Mode, Mode)]) -> bool;
 
 /// A certified candidate slot: the base program whose verified
 /// exploration vouched for it, and the candidate program it replaced.
@@ -222,9 +251,9 @@ pub fn optimize_with_certificates(
     config: &OptimizerConfig,
 ) -> (OptimizationReport, Vec<Certificate>) {
     let control = RunControl::with_cancel(config.cancel.clone().unwrap_or_default());
-    let mut ctx = Ctx::new(prog, &[], config, control);
+    let mut ctx = Ctx::new(prog, &[], config, control, None);
     ctx.certificates = Some(Vec::new());
-    let report = search(&mut ctx, false);
+    let report = search(&mut ctx).report;
     (report, ctx.certificates.unwrap_or_default())
 }
 
@@ -250,6 +279,26 @@ pub(crate) enum CheckOutcome {
     Errored,
 }
 
+/// One slot's exploration: the site modes it ran at, its result and its
+/// wall clock.
+pub(crate) struct Explored {
+    modes: Vec<Mode>,
+    pub(crate) result: AmcResult,
+    pub(crate) elapsed: Duration,
+}
+
+/// What [`run_engine`] hands a [`crate::Session`].
+pub(crate) struct Outcome {
+    pub(crate) report: OptimizationReport,
+    /// The exploration the session reports: the printed program's primary
+    /// slot, verbatim or closing — or, when the input did not verify on
+    /// that slot, the input's.
+    pub(crate) primary: Explored,
+    /// Is the input known to verify, vouched for by an accepted candidate
+    /// or explored? If not, the session reports no optimization.
+    pub(crate) input_verified: bool,
+}
+
 /// Engine context: the candidate oracle plus the run's bookkeeping. One
 /// thread drives a run, so this is plain state behind `&mut`.
 pub(crate) struct Ctx<'a> {
@@ -271,6 +320,13 @@ pub(crate) struct Ctx<'a> {
     bases: Vec<Option<Vec<Mode>>>,
     /// Every certified slot as a [`Certificate`], when a test asked.
     certificates: Option<Vec<Certificate>>,
+    /// Replaces [`MemoryModel::certifies`], when a test asked.
+    certifier: Option<Certifier>,
+    /// Per candidate-set slot: the latest exploration that verified. The
+    /// closing check compares the printed assignment against its modes.
+    latest: Vec<Option<Explored>>,
+    closing: u64,
+    closing_graphs: u64,
     cache: WitnessCache,
     /// Work items popped across all oracle explorations (the engine's
     /// true exploration bill).
@@ -299,6 +355,7 @@ impl<'a> Ctx<'a> {
         scenarios: &'a [Program],
         config: &'a OptimizerConfig,
         control: RunControl,
+        certifier: Option<Certifier>,
     ) -> Self {
         Ctx {
             primary,
@@ -312,6 +369,10 @@ impl<'a> Ctx<'a> {
             certified: 0,
             bases: vec![None; 1 + scenarios.len()],
             certificates: None,
+            certifier,
+            latest: (0..=scenarios.len()).map(|_| None).collect(),
+            closing: 0,
+            closing_graphs: 0,
             cache: WitnessCache::new(MAX_WITNESSES),
             graphs: 0,
             fault_seen: false,
@@ -331,9 +392,28 @@ impl<'a> Ctx<'a> {
     /// Has the caller (session token, config token or deadline) requested
     /// an interrupt?
     pub(crate) fn interrupt_requested(&self) -> bool {
-        self.control.cancel.is_cancelled()
-            || self.config.is_cancelled()
-            || self.control.deadline.is_some_and(|d| Instant::now() >= d)
+        self.session_stop().is_some() || self.config.is_cancelled()
+    }
+
+    /// Has the session's token or deadline fired? The explorations run
+    /// under these two only, so the config token alone leaves time to
+    /// explore the input or the output.
+    fn session_stop(&self) -> Option<StopReason> {
+        if self.control.cancel.is_cancelled() {
+            Some(StopReason::Cancelled)
+        } else if self.control.deadline.is_some_and(|d| Instant::now() >= d) {
+            Some(StopReason::DeadlineExceeded)
+        } else {
+            None
+        }
+    }
+
+    /// Explore `p` under the session's controls.
+    fn explore(&self, p: &Program) -> (Explored, Option<u64>) {
+        let t0 = Instant::now();
+        let out = explore_oracle(p, &self.config.amc, &self.control);
+        let run = Explored { modes: p.site_modes(), result: out.result, elapsed: t0.elapsed() };
+        (run, out.sc_rejections)
     }
 
     /// The full candidate set: the primary candidate plus every scenario
@@ -353,15 +433,11 @@ impl<'a> Ctx<'a> {
     /// full explorations of the primary and every scenario, each at
     /// `config.amc.workers` under the session's token and deadline.
     pub(crate) fn check_candidate(&mut self, candidate: &Program) -> CheckOutcome {
-        self.check_candidate_inner(candidate, false)
-    }
-
-    fn check_candidate_inner(&mut self, candidate: &Program, skip_primary: bool) -> CheckOutcome {
         // One probe = one isolation unit: a panic anywhere in the
         // witness replay or the oracle explorations quarantines this
         // candidate (undecided), not the whole optimization run.
         let probe = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.check_candidate_probe(candidate, skip_primary)
+            self.check_candidate_probe(candidate)
         }));
         probe.unwrap_or_else(|payload| {
             let payload = payload
@@ -373,44 +449,38 @@ impl<'a> Ctx<'a> {
         })
     }
 
-    fn check_candidate_probe(&mut self, candidate: &Program, skip_primary: bool) -> CheckOutcome {
+    fn check_candidate_probe(&mut self, candidate: &Program) -> CheckOutcome {
         let _ = failpoint::hit("optimize.verify");
         let progs = self.candidate_set(candidate);
         if self.cache.refutes(&progs, self.model) {
             return CheckOutcome::Refuted { monotone: true };
         }
-        // Count as an oracle call only when at least one program is to be
-        // checked (the session-verified primary with no scenarios checks
-        // nothing).
-        let first = usize::from(skip_primary);
-        if progs.len() > first {
-            self.verifications += 1;
-            if self.certifies(&progs, first) {
-                self.certified += 1;
-                return CheckOutcome::Verified;
-            }
+        self.verifications += 1;
+        if self.certifies(&progs) {
+            self.certified += 1;
+            return CheckOutcome::Verified;
         }
-        for (idx, p) in progs.iter().enumerate().skip(first) {
+        for (idx, p) in progs.iter().enumerate() {
             self.explorations += 1;
-            let out = explore_oracle(p, &self.config.amc, &self.control);
-            self.graphs += out.graphs;
-            if let Some(e) = out.error {
-                return self.record_error(e);
-            }
-            if out.interrupted {
-                return CheckOutcome::Interrupted;
-            }
-            if out.ok && out.sc_rejections == Some(0) && !self.symmetric(p) {
-                self.bases[idx] = Some(p.site_modes());
-            }
-            if !out.ok {
-                let monotone = out.witness.is_some();
-                self.fault_seen |= !monotone;
-                if let Some(g) = out.witness {
-                    self.cache.add(idx, g);
+            let (run, sc_rejections) = self.explore(p);
+            self.graphs += run.result.stats.popped;
+            match run.result.verdict {
+                Verdict::Verified => {}
+                Verdict::Safety(ce) | Verdict::AwaitTermination(ce) => {
+                    self.cache.add(idx, ce.graph);
+                    return CheckOutcome::Refuted { monotone: true };
                 }
-                return CheckOutcome::Refuted { monotone };
+                Verdict::Fault(_) => {
+                    self.fault_seen = true;
+                    return CheckOutcome::Refuted { monotone: false };
+                }
+                Verdict::Inconclusive(_) => return CheckOutcome::Interrupted,
+                Verdict::Error(e) => return self.record_error(e),
             }
+            if sc_rejections == Some(0) && !self.symmetric(p) {
+                self.bases[idx] = Some(run.modes.clone());
+            }
+            self.latest[idx] = Some(run);
         }
         CheckOutcome::Verified
     }
@@ -420,10 +490,10 @@ impl<'a> Ctx<'a> {
         self.config.amc.symmetry && !p.symmetry_partition().is_trivial()
     }
 
-    /// May the slots from `first` on skip their explorations? Each needs a
-    /// base the model certifies it against ([`MemoryModel::certifies`]).
-    fn certifies(&mut self, progs: &[Program], first: usize) -> bool {
-        let certified = progs.iter().zip(&self.bases).skip(first).all(|(p, base)| {
+    /// May every slot skip its exploration? Each needs a base the model
+    /// certifies it against ([`MemoryModel::certifies`]).
+    fn certifies(&mut self, progs: &[Program]) -> bool {
+        let certified = progs.iter().zip(&self.bases).all(|(p, base)| {
             let Some(base) = base else { return false };
             let changes: Vec<(Access, Mode, Mode)> = p
                 .sites()
@@ -432,10 +502,14 @@ impl<'a> Ctx<'a> {
                 .filter(|(site, &from)| site.mode != from)
                 .map(|(site, &from)| (access(site.kind), from, site.mode))
                 .collect();
-            self.model.certifies(self.symmetric(p), &changes)
+            let symmetric = self.symmetric(p);
+            match self.certifier {
+                Some(certifies) => certifies(symmetric, &changes),
+                None => self.model.certifies(symmetric, &changes),
+            }
         });
         if let (true, Some(certificates)) = (certified, &mut self.certificates) {
-            for (p, base) in progs.iter().zip(&self.bases).skip(first) {
+            for (p, base) in progs.iter().zip(&self.bases) {
                 let base = base.as_ref().expect("a certified slot has a base");
                 let patch: Vec<(u32, Mode)> = (0..).zip(base.iter().copied()).collect();
                 certificates.push((p.with_patch(&patch), p.clone()));
@@ -480,6 +554,74 @@ impl<'a> Ctx<'a> {
             });
         }
     }
+
+    /// The deferred baseline check (§7.3): explore the input on every
+    /// slot, with no witness replay and no certificate, so an input that
+    /// does not verify reports its own verdict. Returns the runs, the
+    /// last one the first that did not verify, if any.
+    fn check_input(&mut self) -> Vec<Explored> {
+        self.verifications += 1;
+        let mut runs = Vec::with_capacity(1 + self.scenarios.len());
+        for p in self.candidate_set(self.primary) {
+            self.explorations += 1;
+            let (run, _) = self.explore(&p);
+            self.graphs += run.result.stats.popped;
+            let verified = run.result.is_verified();
+            runs.push(run);
+            if !verified {
+                break;
+            }
+        }
+        runs
+    }
+
+    /// The closing certificate: explore the printed assignment once on
+    /// every slot that no verifying exploration ran it on verbatim — the
+    /// slots whose last accepted candidate was certified (§7.5).
+    fn close(&mut self, printed: &Program) -> Closed {
+        for (idx, p) in self.candidate_set(printed).iter().enumerate() {
+            let modes = p.site_modes();
+            if self.latest[idx].as_ref().is_some_and(|run| run.modes == modes) {
+                continue;
+            }
+            debug_assert!(!self.symmetric(p), "only certified slots need closing (§7.4)");
+            self.closing += 1;
+            let (run, _) = self.explore(p);
+            self.closing_graphs += run.result.stats.popped;
+            let closed = match &run.result.verdict {
+                Verdict::Verified => Closed::Verified,
+                Verdict::Inconclusive(_) => Closed::Stopped,
+                Verdict::Error(e) => {
+                    self.record_error(e.clone());
+                    Closed::Stopped
+                }
+                failed => Closed::Failed(self.closing_failure(idx, failed)),
+            };
+            self.latest[idx] = Some(run);
+            if !matches!(closed, Closed::Verified) {
+                return closed;
+            }
+        }
+        Closed::Verified
+    }
+
+    /// The error a failed closing exploration of slot `idx` reports: the
+    /// last accepted step, and the violation with its witness.
+    fn closing_failure(&self, idx: usize, verdict: &Verdict) -> EngineError {
+        let s = self.steps.iter().rev().find(|s| s.accepted).expect("only an accept needs closing");
+        let site = &self.primary.sites()[s.site as usize].name;
+        let slot = if idx == 0 { String::new() } else { format!(" (scenario {idx})") };
+        let mut payload = format!(
+            "the closing exploration of the printed assignment{slot} did not verify after \
+             the last accepted step `{site}: {} -> {}`: {verdict}",
+            s.from, s.to
+        );
+        if let Some(ce) = verdict.counterexample() {
+            payload.push('\n');
+            payload.push_str(&ce.graph.render());
+        }
+        EngineError { phase: EnginePhase::Optimize, thread: None, payload }
+    }
 }
 
 /// The events that carry a site's mode, as the model sees them.
@@ -492,25 +634,25 @@ fn access(kind: SiteKind) -> Access {
     }
 }
 
-/// Run the engine over `prog` + `scenarios`.
-///
-/// `control` carries the session-level cancellation token and deadline;
-/// `assume_primary_verified` lets the [`crate::Session`] pipeline skip
-/// re-exploring the primary program it just verified.
+/// Run the engine over `prog` + `scenarios`. `control` carries the
+/// session-level cancellation token and deadline; `certifier`, when set,
+/// replaces the model's [`MemoryModel::certifies`] (a test hook).
 pub(crate) fn run_engine(
     prog: &Program,
     scenarios: &[Program],
     config: &OptimizerConfig,
     control: RunControl,
-    assume_primary_verified: bool,
-) -> OptimizationReport {
-    search(&mut Ctx::new(prog, scenarios, config, control), assume_primary_verified)
+    certifier: Option<Certifier>,
+) -> Outcome {
+    search(&mut Ctx::new(prog, scenarios, config, control, certifier))
 }
 
-/// The search of [`run_engine`] on `ctx`.
-fn search(ctx: &mut Ctx<'_>, assume_primary_verified: bool) -> OptimizationReport {
+/// The search of [`run_engine`] on `ctx`, then the checks that close it:
+/// the deferred baseline when nothing vouches for the input, and the
+/// closing certificate of the output.
+fn search(ctx: &mut Ctx<'_>) -> Outcome {
     let start = Instant::now();
-    let (prog, scenarios) = (ctx.primary, ctx.scenarios);
+    let prog = ctx.primary;
     let mut program = prog.clone();
     let before = program.barrier_summary();
 
@@ -527,6 +669,8 @@ fn search(ctx: &mut Ctx<'_>, assume_primary_verified: bool) -> OptimizationRepor
             verifications: ctx.verifications,
             explorations: ctx.explorations,
             certified: ctx.certified,
+            closing: ctx.closing,
+            closing_graphs: ctx.closing_graphs,
             explored_graphs: ctx.graphs,
             cache_hits: ctx.cache.hits + ctx.memo_hits,
             before,
@@ -553,31 +697,67 @@ fn search(ctx: &mut Ctx<'_>, assume_primary_verified: bool) -> OptimizationRepor
     // candidates all fail for the same monotonicity reason) — and once a
     // fault-class rejection was observed, since monotonicity covers only
     // *violations*: the budget-limited oracle might also have faulted on
-    // the baseline itself. When the session just verified the primary
-    // under this exact config, only the scenarios are checked.
-    let unvouched = program.site_modes() == prog.site_modes() || ctx.fault_seen;
-    if unvouched {
-        if interrupted || ctx.error.is_some() {
-            return report(program, assume_primary_verified && scenarios.is_empty(), true, ctx);
+    // the baseline itself.
+    if program.site_modes() == prog.site_modes() || ctx.fault_seen {
+        if let Some(reason) = ctx.session_stop() {
+            // Nothing vouches for the input and nothing may explore it.
+            let verdict =
+                Verdict::Inconclusive(Inconclusive { reason, explored: 0, frontier_dropped: 0 });
+            let result = AmcResult { verdict, stats: ExploreStats::default(), executions: vec![] };
+            let primary = Explored { modes: prog.site_modes(), result, elapsed: Duration::ZERO };
+            let report = report(program, false, true, ctx);
+            return Outcome { report, primary, input_verified: false };
         }
-        match ctx.check_candidate_inner(prog, assume_primary_verified) {
-            CheckOutcome::Verified => {}
-            CheckOutcome::Refuted { .. } => {
+        let mut runs = ctx.check_input();
+        if !runs.last().is_some_and(|run| run.result.is_verified()) {
+            let stopped = match &runs.last().expect("the input was explored").result.verdict {
+                Verdict::Inconclusive(_) => true,
+                Verdict::Error(e) => {
+                    ctx.record_error(e.clone());
+                    true
+                }
+                _ => false,
+            };
+            if !stopped {
                 // The baseline does not pass the oracle: report the
                 // canonical unverified shape (unchanged program, no
                 // steps), discarding any accepts.
                 ctx.steps.clear();
-                return report(prog.clone(), false, false, ctx);
+                program = prog.clone();
             }
-            CheckOutcome::Interrupted | CheckOutcome::Errored => {
-                // `verified: false` + `interrupted` means *unknown* —
-                // unless the session already verified the primary and
-                // there was nothing else to check.
-                return report(program, assume_primary_verified && scenarios.is_empty(), true, ctx);
-            }
+            let primary = runs.swap_remove(0);
+            let input_verified = primary.result.is_verified();
+            return Outcome {
+                report: report(program, false, stopped, ctx),
+                primary,
+                input_verified,
+            };
+        }
+        for (slot, run) in ctx.latest.iter_mut().zip(runs) {
+            slot.get_or_insert(run);
         }
     }
-    report(program, true, interrupted, ctx)
+
+    let closed = ctx.close(&program);
+    let mut primary = ctx.latest[0].take().expect("the closing check explored slot 0");
+    let verified = matches!(closed, Closed::Verified);
+    let stopped = interrupted || matches!(closed, Closed::Stopped);
+    let mut report = report(program, verified, stopped, ctx);
+    if let Closed::Failed(e) = closed {
+        primary.result.verdict = Verdict::Error(e.clone());
+        report.error = Some(e);
+    }
+    Outcome { report, primary, input_verified: true }
+}
+
+/// How the closing certificate ended.
+enum Closed {
+    /// Every slot of the printed assignment verified.
+    Verified,
+    /// A closing exploration was interrupted or panicked: unknown.
+    Stopped,
+    /// A closing exploration did not verify.
+    Failed(EngineError),
 }
 
 /// The sequential ladder: sites in order, weakest candidate first, one
@@ -890,7 +1070,7 @@ mod tests {
             }
         })));
         let control = RunControl { events: Some(bus.start_session("mp", 1)), ..Default::default() };
-        let report = run_engine(&mp_all_sc(), &[], &cfg(), control, false);
+        let report = run_engine(&mp_all_sc(), &[], &cfg(), control, None).report;
         assert!(report.verified);
         let expected: Vec<_> = report
             .steps

@@ -153,8 +153,7 @@ mod tests {
 
     fn witness_of(p: &Program) -> ExecutionGraph {
         let out = explore_oracle(p, &AmcConfig::with_model(ModelKind::Vmm), &RunControl::default());
-        assert!(!out.ok);
-        out.witness.expect("violation must carry a witness")
+        out.result.verdict.counterexample().expect("violation must carry a witness").graph.clone()
     }
 
     #[test]

@@ -27,8 +27,10 @@
 //! ## Lifecycle
 //!
 //! [`Session::run`] explores the program once per model in the matrix
-//! (in order, deduplicated), then — if requested — optimizes under each
-//! verified model. Cancellation, deadlines and resource budgets are
+//! (in order, deduplicated) — or, if requested, optimizes under each
+//! model and explores the printed program instead: the optimizer checks
+//! its input only when no accepted relaxation vouches for it.
+//! Cancellation, deadlines and resource budgets are
 //! *cooperative*: every exploration worker re-checks the token on each
 //! popped work item and the deadline every few dozen items, so an
 //! interrupt surfaces as a [`Verdict::Inconclusive`] (with a
@@ -48,7 +50,7 @@ use vsync_model::{CheckerKind, ModelKind};
 
 use crate::explorer::explore_with;
 use crate::json::Json;
-use crate::optimize::{run_engine, OptimizationReport, OptimizerConfig};
+use crate::optimize::{run_engine, Certifier, OptimizationReport, OptimizerConfig};
 use crate::telemetry::{EngineEvent, EventBus, EventKind, PhaseProfile, SessionBus};
 use crate::verdict::{AmcConfig, EnginePhase, ExploreStats, Verdict};
 
@@ -126,13 +128,14 @@ pub struct ModelRun {
     pub verdict: Verdict,
     /// Exploration counters (merged across workers).
     pub stats: ExploreStats,
-    /// Wall-clock time of this model's exploration (excluding
-    /// optimization).
+    /// Wall-clock time of this model's run, optimization included.
     pub elapsed: Duration,
     /// Complete executions, when [`Session::collect_executions`] was set.
     pub executions: Vec<vsync_graph::ExecutionGraph>,
     /// Barrier-optimization report, when [`Session::optimize`] was
-    /// requested and the verdict was `Verified`.
+    /// requested and the input verified. The verdict, stats and
+    /// executions above then describe the printed program; a closing
+    /// exploration of it that did not verify is a [`Verdict::Error`].
     pub optimization: Option<OptimizationReport>,
 }
 
@@ -239,7 +242,7 @@ impl Report {
     ///               frontier_dropped, probes,
     ///               "phases": {"<phase>": {count, total_ms, max_ms}}},
     ///     "optimization": null | {"verified", "interrupted", "error",
-    ///        "verifications", "explorations", "certified",
+    ///        "verifications", "explorations", "certified", "closing",
     ///        "explored_graphs", "cache_hits", "elapsed_ms", "before", "after",
     ///        "steps": [{"site", "from", "to", "accepted"}]}}]}
     /// ```
@@ -350,6 +353,7 @@ fn optimization_json(j: &mut Json<'_>, o: &OptimizationReport) {
     j.key("verifications").uint(o.verifications);
     j.key("explorations").uint(o.explorations);
     j.key("certified").uint(o.certified);
+    j.key("closing").uint(o.closing);
     j.key("explored_graphs").uint(o.explored_graphs);
     j.key("cache_hits").uint(o.cache_hits);
     j.key("elapsed_ms").ms(o.elapsed);
@@ -564,11 +568,14 @@ impl Session {
         self
     }
 
-    /// After each model that verifies, run push-button barrier
-    /// optimization under that model. The `config`'s AMC settings are
+    /// Run push-button barrier optimization under each model instead of
+    /// a plain exploration. The model's run then reports the exploration
+    /// of the printed program; the input is explored only when nothing
+    /// vouches for it, and an input that does not verify reports its own
+    /// verdict and no optimization. The `config`'s AMC settings are
     /// overridden by the session's (model, workers, checker, budgets),
     /// and a `cancel` token on the config is respected in addition to the
-    /// session's own.
+    /// session's own: it stops the search, not the explorations.
     pub fn optimize(mut self, config: OptimizerConfig) -> Session {
         self.optimizer = Some(config);
         self
@@ -615,9 +622,21 @@ impl Session {
         self
     }
 
-    /// Run the pipeline: explore each model in the matrix, optimize the
-    /// verified ones if requested, and assemble the [`Report`].
+    /// Run the pipeline: explore each model in the matrix, or optimize
+    /// under it if requested, and assemble the [`Report`].
     pub fn run(self) -> Report {
+        self.run_with(None)
+    }
+
+    /// [`Session::run`] with `certifier` in place of the model's
+    /// certificate check — the test hook that shows a wrong certificate
+    /// is caught by the closing exploration.
+    #[doc(hidden)]
+    pub fn run_with_certifier(self, certifier: Certifier) -> Report {
+        self.run_with(Some(certifier))
+    }
+
+    fn run_with(self, certifier: Option<Certifier>) -> Report {
         let started = Instant::now();
         let bus =
             self.events.as_ref().map(|b| b.start_session(self.program.name(), self.models.len()));
@@ -635,7 +654,30 @@ impl Session {
                 bus.emit(EventKind::ExploreStart { model, workers: config.workers.max(1) });
             }
             let t0 = Instant::now();
-            let result = explore_with(&self.program, &config, &control);
+            let (result, optimization) = match &self.optimizer {
+                None => (explore_with(&self.program, &config, &control), None),
+                Some(ocfg) => {
+                    // The session's AMC settings and controls: the token,
+                    // deadline and bus reach every oracle exploration, and
+                    // each decided step goes on the bus. The run reports
+                    // the exploration of the printed program (DESIGN.md
+                    // §7.5); the input is explored only when nothing
+                    // vouches for it.
+                    let ocfg = OptimizerConfig { amc: config.clone(), ..ocfg.clone() };
+                    let scenarios = &self.optimize_scenarios;
+                    let out =
+                        run_engine(&self.program, scenarios, &ocfg, control.clone(), certifier);
+                    let mut result = out.primary.result;
+                    // The printed program's exploration keeps its phases;
+                    // the rest of the optimizer's wall clock is one
+                    // `Optimize` span, so the profile covers the whole run.
+                    if control.profile {
+                        let rest = out.report.elapsed.saturating_sub(out.primary.elapsed);
+                        result.stats.phases.record(EnginePhase::Optimize, rest);
+                    }
+                    (result, out.input_verified.then_some(out.report))
+                }
+            };
             if let Some(bus) = &bus {
                 bus.emit(EventKind::ExploreFinish { model, verdict: verdict_kind(&result.verdict) });
                 match &result.verdict {
@@ -652,31 +694,10 @@ impl Session {
                     _ => {}
                 }
             }
-            let mut stats = result.stats;
-            let optimization = match (&self.optimizer, &result.verdict) {
-                (Some(ocfg), Verdict::Verified) => {
-                    // The session's AMC settings and controls: the token,
-                    // deadline and bus reach every oracle exploration, and
-                    // each decided step goes on the bus. The program was
-                    // just verified under this exact config, so the engine
-                    // skips re-exploring it and only checks scenarios.
-                    let ocfg = OptimizerConfig { amc: config.clone(), ..ocfg.clone() };
-                    let scenarios = &self.optimize_scenarios;
-                    let opt = run_engine(&self.program, scenarios, &ocfg, control.clone(), true);
-                    // Attribute the optimizer's wall clock as one
-                    // `Optimize` span so the per-phase profile covers the
-                    // whole model run, not just the exploration.
-                    if control.profile {
-                        stats.phases.record(EnginePhase::Optimize, opt.elapsed);
-                    }
-                    Some(opt)
-                }
-                _ => None,
-            };
             runs.push(ModelRun {
                 model,
                 verdict: result.verdict,
-                stats,
+                stats: result.stats,
                 elapsed: t0.elapsed(),
                 executions: result.executions,
                 optimization,

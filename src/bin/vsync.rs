@@ -26,7 +26,9 @@ const HELP: &str = "\
 vsync locks                         list the verifiable lock catalog
                                     (name, family, relaxable sites, summary)
 vsync verify <lock> [opts]          AMC-verify a lock's generic client
-vsync optimize <lock> [opts]        push-button barrier optimization
+vsync optimize <lock> [opts]        push-button barrier optimization of the
+                                    all-seq_cst client; reports the
+                                    optimized program's exploration
 vsync bug <dpdk|huawei> [--fixed]   run a §3 study-case scenario
 vsync litmus <sb|mp|lb|iriw>        explore a classic litmus shape
 vsync check <file.litmus> [opts]    verify a litmus file against its
@@ -57,7 +59,8 @@ options:
   --json           (verify/optimize/bug/check/corpus) print the report as JSON
   --progress       (verify/optimize/bug/check/corpus) print each running
                    exploration's counters to stderr: on the first update,
-                   then at most every 250 ms
+                   then at most every 250 ms (optimize: summed over the
+                   optimizer's explorations)
   --jobs J         (corpus) files checked concurrently (default: cores, max 8)
   --steps          (optimize) print each decided relaxation to stderr as
                    `[pass N] accept|reject <site> <from> -> <to>`
@@ -248,8 +251,9 @@ impl Options {
 
 /// `--progress`, a bus subscriber: per session, the `stats_delta`s of the
 /// running exploration summed since its `explore_start`, printed on the
-/// first delta and then at most every 250 ms. Deltas outside an
-/// exploration span (the optimizer's oracle runs) are not shown.
+/// first delta and then at most every 250 ms. An optimize session's span
+/// brackets the whole optimization, so its line sums every exploration
+/// the optimizer ran.
 #[derive(Default)]
 struct Progress(Mutex<HashMap<u64, Exploring>>);
 

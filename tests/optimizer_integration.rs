@@ -160,3 +160,16 @@ fn vmm_optimum_verifies_under_stronger_models() {
         assert!(v.is_verified(), "{model}: {v}");
     }
 }
+
+/// Every catalog output at 2 threads, re-explored by the axiom evaluator
+/// with symmetry off — no consistency code shared with the optimizer's
+/// oracle or its closing certificate (DESIGN.md §7.5). CI's
+/// `close_outputs` bin does the same at 3 threads.
+#[test]
+fn every_catalog_output_verifies_under_the_axiom_evaluator() {
+    let outputs = vsync_bench::reexplore_catalog_outputs(2);
+    assert_eq!(outputs.len(), vsync::locks::registry::catalog().len());
+    for out in outputs {
+        assert!(out.verdict.is_verified(), "{}: {}", out.lock, out.verdict);
+    }
+}

@@ -21,7 +21,7 @@ use vsync::graph::Mode;
 use vsync::lang::{Cmp, Fixed, Program, ProgramBuilder, Reg, Test};
 use vsync::locks::model::{mutex_client, CasLock};
 use vsync::locks::registry;
-use vsync::model::{CheckerKind, ModelKind};
+use vsync::model::{Access, CheckerKind, ModelKind};
 
 fn amc(workers: usize) -> AmcConfig {
     AmcConfig::with_model(ModelKind::Vmm).with_workers(workers)
@@ -279,7 +279,7 @@ fn a_base_that_needs_sc_certifies_nothing() {
     let base = dekker_with_mp();
     for workers in [1, 2] {
         let out = explore_oracle(&base, &amc(workers), &RunControl::default());
-        assert!(out.ok);
+        assert!(out.result.is_verified());
         assert!(out.sc_rejections.is_some_and(|n| n > 0), "{workers}: {:?}", out.sc_rejections);
     }
 
@@ -479,4 +479,50 @@ fn zero_deadline_interrupts_the_optimizer() {
     // coherent.
     assert!(report.is_interrupted());
     assert!(matches!(report.models[0].verdict, Verdict::Inconclusive(_)));
+}
+
+/// The VMM certificate, mutated to also vouch for `sc -> rlx`.
+fn certifies_sc_to_rlx_too(symmetric: bool, changes: &[(Access, Mode, Mode)]) -> bool {
+    let vmm = ModelKind::Vmm.checker(CheckerKind::Fast);
+    !symmetric
+        && changes.iter().all(|&change| {
+            vmm.certifies(false, &[change]) || (change.1 == Mode::Sc && change.2 == Mode::Rlx)
+        })
+}
+
+/// The closing certificate catches a wrong shortcut (DESIGN.md §7.5):
+/// with a certifier that also vouches for `sc -> rlx`, every catalog
+/// output at 2 threads either still verifies from scratch or is reported
+/// as an engine error naming the last accepted step, never `verified`.
+/// On mcs (and four more queue locks) the mutation fires.
+#[test]
+fn a_wrong_certificate_is_an_error_not_a_verdict() {
+    let mut caught = Vec::new();
+    for entry in registry::catalog() {
+        let name = entry.name;
+        let base = entry.client(2, 1).with_all_sc();
+        let report =
+            Session::new(base).optimize(config(1)).run_with_certifier(certifies_sc_to_rlx_too);
+        let run = &report.models[0];
+        let opt = run.optimization.as_ref().expect("the all-sc input verifies");
+        match &run.verdict {
+            Verdict::Verified => {
+                assert!(opt.verified && opt.error.is_none(), "{name}");
+                assert!(verify(&opt.program, &amc(1)).is_verified(), "{name}: a wrong `verified`");
+            }
+            Verdict::Error(e) => {
+                let last = opt.steps.iter().rev().find(|s| s.accepted).expect("an accept");
+                let step = format!("`{}: {} -> {}`", opt.site_name(last), last.from, last.to);
+                assert!(e.payload.contains(&step), "{name}: {e} does not name {step}");
+                assert!(e.payload.contains("violation"), "{name}: {e}");
+                assert_eq!(opt.error.as_ref(), Some(e), "{name}");
+                assert!(!opt.verified && opt.closing > 0, "{name}");
+                assert!(!report.is_verified() && report.is_errored(), "{name}");
+                assert!(!verify(&opt.program, &amc(1)).is_verified(), "{name}");
+                caught.push(name);
+            }
+            v => panic!("{name}: {v}"),
+        }
+    }
+    assert!(caught.contains(&"mcs"), "the mutation never fired on mcs: {caught:?}");
 }

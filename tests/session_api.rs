@@ -166,14 +166,16 @@ fn progress_deltas_stream_from_the_hot_loop() {
 #[test]
 fn cancel_during_optimization_is_reported() {
     let session = Session::lock("ttas", 2, 1).optimize(OptimizerConfig::default());
-    // Fire during the *verification* phase: optimization never starts.
+    // Fire during the first exploration, before anything verified: the
+    // input is never vouched for, so there is no optimization.
     let report = cancel_on_first_delta(session).run();
     assert!(report.is_interrupted());
     assert!(report.models[0].optimization.is_none());
 
     // A token attached to the OptimizerConfig itself (the caller-supplied
-    // channel), pre-fired: verification completes, the optimizer stops
-    // deterministically before its first relaxation attempt.
+    // channel), pre-fired: the optimizer stops deterministically before
+    // its first relaxation attempt, and the input is explored and
+    // verified under the session's own controls.
     let token = CancelToken::new();
     token.cancel();
     let report =
@@ -181,7 +183,7 @@ fn cancel_during_optimization_is_reported() {
     assert!(report.is_interrupted(), "{}", report.to_json());
     let opt = report.models[0].optimization.as_ref().expect("optimizer ran");
     assert!(opt.interrupted);
-    assert!(opt.verified, "the session-verified baseline stays verified");
+    assert!(opt.verified, "the explored baseline stays verified");
     assert!(opt.steps.is_empty(), "no relaxation was attempted after the cancel");
 }
 
@@ -276,6 +278,8 @@ fn report_json_golden() {
                     verifications: 3,
                     explorations: 1,
                     certified: 1,
+                    closing: 1,
+                    closing_graphs: 7,
                     explored_graphs: 40,
                     cache_hits: 1,
                     before: summary,
@@ -304,7 +308,8 @@ fn report_json_golden() {
         "\"frontier_dropped\": 0, \"probes\": 0, \"phases\": {}}, ",
         "\"optimization\": {\"verified\": true, \"interrupted\": false, \"error\": null, ",
         "\"verifications\": 3, ",
-        "\"explorations\": 1, \"certified\": 1, \"explored_graphs\": 40, \"cache_hits\": 1, ",
+        "\"explorations\": 1, \"certified\": 1, \"closing\": 1, \"explored_graphs\": 40, ",
+        "\"cache_hits\": 1, ",
         "\"elapsed_ms\": 0.250, ",
         "\"before\": {\"rlx\": 0, \"acq\": 0, \"rel\": 0, \"acq_rel\": 0, \"sc\": 1}, ",
         "\"after\": {\"rlx\": 0, \"acq\": 0, \"rel\": 0, \"acq_rel\": 0, \"sc\": 1}, ",
@@ -353,4 +358,93 @@ fn max_graphs_budget_is_inconclusive() {
     let m = &v.get("models").unwrap().items()[0];
     assert_eq!(m.get("verdict").unwrap().as_str(), Some("inconclusive"));
     assert_eq!(m.get("stop_reason").unwrap().as_str(), Some("max_graphs"));
+}
+
+/// An optimize session does not explore its input up front, yet an input
+/// that does not verify still reports its own violation, with a
+/// counterexample, and no optimization — at any worker count.
+#[test]
+fn unverifiable_input_under_optimize_reports_its_violation() {
+    for workers in [1, 2] {
+        let report = Session::new(vsync::locks::model::huawei_scenario(false))
+            .workers(workers)
+            .optimize(OptimizerConfig::default())
+            .run();
+        let run = &report.models[0];
+        assert!(matches!(run.verdict, Verdict::Safety(_)), "workers={workers}: {}", run.verdict);
+        let plain = Session::new(vsync::locks::model::huawei_scenario(false)).run();
+        assert_eq!(run.verdict.to_string(), plain.models[0].verdict.to_string());
+        assert!(run.verdict.counterexample().is_some_and(|ce| !ce.graph.render().is_empty()));
+        assert!(run.optimization.is_none(), "workers={workers}: an unverified input is optimized");
+        assert!(!report.is_verified() && !report.is_interrupted() && !report.is_errored());
+    }
+}
+
+/// The session's own token or deadline, fired before any verifying
+/// exploration, leaves the input unexplored: `Inconclusive`, never
+/// `verified`, and no optimization.
+#[test]
+fn session_stop_before_any_verifying_exploration_is_inconclusive() {
+    for workers in [1, 2] {
+        let prefired =
+            Session::lock("mcs", 2, 1).workers(workers).optimize(OptimizerConfig::default());
+        prefired.cancel_token().cancel();
+        let midrun =
+            Session::lock("mcs", 2, 1).workers(workers).optimize(OptimizerConfig::default());
+        let expired = Session::lock("mcs", 2, 1)
+            .workers(workers)
+            .deadline(Duration::ZERO)
+            .optimize(OptimizerConfig::default());
+        let runs = [
+            (prefired.run(), StopReason::Cancelled),
+            (cancel_on_first_delta(midrun).run(), StopReason::Cancelled),
+            (expired.run(), StopReason::DeadlineExceeded),
+        ];
+        for (i, (report, want)) in runs.into_iter().enumerate() {
+            let run = &report.models[0];
+            let tag = format!("workers={workers} run {i}");
+            assert!(
+                matches!(&run.verdict, Verdict::Inconclusive(Inconclusive { reason, .. }) if *reason == want),
+                "{tag}: {}",
+                run.verdict
+            );
+            assert!(!report.is_verified() && report.is_interrupted(), "{tag}");
+            assert!(run.optimization.is_none(), "{tag}");
+        }
+    }
+}
+
+/// `stats` without its phase times, the one part that is not a function
+/// of the program.
+fn counters(mut stats: ExploreStats) -> ExploreStats {
+    stats.phases = Default::default();
+    stats
+}
+
+/// An optimize session reports the printed program: at one worker its
+/// counters are a plain exploration's of the optimized all-`sc` client, and
+/// `collect_executions` collects that program's executions. mcs-2t's
+/// printed assignment is explored by the closing certificate, and
+/// qspinlock-2t's and ttas-2t's by the search itself.
+#[test]
+fn optimize_session_stats_describe_the_printed_program() {
+    for (lock, closing) in [("mcs", 1), ("qspinlock", 0), ("ttas", 0)] {
+        let base = vsync::locks::registry::entry(lock).unwrap().client(2, 1).with_all_sc();
+        let report = Session::new(base)
+            .optimize(OptimizerConfig::default())
+            .profile(true)
+            .collect_executions()
+            .run();
+        let run = &report.models[0];
+        let opt = run.optimization.as_ref().expect("the input verified");
+        assert!(run.verdict.is_verified() && opt.verified, "{lock}: {}", run.verdict);
+        assert_eq!(opt.closing, closing, "{lock}");
+        assert_eq!(opt.closing_graphs > 0, closing > 0, "{lock}");
+        let config = AmcConfig::default().collecting();
+        let plain = vsync::core::explore(&opt.program, &config);
+        assert!(plain.is_verified(), "{lock}");
+        assert_eq!(counters(run.stats), counters(plain.stats), "{lock}");
+        assert_eq!(run.executions.len(), plain.executions.len(), "{lock}");
+        assert_eq!(run.executions.len() as u64, run.stats.complete_executions, "{lock}");
+    }
 }
