@@ -590,10 +590,10 @@ impl<'a> Ctx<'a> {
             self.closing_graphs += run.result.stats.popped;
             let closed = match &run.result.verdict {
                 Verdict::Verified => Closed::Verified,
-                Verdict::Inconclusive(_) => Closed::Stopped,
+                Verdict::Inconclusive(_) => Closed::Stopped(run.result.verdict.clone()),
                 Verdict::Error(e) => {
                     self.record_error(e.clone());
-                    Closed::Stopped
+                    Closed::Stopped(run.result.verdict.clone())
                 }
                 failed => Closed::Failed(self.closing_failure(idx, failed)),
             };
@@ -741,11 +741,16 @@ fn search(ctx: &mut Ctx<'_>) -> Outcome {
     let closed = ctx.close(&program);
     let mut primary = ctx.latest[0].take().expect("the closing check explored slot 0");
     let verified = matches!(closed, Closed::Verified);
-    let stopped = interrupted || matches!(closed, Closed::Stopped);
+    let stopped = interrupted || matches!(closed, Closed::Stopped(_));
     let mut report = report(program, verified, stopped, ctx);
-    if let Closed::Failed(e) = closed {
-        primary.result.verdict = Verdict::Error(e.clone());
-        report.error = Some(e);
+    // The session's verdict is the printed program's on every slot.
+    match closed {
+        Closed::Verified => {}
+        Closed::Stopped(verdict) => primary.result.verdict = verdict,
+        Closed::Failed(e) => {
+            primary.result.verdict = Verdict::Error(e.clone());
+            report.error = Some(e);
+        }
     }
     Outcome { report, primary, input_verified: true }
 }
@@ -754,8 +759,9 @@ fn search(ctx: &mut Ctx<'_>) -> Outcome {
 enum Closed {
     /// Every slot of the printed assignment verified.
     Verified,
-    /// A closing exploration was interrupted or panicked: unknown.
-    Stopped,
+    /// A closing exploration was interrupted or panicked (its verdict):
+    /// unknown.
+    Stopped(Verdict),
     /// A closing exploration did not verify.
     Failed(EngineError),
 }

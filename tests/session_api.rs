@@ -448,3 +448,44 @@ fn optimize_session_stats_describe_the_printed_program() {
         assert_eq!(run.executions.len() as u64, run.stats.complete_executions, "{lock}");
     }
 }
+
+/// A closing exploration under a fired session token leaves the printed
+/// program unknown: mcs-2t's last accept is certified, so a token fired
+/// on that step stops the search with the full assignment, and its
+/// closing exploration reports `Inconclusive`, never `verified`.
+#[test]
+fn an_interrupted_closing_leaves_the_output_unknown() {
+    let base = vsync::locks::registry::entry("mcs").unwrap().client(2, 1).with_all_sc();
+    let full = Session::new(base.clone()).optimize(OptimizerConfig::default()).run();
+    let full = full.models[0].optimization.clone().expect("the input verifies");
+    let last_accept = full.steps.iter().rposition(|s| s.accepted).expect("an accept") + 1;
+
+    let session = Session::new(base).optimize(OptimizerConfig::default());
+    let token = session.cancel_token();
+    let seen = Arc::new(Mutex::new(0));
+    let report = session
+        .on_event(move |ev| {
+            if let EventKind::OptimizeStep { .. } = ev.kind {
+                let mut n = seen.lock().unwrap();
+                *n += 1;
+                if *n == last_accept {
+                    token.cancel();
+                }
+            }
+        })
+        .run();
+    let run = &report.models[0];
+    assert!(
+        matches!(
+            run.verdict,
+            Verdict::Inconclusive(Inconclusive { reason: StopReason::Cancelled, .. })
+        ),
+        "{}",
+        run.verdict
+    );
+    let opt = run.optimization.as_ref().expect("an accept vouched for the input");
+    assert!(opt.interrupted && !opt.verified && opt.error.is_none());
+    assert_eq!(opt.closing, 1);
+    assert_eq!(opt.program.site_modes(), full.program.site_modes());
+    assert!(report.is_interrupted() && !report.is_verified());
+}
