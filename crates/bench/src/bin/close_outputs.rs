@@ -1,14 +1,13 @@
 //! `close_outputs` — re-explore every catalog output independently.
 //!
-//! Optimizes each catalog lock's all-`sc` client (3 threads by default)
-//! and re-explores the printed assignment with the axiom evaluator
+//! Optimizes each catalog lock's all-`sc` 3-thread client and re-explores
+//! the printed assignment with the axiom evaluator
 //! (`CheckerKind::Reference`) and symmetry off, which shares no
 //! consistency code with the optimizer's oracle or its closing
 //! certificate (DESIGN.md §7.5). Prints one line per lock.
 //!
 //! ```sh
-//! cargo run --release -p vsync-bench --bin close_outputs        # 3 threads
-//! cargo run --release -p vsync-bench --bin close_outputs -- 2   # 2 threads
+//! cargo run --release -p vsync-bench --bin close_outputs
 //! ```
 //!
 //! Exits non-zero if any output does not verify, so CI can gate on it.
@@ -16,17 +15,9 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let threads = match std::env::args().nth(1).map(|a| a.parse::<usize>()) {
-        None => 3,
-        Some(Ok(n)) if n > 0 => n,
-        Some(_) => {
-            eprintln!("usage: close_outputs [THREADS]");
-            return ExitCode::FAILURE;
-        }
-    };
     let mut failed = 0;
-    for out in vsync_bench::reexplore_catalog_outputs(threads) {
-        println!("{:<20} {threads}t  {:<10.1?} {}", out.lock, out.elapsed, out.verdict);
+    for out in vsync_bench::reexplore_catalog_outputs(3) {
+        println!("{:<20} 3t  {:<10.1?} {}", out.lock, out.elapsed, out.verdict);
         failed += usize::from(!out.verdict.is_verified());
     }
     if failed > 0 {

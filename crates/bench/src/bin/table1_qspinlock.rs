@@ -19,10 +19,11 @@ fn main() {
     println!("{}", vsync_bench::render_table1(&rows));
     println!("Oracle scenarios: {}", result.scenarios.join(", "));
     println!(
-        "Verification runs: {} ({} certified, {} relaxation steps accepted)",
+        "Verification runs: {} ({} certified, {} relaxation steps accepted), {} closing",
         result.report.verifications,
         result.report.certified,
-        result.report.steps.iter().filter(|s| s.accepted).count()
+        result.report.steps.iter().filter(|s| s.accepted).count(),
+        result.report.closing
     );
     println!("\nPer-site assignment (cf. paper Fig. 20):");
     println!("{}", result.report.program.render_barriers());

@@ -34,7 +34,7 @@ use vsync_model::ModelKind;
 use crate::json::Json;
 use crate::session::{phases_json, verdict_kind, Session};
 use crate::telemetry::{EventBus, EventFn, EventKind, PhaseProfile};
-use crate::verdict::{EngineError, EnginePhase, Verdict};
+use crate::verdict::{EngineError, EngineErrorKind, EnginePhase, Verdict};
 use crate::{failpoint, CancelToken};
 
 /// Failure to load a litmus file: I/O or parse.
@@ -562,6 +562,7 @@ fn check_source_guarded(
             path: label.to_owned(),
             program: String::new(),
             outcome: FileOutcome::Quarantined(EngineError {
+                kind: EngineErrorKind::Panic,
                 phase: EnginePhase::Corpus,
                 thread: None,
                 payload,
@@ -763,6 +764,7 @@ mod tests {
             path: "boom.litmus".into(),
             program: String::new(),
             outcome: FileOutcome::Quarantined(crate::verdict::EngineError {
+                kind: crate::verdict::EngineErrorKind::Panic,
                 phase: crate::verdict::EnginePhase::Corpus,
                 thread: None,
                 payload: "injected".into(),

@@ -81,8 +81,8 @@ use crate::revisit::{ChainEnd, ChoicePoint, Level, RevisitTargets, Step};
 use crate::session::RunControl;
 use crate::telemetry::{EventKind as BusEvent, PhaseProfile, PhaseTracker, SessionBus};
 use crate::verdict::{
-    AmcConfig, AmcResult, EngineError, EnginePhase, ExploreStats, Inconclusive, ResourceBudget,
-    StopReason, Verdict,
+    AmcConfig, AmcResult, EngineError, EngineErrorKind, EnginePhase, ExploreStats, Inconclusive,
+    ResourceBudget, StopReason, Verdict,
 };
 
 /// Lock acquisition with explicit poison recovery: every mutex in the
@@ -133,7 +133,7 @@ pub fn explore_with(prog: &Program, config: &AmcConfig, control: &RunControl) ->
 
 /// [`explore_with`], plus the SC-axiom rejections summed over every
 /// checker of every worker ([`ChainChecker::sc_rejections`]).
-fn explore_counted(
+pub(crate) fn explore_counted(
     prog: &Program,
     config: &AmcConfig,
     control: &RunControl,
@@ -162,8 +162,7 @@ pub fn verify(prog: &Program, config: &AmcConfig) -> Verdict {
 #[derive(Debug)]
 #[must_use = "a dropped OracleOutcome discards the candidate's verdict"]
 pub struct OracleOutcome {
-    /// The exploration's verdict, counters and, when
-    /// [`AmcConfig::collect_executions`] is set, complete executions. A
+    /// The exploration's verdict and counters (never any executions). A
     /// violation's counterexample graph is the optimizer's witness;
     /// `stats.popped` is the cost of the call (rejections stop at the first
     /// violation, so they are typically far cheaper than a verifying run).
@@ -175,8 +174,9 @@ pub struct OracleOutcome {
     pub sc_rejections: Option<u64>,
 }
 
-/// The optimizer's view of the explorer: [`explore_with`], plus the
-/// SC-axiom rejections that certification reads (DESIGN.md §7.4).
+/// The optimizer's view of the explorer: [`explore_with`] without
+/// execution collection (a candidate probe keeps no executions), plus
+/// the SC-axiom rejections that certification reads (DESIGN.md §7.4).
 ///
 /// A rejection leans on the driver's first-violation stop: the
 /// verdict-bearing worker stops the shared queue, so every peer drains at
@@ -185,7 +185,9 @@ pub struct OracleOutcome {
 ///
 /// [`CancelToken`]: crate::session::CancelToken
 pub fn explore_oracle(prog: &Program, config: &AmcConfig, control: &RunControl) -> OracleOutcome {
-    let (result, sc_rejections) = explore_counted(prog, config, control);
+    let mut config = config.clone();
+    config.collect_executions = false;
+    let (result, sc_rejections) = explore_counted(prog, &config, control);
     OracleOutcome { result, sc_rejections }
 }
 
@@ -759,6 +761,7 @@ impl Engine<'_> {
                             // already stopped the queue; record the
                             // failure instead of re-panicking the process.
                             sh.queue.finish(Verdict::Error(EngineError {
+                                kind: EngineErrorKind::Panic,
                                 phase: EnginePhase::Driver,
                                 thread: None,
                                 payload: panic_payload(payload),
@@ -870,6 +873,7 @@ impl Engine<'_> {
                     // peers.
                     w.out.clear();
                     shared.queue.finish(Verdict::Error(EngineError {
+                        kind: EngineErrorKind::Panic,
                         phase: w.phase.get(),
                         thread: (workers > 1).then_some(index),
                         payload: panic_payload(payload),
@@ -1960,6 +1964,7 @@ mod tests {
         };
         let error = || {
             Verdict::Error(EngineError {
+                kind: EngineErrorKind::Panic,
                 phase: EnginePhase::Replay,
                 thread: None,
                 payload: "boom".into(),

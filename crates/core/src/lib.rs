@@ -64,6 +64,6 @@ pub use telemetry::{
     TraceWriter,
 };
 pub use verdict::{
-    AmcConfig, AmcResult, Counterexample, EngineError, EnginePhase, ExploreStats, Inconclusive,
-    ResourceBudget, StopReason, Verdict,
+    AmcConfig, AmcResult, Counterexample, EngineError, EngineErrorKind, EnginePhase, ExploreStats,
+    Inconclusive, ResourceBudget, StopReason, Verdict,
 };

@@ -48,12 +48,13 @@ use vsync_graph::Mode;
 use vsync_lang::{BarrierSummary, ModeRef, Program, SiteKind};
 use vsync_model::{Access, MemoryModel};
 
-use crate::explorer::{explore, explore_oracle};
+use crate::explorer::{explore, explore_counted, explore_oracle};
 use crate::failpoint;
 use crate::session::{CancelToken, RunControl};
 use crate::telemetry::EventKind;
 use crate::verdict::{
-    AmcConfig, AmcResult, EngineError, EnginePhase, ExploreStats, Inconclusive, StopReason, Verdict,
+    AmcConfig, AmcResult, EngineError, EngineErrorKind, EnginePhase, ExploreStats, Inconclusive,
+    StopReason, Verdict,
 };
 
 use witness::WitnessCache;
@@ -283,6 +284,9 @@ pub(crate) enum CheckOutcome {
 /// wall clock.
 pub(crate) struct Explored {
     modes: Vec<Mode>,
+    /// Did it collect executions? Only a run the session may report does,
+    /// and only when the session asked.
+    collected: bool,
     pub(crate) result: AmcResult,
     pub(crate) elapsed: Duration,
 }
@@ -291,8 +295,9 @@ pub(crate) struct Explored {
 pub(crate) struct Outcome {
     pub(crate) report: OptimizationReport,
     /// The exploration the session reports: the printed program's primary
-    /// slot, verbatim or closing — or, when the input did not verify on
-    /// that slot, the input's.
+    /// slot, verbatim or closing — or, when the deferred baseline check
+    /// did not verify, the input's primary slot, carrying the stop
+    /// verdict when that check was cut short on any slot.
     pub(crate) primary: Explored,
     /// Is the input known to verify, vouched for by an accepted candidate
     /// or explored? If not, the session reports no optimization.
@@ -322,8 +327,10 @@ pub(crate) struct Ctx<'a> {
     certificates: Option<Vec<Certificate>>,
     /// Replaces [`MemoryModel::certifies`], when a test asked.
     certifier: Option<Certifier>,
-    /// Per candidate-set slot: the latest exploration that verified. The
-    /// closing check compares the printed assignment against its modes.
+    /// Per candidate-set slot: the exploration of the latest accepted
+    /// candidate that explored (or, when nothing was accepted, the
+    /// input's). The closing check compares the printed assignment
+    /// against its modes.
     latest: Vec<Option<Explored>>,
     closing: u64,
     closing_graphs: u64,
@@ -408,12 +415,20 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Explore `p` under the session's controls.
-    fn explore(&self, p: &Program) -> (Explored, Option<u64>) {
+    /// Explore `p` under the session's controls. Only a run the session
+    /// may report (`reported`) collects executions, and only when the
+    /// session asked; a candidate probe never does.
+    fn explore(&self, p: &Program, reported: bool) -> (Explored, Option<u64>) {
         let t0 = Instant::now();
-        let out = explore_oracle(p, &self.config.amc, &self.control);
-        let run = Explored { modes: p.site_modes(), result: out.result, elapsed: t0.elapsed() };
-        (run, out.sc_rejections)
+        let collected = reported && self.config.amc.collect_executions;
+        let (result, sc_rejections) = if collected {
+            explore_counted(p, &self.config.amc, &self.control)
+        } else {
+            let out = explore_oracle(p, &self.config.amc, &self.control);
+            (out.result, out.sc_rejections)
+        };
+        let run = Explored { modes: p.site_modes(), collected, result, elapsed: t0.elapsed() };
+        (run, sc_rejections)
     }
 
     /// The full candidate set: the primary candidate plus every scenario
@@ -445,7 +460,12 @@ impl<'a> Ctx<'a> {
                 .map(|s| (*s).to_owned())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "non-string panic payload".to_owned());
-            self.record_error(EngineError { phase: EnginePhase::Optimize, thread: None, payload })
+            self.record_error(EngineError {
+                kind: EngineErrorKind::Panic,
+                phase: EnginePhase::Optimize,
+                thread: None,
+                payload,
+            })
         })
     }
 
@@ -460,9 +480,12 @@ impl<'a> Ctx<'a> {
             self.certified += 1;
             return CheckOutcome::Verified;
         }
+        // The slot runs become `latest` only when every slot verifies:
+        // a refuted or interrupted candidate is not the printed program.
+        let mut runs = Vec::with_capacity(progs.len());
         for (idx, p) in progs.iter().enumerate() {
             self.explorations += 1;
-            let (run, sc_rejections) = self.explore(p);
+            let (run, sc_rejections) = self.explore(p, false);
             self.graphs += run.result.stats.popped;
             match run.result.verdict {
                 Verdict::Verified => {}
@@ -480,7 +503,10 @@ impl<'a> Ctx<'a> {
             if sc_rejections == Some(0) && !self.symmetric(p) {
                 self.bases[idx] = Some(run.modes.clone());
             }
-            self.latest[idx] = Some(run);
+            runs.push(run);
+        }
+        for (slot, run) in self.latest.iter_mut().zip(runs) {
+            *slot = Some(run);
         }
         CheckOutcome::Verified
     }
@@ -562,9 +588,9 @@ impl<'a> Ctx<'a> {
     fn check_input(&mut self) -> Vec<Explored> {
         self.verifications += 1;
         let mut runs = Vec::with_capacity(1 + self.scenarios.len());
-        for p in self.candidate_set(self.primary) {
+        for (idx, p) in self.candidate_set(self.primary).iter().enumerate() {
             self.explorations += 1;
-            let (run, _) = self.explore(&p);
+            let (run, _) = self.explore(p, idx == 0);
             self.graphs += run.result.stats.popped;
             let verified = run.result.is_verified();
             runs.push(run);
@@ -577,16 +603,21 @@ impl<'a> Ctx<'a> {
 
     /// The closing certificate: explore the printed assignment once on
     /// every slot that no verifying exploration ran it on verbatim — the
-    /// slots whose last accepted candidate was certified (§7.5).
+    /// slots whose last accepted candidate was certified (§7.5) — and on
+    /// the primary slot when the session collects executions and its
+    /// verbatim run, a candidate probe, did not.
     fn close(&mut self, printed: &Program) -> Closed {
+        let collect = self.config.amc.collect_executions;
         for (idx, p) in self.candidate_set(printed).iter().enumerate() {
             let modes = p.site_modes();
-            if self.latest[idx].as_ref().is_some_and(|run| run.modes == modes) {
-                continue;
+            let verbatim = self.latest[idx].as_ref().filter(|run| run.modes == modes);
+            match verbatim {
+                Some(run) if idx > 0 || !collect || run.collected => continue,
+                Some(_) => {}
+                None => debug_assert!(!self.symmetric(p), "only certified slots need closing"),
             }
-            debug_assert!(!self.symmetric(p), "only certified slots need closing (§7.4)");
             self.closing += 1;
-            let (run, _) = self.explore(p);
+            let (run, _) = self.explore(p, idx == 0);
             self.closing_graphs += run.result.stats.popped;
             let closed = match &run.result.verdict {
                 Verdict::Verified => Closed::Verified,
@@ -620,7 +651,12 @@ impl<'a> Ctx<'a> {
             payload.push('\n');
             payload.push_str(&ce.graph.render());
         }
-        EngineError { phase: EnginePhase::Optimize, thread: None, payload }
+        EngineError {
+            kind: EngineErrorKind::FailedCheck,
+            phase: EnginePhase::Optimize,
+            thread: None,
+            payload,
+        }
     }
 }
 
@@ -698,43 +734,60 @@ fn search(ctx: &mut Ctx<'_>) -> Outcome {
     // fault-class rejection was observed, since monotonicity covers only
     // *violations*: the budget-limited oracle might also have faulted on
     // the baseline itself.
-    if program.site_modes() == prog.site_modes() || ctx.fault_seen {
+    let accepted = program.site_modes() != prog.site_modes();
+    if !accepted || ctx.fault_seen {
         if let Some(reason) = ctx.session_stop() {
             // Nothing vouches for the input and nothing may explore it.
             let verdict =
                 Verdict::Inconclusive(Inconclusive { reason, explored: 0, frontier_dropped: 0 });
             let result = AmcResult { verdict, stats: ExploreStats::default(), executions: vec![] };
-            let primary = Explored { modes: prog.site_modes(), result, elapsed: Duration::ZERO };
+            let primary = Explored {
+                modes: prog.site_modes(),
+                collected: false,
+                result,
+                elapsed: Duration::ZERO,
+            };
             let report = report(program, false, true, ctx);
             return Outcome { report, primary, input_verified: false };
         }
         let mut runs = ctx.check_input();
-        if !runs.last().is_some_and(|run| run.result.is_verified()) {
-            let stopped = match &runs.last().expect("the input was explored").result.verdict {
-                Verdict::Inconclusive(_) => true,
+        let last = &runs.last().expect("the input was explored").result.verdict;
+        if !last.is_verified() {
+            let stopped = match last {
+                Verdict::Inconclusive(_) => Some(last.clone()),
                 Verdict::Error(e) => {
                     ctx.record_error(e.clone());
-                    true
+                    Some(last.clone())
                 }
-                _ => false,
+                _ => None,
             };
-            if !stopped {
+            let interrupted = stopped.is_some();
+            let mut primary = runs.swap_remove(0);
+            let input_verified = match stopped {
+                // Unknown on some slot: the session reports the stop, and
+                // only an accepted candidate still vouches for the input.
+                Some(verdict) => {
+                    primary.result.verdict = verdict;
+                    accepted
+                }
                 // The baseline does not pass the oracle: report the
                 // canonical unverified shape (unchanged program, no
                 // steps), discarding any accepts.
-                ctx.steps.clear();
-                program = prog.clone();
-            }
-            let primary = runs.swap_remove(0);
-            let input_verified = primary.result.is_verified();
+                None => {
+                    ctx.steps.clear();
+                    program = prog.clone();
+                    primary.result.is_verified()
+                }
+            };
             return Outcome {
-                report: report(program, false, stopped, ctx),
+                report: report(program, false, interrupted, ctx),
                 primary,
                 input_verified,
             };
         }
-        for (slot, run) in ctx.latest.iter_mut().zip(runs) {
-            slot.get_or_insert(run);
+        if !accepted {
+            // Nothing was accepted: the input is the printed program.
+            ctx.latest = runs.into_iter().map(Some).collect();
         }
     }
 

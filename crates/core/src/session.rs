@@ -169,8 +169,9 @@ impl Report {
         })
     }
 
-    /// Did any run die to a caught engine panic (i.e. is any verdict
-    /// [`Verdict::Error`])?
+    /// Did any run die to a caught engine panic or a failed closing
+    /// certificate (i.e. is any verdict [`Verdict::Error`], or does any
+    /// optimization carry an error)?
     #[must_use]
     pub fn is_errored(&self) -> bool {
         self.models.iter().any(|m| {

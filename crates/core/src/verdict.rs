@@ -401,24 +401,43 @@ impl fmt::Display for EnginePhase {
     }
 }
 
-/// A structured record of a panic caught inside the engine. The run that
+/// What went wrong inside the engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EngineErrorKind {
+    /// A panic was caught.
+    Panic,
+    /// The engine's check of its own result failed: the optimizer's
+    /// closing exploration of the printed assignment did not verify
+    /// (DESIGN.md §7.5).
+    FailedCheck,
+}
+
+/// A structured record of an engine failure: a panic caught inside the
+/// engine, or a failed check of the engine's own result. The run that
 /// produced it terminates with [`Verdict::Error`] instead of aborting the
-/// process; sibling workers drain the abandoned queue share and exit
-/// cleanly.
+/// process; after a panic, sibling workers drain the abandoned queue
+/// share and exit cleanly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineError {
-    /// The stage the panicking code was executing.
+    /// A caught panic or a failed check.
+    pub kind: EngineErrorKind,
+    /// The stage the failing code was executing.
     pub phase: EnginePhase,
     /// Index of the worker thread that panicked (`None` for
     /// single-worker runs and phases without a worker identity).
     pub thread: Option<usize>,
-    /// The panic payload, downcast to a string where possible.
+    /// The panic payload, downcast to a string where possible, or what
+    /// the failed check found.
     pub payload: String,
 }
 
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "panic in {} phase", self.phase)?;
+        let what = match self.kind {
+            EngineErrorKind::Panic => "panic",
+            EngineErrorKind::FailedCheck => "failed check",
+        };
+        write!(f, "{what} in {} phase", self.phase)?;
         if let Some(t) = self.thread {
             write!(f, " (worker {t})")?;
         }
@@ -445,7 +464,9 @@ pub enum Verdict {
     /// of the space was never searched.
     Inconclusive(Inconclusive),
     /// The engine itself failed: a panic was caught inside a worker or
-    /// probe. The run terminated cleanly but its result means nothing.
+    /// probe, or a check of the engine's own result (the optimizer's
+    /// closing certificate) failed. The run terminated cleanly but its
+    /// result means nothing.
     Error(EngineError),
 }
 
@@ -563,6 +584,7 @@ mod tests {
         assert!(d.contains("42 explored"), "{d}");
 
         let e = Verdict::Error(EngineError {
+            kind: EngineErrorKind::Panic,
             phase: EnginePhase::Replay,
             thread: Some(3),
             payload: "boom".into(),
@@ -573,6 +595,17 @@ mod tests {
         assert!(d.contains("engine error"), "{d}");
         assert!(d.contains("replay"), "{d}");
         assert!(d.contains("worker 3"), "{d}");
+        assert!(d.contains("panic in replay phase"), "{d}");
+
+        let e = EngineError {
+            kind: EngineErrorKind::FailedCheck,
+            phase: EnginePhase::Optimize,
+            thread: None,
+            payload: "the closing exploration did not verify".into(),
+        };
+        let d = Verdict::Error(e).to_string();
+        assert!(d.starts_with("engine error: failed check in optimize phase: "), "{d}");
+        assert!(!d.contains("panic"), "{d}");
     }
 
     #[test]

@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 use vsync::core::{
     enumerate_maximal, explore, explore_oracle, optimize, optimize_with_certificates, verify,
-    AmcConfig, CancelToken, EventKind, ExploreStats, OptimizationReport, OptimizationStep,
-    OptimizerConfig, RunControl, Session, Verdict,
+    AmcConfig, CancelToken, EngineErrorKind, EventKind, ExploreStats, OptimizationReport,
+    OptimizationStep, OptimizerConfig, RunControl, Session, Verdict,
 };
 use vsync::graph::Mode;
 use vsync::lang::{Cmp, Fixed, Program, ProgramBuilder, Reg, Test};
@@ -515,6 +515,8 @@ fn a_wrong_certificate_is_an_error_not_a_verdict() {
                 let step = format!("`{}: {} -> {}`", opt.site_name(last), last.from, last.to);
                 assert!(e.payload.contains(&step), "{name}: {e} does not name {step}");
                 assert!(e.payload.contains("violation"), "{name}: {e}");
+                assert_eq!(e.kind, EngineErrorKind::FailedCheck, "{name}");
+                assert!(e.to_string().starts_with("failed check in optimize phase: "), "{name}");
                 assert_eq!(opt.error.as_ref(), Some(e), "{name}");
                 assert!(!opt.verified && opt.closing > 0, "{name}");
                 assert!(!report.is_verified() && report.is_errored(), "{name}");

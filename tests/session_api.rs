@@ -422,27 +422,36 @@ fn counters(mut stats: ExploreStats) -> ExploreStats {
 }
 
 /// An optimize session reports the printed program: at one worker its
-/// counters are a plain exploration's of the optimized all-`sc` client, and
-/// `collect_executions` collects that program's executions. mcs-2t's
-/// printed assignment is explored by the closing certificate, and
-/// qspinlock-2t's and ttas-2t's by the search itself.
+/// counters are a plain exploration's of the optimized all-`sc` client.
+/// mcs-2t's printed assignment is explored by the closing certificate,
+/// and qspinlock-2t's and ttas-2t's by the search itself. Candidate
+/// probes collect no executions, so `collect_executions` explores the
+/// printed program once after the search (a closing exploration) and
+/// collects its executions there.
 #[test]
 fn optimize_session_stats_describe_the_printed_program() {
     for (lock, closing) in [("mcs", 1), ("qspinlock", 0), ("ttas", 0)] {
         let base = vsync::locks::registry::entry(lock).unwrap().client(2, 1).with_all_sc();
-        let report = Session::new(base)
-            .optimize(OptimizerConfig::default())
-            .profile(true)
-            .collect_executions()
-            .run();
+        let session =
+            || Session::new(base.clone()).optimize(OptimizerConfig::default()).profile(true);
+
+        let report = session().run();
         let run = &report.models[0];
         let opt = run.optimization.as_ref().expect("the input verified");
         assert!(run.verdict.is_verified() && opt.verified, "{lock}: {}", run.verdict);
         assert_eq!(opt.closing, closing, "{lock}");
         assert_eq!(opt.closing_graphs > 0, closing > 0, "{lock}");
-        let config = AmcConfig::default().collecting();
-        let plain = vsync::core::explore(&opt.program, &config);
+        let plain = vsync::core::explore(&opt.program, &AmcConfig::default().collecting());
         assert!(plain.is_verified(), "{lock}");
+        assert_eq!(counters(run.stats), counters(plain.stats), "{lock}");
+        assert!(run.executions.is_empty(), "{lock}");
+
+        let report = session().collect_executions().run();
+        let run = &report.models[0];
+        let collected = run.optimization.as_ref().expect("the input verified");
+        assert!(run.verdict.is_verified() && collected.verified, "{lock}: {}", run.verdict);
+        assert_eq!(collected.program.site_modes(), opt.program.site_modes(), "{lock}");
+        assert_eq!(collected.closing, 1, "{lock}");
         assert_eq!(counters(run.stats), counters(plain.stats), "{lock}");
         assert_eq!(run.executions.len(), plain.executions.len(), "{lock}");
         assert_eq!(run.executions.len() as u64, run.stats.complete_executions, "{lock}");
