@@ -10,33 +10,30 @@
 //! `> 1` runs the same function on that many scoped threads over the same
 //! sharded seen-sets and the same [`BudgetTracker`].
 //!
-//! The frontier is one LIFO stack of entries *per worker* plus a shared
-//! pool ([`WorkQueue`]). An entry ([`Entry`]) is either a choice point of
-//! one of the worker's chains — a forward alternate or a `⊥` resolution,
-//! entered by rewinding that chain's [`Level`] — or a materialized
-//! [`WorkItem`]: the root's graph plus the consistency state the admitting
-//! chain forked for it ([`Inherited`]), which opens a level of its own. A
-//! level lives while its choice points are on the stack; the levels form
-//! a stack too ([`Levels`]), and finished ones are pooled for their
-//! buffers. A worker pushes the entries it admits on its own stack and
-//! pops from it; it takes the pool's lock only when its stack runs dry,
-//! and gives the oldest half of its stack to the pool only while a peer
-//! is asleep there waiting for work. The pool holds work items only: a
-//! donated choice point is materialized on the way
-//! ([`Level::materialize`]), so one code path serves every worker count.
-//! Graphs and forked checker states stay on the core that allocated them
-//! unless somebody would otherwise idle; an item's state is charged to
-//! the memory budget alongside its graph.
+//! The frontier is one LIFO stack of choice points *per worker* plus a
+//! shared pool of roots ([`WorkQueue`]). Each worker runs every chain on
+//! one [`Chain`] — one graph, one checker, one interpreter — and a choice
+//! point ([`ChoicePoint`]) is a root that chain admitted: a forward
+//! alternate, a `⊥` resolution or a backward revisit, possibly relabeled
+//! to its orbit's representative, entered by rewinding the chain to where
+//! it was admitted. A worker pushes the choice points it admits on its own
+//! stack and pops from it; only when the stack is empty does it take a
+//! root from the pool — a plain graph — and open its chain on it. It takes
+//! the pool's lock only then, and gives the oldest half of its stack to
+//! the pool only while a peer is asleep there waiting for work: a donated
+//! choice point is materialized on the way ([`Chain::materialize`]), so
+//! one code path serves every worker count. Graphs stay on the core that
+//! allocated them unless somebody would otherwise idle.
 //!
 //! ## Determinism
 //!
-//! Work items are independent: what a chain does depends only on its
-//! root's content. The seen-sets admit each orbit exactly once and
-//! successors are functions of content, so the set of explored graphs —
-//! hence the verdict and `complete_executions` — is the same for every
-//! worker count (DESIGN.md §3). With one worker nobody ever waits, so the
-//! frontier is that worker's LIFO stack and every counter, telemetry event
-//! and `Inconclusive` payload is a deterministic function of the program.
+//! Roots are independent: what a chain does depends only on its root's
+//! content. The seen-sets admit each orbit exactly once and successors are
+//! functions of content, so the set of explored graphs — hence the verdict
+//! and `complete_executions` — is the same for every worker count
+//! (DESIGN.md §3). With one worker nobody ever waits, so the frontier is
+//! that worker's LIFO stack and every counter, telemetry event and
+//! `Inconclusive` payload is a deterministic function of the program.
 //!
 //! ## Pacing
 //!
@@ -71,13 +68,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-use vsync_graph::{Canonicalizer, ExecutionGraph, RfSource, ThreadId};
+use vsync_graph::{Canonicalizer, ExecutionGraph, RfSource};
 use vsync_lang::{BlockedAwait, ChainReplay, Operand, Program};
-use vsync_model::chain::Fork;
 use vsync_model::{ChainChecker, MemoryModel};
 
 use crate::failpoint;
-use crate::revisit::{ChainEnd, ChoicePoint, Level, RevisitTargets, Step};
+use crate::revisit::{Chain, ChainEnd, ChoicePoint, RevisitTargets};
 use crate::session::RunControl;
 use crate::telemetry::{EventKind as BusEvent, PhaseProfile, PhaseTracker, SessionBus};
 use crate::verdict::{
@@ -368,11 +364,11 @@ impl Pacer<'_> {
 const DEDUP_ENTRY_BYTES: u64 = 48;
 
 /// Shared accounting for a run's [`ResourceBudget`]: live frontier bytes
-/// (graph and inherited checker state of every item, and the size of every
-/// choice point, on a worker's stack or in the pool, charged on push,
-/// released when it is popped or abandoned) plus monotone seen-set bytes.
-/// Byte accounting is skipped entirely when no memory ceiling is set, so
-/// unlimited runs never call [`WorkItem::approx_heap_bytes`].
+/// (the graph of every root in the pool and the size of every choice point
+/// on a worker's stack, charged on push, released when it is popped or
+/// abandoned) plus monotone seen-set bytes. Byte accounting is skipped
+/// entirely when no memory ceiling is set, so unlimited runs never call
+/// [`ExecutionGraph::approx_heap_bytes`].
 struct BudgetTracker {
     max_bytes: u64,
     bytes: AtomicU64,
@@ -434,60 +430,25 @@ trait Charged {
     fn approx_heap_bytes(&self) -> usize;
 }
 
-/// An entry of a worker's frontier stack.
+impl Charged for ExecutionGraph {
+    fn approx_heap_bytes(&self) -> usize {
+        ExecutionGraph::approx_heap_bytes(self)
+    }
+}
+
+impl Charged for ChoicePoint {
+    fn approx_heap_bytes(&self) -> usize {
+        ChoicePoint::approx_heap_bytes(self)
+    }
+}
+
+/// Where a chain starts.
 pub(crate) enum Entry {
-    /// A materialized chain root: it opens a level of its own.
-    Root(WorkItem),
-    /// A root entered by rewinding the level of the chain that admitted it.
+    /// A root from the pool (or the initial graph): the chain is opened on
+    /// it.
+    Root(ExecutionGraph),
+    /// A root the worker's chain admitted, entered by rewinding it.
     Choice(ChoicePoint),
-}
-
-impl Charged for Entry {
-    fn approx_heap_bytes(&self) -> usize {
-        match self {
-            Entry::Root(item) => item.approx_heap_bytes(),
-            Entry::Choice(_) => std::mem::size_of::<ChoicePoint>(),
-        }
-    }
-}
-
-/// A materialized chain root: the graph and, when the chain that admitted
-/// it could hand it over, that chain's consistency state.
-pub(crate) struct WorkItem {
-    pub(crate) graph: ExecutionGraph,
-    /// `None` where no parent state exists — the initial graph, and roots
-    /// relabeled by `permute_threads` (the state follows thread labels):
-    /// their chain starts with a [`ChainChecker::reset`].
-    pub(crate) inherited: Option<Inherited>,
-}
-
-/// The admitting chain's checker state, forked down to the part of the
-/// root it had recorded, plus what is left to `push` on it.
-pub(crate) struct Inherited {
-    pub(crate) state: Fork,
-    pub(crate) pending: Pending,
-}
-
-/// The events of a root that its inherited state has not recorded.
-pub(crate) enum Pending {
-    /// A forward alternate: the newest event of this thread, which the
-    /// scan that admitted the root already answered `true` for.
-    Accepted(ThreadId),
-    /// A revisit: the newest events of two threads — the new write, then
-    /// the read re-pointed to it — neither checked in this graph yet.
-    Revisit {
-        /// Thread of the write.
-        write: ThreadId,
-        /// Thread of the re-pointed read.
-        read: ThreadId,
-    },
-}
-
-impl Charged for WorkItem {
-    fn approx_heap_bytes(&self) -> usize {
-        self.graph.approx_heap_bytes()
-            + self.inherited.as_ref().map_or(0, |i| i.state.approx_heap_bytes())
-    }
 }
 
 /// State shared by every worker of one exploration.
@@ -495,7 +456,7 @@ struct Shared {
     /// The frontier's pool; the rest of the frontier is on the workers'
     /// own stacks.
     queue: WorkQueue,
-    /// Orbits already materialized as chain roots.
+    /// Orbits already admitted as chain roots.
     visited: SeenShards,
     /// Terminal (complete or blocked) orbits already counted. Distinct
     /// from `visited`: a revisit child that happens to be a leaf would
@@ -509,7 +470,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(initial: WorkItem, workers: usize, limits: &ResourceBudget) -> Self {
+    fn new(initial: ExecutionGraph, workers: usize, limits: &ResourceBudget) -> Self {
         let budget = BudgetTracker::new(limits);
         budget.charge(&initial);
         Shared {
@@ -523,16 +484,16 @@ impl Shared {
 }
 
 /// One worker's private state: what a chain reads and writes while it
-/// runs, besides its [`Level`]. The chain logic in [`crate::revisit`] sees
+/// runs, besides its [`Chain`]. The chain logic in [`crate::revisit`] sees
 /// the counters, the entry buffer and the hasher; the frontier, budgets
 /// and pacing stay behind [`Worker::tick`], [`Worker::visit`] and
 /// [`Worker::leaf`].
 pub(crate) struct Worker<'r> {
     pub(crate) stats: ExploreStats,
-    /// Entries admitted since the last transfer to the frontier.
-    pub(crate) out: Vec<Entry>,
-    /// This worker's share of the frontier, newest entry last.
-    stack: Vec<Entry>,
+    /// Choice points admitted since the last transfer to the frontier.
+    pub(crate) out: Vec<ChoicePoint>,
+    /// This worker's share of the frontier, newest choice point last.
+    stack: Vec<ChoicePoint>,
     pub(crate) executions: Vec<ExecutionGraph>,
     /// Engine phase the worker is executing, for panic attribution
     /// ([`EngineError::phase`]) and, when profiling is on, wall-clock
@@ -547,7 +508,7 @@ pub(crate) struct Worker<'r> {
     pub(crate) targets: RevisitTargets,
     /// Scratch of a leaf: its blocked awaits, and the interpreter and
     /// checker of a leaf relabeled to its orbit representative (the
-    /// level's own follow the chain).
+    /// chain's own follow the chain).
     pub(crate) blocked: Vec<BlockedAwait>,
     pub(crate) leaf_replay: ChainReplay,
     pub(crate) leaf_ck: Box<dyn ChainChecker>,
@@ -568,7 +529,7 @@ impl Worker<'_> {
     }
 
     /// Admission probe: `true` iff no chain root of orbit `h` was ever
-    /// materialized.
+    /// admitted.
     pub(crate) fn visit(&self, h: u128) -> bool {
         self.shared.visited.insert(h, &self.shared.budget)
     }
@@ -589,25 +550,22 @@ impl Worker<'_> {
     }
 
     /// Run once per chain step, *before* the step's work: transfers the
-    /// previous step's entries (so a mid-chain stop accounts them as
+    /// previous step's choice points (so a mid-chain stop accounts them as
     /// dropped frontier instead of losing them), shares the stack with a
     /// peer that has run out of work — materializing the choice points it
-    /// hands over from their `levels` — performs the cooperative control
-    /// checks and counts the step. A `Some` return stops the run.
-    pub(crate) fn tick(&mut self, levels: &mut Levels<'_>) -> Option<StopReason> {
+    /// hands over from the worker's chain `ch` — performs the cooperative
+    /// control checks and counts the step. A `Some` return stops the run.
+    pub(crate) fn tick(&mut self, engine: &Engine<'_>, ch: &Chain) -> Option<StopReason> {
         if let Some(reason) = self.transfer() {
             return Some(reason);
         }
         if self.shared.queue.has_waiters() && !self.stack.is_empty() {
             let budget = &self.shared.budget;
-            self.shared.queue.donate(&mut self.stack, |entry| {
-                budget.release(&entry);
-                let item = match entry {
-                    Entry::Root(item) => item,
-                    Entry::Choice(cp) => levels.materialize(cp),
-                };
-                budget.charge(&item);
-                item
+            self.shared.queue.donate(&mut self.stack, |cp| {
+                budget.release(&cp);
+                let root = engine.materialize(ch, &cp);
+                budget.charge(&root);
+                root
             });
         }
         if let Some(reason) = self.pacer.poll(&self.phase, &self.stats) {
@@ -623,116 +581,6 @@ impl Worker<'_> {
     }
 }
 
-/// A worker's levels ([`Level`]): the chains whose choice points are on
-/// its stack, the active chain's last. Entries are popped LIFO, so the
-/// levels form a stack too: a level is created when a materialized root
-/// is popped, every choice point pushed while it is active lies above the
-/// older levels' ones, and popping a choice point of a level finishes
-/// every level above it. The one checker with warm buffers moves to
-/// whichever level is active (syncbox's arena `clone_with`); suspended
-/// levels keep their state as forks. A level below the active one whose
-/// choice points were all donated is dropped at once.
-pub(crate) struct Levels<'e> {
-    /// Indexed by [`ChoicePoint::level`]; `None` for a dropped level.
-    live: Vec<Option<Level>>,
-    engine: &'e Engine<'e>,
-    /// The SC-axiom rejections of the checkers dropped so far
-    /// ([`ChainChecker::sc_rejections`]; `None` once one could not tell).
-    sc_rejections: Option<u64>,
-}
-
-impl<'e> Levels<'e> {
-    fn new(engine: &'e Engine<'e>) -> Self {
-        Levels { live: Vec::new(), engine, sc_rejections: Some(0) }
-    }
-
-    /// Count the SC-axiom rejections of a checker about to be dropped.
-    fn retire(&mut self, ck: Box<dyn ChainChecker>) {
-        self.sc_rejections = self.sc_rejections.zip(ck.sc_rejections()).map(|(a, b)| a + b);
-    }
-
-    /// The SC-axiom rejections of every checker the worker ran: the ones
-    /// dropped, the levels' and `leaf`.
-    fn sc_rejections(mut self, leaf: Box<dyn ChainChecker>) -> Option<u64> {
-        for lv in std::mem::take(&mut self.live).into_iter().flatten() {
-            self.retire(lv.into_checker());
-        }
-        self.retire(leaf);
-        self.sc_rejections
-    }
-
-    /// The level of the chain in flight.
-    pub(crate) fn active(&mut self) -> &mut Level {
-        self.live.last_mut().and_then(Option::as_mut).expect("a chain runs on a level")
-    }
-
-    /// Drop the levels above `keep`; the checker of the active one, if it
-    /// was among them.
-    fn finish_above(&mut self, keep: usize) -> Option<Box<dyn ChainChecker>> {
-        let mut ck = None;
-        while self.live.len() > keep {
-            if let Some(lv) = self.live.pop().flatten() {
-                debug_assert_eq!(lv.choices, 0, "a finished level has no choice point left");
-                if lv.is_suspended() {
-                    self.retire(lv.into_checker());
-                } else {
-                    ck = Some(lv.into_checker());
-                }
-            }
-        }
-        ck
-    }
-
-    /// Open a level for a materialized root, above the levels that still
-    /// have choice points; the active one among them is suspended.
-    pub(crate) fn open(&mut self, graph: ExecutionGraph) {
-        let keep = self.live.iter().rposition(|lv| lv.as_ref().is_some_and(|lv| lv.choices > 0));
-        let ck = self.finish_above(keep.map_or(0, |k| k + 1));
-        let (prog, budget) = (self.engine.prog, self.engine.config.step_budget);
-        let fresh = || self.engine.model.chain_checker();
-        let ck = match self.live.last_mut().and_then(Option::as_mut) {
-            Some(top) if !top.is_suspended() => {
-                debug_assert!(ck.is_none(), "the active level is the top one");
-                top.suspend(prog, budget, fresh())
-            }
-            _ => ck.unwrap_or_else(fresh),
-        };
-        self.live.push(Some(Level::new(graph, self.live.len() as u32, ck)));
-    }
-
-    /// Enter `cp` on its level, which becomes the active one: every level
-    /// above it is finished.
-    pub(crate) fn enter(&mut self, cp: &ChoicePoint) -> Step {
-        let level = cp.level as usize;
-        let ck = self.finish_above(level + 1);
-        let lv = self.live[level].as_mut().expect("a level with a choice point");
-        let spare = lv.resume(ck);
-        lv.choices -= 1;
-        let step = lv.enter(self.engine.prog, cp, self.engine.config.step_budget);
-        if let Some(spare) = spare {
-            self.retire(spare);
-        }
-        step
-    }
-
-    /// The work item `cp` stands for, for another worker. A level below
-    /// the active one that gives away its last choice point is dropped.
-    fn materialize(&mut self, cp: ChoicePoint) -> WorkItem {
-        let level = cp.level as usize;
-        let lv = self.live[level].as_mut().expect("a level with a choice point");
-        lv.choices -= 1;
-        let item = lv.materialize(&cp, || self.engine.model.chain_checker());
-        if lv.choices == 0 && level + 1 < self.live.len() {
-            if let Some(lv) = self.live[level].take() {
-                self.retire(lv.into_checker());
-            }
-        }
-        #[cfg(debug_assertions)]
-        self.engine.assert_item_matches(&cp.expect, &item);
-        item
-    }
-}
-
 impl Engine<'_> {
     /// The exploration driver. `workers == 1` runs [`Engine::work`] inline
     /// on the calling thread; more run the same function on scoped
@@ -740,10 +588,7 @@ impl Engine<'_> {
     /// instead of unwinding out of the library.
     fn run(&self) -> (AmcResult, Option<u64>) {
         let workers = self.config.workers.max(1);
-        let initial = WorkItem {
-            graph: ExecutionGraph::new(self.prog.num_threads(), self.prog.init().clone()),
-            inherited: None,
-        };
+        let initial = ExecutionGraph::new(self.prog.num_threads(), self.prog.init().clone());
         let shared = Shared::new(initial, workers, &self.config.budget);
         let sh = &shared;
         let results: Vec<WorkerResult> = if workers == 1 {
@@ -825,10 +670,10 @@ impl Engine<'_> {
         }
     }
 
-    /// One worker's loop: pop a frontier entry — from its own stack, or a
-    /// work item from the pool when that is empty — release its budget
+    /// One worker's loop: pop a choice point from its own stack — or,
+    /// when that is empty, a root from the pool — release its budget
     /// charge, run its chain under `catch_unwind`, arbitrate how it ended,
-    /// stack the roots it admitted.
+    /// stack the choice points it admitted.
     fn work(&self, index: usize, workers: usize, shared: &Shared) -> WorkerResult {
         // If this worker panics outside the catch_unwind below (queue
         // bookkeeping, event sinks), `pending` never reaches zero;
@@ -845,20 +690,25 @@ impl Engine<'_> {
         }
         let _guard = PanicGuard(&shared.queue);
         let mut w = self.worker(index, shared);
-        let mut levels = Levels::new(self);
+        let mut ch = Chain::new(self.model.chain_checker());
         loop {
-            // Also what a wait in `pop` — and rewinding a level to the
+            // Also what a wait in `pop` — and rewinding the chain to the
             // next choice point — is billed to, not the phase the previous
             // chain happened to end in.
             w.phase.set(EnginePhase::Driver);
             if shared.queue.stopped() {
                 break;
             }
-            let Some(entry) = w.stack.pop().or_else(|| shared.queue.pop().map(Entry::Root)) else {
+            let entry = if let Some(cp) = w.stack.pop() {
+                shared.budget.release(&cp);
+                Entry::Choice(cp)
+            } else if let Some(root) = shared.queue.pop() {
+                shared.budget.release(&root);
+                Entry::Root(root)
+            } else {
                 break;
             };
-            shared.budget.release(&entry);
-            let end = catch_unwind(AssertUnwindSafe(|| self.run_chain(entry, &mut levels, &mut w)));
+            let end = catch_unwind(AssertUnwindSafe(|| self.run_chain(entry, &mut ch, &mut w)));
             let stop = match end {
                 Ok(ChainEnd::Done) => w.transfer(),
                 Ok(ChainEnd::Stopped(reason)) => Some(reason),
@@ -891,7 +741,7 @@ impl Engine<'_> {
             }
         }
         let dropped = shared.budget.abandon(w.stack);
-        let sc_rejections = levels.sc_rejections(w.leaf_ck);
+        let sc_rejections = ch.sc_rejections().zip(w.leaf_ck.sc_rejections()).map(|(a, b)| a + b);
         let profile = w.phase.snapshot();
         w.pacer.finish(&w.stats, profile);
         w.stats.phases.merge(&profile);
@@ -906,7 +756,7 @@ struct WorkerResult {
     executions: Vec<ExecutionGraph>,
     /// Roots left on the worker's stack when it stopped.
     dropped: u64,
-    /// The SC-axiom rejections of the worker's checkers.
+    /// The SC-axiom rejections of the worker's two checkers.
     sc_rejections: Option<u64>,
 }
 
@@ -934,13 +784,13 @@ struct WorkQueue {
 }
 
 struct QueueState {
-    pool: Vec<WorkItem>,
+    pool: Vec<ExecutionGraph>,
     pending: usize,
     verdict: Option<Verdict>,
 }
 
 impl WorkQueue {
-    fn new(initial: WorkItem, workers: usize) -> Self {
+    fn new(initial: ExecutionGraph, workers: usize) -> Self {
         WorkQueue {
             state: Mutex::new(QueueState {
                 pool: vec![initial],
@@ -964,7 +814,7 @@ impl WorkQueue {
     /// Called by a worker whose stack is empty: take a root from the
     /// pool, sleeping while it is empty but peers are still running.
     /// `None` means the exploration is over.
-    fn pop(&self) -> Option<WorkItem> {
+    fn pop(&self) -> Option<ExecutionGraph> {
         let mut q = relock(&self.state);
         q.pending -= 1; // the caller stops running ...
         if q.pending == 0 {
@@ -987,14 +837,14 @@ impl WorkQueue {
     }
 
     /// Move the oldest half of a running worker's stack (rounded up: the
-    /// worker is busy with a chain), each entry made a work item by
+    /// worker is busy with a chain), each choice point made a root by
     /// `materialize`, to the pool and wake as many sleepers as there are
     /// roots for. The oldest roots sit nearest the root of the search
     /// tree, so they tend to carry the largest subtrees and the donor
     /// keeps the ones whose blocks are warm in its cache.
-    fn donate<E>(&self, stack: &mut Vec<E>, materialize: impl FnMut(E) -> WorkItem) {
+    fn donate<E>(&self, stack: &mut Vec<E>, materialize: impl FnMut(E) -> ExecutionGraph) {
         let n = stack.len().div_ceil(2);
-        let gift: Vec<WorkItem> = stack.drain(..n).map(materialize).collect();
+        let gift: Vec<ExecutionGraph> = stack.drain(..n).map(materialize).collect();
         let mut q = relock(&self.state);
         q.pool.extend(gift);
         q.pending += n;
@@ -1040,7 +890,7 @@ impl WorkQueue {
     }
 
     /// The verdict, and the roots still in the pool.
-    fn into_parts(self) -> (Verdict, Vec<WorkItem>) {
+    fn into_parts(self) -> (Verdict, Vec<ExecutionGraph>) {
         let q = self.state.into_inner().unwrap_or_else(|e| e.into_inner());
         (q.verdict.unwrap_or(Verdict::Verified), q.pool)
     }
@@ -1095,7 +945,7 @@ pub(crate) fn failed_final_check(prog: &Program, g: &ExecutionGraph) -> Option<S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::revisit;
+    use crate::revisit::{self, Chain};
     use vsync_graph::{EventKind, Loc, Mode};
     use vsync_lang::{ProgramBuilder, Reg, Test};
     use vsync_model::ModelKind;
@@ -1455,7 +1305,7 @@ mod tests {
     #[test]
     fn memory_budget_degrades_to_inconclusive() {
         for workers in [1usize, 2, 8] {
-            let c = cfg(ModelKind::Vmm).with_workers(workers).with_max_memory_bytes(600);
+            let c = cfg(ModelKind::Vmm).with_workers(workers).with_max_memory_bytes(300);
             let r = explore(&sb_program(), &c);
             let Verdict::Inconclusive(i) = r.verdict else {
                 panic!("workers={workers}: expected inconclusive, got {}", r.verdict)
@@ -1474,7 +1324,7 @@ mod tests {
             }
         };
         let mut last = 0;
-        for bytes in [600, 2_000, 8_000, 1 << 20] {
+        for bytes in [300, 2_000, 8_000, 1 << 20] {
             let e = explored_at(bytes);
             assert!(e >= last, "coverage shrank: {e} < {last} at {bytes} bytes");
             last = e;
@@ -1484,40 +1334,22 @@ mod tests {
         assert!(explore(&sb_program(), &c).is_verified());
     }
 
-    /// A queued item is charged for its graph *and* for the checker state
-    /// it carries (nothing, for a stateless checker), and released in full.
+    /// A pooled root is charged for its graph and released in full, and
+    /// the roots a stopped run abandons give their bytes back like popped
+    /// ones.
     #[test]
-    fn memory_budget_charges_the_inherited_state() {
+    fn memory_budget_releases_what_it_charged() {
         let mut g = ExecutionGraph::new(2, std::collections::BTreeMap::new());
         let w = g.push_event(0, EventKind::Write { loc: X, val: 1, mode: Mode::Rel, rmw: false });
         g.insert_mo(X, w, 0);
-        let rf = RfSource::Write(w);
-        g.push_event(
-            1,
-            EventKind::Read { loc: X, mode: Mode::Acq, rf, rmw: false, awaiting: false },
-        );
-        let item = |model: ModelKind| {
-            let mut ck = model.model().chain_checker();
-            assert!(ck.reset(&g));
-            let inherited = Inherited { state: ck.fork(&[1, 0]), pending: Pending::Accepted(1) };
-            WorkItem { graph: g.clone(), inherited: Some(inherited) }
-        };
-        let bare = WorkItem { graph: g.clone(), inherited: None }.approx_heap_bytes();
-        assert_eq!(item(ModelKind::Sc).approx_heap_bytes(), bare);
-        let vmm = item(ModelKind::Vmm);
-        let state = vmm.inherited.as_ref().unwrap().state.approx_heap_bytes();
-        assert!(state > 0);
-        assert_eq!(vmm.approx_heap_bytes(), bare + state);
-
-        let limit = ResourceBudget { max_memory_bytes: bare as u64 };
-        let budget = BudgetTracker::new(&limit);
-        budget.charge(&vmm);
-        assert_eq!(budget.exceeded(), Some(StopReason::MemoryBudget), "the state tips it over");
-        budget.release(&vmm);
+        let bytes = g.approx_heap_bytes() as u64;
+        let budget = BudgetTracker::new(&ResourceBudget { max_memory_bytes: bytes - 1 });
+        budget.charge(&g);
+        assert_eq!(budget.exceeded(), Some(StopReason::MemoryBudget), "the graph tips it over");
+        budget.release(&g);
         assert_eq!(budget.exceeded(), None);
-        // Abandoned roots give their bytes back like popped ones.
-        budget.charge(&vmm);
-        assert_eq!(budget.abandon(vec![vmm]), 1);
+        budget.charge(&g);
+        assert_eq!(budget.abandon(vec![g]), 1);
         assert_eq!(budget.exceeded(), None);
     }
 
@@ -1659,11 +1491,8 @@ mod tests {
     }
 
     /// A root tagged by its thread count, for the queue tests.
-    fn root(tag: usize) -> WorkItem {
-        WorkItem {
-            graph: ExecutionGraph::new(tag, std::collections::BTreeMap::new()),
-            inherited: None,
-        }
+    fn root(tag: usize) -> ExecutionGraph {
+        ExecutionGraph::new(tag, std::collections::BTreeMap::new())
     }
 
     /// Spin until `n` workers are asleep in `WorkQueue::pop`.
@@ -1679,18 +1508,18 @@ mod tests {
     #[test]
     fn donation_moves_the_oldest_half_and_wakes_a_sleeper() {
         let q = WorkQueue::new(root(0), 2);
-        assert_eq!(q.pop().map(|i| i.graph.num_threads()), Some(0), "this worker takes the root");
+        assert_eq!(q.pop().map(|g| g.num_threads()), Some(0), "this worker takes the root");
         std::thread::scope(|scope| {
             let peer = scope.spawn(|| {
-                let first = q.pop().map(|i| i.graph.num_threads());
-                (first, q.pop().map(|i| i.graph.num_threads()))
+                let first = q.pop().map(|g| g.num_threads());
+                (first, q.pop().map(|g| g.num_threads()))
             });
             await_sleepers(&q, 1);
             assert!(q.has_waiters());
             let mut stack = vec![root(1), root(2), root(3)];
             q.donate(&mut stack, |item| item);
             assert_eq!(stack.len(), 1, "the newest root stays");
-            assert_eq!(stack[0].graph.num_threads(), 3);
+            assert_eq!(stack[0].num_threads(), 3);
             // The peer takes the newer of the two donated roots, comes back
             // for the other, and — this worker still running — both pops
             // succeed without a second donation.
@@ -1723,10 +1552,7 @@ mod tests {
         let partition = config.symmetry.then(|| p.symmetry_partition()).filter(|p| !p.is_trivial());
         let model = config.model.checker(config.checker);
         let engine = Engine { prog: p, config, model, control: &control, partition };
-        let initial = WorkItem {
-            graph: ExecutionGraph::new(p.num_threads(), p.init().clone()),
-            inherited: None,
-        };
+        let initial = ExecutionGraph::new(p.num_threads(), p.init().clone());
         let shared = Shared::new(initial, workers, &config.budget);
         shared.queue.waiting.fetch_add(1, Ordering::Relaxed);
         let results: Vec<WorkerResult> = if workers == 1 {
@@ -1777,14 +1603,28 @@ mod tests {
         hashes
     }
 
+    /// How often, on this thread, a choice point was materialized with a
+    /// re-point, a cut and a relabeling beyond it.
+    fn materialized_past() -> [u64; 3] {
+        [
+            revisit::MATERIALIZED_PAST_REPOINT.with(|n| n.get()),
+            revisit::MATERIALIZED_PAST_CUT.with(|n| n.get()),
+            revisit::MATERIALIZED_PAST_RELABEL.with(|n| n.get()),
+        ]
+    }
+
     /// Donated choice points are materialized as what rewinding builds (a
     /// debug build holds each one to the root its admitting chain would
-    /// have materialized). A forced donation at every chain step, at one
-    /// and two workers, explores the same orbits with the same counts as
-    /// an undisturbed run.
+    /// have built by copying). A forced donation at every chain step, at
+    /// one and two workers, explores the same orbits with the same counts
+    /// as an undisturbed run — and at one worker it donates choice points
+    /// older than a re-point, a cut and a relabeling (ticketlock-3t enters
+    /// relabeled roots with older choice points left on the halved stack).
     #[test]
     fn forced_donation_explores_like_one_worker() {
-        for p in [sb_program(), ttas_program(), ttas3_program()] {
+        let before = materialized_past();
+        let ticketlock = vsync_locks::registry::entry("ticketlock").expect("a catalog lock");
+        for p in [sb_program(), ttas_program(), ttas3_program(), ticketlock.client(3, 1)] {
             for model in [ModelKind::Vmm, ModelKind::Sc] {
                 for symmetry in [true, false] {
                     let config = cfg(model).with_symmetry(symmetry).collecting();
@@ -1799,18 +1639,21 @@ mod tests {
                 }
             }
         }
+        let after = materialized_past();
+        for (k, what) in ["re-point", "cut", "relabeling"].iter().enumerate() {
+            assert!(after[k] > before[k], "no choice point older than a {what} was donated");
+        }
     }
 
-    /// A choice point older than a `⊥` re-point of its level — the read
-    /// the fork would keep is re-pointed — is materialized without a
-    /// checker state and `reset`s at its root. One worker driven by hand
-    /// hands every choice point on its stack but the newest over after
-    /// every `period`-th chain (materialized, back in its place), which
-    /// catches such choice points; the run explores what an undisturbed
-    /// one does.
+    /// Choice points older than a `⊥` re-point, a revisit's cut or a
+    /// relabeling are materialized by undoing them on a copy. One worker
+    /// driven by hand hands every choice point on its stack but the newest
+    /// over after every `period`-th chain (materialized, into the pool,
+    /// and taken back once the stack has run dry), which catches each
+    /// kind; the run explores what an undisturbed one does.
     #[test]
     fn choice_points_older_than_a_repoint_materialize_without_a_state() {
-        revisit::MATERIALIZED_PAST_REPOINT.with(|n| n.set(0));
+        let before = materialized_past();
         for p in [ttas_program(), ttas3_program()] {
             for period in [2, 3] {
                 let config = cfg(ModelKind::Vmm).collecting();
@@ -1825,29 +1668,27 @@ mod tests {
                     control: &control,
                     partition: Some(partition),
                 };
-                let initial = WorkItem {
-                    graph: ExecutionGraph::new(p.num_threads(), p.init().clone()),
-                    inherited: None,
-                };
+                let initial = ExecutionGraph::new(p.num_threads(), p.init().clone());
                 let shared = Shared::new(initial, 1, &config.budget);
                 let mut w = engine.worker(0, &shared);
-                let mut levels = Levels::new(&engine);
+                let mut ch = Chain::new(model.chain_checker());
+                let mut roots = Vec::new();
                 let mut chains = 0;
-                while let Some(entry) =
-                    w.stack.pop().or_else(|| shared.queue.pop().map(Entry::Root))
-                {
-                    assert!(matches!(engine.run_chain(entry, &mut levels, &mut w), ChainEnd::Done));
+                loop {
+                    let entry = match w.stack.pop() {
+                        Some(cp) => Entry::Choice(cp),
+                        None => match roots.pop().or_else(|| shared.queue.pop()) {
+                            Some(root) => Entry::Root(root),
+                            None => break,
+                        },
+                    };
+                    assert!(matches!(engine.run_chain(entry, &mut ch, &mut w), ChainEnd::Done));
                     assert!(w.transfer().is_none());
                     chains += 1;
-                    if chains % period == 0 {
+                    if chains % period == 0 && w.stack.len() > 1 {
                         let newest = w.stack.pop();
-                        let older: Vec<Entry> = w.stack.drain(..).collect();
-                        for entry in older {
-                            let item = match entry {
-                                Entry::Choice(cp) => levels.materialize(cp),
-                                Entry::Root(item) => item,
-                            };
-                            w.stack.push(Entry::Root(item));
+                        for cp in w.stack.drain(..) {
+                            roots.push(engine.materialize(&ch, &cp));
                         }
                         w.stack.extend(newest);
                     }
@@ -1857,8 +1698,29 @@ mod tests {
                 assert_eq!(orbits(&w.executions), orbits(&base.executions), "{tag}");
             }
         }
-        let past_repoint = revisit::MATERIALIZED_PAST_REPOINT.with(|n| n.get());
-        assert!(past_repoint > 0, "no choice point older than a re-point was materialized");
+        let after = materialized_past();
+        for (k, what) in ["re-point", "cut", "relabeling"].iter().enumerate() {
+            assert!(after[k] > before[k], "no choice point older than a {what} was materialized");
+        }
+    }
+
+    /// At one worker every admitted root is entered on the worker's own
+    /// chain: the initial graph is the only root a chain is opened on —
+    /// on the catalog's heaviest 3-thread clients, with thread symmetry
+    /// (and its relabeled roots) where the client has it.
+    #[test]
+    fn one_worker_opens_one_root() {
+        for (lock, symmetric) in
+            [("qspinlock", false), ("mcs", false), ("ttas", true), ("semaphore", true)]
+        {
+            let p = vsync_locks::registry::entry(lock).expect("a catalog lock").client(3, 1);
+            assert_eq!(!p.symmetry_partition().is_trivial(), symmetric, "{lock}-3t");
+            revisit::ROOTS_OPENED.with(|n| n.set(0));
+            let r = explore(&p, &cfg(ModelKind::Vmm));
+            assert!(r.is_verified(), "{lock}-3t: {}", r.verdict);
+            assert!(r.stats.constructed > 100, "{lock}-3t: {}", r.stats);
+            assert_eq!(revisit::ROOTS_OPENED.with(|n| n.get()), 1, "{lock}-3t");
+        }
     }
 
     /// One thread, one store: the initial graph is the only chain root.
@@ -1924,10 +1786,7 @@ mod tests {
         // `FinalCheck`) before it waits; otherwise the test takes the root
         // away first and the worker only waits.
         for takes_root in [true, false] {
-            let initial = WorkItem {
-                graph: ExecutionGraph::new(p.num_threads(), p.init().clone()),
-                inherited: None,
-            };
+            let initial = ExecutionGraph::new(p.num_threads(), p.init().clone());
             let shared = Shared::new(initial, 2, &ResourceBudget::default());
             if !takes_root {
                 assert!(shared.queue.pop().is_some());

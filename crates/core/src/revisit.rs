@@ -6,44 +6,46 @@
 //! extensions, and backtracked the way GenMC's recursion is (tech report
 //! Fig. 6): by undoing, not by copying.
 //!
-//! * A chain runs on a [`Level`]: a graph plus the consistency checker and
-//!   the interpreter ([`ChainReplay`]) that follow it, and an undo trail.
-//!   At every step the engine replays the program, checks the graph, and
-//!   — instead of cloning one child per candidate — speculatively applies
-//!   each candidate to the level's graph ([`ExecutionGraph::push_event`] /
-//!   [`ExecutionGraph::insert_mo`]), checks consistency, and undoes it. The
-//!   chain then continues *in place* with the last viable candidate; the
-//!   trail records that push (its mo slot and the checker's record) and
-//!   the interpreter keeps the cursor it moved, so it can be taken back.
-//! * The other viable candidates are **admitted**. A forward alternate, or
-//!   a `⊥` await read resolved by a new write, differs from the level's
-//!   graph only in its newest step, so it is admitted as a
-//!   [`ChoicePoint`]: the level, the trail depth, and the event (with its
-//!   mo slot, and the `⊥` read it re-points). Entering it later
-//!   [rewinds](Level::enter) the level — graph, checker
-//!   ([`ChainChecker::pop`]) and interpreter ([`ChainReplay::rewind`]) —
-//!   to that depth and applies the alternate there: nothing is cloned or
-//!   forked, and the interpreter re-runs only the instruction each moved
-//!   thread stopped in. A re-point is itself on the trail (with the read's
-//!   old flags), so rewinding past it restores the `⊥`.
-//! * Three kinds of root are **materialized** as a [`WorkItem`] and open
-//!   a level of their own: standard revisit children (they delete
-//!   events), roots relabeled by symmetry (`permute_threads`), and the
-//!   initial graph. A revisit child takes the checker's state with it
-//!   ([`Inherited`]: a fork restricted to what the chain has recorded,
-//!   plus the two events beyond it), so its root check is two `push`es,
-//!   not a `reset`. Only roots without a parent state start from
-//!   scratch: the initial graph and relabeled roots.
-//! * A level lives while its choice points are on the frontier. While a
-//!   level above it runs, it is **suspended**: rewound to its latest
-//!   admission (no choice point of it lies deeper), its checker's state
-//!   kept as a fork and the checker itself — the one with warm buffers —
-//!   lent to the level above.
+//! * A worker runs every chain on its one [`Chain`]: a graph plus the
+//!   consistency checker and the interpreter ([`ChainReplay`]) that follow
+//!   it, and an undo trail. At every step the engine replays the program,
+//!   checks the graph, and — instead of cloning one child per candidate —
+//!   speculatively applies each candidate to the graph
+//!   ([`ExecutionGraph::push_event`] / [`ExecutionGraph::insert_mo`]),
+//!   checks consistency, and undoes it. The chain then continues *in place*
+//!   with the last viable candidate; the trail records that push (its mo
+//!   slot and the checker's record) and the interpreter keeps the cursor it
+//!   moved, so it can be taken back.
+//! * The other viable candidates are **admitted** as [`ChoicePoint`]s: the
+//!   trail depth, and how the candidate's root differs from the graph
+//!   there. Entering one later [rewinds](Chain::enter) the chain — graph,
+//!   checker ([`ChainChecker::pop`]) and interpreter
+//!   ([`ChainReplay::rewind`]) — to that depth and applies the candidate,
+//!   each change on the trail, so that rewinding past it takes it back:
+//!   - a forward alternate pushes its event;
+//!   - a `⊥` resolution pushes its write and re-points the blocked read to
+//!     it; the interpreter re-runs only the instruction each of the two
+//!     threads stopped in;
+//!   - a backward revisit pushes its write, cuts every thread back to what
+//!     the revisit keeps — `porf-prefix(w) ∪ porf-prefix(r)` is
+//!     po-downward-closed, so that is one suffix per thread, popped off the
+//!     graph ([`ExecutionGraph::cut`]) and off the checker — and re-points
+//!     the read; the interpreter [restarts](ChainReplay::restart) the
+//!     threads that changed, and no other;
+//!   - a first arrival of its orbit in non-canonical form is then relabeled
+//!     to the orbit's representative ([`ExecutionGraph::permute_threads`]),
+//!     every thread restarted and the checker `reset` (its state follows
+//!     thread labels); undoing the relabeling applies the inverse
+//!     permutation, and the checker is `reset` again once the rewind is
+//!     done (DESIGN.md §2.2: a reset state equals the pushed one).
+//!
+//!   Nothing is copied: a worker builds a chain from scratch only for the
+//!   initial graph and for the roots it takes from the pool, and it takes
+//!   those only when its own stack is empty.
 //! * A choice point handed to another worker is materialized on the way
-//!   ([`Level::materialize`]): the level's graph cut back to the choice
-//!   point, the alternate applied, the checker forked at those lengths —
-//!   or, where a re-point lies beyond the choice point (the fork would
-//!   keep the re-pointed read), no state, and the root `reset`s.
+//!   ([`Chain::materialize`]): a copy of the graph taken back along the
+//!   trail to the choice point's depth, the candidate applied to it. Its
+//!   chain starts with a `reset`.
 //! * Admission is **hash-before-materialize**: every candidate is hashed
 //!   through a [`GraphView`] of the speculative graph (a restriction plus
 //!   an rf override, hashed without building anything) and admitted only
@@ -67,7 +69,7 @@
 //!   targets and their keep-sets are computed once per write, as joins of
 //!   the porf clocks the graph keeps current ([`RevisitTargets`]).
 //!
-//! Leaves do not disturb their level: a leaf normalized to its orbit
+//! Leaves do not disturb their chain: a leaf normalized to its orbit
 //! representative is relabeled, replayed and checked on a copy, and
 //! collected executions and counterexamples are copies.
 //!
@@ -86,23 +88,22 @@
 //! canonical form.
 //!
 //! [`ExploreStats::constructed`] counts one root per *admitted* candidate,
-//! rewound or materialized, not one per candidate: on qspinlock-3t 11,558
-//! roots for 61,948 chain steps, of which 1,658 are materialized
-//! (DESIGN.md §12).
+//! not one per candidate: on qspinlock-3t 11,558 roots for 61,948 chain
+//! steps, all but the initial graph entered by rewinding (DESIGN.md §12).
 //!
 //! [`ExploreStats::constructed`]: crate::verdict::ExploreStats::constructed
 //! [`Canonicalizer`]: vsync_graph::Canonicalizer
 //! [`ChainChecker::floor`]: vsync_model::ChainChecker::floor
 //! [`ChainChecker::pop`]: vsync_model::ChainChecker::pop
 
-use vsync_graph::{EventId, EventKind, ExecutionGraph, GraphView, Loc, Mode, RfSource, ThreadId};
+use vsync_graph::{
+    Cut, EventId, EventKind, ExecutionGraph, GraphView, Loc, Mode, RfSource, ThreadId,
+};
 use vsync_lang::{ChainReplay, PendingOp, Program, ReadDesc, ThreadStatus};
-use vsync_model::chain::Fork;
+use vsync_model::chain::record;
 use vsync_model::ChainChecker;
 
-use crate::explorer::{
-    failed_final_check, Engine, Entry, Inherited, Levels, Pending, WorkItem, Worker,
-};
+use crate::explorer::{failed_final_check, Engine, Entry, Worker};
 use crate::stagnancy::is_stagnant;
 use crate::verdict::{Counterexample, EnginePhase, StopReason, Verdict};
 
@@ -125,48 +126,37 @@ pub(crate) enum ChainEnd {
 /// What the next chain step has to bring the interpreter and the checker
 /// up to.
 pub(crate) enum Step {
-    /// A materialized root, just opened on its level: a full replay, then
-    /// the root check with the state it inherited (or a `reset`).
-    Root(Option<Inherited>),
+    /// A root the chain was just opened on: a full replay and a `reset`.
+    Root,
     /// One event pushed on this thread and already recorded by the
     /// checker: an in-place extension, or a forward alternate entered by
     /// rewinding.
     Extended(ThreadId),
-    /// A `⊥` resolution entered by rewinding: a new write on one thread,
-    /// and the read of another re-pointed to it. The checker records
-    /// neither yet.
+    /// A `⊥` resolution or a backward revisit entered by rewinding: a new
+    /// write on one thread, and the read of another re-pointed to it —
+    /// after a revisit, with the threads in `Chain::restart` cut back. The
+    /// checker records neither the write nor the read.
     Resolved { write: ThreadId, read: ThreadId },
+    /// A root relabeled to its orbit's representative: every thread
+    /// restarted, the checker `reset`.
+    Relabeled,
 }
 
-/// One chain's own state: the graph, the checker and the interpreter that
+/// A worker's chain: the graph, the checker and the interpreter that
 /// follow it, and the trail that takes every change since the root back.
-/// A level lives while choice points of its chain are on the frontier
-/// ([`Levels`]). While another level runs above it, it is *suspended*:
-/// rewound to its latest admission (no choice point of it lies deeper),
-/// its checker's state kept as a [`Fork`] and the checker itself, with its
-/// buffers, handed to the level above.
-pub(crate) struct Level {
+/// Every choice point on the worker's stack was admitted by it, at a trail
+/// depth no deeper than the chain is now (entries are popped LIFO).
+pub(crate) struct Chain {
     graph: ExecutionGraph,
     ck: Box<dyn ChainChecker>,
     replay: ChainReplay,
     /// Every change since the root, newest last.
     trail: Vec<Undo>,
-    /// This level's position in the worker's stack of levels.
-    index: u32,
-    /// Choice points of this level on the worker's stack (or admitted and
-    /// about to be moved there).
-    pub(crate) choices: u32,
-    /// Trail length and interpreter advances of the latest admission, or
-    /// of the choice point entered since: no pending choice point of the
-    /// level lies deeper (entries are popped LIFO).
-    last: (u32, u32),
-    /// The checker's state while the level is suspended.
-    frozen: Option<Fork>,
+    /// The threads the interpreter restarts for the revisit just entered.
+    restart: Vec<ThreadId>,
 }
 
-/// One entry of a level's trail: how to take one change back. Small
-/// (16 bytes), since a suspended level keeps its whole trail.
-#[derive(Clone, Copy)]
+/// One entry of a chain's trail: how to take one change back.
 enum Undo {
     /// An in-place step: an event pushed on `thread` (at mo index `slot`,
     /// for a write) and recorded by the checker.
@@ -175,92 +165,94 @@ enum Undo {
     Event { thread: ThreadId, slot: Option<u32> },
     /// The checker recorded the newest event of the thread.
     Record(ThreadId),
-    /// The checker forgot the thread's newest event, a `⊥` read about to
-    /// be re-pointed: it records it again, as the accepted `⊥` read it was.
-    Forget(ThreadId),
-    /// Event `index` of `thread`, a `⊥` read, re-pointed to a new write;
-    /// its flags before.
-    Repoint { thread: ThreadId, index: u32, rmw: bool, awaiting: bool },
+    /// `read`, re-pointed to a new write; its source and flags before. The
+    /// checker forgot it, and records it again as it was.
+    Repoint { read: EventId, from: RfSource, rmw: bool, awaiting: bool },
+    /// What a revisit cut off the graph; the checker forgot it, and records
+    /// it again.
+    Cut(Cut),
+    /// The threads relabeled by the inverse of this permutation; the
+    /// checker is `reset` once the rewind is done.
+    Relabel(Box<[ThreadId]>),
 }
 
-/// An admitted root that differs from its level's graph only in its
-/// newest step: entered by rewinding the level to `depth`
-/// ([`Level::enter`]), or materialized when it is handed to another worker
-/// ([`Level::materialize`]).
+/// An admitted root: the chain's graph at trail length `depth`, plus a
+/// candidate — an event, and for a resolution or revisit the read it
+/// re-points, for a revisit what it keeps, for a non-canonical first
+/// arrival the relabeling. Entered by rewinding the chain
+/// ([`Chain::enter`]), or materialized when it is handed to another worker
+/// ([`Chain::materialize`]).
 pub(crate) struct ChoicePoint {
-    /// The level whose chain admitted it.
-    pub(crate) level: u32,
-    /// The level's trail length when it was admitted.
+    /// The chain's trail length when it was admitted.
     depth: u32,
-    /// The level interpreter's [`ChainReplay::advances`] then.
+    /// The chain interpreter's [`ChainReplay::advances`] then.
     advances: u32,
-    /// The thread the alternate extends.
+    /// The thread the candidate extends.
     thread: ThreadId,
-    /// The event the alternate adds on `thread`.
+    /// The event the candidate adds on `thread`.
     event: EventKind,
     /// Its mo index, for a write.
     slot: Option<usize>,
-    /// For a `⊥` resolution: the blocked read re-pointed to the new write,
-    /// and its `rmw` flag after the re-point.
-    resolves: Option<(EventId, bool)>,
-    /// The root the admitting chain would have materialized: what entering
-    /// or materializing this choice point must build (debug builds only).
+    /// The read re-pointed to that write: a blocked `⊥` read, or — with
+    /// `keep` — a revisited one.
+    read: Option<EventId>,
+    /// For a backward revisit: the per-thread lengths it keeps.
+    keep: Option<Box<[u32]>>,
+    /// The relabeling to its orbit's representative, for a first arrival
+    /// in non-canonical form.
+    perm: Option<Box<[ThreadId]>>,
+    /// The root the admitting chain would have built by copying: what
+    /// entering or materializing this choice point must build (debug
+    /// builds only).
     #[cfg(debug_assertions)]
     pub(crate) expect: ExecutionGraph,
 }
 
-impl Level {
-    /// Level `index` of its worker, rooted at `graph`, with a checker that
-    /// the root check will `reset` or make adopt the root's state.
-    pub(crate) fn new(graph: ExecutionGraph, index: u32, ck: Box<dyn ChainChecker>) -> Self {
-        Level {
-            graph,
+impl ChoicePoint {
+    /// Its size and the lengths it keeps, for resource budgeting.
+    pub(crate) fn approx_heap_bytes(&self) -> usize {
+        let lens =
+            self.keep.as_ref().map_or(0, |k| k.len()) + self.perm.as_ref().map_or(0, |p| p.len());
+        std::mem::size_of::<ChoicePoint>() + lens * std::mem::size_of::<u32>()
+    }
+}
+
+/// An admission candidate, described by the speculative graph of the step
+/// in flight, which holds its newest event: a forward alternate, a `⊥`
+/// resolution (`read`), or a backward revisit (`read` and `keep`).
+struct Candidate<'t> {
+    thread: ThreadId,
+    event: EventKind,
+    slot: Option<usize>,
+    read: Option<EventId>,
+    keep: Option<&'t [u32]>,
+}
+
+impl Chain {
+    /// A chain with no root yet, and the checker it will run.
+    pub(crate) fn new(ck: Box<dyn ChainChecker>) -> Self {
+        Chain {
+            graph: ExecutionGraph::new(0, Default::default()),
             ck,
             replay: ChainReplay::default(),
             trail: Vec::new(),
-            index,
-            choices: 0,
-            last: (0, 0),
-            frozen: None,
+            restart: Vec::new(),
         }
     }
 
-    pub(crate) fn is_suspended(&self) -> bool {
-        self.frozen.is_some()
+    /// Start over at `root` — the initial graph, or one from the pool. No
+    /// choice point refers to what the chain held.
+    fn open(&mut self, root: ExecutionGraph) -> Step {
+        self.graph = root;
+        self.trail.clear();
+        #[cfg(test)]
+        ROOTS_OPENED.with(|n| n.set(n.get() + 1));
+        Step::Root
     }
 
-    /// The level's checker, for a level above it or the pool.
-    pub(crate) fn into_checker(self) -> Box<dyn ChainChecker> {
-        self.ck
-    }
-
-    /// Suspend the level under a new one: rewind it to its latest
-    /// admission, keep the checker's state as a fork and hand the checker
-    /// over in exchange for `empty`.
-    pub(crate) fn suspend(
-        &mut self,
-        prog: &Program,
-        budget: usize,
-        empty: Box<dyn ChainChecker>,
-    ) -> Box<dyn ChainChecker> {
-        let (depth, advances) = self.last;
-        self.rewind(prog, depth as usize, advances as usize, budget);
-        // At an admission the checker records exactly the graph.
-        self.frozen = Some(self.ck.fork(&thread_lens(&self.graph)));
-        std::mem::replace(&mut self.ck, empty)
-    }
-
-    /// Resume a suspended level with `ck` (the checker of the level that
-    /// ran above it, or, without one, its own). Returns the checker left
-    /// over, if any.
-    pub(crate) fn resume(
-        &mut self,
-        ck: Option<Box<dyn ChainChecker>>,
-    ) -> Option<Box<dyn ChainChecker>> {
-        let Some(state) = self.frozen.take() else { return ck };
-        let spare = ck.map(|ck| std::mem::replace(&mut self.ck, ck));
-        self.ck.adopt(&state);
-        spare
+    /// The SC-axiom rejections of the chain's checker.
+    pub(crate) fn sc_rejections(&self) -> Option<u64> {
+        self.ck.sc_rejections()
     }
 
     /// Extend the chain in place with an event the scan accepted: the
@@ -271,34 +263,31 @@ impl Level {
         self.trail.push(Undo::Push { thread, slot: slot.map(|pos| pos as u32) });
     }
 
-    /// A choice point for an alternate of the step in flight: `event` on
-    /// `thread` at `slot`, re-pointing `resolves`. The level's graph holds
-    /// the candidate's event right now (admission hashed it there), its
-    /// trail does not.
-    fn choice(
-        &mut self,
-        thread: ThreadId,
-        event: EventKind,
-        slot: Option<usize>,
-        resolves: Option<(EventId, bool)>,
-    ) -> ChoicePoint {
-        self.choices += 1;
-        self.last = (self.trail.len() as u32, self.replay.advances() as u32);
+    /// A choice point for `cand`, relabeled by `perm`. The graph holds the
+    /// candidate's event right now (admission hashed it there), the trail
+    /// does not.
+    fn choice(&self, cand: Candidate<'_>, perm: Option<&[ThreadId]>) -> ChoicePoint {
+        let Candidate { thread, event, slot, read, keep } = cand;
         ChoicePoint {
-            level: self.index,
-            depth: self.last.0,
-            advances: self.last.1,
+            depth: self.trail.len() as u32,
+            advances: self.replay.advances() as u32,
             thread,
             event,
             slot,
-            resolves,
+            read,
+            keep: keep.map(Box::from),
+            perm: perm.map(Box::from),
             #[cfg(debug_assertions)]
             expect: {
-                let mut g = self.graph.clone();
-                if let Some((read, _)) = resolves {
-                    g.set_rf(read, RfSource::Write(newest(&g, thread)));
+                let g = &self.graph;
+                let mut root = keep.map_or_else(|| g.clone(), |lens| g.restrict(lens));
+                if let Some(read) = read {
+                    root.set_rf(read, RfSource::Write(newest(g, thread)));
                 }
-                g
+                match perm {
+                    Some(perm) => root.permute_threads(perm),
+                    None => root,
+                }
             },
         }
     }
@@ -306,104 +295,122 @@ impl Level {
     /// Take every change back down to trail length `depth` and `advances`
     /// interpreter advances: the graph and the checker entry by entry,
     /// then the interpreter's cursors ([`ChainReplay::rewind`]), which
-    /// re-derive their statuses from the graph as it was.
+    /// re-derive their statuses from the graph as it was. Past a
+    /// relabeling the checker follows other labels: it skips the entries
+    /// below and is `reset` at the end — at a choice point's depth it
+    /// records the whole graph.
     fn rewind(&mut self, prog: &Program, depth: usize, advances: usize, budget: usize) {
+        let mut reset = false;
         for u in self.trail.drain(depth..).rev() {
+            undo_graph(&mut self.graph, &u);
             match u {
+                _ if reset => {}
                 Undo::Push { thread, .. } | Undo::Record(thread) => self.ck.pop(thread),
-                Undo::Forget(thread) => self.ck.push_accepted(&self.graph, thread),
-                Undo::Event { .. } | Undo::Repoint { .. } => {}
+                Undo::Repoint { read, .. } => {
+                    self.ck.push_accepted(&self.graph, read.thread().expect("a regular read"));
+                }
+                Undo::Cut(cut) => {
+                    let to = thread_lens(&self.graph);
+                    let mut from = to.clone();
+                    for (t, kept) in cut.threads() {
+                        from[t as usize] = kept as u32;
+                    }
+                    record(&mut *self.ck, &self.graph, &from, &to);
+                }
+                Undo::Relabel(_) => reset = true,
+                Undo::Event { .. } => {}
             }
-            undo_graph(&mut self.graph, u);
+        }
+        if reset {
+            self.ck.reset(&self.graph);
         }
         self.replay.rewind(prog, &mut self.graph, advances, budget);
     }
 
-    /// Enter `cp` by rewinding: back to its depth, then its alternate,
+    /// Enter `cp` by rewinding: back to its depth, then its candidate,
     /// with what the next chain step must still do.
-    pub(crate) fn enter(&mut self, prog: &Program, cp: &ChoicePoint, budget: usize) -> Step {
+    fn enter(&mut self, prog: &Program, cp: &ChoicePoint, budget: usize) -> Step {
         self.rewind(prog, cp.depth as usize, cp.advances as usize, budget);
-        self.last = (cp.depth, cp.advances);
         let write = cp.thread;
-        let Some((read, _)) = cp.resolves else {
+        if cp.read.is_none() && cp.perm.is_none() {
             self.extend(write, cp.event.clone(), cp.slot);
             return Step::Extended(write);
-        };
-        // The checker must forget the read before the graph changes it;
-        // both come back in the opposite order.
-        let read = read.thread().expect("a regular read");
-        self.ck.pop(read);
-        self.trail.push(Undo::Forget(read));
-        let repoint = apply(&mut self.graph, cp);
-        self.trail.push(Undo::Event { thread: write, slot: cp.slot.map(|pos| pos as u32) });
-        self.trail.push(repoint.expect("a resolution re-points"));
-        Step::Resolved { write, read }
+        }
+        // The checker forgets what the graph is about to lose or change:
+        // a revisit's cut suffixes, then the re-pointed read.
+        self.restart.clear();
+        let read = cp.read.map(|read| read.thread().expect("a regular read"));
+        if let Some(read) = read {
+            if let Some(keep) = &cp.keep {
+                for (t, &kept) in keep.iter().enumerate() {
+                    let t = t as ThreadId;
+                    let len = self.graph.thread_len(t) as u32;
+                    if kept < len || t == read {
+                        self.restart.push(t);
+                    }
+                    for _ in kept..len {
+                        self.ck.pop(t);
+                    }
+                }
+            }
+            self.ck.pop(read);
+        }
+        apply(&mut self.graph, cp, &mut self.trail);
+        match read {
+            _ if cp.perm.is_some() => Step::Relabeled,
+            Some(read) => Step::Resolved { write, read },
+            None => unreachable!("a forward alternate is an extension"),
+        }
     }
 
-    /// The work item `cp` stands for, built without moving the level: its
-    /// graph cut back to the choice point on a copy, the alternate applied,
-    /// and the checker (`scratch`, adopting the state of a suspended
-    /// level) forked at the cut — unless a re-point lies beyond the choice
-    /// point, whose read the fork would keep re-pointed: then the root
-    /// starts without a state.
-    pub(crate) fn materialize(
-        &self,
-        cp: &ChoicePoint,
-        scratch: impl FnOnce() -> Box<dyn ChainChecker>,
-    ) -> WorkItem {
-        let mut graph = self.graph.clone();
-        let mut repointed = false;
-        for &u in self.trail[cp.depth as usize..].iter().rev() {
-            repointed |= matches!(u, Undo::Repoint { .. });
-            undo_graph(&mut graph, u);
-        }
-        let mut recorded = thread_lens(&graph);
-        let pending = match cp.resolves {
-            None => Pending::Accepted(cp.thread),
-            Some((read, _)) => {
-                let read = read.thread().expect("a regular read");
-                recorded[read as usize] -= 1;
-                Pending::Revisit { write: cp.thread, read }
+    /// The root `cp` stands for, built without moving the chain: its graph
+    /// taken back to the choice point on a copy, the candidate applied.
+    pub(crate) fn materialize(&self, cp: &ChoicePoint) -> ExecutionGraph {
+        let mut g = self.graph.clone();
+        for u in self.trail[cp.depth as usize..].iter().rev() {
+            #[cfg(test)]
+            match u {
+                Undo::Repoint { .. } => MATERIALIZED_PAST_REPOINT.with(|n| n.set(n.get() + 1)),
+                Undo::Cut(_) => MATERIALIZED_PAST_CUT.with(|n| n.set(n.get() + 1)),
+                Undo::Relabel(_) => MATERIALIZED_PAST_RELABEL.with(|n| n.set(n.get() + 1)),
+                _ => {}
             }
-        };
-        apply(&mut graph, cp);
-        #[cfg(test)]
-        if repointed {
-            MATERIALIZED_PAST_REPOINT.with(|n| n.set(n.get() + 1));
+            undo_graph(&mut g, u);
         }
-        let inherited = (!repointed).then(|| {
-            let state = match &self.frozen {
-                None => self.ck.fork(&recorded),
-                Some(state) => {
-                    let mut ck = scratch();
-                    ck.adopt(state);
-                    ck.fork(&recorded)
-                }
-            };
-            Inherited { state, pending }
-        });
-        WorkItem { graph, inherited }
+        apply(&mut g, cp, &mut Vec::new());
+        g
     }
 
     /// Bring the interpreter up to the graph `step` produced.
     fn replay(&mut self, prog: &Program, step: &Step, budget: usize) {
+        let g = &mut self.graph;
         match *step {
-            Step::Root(_) => {
-                self.replay.reset(prog, &mut self.graph, budget);
+            Step::Root => {
+                self.replay.reset(prog, g, budget);
             }
             Step::Extended(t) => {
-                self.replay.advance(prog, &mut self.graph, t, budget);
+                self.replay.advance(prog, g, t, budget);
             }
             Step::Resolved { write, read } => {
-                self.replay.advance(prog, &mut self.graph, write, budget);
-                self.replay.advance(prog, &mut self.graph, read, budget);
+                self.replay.advance(prog, g, write, budget);
+                if self.restart.is_empty() {
+                    self.replay.advance(prog, g, read, budget);
+                }
+                for &t in &self.restart {
+                    self.replay.restart(prog, g, t, budget);
+                }
+            }
+            Step::Relabeled => {
+                for t in 0..g.num_threads() as ThreadId {
+                    self.replay.restart(prog, g, t, budget);
+                }
             }
         }
     }
 
-    /// The root check of a `⊥` resolution: the new write, then the read
-    /// re-pointed to it, pushed on the checker (and on the trail, answered
-    /// `true` or not).
+    /// The root check of a resolution or revisit: the new write, then the
+    /// read re-pointed to it, pushed on the checker (and on the trail,
+    /// answered `true` or not).
     fn check_resolution(&mut self, write: ThreadId, read: ThreadId) -> bool {
         self.trail.push(Undo::Record(write));
         if !self.ck.push(&self.graph, write) {
@@ -432,34 +439,48 @@ fn unput(g: &mut ExecutionGraph, thread: ThreadId, slot: Option<usize>) {
     }
 }
 
-/// Take back the graph part of `u` (events and re-points) on `g`.
-fn undo_graph(g: &mut ExecutionGraph, u: Undo) {
-    match u {
+/// Take back the graph part of `u` on `g`.
+fn undo_graph(g: &mut ExecutionGraph, u: &Undo) {
+    match *u {
         Undo::Push { thread, slot } | Undo::Event { thread, slot } => {
             unput(g, thread, slot.map(|pos| pos as usize));
         }
-        Undo::Repoint { thread, index, rmw, awaiting } => {
-            let read = EventId::new(thread, index);
-            g.set_rf(read, RfSource::Bottom);
+        Undo::Repoint { read, from, rmw, awaiting } => {
+            g.set_rf(read, from);
             g.set_read_flags(read, rmw, awaiting);
         }
-        Undo::Record(_) | Undo::Forget(_) => {}
+        Undo::Cut(ref cut) => g.uncut(cut),
+        Undo::Relabel(ref inverse) => *g = g.permute_threads(inverse),
+        Undo::Record(_) => {}
     }
 }
 
-/// Apply `cp`'s alternate to `g` (the graph at its depth): its event and,
-/// for a resolution, the re-point with the read's new flags. Returns the
-/// re-point's undo.
-fn apply(g: &mut ExecutionGraph, cp: &ChoicePoint) -> Option<Undo> {
-    let write = put(g, cp.thread, cp.event.clone(), cp.slot);
-    let (read, rmw) = cp.resolves?;
-    let EventKind::Read { rmw: was, awaiting, .. } = g.event(read).kind else {
-        unreachable!("{read} is a blocked read")
-    };
-    g.set_rf(read, RfSource::Write(write));
-    g.set_read_flags(read, rmw, true);
-    let EventId::Event { thread, index } = read else { unreachable!("{read} is a regular event") };
-    Some(Undo::Repoint { thread, index, rmw: was, awaiting })
+/// Apply `cp`'s candidate to `g` (the graph at its depth) and push how to
+/// take each change back on `trail`: its event; for a resolution or a
+/// revisit the cut and the re-point (the interpreter repairs the read's
+/// flags); the relabeling.
+fn apply(g: &mut ExecutionGraph, cp: &ChoicePoint, trail: &mut Vec<Undo>) {
+    let (thread, slot) = (cp.thread, cp.slot);
+    let write = put(g, thread, cp.event.clone(), slot);
+    trail.push(Undo::Event { thread, slot: slot.map(|pos| pos as u32) });
+    if let Some(read) = cp.read {
+        if let Some(keep) = &cp.keep {
+            trail.push(Undo::Cut(g.cut(keep)));
+        }
+        let EventKind::Read { rf: from, rmw, awaiting, .. } = g.event(read).kind else {
+            unreachable!("{read} is a read")
+        };
+        g.set_rf(read, RfSource::Write(write));
+        trail.push(Undo::Repoint { read, from, rmw, awaiting });
+    }
+    if let Some(perm) = &cp.perm {
+        *g = g.permute_threads(perm);
+        let mut inverse = vec![0; perm.len()];
+        for (t, &p) in perm.iter().enumerate() {
+            inverse[p as usize] = t as ThreadId;
+        }
+        trail.push(Undo::Relabel(inverse.into()));
+    }
 }
 
 /// The newest event of `thread` in `g`.
@@ -480,124 +501,83 @@ fn read_event(g: &ExecutionGraph, loc: Loc, mode: Mode, desc: ReadDesc, rf: RfSo
     }
 }
 
-/// A root check: `ck` takes over `inherited` and pushes what it has not
-/// recorded, or is `reset` to `g` where there is no state to take over.
-/// Leaves `ck` describing `g`.
-fn root_consistent(
-    g: &ExecutionGraph,
-    ck: &mut dyn ChainChecker,
-    inherited: Option<&Inherited>,
-) -> bool {
-    let Some(Inherited { state, pending }) = inherited else { return ck.reset(g) };
-    ck.adopt(state);
-    match *pending {
-        Pending::Accepted(t) => {
-            ck.push_accepted(g, t);
-            true
-        }
-        Pending::Revisit { write, read } => ck.push(g, write) && ck.push(g, read),
-    }
-}
-
-/// An admission candidate, described by the speculative graph of the
-/// step in flight (which holds its newest event).
-enum Candidate<'t> {
-    /// A forward alternate (`resolves: None`) or a `⊥` resolution: the
-    /// level's graph as it stands, plus the re-point for a resolution.
-    /// Admitted as a choice point.
-    Alternate {
-        thread: ThreadId,
-        event: EventKind,
-        slot: Option<usize>,
-        resolves: Option<(EventId, bool)>,
-    },
-    /// A standard backward revisit: `lens` of the graph kept, `read`
-    /// re-pointed to the newest event `write`. Materialized.
-    Revisit { lens: &'t [u32], read: EventId, write: EventId },
-}
-
 impl Engine<'_> {
-    /// Run one chain from a frontier entry to its end: open a
-    /// materialized root on a fresh level, or enter a choice point by
-    /// rewinding its level; then replay, check and extend in place,
-    /// admitting non-continuation candidates through the `visited` probe
-    /// and counting terminal graphs through the `leaves` probe.
-    pub(crate) fn run_chain(
-        &self,
-        entry: Entry,
-        levels: &mut Levels<'_>,
-        w: &mut Worker<'_>,
-    ) -> ChainEnd {
-        #[cfg(debug_assertions)]
-        let mut expect = match &entry {
-            Entry::Choice(cp) => Some(cp.expect.clone()),
-            Entry::Root(_) => None,
-        };
-        let mut step = match entry {
-            Entry::Root(WorkItem { graph, inherited }) => {
-                levels.open(graph);
-                Step::Root(inherited)
-            }
-            Entry::Choice(cp) => levels.enter(&cp),
-        };
+    /// Run one chain from a frontier entry to its end: open the worker's
+    /// chain on a root from the pool, or enter a choice point by rewinding
+    /// it; then replay, check and extend in place, admitting
+    /// non-continuation candidates through the `visited` probe and counting
+    /// terminal graphs through the `leaves` probe.
+    pub(crate) fn run_chain(&self, entry: Entry, ch: &mut Chain, w: &mut Worker<'_>) -> ChainEnd {
         let budget = self.config.step_budget;
+        #[cfg(debug_assertions)]
+        let mut expect = None;
+        let mut step = match entry {
+            Entry::Root(root) => ch.open(root),
+            Entry::Choice(cp) => {
+                let step = ch.enter(self.prog, &cp, budget);
+                #[cfg(debug_assertions)]
+                {
+                    expect = Some(cp.expect);
+                }
+                step
+            }
+        };
         loop {
             w.phase.set(EnginePhase::Driver);
-            if let Some(r) = w.tick(levels) {
+            if let Some(r) = w.tick(self, ch) {
                 return ChainEnd::Stopped(r);
             }
-            let lv = levels.active();
             // Replay first: it repairs derived read flags, which the
-            // consistency check depends on. Only a materialized root is
-            // interpreted in full; a step changes the status of the one or
-            // two threads it touched and of no other.
+            // consistency check depends on. A step changes the status of
+            // the one or two threads it touched, or of the threads a
+            // revisit cut, and of no other.
             w.phase.set(EnginePhase::Replay);
             w.failpoint("explore.replay");
-            lv.replay(self.prog, &step, budget);
-            if let Some(f) = lv.replay.outcome().fault() {
+            ch.replay(self.prog, &step, budget);
+            if let Some(f) = ch.replay.outcome().fault() {
                 return ChainEnd::Verdict(Verdict::Fault(f.to_owned()));
             }
-            w.stats.events += lv.graph.num_events() as u64;
-            // Materialized roots and `⊥` resolutions are checked here, once
-            // replay repaired the flags: revisit children in particular can
-            // be inconsistent even when built from consistent parents.
+            w.stats.events += ch.graph.num_events() as u64;
+            // Roots, resolutions and revisits are checked here, once replay
+            // repaired the flags: revisit children in particular can be
+            // inconsistent even when built from consistent parents.
             // Extensions and forward alternates were already checked by the
             // speculative scan that chose them.
             let consistent = match step {
                 Step::Extended(_) => true,
-                Step::Root(inherited) => {
+                Step::Root | Step::Relabeled => {
                     w.phase.set(EnginePhase::Consistency);
                     w.failpoint("explore.consistency");
-                    root_consistent(&lv.graph, &mut *lv.ck, inherited.as_ref())
+                    ch.ck.reset(&ch.graph)
                 }
                 Step::Resolved { write, read } => {
                     w.phase.set(EnginePhase::Consistency);
                     w.failpoint("explore.consistency");
-                    lv.check_resolution(write, read)
+                    ch.check_resolution(write, read)
                 }
             };
             #[cfg(debug_assertions)]
             if let Some(want) = expect.take() {
-                let (g, rep) = (&lv.graph, lv.replay.outcome());
-                self.assert_root_matches(&want, g, rep, &*lv.ck, consistent);
+                let (g, rep) = (&ch.graph, ch.replay.outcome());
+                self.assert_root_matches(&want, g, rep, &*ch.ck, consistent);
             }
             if !consistent {
                 w.stats.inconsistent += 1;
                 return ChainEnd::Done;
             }
-            let rep = lv.replay.outcome();
+            let rep = ch.replay.outcome();
             if rep.errored() {
-                let (_, msg) = lv.graph.error().expect("errored replay has an error event");
+                let (_, msg) = ch.graph.error().expect("errored replay has an error event");
                 let message = format!("assertion failed: {msg}");
-                let graph = lv.graph.clone();
+                let graph = ch.graph.clone();
                 return ChainEnd::Verdict(Verdict::Safety(Counterexample { graph, message }));
             }
-            let Some(t) = rep.ready_threads().next() else { return self.chain_leaf(lv, w) };
+            let Some(t) = rep.ready_threads().next() else { return self.chain_leaf(ch, w) };
             let ThreadStatus::Ready(op) = &rep.threads[t as usize] else { unreachable!() };
             let op = op.clone();
             w.phase.set(EnginePhase::Extend);
             w.failpoint("explore.extend");
-            if lv.graph.thread_len(t) >= MAX_EVENTS_PER_THREAD {
+            if ch.graph.thread_len(t) >= MAX_EVENTS_PER_THREAD {
                 return ChainEnd::Verdict(Verdict::Fault(format!(
                     "thread {t} exceeded {} events — unbounded non-await loop? \
                      (Bounded-Length principle)",
@@ -605,13 +585,13 @@ impl Engine<'_> {
                 )));
             }
             let viable = match op {
-                PendingOp::Fence { mode } => self.chain_simple(lv, t, EventKind::Fence { mode }, w),
-                PendingOp::Error { msg } => self.chain_simple(lv, t, EventKind::Error { msg }, w),
+                PendingOp::Fence { mode } => self.chain_simple(ch, t, EventKind::Fence { mode }, w),
+                PendingOp::Error { msg } => self.chain_simple(ch, t, EventKind::Error { msg }, w),
                 PendingOp::Read { loc, mode, desc, prev_rf } => {
-                    self.chain_read(lv, t, loc, mode, desc, prev_rf, w)
+                    self.chain_read(ch, t, loc, mode, desc, prev_rf, w)
                 }
                 PendingOp::Write { loc, val, mode, rmw } => {
-                    self.chain_write(lv, t, EventKind::Write { loc, val, mode, rmw }, w)
+                    self.chain_write(ch, t, EventKind::Write { loc, val, mode, rmw }, w)
                 }
             };
             if !viable {
@@ -623,12 +603,12 @@ impl Engine<'_> {
 
     /// Terminal graph: count its orbit once through `leaves`, then run the
     /// complete-execution checks or the stagnancy analysis — on a copy
-    /// where the graph must be relabeled, so the level stays as it is.
-    fn chain_leaf(&self, lv: &mut Level, w: &mut Worker<'_>) -> ChainEnd {
+    /// where the graph must be relabeled, so the chain stays as it is.
+    fn chain_leaf(&self, ch: &mut Chain, w: &mut Worker<'_>) -> ChainEnd {
         // Leaf counting is a view probe, like admission.
         w.phase.set(EnginePhase::Probe);
         w.failpoint("explore.dedup");
-        let (h, permuted) = w.enc.hash_view(&GraphView::full(&lv.graph));
+        let (h, permuted) = w.enc.hash_view(&GraphView::full(&ch.graph));
         w.stats.probes += w.enc.take_probes();
         if !w.leaf(h) {
             // Distinct chains can converge on the same terminal content;
@@ -642,20 +622,20 @@ impl Engine<'_> {
         }
         // First arrival of its orbit in non-canonical form: normalize a
         // copy so counterexamples and collected executions are the orbit
-        // representatives, whichever twin arrived first. The level's
-        // interpreter and checker followed the chain, not its relabeling:
+        // representatives, whichever twin arrived first. The chain's
+        // interpreter and checker follow the chain, not its relabeling:
         // the copy gets the worker's spare ones.
         let mut normalized = None;
         if permuted {
             let perm = w.enc.chosen_perm().expect("permuted hash implies a chosen relabeling");
-            let mut g = lv.graph.permute_threads(perm);
+            let mut g = ch.graph.permute_threads(perm);
             let rep = w.leaf_replay.reset(self.prog, &mut g, self.config.step_budget);
             if let Some(f) = rep.fault() {
                 return ChainEnd::Verdict(Verdict::Fault(f.to_owned()));
             }
             normalized = Some(g);
         }
-        let replay = if permuted { &w.leaf_replay } else { &lv.replay };
+        let replay = if permuted { &w.leaf_replay } else { &ch.replay };
         let mut blocked = std::mem::take(&mut w.blocked);
         blocked.clear();
         blocked.extend(replay.outcome().blocked().cloned());
@@ -663,13 +643,13 @@ impl Engine<'_> {
             w.phase.set(EnginePhase::FinalCheck);
             w.failpoint("explore.final");
             w.stats.complete_executions += 1;
-            let g = normalized.as_ref().unwrap_or(&lv.graph);
+            let g = normalized.as_ref().unwrap_or(&ch.graph);
             if let Some(message) = failed_final_check(self.prog, g) {
-                let graph = normalized.unwrap_or_else(|| lv.graph.clone());
+                let graph = normalized.unwrap_or_else(|| ch.graph.clone());
                 return ChainEnd::Verdict(Verdict::Safety(Counterexample { graph, message }));
             }
             if self.config.collect_executions {
-                w.executions.push(normalized.unwrap_or_else(|| lv.graph.clone()));
+                w.executions.push(normalized.unwrap_or_else(|| ch.graph.clone()));
             }
             ChainEnd::Done
         } else {
@@ -682,7 +662,7 @@ impl Engine<'_> {
                     debug_assert!(consistent, "relabeling threads preserves consistency");
                     is_stagnant(g, &blocked, &mut *w.leaf_ck)
                 }
-                None => is_stagnant(&mut lv.graph, &blocked, &mut *lv.ck),
+                None => is_stagnant(&mut ch.graph, &blocked, &mut *ch.ck),
             };
             if stagnant {
                 let polls: Vec<String> =
@@ -692,7 +672,7 @@ impl Engine<'_> {
                      observe any new write",
                     polls.join(", ")
                 );
-                let graph = normalized.unwrap_or_else(|| lv.graph.clone());
+                let graph = normalized.unwrap_or_else(|| ch.graph.clone());
                 return ChainEnd::Verdict(Verdict::AwaitTermination(Counterexample {
                     graph,
                     message,
@@ -711,16 +691,16 @@ impl Engine<'_> {
     /// the step is checked like any other.
     fn chain_simple(
         &self,
-        lv: &mut Level,
+        ch: &mut Chain,
         t: ThreadId,
         kind: EventKind,
         w: &mut Worker<'_>,
     ) -> bool {
-        lv.graph.push_event(t, kind);
-        lv.trail.push(Undo::Push { thread: t, slot: None });
+        ch.graph.push_event(t, kind);
+        ch.trail.push(Undo::Push { thread: t, slot: None });
         w.phase.set(EnginePhase::Consistency);
         w.failpoint("explore.consistency");
-        if !lv.ck.push(&lv.graph, t) {
+        if !ch.ck.push(&ch.graph, t) {
             w.stats.inconsistent += 1;
             return false;
         }
@@ -732,7 +712,7 @@ impl Engine<'_> {
     #[allow(clippy::too_many_arguments)]
     fn chain_read(
         &self,
-        lv: &mut Level,
+        ch: &mut Chain,
         t: ThreadId,
         loc: Loc,
         mode: Mode,
@@ -751,22 +731,22 @@ impl Engine<'_> {
         w.phase.set(EnginePhase::Consistency);
         // `⊥` is the potential AT violation: no incoming rf-edge (yet).
         // Sources below the coherence floor are never consistent.
-        let sources = lv.graph.mo(loc).len() + 1;
-        for pos in lv.ck.floor(&lv.graph, t, loc)..sources + usize::from(desc.is_await()) {
+        let sources = ch.graph.mo(loc).len() + 1;
+        for pos in ch.ck.floor(&ch.graph, t, loc)..sources + usize::from(desc.is_await()) {
             let rf = if pos == sources {
                 RfSource::Bottom
             } else {
-                let mo = lv.graph.mo(loc);
+                let mo = ch.graph.mo(loc);
                 RfSource::Write(pos.checked_sub(1).map_or(EventId::Init(loc), |i| mo[i]))
             };
             if desc.is_await() && !rf.is_bottom() && prev_rf == Some(rf) {
                 continue; // wasteful repeat (Def. 2) — never generated
             }
-            lv.graph.push_event(t, event(&lv.graph, rf));
+            ch.graph.push_event(t, event(&ch.graph, rf));
             w.failpoint("explore.consistency");
-            let ok = lv.ck.push(&lv.graph, t);
-            lv.ck.pop(t);
-            lv.graph.pop_event(t);
+            let ok = ch.ck.push(&ch.graph, t);
+            ch.ck.pop(t);
+            ch.graph.pop_event(t);
             if ok {
                 viable.push(rf);
             } else {
@@ -778,9 +758,9 @@ impl Engine<'_> {
             None => false,
             Some((&cont, alternates)) => {
                 for &rf in alternates {
-                    self.admit_alternate(lv, t, event(&lv.graph, rf), None, w);
+                    self.admit_alternate(ch, t, event(&ch.graph, rf), None, w);
                 }
-                lv.extend(t, event(&lv.graph, cont), None);
+                ch.extend(t, event(&ch.graph, cont), None);
                 true
             }
         };
@@ -795,13 +775,13 @@ impl Engine<'_> {
     /// place with the last viable placement.
     fn chain_write(
         &self,
-        lv: &mut Level,
+        ch: &mut Chain,
         t: ThreadId,
         event: EventKind,
         w: &mut Worker<'_>,
     ) -> bool {
         let EventKind::Write { loc, rmw, .. } = event else { unreachable!("a write step") };
-        let g = &lv.graph;
+        let g = &ch.graph;
         let (lo, hi) = if rmw {
             // The write part must land immediately after its read's source.
             let src = match g.rf(newest(g, t)) {
@@ -813,13 +793,13 @@ impl Engine<'_> {
         } else {
             (0, g.mo(loc).len())
         };
-        let positions = lo.max(lv.ck.floor(g, t, loc))..=hi;
+        let positions = lo.max(ch.ck.floor(g, t, loc))..=hi;
         if positions.is_empty() {
             return false;
         }
         let mut targets = std::mem::take(&mut w.targets);
         w.phase.set(EnginePhase::Revisit);
-        targets.compute(&lv.graph, t, loc);
+        targets.compute(&ch.graph, t, loc);
         // Pass 1 — per placement: generate its revisit children (even
         // when the placed graph itself is inconsistent: the revisit
         // restriction can remove the inconsistency), check the
@@ -827,18 +807,18 @@ impl Engine<'_> {
         let mut viable = std::mem::take(&mut w.viable_positions);
         viable.clear();
         for pos in positions {
-            let wid = put(&mut lv.graph, t, event.clone(), Some(pos));
-            self.chain_revisits(lv, wid, pos, &targets, w);
+            let wid = put(&mut ch.graph, t, event.clone(), Some(pos));
+            self.chain_revisits(ch, wid, pos, &targets, w);
             w.phase.set(EnginePhase::Consistency);
             w.failpoint("explore.consistency");
-            if lv.ck.push(&lv.graph, t) {
+            if ch.ck.push(&ch.graph, t) {
                 viable.push(pos);
             } else {
                 w.stats.inconsistent += 1;
             }
-            lv.ck.pop(t);
+            ch.ck.pop(t);
             w.phase.set(EnginePhase::Extend);
-            unput(&mut lv.graph, t, Some(pos));
+            unput(&mut ch.graph, t, Some(pos));
         }
         w.targets = targets;
         // Pass 2 — admit every viable placement but the last as an
@@ -848,9 +828,9 @@ impl Engine<'_> {
             None => false,
             Some((&cont, alternates)) => {
                 for &pos in alternates {
-                    self.admit_alternate(lv, t, event.clone(), Some(pos), w);
+                    self.admit_alternate(ch, t, event.clone(), Some(pos), w);
                 }
-                lv.extend(t, event, Some(cont));
+                ch.extend(t, event, Some(cont));
                 true
             }
         };
@@ -859,15 +839,15 @@ impl Engine<'_> {
     }
 
     /// Backward revisits of one speculative write placement (`wid`, at mo
-    /// index `pos`, is the newest event of the level's graph, `targets`
+    /// index `pos`, is the newest event of the chain's graph, `targets`
     /// were computed for it): re-point every target read. A `⊥` read is
-    /// resolved as a choice point; any other read's revisit restricts the
-    /// graph to the porf-prefixes of the write and the read. Each
-    /// candidate is hashed as a [`GraphView`] — duplicate orbits are
-    /// rejected before any graph is built.
+    /// resolved; any other read's revisit restricts the graph to the
+    /// porf-prefixes of the write and the read. Each candidate is hashed
+    /// as a [`GraphView`] — duplicate orbits are rejected before anything
+    /// is built.
     fn chain_revisits(
         &self,
-        lv: &mut Level,
+        ch: &mut Chain,
         wid: EventId,
         pos: usize,
         targets: &RevisitTargets,
@@ -876,51 +856,39 @@ impl Engine<'_> {
         w.phase.set(EnginePhase::Revisit);
         w.failpoint("explore.revisit");
         let thread = wid.thread().expect("the new write is a regular event");
-        let event = lv.graph.event(wid).kind.clone();
-        let EventKind::Write { val, .. } = event else { unreachable!("{wid} is a write") };
+        let event = ch.graph.event(wid).kind.clone();
         for (k, &(read, pending)) in targets.reads.iter().enumerate() {
-            let cand = if pending {
-                // Resolution of a pending await read: no deletion needed,
-                // the blocked thread has no successors.
-                let reader = read.thread().expect("reads are regular events") as usize;
-                let ThreadStatus::Blocked(b) = &lv.replay.outcome().threads[reader] else {
-                    unreachable!("a ⊥ read blocks its thread")
-                };
-                debug_assert_eq!(b.read, read);
-                let rmw = b.desc.write_on(val).is_some();
-                let event = event.clone();
-                Candidate::Alternate { thread, event, slot: Some(pos), resolves: Some((read, rmw)) }
-            } else {
-                // Standard revisit: keep only the porf-prefixes of the
-                // new write and of the read, re-point the read.
-                Candidate::Revisit { lens: targets.keep(k), read, write: wid }
-            };
-            self.admit(lv, cand, w);
+            // A blocked thread has no successors: its `⊥` read is resolved
+            // without cutting anything.
+            let keep = (!pending).then(|| targets.keep(k));
+            let event = event.clone();
+            self.admit(ch, Candidate { thread, event, slot: Some(pos), read: Some(read), keep }, w);
         }
     }
 
     /// Admit a forward alternate whose event the scan answered `true` for.
     fn admit_alternate(
         &self,
-        lv: &mut Level,
+        ch: &mut Chain,
         thread: ThreadId,
         event: EventKind,
         slot: Option<usize>,
         w: &mut Worker<'_>,
     ) {
-        put(&mut lv.graph, thread, event.clone(), slot);
-        self.admit(lv, Candidate::Alternate { thread, event, slot, resolves: None }, w);
-        unput(&mut lv.graph, thread, slot);
+        put(&mut ch.graph, thread, event.clone(), slot);
+        self.admit(ch, Candidate { thread, event, slot, read: None, keep: None }, w);
+        unput(&mut ch.graph, thread, slot);
     }
 
     /// Admit one candidate: hash its view, and only if its orbit was never
-    /// admitted before, put it on the frontier — as a choice point of the
-    /// level, or materialized: normalized to the orbit representative, or
-    /// as a revisit child with the checker forked down to the part of it
-    /// the chain has recorded. This is what keeps materializations low:
-    /// duplicates cost a hash probe, alternates a choice point.
-    fn admit(&self, lv: &mut Level, cand: Candidate<'_>, w: &mut Worker<'_>) {
-        if !matches!(cand, Candidate::Alternate { resolves: None, .. }) {
+    /// admitted before, put a choice point for it on the frontier. A first
+    /// arrival of its orbit in non-canonical form is relabeled to the
+    /// orbit's representative when it is entered, so that successor
+    /// generation (which extends the first ready thread — not a
+    /// relabeling-invariant choice) stays a function of the orbit.
+    /// Duplicates cost a hash probe, admissions a choice point.
+    fn admit(&self, ch: &mut Chain, cand: Candidate<'_>, w: &mut Worker<'_>) {
+        if cand.read.is_some() {
             w.stats.revisits += 1;
         }
         // `Probe` attributes the hash probe alone; building the admitted
@@ -929,13 +897,13 @@ impl Engine<'_> {
         let caller_phase = w.phase.get();
         w.phase.set(EnginePhase::Probe);
         w.failpoint("explore.dedup");
-        let g = &lv.graph;
-        let view = match cand {
-            Candidate::Alternate { resolves: None, .. } => GraphView::full(g),
-            Candidate::Alternate { thread, resolves: Some((read, _)), .. } => {
-                GraphView::with_rf(g, read, newest(g, thread))
+        let g = &ch.graph;
+        let view = match (cand.read, cand.keep) {
+            (None, _) => GraphView::full(g),
+            (Some(read), None) => GraphView::with_rf(g, read, newest(g, cand.thread)),
+            (Some(read), Some(lens)) => {
+                GraphView::restricted(g, lens, read, newest(g, cand.thread))
             }
-            Candidate::Revisit { lens, read, write } => GraphView::restricted(g, lens, read, write),
         };
         let (h, permuted) = w.enc.hash_view(&view);
         w.stats.probes += w.enc.take_probes();
@@ -949,62 +917,18 @@ impl Engine<'_> {
             }
             return;
         }
-        let entry = if permuted {
-            // First arrival of its orbit, but not in canonical form:
-            // normalize so successor generation (which extends the first
-            // ready thread — not a relabeling-invariant choice) stays a
-            // function of the orbit. The checker's state follows thread
-            // labels, so the relabeled root re-derives its own.
-            let perm = w.enc.chosen_perm().expect("permuted hash implies a chosen relabeling");
-            let graph = match cand {
-                Candidate::Alternate { resolves: None, .. } => g.permute_threads(perm),
-                Candidate::Alternate { thread, resolves: Some((read, _)), .. } => {
-                    let mut child = g.clone();
-                    child.set_rf(read, RfSource::Write(newest(g, thread)));
-                    child.permute_threads(perm)
-                }
-                Candidate::Revisit { lens, read, write } => {
-                    let mut child = g.restrict(lens);
-                    child.set_rf(read, RfSource::Write(write));
-                    child.permute_threads(perm)
-                }
-            };
-            Entry::Root(WorkItem { graph, inherited: None })
-        } else {
-            match cand {
-                Candidate::Alternate { thread, event, slot, resolves } => {
-                    Entry::Choice(lv.choice(thread, event, slot, resolves))
-                }
-                Candidate::Revisit { lens, read, write } => {
-                    // What the child's checker inherits: the level's
-                    // checker cut back to the kept events minus `write`
-                    // (which it has not recorded) and `read` (which
-                    // changes). `read` is po-maximal among the kept events
-                    // — a kept po-successor would put it in the write's
-                    // prefix — and nothing reads from a read, so both are
-                    // legal pushes on it.
-                    let mut graph = g.restrict(lens);
-                    graph.set_rf(read, RfSource::Write(write));
-                    let (wt, rt) = (write.thread().unwrap(), read.thread().unwrap());
-                    let mut recorded = lens.to_vec();
-                    recorded[wt as usize] -= 1;
-                    recorded[rt as usize] -= 1;
-                    let state = lv.ck.fork(&recorded);
-                    let pending = Pending::Revisit { write: wt, read: rt };
-                    Entry::Root(WorkItem { graph, inherited: Some(Inherited { state, pending }) })
-                }
-            }
-        };
+        let perm = permuted
+            .then(|| w.enc.chosen_perm().expect("permuted hash implies a chosen relabeling"));
         w.stats.constructed += 1;
-        w.out.push(entry);
+        w.out.push(ch.choice(cand, perm));
     }
 
-    /// Debug builds hold every root entered by rewinding, and every item
+    /// Debug builds hold every root entered by rewinding, and every root
     /// materialized from a choice point, to the root the admitting chain
-    /// would have materialized (`expect`): the same graph (content hash
-    /// included) once a fresh `reset` replayed it, the statuses that replay
-    /// reports, and — where the root is consistent — the coherence floors
-    /// of a freshly `reset` checker, for every thread and location.
+    /// would have built by copying (`expect`): the same graph (content
+    /// hash included) once a fresh `reset` replayed it, the statuses that
+    /// replay reports, and — where the root is consistent — the coherence
+    /// floors of a freshly `reset` checker, for every thread and location.
     #[cfg(debug_assertions)]
     fn assert_root_matches(
         &self,
@@ -1036,24 +960,37 @@ impl Engine<'_> {
         }
     }
 
-    /// [`Engine::assert_root_matches`] for an item materialized from a
-    /// choice point: replayed and checked the way its chain will be.
-    #[cfg(debug_assertions)]
-    pub(crate) fn assert_item_matches(&self, expect: &ExecutionGraph, item: &WorkItem) {
-        let mut g = item.graph.clone();
-        let mut replay = ChainReplay::default();
-        replay.reset(self.prog, &mut g, self.config.step_budget);
-        let mut ck = self.model.chain_checker();
-        let consistent = root_consistent(&g, &mut *ck, item.inherited.as_ref());
-        self.assert_root_matches(expect, &g, replay.outcome(), &*ck, consistent);
+    /// The root `cp` stands for, for another worker ([`Chain::materialize`]);
+    /// debug builds replay and check it the way its chain will and hold it
+    /// to [`Engine::assert_root_matches`].
+    pub(crate) fn materialize(&self, ch: &Chain, cp: &ChoicePoint) -> ExecutionGraph {
+        let root = ch.materialize(cp);
+        #[cfg(debug_assertions)]
+        {
+            let mut g = root.clone();
+            let mut replay = ChainReplay::default();
+            replay.reset(self.prog, &mut g, self.config.step_budget);
+            let mut ck = self.model.chain_checker();
+            let consistent = ck.reset(&g);
+            self.assert_root_matches(&cp.expect, &g, replay.outcome(), &*ck, consistent);
+        }
+        root
     }
 }
 
 #[cfg(test)]
 thread_local! {
-    /// Choice points materialized with a re-point beyond them, on this
-    /// thread: the donation test's witness that it covered the case.
+    /// Roots a chain was opened on, on this thread: at one worker, only
+    /// the initial graph.
+    pub(crate) static ROOTS_OPENED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Choice points materialized with a re-point, a cut or a relabeling
+    /// beyond them, on this thread: the donation tests' witnesses that
+    /// they covered each case.
     pub(crate) static MATERIALIZED_PAST_REPOINT: std::cell::Cell<u64> =
+        const { std::cell::Cell::new(0) };
+    pub(crate) static MATERIALIZED_PAST_CUT: std::cell::Cell<u64> =
+        const { std::cell::Cell::new(0) };
+    pub(crate) static MATERIALIZED_PAST_RELABEL: std::cell::Cell<u64> =
         const { std::cell::Cell::new(0) };
 }
 

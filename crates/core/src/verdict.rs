@@ -11,10 +11,10 @@ use vsync_model::{CheckerKind, ModelKind};
 /// the process. A value of `0` means unlimited.
 ///
 /// Memory is tracked by byte-accounting on the two unbounded structures:
-/// the frontier of queued work items (each graph estimated via
-/// [`ExecutionGraph::approx_heap_bytes`], plus the consistency-checker
-/// state the item inherited from the chain that admitted it) and the
-/// sharded dedup set (a fixed per-entry cost).
+/// the frontier (each pooled root's graph estimated via
+/// [`ExecutionGraph::approx_heap_bytes`], each choice point by its size
+/// and the lengths it keeps) and the sharded dedup set (a fixed per-entry
+/// cost).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceBudget {
     /// Approximate heap ceiling in bytes for frontier + dedup (0 = unlimited).
@@ -140,11 +140,9 @@ pub struct ExploreStats {
     /// `popped` is the unit of "graphs processed".
     pub popped: u64,
     /// Chain roots admitted: the initial graph plus every admitted forward
-    /// alternate, `⊥` resolution and revisit child — whether the search
-    /// enters it by rewinding the admitting chain (alternates and
-    /// resolutions) or materializes it as a work item (revisit children,
-    /// roots relabeled by symmetry). In-place chain extension keeps it well
-    /// below `popped`.
+    /// alternate, `⊥` resolution and revisit child, each entered by
+    /// rewinding the admitting worker's chain (or materialized for another
+    /// worker). In-place chain extension keeps it well below `popped`.
     pub constructed: u64,
     /// Items skipped as duplicates (content hash already seen).
     pub duplicates: u64,

@@ -17,9 +17,10 @@
 //! A chain step changes one event, so the common updates are small:
 //! `push_event`, and `set_rf` on a thread's last read, cost one event hash
 //! and one `threads`-wide join, `set_event_mode` on a last event one hash,
-//! and `pop_event` a truncation. `restrict` keeps both indexes of its
-//! porf-closed part as they are, `permute_threads` relabels them, and
-//! `insert_mo` / `remove_mo` touch neither.
+//! and `pop_event` a truncation. `restrict` and `cut` keep both indexes of
+//! their porf-closed part as they are (`uncut` puts the cut ones back),
+//! `permute_threads` relabels them, and `insert_mo` / `remove_mo` touch
+//! neither.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -81,6 +82,26 @@ impl Track {
 fn join(clock: &mut [u32], other: &[u32]) {
     for (c, &o) in clock.iter_mut().zip(other) {
         *c = (*c).max(o);
+    }
+}
+
+/// What [`ExecutionGraph::cut`] took off a graph.
+#[derive(Debug, Clone)]
+pub struct Cut {
+    /// Each shortened thread, the length it was cut back to and the
+    /// suffix it lost.
+    tails: Vec<(ThreadId, u32, Track)>,
+    /// The cut writes with their `mo` slots, in the order they were taken
+    /// out (by location, from the highest slot down).
+    slots: Vec<(Loc, u32, EventId)>,
+    /// The graph's dangling-read count before the cut.
+    dangling: u32,
+}
+
+impl Cut {
+    /// The shortened threads, each with the length it was cut back to.
+    pub fn threads(&self) -> impl Iterator<Item = (ThreadId, usize)> + '_ {
+        self.tails.iter().map(|&(t, len, _)| (t, len as usize))
     }
 }
 
@@ -558,6 +579,61 @@ impl ExecutionGraph {
             }
         }
         g
+    }
+
+    /// Restrict the graph in place to the first `lens[t]` events of every
+    /// thread `t`, as [`ExecutionGraph::restrict`] does on a copy, and
+    /// return what was taken off: each shortened thread's suffix, with its
+    /// indexes, and the cut writes' `mo` slots. [`ExecutionGraph::uncut`]
+    /// puts it back.
+    pub fn cut(&mut self, lens: &[u32]) -> Cut {
+        let cut = |id: EventId| match id {
+            EventId::Init(_) => false,
+            EventId::Event { thread, index } => index >= lens[thread as usize],
+        };
+        let mut slots = Vec::new();
+        for (&loc, ws) in self.mo.iter_mut() {
+            for pos in (0..ws.len()).rev() {
+                if cut(ws[pos]) {
+                    slots.push((loc, pos as u32, ws.remove(pos)));
+                }
+            }
+        }
+        self.mo.retain(|_, ws| !ws.is_empty());
+        let nt = self.threads.len();
+        let mut tails = Vec::new();
+        for (t, &len) in lens.iter().enumerate() {
+            let len = len as usize;
+            if len < self.threads[t].events.len() {
+                let track = Arc::make_mut(&mut self.threads[t]);
+                let tail = Track {
+                    events: track.events.split_off(len),
+                    hashes: track.hashes.split_off(len),
+                    clocks: track.clocks.split_off(len * nt),
+                };
+                tails.push((t as ThreadId, len as u32, tail));
+            }
+        }
+        let dangling = self.dangling;
+        if dangling > 0 {
+            self.dangling = self.reads().filter(|&(r, _, rf)| self.dangles(r, rf)).count() as u32;
+        }
+        Cut { tails, slots, dangling }
+    }
+
+    /// Undo the [`ExecutionGraph::cut`] that returned `cut`, on the graph
+    /// it left (or one equal to it).
+    pub fn uncut(&mut self, cut: &Cut) {
+        for (t, _, tail) in &cut.tails {
+            let track = Arc::make_mut(&mut self.threads[*t as usize]);
+            track.events.extend_from_slice(&tail.events);
+            track.hashes.extend_from_slice(&tail.hashes);
+            track.clocks.extend_from_slice(&tail.clocks);
+        }
+        for &(loc, pos, id) in cut.slots.iter().rev() {
+            self.mo.entry(loc).or_default().insert(pos as usize, id);
+        }
+        self.dangling = cut.dangling;
     }
 
     /// The graph with its threads relabeled by `perm`

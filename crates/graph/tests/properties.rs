@@ -549,3 +549,29 @@ fn closure_preserves_acyclicity() {
         assert!(closed.is_irreflexive());
     });
 }
+
+/// Cutting in place is [`ExecutionGraph::restrict`] without the copy, and
+/// [`ExecutionGraph::uncut`] undoes it exactly: for the porf-prefix of
+/// every pair of events (every keep-set a backward revisit can have), the
+/// cut graph equals the restriction and the restored one the original,
+/// indexes and content hash included.
+#[test]
+fn cut_equals_restrict_and_uncut_restores() {
+    let mut cutting = 0;
+    for_random_graphs("cut_equals_restrict_and_uncut_restores", |g| {
+        let ids: Vec<EventId> = g.events().map(|(id, _)| id).collect();
+        for &a in &ids {
+            for &b in &ids {
+                let lens = g.porf_join([a, b]);
+                let mut h = g.clone();
+                let cut = h.cut(&lens);
+                assert_eq!(h, g.restrict(&lens), "cut to {lens:?}");
+                cutting += u32::from(h.num_events() < g.num_events());
+                h.uncut(&cut);
+                assert_eq!(&h, g, "uncut from {lens:?}");
+                assert_eq!(content_hash(&h), content_hash(g));
+            }
+        }
+    });
+    assert!(cutting >= 100, "only {cutting} keep-sets cut events");
+}

@@ -33,13 +33,20 @@
 //! every thread — [`replay_with_budget`] is exactly that on a fresh
 //! `ChainReplay`, so there is one interpreter loop.
 //!
-//! The explorer also *backtracks* along a chain: it pops events and
-//! enters another alternate of an earlier step. Every `advance` keeps the
-//! cursor it moved — pc, event and step counts, and only the registers the
-//! advance changed — and [`ChainReplay::rewind`] puts the cursors back.
-//! Statuses are not kept: a status is a function of its cursor and the
-//! graph, so `rewind` re-runs each moved thread once, from its restored
-//! cursor, against the graph as it was.
+//! A backward revisit changes a thread other than by a push: it cuts
+//! threads back and re-points a read, and a relabeling to the orbit
+//! representative moves every thread's events. [`ChainReplay::restart`]
+//! interprets such a thread again from its start — still one thread, not
+//! the program.
+//!
+//! The explorer also *backtracks* along a chain: it pops events, restores
+//! what a revisit cut, and enters another alternate of an earlier step.
+//! Every `advance` keeps the cursor it moved — pc, event and step counts,
+//! and only the registers the advance changed; a `restart` keeps the whole
+//! cursor — and [`ChainReplay::rewind`] puts the cursors back. Statuses
+//! are not kept: a status is a function of its cursor and the graph, so
+//! `rewind` re-runs each moved thread once, from its restored cursor,
+//! against the graph as it was.
 
 use vsync_graph::{EventId, EventKind, ExecutionGraph, Loc, Mode, RfSource, Value};
 
@@ -319,30 +326,35 @@ impl Cursor {
 ///
 /// [`ChainReplay::reset`] interprets every thread against an arbitrary
 /// graph; [`ChainReplay::advance`] answers for "that graph plus events
-/// pushed on `thread`" by resuming that thread alone, and
-/// [`ChainReplay::rewind`] takes the newest `advance`s back. Anything else
-/// — a removed event, another thread's push — needs a `reset`, or the
-/// rewind of the `advance`s that saw it. One change to a thread's
-/// not-yet-consumed suffix is allowed too: its cursor sits at the start of
-/// the instruction it stopped in, so re-pointing the `⊥` read a thread is
-/// blocked on and then advancing that thread is exact.
+/// pushed on `thread`" by resuming that thread alone,
+/// [`ChainReplay::restart`] for "that graph with `thread`'s events
+/// changed" by interpreting that thread again, and
+/// [`ChainReplay::rewind`] takes the newest of both back. Anything else
+/// — a removed event, another thread's push — needs a `reset`, a
+/// `restart` of the threads it touched, or the rewind of the `advance`s
+/// that saw it. One change to a thread's not-yet-consumed suffix is
+/// allowed too: its cursor sits at the start of the instruction it stopped
+/// in, so re-pointing the `⊥` read a thread is blocked on and then
+/// advancing that thread is exact.
 #[derive(Debug, Default)]
 pub struct ChainReplay {
     cursors: Vec<Cursor>,
     outcome: ReplayOutcome,
-    /// One entry per `advance` since the last `reset`, newest last: the
-    /// cursor the thread had before it, registers aside.
+    /// One entry per `advance` or `restart` since the last `reset`, newest
+    /// last: the cursor the thread had before it, registers aside.
     saved: Vec<Saved>,
     /// Every register write of those `advance`s with the value it
     /// replaced, oldest first: an instruction or two's worth per
-    /// `advance`, where a copy of the cursor would be all its registers.
+    /// `advance`, where a copy of the cursor would be all its registers
+    /// (which is what a `restart` keeps).
     changed: Vec<(u8, Value)>,
     /// Scratch of [`ChainReplay::rewind`]: the threads it moved back.
     moved: Vec<bool>,
 }
 
-/// What [`ChainReplay::rewind`] restores of one `advance`: its thread's
-/// cursor before it, and how many entries of `changed` it wrote.
+/// What [`ChainReplay::rewind`] restores of one `advance` or `restart`:
+/// its thread's cursor before it, and how many entries of `changed` it
+/// wrote.
 #[derive(Debug)]
 struct Saved {
     thread: u32,
@@ -385,14 +397,38 @@ impl ChainReplay {
         &self.outcome
     }
 
-    /// How many [`ChainReplay::advance`]s since the last `reset` are not
-    /// taken back: what [`ChainReplay::rewind`] goes back to.
+    /// The outcome for `g` = the graph of the previous call with the
+    /// events of `thread` changed in any way — cut back, a read re-pointed,
+    /// the threads relabeled: interprets `thread` again from its start
+    /// and replaces its status. Logged like an [`ChainReplay::advance`]
+    /// (the whole register file, since all of it may change), so
+    /// [`ChainReplay::rewind`] puts the old cursor back.
+    pub fn restart(
+        &mut self,
+        prog: &Program,
+        g: &mut ExecutionGraph,
+        thread: u32,
+        budget: usize,
+    ) -> &ReplayOutcome {
+        let t = thread as usize;
+        let Cursor { regs, pc, ev, steps } = std::mem::replace(&mut self.cursors[t], Cursor::START);
+        self.changed.extend(regs.iter().enumerate().map(|(r, &v)| (r as u8, v)));
+        let changed = NUM_REGS as u32;
+        self.saved.push(Saved { thread, changed, pc: pc as u32, ev: ev as u32, steps });
+        self.outcome.threads[t] = self.run_thread(prog, g, thread, budget, Run::Plain);
+        &self.outcome
+    }
+
+    /// How many [`ChainReplay::advance`]s and [`ChainReplay::restart`]s
+    /// since the last `reset` are not taken back: what
+    /// [`ChainReplay::rewind`] goes back to.
     pub fn advances(&self) -> usize {
         self.saved.len()
     }
 
-    /// Take back every [`ChainReplay::advance`] after the first `keep`
-    /// since the last `reset`. `g` must be the graph the oldest of them
+    /// Take back every [`ChainReplay::advance`] and
+    /// [`ChainReplay::restart`] after the first `keep` since the last
+    /// `reset`. `g` must be the graph the oldest of them
     /// started from: each thread they moved goes back to its cursor
     /// before them, and its status is re-derived from there — the
     /// instruction it stopped in, run once more against `g` (a status is a

@@ -9,9 +9,13 @@
 //! places where resuming mid-instruction can go wrong. [`ChainReplay::rewind`]
 //! is held to the same oracle: walks that take a random number of steps
 //! back (the graph first, then the interpreter) must find the statuses a
-//! from-scratch replay of the shortened graph reports.
+//! from-scratch replay of the shortened graph reports. The same walks also
+//! take a backward revisit's step — threads cut back, a read re-pointed,
+//! [`ChainReplay::restart`] for the threads it touched — and, on programs
+//! whose threads run the same code, relabel the threads, and take both
+//! back again.
 
-use vsync_graph::{EventId, EventKind, ExecutionGraph, Loc, Mode, RfSource};
+use vsync_graph::{Cut, EventId, EventKind, ExecutionGraph, Loc, Mode, RfSource, ThreadId};
 use vsync_lang::{
     replay_with_budget, ChainReplay, PendingOp, Program, ProgramBuilder, Reg, RmwOp, Test,
     ThreadStatus, DEFAULT_STEP_BUDGET,
@@ -54,15 +58,27 @@ enum Choice {
     Auto,
 }
 
+/// One step of a walk, with what taking it back needs.
+enum Done {
+    /// An event pushed on a thread (for a write, at this location and mo
+    /// index) and `advance`d.
+    Push(u32, Option<(Loc, usize)>),
+    /// A backward revisit: what the cut took off, and the re-pointed read
+    /// with its source and derived flags before.
+    Cut { cut: Cut, read: EventId, from: RfSource, flags: (bool, bool) },
+    /// The threads relabeled by this permutation.
+    Relabel(Vec<ThreadId>),
+}
+
 /// A chain under test: the graph, the carried replay, what was observed.
 struct Walk<'p> {
     prog: &'p Program,
     budget: usize,
     g: ExecutionGraph,
     chain: ChainReplay,
-    /// What each `advance` pushed, oldest first: its thread and, for a
-    /// write, the location and mo index.
-    pushed: Vec<(u32, Option<(Loc, usize)>)>,
+    /// The steps taken, oldest first, each with the interpreter's
+    /// [`ChainReplay::advances`] before it.
+    pushed: Vec<(Done, usize)>,
     steps: usize,
     /// Did the walk repeat an await's previous source (a wasteful
     /// iteration, which the explorer never generates)?
@@ -154,25 +170,95 @@ impl<'p> Walk<'p> {
                 self.g.push_event(t, EventKind::Error { msg });
             }
         }
-        self.pushed.push((t, slot));
+        self.pushed.push((Done::Push(t, slot), self.chain.advances()));
         self.chain.advance(self.prog, &mut self.g, t, self.budget);
         self.steps += 1;
         self.check(&format!("step {} on T{t}", self.steps));
     }
 
-    /// Take the newest `k` steps back: their events off the graph, then
-    /// their `advance`s.
-    fn rewind(&mut self, k: usize) {
-        for _ in 0..k {
-            let (t, slot) = self.pushed.pop().expect("a step to take back");
-            if let Some((loc, pos)) = slot {
-                self.g.remove_mo(loc, pos);
-            }
-            self.g.pop_event(t);
+    /// A backward revisit's step: keep the porf-prefixes of `read` and of
+    /// `write`, a write of its location that `read` does not precede,
+    /// re-point `read` to `write`, and restart every thread that changed.
+    fn revisit(&mut self, read: EventId, write: EventId) {
+        let lens = self.g.porf_join([read, write]);
+        let EventKind::Read { rf: from, rmw, awaiting, .. } = self.g.event(read).kind else {
+            panic!("{read} is not a read")
+        };
+        let advances = self.chain.advances();
+        let cut = self.g.cut(&lens);
+        self.g.set_rf(read, RfSource::Write(write));
+        let reader = read.thread().expect("a regular read");
+        let mut restart: Vec<u32> = cut.threads().map(|(t, _)| t).collect();
+        if !restart.contains(&reader) {
+            restart.push(reader);
         }
-        assert_eq!(self.chain.advances(), self.pushed.len() + k);
-        self.chain.rewind(self.prog, &mut self.g, self.pushed.len(), self.budget);
+        for t in restart {
+            self.chain.restart(self.prog, &mut self.g, t, self.budget);
+        }
+        self.pushed.push((Done::Cut { cut, read, from, flags: (rmw, awaiting) }, advances));
+        self.check(&format!("revisit of {read} by {write}"));
+    }
+
+    /// Relabel the threads by `perm` and restart all of them.
+    fn relabel(&mut self, perm: Vec<ThreadId>) {
+        let advances = self.chain.advances();
+        self.g = self.g.permute_threads(&perm);
+        for t in 0..self.g.num_threads() as u32 {
+            self.chain.restart(self.prog, &mut self.g, t, self.budget);
+        }
+        self.check(&format!("relabeling by {perm:?}"));
+        self.pushed.push((Done::Relabel(perm), advances));
+    }
+
+    /// Take the newest `k` steps back: the graph first, then the
+    /// interpreter's `advance`s and `restart`s.
+    fn rewind(&mut self, k: usize) {
+        let mut keep = self.chain.advances();
+        for _ in 0..k {
+            let (done, advances) = self.pushed.pop().expect("a step to take back");
+            match done {
+                Done::Push(t, slot) => {
+                    if let Some((loc, pos)) = slot {
+                        self.g.remove_mo(loc, pos);
+                    }
+                    self.g.pop_event(t);
+                }
+                Done::Cut { cut, read, from, flags: (rmw, awaiting) } => {
+                    self.g.set_rf(read, from);
+                    self.g.set_read_flags(read, rmw, awaiting);
+                    self.g.uncut(&cut);
+                }
+                Done::Relabel(perm) => {
+                    let mut inverse = vec![0; perm.len()];
+                    for (t, &p) in perm.iter().enumerate() {
+                        inverse[p as usize] = t as ThreadId;
+                    }
+                    self.g = self.g.permute_threads(&inverse);
+                }
+            }
+            keep = advances;
+        }
+        self.chain.rewind(self.prog, &mut self.g, keep, self.budget);
         self.check(&format!("{k} steps back to {}", self.pushed.len()));
+    }
+
+    /// A random backward revisit of the graph, if it has one.
+    fn random_revisit(&mut self, rng: &mut Rng) -> bool {
+        let mut pairs = Vec::new();
+        for (r, loc, rf) in self.g.reads() {
+            for &w in self.g.mo(loc) {
+                let EventId::Event { thread, index } = r else { unreachable!() };
+                if rf != RfSource::Write(w) && self.g.porf_clock(w)[thread as usize] <= index {
+                    pairs.push((r, w));
+                }
+            }
+        }
+        if pairs.is_empty() {
+            return false;
+        }
+        let (r, w) = pairs[rng.below(pairs.len())];
+        self.revisit(r, w);
+        true
     }
 
     /// Extend a random ready thread by a random realization of its
@@ -221,9 +307,20 @@ fn mode(op: u64, kind: u64) -> Mode {
 /// operand may be their destination, CAS, fences of every mode (relaxed
 /// ones emit nothing), the three awaits, asserts and a forward branch.
 fn random_program(rng: &mut Rng) -> Program {
+    program(rng, false)
+}
+
+/// [`random_program`], or with `symmetric` 2–3 threads running the same
+/// code.
+fn program(rng: &mut Rng, symmetric: bool) -> Program {
     let mut pb = ProgramBuilder::new("random");
-    for _ in 0..1 + rng.below(3) {
-        let ops: Vec<u64> = (0..1 + rng.below(4)).map(|_| rng.next()).collect();
+    let threads = if symmetric { 2 + rng.below(2) } else { 1 + rng.below(3) };
+    let mut ops: Vec<u64> = Vec::new();
+    for k in 0..threads {
+        if k == 0 || !symmetric {
+            ops = (0..1 + rng.below(4)).map(|_| rng.next()).collect();
+        }
+        let ops = ops.clone();
         pb.thread(move |t| {
             for r in 0..4 {
                 t.mov(Reg(r), u64::from(r));
@@ -290,28 +387,48 @@ fn advance_equals_replay_on_random_chains() {
 /// Rewinding is exact: walks that go forward and back at random — and,
 /// after going back, forward again along other choices, as the explorer
 /// enters a choice point — report after every rewind what a from-scratch
-/// replay of the shortened graph reports.
+/// replay of the shortened graph reports. Their steps include backward
+/// revisits (cuts with a re-point) and, on programs of identical threads,
+/// relabelings, each checked against a fresh replay too.
 #[test]
 fn rewind_equals_replay_on_random_chains() {
-    let (mut rewinds, mut deep) = (0, 0);
+    let (mut rewinds, mut deep, mut cuts, mut relabels, mut undone) = (0, 0, 0, 0, 0);
     for seed in 0..600u64 {
         let mut rng = Rng(seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(0x5851f42d4c957f2d));
-        let prog = random_program(&mut rng);
+        let symmetric = seed % 3 == 0;
+        let prog = program(&mut rng, symmetric);
         let mut walk = Walk::new(&prog, DEFAULT_STEP_BUDGET);
         for _ in 0..40 {
             if !walk.pushed.is_empty() && rng.chance(30) {
                 let k = 1 + rng.below(walk.pushed.len());
+                let taken = &walk.pushed[walk.pushed.len() - k..];
+                undone += usize::from(taken.iter().any(|(d, _)| !matches!(d, Done::Push(..))));
                 walk.rewind(k);
                 rewinds += 1;
                 deep += usize::from(k >= 3);
+            } else if rng.chance(25) && walk.random_revisit(&mut rng) {
+                cuts += 1;
+            } else if symmetric && rng.chance(10) {
+                let n = prog.num_threads();
+                let mut perm: Vec<ThreadId> = (0..n as ThreadId).collect();
+                perm.rotate_left(1 + rng.below(n - 1));
+                if rng.chance(50) {
+                    perm.swap(0, n - 1);
+                }
+                walk.relabel(perm);
+                relabels += 1;
             } else if !walk.random_step(&mut rng) && walk.pushed.is_empty() {
                 break;
             }
         }
     }
-    // Vacuity guards: rewinds happen, many of them several steps deep.
+    // Vacuity guards: rewinds happen, many of them several steps deep,
+    // and revisits and relabelings are taken and taken back.
     assert!(rewinds >= 1500, "only {rewinds} rewinds");
     assert!(deep >= 500, "only {deep} rewinds of three steps or more");
+    assert!(cuts >= 400, "only {cuts} revisits");
+    assert!(relabels >= 400, "only {relabels} relabelings");
+    assert!(undone >= 500, "only {undone} rewinds past a revisit or a relabeling");
 }
 
 fn build(f: impl FnOnce(&mut ProgramBuilder)) -> Program {

@@ -10,16 +10,13 @@
 //! * [`ChainChecker::push`] answers for "the state plus the next event of
 //!   `thread`" — nothing recorded may read from it or follow it in program
 //!   order, and a write must already sit in `mo`;
-//! * [`ChainChecker::pop`] undoes the last push on `thread`;
+//! * [`ChainChecker::pop`] undoes the last push on `thread` — and, popped
+//!   back to per-thread prefixes closed under `po ∪ rf`, leaves the state a
+//!   `reset` of that restriction would build, which is how a backward
+//!   revisit cuts the chain's state back (DESIGN.md §2.2);
 //! * [`ChainChecker::floor`] answers, without changing the state, below
 //!   which extended-mo position coherence rules out every source and
-//!   placement of the next access of a location by a thread;
-//! * [`ChainChecker::fork`] detaches a copy of the state restricted to
-//!   per-thread prefixes (a [`Fork`]) — what a chain hands to the work
-//!   items it admits — and [`ChainChecker::adopt`] makes such a copy the
-//!   state again: the checker that later follows the item's chain `push`es
-//!   the one or two events the copy has not recorded instead of re-deriving
-//!   everything with a `reset`.
+//!   placement of the next access of a location by a thread.
 //!
 //! [`Vmm`](crate::Vmm) implements it with per-event happens-before
 //! **vector clocks** ([`VmmChecker`]); [`Sc`](crate::Sc) and
@@ -80,38 +77,12 @@ pub trait ChainChecker {
         thread_floor(g, thread, loc)
     }
 
-    /// A detached copy of the state restricted to the first `lens[t]`
-    /// recorded events of every thread `t`. The kept set must be closed
-    /// under `po ∪ rf` predecessors: the copy then is exactly the state a
-    /// `reset` of the restricted graph would build (DESIGN.md §2.2).
-    fn fork(&self, lens: &[u32]) -> Fork;
-
-    /// Forget all previous state and take over `fork`'s, which must come
-    /// from a checker of the same model.
-    fn adopt(&mut self, fork: &Fork);
-
     /// How many `false` answers, over the checker's whole life, the SC
     /// axiom alone gave: every other axiom held on the graph asked about.
     /// `None` when the checker cannot tell them apart from the others,
-    /// which is the default. `reset`, `fork` and `adopt` keep the count.
+    /// which is the default. `reset` keeps the count.
     fn sc_rejections(&self) -> Option<u64> {
         None
-    }
-}
-
-/// A checker state cut loose from its checker ([`ChainChecker::fork`]):
-/// plain words in one allocation, so that handing it to another thread
-/// costs that thread one read and one `free`, and the checker adopting it
-/// keeps writing to buffers of its own. Opaque: only the model that wrote
-/// it can read it. A stateless checker's fork is empty and allocation-free.
-#[derive(Debug, Default)]
-pub struct Fork(Vec<u32>);
-
-impl Fork {
-    /// Approximate heap footprint in bytes, for resource budgeting of the
-    /// work items that carry a fork.
-    pub fn approx_heap_bytes(&self) -> usize {
-        self.0.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -155,12 +126,37 @@ impl<M: MemoryModel> ChainChecker for Stateless<M> {
     fn floor(&self, g: &ExecutionGraph, thread: ThreadId, loc: Loc) -> usize {
         self.0.floor(g, thread, loc)
     }
+}
 
-    fn fork(&self, _lens: &[u32]) -> Fork {
-        Fork::default()
+/// Record, without checking, the events of `g` from `from[t]` up to
+/// `to[t]` of every thread `t`, in a `po ∪ rf` order (a read waits for its
+/// source): what a state popped back from the accepted prefixes `to` to
+/// the `po ∪ rf`-closed prefixes `from` lacks. The events may read from
+/// each other across threads, and from events recorded in any order
+/// before, so no single thread order replays them.
+pub fn record<C: ChainChecker + ?Sized>(ck: &mut C, g: &ExecutionGraph, from: &[u32], to: &[u32]) {
+    let mut at = from.to_vec();
+    while at != to {
+        let mut progress = false;
+        for t in 0..at.len() {
+            while at[t] < to[t] {
+                let ev = &g.thread_events(t as ThreadId)[at[t] as usize];
+                if let EventKind::Read {
+                    rf: RfSource::Write(EventId::Event { thread, index }),
+                    ..
+                } = ev.kind
+                {
+                    if at[thread as usize] <= index {
+                        break;
+                    }
+                }
+                ck.push_accepted(g, t as ThreadId);
+                at[t] += 1;
+                progress = true;
+            }
+        }
+        assert!(progress, "the events to record form a po ∪ rf cycle");
     }
-
-    fn adopt(&mut self, _fork: &Fork) {}
 }
 
 const NONE: u32 = u32::MAX;
@@ -180,22 +176,6 @@ struct Meta {
     prev: u32,
     /// Is the event an SC access or an SC fence?
     sc: bool,
-}
-
-impl Meta {
-    /// Words of a [`Meta`] inside a [`Fork`].
-    const WORDS: usize = 5;
-
-    fn to_words(self) -> [u32; Meta::WORDS] {
-        [self.rel_fence, self.sc_fences, self.slot, self.prev, u32::from(self.sc)]
-    }
-
-    fn from_words(words: &[u32]) -> Meta {
-        let &[rel_fence, sc_fences, slot, prev, sc] = words else {
-            unreachable!("a Meta is {} words", Meta::WORDS)
-        };
-        Meta { rel_fence, sc_fences, slot, prev, sc: sc != 0 }
-    }
 }
 
 /// One thread's records: parallel per-event arrays that [`pop`] truncates.
@@ -561,64 +541,6 @@ impl ChainChecker for VmmChecker {
         self.sc_events -= usize::from(meta.sc);
     }
 
-    // Layout: `nt`, then per thread `len`, the number of per-location
-    // slots, `len × 3nt` clock words, `len` `Meta`s and the slots.
-    //
-    // A kept event's clocks mention only its `po ∪ rf` predecessors, which
-    // are kept too, so the columns carry over as they are; the
-    // per-location chains are cut back to their last kept link (the slots
-    // stay: `Meta::slot` indexes them).
-    fn fork(&self, lens: &[u32]) -> Fork {
-        debug_assert_eq!(lens.len(), self.nt);
-        let events: usize = lens.iter().map(|&len| len as usize).sum();
-        let slots: usize = self.th.iter().map(|rec| rec.heads.len()).sum();
-        let mut words =
-            Vec::with_capacity(1 + 2 * self.nt + events * (3 * self.nt + Meta::WORDS) + slots * 3);
-        words.push(self.nt as u32);
-        for (rec, &len) in self.th.iter().zip(lens) {
-            words.extend([len, rec.heads.len() as u32]);
-            words.extend_from_slice(&rec.clocks[..len as usize * 3 * self.nt]);
-            for m in &rec.meta[..len as usize] {
-                words.extend(m.to_words());
-            }
-            for &(loc, mut head) in &rec.heads {
-                while head > len {
-                    head = rec.meta[head as usize - 1].prev;
-                }
-                words.extend([loc as u32, (loc >> 32) as u32, head]);
-            }
-        }
-        Fork(words)
-    }
-
-    fn adopt(&mut self, fork: &Fork) {
-        let mut words = &fork.0[..];
-        let mut take = |n: usize| {
-            let (head, rest) = words.split_at(n);
-            words = rest;
-            head
-        };
-        let nt = take(1)[0] as usize;
-        self.nt = nt;
-        self.th.resize_with(nt, ThreadRec::default);
-        self.sc_events = 0;
-        for rec in &mut self.th {
-            let (len, slots) = (take(1)[0] as usize, take(1)[0] as usize);
-            rec.clocks.clear();
-            rec.clocks.extend_from_slice(take(len * 3 * nt));
-            rec.meta.clear();
-            rec.meta
-                .extend(take(len * Meta::WORDS).chunks_exact(Meta::WORDS).map(Meta::from_words));
-            rec.heads.clear();
-            rec.heads.extend(
-                take(slots * 3)
-                    .chunks_exact(3)
-                    .map(|w| (Loc::from(w[0]) | Loc::from(w[1]) << 32, w[2])),
-            );
-            self.sc_events += rec.meta.iter().filter(|m| m.sc).count();
-        }
-    }
-
     /// The SC axiom is decided last, and only once every other axiom
     /// held: each `false` answer of its cycle search is one rejection.
     fn sc_rejections(&self) -> Option<u64> {
@@ -921,7 +843,6 @@ mod tests {
         }
     }
 
-    /// (One beyond 32 bits: a fork stores locations as two words.)
     const LOCS: [Loc; 3] = [0x10, 0x20, 0x7_0000_0010];
     const MAX_THREAD_LEN: usize = 9;
 
@@ -1120,30 +1041,27 @@ mod tests {
         ignores_unrecorded: false,
     };
 
-    /// What a chain does when it admits a revisit: fork `ck` down to a
-    /// random `po ∪ rf`-closed part of (the consistent) `g`, then push a
-    /// write and a read of it as the two pending events of a graph that
-    /// already holds both. The fork must equal a fresh `reset` of the
-    /// restricted graph, and so must the answer and the state after the
-    /// pushes. Returns the answer.
-    fn fork_and_push_pending<C: ChainChecker>(
+    /// What a chain does when it enters a revisit: pop `ck` (which
+    /// follows the consistent `g`) back to a random `po ∪ rf`-closed part
+    /// of `g`, then push a write and a read of it as the two pending events
+    /// of a graph that already holds both. The popped state must equal a
+    /// fresh `reset` of the restricted graph, and so must the answer and
+    /// the state after the pushes. Then take it all back as a rewind does:
+    /// pop the pushes and [`record`] the cut events again, which must leave
+    /// the state of a `reset` of `g`. Returns the answer.
+    fn cut_and_push_pending<C: ChainChecker>(
         sub: &Subject<C>,
         rng: &mut Rng,
         g: &ExecutionGraph,
-        ck: &C,
+        ck: &mut C,
         seed: u64,
     ) -> Option<bool> {
         let name = sub.model.name();
         let threads = g.num_threads();
         let seeds: Vec<EventId> = g.events().map(|(id, _)| id).filter(|_| rng.chance(25)).collect();
         let lens = g.porf_join(seeds);
+        let full: Vec<u32> = (0..threads as ThreadId).map(|t| g.thread_len(t) as u32).collect();
         let mut h = g.restrict(&lens);
-        let mut fork = (sub.fresh)();
-        fork.adopt(&ck.fork(&lens));
-        let mut fresh = (sub.fresh)();
-        assert!(fresh.reset(&h), "{name} seed {seed}: a closed restriction stays consistent");
-        (sub.same_state)(&fork, &fresh, &format!("seed {seed}, fork to {lens:?}"), &h);
-
         let open: Vec<ThreadId> = (0..threads as ThreadId)
             .filter(|&t| {
                 !matches!(
@@ -1158,6 +1076,15 @@ mod tests {
         if open.len() < 2 {
             return None;
         }
+        for (t, (&kept, &len)) in lens.iter().zip(&full).enumerate() {
+            for _ in kept..len {
+                ck.pop(t as ThreadId);
+            }
+        }
+        let mut fresh = (sub.fresh)();
+        assert!(fresh.reset(&h), "{name} seed {seed}: a closed restriction stays consistent");
+        (sub.same_state)(ck, &fresh, &format!("seed {seed}, popped to {lens:?}"), &h);
+
         let tw = rng.pick(&open);
         let tr = rng.pick(&open.iter().copied().filter(|&t| t != tw).collect::<Vec<_>>());
         let loc = rng.pick(&LOCS);
@@ -1199,9 +1126,10 @@ mod tests {
         // monotone, so that is sound, and only the conjunction of the two
         // answers is exact: it is the reference's for the full graph.
         let expected = order[1].1;
-        let mut got = true;
+        let (mut got, mut pushed) = (true, Vec::new());
         for (t, ok) in order {
-            got = fork.push(&h, t);
+            got = ck.push(&h, t);
+            pushed.push(t);
             if sub.ignores_unrecorded {
                 assert_eq!(got, ok, "{name} seed {seed}, pending T{t}:\n{}", h.render());
             }
@@ -1212,8 +1140,15 @@ mod tests {
         assert_eq!(got, expected, "{name} seed {seed}, pending pair:\n{}", h.render());
         assert_eq!(fresh.reset(&h), expected, "{name} seed {seed}, reset:\n{}", h.render());
         if expected {
-            (sub.same_state)(&fork, &fresh, &format!("seed {seed}, pending pushes"), &h);
+            (sub.same_state)(ck, &fresh, &format!("seed {seed}, pending pushes"), &h);
         }
+
+        for &t in pushed.iter().rev() {
+            ck.pop(t);
+        }
+        record(ck, g, &lens, &full);
+        assert!(fresh.reset(g));
+        (sub.same_state)(ck, &fresh, &format!("seed {seed}, recorded back from {lens:?}"), g);
         Some(expected)
     }
 
@@ -1299,12 +1234,12 @@ mod tests {
     /// Grow random graphs by push/pop sequences and hold the chain checker
     /// to the axiom evaluator after every step; a fresh `reset`
     /// must answer the same and, on accepted graphs, rebuild the same
-    /// state — and so must a fork of the checker, restricted and then
-    /// extended by two pending events.
+    /// state — and so must the checker popped back to a restriction and
+    /// extended by two pending events, and, recorded back, the original.
     fn equals_reference_at_every_step<C: ChainChecker>(sub: &Subject<C>) {
         let name = sub.model.name();
         let (mut steps, mut accepted, mut rejected, mut resets) = (0u32, 0u32, 0u32, 0u32);
-        let (mut forks, mut forks_accepted) = (0u32, 0u32);
+        let (mut cuts, mut cuts_accepted) = (0u32, 0u32);
         let mut floors = FloorTally::default();
         let others: Vec<crate::axioms::Axiom> = (sub.model.axioms().iter())
             .filter(|a| !matches!(a, crate::axioms::Axiom::Acyclic("psc", _)))
@@ -1377,9 +1312,9 @@ mod tests {
                 }
                 accepted += 1;
                 if rng.chance(20) {
-                    if let Some(ok) = fork_and_push_pending(sub, &mut rng, &g, &ck, seed) {
-                        forks += 1;
-                        forks_accepted += u32::from(ok);
+                    if let Some(ok) = cut_and_push_pending(sub, &mut rng, &g, &mut ck, seed) {
+                        cuts += 1;
+                        cuts_accepted += u32::from(ok);
                     }
                 }
                 // The floor of a thread whose next event may be any access
@@ -1411,14 +1346,14 @@ mod tests {
         // Vacuity guard: both answers must be exercised.
         assert!(accepted * 10 >= steps, "{name}: {accepted} of {steps} steps accepted");
         assert!(rejected * 10 >= steps, "{name}: {rejected} of {steps} steps rejected");
-        assert!(forks >= 500, "{name}: only {forks} forks");
+        assert!(cuts >= 500, "{name}: only {cuts} cuts");
         if sub.ignores_unrecorded {
             assert!(sc_rejections >= 20, "{name}: only {sc_rejections} SC-axiom rejections");
         }
-        assert!(forks_accepted * 10 >= forks, "{name}: {forks_accepted} of {forks} forks accepted");
+        assert!(cuts_accepted * 10 >= cuts, "{name}: {cuts_accepted} of {cuts} cuts accepted");
         assert!(
-            (forks - forks_accepted) * 10 >= forks,
-            "{name}: {forks_accepted} of {forks} forks accepted"
+            (cuts - cuts_accepted) * 10 >= cuts,
+            "{name}: {cuts_accepted} of {cuts} cuts accepted"
         );
         let FloorTally { sources, placements, children, above_thread_floor } = floors;
         assert!(

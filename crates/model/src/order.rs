@@ -15,7 +15,7 @@
 
 use vsync_graph::{Event, EventId, EventKind, ExecutionGraph, RfSource, ThreadId};
 
-use crate::chain::{atomic_at, mo_pos, ChainChecker, Fork};
+use crate::chain::{atomic_at, mo_pos, ChainChecker};
 use crate::fast;
 
 /// One acyclicity axiom, named by its program-order part; every order adds
@@ -212,10 +212,4 @@ impl ChainChecker for OrderChecker {
     fn push_accepted(&mut self, _g: &ExecutionGraph, _thread: ThreadId) {}
 
     fn pop(&mut self, _thread: ThreadId) {}
-
-    fn fork(&self, _lens: &[u32]) -> Fork {
-        Fork::default()
-    }
-
-    fn adopt(&mut self, _fork: &Fork) {}
 }

@@ -116,9 +116,9 @@ fn panic_with_roots_on_the_local_stack_releases_sleeping_peers() {
 
 /// Every consistency check of a run is attributed to `Consistency`: the
 /// initial graph's `reset`, the scans' pushes, and the root checks that
-/// adopt the admitting chain's forked state and push what it has not
-/// recorded. One worker is deterministic, so the `k`-th hit walks through
-/// all of them.
+/// push the two events a resolution or revisit adds to the popped-back
+/// chain state. One worker is deterministic, so the `k`-th hit walks
+/// through all of them.
 #[test]
 fn every_consistency_check_panics_in_the_consistency_phase() {
     let _gate = failpoint::exclusive();

@@ -1,11 +1,14 @@
 //! Rewinding against materializing, over the lock catalog.
 //!
-//! The search enters every forward alternate and every `⊥`-await
-//! resolution by rewinding the admitting chain's own graph, checker and
-//! interpreter (`crates/core/src/revisit.rs`). A debug build holds each
-//! such root to the root the admitting chain would have materialized: the
-//! same graph (content hash included), the statuses a fresh `reset` replay
-//! reports, and the coherence floors of a freshly `reset` checker. The
+//! The search enters every admitted root — forward alternate, `⊥`-await
+//! resolution, backward revisit (which cuts the chain back), each possibly
+//! relabeled to its orbit representative — by rewinding the admitting
+//! worker's one graph, checker and interpreter
+//! (`crates/core/src/revisit.rs`). A debug build holds each such root to
+//! the root the admitting chain would have built by copying
+//! (`restrict` + `set_rf` [+ `permute_threads`]): the same graph (content
+//! hash included), the statuses a fresh `reset` replay reports, and the
+//! coherence floors of a freshly `reset` checker. The
 //! 600-seed differentials (`tests/differential.rs`) drive that check over
 //! random programs; this test drives it over every catalog lock at three
 //! threads under SC, TSO and VMM, with symmetry on and off (one run where
